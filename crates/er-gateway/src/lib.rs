@@ -21,8 +21,8 @@
 //!   ejection, artifact-digest scraping.
 //! * **[`canary`]** — the staged-promotion state machine: shadow scoring,
 //!   rung ladder, automatic rollback on score divergence.
-//! * **[`server`]** — ties it together: downstream HTTP (with the same
-//!   RFC 7230 conformance rules as the backend parser), `/score` routing
+//! * **[`server`]** — ties it together: downstream HTTP (framed by
+//!   [`er_serve::http`], like every upstream response), `/score` routing
 //!   and hedging, and the `/reload` + `/canary/*` control plane.
 //!
 //! Scores relay **bit-exactly**: the winning backend's response body is

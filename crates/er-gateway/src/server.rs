@@ -27,15 +27,13 @@ use crate::canary::{Action, CanaryConfig, CanaryController, CanaryStatus};
 use crate::health::{spawn_monitor, BackendHealth, HealthState};
 use crate::ring::{percent_slot, HashRing};
 use crate::upstream::{ResponseSlot, UpstreamPool, UpstreamResponse};
+use er_serve::http::{self, Progress, StartLine};
 use serde::Serialize;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Largest downstream request head the gateway accepts.
-const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Gateway tuning; every knob has an operational default.
 #[derive(Debug, Clone)]
@@ -280,7 +278,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, shutdown: Arc<AtomicB
 }
 
 // ---------------------------------------------------------------------------
-// Downstream HTTP parsing (same conformance rules as the backend parser).
+// Downstream HTTP.
 
 struct DownstreamRequest {
     method: String,
@@ -289,125 +287,44 @@ struct DownstreamRequest {
     close: bool,
 }
 
-enum ReadOutcome {
-    Request(DownstreamRequest),
-    /// Peer closed cleanly between requests.
-    Closed,
-    /// Protocol error: answer with this status/message and close.
-    Bad(u16, String),
-    /// Socket error mid-request: just close.
-    Gone,
-}
-
-/// Reads one request off a blocking downstream socket. Applies the same
-/// conformance rules as the backend parser: the RFC 7230 §3.3.3
-/// conflicting-`Content-Length` rejection, a 400 for any
-/// `Transfer-Encoding` (the gateway frames bodies by `Content-Length`
-/// only — silently ignoring chunked framing would re-parse the chunk bytes
-/// as smuggled follow-up requests), OR-combined `Connection` token lists,
-/// and HTTP/1.0 default-close semantics. Answers `Expect: 100-continue`
-/// with the interim response and *strips* that header from what is
-/// forwarded — the gateway fields the expectation itself rather than
-/// proxying the stall upstream.
-fn read_request(stream: &mut TcpStream, buffer: &mut Vec<u8>, max_body: usize) -> ReadOutcome {
+/// Reads one request off a blocking downstream socket: `Ok(None)` when the
+/// peer closed between requests or the socket failed (nothing to answer),
+/// `Err` for a request to refuse before closing. The gateway answers
+/// `Expect: 100-continue` itself and never forwards `Expect` upstream, so a
+/// slow client handshake never holds a backend connection.
+fn read_request(
+    stream: &mut TcpStream,
+    buffer: &mut Vec<u8>,
+    max_body: usize,
+) -> Result<Option<DownstreamRequest>, http::Error> {
     let mut chunk = [0u8; 4096];
     let mut continue_sent = false;
     loop {
-        // Head complete?
-        if let Some(head_end) = buffer.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = match std::str::from_utf8(&buffer[..head_end]) {
-                Ok(head) => head,
-                Err(_) => return ReadOutcome::Bad(400, "request head is not UTF-8".to_string()),
-            };
-            let mut lines = head.split("\r\n");
-            let request_line = lines.next().unwrap_or_default();
-            let mut parts = request_line.split_whitespace();
-            let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next()) else {
-                return ReadOutcome::Bad(400, format!("malformed request line {request_line:?}"));
-            };
-            if !version.starts_with("HTTP/1.") {
-                return ReadOutcome::Bad(400, format!("unsupported protocol {version}"));
-            }
-            let http10 = version == "HTTP/1.0";
-            let method = method.to_string();
-            let path = path.to_string();
-            let mut content_length: Option<usize> = None;
-            let mut close = false;
-            let mut keep_alive = false;
-            let mut expect_continue = false;
-            for line in lines {
-                let Some((name, value)) = line.split_once(':') else {
-                    continue;
+        match http::parse_request(buffer, max_body)? {
+            Progress::Complete(request, len) => {
+                let request = DownstreamRequest {
+                    method: request.method.to_string(),
+                    path: request.target.to_string(),
+                    body: request.body.to_vec(),
+                    close: request.close,
                 };
-                let value = value.trim();
-                match name.trim().to_ascii_lowercase().as_str() {
-                    "content-length" => {
-                        let Ok(parsed) = value.parse::<usize>() else {
-                            return ReadOutcome::Bad(400, format!("unparseable Content-Length {value:?}"));
-                        };
-                        if content_length.is_some_and(|prev| prev != parsed) {
-                            return ReadOutcome::Bad(
-                                400,
-                                "conflicting Content-Length headers make the request framing ambiguous".to_string(),
-                            );
-                        }
-                        content_length = Some(parsed);
-                    }
-                    "transfer-encoding" => {
-                        return ReadOutcome::Bad(400, "chunked bodies are not supported; send Content-Length".to_string());
-                    }
-                    "connection" => {
-                        close = close || value.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"));
-                        keep_alive =
-                            keep_alive || value.split(',').any(|t| t.trim().eq_ignore_ascii_case("keep-alive"));
-                    }
-                    "expect" => {
-                        expect_continue =
-                            expect_continue || value.split(',').any(|t| t.trim().eq_ignore_ascii_case("100-continue"));
-                    }
-                    _ => {}
-                }
+                buffer.drain(..len);
+                return Ok(Some(request));
             }
-            // HTTP/1.0 defaults to close; an explicit `close` token always
-            // wins over `keep-alive` whatever the version.
-            let close = close || (http10 && !keep_alive);
-            let content_length = content_length.unwrap_or(0);
-            if content_length > max_body {
-                return ReadOutcome::Bad(413, format!("request body of {content_length} bytes is too large"));
-            }
-            let total = head_end + 4 + content_length;
-            if buffer.len() >= total {
-                let body = buffer[head_end + 4..total].to_vec();
-                buffer.drain(..total);
-                return ReadOutcome::Request(DownstreamRequest {
-                    method,
-                    path,
-                    body,
-                    close,
-                });
-            }
-            // Body incomplete: honor the expectation once, then keep
-            // reading.
-            if expect_continue && !continue_sent {
+            Progress::Partial { expect_continue } if expect_continue && !continue_sent => {
                 continue_sent = true;
-                if stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n").is_err() {
-                    return ReadOutcome::Gone;
+                if stream.write_all(http::CONTINUE).is_err() {
+                    return Ok(None);
                 }
             }
-        } else if buffer.len() > MAX_HEAD_BYTES {
-            return ReadOutcome::Bad(431, "request head too large".to_string());
+            Progress::Partial { .. } => {}
         }
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if buffer.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Bad(400, "connection closed mid-request".to_string())
-                }
-            }
+            Ok(0) if buffer.is_empty() => return Ok(None),
+            Ok(0) => return Err(http::Error::new(400, "connection closed mid-request")),
             Ok(n) => buffer.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Gone,
+            Err(_) => return Ok(None),
         }
     }
 }
@@ -415,7 +332,7 @@ fn read_request(stream: &mut TcpStream, buffer: &mut Vec<u8>, max_body: usize) -
 struct Reply {
     status: u16,
     body: Vec<u8>,
-    extra_headers: Vec<(String, String)>,
+    extra_headers: Vec<(&'static str, String)>,
 }
 
 impl Reply {
@@ -432,73 +349,45 @@ impl Reply {
     }
 }
 
-fn status_reason(status: u16) -> &'static str {
-    match status {
-        100 => "Continue",
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Response",
-    }
-}
-
-fn write_reply(stream: &mut TcpStream, reply: &Reply, close: bool) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        reply.status,
-        status_reason(reply.status),
-        reply.body.len()
-    );
-    for (name, value) in &reply.extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    if close {
-        head.push_str("Connection: close\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&reply.body)
-}
-
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
     let mut buffer = Vec::new();
+    let mut wire = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let request = match read_request(&mut stream, &mut buffer, shared.config.max_body_bytes) {
-            ReadOutcome::Request(request) => request,
-            ReadOutcome::Closed | ReadOutcome::Gone => return,
-            ReadOutcome::Bad(status, message) => {
+        let (reply, close, shadow) = match read_request(&mut stream, &mut buffer, shared.config.max_body_bytes) {
+            Ok(None) => return,
+            Ok(Some(request)) => {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                shared.counters.responses_non_2xx.fetch_add(1, Ordering::Relaxed);
-                let _ = write_reply(&mut stream, &Reply::error(status, &message), true);
-                return;
+                let (reply, shadow) = route_request(shared, &request);
+                (reply, request.close, shadow)
+            }
+            Err(error) => {
+                shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+                (Reply::error(error.status, &error.message), true, None)
             }
         };
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (reply, shadow) = route_request(shared, &request);
         if reply.status < 300 {
             shared.counters.responses_2xx.fetch_add(1, Ordering::Relaxed);
         } else {
             shared.counters.responses_non_2xx.fetch_add(1, Ordering::Relaxed);
         }
-        if write_reply(&mut stream, &reply, request.close).is_err() {
+        wire.clear();
+        let extra = reply.extra_headers.iter().map(|(name, value)| (*name, value.as_str()));
+        http::write_message(
+            &mut wire,
+            StartLine::Response(reply.status),
+            [("Content-Type", "application/json")]
+                .into_iter()
+                .chain(extra)
+                .chain(close.then_some(("Connection", "close"))),
+            &reply.body,
+        );
+        if stream.write_all(&wire).is_err() {
             return;
         }
         // Shadow comparison runs after the response is on the wire: the
@@ -506,7 +395,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         if let Some(job) = shadow {
             job.run(shared);
         }
-        if request.close {
+        if close {
             return;
         }
     }
@@ -627,12 +516,21 @@ fn extract_pair_id(body: &[u8]) -> Option<u64> {
 /// Builds the upstream wire request: fresh head (no downstream headers are
 /// forwarded — notably not `Expect`), identical body bytes.
 fn upstream_request(body: &[u8]) -> Vec<u8> {
-    let mut request = format!(
-        "POST /score HTTP/1.1\r\nHost: er-gateway\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    request.extend_from_slice(body);
+    let headers = [
+        ("Host", "er-gateway"),
+        ("Content-Type", "application/json"),
+        ("Connection", "close"),
+    ];
+    let mut request = Vec::with_capacity(128 + body.len());
+    http::write_message(
+        &mut request,
+        StartLine::Request {
+            method: "POST",
+            target: "/score",
+        },
+        headers,
+        body,
+    );
     request
 }
 
@@ -708,12 +606,12 @@ fn handle_score(shared: &Shared, request: &DownstreamRequest) -> (Reply, Option<
     // Relay the backend body byte-for-byte (bit-exact scores), plus the
     // provenance headers worth keeping.
     let mut extra_headers = vec![
-        ("X-Backend".to_string(), served_backend.to_string()),
-        ("X-Hedged".to_string(), if hedged_won { "1" } else { "0" }.to_string()),
+        ("X-Backend", served_backend.to_string()),
+        ("X-Hedged", if hedged_won { "1" } else { "0" }.to_string()),
     ];
     for name in ["x-model-version", "x-request-id"] {
         if let Some(value) = response.header(name) {
-            extra_headers.push((name.to_string(), value.to_string()));
+            extra_headers.push((name, value.to_string()));
         }
     }
     let shadow = if plan.shadow_compare && response.status == 200 {

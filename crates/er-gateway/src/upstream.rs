@@ -8,12 +8,11 @@
 //! Hedging falls out of the shape for free: submit the same bytes twice and
 //! wait on both slots — the first completion wins and the loser's slot is
 //! [cancelled](ResponseSlot::cancel), which tells the driver to discard the
-//! straggler's response instead of buffering it for nobody.
-//!
-//! The response parser applies the same RFC 7230 §3.3.3 framing rule as the
-//! serve-side parser: conflicting repeated `Content-Length` headers poison
-//! the response (`InvalidData`), they never pick a winner.
+//! straggler's response instead of buffering it for nobody. Responses are
+//! framed by [`er_serve::http`]; a framing violation completes the slot
+//! with `InvalidData`.
 
+use er_serve::http::{self, Progress};
 use er_serve::readiness::{Events, Interest, Poller, Token, Waker};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -25,27 +24,12 @@ use std::time::{Duration, Instant};
 
 /// Token reserved for the driver's wake eventfd/pipe.
 const WAKER: Token = Token(u64::MAX);
-/// Largest response the driver will buffer from a backend.
+/// Largest response body the driver will buffer from a backend.
 const MAX_RESPONSE_BYTES: usize = 8 << 20;
 
 /// One complete backend response, body kept as raw bytes so the gateway can
 /// relay it downstream bit-exactly.
-#[derive(Debug, Clone)]
-pub struct UpstreamResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Lower-cased header names with trimmed values, in wire order.
-    pub headers: Vec<(String, String)>,
-    /// Raw body bytes, exactly as the backend framed them.
-    pub body: Vec<u8>,
-}
-
-impl UpstreamResponse {
-    /// First value of a (lower-case) header name, if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
-    }
-}
+pub type UpstreamResponse = http::Response;
 
 enum SlotState {
     Pending,
@@ -359,21 +343,14 @@ fn step(poller: &Poller, token: Token, flight: &mut InFlight) -> bool {
             }
             Ok(n) => {
                 flight.buffer.extend_from_slice(&chunk[..n]);
-                if flight.buffer.len() > MAX_RESPONSE_BYTES {
-                    flight.slot.complete(Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "upstream response too large",
-                    )));
-                    return false;
-                }
-                match try_parse_response(&flight.buffer) {
-                    Ok(Some(response)) => {
+                match http::parse_response(&flight.buffer, MAX_RESPONSE_BYTES) {
+                    Ok(Progress::Complete(response, _)) => {
                         flight.slot.complete(Ok(response));
                         return false;
                     }
-                    Ok(None) => {}
+                    Ok(Progress::Partial { .. }) => {}
                     Err(e) => {
-                        flight.slot.complete(Err(e));
+                        flight.slot.complete(Err(e.into()));
                         return false;
                     }
                 }
@@ -386,69 +363,6 @@ fn step(poller: &Poller, token: Token, flight: &mut InFlight) -> bool {
             }
         }
     }
-}
-
-/// Incremental response parse: `Ok(None)` needs more bytes. Applies the
-/// conflicting-`Content-Length` rejection (RFC 7230 §3.3.3) and refuses
-/// any `Transfer-Encoding` — the gateway frames bodies by `Content-Length`
-/// only, and re-framing a chunked (or otherwise encoded) upstream response
-/// for its client would smuggle the chunk metadata into the relayed body.
-fn try_parse_response(buffer: &[u8]) -> io::Result<Option<UpstreamResponse>> {
-    let Some(head_end) = buffer.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return Ok(None);
-    };
-    let head = std::str::from_utf8(&buffer[..head_end])
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "upstream head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad upstream status line {status_line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "transfer-encoding" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "upstream response uses Transfer-Encoding; only Content-Length framing is supported",
-            ));
-        }
-        if name == "content-length" {
-            let parsed: usize = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad upstream Content-Length"))?;
-            if content_length.is_some_and(|prev| prev != parsed) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "conflicting Content-Length headers in upstream response",
-                ));
-            }
-            content_length = Some(parsed);
-        }
-        headers.push((name, value));
-    }
-    let content_length = content_length.unwrap_or(0);
-    let total = head_end + 4 + content_length;
-    if buffer.len() < total {
-        return Ok(None);
-    }
-    Ok(Some(UpstreamResponse {
-        status,
-        headers,
-        body: buffer[head_end + 4..total].to_vec(),
-    }))
 }
 
 #[cfg(test)]
@@ -464,7 +378,7 @@ mod tests {
                 // Drain the request head before answering.
                 let mut buffer = Vec::new();
                 let mut chunk = [0u8; 1024];
-                while !buffer.windows(4).any(|w| w == b"\r\n\r\n") {
+                while !buffer.ends_with(b"\r\n\r\n") {
                     match stream.read(&mut chunk) {
                         Ok(0) => break,
                         Ok(n) => buffer.extend_from_slice(&chunk[..n]),
@@ -489,30 +403,36 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_upstream_content_length_is_invalid_data() {
-        let addr = serve_once(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\nhello!!");
+    fn malformed_upstream_framing_fails_its_slot_and_the_driver_survives() {
+        let responses: [&'static [u8]; 6] = [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\nhello!!",
+            // Framing a chunked response by its (absent) Content-Length would
+            // relay the chunk metadata as body bytes.
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nContent-Length : 5\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nX-Model-Version: 3\r\n Content-Length: 5\r\n\r\nhello",
+            // A length at the address-space limit must fail the slot, not
+            // overflow the framing arithmetic on the driver thread.
+            b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nhello",
+        ];
         let pool = UpstreamPool::new(Duration::from_secs(2)).expect("pool");
+        for response in responses {
+            let slot = pool.submit(
+                serve_once(response),
+                b"GET / HTTP/1.1\r\n\r\n".to_vec(),
+                Duration::from_secs(5),
+            );
+            let err = slot
+                .take_timeout(Duration::from_secs(5))
+                .expect("the driver completes the slot")
+                .expect_err("must reject");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        let addr = serve_once(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
         let slot = pool.submit(addr, b"GET / HTTP/1.1\r\n\r\n".to_vec(), Duration::from_secs(5));
-        let err = slot
-            .take_timeout(Duration::from_secs(5))
-            .expect("done")
-            .expect_err("must reject");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    }
-
-    #[test]
-    fn chunked_upstream_response_is_invalid_data() {
-        // A chunked response must be refused outright: framing it by the
-        // (absent) Content-Length would relay the chunk metadata as body
-        // bytes and desynchronize the downstream connection.
-        let addr = serve_once(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n");
-        let pool = UpstreamPool::new(Duration::from_secs(2)).expect("pool");
-        let slot = pool.submit(addr, b"GET / HTTP/1.1\r\n\r\n".to_vec(), Duration::from_secs(5));
-        let err = slot
-            .take_timeout(Duration::from_secs(5))
-            .expect("done")
-            .expect_err("must reject");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let response = slot.take_timeout(Duration::from_secs(5)).expect("done").expect("ok");
+        assert_eq!(response.body, b"ok");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Gateway ↔ backend integration over real sockets: bit-exact score relay,
-//! health ejection, tail hedging, the canary ladder (promotion and
-//! automatic rollback), and the gateway's own HTTP conformance.
+//! health ejection, tail hedging, and the canary ladder (promotion and
+//! automatic rollback). HTTP conformance is in `http_conformance.rs`.
 //!
 //! Backends are in-process [`ScoreServer`]s started from artifacts written
 //! to a scratch directory, so `/reload` paths (the canary machinery) work
@@ -419,96 +419,4 @@ fn equivalent_canary_walks_the_ladder_to_promotion() {
     )
     .expect("second reload");
     assert_eq!(again.status, 200, "{}", again.body);
-}
-
-#[test]
-fn gateway_applies_the_same_parser_conformance_rules() {
-    let dir = scratch_dir("conformance");
-    let baseline = write_artifact(&dir, "baseline.json", tiny_model());
-    let backend = start_backend(&baseline);
-    let gateway = GatewayServer::start(gateway_config(vec![backend.local_addr()], &baseline)).expect("gateway");
-
-    // Conflicting Content-Length repeats are a 400 at the gateway edge —
-    // the request never reaches a backend where it could be framed
-    // differently.
-    let mut stream = connect(gateway.local_addr());
-    let body = score_body(1);
-    write!(
-        stream,
-        "POST /score HTTP/1.1\r\nHost: gw\r\nContent-Length: {}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len(),
-        body.len() + 2
-    )
-    .expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
-    assert!(response.contains("conflicting Content-Length"), "{response}");
-
-    // Transfer-Encoding is refused outright, matching the backend parser.
-    // If the gateway instead framed this request by its (absent)
-    // Content-Length, the chunk bytes would be re-parsed as a smuggled
-    // follow-up request on the same connection — here a second /score whose
-    // response would desynchronize the client.
-    let mut stream = connect(gateway.local_addr());
-    write!(
-        stream,
-        "POST /score HTTP/1.1\r\nHost: gw\r\nTransfer-Encoding: chunked\r\n\r\n\
-         1c\r\nPOST /score HTTP/1.1\r\n\r\n\r\n0\r\n\r\n"
-    )
-    .expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
-    assert!(response.contains("chunked bodies are not supported"), "{response}");
-    assert_eq!(
-        response.matches("HTTP/1.1 ").count(),
-        1,
-        "chunk payload must never be parsed as a second request: {response}"
-    );
-
-    // A protocol the gateway does not speak is a 400, not a guess.
-    let mut stream = connect(gateway.local_addr());
-    write!(stream, "GET /healthz HTTP/2.0\r\nHost: gw\r\n\r\n").expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
-    assert!(response.contains("unsupported protocol"), "{response}");
-
-    // HTTP/1.0 defaults to close: the gateway must say so and hang up,
-    // instead of silently holding a connection the client is waiting to
-    // see end.
-    let mut stream = connect(gateway.local_addr());
-    write!(stream, "GET /healthz HTTP/1.0\r\nHost: gw\r\n\r\n").expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read closes");
-    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
-    assert!(response.contains("Connection: close"), "{response}");
-
-    // ...unless the HTTP/1.0 client explicitly asks for keep-alive, in
-    // which case the connection survives for a second request.
-    let mut stream = connect(gateway.local_addr());
-    write!(stream, "GET /healthz HTTP/1.0\r\nHost: gw\r\nConnection: keep-alive\r\n\r\n").expect("write first");
-    let first = er_serve::read_http_response(&mut stream).expect("first response");
-    assert_eq!(first.status, 200, "{}", first.body);
-    write!(stream, "GET /healthz HTTP/1.0\r\nHost: gw\r\nConnection: close\r\n\r\n").expect("write second");
-    let second = er_serve::read_http_response(&mut stream).expect("second response on a kept-alive connection");
-    assert_eq!(second.status, 200, "{}", second.body);
-
-    // Expect: 100-continue gets the interim response from the gateway, and
-    // the final response still carries real backend scores.
-    let mut stream = connect(gateway.local_addr());
-    write!(
-        stream,
-        "POST /score HTTP/1.1\r\nHost: gw\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .expect("write head");
-    let mut interim = [0u8; 25];
-    stream.read_exact(&mut interim).expect("read interim");
-    assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
-    stream.write_all(body.as_bytes()).expect("write body");
-    let response = er_serve::read_http_response(&mut stream).expect("final response");
-    assert_eq!(response.status, 200, "{}", response.body);
-    assert!(response.body.contains("scores"), "{}", response.body);
 }

@@ -30,6 +30,9 @@
 //!   (load → validate → verify round trip → atomic swap), so a retrained
 //!   model rolls out without draining traffic and every response is
 //!   attributable to exactly one artifact version.
+//! * [`http`] — the one incremental HTTP/1.1 codec (request and response
+//!   parsers, one head writer) that the server, the blocking client and
+//!   `er-gateway` all frame messages with.
 //! * [`server`] — [`ScoreServer`]: a dependency-free HTTP/1.1 front-end —
 //!   one event-driven readiness loop owning every connection — with a
 //!   bounded admission queue, micro-batching windows coalescing requests
@@ -55,6 +58,7 @@ pub mod cache;
 pub mod engine;
 pub mod executor;
 pub mod fault;
+pub mod http;
 pub mod index;
 pub mod metrics;
 pub mod ratelimit;

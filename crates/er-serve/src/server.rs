@@ -65,6 +65,7 @@
 
 use crate::engine::ScoreRequest;
 use crate::fault::{FaultKind, FaultPlan};
+use crate::http::{self, Progress, StartLine};
 use crate::metrics::MetricsRegistry;
 use crate::ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
 use crate::readiness::{self, Interest, Token};
@@ -883,8 +884,6 @@ fn batch_loop(shared: &Shared) {
 /// deadlines, injected stalls, reply timeouts) are scanned at least this
 /// often even when no readiness event arrives.
 const POLL_TICK: Duration = Duration::from_millis(100);
-/// Upper bound on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// How long the driver waits for the batcher to score an admitted job
 /// before answering 500 (`scoring pipeline stalled`).
 const SCORE_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
@@ -1190,17 +1189,20 @@ impl Driver {
                 .inc();
         }
         let body = error_body("server at connection capacity; retry", None);
-        let response = format!(
-            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: 1\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
+        let headers = [
+            ("Content-Type", "application/json"),
+            ("Retry-After", "1"),
+            ("Connection", "close"),
+        ];
+        let mut response = Vec::new();
+        http::write_message(&mut response, StartLine::Response(503), headers, body.as_bytes());
         let conn = Conn {
             token,
             stream,
             peer: String::new(),
             state: ConnState::Flushing,
             read_buf: Vec::new(),
-            write_buf: response.into_bytes(),
+            write_buf: response,
             written: 0,
             interim: Vec::new(),
             interim_sent: 0,
@@ -1236,27 +1238,35 @@ impl Driver {
             match &conn.state {
                 ConnState::Awaiting(_) => break,
                 ConnState::Reading => {
-                    match try_parse_request(&mut conn.read_buf, self.shared.config.max_body_bytes) {
-                        Ok(ParseStep::Complete(request)) => {
+                    match http::parse_request(&conn.read_buf, self.shared.config.max_body_bytes) {
+                        Ok(Progress::Complete(request, len)) => {
+                            let request = ParsedRequest::new(&request);
+                            conn.read_buf.drain(..len);
                             conn.continue_sent = false;
-                            self.dispatch(token, &mut conn, request);
+                            match request {
+                                Ok(request) => self.dispatch(token, &mut conn, request),
+                                Err(failure) => {
+                                    conn.close_after_flush = true;
+                                    self.queue_failure(&mut conn, failure);
+                                }
+                            }
                         }
-                        Ok(ParseStep::Partial { .. }) if eof => {
+                        Ok(Progress::Partial { .. }) if eof => {
                             if conn.read_buf.is_empty() {
                                 // Clean close: EOF between requests.
                                 return self.discard(conn);
                             }
                             conn.close_after_flush = true;
-                            self.queue_failure(&mut conn, RequestFailure::new(400, "connection closed mid-request"));
+                            self.queue_failure(&mut conn, http::Error::new(400, "connection closed mid-request"));
                         }
-                        Ok(ParseStep::Partial { expect_continue }) => {
+                        Ok(Progress::Partial { expect_continue }) => {
                             // RFC 7231 §5.1.1: a conforming client pauses
                             // after the head until it sees `100 Continue`.
                             // Emit the interim response once per request,
                             // nonblocking, so the body arrives promptly.
                             if expect_continue && !conn.continue_sent {
                                 conn.continue_sent = true;
-                                conn.interim.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
+                                conn.interim.extend_from_slice(http::CONTINUE);
                             }
                             if !self.flush_interim(&mut conn) {
                                 return self.discard(conn);
@@ -1292,7 +1302,7 @@ impl Driver {
     /// pass so one firehose client cannot monopolize the loop (the
     /// level-triggered poller re-reports any remainder).
     fn fill_read_buf(&self, conn: &mut Conn) -> ReadOutcome {
-        let cap = self.shared.config.max_body_bytes + MAX_HEAD_BYTES + 4;
+        let cap = self.shared.config.max_body_bytes + http::MAX_HEAD_BYTES;
         let mut chunk = [0u8; 4096];
         loop {
             match conn.stream.read(&mut chunk) {
@@ -1362,7 +1372,7 @@ impl Driver {
     /// Answers a request that could not be parsed. Even these get a
     /// (generated) request id echoed back, so client-side retry logs have
     /// something to correlate on.
-    fn queue_failure(&self, conn: &mut Conn, failure: RequestFailure) {
+    fn queue_failure(&self, conn: &mut Conn, failure: http::Error) {
         let rid = self.shared.request_id(None);
         let parts = ResponseParts::json(failure.status, error_body(&failure.message, None));
         self.queue_response(conn, parts, &rid, None, false, None);
@@ -1390,35 +1400,32 @@ impl Driver {
                 .with(&[("route", route), ("status", &parts.status.to_string())])
                 .inc();
         }
-        let mut response = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
-            parts.status,
-            status_reason(parts.status),
-            parts.content_type,
-            parts.body.len()
-        );
-        // Every response — including 4xx/5xx error bodies — echoes the
-        // request id, so client retry logs, server logs and traces all
-        // correlate.
-        if !rid.is_empty() {
-            response.push_str("X-Request-Id: ");
-            response.push_str(rid);
-            response.push_str("\r\n");
+        // A connection that closes after this response says so on the wire.
+        let now = Instant::now();
+        if self.shared.shutdown.load(Ordering::SeqCst) || conn.expires.is_some_and(|at| now >= at) {
+            conn.close_after_flush = true;
         }
-        for (name, value) in &parts.headers {
-            response.push_str(name);
-            response.push_str(": ");
-            response.push_str(value);
-            response.push_str("\r\n");
-        }
-        response.push_str("\r\n");
-        response.push_str(&parts.body);
         // Any unsent interim (`100 Continue`) tail must precede the final
         // response on the wire, so it is folded into the same flush buffer.
         let mut wire = conn.interim.split_off(conn.interim_sent);
         conn.interim.clear();
         conn.interim_sent = 0;
-        wire.extend_from_slice(response.as_bytes());
+        // Every response — including 4xx/5xx error bodies — echoes the
+        // request id, so client retry logs, server logs and traces all
+        // correlate.
+        let request_id = (!rid.is_empty()).then_some(("X-Request-Id", rid));
+        let extra = parts.headers.iter().map(|(name, value)| (*name, value.as_str()));
+        let close = conn.close_after_flush.then_some(("Connection", "close"));
+        http::write_message(
+            &mut wire,
+            StartLine::Response(parts.status),
+            [("Content-Type", parts.content_type)]
+                .into_iter()
+                .chain(request_id)
+                .chain(extra)
+                .chain(close),
+            parts.body.as_bytes(),
+        );
         conn.write_buf = wire;
         conn.written = 0;
         conn.stall_until = self
@@ -1960,175 +1967,36 @@ struct ParsedRequest {
     deadline_ms: Option<u64>,
 }
 
-/// What [`try_parse_request`] left behind after one attempt.
-enum ParseStep {
-    /// One complete request was drained off the buffer.
-    Complete(ParsedRequest),
-    /// The bytes so far are a valid prefix — keep reading. `expect_continue`
-    /// is true when a complete head carrying `Expect: 100-continue` is
-    /// waiting on its body: the driver owes the client an interim
-    /// `100 Continue` before the peer will send another byte (RFC 7231
-    /// §5.1.1 — a conforming client stalls until it sees one).
-    Partial { expect_continue: bool },
-}
-
-struct RequestFailure {
-    status: u16,
-    message: String,
-}
-
-impl RequestFailure {
-    fn new(status: u16, message: impl Into<String>) -> Self {
-        Self {
-            status,
-            message: message.into(),
-        }
-    }
-}
-
-/// Tries to parse one complete HTTP/1.1 request off the front of the
-/// connection's accumulated read buffer. [`ParseStep::Partial`] means the
-/// bytes so far are a valid prefix — keep reading; a consumed request is
-/// drained from the buffer, leaving any pipelined successor in place.
-fn try_parse_request(buffer: &mut Vec<u8>, max_body_bytes: usize) -> Result<ParseStep, RequestFailure> {
-    let Some(head_end) = find_head_end(buffer) else {
-        if buffer.len() > MAX_HEAD_BYTES {
-            return Err(RequestFailure::new(431, "request head too large"));
-        }
-        return Ok(ParseStep::Partial { expect_continue: false });
-    };
-    let head =
-        std::str::from_utf8(&buffer[..head_end]).map_err(|_| RequestFailure::new(400, "request head is not UTF-8"))?;
-    let fields = parse_head(head)?;
-    if fields.content_length > max_body_bytes {
-        return Err(RequestFailure::new(
-            413,
-            format!(
-                "request body of {} bytes exceeds the {max_body_bytes}-byte limit",
-                fields.content_length
-            ),
-        ));
-    }
-    let total = head_end + 4 + fields.content_length;
-    if buffer.len() < total {
-        return Ok(ParseStep::Partial {
-            expect_continue: fields.expect_continue,
-        });
-    }
-    let body = String::from_utf8(buffer[head_end + 4..total].to_vec())
-        .map_err(|_| RequestFailure::new(400, "request body is not UTF-8"))?;
-    buffer.drain(..total);
-    Ok(ParseStep::Complete(ParsedRequest {
-        method: fields.method,
-        path: fields.path,
-        body,
-        close: fields.close,
-        client_id: fields.client_id,
-        request_id: fields.request_id,
-        deadline_ms: fields.deadline_ms,
-    }))
-}
-
-fn find_head_end(buffer: &[u8]) -> Option<usize> {
-    buffer.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Everything [`parse_head`] extracts from a request head.
-struct HeadFields {
-    method: String,
-    path: String,
-    content_length: usize,
-    close: bool,
-    client_id: Option<String>,
-    request_id: Option<String>,
-    deadline_ms: Option<u64>,
-    /// The request carried `Expect: 100-continue`.
-    expect_continue: bool,
-}
-
-/// Whether any comma-separated token of `value` equals `token`
-/// case-insensitively — the HTTP list-header rule (`Connection: close,
-/// x-foo` still means close).
-fn header_list_contains(value: &str, token: &str) -> bool {
-    value.split(',').any(|t| t.trim().eq_ignore_ascii_case(token))
-}
-
-fn parse_head(head: &str) -> Result<HeadFields, RequestFailure> {
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split(' ');
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next()) else {
-        return Err(RequestFailure::new(400, "malformed request line"));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(RequestFailure::new(400, format!("unsupported protocol {version}")));
-    }
-    let mut content_length: Option<usize> = None;
-    let mut close = false;
-    let mut client_id = None;
-    let mut request_id = None;
-    let mut deadline_ms = None;
-    let mut expect_continue = false;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
+impl ParsedRequest {
+    /// Copies out of the read buffer what routing needs. The body must be
+    /// UTF-8 (it is JSON); the `X-*` headers are matched in place, so only
+    /// the values kept are allocated.
+    fn new(request: &http::Request<'_>) -> Result<Self, http::Error> {
+        let body = std::str::from_utf8(request.body).map_err(|_| http::Error::new(400, "request body is not UTF-8"))?;
+        let mut parsed = Self {
+            method: request.method.to_string(),
+            path: request.target.to_string(),
+            body: body.to_string(),
+            close: request.close,
+            client_id: None,
+            request_id: None,
+            deadline_ms: None,
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| RequestFailure::new(400, format!("bad Content-Length {value:?}")))?;
-                // RFC 7230 §3.3.3: repeated Content-Length headers with
-                // differing values are a request-smuggling vector (a proxy
-                // and the origin disagreeing on where the body ends) and
-                // must be rejected, not resolved last-one-wins. Identical
-                // repeats are tolerated per the same section.
-                if content_length.is_some_and(|prev| prev != parsed) {
-                    return Err(RequestFailure::new(
-                        400,
-                        format!(
-                            "conflicting Content-Length headers ({} then {parsed})",
-                            content_length.unwrap_or(0)
-                        ),
-                    ));
-                }
-                content_length = Some(parsed);
+        for (name, value) in request.headers() {
+            if name.eq_ignore_ascii_case("x-client-id") && !value.is_empty() {
+                parsed.client_id = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("x-request-id") && !value.is_empty() {
+                parsed.request_id = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("x-deadline-ms") {
+                // Lenient by design: zero or garbage reads as "no usable
+                // deadline" (the server default applies) rather than a 400 —
+                // a client bug in deadline bookkeeping should degrade, not
+                // break, its requests.
+                parsed.deadline_ms = value.parse::<u64>().ok().filter(|ms| *ms > 0);
             }
-            "transfer-encoding" => {
-                return Err(RequestFailure::new(
-                    400,
-                    "chunked bodies are not supported; send Content-Length",
-                ));
-            }
-            // `Connection` is a comma-separated token list, and a request
-            // may carry several `Connection` headers: `close` anywhere in
-            // any of them means close. A later header must never un-set an
-            // earlier `close` (the old last-wins single-token compare did
-            // both wrong).
-            "connection" => close = close || header_list_contains(value, "close"),
-            "expect" => expect_continue = expect_continue || header_list_contains(value, "100-continue"),
-            "x-client-id" if !value.is_empty() => client_id = Some(value.to_string()),
-            "x-request-id" if !value.is_empty() => request_id = Some(value.to_string()),
-            // Lenient by design: zero or garbage reads as "no usable
-            // deadline" (the server default applies) rather than a 400 —
-            // a client bug in deadline bookkeeping should degrade, not
-            // break, its requests.
-            "x-deadline-ms" => deadline_ms = value.parse::<u64>().ok().filter(|ms| *ms > 0),
-            _ => {}
         }
+        Ok(parsed)
     }
-    Ok(HeadFields {
-        method: method.to_string(),
-        path: path.to_string(),
-        content_length: content_length.unwrap_or(0),
-        close,
-        client_id,
-        request_id,
-        deadline_ms,
-        expect_continue,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2315,24 +2183,6 @@ fn parse_score_body(body: &str) -> Result<Vec<ScoreRequest>, String> {
     }
 }
 
-fn status_reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Response",
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Minimal blocking client (tests, benches, smoke tiers)
 // ---------------------------------------------------------------------------
@@ -2351,8 +2201,10 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+        self.headers
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -2378,20 +2230,15 @@ pub fn http_roundtrip_with_headers(
     body: Option<&str>,
     headers: &[(&str, &str)],
 ) -> io::Result<HttpResponse> {
-    let body = body.unwrap_or("");
-    let mut request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: er-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        body.len()
+    let mut request = Vec::new();
+    let fixed = [("Host", "er-serve"), ("Content-Type", "application/json")];
+    http::write_message(
+        &mut request,
+        StartLine::Request { method, target: path },
+        fixed.into_iter().chain(headers.iter().copied()),
+        body.unwrap_or("").as_bytes(),
     );
-    for (name, value) in headers {
-        request.push_str(name);
-        request.push_str(": ");
-        request.push_str(value);
-        request.push_str("\r\n");
-    }
-    request.push_str("\r\n");
-    request.push_str(body);
-    stream.write_all(request.as_bytes())?;
+    stream.write_all(&request)?;
     read_http_response(stream)
 }
 
@@ -2401,74 +2248,28 @@ pub fn http_roundtrip_with_headers(
 pub fn read_http_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
     let mut buffer = Vec::with_capacity(1024);
     let mut chunk = [0u8; 2048];
-    let head_end = loop {
-        if let Some(end) = find_head_end(&buffer) {
-            break end;
+    loop {
+        if let Progress::Complete(response, _) = http::parse_response(&buffer, usize::MAX)? {
+            let body = String::from_utf8(response.body)
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response body is not UTF-8"))?;
+            return Ok(HttpResponse {
+                status: response.status,
+                headers: response.headers,
+                body,
+            });
         }
         match stream.read(&mut chunk) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "connection closed before response head",
+                    "connection closed before a full response",
                 ))
             }
             Ok(n) => buffer.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    };
-    let head = String::from_utf8(buffer[..head_end].to_vec())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or_default();
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("bad status line {status_line:?}")))?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            let parsed: usize = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))?;
-            // RFC 7230 §3.3.3: repeats must agree; conflicting repeats make
-            // the framing ambiguous, so the whole response is rejected.
-            if content_length.is_some_and(|prev| prev != parsed) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "conflicting Content-Length headers in response",
-                ));
-            }
-            content_length = Some(parsed);
-        }
-        headers.push((name, value));
     }
-    let content_length = content_length.unwrap_or(0);
-    let mut body = buffer[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ))
-            }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    body.truncate(content_length);
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response body is not UTF-8"))?;
-    Ok(HttpResponse { status, headers, body })
 }
 
 /// Capped-exponential-backoff retry policy for [`http_roundtrip_with_retry`].

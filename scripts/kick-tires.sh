@@ -171,9 +171,10 @@ grep -q "gateway smoke OK" "$OUT/gateway_smoke.txt" || { echo "gateway smoke did
 
 # Binary wiring: spawn the real er-gateway binary in front of two real
 # er-serve binaries on localhost (reusing the artifact serve_bench exported),
-# then talk raw HTTP/1.1 to the gateway over /dev/tcp — liveness, stats, and
-# the RFC 7230 conflicting-Content-Length rejection at the gateway's own
-# parser.
+# then talk raw HTTP/1.1 over /dev/tcp — liveness and stats at the gateway,
+# and, at the gateway and at one er-serve alike (both frame with
+# er_serve::http), the RFC 7230 conflicting-Content-Length rejection and
+# HTTP/1.0 default-close.
 echo "== kick-tires: gateway binary wiring =="
 GATEWAY_ARTIFACT=out/serve_model.json
 test -s "$GATEWAY_ARTIFACT" || { echo "missing $GATEWAY_ARTIFACT (serve_bench exports it)" >&2; exit 1; }
@@ -195,12 +196,13 @@ wait_for_banner() { # log-file -> prints the listening addr from the banner
     echo "no LISTENING banner in $log after 10s" >&2
     return 1
 }
-http_request() { # addr request-bytes -> prints the full HTTP response
-    local addr=$1 request=$2
+http_request() { # addr request-bytes -> prints the full HTTP response; fails unless the peer closes within 5s
+    local addr=$1 request=$2 status=0
     exec 9<>"/dev/tcp/${addr%:*}/${addr#*:}"
     printf '%b' "$request" >&9
-    cat <&9
+    timeout 5 cat <&9 || status=$?
     exec 9>&- 9<&-
+    [[ $status == 0 ]] || { echo "no EOF from $addr within 5s" >&2; return 1; }
 }
 ./target/release/er-serve --artifact "$GATEWAY_ARTIFACT" --listen 127.0.0.1:0 --threads 1 \
     >"$OUT/gw-backend-a.log" 2>&1 &
@@ -224,12 +226,18 @@ grep -qE '"phase": ?"stable"' <<<"$STATS" || { echo "gateway canary not stable a
 DIGESTS=$(grep -oE '"model_digest": ?"[0-9a-f]+"' <<<"$STATS" | sort -u)
 [[ $(wc -l <<<"$DIGESTS") == 1 && -n "$DIGESTS" ]] \
     || { echo "backends disagree on the artifact digest: $STATS" >&2; exit 1; }
-BAD_CL=$(http_request "$GW_ADDR" 'POST /score HTTP/1.1\r\nHost: kick-tires\r\nContent-Length: 2\r\nContent-Length: 3\r\nConnection: close\r\n\r\n{}')
-grep -q '400' <<<"$BAD_CL" \
-    || { echo "gateway accepted conflicting Content-Length headers: $BAD_CL" >&2; exit 1; }
+for target in "er-gateway $GW_ADDR" "er-serve $BACKEND_A"; do
+    name=${target% *} addr=${target#* }
+    BAD_CL=$(http_request "$addr" 'POST /score HTTP/1.1\r\nHost: kick-tires\r\nContent-Length: 2\r\nContent-Length: 3\r\nConnection: close\r\n\r\n{}')
+    grep -q '^HTTP/1.1 400 ' <<<"$BAD_CL" \
+        || { echo "$name accepted conflicting Content-Length headers: $BAD_CL" >&2; exit 1; }
+    HTTP10=$(http_request "$addr" 'GET /healthz HTTP/1.0\r\nHost: kick-tires\r\n\r\n')
+    grep -q '^HTTP/1.1 200 ' <<<"$HTTP10" && grep -q '^Connection: close' <<<"$HTTP10" \
+        || { echo "$name did not answer HTTP/1.0 with Connection: close: $HTTP10" >&2; exit 1; }
+done
 cleanup_gateway
 trap - EXIT
-echo "gateway binary wiring OK: 2 healthy backends, matching digests, conflicting Content-Length rejected"
+echo "binary wiring OK: 2 healthy backends, matching digests; gateway and er-serve reject conflicting Content-Length and close HTTP/1.0"
 
 # Hot-path panic hygiene: the serving path recovers poisoned locks and
 # supervises panics, which only holds if no new `.unwrap()` / `.expect(`
