@@ -244,26 +244,28 @@ impl LearnRiskModel {
 
     /// Interpretable explanation of a pair's risk: each active feature with
     /// its weight, expectation and standard deviation (the "Feature
-    /// Description" panel of Figure 3).
+    /// Description" panel of Figure 3). The triples come from the same
+    /// component constructors scoring uses, clamps included, so aggregating
+    /// them reproduces [`Self::risk_score`] exactly.
     pub fn explain(&self, input: &PairRiskInput) -> Vec<FeatureContribution> {
         let mut out = Vec::with_capacity(input.rule_indices.len() + 1);
         for &ri in &input.rule_indices {
             let j = ri as usize;
-            let mu = self.features.expectations[j];
+            let (weight, expectation, std) = self.rule_component(j);
             out.push(FeatureContribution {
                 description: self.features.describe(j),
-                weight: self.rule_weights[j],
-                expectation: mu,
-                std: self.rule_rsd[j] * mu,
+                weight,
+                expectation,
+                std,
             });
         }
         let p = input.classifier_output.clamp(0.0, 1.0);
-        let bucket = self.output_bucket(p);
+        let (weight, expectation, std) = self.classifier_component(p);
         out.push(FeatureContribution {
             description: format!("classifier_output = {p:.3}"),
-            weight: self.influence.weight(p),
-            expectation: p,
-            std: self.output_rsd[bucket] * p,
+            weight,
+            expectation,
+            std,
         });
         out
     }
@@ -376,6 +378,46 @@ mod tests {
             classifier_output: output,
             machine_says_match: says_match,
             risk_label: 0,
+        }
+    }
+
+    #[test]
+    fn explanation_aggregates_to_the_served_score_bit_for_bit() {
+        let mut model = LearnRiskModel::new(feature_set(), RiskModelConfig::default());
+        // Values training can leave behind and scoring clamps: a negative
+        // RSD (std clamps to 0) and a zero weight (clamps to 1e-6).
+        model.rule_rsd[0] = -0.4;
+        model.rule_weights[1] = 0.0;
+        for inp in [
+            input(vec![0, 1], 0.8, true),
+            input(vec![0], 0.3, false),
+            input(vec![1], 0.55, true),
+        ] {
+            let components: Vec<PortfolioComponent> = model
+                .explain(&inp)
+                .iter()
+                .map(|f| PortfolioComponent {
+                    weight: f.weight,
+                    mean: f.expectation,
+                    std: f.std,
+                })
+                .collect();
+            let d = aggregate(&components);
+            let served = pair_risk(
+                model.config.metric,
+                d.mean,
+                d.std(),
+                inp.machine_says_match,
+                model.config.theta,
+            );
+            assert_eq!(served.to_bits(), model.risk_score(&inp).to_bits(), "{inp:?}");
+            let trained = training_risk_score(d.mean, d.std(), inp.machine_says_match, model.z_theta());
+            let mut block = ComponentBlock::default();
+            assert_eq!(
+                trained.to_bits(),
+                model.training_score_with(&inp, &mut block).to_bits(),
+                "{inp:?}"
+            );
         }
     }
 

@@ -348,7 +348,6 @@ struct FrontendBench {
     threads: usize,
     queue_capacity: usize,
     max_batch: usize,
-    batch_window_us: u64,
     replay: FrontendRun,
     /// The same replay against a `metrics_enabled: false` server — the A/B
     /// control behind `metrics_on_relative_throughput`.
@@ -721,7 +720,6 @@ fn frontend_bench(
     // records the shape actually served (not `ServerConfig::default()`).
     let queue_capacity = server_config.queue_capacity;
     let max_batch = server_config.max_batch;
-    let batch_window_us = server_config.batch_window.as_micros() as u64;
 
     // Phase 0: the metrics-off control — the identical replay against its
     // own fresh server with every registry observation compiled out of the
@@ -859,7 +857,7 @@ fn frontend_bench(
         bit_exact_per_version: Attest(outcome.bit_exact),
     };
 
-    // Phase 3: deliberate backpressure. Pause the batcher, fill the
+    // Phase 3: deliberate backpressure. Pause intake, fill the
     // admission queue with blocked in-flight requests, and require the
     // overflow request to bounce with a deterministic 429 — then recover.
     server.pause_intake();
@@ -939,7 +937,6 @@ fn frontend_bench(
         threads,
         queue_capacity,
         max_batch,
-        batch_window_us,
         replay,
         replay_metrics_off,
         metrics_on_relative_throughput: Ratio(metrics_on_relative_throughput),
@@ -1099,7 +1096,7 @@ fn chaos_bench(
     }
     let latency = summarize_latencies(&mut latencies_ns);
 
-    // Deadline tranche: park the batcher, admit jobs whose 5ms budget will
+    // Deadline tranche: pause intake, admit jobs whose 5ms budget will
     // be long expired on resume, and require every one to shed with a 504.
     const DEADLINE_TRANCHE: usize = 8;
     server.pause_intake();

@@ -20,14 +20,20 @@
 //! | `POST /canary/rollback` | abandon the canary, restore baseline on canary backends |
 //!
 //! `/score` responses carry `X-Backend` (index that served), `X-Hedged`
-//! (`1` when the hedge won the race) and the upstream's own headers
-//! worth relaying (`X-Model-Version`, `X-Request-Id`).
+//! (`1` when the hedge won the race) and the upstream's `X-Model-Version`.
+//!
+//! Every response echoes the request's `X-Request-Id`: the client's when it
+//! is well-formed, else one the gateway generates. Upstream `/score`
+//! requests carry that id and the client's `X-Client-Id` (falling back to
+//! the downstream peer address), so the backend's traces and per-client
+//! rate limiting see the client, not the gateway.
 
 use crate::canary::{Action, CanaryConfig, CanaryController, CanaryStatus};
 use crate::health::{spawn_monitor, BackendHealth, HealthState};
 use crate::ring::{percent_slot, HashRing};
 use crate::upstream::{ResponseSlot, UpstreamPool, UpstreamResponse};
 use er_serve::http::{self, Progress, StartLine};
+use er_serve::valid_trace_id;
 use serde::Serialize;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -137,6 +143,8 @@ struct Shared {
     /// Guards rollback/promotion reloads: only one control action at a time.
     action_inflight: AtomicBool,
     shutdown: AtomicBool,
+    /// Counter behind generated request ids.
+    id_seq: AtomicU64,
 }
 
 /// A running gateway; dropping it (or calling [`Self::shutdown`]) stops the
@@ -186,6 +194,7 @@ impl GatewayServer {
             counters: Counters::default(),
             action_inflight: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            id_seq: AtomicU64::new(0),
             config,
         });
         let health_thread = spawn_monitor(health, shared.config.health_interval, Arc::clone(&shutdown_flag))?;
@@ -285,6 +294,12 @@ struct DownstreamRequest {
     path: String,
     body: Vec<u8>,
     close: bool,
+    /// `X-Request-Id` as sent (empty when absent); replaced by a generated
+    /// id unless well-formed.
+    request_id: String,
+    /// `X-Client-Id` as sent (empty when absent); falls back to the peer
+    /// address.
+    client_id: String,
 }
 
 /// Reads one request off a blocking downstream socket: `Ok(None)` when the
@@ -302,11 +317,19 @@ fn read_request(
     loop {
         match http::parse_request(buffer, max_body)? {
             Progress::Complete(request, len) => {
+                let header = |name: &str| {
+                    request
+                        .headers()
+                        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+                        .map_or_else(String::new, |(_, value)| value.to_string())
+                };
                 let request = DownstreamRequest {
                     method: request.method.to_string(),
                     path: request.target.to_string(),
                     body: request.body.to_vec(),
                     close: request.close,
+                    request_id: header("x-request-id"),
+                    client_id: header("x-client-id"),
                 };
                 buffer.drain(..len);
                 return Ok(Some(request));
@@ -353,24 +376,36 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
+    let peer = stream
+        .peer_addr()
+        .map(|addr| addr.ip().to_string())
+        .unwrap_or_else(|_| "unknown".to_string());
     let mut buffer = Vec::new();
     let mut wire = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let (reply, close, shadow) = match read_request(&mut stream, &mut buffer, shared.config.max_body_bytes) {
-            Ok(None) => return,
-            Ok(Some(request)) => {
-                shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                let (reply, shadow) = route_request(shared, &request);
-                (reply, request.close, shadow)
-            }
-            Err(error) => {
-                shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                (Reply::error(error.status, &error.message), true, None)
-            }
-        };
+        let generated_id = || format!("gw-{:08x}", shared.id_seq.fetch_add(1, Ordering::Relaxed));
+        let (reply, close, shadow, request_id) =
+            match read_request(&mut stream, &mut buffer, shared.config.max_body_bytes) {
+                Ok(None) => return,
+                Ok(Some(mut request)) => {
+                    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+                    if !valid_trace_id(&request.request_id) {
+                        request.request_id = generated_id();
+                    }
+                    if request.client_id.is_empty() {
+                        request.client_id.clone_from(&peer);
+                    }
+                    let (reply, shadow) = route_request(shared, &request);
+                    (reply, request.close, shadow, request.request_id)
+                }
+                Err(error) => {
+                    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+                    (Reply::error(error.status, &error.message), true, None, generated_id())
+                }
+            };
         if reply.status < 300 {
             shared.counters.responses_2xx.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -381,10 +416,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         http::write_message(
             &mut wire,
             StartLine::Response(reply.status),
-            [("Content-Type", "application/json")]
-                .into_iter()
-                .chain(extra)
-                .chain(close.then_some(("Connection", "close"))),
+            [
+                ("Content-Type", "application/json"),
+                ("X-Request-Id", request_id.as_str()),
+            ]
+            .into_iter()
+            .chain(extra)
+            .chain(close.then_some(("Connection", "close"))),
             &reply.body,
         );
         if stream.write_all(&wire).is_err() {
@@ -513,25 +551,28 @@ fn extract_pair_id(body: &[u8]) -> Option<u64> {
     serde::from_value(object.get("pair_id")?).ok()
 }
 
-/// Builds the upstream wire request: fresh head (no downstream headers are
-/// forwarded — notably not `Expect`), identical body bytes.
-fn upstream_request(body: &[u8]) -> Vec<u8> {
+/// Builds the upstream wire request: a fresh head carrying only the
+/// client's identity (`X-Request-Id`, `X-Client-Id`) of the downstream
+/// headers — notably not `Expect` — and identical body bytes.
+fn upstream_request(request: &DownstreamRequest) -> Vec<u8> {
     let headers = [
         ("Host", "er-gateway"),
         ("Content-Type", "application/json"),
+        ("X-Request-Id", request.request_id.as_str()),
+        ("X-Client-Id", request.client_id.as_str()),
         ("Connection", "close"),
     ];
-    let mut request = Vec::with_capacity(128 + body.len());
+    let mut wire = Vec::with_capacity(256 + request.body.len());
     http::write_message(
-        &mut request,
+        &mut wire,
         StartLine::Request {
             method: "POST",
             target: "/score",
         },
         headers,
-        body,
+        &request.body,
     );
-    request
+    wire
 }
 
 fn handle_score(shared: &Shared, request: &DownstreamRequest) -> (Reply, Option<ShadowJob>) {
@@ -545,7 +586,7 @@ fn handle_score(shared: &Shared, request: &DownstreamRequest) -> (Reply, Option<
     let Some(primary) = pick_backend(shared, pair_id, plan.serve_canary) else {
         return (Reply::error(503, "no healthy backend for this request"), None);
     };
-    let wire = upstream_request(&request.body);
+    let wire = upstream_request(request);
     let deadline = Instant::now() + shared.config.upstream_timeout;
     let primary_slot = shared.upstream.submit(
         shared.config.backends[primary],
@@ -609,10 +650,8 @@ fn handle_score(shared: &Shared, request: &DownstreamRequest) -> (Reply, Option<
         ("X-Backend", served_backend.to_string()),
         ("X-Hedged", if hedged_won { "1" } else { "0" }.to_string()),
     ];
-    for name in ["x-model-version", "x-request-id"] {
-        if let Some(value) = response.header(name) {
-            extra_headers.push((name, value.to_string()));
-        }
+    if let Some(value) = response.header("x-model-version") {
+        extra_headers.push(("x-model-version", value.to_string()));
     }
     let shadow = if plan.shadow_compare && response.status == 200 {
         er_serve::parse_score_response(&String::from_utf8_lossy(&response.body))
@@ -870,9 +909,18 @@ mod tests {
 
     #[test]
     fn upstream_request_never_forwards_expect() {
-        let wire = upstream_request(b"{\"pair_id\": 1}");
+        let wire = upstream_request(&DownstreamRequest {
+            method: "POST".to_string(),
+            path: "/score".to_string(),
+            body: b"{\"pair_id\": 1}".to_vec(),
+            close: false,
+            request_id: "rid-1".to_string(),
+            client_id: "10.0.0.7".to_string(),
+        });
         let text = String::from_utf8(wire).expect("utf8");
         assert!(!text.to_ascii_lowercase().contains("expect"), "{text}");
+        assert!(text.contains("\r\nX-Request-Id: rid-1\r\n"), "{text}");
+        assert!(text.contains("\r\nX-Client-Id: 10.0.0.7\r\n"), "{text}");
         assert!(text.starts_with("POST /score HTTP/1.1\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"pair_id\": 1}"), "{text}");
     }

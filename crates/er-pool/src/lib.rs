@@ -305,7 +305,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.injector.shutdown.store(true, Ordering::Release);
+        // The flag is set under the queue lock: a worker checks it under
+        // that lock right before waiting, so an unlocked store could land
+        // between the check and the wait, and its notify would be lost.
+        {
+            let _queue = lock(&self.injector.queue);
+            self.injector.shutdown.store(true, Ordering::Release);
+        }
         self.injector.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _unused = handle.join();
@@ -343,6 +349,8 @@ fn worker_loop(injector: &Injector) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// The chunked-sum harness every caller of the pool follows: partition
     /// by item count, one output slot per chunk, reduce in chunk order.
@@ -464,5 +472,24 @@ mod tests {
             s.spawn(|| seen = Some(thread::current().id()));
         });
         assert_eq!(seen, Some(caller));
+    }
+
+    #[test]
+    fn dropping_a_pool_never_loses_the_shutdown_wakeup() {
+        // A worker checks the shutdown flag and then waits for work; a drop
+        // landing between the two must still wake it, or the drop's join
+        // hangs forever. Freshly spawned workers are usually right there, so
+        // build-and-drop many pools and bound the whole run.
+        let (done, finished) = mpsc::channel();
+        thread::spawn(move || {
+            for _ in 0..2000 {
+                drop(WorkerPool::new(3));
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(30)).is_ok(),
+            "a pool drop hung joining its workers"
+        );
     }
 }

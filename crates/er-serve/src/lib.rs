@@ -34,9 +34,10 @@
 //!   parsers, one head writer) that the server, the blocking client and
 //!   `er-gateway` all frame messages with.
 //! * [`server`] — [`ScoreServer`]: a dependency-free HTTP/1.1 front-end —
-//!   one event-driven readiness loop owning every connection — with a
-//!   bounded admission queue, micro-batching windows coalescing requests
-//!   into `try_score_batch` calls, and deterministic 429/503 backpressure.
+//!   one event-driven readiness loop owning every connection and scoring
+//!   what each pass admits, coalescing requests into `try_score_batch`
+//!   calls only under load — with a bounded admission queue and
+//!   deterministic 429/503 backpressure.
 //! * [`metrics`] — [`MetricsRegistry`]: lock-cheap counters, gauges and
 //!   fixed-bucket histograms rendered as a Prometheus text exposition by
 //!   `GET /metrics`; the single source of truth `/stats` is derived from.
@@ -46,8 +47,8 @@
 //!   closed-loop replay harness reporting throughput and p50/p95/p99
 //!   latency.
 //! * [`trace`] — end-to-end request tracing: per-request span timelines
-//!   through `parse → ratelimit → admission_queue → batch_wait → score
-//!   (per-shard) → serialize → write`, retained in a tail-biased ring
+//!   through `parse → ratelimit → admission_queue → score (per-shard) →
+//!   serialize → write`, retained in a tail-biased ring
 //!   (slowest-N survive wrap-around), exported as Chrome trace-event JSON
 //!   by `GET /debug/traces` and as slow-request exemplars in `/stats`.
 

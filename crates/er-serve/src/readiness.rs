@@ -9,8 +9,8 @@
 //! under a caller-chosen [`Token`] and an [`Interest`], an [`Events`]
 //! buffer [`poll`](Poller::poll) fills, and a [`Waker`] (an `eventfd`; a
 //! self-pipe on the `poll(2)` backend) that lets other threads interrupt a
-//! blocked `poll` — how the batcher hands finished scores back to the
-//! connection driver in [`crate::server`].
+//! blocked `poll` — how reload workers, resumed intake and shutdown reach
+//! the connection driver in [`crate::server`].
 //!
 //! Readiness is **level-triggered**: as long as a registered descriptor is
 //! readable/writable it keeps showing up in every poll, so the driver never

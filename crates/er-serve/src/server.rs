@@ -4,18 +4,18 @@
 //! [`ScoreServer`] owns every connection from one **event-driven readiness
 //! loop** (the [`crate::readiness`] poller — `epoll` on Linux) running on a
 //! single driver thread: it accepts, reads and parses requests over
-//! nonblocking sockets, admits scoring requests into a **bounded queue**,
-//! and a batcher thread coalesces admitted requests into **micro-batches**
-//! (up to [`ServerConfig::max_batch`] requests or
-//! [`ServerConfig::batch_window`], whichever comes first) scored through one
-//! [`crate::ShardedExecutor::try_score_batch`] call per window. Scoring
-//! outcomes return to the driver as completions (a mailbox plus a poll
-//! waker), which writes the response when the socket is ready — a parked
-//! connection costs a few hundred bytes of state, not a thread, so thousands
-//! of mostly-idle keep-alive connections are cheap. Every micro-batch is
-//! scored through a single [`ReloadableExecutor`] snapshot, so each HTTP
-//! response carries exactly one artifact version (the `model_version` field
-//! / `X-Model-Version` header) even while a hot reload is in flight.
+//! nonblocking sockets and admits scoring requests into a **bounded queue**.
+//! After each readiness pass the same thread scores what that pass
+//! admitted — up to [`ServerConfig::max_batch`] requests per
+//! [`crate::ShardedExecutor::try_score_batch`] call — and queues every
+//! response straight onto its connection. Requests coalesce into one batch
+//! only when a single pass admits several of them, so batching happens under
+//! load and a lone request never waits for company. A parked connection
+//! costs a few hundred bytes of state, not a thread, so thousands of
+//! mostly-idle keep-alive connections are cheap. Every batch is scored
+//! through a single [`ReloadableExecutor`] snapshot, so each HTTP response
+//! carries exactly one artifact version (the `model_version` field /
+//! `X-Model-Version` header) even while a hot reload is in flight.
 //!
 //! **Backpressure is explicit and deterministic**: when the admission queue
 //! is full the server answers `429 Too Many Requests` immediately (with a
@@ -53,20 +53,23 @@
 //!
 //! ## Failure containment
 //!
-//! The batcher and the executor's shard workers run under `catch_unwind`
-//! supervision: a panicking worker is counted
-//! (`er_serve_worker_panics_total{role}`), its in-flight jobs get a
-//! deterministic 500 (never a severed connection), and the batcher thread is
-//! restarted if an unwind ever escapes a batch. Every internal lock recovers
-//! from poisoning via `into_inner`, so one panic can never permanently wedge
-//! admission or stats. The [`crate::fault`] module can inject these failures
-//! deterministically; `serve_bench`'s chaos phase replays traffic under
-//! injected panics, stalls, and torn artifact writes to attest all of it.
+//! Each batch is scored under `catch_unwind`, and the executor's shard
+//! workers run under their own supervision: a panic is counted
+//! (`er_serve_worker_panics_total{role}`, `role="batcher"` for a batch), the
+//! jobs of the panicked batch get a deterministic 500 (never a severed
+//! connection), and the next batch scores normally. Every internal lock
+//! recovers from poisoning via `into_inner`, so one panic can never
+//! permanently wedge metrics, stats or reload completions. The
+//! [`crate::fault`] module can inject these failures deterministically; an
+//! injected scoring stall holds its batch on a timer while the loop keeps
+//! accepting, answering health probes and admitting. `serve_bench`'s chaos
+//! phase replays traffic under injected panics, stalls, and torn artifact
+//! writes to attest all of it.
 
 use crate::engine::ScoreRequest;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{self, Progress, StartLine};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
 use crate::readiness::{self, Interest, Token};
 use crate::reload::ReloadableExecutor;
@@ -77,8 +80,8 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`ScoreServer`].
@@ -89,12 +92,10 @@ pub struct ServerConfig {
     /// Maximum admitted-but-unscored jobs (one HTTP scoring request = one
     /// job); the queue answers 429 beyond this.
     pub queue_capacity: usize,
-    /// Micro-batch size: the batcher closes a window once this many requests
-    /// have coalesced.
+    /// Micro-batch cap: the most requests one `try_score_batch` call
+    /// scores. Jobs coalesce only when one readiness pass admits several of
+    /// them; nothing ever waits for a batch to fill.
     pub max_batch: usize,
-    /// Micro-batch window: the longest the batcher waits for more requests
-    /// after the first one arrives.
-    pub batch_window: Duration,
     /// Maximum accepted request-body size in bytes (413 beyond it).
     pub max_body_bytes: usize,
     /// Per-client token-bucket rate limiting in front of the admission
@@ -125,7 +126,7 @@ pub struct ServerConfig {
     pub trace_capacity: usize,
     /// Default per-request deadline budget in milliseconds, applied when a
     /// request carries no (or an unusable) `X-Deadline-Ms` header. The
-    /// batcher sheds jobs whose budget has already expired before scoring
+    /// driver sheds jobs whose budget has already expired before scoring
     /// them, answering `504` with `er_serve_rejected_total{cause="deadline"}`.
     /// `None` (the default) imposes no deadline.
     pub default_deadline_ms: Option<u64>,
@@ -153,7 +154,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_capacity: 256,
             max_batch: 128,
-            batch_window: Duration::from_micros(200),
             max_body_bytes: 1 << 20,
             rate_limit: None,
             metrics_enabled: true,
@@ -222,10 +222,11 @@ struct JobFailure {
     message: String,
 }
 
-/// How a job left the batcher.
+/// How a job left scoring.
 enum JobOutcome {
-    /// Scored through one executor snapshot → 200.
-    Scored(u64, Vec<f64>),
+    /// Scored through one executor snapshot (whose version the labels
+    /// carry) → 200.
+    Scored(Arc<VersionLabels>, Vec<f64>),
     /// Well-formed HTTP but unscorable content → 422.
     Unscorable(JobFailure),
     /// The batch this job rode in panicked; supervision isolated the blast
@@ -235,169 +236,75 @@ enum JobOutcome {
     Expired,
 }
 
-/// What the batcher sends back to the parked connection: the scoring
-/// outcome plus the request's in-flight trace (with the queue/batch/score
-/// spans recorded), which the driver finishes and commits.
-struct JobReply {
-    outcome: JobOutcome,
-    trace: Option<ActiveTrace>,
-}
-
 struct Job {
+    /// The key the parked connection awaits (see [`Driver::awaiting`]).
+    id: u64,
     requests: Vec<ScoreRequest>,
-    reply: ReplySender,
-    /// The request's trace, traveling with the job across threads.
+    /// The request's in-flight trace.
     trace: Option<ActiveTrace>,
-    /// When the handler pushed the job into the admission queue.
+    /// When the job was admitted; opens the `admission_queue` span, which
+    /// closes when scoring starts.
     enqueued: Instant,
-    /// When the batcher drained the job out of the queue (stamped by
-    /// [`AdmissionQueue::drain_into`]); closes the `admission_queue` span.
-    taken: Option<Instant>,
     /// Absolute deadline derived from `X-Deadline-Ms` (or the server
-    /// default); the batcher sheds the job with a 504 once this passes.
+    /// default); the job is shed with a 504 once this passes.
     deadline: Option<Instant>,
 }
 
-enum AdmitError {
-    /// Queue at capacity → 429.
-    Full,
-    /// Server draining → 503.
-    Closed,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    jobs: VecDeque<Job>,
-    paused: bool,
-    closed: bool,
-}
-
-/// The bounded admission queue between connection handlers and the batcher.
+/// The bounded admission queue between request parsing and scoring, owned
+/// by the driver thread. Its length is mirrored into [`Shared::queued`] for
+/// readers on other threads.
 struct AdmissionQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
+    jobs: VecDeque<Job>,
     capacity: usize,
 }
 
 impl AdmissionQueue {
     fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(QueueInner::default()),
-            ready: Condvar::new(),
+            jobs: VecDeque::new(),
             capacity: capacity.max(1),
         }
     }
 
-    /// Admits a job, or hands it back with the rejection reason so the
+    /// Admits a job, or hands it back when the queue is full (→ 429) so the
     /// caller keeps ownership of the in-flight trace.
     #[allow(clippy::result_large_err)] // the Err deliberately returns the whole job
-    fn push(&self, job: Job) -> Result<(), (AdmitError, Job)> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closed {
-            return Err((AdmitError::Closed, job));
+    fn push(&mut self, job: Job) -> Result<(), Job> {
+        if self.jobs.len() >= self.capacity {
+            return Err(job);
         }
-        if inner.jobs.len() >= self.capacity {
-            return Err((AdmitError::Full, job));
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.ready.notify_one();
+        self.jobs.push_back(job);
         Ok(())
     }
 
-    fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).jobs.len()
-    }
-
-    fn set_paused(&self, paused: bool) {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).paused = paused;
-        self.ready.notify_all();
-    }
-
-    fn close(&self) {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks for work, then coalesces jobs into one micro-batch: drains
-    /// until `max_requests` requests have accumulated or `window` has passed
-    /// since the first job was taken. Returns `None` when the queue is closed
-    /// and fully drained (pause is ignored once closed, so shutdown never
-    /// strands an admitted job).
-    fn pop_batch(&self, max_requests: usize, window: Duration) -> Option<Vec<Job>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if inner.closed {
-                if inner.jobs.is_empty() {
-                    return None;
-                }
-                break;
-            }
-            if !inner.paused && !inner.jobs.is_empty() {
-                break;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
+    /// Takes jobs from the head until `max_requests` requests have
+    /// accumulated (a job is never split, so one larger job may exceed it).
+    fn take_batch(&mut self, max_requests: usize) -> Vec<Job> {
         let mut batch = Vec::new();
         let mut total = 0usize;
-        Self::drain_into(&mut inner, &mut batch, &mut total, max_requests);
-        if total < max_requests && !inner.closed {
-            let deadline = Instant::now() + window;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .ready
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                inner = guard;
-                if !inner.paused || inner.closed {
-                    Self::drain_into(&mut inner, &mut batch, &mut total, max_requests);
-                }
-                if total >= max_requests || inner.closed {
-                    break;
-                }
-            }
-        }
-        Some(batch)
-    }
-
-    fn drain_into(inner: &mut QueueInner, batch: &mut Vec<Job>, total: &mut usize, max_requests: usize) {
-        let drained_at = Instant::now();
-        while *total < max_requests {
-            let Some(mut job) = inner.jobs.pop_front() else { break };
-            job.taken = Some(drained_at);
-            *total += job.requests.len().max(1);
+        while total < max_requests {
+            let Some(job) = self.jobs.pop_front() else { break };
+            total += job.requests.len().max(1);
             batch.push(job);
         }
+        batch
     }
 }
 
-// ---------------------------------------------------------------------------
-// Completions (worker threads → driver)
-// ---------------------------------------------------------------------------
-
-/// A finished asynchronous unit of work, posted to the driver thread by the
-/// batcher (scoring) or a reload worker, keyed by the job id the driver
-/// allotted when it parked the connection.
-enum Completion {
-    /// The batcher finished (or abandoned) a scoring job.
-    Score { job: u64, reply: JobReply },
-    /// A reload worker finished `POST /reload`; the response is already
-    /// decided, the driver only serializes and flushes it.
-    Reload {
-        job: u64,
-        status: u16,
-        body: String,
-        version: Option<u64>,
-        trace: Option<ActiveTrace>,
-    },
+/// A finished `POST /reload`, posted to the driver by its worker thread and
+/// keyed by the job id the driver allotted when it parked the connection.
+/// The response is already decided; the driver only serializes and flushes
+/// it.
+struct Completion {
+    job: u64,
+    status: u16,
+    body: String,
+    version: Option<u64>,
+    trace: Option<ActiveTrace>,
 }
 
-/// The completion mailbox between worker threads and the driver: finished
-/// jobs are pushed here and the waker interrupts the driver's poll.
+/// The completion mailbox between reload workers and the driver: finished
+/// reloads are pushed here and the waker interrupts the driver's poll.
 struct Completions {
     queue: Mutex<Vec<Completion>>,
     waker: readiness::Waker,
@@ -414,51 +321,15 @@ impl Completions {
     }
 }
 
-/// The batcher's reply handle for one admitted job — the readiness-loop
-/// replacement for a blocking `SyncSender<JobReply>`. Dropping it without
-/// sending (the batcher died mid-batch and its jobs unwound with it) posts
-/// a `Panicked` completion, so the parked connection still gets its
-/// deterministic 500 — never a severed connection.
-struct ReplySender {
-    completions: Arc<Completions>,
-    job: u64,
-    sent: bool,
-}
-
-impl ReplySender {
-    fn new(completions: Arc<Completions>, job: u64) -> Self {
-        Self {
-            completions,
-            job,
-            sent: false,
-        }
-    }
-
-    /// Posts the scoring outcome to the driver and wakes its poll.
-    fn send(mut self, reply: JobReply) {
-        self.sent = true;
-        self.completions.push(Completion::Score { job: self.job, reply });
-    }
-
-    /// Disarms the drop hook for a job that never left the driver (queue
-    /// rejections answer inline; no completion must follow).
-    fn cancel(mut self) {
-        self.sent = true;
-    }
-}
-
-impl Drop for ReplySender {
-    fn drop(&mut self) {
-        if !self.sent {
-            self.completions.push(Completion::Score {
-                job: self.job,
-                reply: JobReply {
-                    outcome: JobOutcome::Panicked,
-                    trace: None,
-                },
-            });
-        }
-    }
+/// The `version`-labelled metric handles and the `X-Model-Version` header
+/// value of one artifact version. Resolved once per version and reused
+/// until the snapshot version changes, so answering a `/score` allocates no
+/// label strings. The handles are `None` when metrics are disabled.
+struct VersionLabels {
+    version: u64,
+    header: Arc<str>,
+    score_requests: Option<Arc<Counter>>,
+    score_duration: Option<Arc<Histogram>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +338,12 @@ impl Drop for ReplySender {
 
 struct Shared {
     executor: Arc<ReloadableExecutor>,
-    queue: AdmissionQueue,
+    /// Intake paused ([`ScoreServer::pause_intake`], `POST /admin/pause`):
+    /// admitted jobs stay queued until resume or shutdown.
+    paused: AtomicBool,
+    /// Mirror of the driver-owned admission queue's length, for
+    /// [`ScoreServer::queued_jobs`] and the `er_serve_queue_depth` gauge.
+    queued: AtomicUsize,
     metrics: Arc<MetricsRegistry>,
     limiter: Option<RateLimiter>,
     config: ServerConfig,
@@ -497,8 +373,8 @@ impl Shared {
 }
 
 /// A running HTTP scoring server; see the [module docs](self) for the wire
-/// format. Dropping the handle shuts the server down gracefully (drains the
-/// admitted queue, joins every thread).
+/// format. Dropping the handle shuts the server down gracefully (scores the
+/// admitted queue, joins the driver thread).
 ///
 /// # Examples
 ///
@@ -538,12 +414,11 @@ pub struct ScoreServer {
     completions: Arc<Completions>,
     local_addr: SocketAddr,
     driver: Option<std::thread::JoinHandle<()>>,
-    batcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ScoreServer {
-    /// Binds `config.addr` and starts the connection-driver and batcher
-    /// threads. The caller keeps the [`ReloadableExecutor`] handle, so
+    /// Binds `config.addr` and starts the connection-driver thread. The
+    /// caller keeps the [`ReloadableExecutor`] handle, so
     /// in-process reloads and the HTTP `POST /reload` endpoint coexist.
     pub fn start(executor: Arc<ReloadableExecutor>, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
@@ -569,7 +444,8 @@ impl ScoreServer {
         let tracer = (config.trace_capacity > 0).then(|| Tracer::new(config.trace_capacity));
         let shared = Arc::new(Shared {
             executor,
-            queue: AdmissionQueue::new(config.queue_capacity),
+            paused: AtomicBool::new(false),
+            queued: AtomicUsize::new(0),
             metrics,
             limiter: config.rate_limit.map(RateLimiter::new),
             config,
@@ -585,7 +461,6 @@ impl ScoreServer {
                 .name("er-serve-driver".to_string())
                 .spawn(move || {
                     Driver {
-                        shared,
                         poller,
                         completions,
                         listener,
@@ -594,20 +469,19 @@ impl ScoreServer {
                         next_token: FIRST_CONN,
                         next_job: 0,
                         active: 0,
+                        queue: AdmissionQueue::new(shared.config.queue_capacity),
+                        stalled: None,
+                        labels: None,
+                        shared,
                     }
                     .run()
                 })?
-        };
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervise_batcher(shared))
         };
         Ok(Self {
             shared,
             completions,
             local_addr,
             driver: Some(driver),
-            batcher: Some(batcher),
         })
     }
 
@@ -640,20 +514,22 @@ impl ScoreServer {
 
     /// Admitted-but-unscored jobs currently queued.
     pub fn queued_jobs(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.queued.load(Ordering::Relaxed)
     }
 
-    /// Stops the batcher from draining the queue (requests keep being
-    /// admitted until the queue fills and 429s begin) — the deliberate
-    /// backpressure switch the smoke tiers flip. Also reachable over the
-    /// wire via `POST /admin/pause`.
+    /// Stops scoring admitted jobs (requests keep being admitted until the
+    /// queue fills and 429s begin) — the deliberate backpressure switch the
+    /// smoke tiers flip. Also reachable over the wire via
+    /// `POST /admin/pause`.
     pub fn pause_intake(&self) {
-        self.shared.queue.set_paused(true);
+        self.shared.paused.store(true, Ordering::SeqCst);
     }
 
-    /// Resumes draining after [`Self::pause_intake`].
+    /// Resumes scoring after [`Self::pause_intake`], waking the driver so
+    /// the queued jobs are scored at once.
     pub fn resume_intake(&self) {
-        self.shared.queue.set_paused(false);
+        self.shared.paused.store(false, Ordering::SeqCst);
+        let _ = self.completions.waker.wake();
     }
 
     /// Graceful shutdown: stop accepting, answer in-flight admissions with
@@ -666,14 +542,11 @@ impl ScoreServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shared.queue.close();
         // Interrupt the driver's poll so it notices the flag, closes idle
-        // connections, and flushes every in-flight response before exiting.
+        // connections, scores every admitted job, and flushes every
+        // in-flight response before exiting.
         let _ = self.completions.waker.wake();
         if let Some(handle) = self.driver.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.batcher.take() {
             let _ = handle.join();
         }
     }
@@ -685,197 +558,6 @@ impl Drop for ScoreServer {
     }
 }
 
-/// Runs [`batch_loop`] under supervision: the loop already confines scoring
-/// panics per batch, but if an unwind ever escapes it (a defect in the
-/// batching machinery itself), the panic is counted and a fresh loop starts
-/// — the server never loses its batcher. Jobs in flight when the loop dies
-/// see their [`ReplySender`] drop, which posts a `Panicked` completion the
-/// driver answers with a deterministic 500 (never a severed connection).
-fn supervise_batcher(shared: Arc<Shared>) {
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| batch_loop(&shared))) {
-            // Queue closed and drained: clean shutdown.
-            Ok(()) => return,
-            Err(_) => {
-                if shared.config.metrics_enabled {
-                    shared.metrics.worker_panics.with(&[("role", "batcher")]).inc();
-                    shared.metrics.worker_restarts.with(&[("role", "batcher")]).inc();
-                }
-            }
-        }
-    }
-}
-
-fn batch_loop(shared: &Shared) {
-    loop {
-        let Some(batch) = shared
-            .queue
-            .pop_batch(shared.config.max_batch, shared.config.batch_window)
-        else {
-            return;
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        let metrics = shared.config.metrics_enabled.then_some(&shared.metrics);
-        // Shed jobs whose deadline budget expired while they waited: scoring
-        // them would spend executor time on answers nobody is waiting for.
-        // A shed job still gets a response — a 504, never a severed
-        // connection — so clients can tell "too late" from "lost".
-        let now = Instant::now();
-        let mut batch = batch;
-        if batch.iter().any(|job| job.deadline.is_some_and(|d| d <= now)) {
-            let (expired, live): (Vec<Job>, Vec<Job>) = batch
-                .into_iter()
-                .partition(|job| job.deadline.is_some_and(|d| d <= now));
-            batch = live;
-            for mut job in expired {
-                if let Some(metrics) = metrics {
-                    metrics.rejected.with(&[("cause", "deadline")]).inc();
-                }
-                let trace = job.trace.take();
-                job.reply.send(JobReply {
-                    outcome: JobOutcome::Expired,
-                    trace,
-                });
-            }
-            if batch.is_empty() {
-                continue;
-            }
-        }
-        let fault = shared.config.fault_plan.as_deref();
-        if let Some(ms) = fault.and_then(|plan| plan.check(FaultKind::ScoreStall)) {
-            // Injected stall: the batcher sits on work — exactly the failure
-            // deadline shedding exists to bound.
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        // One snapshot per micro-batch: every response in it is attributable
-        // to exactly this artifact version, even mid-reload.
-        let snapshot = shared.executor.snapshot();
-        let total: usize = batch.iter().map(|j| j.requests.len()).sum();
-        let version_label = snapshot.version.to_string();
-        if let Some(metrics) = metrics {
-            metrics.batches.inc();
-            metrics.batched_requests.add(total as u64);
-            metrics.batch_size.observe(total as f64);
-        }
-        let all: Vec<ScoreRequest> = batch.iter().flat_map(|j| j.requests.iter().cloned()).collect();
-        // Batch-level spans are recorded once and replayed into every
-        // coalesced job's trace: all requests in the window share the same
-        // batch_wait interval and the same per-shard score spans.
-        let tracing = batch.iter().any(|j| j.trace.is_some());
-        let score_start = Instant::now();
-        let panics_before = snapshot.executor().worker_panic_count();
-        // The scoring section runs under `catch_unwind`: a panic (injected
-        // `batcher_panic`, or a real defect that escaped the executor's own
-        // shard supervision) is confined to this batch — every job in it
-        // gets a deterministic 500 and the batcher moves on to the next
-        // window.
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if fault.is_some_and(|plan| plan.fires(FaultKind::BatcherPanic)) {
-                panic!("injected {}", FaultKind::BatcherPanic);
-            }
-            let mut spans = SpanSet::new();
-            let scored = if tracing {
-                snapshot.executor().try_score_batch_traced(&all, &mut spans)
-            } else {
-                snapshot.executor().try_score_batch(&all)
-            };
-            (scored, spans)
-        }));
-        let finish_trace = |job: &mut Job, spans: &SpanSet| {
-            if let Some(trace) = job.trace.as_mut() {
-                let taken = job.taken.unwrap_or(score_start);
-                trace.record(Stage::AdmissionQueue, job.enqueued, taken);
-                trace.record(Stage::BatchWait, taken, score_start);
-                trace.extend_from(spans);
-            }
-        };
-        let (scored, shard_spans) = match attempt {
-            Ok(result) => result,
-            Err(_) => {
-                if let Some(metrics) = metrics {
-                    metrics.worker_panics.with(&[("role", "batcher")]).inc();
-                    metrics.worker_restarts.with(&[("role", "batcher")]).inc();
-                }
-                let empty = SpanSet::new();
-                for mut job in batch {
-                    finish_trace(&mut job, &empty);
-                    let trace = job.trace.take();
-                    job.reply.send(JobReply {
-                        outcome: JobOutcome::Panicked,
-                        trace,
-                    });
-                }
-                continue;
-            }
-        };
-        // Shard-worker panics are caught (and their chunks re-scored) inside
-        // the executor; the batcher — its only caller here — mirrors the
-        // count into the registry.
-        let shard_panics = snapshot.executor().worker_panic_count() - panics_before;
-        if shard_panics > 0 {
-            if let Some(metrics) = metrics {
-                metrics.worker_panics.with(&[("role", "shard")]).add(shard_panics);
-                metrics.worker_restarts.with(&[("role", "shard")]).add(shard_panics);
-            }
-        }
-        match scored {
-            Ok(scores) => {
-                if let Some(metrics) = metrics {
-                    metrics
-                        .score_requests
-                        .with(&[("version", &version_label)])
-                        .add(total as u64);
-                }
-                let mut offset = 0;
-                for mut job in batch {
-                    let slice = scores[offset..offset + job.requests.len()].to_vec();
-                    offset += job.requests.len();
-                    finish_trace(&mut job, &shard_spans);
-                    let trace = job.trace.take();
-                    job.reply.send(JobReply {
-                        outcome: JobOutcome::Scored(snapshot.version, slice),
-                        trace,
-                    });
-                }
-            }
-            Err(_) => {
-                // At least one coalesced request is malformed. Re-score per
-                // job so only the offending response degrades to 422 and the
-                // innocent neighbors in the same window still get scores.
-                for mut job in batch {
-                    let mut job_spans = SpanSet::new();
-                    let outcome = match if job.trace.is_some() {
-                        snapshot
-                            .executor()
-                            .try_score_batch_traced(&job.requests, &mut job_spans)
-                    } else {
-                        snapshot.executor().try_score_batch(&job.requests)
-                    } {
-                        Ok(scores) => {
-                            if let Some(metrics) = metrics {
-                                metrics
-                                    .score_requests
-                                    .with(&[("version", &version_label)])
-                                    .add(job.requests.len() as u64);
-                            }
-                            JobOutcome::Scored(snapshot.version, scores)
-                        }
-                        Err(e) => JobOutcome::Unscorable(JobFailure {
-                            request_index: e.request_index,
-                            message: e.to_string(),
-                        }),
-                    };
-                    finish_trace(&mut job, &job_spans);
-                    let trace = job.trace.take();
-                    job.reply.send(JobReply { outcome, trace });
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Readiness-loop connection driver
 // ---------------------------------------------------------------------------
@@ -884,13 +566,14 @@ fn batch_loop(shared: &Shared) {
 /// deadlines, injected stalls, reply timeouts) are scanned at least this
 /// often even when no readiness event arrives.
 const POLL_TICK: Duration = Duration::from_millis(100);
-/// How long the driver waits for the batcher to score an admitted job
-/// before answering 500 (`scoring pipeline stalled`).
+/// How long an admitted job may stay unscored (paused intake, a stalled
+/// batch ahead of it) before the driver answers 500 (`scoring pipeline
+/// stalled`).
 const SCORE_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The listener's token in the readiness loop.
 const LISTENER: Token = Token(0);
-/// The completion waker's token (new completions, or shutdown).
+/// The waker's token (reload completions, resumed intake, or shutdown).
 const WAKER: Token = Token(1);
 /// First token handed to an accepted connection.
 const FIRST_CONN: u64 = 2;
@@ -996,16 +679,13 @@ struct ResponseParts {
     content_type: &'static str,
     body: String,
     headers: Vec<(&'static str, String)>,
+    /// The `X-Model-Version` header value, shared per artifact version.
+    model_version: Option<Arc<str>>,
 }
 
 impl ResponseParts {
     fn json(status: u16, body: String) -> Self {
-        Self {
-            status,
-            content_type: "application/json",
-            body,
-            headers: Vec::new(),
-        }
+        Self::with_headers(status, body, Vec::new())
     }
 
     fn with_headers(status: u16, body: String, headers: Vec<(&'static str, String)>) -> Self {
@@ -1014,6 +694,7 @@ impl ResponseParts {
             content_type: "application/json",
             body,
             headers,
+            model_version: None,
         }
     }
 }
@@ -1037,8 +718,8 @@ enum Flush {
 }
 
 /// The event loop owning every connection: accepts, reads, parses, routes,
-/// parks connections on in-flight jobs, and flushes responses — all over
-/// nonblocking sockets driven by the [`crate::readiness`] poller.
+/// scores admitted jobs, and flushes responses — all over nonblocking
+/// sockets driven by the [`crate::readiness`] poller.
 struct Driver {
     shared: Arc<Shared>,
     poller: readiness::Poller,
@@ -1051,6 +732,12 @@ struct Driver {
     next_job: u64,
     /// Connections counted against `max_connections` (excludes refusals).
     active: usize,
+    /// Admitted-but-unscored jobs.
+    queue: AdmissionQueue,
+    /// A batch held by an injected `score_stall` until the instant passes.
+    stalled: Option<(Instant, Vec<Job>)>,
+    /// Labels of the artifact version that scored last.
+    labels: Option<Arc<VersionLabels>>,
 }
 
 impl Driver {
@@ -1091,12 +778,14 @@ impl Driver {
             for completion in self.completions.drain() {
                 self.on_completion(completion);
             }
+            self.score_admitted();
             self.run_timers();
         }
     }
 
-    /// Sleep until the nearest per-connection deadline, capped at
-    /// [`POLL_TICK`]; readiness events and the waker interrupt it anyway.
+    /// Sleep until the nearest per-connection deadline or the end of an
+    /// injected scoring stall, capped at [`POLL_TICK`]; readiness events and
+    /// the waker interrupt it anyway.
     fn poll_timeout(&self) -> Duration {
         let mut deadline: Option<Instant> = None;
         let mut consider = |at: Option<Instant>| {
@@ -1104,6 +793,7 @@ impl Driver {
                 deadline = Some(deadline.map_or(at, |d| d.min(at)));
             }
         };
+        consider(self.stalled.as_ref().map(|(until, _)| *until));
         for conn in self.conns.values() {
             match &conn.state {
                 ConnState::Reading => consider(conn.expires),
@@ -1415,6 +1105,7 @@ impl Driver {
         // correlate.
         let request_id = (!rid.is_empty()).then_some(("X-Request-Id", rid));
         let extra = parts.headers.iter().map(|(name, value)| (*name, value.as_str()));
+        let model_version = parts.model_version.as_deref().map(|v| ("X-Model-Version", v));
         let close = conn.close_after_flush.then_some(("Connection", "close"));
         http::write_message(
             &mut wire,
@@ -1423,6 +1114,7 @@ impl Driver {
                 .into_iter()
                 .chain(request_id)
                 .chain(extra)
+                .chain(model_version)
                 .chain(close),
             parts.body.as_bytes(),
         );
@@ -1639,23 +1331,27 @@ impl Driver {
             .deadline_ms
             .or(shared.config.default_deadline_ms)
             .and_then(|ms| admitted.checked_add(Duration::from_millis(ms)));
-        let job = self.next_job;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            let parts = ResponseParts::json(503, error_body("server is draining", None));
+            let rid = meta.rid.clone();
+            self.queue_response(conn, parts, &rid, trace, true, Some(meta));
+            return;
+        }
+        let id = self.next_job;
         self.next_job += 1;
-        let reply = ReplySender::new(Arc::clone(&self.completions), job);
-        match shared.queue.push(Job {
+        let pushed = self.queue.push(Job {
+            id,
             requests,
-            reply,
             trace: trace.take(),
             enqueued: admitted,
-            taken: None,
             deadline,
-        }) {
-            Err((AdmitError::Full, bounced)) => {
+        });
+        shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
+        match pushed {
+            Err(bounced) => {
                 if shared.config.metrics_enabled {
                     shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
                 }
-                let Job { reply, trace, .. } = bounced;
-                reply.cancel();
                 // Deliberately NO X-RateLimit-* headers here: queue-full
                 // means the server is saturated (retry immediately), not
                 // that this client is over its own budget.
@@ -1665,19 +1361,12 @@ impl Driver {
                     vec![("Retry-After", "0".to_string())],
                 );
                 let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, trace, true, Some(meta));
-            }
-            Err((AdmitError::Closed, bounced)) => {
-                let Job { reply, trace, .. } = bounced;
-                reply.cancel();
-                let parts = ResponseParts::json(503, error_body("server is draining", None));
-                let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, trace, true, Some(meta));
+                self.queue_response(conn, parts, &rid, bounced.trace, true, Some(meta));
             }
             Ok(()) => {
-                self.awaiting.insert(job, token);
+                self.awaiting.insert(id, token);
                 conn.state = ConnState::Awaiting(Await {
-                    job,
+                    job: id,
                     deadline: admitted.checked_add(SCORE_REPLY_TIMEOUT),
                     admitted,
                     meta,
@@ -1728,7 +1417,7 @@ impl Driver {
                 // rollout did not happen.
                 Err(e) => (409, error_body(&e.to_string(), None), None),
             };
-            completions.push(Completion::Reload {
+            completions.push(Completion {
                 job,
                 status,
                 body,
@@ -1745,97 +1434,272 @@ impl Driver {
         });
     }
 
-    fn on_completion(&mut self, completion: Completion) {
-        let job = match &completion {
-            Completion::Score { job, .. } | Completion::Reload { job, .. } => *job,
-        };
-        // A completion whose job is no longer awaited (the reply timed out
-        // and the 500 already went out) is dropped, like the reply a
-        // blocking handler never came back to receive.
-        let Some(token) = self.awaiting.remove(&job) else {
-            return;
-        };
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return;
-        };
-        let ConnState::Awaiting(wait) = std::mem::replace(&mut conn.state, ConnState::Reading) else {
-            self.conns.insert(token, conn);
-            return;
-        };
-        match completion {
-            Completion::Score { reply, .. } => self.finish_score(&mut conn, wait, reply),
-            Completion::Reload {
-                status,
-                body,
-                version,
-                trace,
-                ..
-            } => {
-                let headers = version
-                    .map(|v| vec![("X-Model-Version", v.to_string())])
-                    .unwrap_or_default();
-                let parts = ResponseParts::with_headers(status, body, headers);
-                let rid = wait.meta.rid.clone();
-                self.queue_response(&mut conn, parts, &rid, trace, false, Some(wait.meta));
+    /// Takes the connection parked on `job` out of the table, back in
+    /// `Reading` state, with its wait bookkeeping. `None` when the job is no
+    /// longer awaited — its reply timer fired and the 500 already went out —
+    /// so a late outcome is dropped rather than answered twice.
+    fn take_awaiting(&mut self, job: u64) -> Option<(u64, Conn, Await)> {
+        let token = self.awaiting.remove(&job)?;
+        let mut conn = self.conns.remove(&token)?;
+        match std::mem::replace(&mut conn.state, ConnState::Reading) {
+            ConnState::Awaiting(wait) => Some((token, conn, wait)),
+            other => {
+                conn.state = other;
+                self.conns.insert(token, conn);
+                None
             }
         }
+    }
+
+    fn on_completion(&mut self, completion: Completion) {
+        let Some((token, mut conn, wait)) = self.take_awaiting(completion.job) else {
+            return;
+        };
+        let mut parts = ResponseParts::json(completion.status, completion.body);
+        parts.model_version = completion.version.map(|v| v.to_string().into());
+        let rid = wait.meta.rid.clone();
+        self.queue_response(&mut conn, parts, &rid, completion.trace, false, Some(wait.meta));
         self.drive(token, conn, false);
     }
 
-    /// The scoring-outcome → response mapping, one arm per [`JobOutcome`]
-    /// (plus the dropped-reply 500 the [`ReplySender`] drop hook turns into
-    /// a `Panicked` outcome).
-    fn finish_score(&self, conn: &mut Conn, wait: Await, reply: JobReply) {
-        let shared = &self.shared;
-        let (parts, returned) = match reply {
-            JobReply {
-                outcome: JobOutcome::Scored(model_version, scores),
-                trace: mut returned,
-            } => {
-                if shared.config.metrics_enabled {
-                    shared
-                        .metrics
-                        .score_duration
-                        .with(&[("version", &model_version.to_string())])
-                        .observe(wait.admitted.elapsed().as_secs_f64());
+    /// Scores what the readiness pass admitted: batches of up to
+    /// `max_batch` requests until the queue is empty, intake is paused
+    /// (ignored once shutdown has begun, so shutdown never strands an
+    /// admitted job), or an injected `score_stall` holds a batch.
+    fn score_admitted(&mut self) {
+        loop {
+            if let Some((until, _)) = &self.stalled {
+                if Instant::now() < *until {
+                    return;
+                }
+                if let Some((_, batch)) = self.stalled.take() {
+                    self.score_batch(batch);
+                }
+                continue;
+            }
+            let paused = self.shared.paused.load(Ordering::SeqCst) && !self.shared.shutdown.load(Ordering::SeqCst);
+            if paused || self.queue.jobs.is_empty() {
+                return;
+            }
+            let batch = self.queue.take_batch(self.shared.config.max_batch.max(1));
+            self.shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
+            let batch = self.shed_expired(batch);
+            if batch.is_empty() {
+                continue;
+            }
+            let fault = self.shared.config.fault_plan.as_deref();
+            if let Some(ms) = fault.and_then(|plan| plan.check(FaultKind::ScoreStall)) {
+                // Injected stall: the scorer sits on this batch. It is held
+                // on a timer, not slept on, so the loop keeps accepting,
+                // answering health probes and admitting — queue-full 429s
+                // and deadline expiry still happen behind the stall.
+                let now = Instant::now();
+                self.stalled = Some((now.checked_add(Duration::from_millis(ms)).unwrap_or(now), batch));
+                continue;
+            }
+            self.score_batch(batch);
+        }
+    }
+
+    /// Sheds the jobs whose deadline budget expired while they waited:
+    /// scoring them would spend executor time on answers nobody is waiting
+    /// for. A shed job still gets a response — a 504, never a severed
+    /// connection — so clients can tell "too late" from "lost". Returns the
+    /// live rest.
+    fn shed_expired(&mut self, batch: Vec<Job>) -> Vec<Job> {
+        let now = Instant::now();
+        let expired = |job: &Job| job.deadline.is_some_and(|d| d <= now);
+        if !batch.iter().any(expired) {
+            return batch;
+        }
+        let (expired, live): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(expired);
+        for job in expired {
+            if self.shared.config.metrics_enabled {
+                self.shared.metrics.rejected.with(&[("cause", "deadline")]).inc();
+            }
+            self.answer(job, JobOutcome::Expired);
+        }
+        live
+    }
+
+    /// The labels of artifact `version`, rebuilt only when the version
+    /// changes.
+    fn version_labels(&mut self, version: u64) -> Arc<VersionLabels> {
+        if let Some(labels) = self.labels.as_ref().filter(|labels| labels.version == version) {
+            return Arc::clone(labels);
+        }
+        let header: Arc<str> = version.to_string().into();
+        let metrics = self.shared.config.metrics_enabled.then_some(&self.shared.metrics);
+        let labels = Arc::new(VersionLabels {
+            version,
+            score_requests: metrics.map(|m| m.score_requests.with(&[("version", &header)])),
+            score_duration: metrics.map(|m| m.score_duration.with(&[("version", &header)])),
+            header,
+        });
+        self.labels = Some(Arc::clone(&labels));
+        labels
+    }
+
+    /// Scores one batch through one executor snapshot — so every response
+    /// in it is attributable to exactly that artifact version, even
+    /// mid-reload — and answers each job on its connection.
+    fn score_batch(&mut self, batch: Vec<Job>) {
+        let shared = Arc::clone(&self.shared);
+        let metrics = shared.config.metrics_enabled.then_some(&shared.metrics);
+        let snapshot = shared.executor.snapshot();
+        let labels = self.version_labels(snapshot.version);
+        let total: usize = batch.iter().map(|j| j.requests.len()).sum();
+        if let Some(metrics) = metrics {
+            metrics.batches.inc();
+            metrics.batched_requests.add(total as u64);
+            metrics.batch_size.observe(total as f64);
+        }
+        // A lone job is scored from its own request slice; only a
+        // coalesced batch is gathered into one.
+        let gathered: Vec<ScoreRequest>;
+        let all: &[ScoreRequest] = match batch.as_slice() {
+            [job] => &job.requests,
+            _ => {
+                gathered = batch.iter().flat_map(|j| j.requests.iter().cloned()).collect();
+                &gathered
+            }
+        };
+        // Batch-level spans are recorded once and replayed into every
+        // coalesced job's trace: all requests in the batch share the same
+        // per-shard score spans.
+        let tracing = batch.iter().any(|j| j.trace.is_some());
+        let score_start = Instant::now();
+        let panics_before = snapshot.executor().worker_panic_count();
+        // The scoring section runs under `catch_unwind`: a panic (injected
+        // `batcher_panic`, or a real defect that escaped the executor's own
+        // shard supervision) is confined to this batch — every job in it
+        // gets a deterministic 500 and the driver moves on to the next.
+        let fault = shared.config.fault_plan.as_deref();
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            if fault.is_some_and(|plan| plan.fires(FaultKind::BatcherPanic)) {
+                panic!("injected {}", FaultKind::BatcherPanic);
+            }
+            let mut spans = SpanSet::new();
+            let scored = if tracing {
+                snapshot.executor().try_score_batch_traced(all, &mut spans)
+            } else {
+                snapshot.executor().try_score_batch(all)
+            };
+            (scored, spans)
+        }));
+        let finish_trace = |job: &mut Job, spans: &SpanSet| {
+            if let Some(trace) = job.trace.as_mut() {
+                trace.record(Stage::AdmissionQueue, job.enqueued, score_start);
+                trace.extend_from(spans);
+            }
+        };
+        let (scored, shard_spans) = match attempt {
+            Ok(result) => result,
+            Err(_) => {
+                if let Some(metrics) = metrics {
+                    metrics.worker_panics.with(&[("role", "batcher")]).inc();
+                    metrics.worker_restarts.with(&[("role", "batcher")]).inc();
+                }
+                let empty = SpanSet::new();
+                for mut job in batch {
+                    finish_trace(&mut job, &empty);
+                    self.answer(job, JobOutcome::Panicked);
+                }
+                return;
+            }
+        };
+        // Shard-worker panics are caught (and their chunks re-scored) inside
+        // the executor; the driver — its only caller here — mirrors the
+        // count into the registry.
+        let shard_panics = snapshot.executor().worker_panic_count() - panics_before;
+        if shard_panics > 0 {
+            if let Some(metrics) = metrics {
+                metrics.worker_panics.with(&[("role", "shard")]).add(shard_panics);
+                metrics.worker_restarts.with(&[("role", "shard")]).add(shard_panics);
+            }
+        }
+        match scored {
+            Ok(scores) => {
+                if let Some(counter) = &labels.score_requests {
+                    counter.add(total as u64);
+                }
+                let mut offset = 0;
+                for mut job in batch {
+                    let slice = scores[offset..offset + job.requests.len()].to_vec();
+                    offset += job.requests.len();
+                    finish_trace(&mut job, &shard_spans);
+                    self.answer(job, JobOutcome::Scored(Arc::clone(&labels), slice));
+                }
+            }
+            Err(_) => {
+                // At least one coalesced request is malformed. Re-score per
+                // job so only the offending response degrades to 422 and the
+                // innocent neighbors in the same batch still get scores.
+                for mut job in batch {
+                    let mut job_spans = SpanSet::new();
+                    let outcome = match if job.trace.is_some() {
+                        snapshot
+                            .executor()
+                            .try_score_batch_traced(&job.requests, &mut job_spans)
+                    } else {
+                        snapshot.executor().try_score_batch(&job.requests)
+                    } {
+                        Ok(scores) => {
+                            if let Some(counter) = &labels.score_requests {
+                                counter.add(job.requests.len() as u64);
+                            }
+                            JobOutcome::Scored(Arc::clone(&labels), scores)
+                        }
+                        Err(e) => JobOutcome::Unscorable(JobFailure {
+                            request_index: e.request_index,
+                            message: e.to_string(),
+                        }),
+                    };
+                    finish_trace(&mut job, &job_spans);
+                    self.answer(job, outcome);
+                }
+            }
+        }
+    }
+
+    /// The scoring-outcome → response mapping, one arm per [`JobOutcome`],
+    /// queued straight onto the connection parked on the job.
+    fn answer(&mut self, job: Job, outcome: JobOutcome) {
+        let Some((token, mut conn, wait)) = self.take_awaiting(job.id) else {
+            return;
+        };
+        let mut trace = job.trace;
+        let parts = match outcome {
+            JobOutcome::Scored(labels, scores) => {
+                if let Some(histogram) = &labels.score_duration {
+                    histogram.observe(wait.admitted.elapsed().as_secs_f64());
                 }
                 let serialize_start = Instant::now();
-                let body = serde::json::to_string(&ScoreResponse { model_version, scores });
-                if let Some(t) = returned.as_mut() {
+                let body = serde::json::to_string(&ScoreResponse {
+                    model_version: labels.version,
+                    scores,
+                });
+                if let Some(t) = trace.as_mut() {
                     t.record(Stage::Serialize, serialize_start, Instant::now());
                 }
-                (
-                    ResponseParts::with_headers(200, body, vec![("X-Model-Version", model_version.to_string())]),
-                    returned,
-                )
+                let mut parts = ResponseParts::json(200, body);
+                parts.model_version = Some(Arc::clone(&labels.header));
+                parts
             }
-            JobReply {
-                outcome: JobOutcome::Unscorable(failure),
-                trace,
-            } => (
-                ResponseParts::json(422, error_body(&failure.message, Some(failure.request_index))),
-                trace,
+            JobOutcome::Unscorable(failure) => {
+                ResponseParts::json(422, error_body(&failure.message, Some(failure.request_index)))
+            }
+            JobOutcome::Panicked => ResponseParts::json(
+                500,
+                error_body("scoring batch panicked; the request was not scored", None),
             ),
-            JobReply {
-                outcome: JobOutcome::Panicked,
-                trace,
-            } => (
-                ResponseParts::json(
-                    500,
-                    error_body("scoring batch panicked; the request was not scored", None),
-                ),
-                trace,
-            ),
-            JobReply {
-                outcome: JobOutcome::Expired,
-                trace,
-            } => (
-                ResponseParts::json(504, error_body("deadline expired before scoring started", None)),
-                trace,
-            ),
+            JobOutcome::Expired => {
+                ResponseParts::json(504, error_body("deadline expired before scoring started", None))
+            }
         };
         let rid = wait.meta.rid.clone();
-        self.queue_response(conn, parts, &rid, returned, true, Some(wait.meta));
+        self.queue_response(&mut conn, parts, &rid, trace, true, Some(wait.meta));
+        self.drive(token, conn, false);
     }
 
     /// Scans per-connection deadlines: lifetime caps, write-progress
@@ -1877,8 +1741,9 @@ impl Driver {
         }
     }
 
-    /// The batcher never answered within [`SCORE_REPLY_TIMEOUT`]:
-    /// deterministic 500, like the blocking handler's `recv_timeout` arm.
+    /// The job was not scored within [`SCORE_REPLY_TIMEOUT`]:
+    /// deterministic 500. The job stays queued; whenever it is scored, its
+    /// outcome finds nobody awaiting it and is dropped.
     fn score_reply_timed_out(&mut self, token: u64) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
@@ -2053,7 +1918,7 @@ fn error_body(message: &str, request_index: Option<usize>) -> String {
 }
 
 /// Computes the response for every route the driver answers inline —
-/// everything but `POST /score` (parked on the batcher) and `POST /reload`
+/// everything but `POST /score` (admitted and scored after the pass) and `POST /reload`
 /// (offloaded to a worker thread), which the driver intercepts first.
 fn inline_route(shared: &Shared, request: &ParsedRequest) -> ResponseParts {
     match (request.method.as_str(), request.path.as_str()) {
@@ -2089,11 +1954,13 @@ fn inline_route(shared: &Shared, request: &ParsedRequest) -> ResponseParts {
             Some(tracer) => ResponseParts::json(200, tracer.chrome_trace_json()),
         },
         ("POST", "/admin/pause") => {
-            shared.queue.set_paused(true);
+            shared.paused.store(true, Ordering::SeqCst);
             ResponseParts::json(200, serde::json::to_string(&PausedResponse { paused: true }))
         }
         ("POST", "/admin/resume") => {
-            shared.queue.set_paused(false);
+            // The driver answering this route scores the queue at the end
+            // of the same pass; no wake-up needed.
+            shared.paused.store(false, Ordering::SeqCst);
             ResponseParts::json(200, serde::json::to_string(&PausedResponse { paused: false }))
         }
         (
@@ -2115,7 +1982,7 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
     let version = snapshot.version.to_string();
     let cache = snapshot.executor().cache_stats();
     let metrics = &shared.metrics;
-    metrics.queue_depth.set(shared.queue.len() as f64);
+    metrics.queue_depth.set(shared.queued.load(Ordering::Relaxed) as f64);
     metrics.model_version.set(snapshot.version as f64);
     metrics.cache_hits.with(&[("version", &version)]).store(cache.hits);
     metrics.cache_misses.with(&[("version", &version)]).store(cache.misses);
@@ -2132,6 +1999,7 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
         content_type: "text/plain; version=0.0.4; charset=utf-8",
         body: metrics.render(),
         headers: Vec::new(),
+        model_version: None,
     }
 }
 
@@ -2531,8 +2399,8 @@ mod tests {
     fn full_queue_backpressure_is_429_and_recovers() {
         let (server, _executor) = start_server(2);
         server.pause_intake();
-        // Two in-flight jobs fill the queue (their handlers block on the
-        // batcher); they are issued from their own connections.
+        // Two in-flight jobs fill the paused queue; they are issued from
+        // their own connections.
         let addr = server.local_addr();
         let blocked: Vec<std::thread::JoinHandle<u16>> = (0..2)
             .map(|i| {
@@ -3041,52 +2909,35 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_admission_queue_recovers() {
-        let queue = AdmissionQueue::new(4);
-        // Poison the queue lock the way a real defect would: panic while
-        // holding it.
-        let poison = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = queue.inner.lock().expect("first lock");
-            panic!("poison the queue lock");
-        }));
-        assert!(poison.is_err());
-        assert!(queue.inner.lock().is_err(), "lock should report poisoned");
-        // Every queue operation recovers via `into_inner`: a full
-        // push → pop → reply round trip still works.
-        let poller = crate::readiness::Poller::new().expect("poller");
-        let waker = crate::readiness::Waker::new(&poller, Token(1)).expect("waker");
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            waker,
-        });
-        let job = Job {
-            requests: Vec::new(),
-            reply: ReplySender::new(Arc::clone(&completions), 7),
+    fn admission_queue_bounds_jobs_and_caps_batches_by_request_count() {
+        let job = |id: u64, requests: usize| Job {
+            id,
+            requests: (0..requests as u64)
+                .map(|pair_id| ScoreRequest {
+                    pair_id,
+                    metric_row: vec![0.5, 0.5],
+                    classifier_output: 0.5,
+                    machine_says_match: true,
+                })
+                .collect(),
             trace: None,
             enqueued: Instant::now(),
-            taken: None,
             deadline: None,
         };
-        assert!(queue.push(job).is_ok(), "push through a poisoned lock");
-        assert_eq!(queue.len(), 1);
-        let batch = queue.pop_batch(4, Duration::from_millis(1)).expect("queue still open");
-        assert_eq!(batch.len(), 1);
-        for taken in batch {
-            taken.reply.send(JobReply {
-                outcome: JobOutcome::Scored(1, Vec::new()),
-                trace: None,
-            });
+        let mut queue = AdmissionQueue::new(3);
+        for (id, requests) in [(0, 2), (1, 1), (2, 3)] {
+            assert!(queue.push(job(id, requests)).is_ok(), "job {id} fits");
         }
-        assert!(matches!(
-            completions.drain().as_slice(),
-            [Completion::Score {
-                job: 7,
-                reply: JobReply {
-                    outcome: JobOutcome::Scored(1, _),
-                    ..
-                },
-            }]
-        ));
+        // Full: the job comes back (with its trace) instead of being queued.
+        let bounced = queue.push(job(3, 1)).expect_err("queue is at capacity");
+        assert_eq!(bounced.id, 3);
+        // A batch closes once it holds `max_requests` requests; a job is
+        // never split, so the job that crosses the cap rides along.
+        let ids = |batch: Vec<Job>| batch.iter().map(|j| j.id).collect::<Vec<_>>();
+        assert_eq!(ids(queue.take_batch(2)), [0]);
+        assert_eq!(ids(queue.take_batch(2)), [1, 2]);
+        assert!(queue.take_batch(2).is_empty());
+        assert!(queue.push(job(4, 1)).is_ok(), "capacity frees as batches leave");
     }
 
     #[test]

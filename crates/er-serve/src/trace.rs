@@ -3,9 +3,9 @@
 //! Every request handled by [`crate::ScoreServer`] gets a trace id (accepted
 //! from an `X-Request-Id` header or generated) and an [`ActiveTrace`] that
 //! accumulates monotonic enter/exit timestamps for the fixed stage set
-//! `parse → ratelimit → admission_queue → batch_wait → score (per-shard) →
-//! serialize → write` as the request moves across threads (connection handler
-//! → batcher → executor shards → handler again). Hot reloads record their own
+//! `parse → ratelimit → admission_queue → score (per-shard) → serialize →
+//! write` as the request moves from the connection driver to the executor
+//! shards and back. Hot reloads record their own
 //! `load → validate → probe → swap` timeline through the same machinery.
 //!
 //! Recording is lock-cheap: spans are pushed onto a plain `Vec` owned by
@@ -40,10 +40,9 @@ pub enum Stage {
     Parse,
     /// Token-bucket admission check (present only when rate limiting is on).
     Ratelimit,
-    /// Time spent queued in the bounded admission queue, enqueue → drain.
+    /// Admission → scoring start: queueing behind paused intake, an
+    /// injected stall, or the batches ahead of it.
     AdmissionQueue,
-    /// Drain → scoring start: the micro-batch coalescing window.
-    BatchWait,
     /// Model evaluation; one span per executor shard that scored the batch.
     Score,
     /// Response-body serialization on the connection handler.
@@ -70,7 +69,6 @@ impl Stage {
             Stage::Parse => "parse",
             Stage::Ratelimit => "ratelimit",
             Stage::AdmissionQueue => "admission_queue",
-            Stage::BatchWait => "batch_wait",
             Stage::Score => "score",
             Stage::Serialize => "serialize",
             Stage::Write => "write",
@@ -93,8 +91,8 @@ struct RawSpan {
 }
 
 /// A detached set of spans recorded away from the owning [`ActiveTrace`] —
-/// e.g. the batch-level spans the batcher and executor record once per
-/// micro-batch and then replay into every coalesced request's trace.
+/// e.g. the batch-level spans the executor records once per micro-batch and
+/// the driver replays into every coalesced request's trace.
 #[derive(Clone, Debug, Default)]
 pub struct SpanSet {
     spans: Vec<RawSpan>,
@@ -143,9 +141,9 @@ impl SpanSet {
 }
 
 /// An in-flight trace: the trace id plus every span recorded so far. Owned by
-/// exactly one thread at a time and handed across threads by value (the
-/// connection handler sends it to the batcher inside the job and receives it
-/// back with the reply), so recording never takes a lock.
+/// exactly one thread at a time and handed across threads by value (a reload
+/// worker receives it with the job and posts it back with the completion),
+/// so recording never takes a lock.
 #[derive(Debug)]
 pub struct ActiveTrace {
     trace_id: String,

@@ -530,3 +530,84 @@ fn batcher_panic_is_a_500_then_the_recovered_server_scores_bit_exactly() {
     assert_eq!(role_total("er_serve_worker_restarts_total"), 2.0);
     server.shutdown();
 }
+
+#[test]
+fn a_stalled_batch_does_not_freeze_the_readiness_loop() {
+    // An injected scoring stall holds its batch on a timer: the driver keeps
+    // serving other connections meanwhile, then scores the held request
+    // bit-exactly once the stall expires.
+    let plan = Arc::new(FaultPlan::parse("score_stall@0:400ms").expect("spec"));
+    let (server, model) = trained_server(ServerConfig {
+        fault_plan: Some(Arc::clone(&plan)),
+        ..ServerConfig::default()
+    });
+    let expected = ScoringEngine::new(model).score_batch(&serving_requests(1));
+    let body = serde::json::to_string(&serving_requests(1)[0]);
+    let addr = server.local_addr();
+    let stalled = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let sent = std::time::Instant::now();
+        let response = http_roundtrip(&mut stream, "POST", "/score", Some(&body)).expect("stalled response");
+        (response, sent.elapsed())
+    });
+    let fired_by = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while plan.fired(er_serve::FaultKind::ScoreStall) == 0 {
+        assert!(std::time::Instant::now() < fired_by, "the stall never fired");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut probe = TcpStream::connect(addr).expect("connect probe");
+    let asked = std::time::Instant::now();
+    let health = http_roundtrip(&mut probe, "GET", "/healthz", None).expect("health during the stall");
+    let answered_in = asked.elapsed();
+    assert_eq!(health.status, 200, "{}", health.body);
+    assert!(
+        answered_in < std::time::Duration::from_millis(200),
+        "/healthz took {answered_in:?} behind a stalled batch"
+    );
+    let (response, took) = stalled.join().expect("stalled client");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let (_, scores) = parse_score_response(&response.body).expect("body");
+    assert_eq!(scores[0].to_bits(), expected[0].to_bits());
+    assert!(
+        took >= std::time::Duration::from_millis(350),
+        "the stall must hold the request, yet it returned in {took:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn resuming_intake_scores_queued_jobs_without_waiting_for_the_poll_tick() {
+    // Resume wakes the driver: a job queued while paused is answered within
+    // a few milliseconds, well before the loop's 100 ms poll tick would
+    // have let it notice on its own.
+    let (server, model) = trained_server(ServerConfig::default());
+    let expected = ScoringEngine::new(model).score_batch(&serving_requests(1));
+    let body = serde::json::to_string(&serving_requests(1)[0]);
+    let addr = server.local_addr();
+    server.pause_intake();
+    let client = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        http_roundtrip(&mut stream, "POST", "/score", Some(&body)).expect("response")
+    });
+    let queued_by = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while server.queued_jobs() < 1 {
+        assert!(std::time::Instant::now() < queued_by, "the job was never queued");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // The driver is now asleep in a poll of up to one tick; resume partway
+    // into it.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let resumed = std::time::Instant::now();
+    server.resume_intake();
+    let response = client.join().expect("client");
+    let answered_in = resumed.elapsed();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let (_, scores) = parse_score_response(&response.body).expect("body");
+    assert_eq!(scores[0].to_bits(), expected[0].to_bits());
+    assert!(
+        answered_in < std::time::Duration::from_millis(50),
+        "resume took {answered_in:?} to score a queued job"
+    );
+    assert_eq!(server.queued_jobs(), 0);
+    server.shutdown();
+}
