@@ -141,6 +141,10 @@ struct GatewayBench {
     hedging: GatewayHedging,
     canary_promotion: GatewayCanary,
     canary_rollback: GatewayCanary,
+    /// The high-connection-count series through a gateway in front of one
+    /// in-process backend: the gateway's one readiness loop holds every
+    /// connection, scores bit-exactly through the hop, severs none.
+    connections: ConnectionBench,
 }
 
 /// One front-end socket replay: closed-loop clients posting the stream one
@@ -1476,44 +1480,97 @@ fn scrape_and_reconcile(addr: SocketAddr, replay: &FrontendRun) -> FrontendMetri
     }
 }
 
-/// The high-connection-count series: see [`ConnectionBench`]. Each entry
-/// opens `n` keep-alive connections (probing accept-to-first-byte on the
-/// way in), holds them idle while a stripe of them serves `/score` traffic,
-/// then sweeps every connection with a final probe. Any transport error or
-/// non-2xx anywhere in an entry fails the bench outright.
+/// The high-connection-count series against one `er-serve` front-end: see
+/// [`ConnectionBench`] and [`connection_series`].
 fn connection_series_bench(
     engine: &ScoringEngine,
     stream: &[ScoreRequest],
     threads: usize,
     expected_v1: &[f64],
 ) -> ConnectionBench {
+    let (series, max_connections) = connection_series_sizes();
+    let server = connection_series_server(engine, threads, max_connections);
+    let addr = server.local_addr();
+    println!();
+    println!("-- HTTP front-end connection series on {addr} (cap {max_connections}) --");
+    let series = connection_series("frontend", addr, &series, stream, expected_v1);
+    server.shutdown();
+    ConnectionBench {
+        max_connections,
+        series,
+    }
+}
+
+/// The same series through a [`GatewayServer`] in front of one in-process
+/// `er-serve`: the gateway's single readiness loop must hold every
+/// connection too. `max_connections` is the backend's cap.
+fn gateway_connection_series_bench(
+    engine: &ScoringEngine,
+    stream: &[ScoreRequest],
+    expected: &[f64],
+) -> ConnectionBench {
+    let (series, max_connections) = connection_series_sizes();
+    let backend = connection_series_server(engine, 1, max_connections);
+    let gateway = GatewayServer::start(GatewayConfig {
+        backends: vec![backend.local_addr()],
+        ..GatewayConfig::default()
+    })
+    .expect("start connection-series gateway");
+    let addr = gateway.local_addr();
+    println!("-- gateway connection series on {addr} (backend cap {max_connections}) --");
+    let series = connection_series("gateway", addr, &series, stream, expected);
+    gateway.shutdown();
+    backend.shutdown();
+    ConnectionBench {
+        max_connections,
+        series,
+    }
+}
+
+/// The series' connection counts (`SERVE_BENCH_CONNECTIONS`, default
+/// 256 and 1024) and the connection cap a server needs to hold the largest.
+fn connection_series_sizes() -> (Vec<usize>, usize) {
     let series: Vec<usize> = std::env::var("SERVE_BENCH_CONNECTIONS")
         .unwrap_or_else(|_| "256,1024".into())
         .split(',')
         .filter_map(|n| n.trim().parse().ok())
         .filter(|&n| n > 0)
         .collect();
-    let score_requests = er_bench::env_usize("SERVE_BENCH_CONNECTION_SCORES", 64).clamp(1, stream.len());
     let max_connections = series.iter().copied().max().unwrap_or(0) + 64;
+    (series, max_connections)
+}
+
+fn connection_series_server(engine: &ScoringEngine, threads: usize, max_connections: usize) -> ScoreServer {
     let executor = Arc::new(ReloadableExecutor::new(
         engine.clone(),
         ServeConfig::default().with_threads(threads),
     ));
-    let server = ScoreServer::start(
-        Arc::clone(&executor),
+    ScoreServer::start(
+        executor,
         ServerConfig {
             max_connections,
             trace_capacity: 0,
             ..ServerConfig::default()
         },
     )
-    .expect("bind connection-series score server");
-    let addr = server.local_addr();
-    println!();
-    println!("-- HTTP front-end connection series on {addr} (cap {max_connections}) --");
+    .expect("bind connection-series score server")
+}
 
+/// Drives the series against `addr`. Each entry opens `n` keep-alive
+/// connections (probing accept-to-first-byte on the way in), holds them
+/// idle while a stripe of them serves `/score` traffic, then sweeps every
+/// connection with a final probe. Any transport error or non-2xx anywhere
+/// in an entry fails the bench outright.
+fn connection_series(
+    label: &str,
+    addr: SocketAddr,
+    series: &[usize],
+    stream: &[ScoreRequest],
+    expected: &[f64],
+) -> Series<ConnectionSeriesEntry> {
+    let score_requests = er_bench::env_usize("SERVE_BENCH_CONNECTION_SCORES", 64).clamp(1, stream.len());
     let mut entries = Series(Vec::with_capacity(series.len()));
-    for &n in &series {
+    for &n in series {
         // Open n keep-alive connections, timing connect() → first response
         // byte of an immediate /healthz probe on each (peek leaves the byte
         // for the normal response reader).
@@ -1556,7 +1613,7 @@ fn connection_series_bench(
             all_2xx &= response.status == 200;
             if response.status == 200 {
                 let (_, scores) = parse_score_response(&response.body).expect("connections: malformed score body");
-                bit_exact &= scores.len() == 1 && scores[0].to_bits() == expected_v1[k].to_bits();
+                bit_exact &= scores.len() == 1 && scores[0].to_bits() == expected[k].to_bits();
             }
         }
 
@@ -1578,7 +1635,7 @@ fn connection_series_bench(
         let accept_to_first_byte = summarize_latencies(&mut accept_ns);
         let score_latency = summarize_latencies(&mut score_ns);
         println!(
-            "frontend connections[{n}]: accept→first-byte p50 {:>7.1}µs p95 {:>7.1}µs p99 {:>7.1}µs  \
+            "{label} connections[{n}]: accept→first-byte p50 {:>7.1}µs p95 {:>7.1}µs p99 {:>7.1}µs  \
              {score_requests} scores p99 {:>7.1}µs  swept {n}, 0 severed",
             accept_to_first_byte.p50_us, accept_to_first_byte.p95_us, accept_to_first_byte.p99_us, score_latency.p99_us,
         );
@@ -1593,11 +1650,7 @@ fn connection_series_bench(
         };
         entries.0.push((format!("connections={n}"), entry));
     }
-    server.shutdown();
-    ConnectionBench {
-        max_connections,
-        series: entries,
-    }
+    entries
 }
 
 /// Proves the per-client token bucket over a raw socket: client `rl-a`
@@ -1836,7 +1889,7 @@ fn gateway_canary_cycle(
 /// The multi-process gateway phase: spawns real `er-serve` child processes
 /// and routes through an in-process [`GatewayServer`] (the gateway *binary*
 /// is the same library entry; `scripts/kick-tires.sh` exercises it as a
-/// separate process). Four sub-phases, each on fresh backends:
+/// separate process). Five sub-phases, each on fresh backends:
 ///
 /// 1. **Scaling series** — the identical closed-loop replay against 1 and 2
 ///    backends; aggregate throughput must scale with backend count.
@@ -1846,6 +1899,8 @@ fn gateway_canary_cycle(
 ///    → automatic promotion with zero errors.
 /// 4. **Canary rollback** — a divergent candidate is caught by shadow
 ///    comparison and rolled back automatically, zero severed connections.
+/// 5. **Connection series** — the front-end's high-connection-count series
+///    through a gateway in front of an in-process backend.
 fn gateway_bench(
     engine: &ScoringEngine,
     artifact_v1_path: &Path,
@@ -2007,6 +2062,8 @@ fn gateway_bench(
         gateway_canary_cycle(&gateway, &rollback_path, stream, &expected, false)
     };
 
+    let connections = gateway_connection_series_bench(engine, stream, &expected);
+
     Some(GatewayBench {
         multi_process: Attest(true),
         backend_binary: binary.display().to_string(),
@@ -2015,5 +2072,6 @@ fn gateway_bench(
         hedging,
         canary_promotion,
         canary_rollback,
+        connections,
     })
 }

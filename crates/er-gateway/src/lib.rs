@@ -14,16 +14,19 @@
 //! * **[`ring`]** — consistent-hash placement: vnode ring over backend
 //!   indices, eligibility-filtered clockwise walk, and the independent
 //!   percent-slot hash the canary split uses.
-//! * **[`upstream`]** — all backend I/O on one readiness-loop driver
-//!   thread (reusing [`er_serve::readiness`]); callers block on per-request
-//!   [`upstream::ResponseSlot`]s, hedge losers get cancelled.
+//! * **[`upstream`]** — one nonblocking [`upstream::Flight`] per backend
+//!   request (connect, send, framed receive), stepped by the server's
+//!   readiness loop; a hedge is a second flight, the loser is closed.
 //! * **[`health`]** — periodic `/healthz` probes, consecutive-failure
 //!   ejection, artifact-digest scraping.
 //! * **[`canary`]** — the staged-promotion state machine: shadow scoring,
 //!   rung ladder, automatic rollback on score divergence.
-//! * **[`server`]** — ties it together: downstream HTTP (framed by
-//!   [`er_serve::http`], like every upstream response), `/score` routing
-//!   and hedging, and the `/reload` + `/canary/*` control plane.
+//! * **[`server`]** — ties it together on one `gw-driver` thread: the
+//!   listener, every downstream connection (the [`er_serve::conn`] state
+//!   machine the backend runs too) and every upstream flight share one
+//!   [`er_serve::readiness`] loop, with `/score` routing, hedging and shadow
+//!   scoring as timers and completions on it, plus the `/reload` +
+//!   `/canary/*` control plane.
 //!
 //! Scores relay **bit-exactly**: the winning backend's response body is
 //! forwarded byte-for-byte, never re-serialized, so a client scoring
@@ -42,4 +45,4 @@ pub use canary::{Action, CanaryConfig, CanaryController, CanaryStatus, Phase, Ro
 pub use health::{BackendHealth, HealthState};
 pub use ring::{percent_slot, splitmix64, HashRing, PERCENT_SLOTS};
 pub use server::{GatewayConfig, GatewayServer, GatewayStats};
-pub use upstream::{ResponseSlot, UpstreamPool, UpstreamResponse};
+pub use upstream::UpstreamResponse;

@@ -1,12 +1,17 @@
 //! The gateway HTTP server: downstream request handling, consistent-hash
 //! routing, tail hedging, shadow scoring, and the canary control plane.
 //!
-//! Downstream connections are thread-per-connection and blocking — the
-//! gateway is the *client-facing* edge and its connection counts are the
-//! fleet's, not one process's. Upstream I/O is the opposite: every backend
-//! request funnels through one [`UpstreamPool`] driver thread on the
-//! readiness loop, so a stalled backend occupies a parked nonblocking
-//! socket, never a gateway thread.
+//! One `gw-driver` thread owns everything on one readiness loop (the
+//! [`er_serve::readiness`] poller the backend runs on): the listener, every
+//! downstream connection — read, parsed, answered and flushed by the same
+//! [`er_serve::conn`] state machine the backend uses — and every upstream
+//! [`Flight`]. A `/score` parks its connection while its flights run; the
+//! hedge launch, the upstream deadline and the client's `X-Deadline-Ms`
+//! budget are timers on that loop, and a shadow comparison is one more
+//! flight whose verdict lands after the client already has its answer. A
+//! stalled backend therefore costs a parked socket, never a thread. The
+//! blocking work left — the `/reload` fan-out and canary actions — runs on
+//! short-lived workers that post their replies back through a mailbox.
 //!
 //! ## Routes
 //!
@@ -20,23 +25,30 @@
 //! | `POST /canary/rollback` | abandon the canary, restore baseline on canary backends |
 //!
 //! `/score` responses carry `X-Backend` (index that served), `X-Hedged`
-//! (`1` when the hedge won the race) and the upstream's `X-Model-Version`.
+//! (`1` when the hedge won the race), and the upstream's `X-Model-Version`,
+//! `Retry-After` and `X-RateLimit-*` headers.
 //!
 //! Every response echoes the request's `X-Request-Id`: the client's when it
 //! is well-formed, else one the gateway generates. Upstream `/score`
-//! requests carry that id and the client's `X-Client-Id` (falling back to
-//! the downstream peer address), so the backend's traces and per-client
-//! rate limiting see the client, not the gateway.
+//! requests carry that id, the client's `X-Client-Id` (falling back to the
+//! downstream peer address), and what is left of the client's
+//! `X-Deadline-Ms` budget, so the backend's traces, per-client rate
+//! limiting and deadline shedding see the client, not the gateway. The
+//! gateway never waits past that budget: once it is spent the client gets a
+//! 504 and no hedge is launched.
 
-use crate::canary::{Action, CanaryConfig, CanaryController, CanaryStatus};
+use crate::canary::{Action, CanaryConfig, CanaryController, CanaryStatus, RoutePlan};
 use crate::health::{spawn_monitor, BackendHealth, HealthState};
 use crate::ring::{percent_slot, HashRing};
-use crate::upstream::{ResponseSlot, UpstreamPool, UpstreamResponse};
-use er_serve::http::{self, Progress, StartLine};
-use er_serve::valid_trace_id;
+use crate::upstream::{Flight, UpstreamResponse};
+use er_serve::conn::{self, Conn, Limits, Request, Step};
+use er_serve::http::{self, StartLine};
+use er_serve::readiness::{Events, Interest, Mailbox, Poller, Token};
 use serde::Serialize;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,7 +83,8 @@ pub struct GatewayConfig {
     pub canary: CanaryConfig,
     /// Largest accepted downstream request body.
     pub max_body_bytes: usize,
-    /// Downstream socket read/write budget.
+    /// Downstream read/write budget: a connection that sends nothing, or
+    /// stops draining its response, for this long is closed.
     pub io_timeout: Duration,
 }
 
@@ -136,7 +149,6 @@ struct Shared {
     config: GatewayConfig,
     ring: HashRing,
     health: Arc<HealthState>,
-    upstream: UpstreamPool,
     canary: CanaryController,
     counters: Counters,
     served_by_backend: Vec<AtomicU64>,
@@ -147,12 +159,23 @@ struct Shared {
     id_seq: AtomicU64,
 }
 
+/// The listener's token in the readiness loop.
+const LISTENER: Token = Token(0);
+/// The mailbox waker's token (reload replies, shutdown).
+const WAKER: Token = Token(1);
+/// First token handed to a downstream connection or an upstream flight.
+const FIRST_TOKEN: u64 = 2;
+/// Upper bound on one poll wait, so timers are scanned at least this often.
+const POLL_TICK: Duration = Duration::from_millis(100);
+
 /// A running gateway; dropping it (or calling [`Self::shutdown`]) stops the
-/// accept loop, the health monitor and the upstream driver.
+/// driver and the health monitor.
 pub struct GatewayServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Reload workers post `(connection token, reply)` here.
+    mailbox: Arc<Mailbox<(u64, Reply)>>,
+    driver: Option<std::thread::JoinHandle<()>>,
     health_thread: Option<std::thread::JoinHandle<()>>,
     shutdown_flag: Arc<AtomicBool>,
 }
@@ -176,20 +199,27 @@ impl GatewayServer {
         let listener = TcpListener::bind(&config.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+        let mailbox = Arc::new(Mailbox::new(&poller, WAKER)?);
         let health = Arc::new(HealthState::new(
             config.backends.clone(),
             config.eject_after,
             config.connect_timeout,
         ));
         health.probe_all();
-        let upstream = UpstreamPool::new(config.connect_timeout)?;
         let canary = CanaryController::new(config.canary.clone(), config.baseline_artifact.clone());
         let shutdown_flag = Arc::new(AtomicBool::new(false));
+        let limits = Limits {
+            max_body_bytes: config.max_body_bytes,
+            write_timeout: config.io_timeout,
+            read_timeout: Some(config.io_timeout),
+            lifetime: None,
+        };
         let shared = Arc::new(Shared {
             served_by_backend: (0..config.backends.len()).map(|_| AtomicU64::new(0)).collect(),
             ring: HashRing::new(config.backends.len(), config.vnodes),
             health: Arc::clone(&health),
-            upstream,
             canary,
             counters: Counters::default(),
             action_inflight: AtomicBool::new(false),
@@ -198,17 +228,26 @@ impl GatewayServer {
             config,
         });
         let health_thread = spawn_monitor(health, shared.config.health_interval, Arc::clone(&shutdown_flag))?;
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown_flag);
-            std::thread::Builder::new()
-                .name("gw-accept".to_string())
-                .spawn(move || accept_loop(listener, shared, shutdown))?
+        let driver = Driver {
+            shared: Arc::clone(&shared),
+            poller,
+            mailbox: Arc::clone(&mailbox),
+            listener: Some(listener),
+            limits,
+            conns: HashMap::new(),
+            exchanges: HashMap::new(),
+            reloads: HashMap::new(),
+            flights: HashMap::new(),
+            next_token: FIRST_TOKEN,
         };
+        let driver = std::thread::Builder::new()
+            .name("gw-driver".to_string())
+            .spawn(move || driver.run())?;
         Ok(Self {
             shared,
             local_addr,
-            accept_thread: Some(accept_thread),
+            mailbox,
+            driver: Some(driver),
             health_thread: Some(health_thread),
             shutdown_flag,
         })
@@ -224,8 +263,9 @@ impl GatewayServer {
         stats_snapshot(&self.shared)
     }
 
-    /// Stops accepting, joins the helper threads. In-flight downstream
-    /// connections finish their current request.
+    /// Stops accepting at once, answers every request in flight (a `/score`
+    /// waiting upstream gets a 502), and joins the driver and the health
+    /// monitor.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -235,7 +275,8 @@ impl GatewayServer {
             return;
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
+        let _ = self.mailbox.waker().wake();
+        if let Some(handle) = self.driver.take() {
             let _ = handle.join();
         }
         if let Some(handle) = self.health_thread.take() {
@@ -269,89 +310,6 @@ fn stats_snapshot(shared: &Shared) -> GatewayStats {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("gw-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Downstream HTTP.
-
-struct DownstreamRequest {
-    method: String,
-    path: String,
-    body: Vec<u8>,
-    close: bool,
-    /// `X-Request-Id` as sent (empty when absent); replaced by a generated
-    /// id unless well-formed.
-    request_id: String,
-    /// `X-Client-Id` as sent (empty when absent); falls back to the peer
-    /// address.
-    client_id: String,
-}
-
-/// Reads one request off a blocking downstream socket: `Ok(None)` when the
-/// peer closed between requests or the socket failed (nothing to answer),
-/// `Err` for a request to refuse before closing. The gateway answers
-/// `Expect: 100-continue` itself and never forwards `Expect` upstream, so a
-/// slow client handshake never holds a backend connection.
-fn read_request(
-    stream: &mut TcpStream,
-    buffer: &mut Vec<u8>,
-    max_body: usize,
-) -> Result<Option<DownstreamRequest>, http::Error> {
-    let mut chunk = [0u8; 4096];
-    let mut continue_sent = false;
-    loop {
-        match http::parse_request(buffer, max_body)? {
-            Progress::Complete(request, len) => {
-                let header = |name: &str| {
-                    request
-                        .headers()
-                        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-                        .map_or_else(String::new, |(_, value)| value.to_string())
-                };
-                let request = DownstreamRequest {
-                    method: request.method.to_string(),
-                    path: request.target.to_string(),
-                    body: request.body.to_vec(),
-                    close: request.close,
-                    request_id: header("x-request-id"),
-                    client_id: header("x-client-id"),
-                };
-                buffer.drain(..len);
-                return Ok(Some(request));
-            }
-            Progress::Partial { expect_continue } if expect_continue && !continue_sent => {
-                continue_sent = true;
-                if stream.write_all(http::CONTINUE).is_err() {
-                    return Ok(None);
-                }
-            }
-            Progress::Partial { .. } => {}
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) if buffer.is_empty() => return Ok(None),
-            Ok(0) => return Err(http::Error::new(400, "connection closed mid-request")),
-            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Ok(None),
-        }
-    }
-}
-
 struct Reply {
     status: u16,
     body: Vec<u8>,
@@ -372,80 +330,207 @@ impl Reply {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-    let peer = stream
-        .peer_addr()
-        .map(|addr| addr.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let mut buffer = Vec::new();
-    let mut wire = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let generated_id = || format!("gw-{:08x}", shared.id_seq.fetch_add(1, Ordering::Relaxed));
-        let (reply, close, shadow, request_id) =
-            match read_request(&mut stream, &mut buffer, shared.config.max_body_bytes) {
-                Ok(None) => return,
-                Ok(Some(mut request)) => {
-                    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    if !valid_trace_id(&request.request_id) {
-                        request.request_id = generated_id();
-                    }
-                    if request.client_id.is_empty() {
-                        request.client_id.clone_from(&peer);
-                    }
-                    let (reply, shadow) = route_request(shared, &request);
-                    (reply, request.close, shadow, request.request_id)
-                }
-                Err(error) => {
-                    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                    (Reply::error(error.status, &error.message), true, None, generated_id())
-                }
-            };
-        if reply.status < 300 {
-            shared.counters.responses_2xx.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.counters.responses_non_2xx.fetch_add(1, Ordering::Relaxed);
-        }
-        wire.clear();
-        let extra = reply.extra_headers.iter().map(|(name, value)| (*name, value.as_str()));
-        http::write_message(
-            &mut wire,
-            StartLine::Response(reply.status),
-            [
-                ("Content-Type", "application/json"),
-                ("X-Request-Id", request_id.as_str()),
-            ]
-            .into_iter()
-            .chain(extra)
-            .chain(close.then_some(("Connection", "close"))),
-            &reply.body,
-        );
-        if stream.write_all(&wire).is_err() {
-            return;
-        }
-        // Shadow comparison runs after the response is on the wire: the
-        // client never waits on the canary.
-        if let Some(job) = shadow {
-            job.run(shared);
-        }
-        if close {
-            return;
-        }
-    }
+// ---------------------------------------------------------------------------
+// The driver.
+
+/// A `/score` waiting upstream on its legs: the primary and, once
+/// `hedge_after` passes unanswered, the hedge.
+struct Exchange {
+    rid: String,
+    client: String,
+    body: String,
+    pair_id: u64,
+    plan: RoutePlan,
+    /// The end of the client's `X-Deadline-Ms` budget.
+    budget: Option<Instant>,
+    /// The client gets a 504 then: `upstream_timeout` after dispatch, or the
+    /// end of the budget if sooner.
+    deadline: Instant,
+    /// When to launch the hedge, until it is launched.
+    hedge_at: Option<Instant>,
+    legs: Vec<Leg>,
 }
 
-fn route_request(shared: &Arc<Shared>, request: &DownstreamRequest) -> (Reply, Option<ShadowJob>) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/score") => handle_score(shared, request),
-        ("GET", "/healthz") => {
-            let healthy = shared.health.healthy_count();
-            let status = if healthy > 0 { 200 } else { 503 };
-            (
+struct Leg {
+    backend: usize,
+    /// The flight's token while it runs.
+    flight: Option<u64>,
+    error: Option<io::Error>,
+}
+
+/// Who waits on a flight.
+enum Owner {
+    /// Leg `leg` (0 primary, 1 hedge) of the exchange parked on `conn`.
+    Leg { conn: u64, leg: usize },
+    /// A shadow comparison against the scores served from the canary set
+    /// (`true`) or the baseline set.
+    Shadow(Vec<f64>, bool),
+}
+
+/// The gateway's event loop: one thread owning the listener, every
+/// downstream connection and every upstream flight.
+struct Driver {
+    shared: Arc<Shared>,
+    poller: Poller,
+    mailbox: Arc<Mailbox<(u64, Reply)>>,
+    /// Dropped at shutdown, so new connections are refused at once.
+    listener: Option<TcpListener>,
+    limits: Limits,
+    conns: HashMap<u64, Conn<()>>,
+    /// Parked `/score` requests, by connection token.
+    exchanges: HashMap<u64, Exchange>,
+    /// Parked `/reload` requests: connection token → request id.
+    reloads: HashMap<u64, String>,
+    flights: HashMap<u64, (Flight, Owner)>,
+    next_token: u64,
+}
+
+impl Driver {
+    fn run(mut self) {
+        let mut events = Events::with_capacity(1024);
+        loop {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                if self.listener.take().is_some() {
+                    self.fail_pending();
+                }
+                let idle: Vec<u64> = self
+                    .conns
+                    .iter()
+                    .filter(|(_, c)| c.is_reading())
+                    .map(|(t, _)| *t)
+                    .collect();
+                for token in idle {
+                    if let Some(conn) = self.conns.remove(&token) {
+                        conn.close(&self.poller);
+                    }
+                }
+                if self.conns.is_empty() {
+                    return;
+                }
+            }
+            if self.poller.poll(&mut events, Some(self.poll_timeout())).is_err() {
+                std::thread::sleep(POLL_TICK);
+            }
+            let mut ready: Vec<u64> = Vec::with_capacity(events.len());
+            for event in events.iter() {
+                match event.token() {
+                    LISTENER => self.accept_ready(),
+                    WAKER => self.mailbox.waker().drain(),
+                    Token(token) => ready.push(token),
+                }
+            }
+            for token in ready {
+                if let Some(mut conn) = self.conns.remove(&token) {
+                    conn.read();
+                    self.drive(conn);
+                } else if let Some((flight, _)) = self.flights.get_mut(&token) {
+                    if let Some(result) = flight.step(&self.poller, Token(token)) {
+                        self.flight_done(token, result);
+                    }
+                }
+            }
+            for (conn, reply) in self.mailbox.take() {
+                if let Some(rid) = self.reloads.remove(&conn) {
+                    self.reply_parked(conn, reply, &rid);
+                }
+            }
+            self.run_timers();
+        }
+    }
+
+    /// Sleep until the nearest connection, exchange or flight timer, capped
+    /// at [`POLL_TICK`].
+    fn poll_timeout(&self) -> Duration {
+        let exchanges = self
+            .exchanges
+            .values()
+            .map(|ex| ex.hedge_at.map_or(ex.deadline, |at| at.min(ex.deadline)));
+        let deadline = (self.conns.values().filter_map(Conn::deadline))
+            .chain(exchanges)
+            .chain(self.flights.values().filter_map(|(flight, _)| flight.deadline()))
+            .min();
+        deadline.map_or(POLL_TICK, |at| {
+            at.saturating_duration_since(Instant::now()).min(POLL_TICK)
+        })
+    }
+
+    fn accept_ready(&mut self) {
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
+            let token = self.token();
+            if let Ok(mut conn) = Conn::new(Token(token), stream, self.limits) {
+                conn.read();
+                self.drive(conn);
+            }
+        }
+    }
+
+    fn token(&mut self) -> u64 {
+        self.next_token += 1;
+        self.next_token - 1
+    }
+
+    /// Runs a downstream connection until it parks or closes.
+    fn drive(&mut self, mut conn: Conn<()>) {
+        loop {
+            match conn.advance() {
+                Step::Request(Ok(request)) => self.dispatch(&mut conn, request),
+                Step::Request(Err(failure)) => {
+                    self.shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+                    let rid = conn::request_id(None, "gw", &self.shared.id_seq);
+                    self.reply(&mut conn, Reply::error(failure.status, &failure.message), &rid);
+                }
+                Step::Sent((), _) if !self.shared.shutdown.load(Ordering::SeqCst) => {}
+                Step::Sent(..) | Step::Close => return conn.close(&self.poller),
+                Step::Wait => {
+                    conn.park(&self.poller);
+                    self.conns.insert(conn.token().0, conn);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Queues `reply` on the connection, echoing `rid`.
+    fn reply(&self, conn: &mut Conn<()>, reply: Reply, rid: &str) {
+        let counters = &self.shared.counters;
+        let counter = if reply.status < 300 {
+            &counters.responses_2xx
+        } else {
+            &counters.responses_non_2xx
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let headers = [("Content-Type", "application/json"), ("X-Request-Id", rid)];
+        let extra = reply.extra_headers.iter().map(|(name, value)| (*name, value.as_str()));
+        let draining = self.shared.shutdown.load(Ordering::SeqCst);
+        conn.respond(
+            reply.status,
+            headers.into_iter().chain(extra),
+            &reply.body,
+            (),
+            draining,
+        );
+    }
+
+    /// Answers the connection parked on token `conn` and drives it on.
+    fn reply_parked(&mut self, conn: u64, reply: Reply, rid: &str) {
+        if let Some(mut conn) = self.conns.remove(&conn) {
+            self.reply(&mut conn, reply, rid);
+            self.drive(conn);
+        }
+    }
+
+    fn dispatch(&mut self, conn: &mut Conn<()>, request: Request) {
+        let shared = Arc::clone(&self.shared);
+        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let rid = conn::request_id(request.request_id.as_deref(), "gw", &shared.id_seq);
+        let reply = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/score") => match self.start_exchange(conn, request, &rid) {
+                Some(reply) => reply,
+                None => return,
+            },
+            ("GET", "/healthz") => {
+                let healthy = shared.health.healthy_count();
+                let status = if healthy > 0 { 200 } else { 503 };
                 Reply::json(
                     status,
                     format!(
@@ -453,69 +538,279 @@ fn route_request(shared: &Arc<Shared>, request: &DownstreamRequest) -> (Reply, O
                         serde::json::to_string(if healthy > 0 { "ok" } else { "no-healthy-backends" }),
                         shared.config.backends.len()
                     ),
-                ),
-                None,
-            )
+                )
+            }
+            ("GET", "/gateway/stats") => Reply::json(200, serde::json::to_string(&stats_snapshot(&shared))),
+            ("POST", "/reload") => {
+                // The fan-out blocks on every canary backend's reload, so it
+                // runs on a worker that posts the reply back.
+                let (token, mailbox) = (conn.token().0, Arc::clone(&self.mailbox));
+                let spawned = std::thread::Builder::new()
+                    .name("gw-reload".to_string())
+                    .spawn(move || mailbox.post((token, handle_reload(&shared, &request.body))));
+                if spawned.is_ok() {
+                    self.reloads.insert(token, rid);
+                    return;
+                }
+                Reply::error(503, "cannot spawn a reload worker")
+            }
+            ("POST", "/canary/promote") => handle_promote(&shared),
+            ("POST", "/canary/rollback") => handle_manual_rollback(&shared),
+            (_, "/score" | "/healthz" | "/gateway/stats" | "/reload" | "/canary/promote" | "/canary/rollback") => {
+                Reply::error(405, "method not allowed")
+            }
+            _ => Reply::error(404, &format!("no route for {}", request.path)),
+        };
+        self.reply(conn, reply, &rid);
+    }
+
+    /// Routes a `/score` and launches its primary leg, parking the
+    /// connection; a request that cannot be routed gets its reply back.
+    fn start_exchange(&mut self, conn: &Conn<()>, request: Request, rid: &str) -> Option<Reply> {
+        let config = &self.shared.config;
+        let Some(pair_id) = extract_pair_id(request.body.as_bytes()) else {
+            return Some(Reply::error(
+                400,
+                "body must be a score request (or batch) with a pair_id",
+            ));
+        };
+        let plan = self.shared.canary.plan(percent_slot(pair_id));
+        let Some(primary) = pick_backend(&self.shared, pair_id, plan.serve_canary) else {
+            return Some(Reply::error(503, "no healthy backend for this request"));
+        };
+        let now = Instant::now();
+        let budget = request
+            .deadline_ms
+            .and_then(|ms| now.checked_add(Duration::from_millis(ms)));
+        let deadline = budget.map_or(now + config.upstream_timeout, |b| b.min(now + config.upstream_timeout));
+        let hedge_after = config.hedge_after.map(|after| after.min(config.upstream_timeout));
+        let mut exchange = Exchange {
+            rid: rid.to_string(),
+            client: request.client_id.unwrap_or_else(|| conn.peer().to_string()),
+            body: request.body,
+            pair_id,
+            plan,
+            budget,
+            deadline,
+            hedge_at: hedge_after.map(|after| now + after).filter(|at| *at < deadline),
+            legs: Vec::with_capacity(2),
+        };
+        let token = conn.token().0;
+        let leg = self.launch_leg(&exchange, primary, token, 0);
+        if let Some(error) = leg.error {
+            self.shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
+            return Some(Reply::error(502, &format!("upstream failed: {error}")));
         }
-        ("GET", "/gateway/stats") => (Reply::json(200, serde::json::to_string(&stats_snapshot(shared))), None),
-        ("POST", "/reload") => (handle_reload(shared, request), None),
-        ("POST", "/canary/promote") => (handle_promote(shared), None),
-        ("POST", "/canary/rollback") => (handle_manual_rollback(shared), None),
-        (_, "/score" | "/healthz" | "/gateway/stats" | "/reload" | "/canary/promote" | "/canary/rollback") => {
-            (Reply::error(405, "method not allowed"), None)
+        exchange.legs.push(leg);
+        self.exchanges.insert(token, exchange);
+        None
+    }
+
+    fn launch_leg(&mut self, exchange: &Exchange, backend: usize, conn: u64, leg: usize) -> Leg {
+        let (flight, error) = match self.launch(exchange, backend, Owner::Leg { conn, leg }, None) {
+            Ok(flight) => (Some(flight), None),
+            Err(e) => (None, Some(e)),
+        };
+        Leg { backend, flight, error }
+    }
+
+    /// Starts a flight carrying the exchange's request to `backend`, with
+    /// what is left of the client's budget.
+    fn launch(
+        &mut self,
+        exchange: &Exchange,
+        backend: usize,
+        owner: Owner,
+        deadline: Option<Instant>,
+    ) -> io::Result<u64> {
+        let remaining = exchange
+            .budget
+            .map(|budget| budget.saturating_duration_since(Instant::now()));
+        if remaining == Some(Duration::ZERO) {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline budget spent"));
         }
-        _ => (Reply::error(404, &format!("no route for {}", request.path)), None),
+        let wire = upstream_request(exchange.body.as_bytes(), &exchange.rid, &exchange.client, remaining);
+        let token = self.token();
+        let (addr, connect_timeout) = (self.shared.config.backends[backend], self.shared.config.connect_timeout);
+        let flight = Flight::start(&self.poller, Token(token), addr, wire, connect_timeout, deadline)?;
+        self.flights.insert(token, (flight, owner));
+        Ok(token)
+    }
+
+    /// A flight finished, failed or timed out: close it and tell its owner.
+    /// The first successful leg wins; an error on one leg keeps waiting on
+    /// the other, and when every leg has failed the primary's error is
+    /// reported.
+    fn flight_done(&mut self, token: u64, result: io::Result<UpstreamResponse>) {
+        let Some((flight, owner)) = self.flights.remove(&token) else {
+            return;
+        };
+        flight.close(&self.poller);
+        let (conn, index) = match owner {
+            Owner::Shadow(served, served_canary) => return self.compare(served, served_canary, result),
+            Owner::Leg { conn, leg } => (conn, leg),
+        };
+        let Some(exchange) = self.exchanges.get_mut(&conn) else {
+            return;
+        };
+        let leg = &mut exchange.legs[index];
+        leg.flight = None;
+        let response = match result {
+            Ok(response) => response,
+            Err(e) => {
+                leg.error = Some(e);
+                if exchange.legs.iter().all(|leg| leg.error.is_some()) {
+                    let error = exchange.legs[0].error.as_ref().map_or(String::new(), |e| e.to_string());
+                    self.fail(conn, Reply::error(502, &format!("upstream failed: {error}")));
+                }
+                return;
+            }
+        };
+        let (backend, hedged) = (leg.backend, index > 0);
+        let shadow = exchange.plan.shadow_compare && response.status == 200;
+        let served = shadow.then(|| er_serve::parse_score_response(&String::from_utf8_lossy(&response.body)).ok());
+        if hedged {
+            self.shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
+        }
+        self.shared.served_by_backend[backend].fetch_add(1, Ordering::Relaxed);
+        let exchange = self.settle(conn, relay(response, backend, hedged));
+        if let (Some(exchange), Some(Some((_, scores)))) = (exchange, served) {
+            self.shadow(&exchange, scores);
+        }
+    }
+
+    /// Ends the exchange parked on `conn` with an upstream error.
+    fn fail(&mut self, conn: u64, reply: Reply) {
+        self.shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
+        self.settle(conn, reply);
+    }
+
+    /// Ends the exchange parked on `conn`: closes any leg still flying and
+    /// answers the client.
+    fn settle(&mut self, conn: u64, reply: Reply) -> Option<Exchange> {
+        let exchange = self.exchanges.remove(&conn)?;
+        for token in exchange.legs.iter().filter_map(|leg| leg.flight) {
+            if let Some((flight, _)) = self.flights.remove(&token) {
+                flight.close(&self.poller);
+            }
+        }
+        self.reply_parked(conn, reply, &exchange.rid);
+        Some(exchange)
+    }
+
+    /// Duplicates a served request to the other version set; the verdict
+    /// lands in [`Self::compare`], after the client has its answer.
+    fn shadow(&mut self, exchange: &Exchange, scores: Vec<f64>) {
+        let Some(backend) = pick_backend(&self.shared, exchange.pair_id, !exchange.plan.serve_canary) else {
+            return;
+        };
+        let owner = Owner::Shadow(scores, exchange.plan.serve_canary);
+        let deadline = Instant::now() + self.shared.config.upstream_timeout;
+        if self.launch(exchange, backend, owner, Some(deadline)).is_err() {
+            self.shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Compares the shadow's scores with the served ones and feeds the
+    /// verdict to the canary controller.
+    fn compare(&self, served: Vec<f64>, served_canary: bool, result: io::Result<UpstreamResponse>) {
+        let shared = &self.shared;
+        let Ok(response) = result else {
+            shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let body = String::from_utf8_lossy(&response.body);
+        let Some((_, other)) = (response.status == 200)
+            .then(|| er_serve::parse_score_response(&body).ok())
+            .flatten()
+        else {
+            return;
+        };
+        let samples = served.len().max(1) as u64;
+        shared.counters.shadow_comparisons.fetch_add(samples, Ordering::Relaxed);
+        let (baseline, canary) = if served_canary {
+            (&other, &served)
+        } else {
+            (&served, &other)
+        };
+        run_action(shared, shared.canary.record_comparison(baseline, canary));
+    }
+
+    /// Fires every due timer: connection budgets, exchange deadlines and
+    /// hedge launches, flight timeouts.
+    fn run_timers(&mut self) {
+        let now = Instant::now();
+        let due = |at: Option<Instant>| at.is_some_and(|at| now >= at);
+        let conns: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| due(c.deadline()))
+            .map(|(t, _)| *t)
+            .collect();
+        for token in conns {
+            if let Some(conn) = self.conns.remove(&token) {
+                self.drive(conn);
+            }
+        }
+        let exchanges: Vec<(u64, bool)> = (self.exchanges.iter())
+            .filter(|(_, ex)| now >= ex.deadline || due(ex.hedge_at))
+            .map(|(conn, ex)| (*conn, now >= ex.deadline))
+            .collect();
+        for (conn, expired) in exchanges {
+            if expired {
+                self.fail(conn, Reply::error(504, "upstream deadline expired"));
+            } else {
+                self.launch_hedge(conn);
+            }
+        }
+        let flights: Vec<u64> = self
+            .flights
+            .iter()
+            .filter(|(_, (f, _))| due(f.deadline()))
+            .map(|(t, _)| *t)
+            .collect();
+        for token in flights {
+            if let Some(error) = self.flights.get(&token).map(|(flight, _)| flight.timed_out()) {
+                self.flight_done(token, Err(error));
+            }
+        }
+    }
+
+    /// The primary is past its latency budget: race a duplicate against it
+    /// on the next ring backend of the same version set.
+    fn launch_hedge(&mut self, conn: u64) {
+        let Some(mut exchange) = self.exchanges.remove(&conn) else {
+            return;
+        };
+        exchange.hedge_at = None;
+        let primary = exchange.legs[0].backend;
+        if let Some(secondary) = hedge_target(&self.shared, exchange.pair_id, primary, exchange.plan.serve_canary) {
+            self.shared.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
+            let leg = self.launch_leg(&exchange, secondary, conn, 1);
+            exchange.legs.push(leg);
+        }
+        self.exchanges.insert(conn, exchange);
+    }
+
+    /// Shutdown: every parked request is answered before its connection
+    /// closes — a `/score` fails as if its backend had gone away, a
+    /// `/reload` gets a 503 (its worker finishes on its own).
+    fn fail_pending(&mut self) {
+        for (_, (flight, _)) in self.flights.drain() {
+            flight.close(&self.poller);
+        }
+        let parked: Vec<u64> = self.exchanges.keys().copied().collect();
+        for conn in parked {
+            self.fail(conn, Reply::error(502, "upstream failed: gateway shutting down"));
+        }
+        for (conn, rid) in std::mem::take(&mut self.reloads) {
+            self.reply_parked(conn, Reply::error(503, "gateway shutting down"), &rid);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// /score: routing, hedging, shadow scoring.
-
-/// A deferred shadow comparison: duplicate the request to the other version
-/// set, compare score vectors, feed the verdict to the canary controller.
-struct ShadowJob {
-    pair_id: u64,
-    request_bytes: Vec<u8>,
-    served_scores: Vec<f64>,
-    /// The served response came from the canary set (so the shadow goes to
-    /// baseline and the comparison arguments swap).
-    served_canary: bool,
-}
-
-impl ShadowJob {
-    fn run(self, shared: &Arc<Shared>) {
-        let target_set_canary = !self.served_canary;
-        let Some(backend) = pick_backend(shared, self.pair_id, target_set_canary) else {
-            return;
-        };
-        let slot = shared.upstream.submit(
-            shared.config.backends[backend],
-            self.request_bytes,
-            shared.config.upstream_timeout,
-        );
-        let Some(Ok(response)) = slot.take_timeout(shared.config.upstream_timeout) else {
-            shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if response.status != 200 {
-            return;
-        }
-        let Ok((_, other_scores)) = er_serve::parse_score_response(&String::from_utf8_lossy(&response.body)) else {
-            return;
-        };
-        shared
-            .counters
-            .shadow_comparisons
-            .fetch_add(self.served_scores.len().max(1) as u64, Ordering::Relaxed);
-        let (baseline, canary): (&[f64], &[f64]) = if self.served_canary {
-            (&other_scores, &self.served_scores)
-        } else {
-            (&self.served_scores, &other_scores)
-        };
-        let action = shared.canary.record_comparison(baseline, canary);
-        run_action(shared, action);
-    }
-}
+// /score routing.
 
 /// Is `backend` in the canary set?
 fn in_canary_set(shared: &Shared, backend: usize) -> bool {
@@ -552,177 +847,59 @@ fn extract_pair_id(body: &[u8]) -> Option<u64> {
 }
 
 /// Builds the upstream wire request: a fresh head carrying only the
-/// client's identity (`X-Request-Id`, `X-Client-Id`) of the downstream
-/// headers — notably not `Expect` — and identical body bytes.
-fn upstream_request(request: &DownstreamRequest) -> Vec<u8> {
+/// client's identity (`X-Request-Id`, `X-Client-Id`) and what is left of
+/// its deadline budget (`X-Deadline-Ms`, rounded up to a whole
+/// millisecond) — notably not `Expect` — and identical body bytes.
+fn upstream_request(body: &[u8], request_id: &str, client_id: &str, remaining: Option<Duration>) -> Vec<u8> {
+    let budget_ms = remaining.map(|left| left.as_micros().div_ceil(1000).max(1).to_string());
     let headers = [
         ("Host", "er-gateway"),
         ("Content-Type", "application/json"),
-        ("X-Request-Id", request.request_id.as_str()),
-        ("X-Client-Id", request.client_id.as_str()),
+        ("X-Request-Id", request_id),
+        ("X-Client-Id", client_id),
         ("Connection", "close"),
     ];
-    let mut wire = Vec::with_capacity(256 + request.body.len());
+    let deadline = budget_ms.as_deref().map(|ms| ("X-Deadline-Ms", ms));
+    let mut wire = Vec::with_capacity(256 + body.len());
     http::write_message(
         &mut wire,
         StartLine::Request {
             method: "POST",
             target: "/score",
         },
-        headers,
-        &request.body,
+        headers.into_iter().chain(deadline),
+        body,
     );
     wire
 }
 
-fn handle_score(shared: &Shared, request: &DownstreamRequest) -> (Reply, Option<ShadowJob>) {
-    let Some(pair_id) = extract_pair_id(&request.body) else {
-        return (
-            Reply::error(400, "body must be a score request (or batch) with a pair_id"),
-            None,
-        );
-    };
-    let plan = shared.canary.plan(percent_slot(pair_id));
-    let Some(primary) = pick_backend(shared, pair_id, plan.serve_canary) else {
-        return (Reply::error(503, "no healthy backend for this request"), None);
-    };
-    let wire = upstream_request(request);
-    let deadline = Instant::now() + shared.config.upstream_timeout;
-    let primary_slot = shared.upstream.submit(
-        shared.config.backends[primary],
-        wire.clone(),
-        shared.config.upstream_timeout,
-    );
+/// Backend response headers relayed to the client: the artifact version,
+/// and a 429's back-off advice, so a client behind the gateway can tell its
+/// own rate-limit bucket from a saturated queue.
+const RELAYED_HEADERS: [&str; 5] = [
+    "x-model-version",
+    "retry-after",
+    "x-ratelimit-limit",
+    "x-ratelimit-remaining",
+    "x-ratelimit-reset",
+];
 
-    let mut served_backend = primary;
-    let mut hedged_won = false;
-    let outcome: Option<io::Result<UpstreamResponse>> = match shared.config.hedge_after {
-        Some(budget) => {
-            match primary_slot.take_timeout(budget.min(shared.config.upstream_timeout)) {
-                Some(result) => Some(result),
-                None => {
-                    // The primary is past its latency budget: race a
-                    // duplicate against it on the next ring backend.
-                    match hedge_target(shared, pair_id, primary, plan.serve_canary) {
-                        None => primary_slot.take_timeout(deadline.saturating_duration_since(Instant::now())),
-                        Some(secondary) => {
-                            shared.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
-                            let hedge_slot = shared.upstream.submit(
-                                shared.config.backends[secondary],
-                                wire.clone(),
-                                deadline.saturating_duration_since(Instant::now()),
-                            );
-                            race(
-                                &primary_slot,
-                                &hedge_slot,
-                                deadline,
-                                &mut served_backend,
-                                secondary,
-                                &mut hedged_won,
-                            )
-                        }
-                    }
-                }
-            }
-        }
-        None => primary_slot.take_timeout(shared.config.upstream_timeout),
-    };
-
-    let response = match outcome {
-        Some(Ok(response)) => response,
-        Some(Err(e)) => {
-            shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
-            return (Reply::error(502, &format!("upstream failed: {e}")), None);
-        }
-        None => {
-            shared.counters.upstream_errors.fetch_add(1, Ordering::Relaxed);
-            return (Reply::error(504, "upstream deadline expired"), None);
-        }
-    };
-    if hedged_won {
-        shared.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.served_by_backend[served_backend].fetch_add(1, Ordering::Relaxed);
-
-    // Relay the backend body byte-for-byte (bit-exact scores), plus the
-    // provenance headers worth keeping.
+/// The client's reply to a served `/score`: the backend body byte-for-byte
+/// (bit-exact scores), the provenance headers, and the relayed ones.
+fn relay(response: UpstreamResponse, backend: usize, hedged: bool) -> Reply {
     let mut extra_headers = vec![
-        ("X-Backend", served_backend.to_string()),
-        ("X-Hedged", if hedged_won { "1" } else { "0" }.to_string()),
+        ("X-Backend", backend.to_string()),
+        ("X-Hedged", if hedged { "1" } else { "0" }.to_string()),
     ];
-    if let Some(value) = response.header("x-model-version") {
-        extra_headers.push(("x-model-version", value.to_string()));
+    for name in RELAYED_HEADERS {
+        if let Some(value) = response.header(name) {
+            extra_headers.push((name, value.to_string()));
+        }
     }
-    let shadow = if plan.shadow_compare && response.status == 200 {
-        er_serve::parse_score_response(&String::from_utf8_lossy(&response.body))
-            .ok()
-            .map(|(_, scores)| ShadowJob {
-                pair_id,
-                request_bytes: wire,
-                served_scores: scores,
-                served_canary: plan.serve_canary,
-            })
-    } else {
-        None
-    };
-    (
-        Reply {
-            status: response.status,
-            body: response.body,
-            extra_headers,
-        },
-        shadow,
-    )
-}
-
-/// Waits for whichever of two slots completes first (polling in small
-/// slices — only the hedged path pays this). Prefers a *successful* early
-/// completion; an error from one side keeps waiting on the other.
-fn race(
-    primary: &ResponseSlot,
-    hedge: &ResponseSlot,
-    deadline: Instant,
-    served_backend: &mut usize,
-    hedge_backend: usize,
-    hedged_won: &mut bool,
-) -> Option<io::Result<UpstreamResponse>> {
-    let slice = Duration::from_millis(2);
-    let mut primary_error: Option<io::Error> = None;
-    let mut hedge_error: Option<io::Error> = None;
-    loop {
-        if primary_error.is_none() {
-            if let Some(result) = primary.take_timeout(slice) {
-                match result {
-                    Ok(response) => {
-                        hedge.cancel();
-                        return Some(Ok(response));
-                    }
-                    Err(e) => primary_error = Some(e),
-                }
-            }
-        }
-        if hedge_error.is_none() {
-            if let Some(result) = hedge.take_timeout(slice) {
-                match result {
-                    Ok(response) => {
-                        primary.cancel();
-                        *served_backend = hedge_backend;
-                        *hedged_won = true;
-                        return Some(Ok(response));
-                    }
-                    Err(e) => hedge_error = Some(e),
-                }
-            }
-        }
-        if let (Some(primary_e), Some(_)) = (&primary_error, &hedge_error) {
-            // Both sides failed: report the primary's error.
-            return Some(Err(io::Error::new(primary_e.kind(), primary_e.to_string())));
-        }
-        if Instant::now() >= deadline {
-            primary.cancel();
-            hedge.cancel();
-            return None;
-        }
+    Reply {
+        status: response.status,
+        body: response.body,
+        extra_headers,
     }
 }
 
@@ -732,7 +909,7 @@ fn race(
 /// Blocking `POST /reload {"path": ..}` against one backend.
 fn reload_backend(shared: &Shared, backend: usize, path: &str) -> Result<(), String> {
     let addr = shared.config.backends[backend];
-    let mut stream = TcpStream::connect_timeout(&addr, shared.config.connect_timeout)
+    let mut stream = std::net::TcpStream::connect_timeout(&addr, shared.config.connect_timeout)
         .map_err(|e| format!("backend {backend}: connect: {e}"))?;
     let _ = stream.set_read_timeout(Some(shared.config.upstream_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.upstream_timeout));
@@ -749,9 +926,9 @@ fn reload_backend(shared: &Shared, backend: usize, path: &str) -> Result<(), Str
 }
 
 /// Executes a canary [`Action`] on a dedicated thread — the reload fan-out
-/// can take up to `backends × upstream_timeout`, and the caller is either a
-/// downstream connection thread (a shadow verdict) or a control request;
-/// neither may stall behind canary side effects. One action at a time; the
+/// can take up to `backends × upstream_timeout`, and the caller is the
+/// driver (a shadow verdict or a control request), which must never stall
+/// behind canary side effects. One action at a time; the
 /// `action_inflight` CAS drops duplicates (the controller will re-emit the
 /// verdict on the next comparison if it still stands).
 fn run_action(shared: &Arc<Shared>, action: Action) {
@@ -805,17 +982,16 @@ fn run_action(shared: &Arc<Shared>, action: Action) {
     }
 }
 
-fn handle_reload(shared: &Arc<Shared>, request: &DownstreamRequest) -> Reply {
+/// `POST /reload`, run on a worker thread: it blocks on every canary
+/// backend's reload.
+fn handle_reload(shared: &Arc<Shared>, body: &str) -> Reply {
     if shared.config.canary_backends.is_empty() || shared.config.canary_backends.len() >= shared.config.backends.len() {
         return Reply::error(
             503,
             "canary promotion needs a proper non-empty canary backend subset (--canary)",
         );
     }
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Reply::error(400, "reload body is not UTF-8");
-    };
-    let path: String = match serde::json::parse(text)
+    let path: String = match serde::json::parse(body)
         .ok()
         .and_then(|v| v.get("path").and_then(|p| serde::from_value(p).ok()))
     {
@@ -909,19 +1085,26 @@ mod tests {
 
     #[test]
     fn upstream_request_never_forwards_expect() {
-        let wire = upstream_request(&DownstreamRequest {
-            method: "POST".to_string(),
-            path: "/score".to_string(),
-            body: b"{\"pair_id\": 1}".to_vec(),
-            close: false,
-            request_id: "rid-1".to_string(),
-            client_id: "10.0.0.7".to_string(),
-        });
+        let wire = upstream_request(b"{\"pair_id\": 1}", "rid-1", "10.0.0.7", None);
         let text = String::from_utf8(wire).expect("utf8");
         assert!(!text.to_ascii_lowercase().contains("expect"), "{text}");
         assert!(text.contains("\r\nX-Request-Id: rid-1\r\n"), "{text}");
         assert!(text.contains("\r\nX-Client-Id: 10.0.0.7\r\n"), "{text}");
+        assert!(!text.contains("X-Deadline-Ms"), "{text}");
         assert!(text.starts_with("POST /score HTTP/1.1\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"pair_id\": 1}"), "{text}");
+    }
+
+    #[test]
+    fn upstream_request_forwards_the_remaining_budget_rounded_up() {
+        for (left, header) in [
+            (Duration::from_micros(99_400), "X-Deadline-Ms: 100\r\n"),
+            (Duration::from_micros(300), "X-Deadline-Ms: 1\r\n"),
+            (Duration::from_millis(40), "X-Deadline-Ms: 40\r\n"),
+        ] {
+            let wire = upstream_request(b"{}", "rid", "client", Some(left));
+            let text = String::from_utf8(wire).expect("utf8");
+            assert!(text.contains(header), "{left:?}: {text}");
+        }
     }
 }

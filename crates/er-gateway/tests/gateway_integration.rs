@@ -1,19 +1,25 @@
 //! Gateway ↔ backend integration over real sockets: bit-exact score relay,
-//! health ejection, tail hedging, and the canary ladder (promotion and
-//! automatic rollback). HTTP conformance is in `http_conformance.rs`.
+//! health ejection, tail hedging, the client's deadline budget across the
+//! hop, and the canary ladder (promotion, automatic rollback, shadow
+//! comparisons off the client's path). HTTP conformance is in
+//! `http_conformance.rs`.
 //!
 //! Backends are in-process [`ScoreServer`]s started from artifacts written
 //! to a scratch directory, so `/reload` paths (the canary machinery) work
 //! exactly as they do against standalone `er-serve` processes.
 
 use er_gateway::{CanaryConfig, GatewayConfig, GatewayServer, HashRing};
-use er_serve::{http_roundtrip, ModelArtifact, ReloadableExecutor, ScoreServer, ServeConfig, ServerConfig};
+use er_serve::http::{self, Progress};
+use er_serve::{
+    http_roundtrip, http_roundtrip_with_headers, ModelArtifact, ReloadableExecutor, ScoreServer, ServeConfig,
+    ServerConfig,
+};
 use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn tiny_model() -> LearnRiskModel {
@@ -192,41 +198,60 @@ fn ejected_backend_traffic_remaps_without_errors() {
     }
 }
 
-/// A fake backend that answers `/healthz` like a healthy `er-serve` but
-/// never answers `/score` — the straggler the hedge must beat.
-fn start_tarpit() -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind tarpit");
-    let addr = listener.local_addr().expect("tarpit addr");
-    let handle = std::thread::spawn(move || {
+/// A fake backend that answers `/healthz` like a healthy `er-serve` and
+/// `POST /reload` with a 200, and answers `/score` with `score_reply` — or,
+/// when that is `None`, holds it far longer than any test budget. The heads
+/// of the `/score` requests it received are recorded.
+fn fake_backend(score_reply: Option<&'static str>) -> (SocketAddr, Arc<Mutex<Vec<String>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = listener.local_addr().expect("fake backend addr");
+    let heads = Arc::new(Mutex::new(Vec::new()));
+    let recorded = Arc::clone(&heads);
+    std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
+            let heads = Arc::clone(&recorded);
             std::thread::spawn(move || {
                 let mut buffer = Vec::new();
                 let mut chunk = [0u8; 1024];
-                loop {
-                    if buffer.windows(4).any(|w| w == b"\r\n\r\n") {
-                        break;
+                let (target, head) = loop {
+                    if let Ok(Progress::Complete(request, len)) = http::parse_request(&buffer, 1 << 20) {
+                        let head = String::from_utf8_lossy(&buffer[..len - request.body.len()]).into_owned();
+                        break (request.target.to_string(), head);
                     }
                     match stream.read(&mut chunk) {
                         Ok(0) | Err(_) => return,
                         Ok(n) => buffer.extend_from_slice(&chunk[..n]),
                     }
-                }
-                if buffer.starts_with(b"GET /healthz") {
-                    let body = "{\"status\": \"ok\", \"model_version\": 1, \"model_digest\": \"tarpit\"}";
-                    let _ = write!(
-                        stream,
-                        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                        body.len()
-                    );
-                } else {
-                    // Hold the request open far longer than any hedge budget.
-                    std::thread::sleep(Duration::from_secs(30));
-                }
+                };
+                let body = match (target.as_str(), score_reply) {
+                    ("/healthz", _) => "{\"status\": \"ok\", \"model_version\": 1, \"model_digest\": \"fake\"}",
+                    ("/reload", _) => "{\"model_version\": 2}",
+                    ("/score", Some(reply)) => {
+                        heads.lock().expect("heads").push(head);
+                        reply
+                    }
+                    _ => {
+                        // Hold the request open far longer than any budget.
+                        std::thread::sleep(Duration::from_secs(30));
+                        return;
+                    }
+                };
+                let _ = write!(
+                    stream,
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
             });
         }
     });
-    (addr, handle)
+    (addr, heads)
+}
+
+/// A backend that answers `/healthz` but never `/score` — the straggler the
+/// hedge must beat.
+fn start_tarpit() -> (SocketAddr, Arc<Mutex<Vec<String>>>) {
+    fake_backend(None)
 }
 
 #[test]
@@ -419,4 +444,124 @@ fn equivalent_canary_walks_the_ladder_to_promotion() {
     )
     .expect("second reload");
     assert_eq!(again.status, 200, "{}", again.body);
+}
+
+#[test]
+fn a_spent_deadline_budget_answers_504_without_waiting_out_the_upstream_timeout() {
+    // The tarpit is the only backend: nothing answers, and there is no
+    // hedge target. The gateway's own budget is 5 s.
+    let (tarpit, _) = start_tarpit();
+    let gateway = GatewayServer::start(gateway_config(vec![tarpit], "")).expect("gateway");
+    let mut stream = connect(gateway.local_addr());
+    let started = Instant::now();
+    let response = http_roundtrip_with_headers(
+        &mut stream,
+        "POST",
+        "/score",
+        Some(&score_body(1)),
+        &[("X-Deadline-Ms", "100")],
+    )
+    .expect("response");
+    let waited = started.elapsed();
+    assert_eq!(response.status, 504, "{}", response.body);
+    assert!(
+        waited < Duration::from_secs(1),
+        "waited {waited:?} past a 100 ms budget"
+    );
+    assert_eq!(gateway.stats().hedges_launched, 0, "no hedge once the budget is spent");
+}
+
+#[test]
+fn the_remaining_deadline_budget_is_forwarded_upstream() {
+    let (backend, heads) = fake_backend(Some("{\"model_version\": 1, \"scores\": [0.25]}"));
+    let gateway = GatewayServer::start(gateway_config(vec![backend], "")).expect("gateway");
+    let mut stream = connect(gateway.local_addr());
+    let response = http_roundtrip_with_headers(
+        &mut stream,
+        "POST",
+        "/score",
+        Some(&score_body(1)),
+        &[("X-Deadline-Ms", "100")],
+    )
+    .expect("response");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let heads = heads.lock().expect("heads").clone();
+    assert_eq!(heads.len(), 1, "{heads:?}");
+    let forwarded: u64 = heads[0]
+        .lines()
+        .find_map(|line| line.strip_prefix("X-Deadline-Ms: "))
+        .unwrap_or_else(|| panic!("no X-Deadline-Ms upstream: {}", heads[0]))
+        .trim()
+        .parse()
+        .expect("numeric budget");
+    assert!(
+        forwarded > 0 && forwarded <= 100,
+        "forwarded {forwarded} ms of a 100 ms budget"
+    );
+}
+
+#[test]
+fn a_shadow_comparison_never_delays_the_client() {
+    let dir = scratch_dir("shadow");
+    let baseline = write_artifact(&dir, "baseline.json", tiny_model());
+    let candidate = write_artifact(&dir, "candidate.json", tiny_model());
+    let backend = start_backend(&baseline);
+    // The canary backend loads anything and never answers a score, so
+    // every shadow comparison hangs until the upstream timeout.
+    let (canary_tarpit, _) = start_tarpit();
+    // Enough samples that no verdict fires: the gateway stays in Shadow.
+    let gateway = canary_gateway(vec![backend.local_addr(), canary_tarpit], &baseline, 1_000, vec![5_000]);
+    let mut stream = connect(gateway.local_addr());
+    let reload = http_roundtrip(
+        &mut stream,
+        "POST",
+        "/reload",
+        Some(&format!("{{\"path\": {}}}", serde::json::to_string(&candidate))),
+    )
+    .expect("reload");
+    assert_eq!(reload.status, 200, "{}", reload.body);
+    assert_eq!(gateway.stats().canary.phase, "shadow");
+
+    // Two scores on one keep-alive connection: the shadow of the first is
+    // still hanging on the canary when the second arrives.
+    for attempt in 0..2u64 {
+        let started = Instant::now();
+        let response = http_roundtrip(&mut stream, "POST", "/score", Some(&score_body(attempt))).expect("score");
+        let waited = started.elapsed();
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert_eq!(response.header("x-backend"), Some("0"), "served from the baseline set");
+        assert!(
+            waited < Duration::from_millis(250),
+            "score {attempt} waited {waited:?} behind a shadow comparison"
+        );
+    }
+}
+
+#[test]
+fn shutdown_answers_a_request_waiting_upstream_without_waiting_out_its_timeout() {
+    let (tarpit, _) = start_tarpit();
+    let gateway = GatewayServer::start(gateway_config(vec![tarpit], "")).expect("gateway");
+    let addr = gateway.local_addr();
+    let client = std::thread::spawn(move || {
+        let mut stream = connect(addr);
+        http_roundtrip(&mut stream, "POST", "/score", Some(&score_body(1)))
+    });
+    // Let the request reach the tarpit, then shut down under it.
+    while gateway.stats().requests == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let started = Instant::now();
+    gateway.shutdown();
+    let response = client
+        .join()
+        .expect("client thread")
+        .expect("an answer, not a severed connection");
+    assert_eq!(response.status, 502, "{}", response.body);
+    assert!(response.body.contains("shutting down"), "{}", response.body);
+    assert_eq!(response.header("connection"), Some("close"));
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown waited {:?} on a 5 s upstream timeout",
+        started.elapsed()
+    );
 }

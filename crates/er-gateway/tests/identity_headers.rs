@@ -79,6 +79,16 @@ fn clients_behind_one_gateway_keep_separate_rate_limit_buckets() {
     let limited =
         http_roundtrip_with_headers(&mut stream, "POST", "/score", Some(&score_body(2)), &a).expect("response");
     assert_eq!(limited.status, 429, "{}", limited.body);
+    // The backend's back-off advice survives the hop, so the client can
+    // tell its own empty bucket from a saturated queue.
+    assert_eq!(limited.header("x-ratelimit-limit"), Some("2"), "{:?}", limited.headers);
+    assert_eq!(
+        limited.header("x-ratelimit-remaining"),
+        Some("0"),
+        "{:?}",
+        limited.headers
+    );
+    assert!(limited.header("retry-after").is_some(), "{:?}", limited.headers);
     // A second client through the same gateway (same peer address at the
     // backend) still has its whole burst.
     let mut other = connect(gateway.local_addr());

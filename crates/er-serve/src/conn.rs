@@ -1,0 +1,393 @@
+//! The connection half of a readiness-loop driver, shared by
+//! [`crate::server`] and `er-gateway`. Each driver owns a poller, a table of
+//! [`Conn`]s, its routes and its timers; a [`Conn`] carries one accepted
+//! socket through read → parse → `100 Continue` → respond → flush →
+//! keep-alive or close.
+//!
+//! The driver calls [`Conn::advance`] until it returns [`Step::Wait`] (then
+//! [`Conn::park`]) or [`Step::Close`]. On [`Step::Request`] it answers with
+//! [`Conn::respond`], at once or after parking the connection on its own
+//! work. [`Step::Sent`] hands back the ticket given to `respond` once the
+//! bytes left, so per-response bookkeeping commits after the flush. A
+//! connection whose [`Conn::deadline`] passed is re-driven, and `advance`
+//! applies the timer.
+
+use crate::http::{self, Progress, StartLine};
+use crate::readiness::{Interest, Poller, Token};
+use crate::trace::valid_trace_id;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// The budgets a driver gives every connection it accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Limits {
+    /// Largest accepted request body (413 beyond it).
+    pub max_body_bytes: usize,
+    /// A connection whose peer accepts no response bytes for this long is
+    /// closed (the nonblocking analog of `SO_SNDTIMEO`).
+    pub write_timeout: Duration,
+    /// A connection that delivers no request bytes for this long while
+    /// reading is closed without a response (the analog of `SO_RCVTIMEO`).
+    pub read_timeout: Option<Duration>,
+    /// A keep-alive connection is closed, after answering its in-flight
+    /// request, once it has been open this long.
+    pub lifetime: Option<Duration>,
+}
+
+/// One parsed request: what routing needs, copied out of the read buffer.
+#[derive(Debug)]
+pub struct Request {
+    /// The request method.
+    pub method: String,
+    /// The request target.
+    pub path: String,
+    /// The body; every route takes JSON, so it must be UTF-8.
+    pub body: String,
+    /// The connection closes after this response.
+    pub close: bool,
+    /// The `X-Client-Id` header, the rate limiter's preferred client key.
+    pub client_id: Option<String>,
+    /// The `X-Request-Id` header (see [`request_id`]).
+    pub request_id: Option<String>,
+    /// The `X-Deadline-Ms` header when it is a positive integer.
+    pub deadline_ms: Option<u64>,
+}
+
+impl Request {
+    /// Copies out what routing needs; only the header values kept are
+    /// allocated.
+    fn new(request: &http::Request<'_>) -> Result<Self, http::Error> {
+        let body = std::str::from_utf8(request.body).map_err(|_| http::Error::new(400, "request body is not UTF-8"))?;
+        let mut parsed = Self {
+            method: request.method.to_string(),
+            path: request.target.to_string(),
+            body: body.to_string(),
+            close: request.close,
+            client_id: None,
+            request_id: None,
+            deadline_ms: None,
+        };
+        for (name, value) in request.headers() {
+            if name.eq_ignore_ascii_case("x-client-id") && !value.is_empty() {
+                parsed.client_id = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("x-request-id") && !value.is_empty() {
+                parsed.request_id = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("x-deadline-ms") {
+                // Lenient by design: zero or garbage reads as "no usable
+                // deadline" rather than a 400 — a client bug in deadline
+                // bookkeeping should degrade, not break, its requests.
+                parsed.deadline_ms = value.parse::<u64>().ok().filter(|ms| *ms > 0);
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// The id a response echoes as `X-Request-Id`: the client's when it is
+/// well-formed (see [`valid_trace_id`]), else `{prefix}-{seq:08x}`.
+pub fn request_id(supplied: Option<&str>, prefix: &str, seq: &AtomicU64) -> String {
+    match supplied {
+        Some(id) if valid_trace_id(id) => id.to_string(),
+        _ => format!("{prefix}-{:08x}", seq.fetch_add(1, Ordering::Relaxed)),
+    }
+}
+
+/// What [`Conn::advance`] needs from the driver next.
+pub enum Step<T> {
+    /// A complete request, or the codec's refusal of one (the connection
+    /// closes after answering it). The connection waits on the driver until
+    /// [`Conn::respond`].
+    Request(Result<Request, http::Error>),
+    /// A response's flush ended: its ticket, and whether every byte left.
+    Sent(T, bool),
+    /// Nothing to do until an event, a timer or the driver's own work.
+    Wait,
+    /// The connection is finished.
+    Close,
+}
+
+enum State<T> {
+    Reading,
+    /// A request is with the driver. The descriptor is deregistered, so a
+    /// pipelining client cannot spin the level-triggered poller.
+    Awaiting,
+    /// Draining `write_buf`; the ticket returns with [`Step::Sent`].
+    Flushing(T),
+    Closed,
+}
+
+enum Flush {
+    Done,
+    Pending,
+    Failed,
+}
+
+/// One connection owned by a readiness loop: a few hundred bytes of state
+/// instead of a parked thread. `T` is the ticket each response carries.
+pub struct Conn<T> {
+    token: Token,
+    stream: TcpStream,
+    peer: String,
+    limits: Limits,
+    state: State<T>,
+    read_buf: Vec<u8>,
+    /// The peer half-closed its write side.
+    eof: bool,
+    /// Unsent bytes: an interim `100 Continue` while reading, then the
+    /// response (which follows any unsent interim tail on the wire).
+    write_buf: Vec<u8>,
+    written: usize,
+    /// `100 Continue` went out for the request being received, so a
+    /// trickling body cannot elicit a storm of interim responses.
+    continue_sent: bool,
+    close_after_flush: bool,
+    expires: Option<Instant>,
+    read_deadline: Option<Instant>,
+    /// Reset on every partial write.
+    write_deadline: Option<Instant>,
+    /// Hold the response unsent until then ([`Self::hold_flush`]).
+    stall_until: Option<Instant>,
+    /// The interest the descriptor is registered for.
+    interest: Option<Interest>,
+}
+
+impl<T> Conn<T> {
+    /// Takes an accepted socket: nonblocking, `TCP_NODELAY`, budgets armed.
+    pub fn new(token: Token, stream: TcpStream, limits: Limits) -> io::Result<Self> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        let peer = stream
+            .peer_addr()
+            .map(|addr| addr.ip().to_string())
+            .unwrap_or_else(|_| "unknown".to_string());
+        let now = Instant::now();
+        Ok(Self {
+            token,
+            stream,
+            peer,
+            limits,
+            state: State::Reading,
+            read_buf: Vec::new(),
+            eof: false,
+            write_buf: Vec::new(),
+            written: 0,
+            continue_sent: false,
+            close_after_flush: false,
+            expires: limits.lifetime.and_then(|lifetime| now.checked_add(lifetime)),
+            read_deadline: limits.read_timeout.and_then(|timeout| now.checked_add(timeout)),
+            write_deadline: None,
+            stall_until: None,
+            interest: None,
+        })
+    }
+
+    /// The token the connection registers under.
+    pub fn token(&self) -> Token {
+        self.token
+    }
+
+    /// The peer's IP address (`"unknown"` if the socket would not say).
+    pub fn peer(&self) -> &str {
+        &self.peer
+    }
+
+    /// Owed nothing and flushing nothing: a draining driver closes it.
+    pub fn is_reading(&self) -> bool {
+        matches!(self.state, State::Reading)
+    }
+
+    /// Pulls what the kernel has for a reading connection, capped per pass
+    /// so one firehose client cannot monopolize the loop (the
+    /// level-triggered poller re-reports the rest).
+    pub fn read(&mut self) {
+        if !matches!(self.state, State::Reading) || self.eof {
+            return;
+        }
+        let cap = self.limits.max_body_bytes + http::MAX_HEAD_BYTES;
+        let mut chunk = [0u8; 4096];
+        while self.read_buf.len() < cap {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    self.read_deadline = self.limits.read_timeout.and_then(|t| Instant::now().checked_add(t));
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(_) => self.state = State::Closed,
+            }
+            return;
+        }
+    }
+
+    /// Runs the state machine until the driver has something to do.
+    pub fn advance(&mut self) -> Step<T> {
+        match std::mem::replace(&mut self.state, State::Closed) {
+            State::Closed => Step::Close,
+            State::Awaiting => {
+                self.state = State::Awaiting;
+                Step::Wait
+            }
+            State::Reading => self.parse(),
+            State::Flushing(ticket) => match self.flush() {
+                Flush::Pending => {
+                    self.state = State::Flushing(ticket);
+                    Step::Wait
+                }
+                flushed => {
+                    let delivered = matches!(flushed, Flush::Done);
+                    let now = Instant::now();
+                    self.write_deadline = None;
+                    if delivered && !self.close_after_flush && self.expires.is_none_or(|at| now < at) {
+                        self.read_deadline = self.limits.read_timeout.and_then(|t| now.checked_add(t));
+                        self.state = State::Reading;
+                    }
+                    Step::Sent(ticket, delivered)
+                }
+            },
+        }
+    }
+
+    fn parse(&mut self) -> Step<T> {
+        let request = match http::parse_request(&self.read_buf, self.limits.max_body_bytes) {
+            Ok(Progress::Complete(request, len)) => {
+                let request = Request::new(&request);
+                self.read_buf.drain(..len);
+                self.continue_sent = false;
+                request
+            }
+            // Clean close: EOF between requests.
+            Ok(Progress::Partial { .. }) if self.eof && self.read_buf.is_empty() => return Step::Close,
+            Ok(Progress::Partial { .. }) if self.eof => Err(http::Error::new(400, "connection closed mid-request")),
+            Ok(Progress::Partial { expect_continue }) => {
+                let now = Instant::now();
+                if [self.expires, self.read_deadline].iter().flatten().any(|at| now >= *at) {
+                    return Step::Close;
+                }
+                // RFC 7231 §5.1.1: a conforming client pauses after the head
+                // until it sees `100 Continue`; send it once per request.
+                if expect_continue && !self.continue_sent {
+                    self.continue_sent = true;
+                    self.write_buf.extend_from_slice(http::CONTINUE);
+                }
+                if matches!(self.flush(), Flush::Failed) {
+                    return Step::Close;
+                }
+                self.state = State::Reading;
+                return Step::Wait;
+            }
+            Err(failure) => Err(failure),
+        };
+        // A refused request closes the connection after its response.
+        self.close_after_flush = request.as_ref().map_or(true, |request| request.close);
+        self.state = State::Awaiting;
+        Step::Request(request)
+    }
+
+    /// Queues a response: status line, `Content-Length`, `headers`, then
+    /// `Connection: close` when the connection closes after it — the
+    /// request asked, the codec refused it, `close` is set (the driver is
+    /// draining), or the lifetime has passed.
+    pub fn respond<'h>(
+        &mut self,
+        status: u16,
+        headers: impl IntoIterator<Item = (&'h str, &'h str)>,
+        body: &[u8],
+        ticket: T,
+        close: bool,
+    ) {
+        if close || self.expires.is_some_and(|at| Instant::now() >= at) {
+            self.close_after_flush = true;
+        }
+        self.write_buf.drain(..self.written);
+        self.written = 0;
+        let close = self.close_after_flush.then_some(("Connection", "close"));
+        let start = StartLine::Response(status);
+        http::write_message(&mut self.write_buf, start, headers.into_iter().chain(close), body);
+        self.write_deadline = None;
+        self.stall_until = None;
+        self.state = State::Flushing(ticket);
+    }
+
+    /// Holds the queued response unsent until `until`, as if the client had
+    /// stopped draining its receive window (fault injection).
+    pub fn hold_flush(&mut self, until: Option<Instant>) {
+        self.stall_until = until;
+    }
+
+    fn flush(&mut self) -> Flush {
+        let now = Instant::now();
+        if self.stall_until.is_some_and(|at| at > now) {
+            return Flush::Pending;
+        }
+        self.stall_until = None;
+        while self.written < self.write_buf.len() {
+            match self.stream.write(&self.write_buf[self.written..]) {
+                Ok(0) => return Flush::Failed,
+                Ok(n) => {
+                    self.written += n;
+                    self.write_deadline = Some(Instant::now() + self.limits.write_timeout);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let deadline = *self.write_deadline.get_or_insert(now + self.limits.write_timeout);
+                    return if now >= deadline { Flush::Failed } else { Flush::Pending };
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Flush::Failed,
+            }
+        }
+        self.write_buf.clear();
+        self.written = 0;
+        Flush::Done
+    }
+
+    /// When the connection's next timer fires: the lifetime or read budget
+    /// while reading, the held flush or write budget while flushing.
+    pub fn deadline(&self) -> Option<Instant> {
+        let (a, b) = match self.state {
+            State::Reading => (self.expires, self.read_deadline),
+            State::Flushing(_) => (self.stall_until, self.write_deadline),
+            State::Awaiting | State::Closed => return None,
+        };
+        a.into_iter().chain(b).min()
+    }
+
+    /// Registers the interest the connection's state needs.
+    pub fn park(&mut self, poller: &Poller) {
+        let want = match self.state {
+            // An unsent `100 Continue` tail needs send-buffer space too.
+            State::Reading if self.written < self.write_buf.len() => Some(Interest::BOTH),
+            State::Reading => Some(Interest::READABLE),
+            // A held flush resumes on its timer.
+            State::Flushing(_) if self.stall_until.is_some_and(|at| at > Instant::now()) => None,
+            State::Flushing(_) => Some(Interest::WRITABLE),
+            State::Awaiting | State::Closed => None,
+        };
+        self.set_interest(poller, want);
+    }
+
+    /// Deregisters and closes the connection.
+    pub fn close(mut self, poller: &Poller) {
+        self.set_interest(poller, None);
+    }
+
+    fn set_interest(&mut self, poller: &Poller, want: Option<Interest>) {
+        if self.interest == want {
+            return;
+        }
+        let fd = self.stream.as_raw_fd();
+        let result = match (self.interest, want) {
+            (None, Some(interest)) => poller.register(fd, self.token, interest),
+            (Some(_), Some(interest)) => poller.reregister(fd, self.token, interest),
+            (Some(_), None) => poller.deregister(fd),
+            (None, None) => Ok(()),
+        };
+        if result.is_ok() {
+            self.interest = want;
+        }
+    }
+}

@@ -21,8 +21,12 @@
 //!   of a persistent [`er_pool::WorkerPool`] plus a shard-locked result
 //!   cache keyed on pair id.
 //! * [`readiness`] — a hand-rolled readiness facility (`epoll` on Linux,
-//!   `poll(2)` elsewhere, `mio`-shaped API) behind the server's
-//!   event-driven connection driver.
+//!   `poll(2)` elsewhere, `mio`-shaped API, nonblocking `connect`) behind
+//!   both processes' event-driven drivers.
+//! * [`conn`] — the connection half of a readiness-loop driver, shared by
+//!   the server and `er-gateway`: read → parse → `100 Continue` → respond
+//!   → flush → keep-alive or close, interest bookkeeping, and the
+//!   lifetime, read- and write-progress deadlines.
 //! * [`fault`] — [`FaultPlan`]: deterministic fault injection (worker
 //!   panics, torn artifact reads, stalls) threaded through the stack so the
 //!   supervision and degradation machinery is exercised, not assumed.
@@ -56,6 +60,7 @@
 
 pub mod artifact;
 pub mod cache;
+pub mod conn;
 pub mod engine;
 pub mod executor;
 pub mod fault;

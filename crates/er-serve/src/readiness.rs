@@ -1,5 +1,6 @@
-//! A hand-rolled readiness facility: `epoll` on Linux, `poll(2)` on other
-//! Unixes, behind one `mio`-shaped API.
+//! A hand-rolled readiness facility: `epoll` behind one `mio`-shaped API.
+//! Linux only — both drivers rely on its nonblocking [`connect`], whose
+//! `sockaddr` layout and errno values are per-platform ABI.
 //!
 //! The offline build environment vendors every dependency, so instead of
 //! pulling in `mio` this module declares the handful of kernel entry points
@@ -7,10 +8,12 @@
 //! — `std` already links libc — and exposes the familiar shape on top:
 //! a [`Poller`] you [`register`](Poller::register) file descriptors with
 //! under a caller-chosen [`Token`] and an [`Interest`], an [`Events`]
-//! buffer [`poll`](Poller::poll) fills, and a [`Waker`] (an `eventfd`; a
-//! self-pipe on the `poll(2)` backend) that lets other threads interrupt a
-//! blocked `poll` — how reload workers, resumed intake and shutdown reach
-//! the connection driver in [`crate::server`].
+//! buffer [`poll`](Poller::poll) fills, and a [`Waker`] (an `eventfd`) that
+//! lets other threads interrupt a blocked `poll` — how reload workers, resumed intake and shutdown reach
+//! the connection drivers of [`crate::server`] and `er-gateway`, usually
+//! through a [`Mailbox`]. [`connect`] opens an outbound TCP connection
+//! without blocking, so a driver can own upstream sockets on the same loop
+//! as its accepted ones.
 //!
 //! Readiness is **level-triggered**: as long as a registered descriptor is
 //! readable/writable it keeps showing up in every poll, so the driver never
@@ -46,13 +49,15 @@
 //! # Ok(()) }
 //! ```
 
+use std::sync::Mutex;
 use std::time::Duration;
 
-#[cfg(unix)]
-pub use imp::{Events, Poller, Waker};
+#[cfg(not(target_os = "linux"))]
+compile_error!("er-serve's readiness loop is built on epoll and needs Linux");
+
+pub use imp::{connect, Events, Poller, Waker};
 
 /// The raw file-descriptor type descriptors are registered by.
-#[cfg(unix)]
 pub type Fd = std::os::fd::RawFd;
 
 /// Caller-chosen identifier attached to a registration; [`Poller::poll`]
@@ -118,8 +123,8 @@ impl Event {
         self.writable
     }
 
-    /// The peer closed or errored the descriptor (`EPOLLHUP`/`EPOLLERR`,
-    /// `POLLHUP`/`POLLERR`). The next read or write will surface the exact
+    /// The peer closed or errored the descriptor (`EPOLLHUP`/`EPOLLERR`).
+    /// The next read or write will surface the exact
     /// error.
     pub fn is_closed(&self) -> bool {
         self.closed
@@ -139,13 +144,48 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-#[cfg(target_os = "linux")]
+/// Results other threads post to the thread that polls: a queue plus the
+/// [`Waker`] that interrupts its poll, so a posted item is picked up on the
+/// next pass instead of at the next timer tick.
+pub struct Mailbox<T> {
+    queue: Mutex<Vec<T>>,
+    waker: Waker,
+}
+
+impl<T> Mailbox<T> {
+    /// An empty mailbox whose waker fires `token` in `poller`.
+    pub fn new(poller: &Poller, token: Token) -> std::io::Result<Self> {
+        Ok(Self {
+            queue: Mutex::new(Vec::new()),
+            waker: Waker::new(poller, token)?,
+        })
+    }
+
+    /// Queues `item` and wakes the polling thread.
+    pub fn post(&self, item: T) {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner()).push(item);
+        let _ = self.waker.wake();
+    }
+
+    /// Everything posted since the last call.
+    pub fn take(&self) -> Vec<T> {
+        std::mem::take(&mut *self.queue.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// The waker: drain it on its token's event; wake it to interrupt the
+    /// poll without posting anything (shutdown, resumed intake).
+    pub fn waker(&self) -> &Waker {
+        &self.waker
+    }
+}
+
 mod imp {
-    //! The Linux backend: one `epoll` instance, a `Waker` backed by an
-    //! `eventfd`.
+    //! One `epoll` instance, a `Waker` backed by an `eventfd`.
 
     use super::{timeout_ms, Event, Fd, Interest, Token};
     use std::io;
+    use std::net::{SocketAddr, TcpStream};
+    use std::os::fd::FromRawFd;
     use std::time::Duration;
 
     // epoll constants from <sys/epoll.h>; the event struct is packed on
@@ -161,6 +201,13 @@ mod imp {
     const EPOLLRDHUP: u32 = 0x2000;
     const EFD_CLOEXEC: i32 = 0o2000000;
     const EFD_NONBLOCK: i32 = 0o4000;
+    // Socket constants from <sys/socket.h>, <netinet/in.h> and <errno.h>.
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const SOCK_STREAM: i32 = 1;
+    const SOCK_NONBLOCK: i32 = 0o4000;
+    const SOCK_CLOEXEC: i32 = 0o2000000;
+    const EINPROGRESS: i32 = 115;
 
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
@@ -178,6 +225,50 @@ mod imp {
         fn close(fd: i32) -> i32;
         fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+        fn socket(domain: i32, kind: i32, protocol: i32) -> i32;
+        #[link_name = "connect"]
+        fn connect_raw(fd: i32, addr: *const u8, len: u32) -> i32;
+    }
+
+    /// Starts a TCP connection to `addr` without blocking: the socket comes
+    /// back nonblocking with the handshake possibly still in flight. It
+    /// turns writable once the handshake settles; then
+    /// [`TcpStream::take_error`] reports a refused or unreachable peer and
+    /// [`TcpStream::peer_addr`] succeeds on success.
+    pub fn connect(addr: &SocketAddr) -> io::Result<TcpStream> {
+        let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+        // SAFETY: socket has no memory preconditions.
+        let fd = cvt(unsafe { socket(i32::from(family), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+        // SAFETY: fd is a fresh socket owned by nobody else; the stream
+        // closes it on every path below.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        // `struct sockaddr_in` / `sockaddr_in6`: family (native order),
+        // then port, flow info and address in network order, then the scope.
+        let mut raw = [0u8; 28];
+        raw[..2].copy_from_slice(&family.to_ne_bytes());
+        raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+        let len = match addr {
+            SocketAddr::V4(v4) => {
+                raw[4..8].copy_from_slice(&v4.ip().octets());
+                16
+            }
+            SocketAddr::V6(v6) => {
+                raw[4..8].copy_from_slice(&v6.flowinfo().to_be_bytes());
+                raw[8..24].copy_from_slice(&v6.ip().octets());
+                raw[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+                28
+            }
+        };
+        // SAFETY: `raw` is a live, correctly laid out sockaddr of `len`
+        // bytes for the duration of the call.
+        let ret = unsafe { connect_raw(fd, raw.as_ptr(), len) };
+        if ret < 0 {
+            let err = io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINPROGRESS) && err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        }
+        Ok(stream)
     }
 
     fn cvt(ret: i32) -> io::Result<i32> {
@@ -375,225 +466,6 @@ mod imp {
             // SAFETY: we own fd and close it exactly once (closing also
             // removes it from any epoll set).
             unsafe { close(self.fd) };
-        }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    //! The portable Unix backend: `poll(2)` over a registration table, a
-    //! `Waker` backed by a self-pipe. Functionally identical to the epoll
-    //! backend, O(registered descriptors) per poll instead of O(ready).
-
-    use super::{timeout_ms, Event, Fd, Interest, Token};
-    use std::collections::HashMap;
-    use std::io;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-        fn close(fd: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    }
-
-    const F_SETFL: i32 = 4;
-    const O_NONBLOCK: i32 = 0o4000;
-
-    /// A buffer [`Poller::poll`] fills with readiness notifications.
-    pub struct Events {
-        capacity: usize,
-        ready: Vec<Event>,
-    }
-
-    impl Events {
-        /// A buffer returning at most `capacity` events per poll.
-        pub fn with_capacity(capacity: usize) -> Self {
-            Self {
-                capacity: capacity.max(1),
-                ready: Vec::with_capacity(capacity.max(1)),
-            }
-        }
-
-        /// The events the last poll produced.
-        pub fn iter(&self) -> impl Iterator<Item = &Event> {
-            self.ready.iter()
-        }
-
-        /// Number of events the last poll produced.
-        pub fn len(&self) -> usize {
-            self.ready.len()
-        }
-
-        /// Did the last poll produce no events (timeout or spurious wake)?
-        pub fn is_empty(&self) -> bool {
-            self.ready.is_empty()
-        }
-    }
-
-    /// The `poll(2)`-backed poller. See the [module docs](super).
-    pub struct Poller {
-        registered: Mutex<HashMap<Fd, (Token, Interest)>>,
-    }
-
-    impl Poller {
-        /// Creates an empty registration table.
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: Mutex::new(HashMap::new()),
-            })
-        }
-
-        /// Subscribes `fd` under `token`, level-triggered.
-        pub fn register(&self, fd: Fd, token: Token, interest: Interest) -> io::Result<()> {
-            self.registered
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(fd, (token, interest));
-            Ok(())
-        }
-
-        /// Replaces the interest (and token) of an already-registered `fd`.
-        pub fn reregister(&self, fd: Fd, token: Token, interest: Interest) -> io::Result<()> {
-            self.register(fd, token, interest)
-        }
-
-        /// Removes `fd` from the poller.
-        pub fn deregister(&self, fd: Fd) -> io::Result<()> {
-            self.registered.lock().unwrap_or_else(|e| e.into_inner()).remove(&fd);
-            Ok(())
-        }
-
-        /// Blocks until a registered descriptor is ready or the timeout
-        /// elapses.
-        pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-            events.ready.clear();
-            let mut fds: Vec<PollFd> = {
-                let registered = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-                registered
-                    .iter()
-                    .map(|(&fd, &(_, interest))| {
-                        let mut bits = 0i16;
-                        if interest.is_readable() {
-                            bits |= POLLIN;
-                        }
-                        if interest.is_writable() {
-                            bits |= POLLOUT;
-                        }
-                        PollFd {
-                            fd,
-                            events: bits,
-                            revents: 0,
-                        }
-                    })
-                    .collect()
-            };
-            // SAFETY: `fds` is a live contiguous array of nfds entries.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms(timeout)) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            let registered = self.registered.lock().unwrap_or_else(|e| e.into_inner());
-            for pollfd in fds.iter().filter(|p| p.revents != 0) {
-                let Some(&(token, _)) = registered.get(&pollfd.fd) else {
-                    continue;
-                };
-                if events.ready.len() == events.capacity {
-                    break;
-                }
-                let bits = pollfd.revents;
-                events.ready.push(Event {
-                    token,
-                    readable: bits & (POLLIN | POLLHUP) != 0,
-                    writable: bits & POLLOUT != 0,
-                    closed: bits & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// Interrupts a blocked [`Poller::poll`], backed by a self-pipe.
-    pub struct Waker {
-        read_fd: Fd,
-        write_fd: Fd,
-    }
-
-    impl Waker {
-        /// Creates the pipe and registers its read end with `poller` under
-        /// `token`.
-        pub fn new(poller: &Poller, token: Token) -> io::Result<Self> {
-            let mut fds = [0i32; 2];
-            // SAFETY: pipe writes two descriptors into the live array.
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for fd in fds {
-                // SAFETY: sets O_NONBLOCK on descriptors we just created.
-                unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) };
-            }
-            poller.register(fds[0], token, Interest::READABLE)?;
-            Ok(Self {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
-        }
-
-        /// Makes the waker's token readable in the owning poller.
-        pub fn wake(&self) -> io::Result<()> {
-            let byte = 1u8;
-            // SAFETY: writes one byte from a live buffer.
-            let n = unsafe { write(self.write_fd, &byte as *const u8, 1) };
-            if n == 1 {
-                return Ok(());
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::WouldBlock {
-                return Ok(()); // pipe full: a wake is already pending
-            }
-            Err(err)
-        }
-
-        /// Consumes pending wakes.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            loop {
-                // SAFETY: reads into a live stack buffer.
-                let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-                if n <= 0 {
-                    break;
-                }
-            }
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            // SAFETY: we own both ends and close each exactly once.
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
         }
     }
 }

@@ -3,8 +3,10 @@
 //! The serving lifecycle the rest of the crate builds toward: a
 //! [`ScoreServer`] owns every connection from one **event-driven readiness
 //! loop** (the [`crate::readiness`] poller — `epoll` on Linux) running on a
-//! single driver thread: it accepts, reads and parses requests over
-//! nonblocking sockets and admits scoring requests into a **bounded queue**.
+//! single driver thread: it accepts connections, routes the requests that
+//! [`crate::conn`] — the connection state machine `er-gateway` runs too —
+//! reads and parses off them, and admits scoring requests into a **bounded
+//! queue**.
 //! After each readiness pass the same thread scores what that pass
 //! admitted — up to [`ServerConfig::max_batch`] requests per
 //! [`crate::ShardedExecutor::try_score_batch`] call — and queues every
@@ -66,22 +68,23 @@
 //! phase replays traffic under injected panics, stalls, and torn artifact
 //! writes to attest all of it.
 
+use crate::conn::{self, Conn, Limits, Request, Step};
 use crate::engine::ScoreRequest;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{self, Progress, StartLine};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
-use crate::readiness::{self, Interest, Token};
+use crate::readiness::{self, Interest, Mailbox, Token};
 use crate::reload::ReloadableExecutor;
-use crate::trace::{valid_trace_id, ActiveTrace, SpanSet, Stage, Tracer};
+use crate::trace::{ActiveTrace, SpanSet, Stage, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`ScoreServer`].
@@ -303,24 +306,6 @@ struct Completion {
     trace: Option<ActiveTrace>,
 }
 
-/// The completion mailbox between reload workers and the driver: finished
-/// reloads are pushed here and the waker interrupts the driver's poll.
-struct Completions {
-    queue: Mutex<Vec<Completion>>,
-    waker: readiness::Waker,
-}
-
-impl Completions {
-    fn push(&self, completion: Completion) {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).push(completion);
-        let _ = self.waker.wake();
-    }
-
-    fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.queue.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
 /// The `version`-labelled metric handles and the `X-Model-Version` header
 /// value of one artifact version. Resolved once per version and reused
 /// until the snapshot version changes, so answering a `/score` allocates no
@@ -363,12 +348,9 @@ impl Shared {
     }
 
     /// The request id for this request: the client's `X-Request-Id` when it
-    /// is well-formed (see [`valid_trace_id`]), else a generated `er-…` id.
+    /// is well-formed, else a generated `er-…` id.
     fn request_id(&self, client_supplied: Option<&str>) -> String {
-        match client_supplied {
-            Some(id) if valid_trace_id(id) => id.to_string(),
-            _ => format!("er-{:08x}", self.id_seq.fetch_add(1, Ordering::Relaxed)),
-        }
+        conn::request_id(client_supplied, "er", &self.id_seq)
     }
 }
 
@@ -411,7 +393,7 @@ impl Shared {
 /// ```
 pub struct ScoreServer {
     shared: Arc<Shared>,
-    completions: Arc<Completions>,
+    completions: Arc<Mailbox<Completion>>,
     local_addr: SocketAddr,
     driver: Option<std::thread::JoinHandle<()>>,
 }
@@ -426,11 +408,7 @@ impl ScoreServer {
         let local_addr = listener.local_addr()?;
         let poller = readiness::Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-        let waker = readiness::Waker::new(&poller, WAKER)?;
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            waker,
-        });
+        let completions = Arc::new(Mailbox::new(&poller, WAKER)?);
         let metrics = Arc::new(MetricsRegistry::new());
         if config.metrics_enabled {
             // The executor records reload outcomes and version bumps into
@@ -464,8 +442,15 @@ impl ScoreServer {
                         poller,
                         completions,
                         listener,
+                        limits: Limits {
+                            max_body_bytes: shared.config.max_body_bytes,
+                            write_timeout: shared.config.write_timeout,
+                            read_timeout: None,
+                            lifetime: Some(shared.config.max_connection_lifetime),
+                        },
                         conns: HashMap::new(),
                         awaiting: HashMap::new(),
+                        refused: HashSet::new(),
                         next_token: FIRST_CONN,
                         next_job: 0,
                         active: 0,
@@ -529,7 +514,7 @@ impl ScoreServer {
     /// the queued jobs are scored at once.
     pub fn resume_intake(&self) {
         self.shared.paused.store(false, Ordering::SeqCst);
-        let _ = self.completions.waker.wake();
+        let _ = self.completions.waker().wake();
     }
 
     /// Graceful shutdown: stop accepting, answer in-flight admissions with
@@ -545,7 +530,7 @@ impl ScoreServer {
         // Interrupt the driver's poll so it notices the flag, closes idle
         // connections, scores every admitted job, and flushes every
         // in-flight response before exiting.
-        let _ = self.completions.waker.wake();
+        let _ = self.completions.waker().wake();
         if let Some(handle) = self.driver.take() {
             let _ = handle.join();
         }
@@ -559,7 +544,7 @@ impl Drop for ScoreServer {
 }
 
 // ---------------------------------------------------------------------------
-// Readiness-loop connection driver
+// Readiness-loop driver
 // ---------------------------------------------------------------------------
 
 /// Upper bound on one poll wait, so per-connection timers (lifetimes, write
@@ -589,8 +574,8 @@ struct RequestMeta {
     rid: String,
 }
 
-/// A response queued on a connection, with everything its flush completion
-/// must record.
+/// The ticket a queued response carries through its flush: everything the
+/// driver records once [`Step::Sent`] hands it back.
 struct Outgoing {
     status: u16,
     /// Pending trace, committed with the status actually flushed (0 if the
@@ -602,15 +587,16 @@ struct Outgoing {
     record_write: bool,
     /// When the response was built and enqueued; the write span's start.
     write_start: Instant,
-    /// `None` for responses to unparseable requests, which are never logged
-    /// or duration-observed (there is no route to attribute them to).
+    /// `None` for responses to unparseable requests and connection-cap
+    /// refusals, which are never logged or duration-observed (there is no
+    /// route to attribute them to).
     meta: Option<RequestMeta>,
 }
 
 /// The in-flight-job bookkeeping of a parked connection.
 struct Await {
-    /// The completion key.
-    job: u64,
+    /// The token of the connection parked on the job.
+    token: u64,
     /// `Some` for scoring jobs: answer 500 (`scoring pipeline stalled`) if
     /// no completion arrives by then. Reloads carry no reply timeout, just
     /// as the blocking handler put no timeout on a reload.
@@ -618,59 +604,6 @@ struct Await {
     /// When the job was admitted; drives `er_serve_score_duration_seconds`.
     admitted: Instant,
     meta: RequestMeta,
-}
-
-/// What the driver is doing with a connection.
-enum ConnState {
-    /// Accumulating request bytes (registered readable).
-    Reading,
-    /// A scoring or reload job is in flight. The descriptor is deregistered
-    /// so a pipelining client cannot spin the level-triggered poller while
-    /// the response is pending; buffered bytes are processed after the
-    /// response flushes.
-    Awaiting(Await),
-    /// Draining `write_buf` (registered writable once the kernel send
-    /// buffer pushes back).
-    Flushing,
-}
-
-/// One connection owned by the readiness loop: a few hundred bytes of state
-/// instead of a parked thread.
-struct Conn {
-    token: u64,
-    stream: TcpStream,
-    peer: String,
-    state: ConnState,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    written: usize,
-    /// Pending interim-response bytes (`100 Continue`), written ahead of any
-    /// final response. Almost always flushed in one nonblocking write; the
-    /// unsent tail survives here if the kernel buffer pushes back.
-    interim: Vec<u8>,
-    /// How much of `interim` has been written.
-    interim_sent: usize,
-    /// An interim `100 Continue` has been sent for the request currently
-    /// being received (reset once that request parses completely), so a
-    /// slow-trickling body cannot elicit a storm of interim responses.
-    continue_sent: bool,
-    outgoing: Option<Outgoing>,
-    /// Hard lifetime cap (`None` if it overflows `Instant` — effectively
-    /// unlimited).
-    expires: Option<Instant>,
-    /// Progress deadline while flushing — the nonblocking analog of
-    /// `SO_SNDTIMEO`: reset on every partial write, the connection is
-    /// closed if the peer accepts nothing for `write_timeout`.
-    write_deadline: Option<Instant>,
-    /// Injected `client_write_stall`: hold the queued response unsent until
-    /// then, as if the client had stopped draining its receive window.
-    stall_until: Option<Instant>,
-    close_after_flush: bool,
-    /// An over-cap connection that exists only to flush its raw 503; not
-    /// counted against the connection cap.
-    refused: bool,
-    /// The interest the descriptor is currently registered for.
-    interest: Option<Interest>,
 }
 
 /// A response computed by a route handler, not yet serialized to the wire.
@@ -699,35 +632,22 @@ impl ResponseParts {
     }
 }
 
-/// What one nonblocking read pass left behind.
-enum ReadOutcome {
-    /// The kernel buffer is drained (or the per-pass cap was hit); the
-    /// connection stays open.
-    Open,
-    /// The peer half-closed its write side (EOF).
-    Eof,
-    /// The read errored; the connection is gone.
-    Gone,
-}
-
-/// One flush attempt's result.
-enum Flush {
-    Done,
-    Pending,
-    Failed,
-}
-
-/// The event loop owning every connection: accepts, reads, parses, routes,
-/// scores admitted jobs, and flushes responses — all over nonblocking
-/// sockets driven by the [`crate::readiness`] poller.
+/// The event loop owning every connection: accepts, routes, scores admitted
+/// jobs, and hands each connection's reading, parsing and flushing to
+/// [`crate::conn`] — all over nonblocking sockets driven by the
+/// [`crate::readiness`] poller.
 struct Driver {
     shared: Arc<Shared>,
     poller: readiness::Poller,
-    completions: Arc<Completions>,
+    completions: Arc<Mailbox<Completion>>,
     listener: TcpListener,
-    conns: HashMap<u64, Conn>,
-    /// job id → token of the connection parked on it.
-    awaiting: HashMap<u64, u64>,
+    limits: Limits,
+    conns: HashMap<u64, Conn<Outgoing>>,
+    /// job id → the connection parked on it.
+    awaiting: HashMap<u64, Await>,
+    /// Over-cap connections that exist only to flush their 503; not
+    /// counted against the connection cap.
+    refused: HashSet<u64>,
     next_token: u64,
     next_job: u64,
     /// Connections counted against `max_connections` (excludes refusals).
@@ -765,7 +685,7 @@ impl Driver {
             for event in events.iter() {
                 match event.token() {
                     LISTENER => accept = true,
-                    WAKER => self.completions.waker.drain(),
+                    WAKER => self.completions.waker().drain(),
                     Token(token) => ready.push(token),
                 }
             }
@@ -773,9 +693,12 @@ impl Driver {
                 self.accept_ready();
             }
             for token in ready {
-                self.on_event(token);
+                if let Some(mut conn) = self.conns.remove(&token) {
+                    conn.read();
+                    self.drive(conn);
+                }
             }
-            for completion in self.completions.drain() {
+            for completion in self.completions.take() {
                 self.on_completion(completion);
             }
             self.score_admitted();
@@ -783,29 +706,20 @@ impl Driver {
         }
     }
 
-    /// Sleep until the nearest per-connection deadline or the end of an
-    /// injected scoring stall, capped at [`POLL_TICK`]; readiness events and
-    /// the waker interrupt it anyway.
+    /// Sleep until the nearest per-connection deadline, reply timeout or
+    /// the end of an injected scoring stall, capped at [`POLL_TICK`];
+    /// readiness events and the waker interrupt it anyway.
     fn poll_timeout(&self) -> Duration {
-        let mut deadline: Option<Instant> = None;
-        let mut consider = |at: Option<Instant>| {
-            if let Some(at) = at {
-                deadline = Some(deadline.map_or(at, |d| d.min(at)));
-            }
-        };
-        consider(self.stalled.as_ref().map(|(until, _)| *until));
-        for conn in self.conns.values() {
-            match &conn.state {
-                ConnState::Reading => consider(conn.expires),
-                ConnState::Awaiting(wait) => consider(wait.deadline),
-                ConnState::Flushing => {
-                    consider(conn.stall_until);
-                    consider(conn.write_deadline);
-                }
-            }
-        }
-        let now = Instant::now();
-        deadline.map_or(POLL_TICK, |at| at.saturating_duration_since(now).min(POLL_TICK))
+        let deadline = self
+            .conns
+            .values()
+            .filter_map(Conn::deadline)
+            .chain(self.awaiting.values().filter_map(|wait| wait.deadline))
+            .chain(self.stalled.as_ref().map(|(until, _)| *until))
+            .min();
+        deadline.map_or(POLL_TICK, |at| {
+            at.saturating_duration_since(Instant::now()).min(POLL_TICK)
+        })
     }
 
     fn accept_ready(&mut self) {
@@ -820,249 +734,82 @@ impl Driver {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
         let token = self.next_token;
         self.next_token += 1;
+        let Ok(mut conn) = Conn::new(Token(token), stream, self.limits) else {
+            return;
+        };
         // The connection cap bounds live connection state: at the limit the
         // new connection gets one clean 503 + Retry-After and is closed,
-        // rather than growing the loop's working set without bound.
+        // rather than growing the loop's working set without bound. The
+        // refusal flushes through the same machinery as any response but
+        // is not counted against the cap, logged, or duration-observed.
         if self.active >= self.shared.config.max_connections {
-            self.refuse(token, stream);
-            return;
+            if self.shared.config.metrics_enabled {
+                self.shared.metrics.rejected.with(&[("cause", "overloaded")]).inc();
+                self.shared
+                    .metrics
+                    .responses
+                    .with(&[("route", "refused"), ("status", "503")])
+                    .inc();
+            }
+            let body = error_body("server at connection capacity; retry", None);
+            let headers = [("Content-Type", "application/json"), ("Retry-After", "1")];
+            let refusal = Outgoing {
+                status: 503,
+                trace: None,
+                record_write: false,
+                write_start: Instant::now(),
+                meta: None,
+            };
+            conn.respond(503, headers, body.as_bytes(), refusal, true);
+            self.refused.insert(token);
+        } else {
+            self.active += 1;
         }
-        let _ = stream.set_nodelay(true);
-        let peer = stream
-            .peer_addr()
-            .map(|addr| addr.ip().to_string())
-            .unwrap_or_else(|_| "unknown".to_string());
-        self.active += 1;
-        let conn = Conn {
-            token,
-            stream,
-            peer,
-            state: ConnState::Reading,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            written: 0,
-            interim: Vec::new(),
-            interim_sent: 0,
-            continue_sent: false,
-            outgoing: None,
-            // Hard lifetime: a keep-alive connection is closed once it has
-            // been open this long, bounding how long any one client can
-            // hold a connection slot.
-            expires: Instant::now().checked_add(self.shared.config.max_connection_lifetime),
-            write_deadline: None,
-            stall_until: None,
-            close_after_flush: false,
-            refused: false,
-            interest: None,
-        };
         // Drive immediately: request bytes may already be waiting, and the
         // eager read shaves one poll round-trip off accept-to-first-byte.
-        self.drive(token, conn, true);
+        conn.read();
+        self.drive(conn);
     }
 
-    /// Turns away a connection that would exceed the cap: one raw 503 with
-    /// `Retry-After`, written without reading the request, then close. The
-    /// refusal flushes through the same machinery as any response but is
-    /// not counted against the cap, logged, or duration-observed.
-    fn refuse(&mut self, token: u64, stream: TcpStream) {
-        if self.shared.config.metrics_enabled {
-            self.shared.metrics.rejected.with(&[("cause", "overloaded")]).inc();
-            self.shared
-                .metrics
-                .responses
-                .with(&[("route", "refused"), ("status", "503")])
-                .inc();
-        }
-        let body = error_body("server at connection capacity; retry", None);
-        let headers = [
-            ("Content-Type", "application/json"),
-            ("Retry-After", "1"),
-            ("Connection", "close"),
-        ];
-        let mut response = Vec::new();
-        http::write_message(&mut response, StartLine::Response(503), headers, body.as_bytes());
-        let conn = Conn {
-            token,
-            stream,
-            peer: String::new(),
-            state: ConnState::Flushing,
-            read_buf: Vec::new(),
-            write_buf: response,
-            written: 0,
-            interim: Vec::new(),
-            interim_sent: 0,
-            continue_sent: false,
-            outgoing: None,
-            expires: None,
-            write_deadline: Some(Instant::now() + self.shared.config.write_timeout),
-            stall_until: None,
-            close_after_flush: true,
-            refused: true,
-            interest: None,
-        };
-        self.drive(token, conn, false);
-    }
-
-    fn on_event(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else { return };
-        self.drive(token, conn, true);
-    }
-
-    /// Runs a connection's state machine until it parks (needs more bytes,
-    /// a job completion, kernel send-buffer space, or a timer) or closes.
-    fn drive(&mut self, token: u64, mut conn: Conn, readable: bool) {
-        let mut eof = false;
-        if readable && matches!(conn.state, ConnState::Reading) {
-            match self.fill_read_buf(&mut conn) {
-                ReadOutcome::Open => {}
-                ReadOutcome::Eof => eof = true,
-                ReadOutcome::Gone => return self.discard(conn),
-            }
-        }
+    /// Runs a connection until it parks (needs more bytes, a job
+    /// completion, kernel send-buffer space, or a timer) or closes.
+    fn drive(&mut self, mut conn: Conn<Outgoing>) {
         loop {
-            match &conn.state {
-                ConnState::Awaiting(_) => break,
-                ConnState::Reading => {
-                    match http::parse_request(&conn.read_buf, self.shared.config.max_body_bytes) {
-                        Ok(Progress::Complete(request, len)) => {
-                            let request = ParsedRequest::new(&request);
-                            conn.read_buf.drain(..len);
-                            conn.continue_sent = false;
-                            match request {
-                                Ok(request) => self.dispatch(token, &mut conn, request),
-                                Err(failure) => {
-                                    conn.close_after_flush = true;
-                                    self.queue_failure(&mut conn, failure);
-                                }
-                            }
-                        }
-                        Ok(Progress::Partial { .. }) if eof => {
-                            if conn.read_buf.is_empty() {
-                                // Clean close: EOF between requests.
-                                return self.discard(conn);
-                            }
-                            conn.close_after_flush = true;
-                            self.queue_failure(&mut conn, http::Error::new(400, "connection closed mid-request"));
-                        }
-                        Ok(Progress::Partial { expect_continue }) => {
-                            // RFC 7231 §5.1.1: a conforming client pauses
-                            // after the head until it sees `100 Continue`.
-                            // Emit the interim response once per request,
-                            // nonblocking, so the body arrives promptly.
-                            if expect_continue && !conn.continue_sent {
-                                conn.continue_sent = true;
-                                conn.interim.extend_from_slice(http::CONTINUE);
-                            }
-                            if !self.flush_interim(&mut conn) {
-                                return self.discard(conn);
-                            }
-                            break;
-                        }
-                        Err(failure) => {
-                            conn.close_after_flush = true;
-                            self.queue_failure(&mut conn, failure);
-                        }
-                    }
-                }
-                ConnState::Flushing => match self.flush_step(&mut conn) {
-                    Flush::Pending => break,
-                    Flush::Done => {
-                        if !self.finish_response(&mut conn, true) {
-                            return self.discard(conn);
-                        }
-                        // Back in Reading: loop on, so a pipelined request
-                        // already buffered is answered without a poll round.
-                    }
-                    Flush::Failed => {
-                        self.finish_response(&mut conn, false);
+            match conn.advance() {
+                Step::Request(Ok(request)) => self.dispatch(&mut conn, request),
+                Step::Request(Err(failure)) => self.queue_failure(&mut conn, failure),
+                Step::Sent(out, delivered) => {
+                    self.finish_response(out, delivered);
+                    if self.shared.shutdown.load(Ordering::SeqCst) {
                         return self.discard(conn);
                     }
-                },
-            }
-        }
-        self.park(token, conn);
-    }
-
-    /// Pulls everything the kernel has for this connection, bounded per
-    /// pass so one firehose client cannot monopolize the loop (the
-    /// level-triggered poller re-reports any remainder).
-    fn fill_read_buf(&self, conn: &mut Conn) -> ReadOutcome {
-        let cap = self.shared.config.max_body_bytes + http::MAX_HEAD_BYTES;
-        let mut chunk = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => return ReadOutcome::Eof,
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
-                    if conn.read_buf.len() >= cap {
-                        return ReadOutcome::Open;
-                    }
+                    // Otherwise loop on, so a pipelined request already
+                    // buffered is answered without a poll round.
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return ReadOutcome::Gone,
-            }
-        }
-    }
-
-    /// Registers the interest the connection's state wants and re-inserts
-    /// it into the connection table.
-    fn park(&mut self, token: u64, mut conn: Conn) {
-        let want = match &conn.state {
-            // A pending interim (`100 Continue`) tail also needs send-buffer
-            // space, so the poller watches both directions until it drains.
-            ConnState::Reading if conn.interim_sent < conn.interim.len() => Some(Interest::BOTH),
-            ConnState::Reading => Some(Interest::READABLE),
-            // Deregistered entirely: completions re-arm the connection, and
-            // buffered pipelined bytes must not spin the poller meanwhile.
-            ConnState::Awaiting(_) => None,
-            ConnState::Flushing => {
-                if conn.stall_until.is_some_and(|at| at > Instant::now()) {
-                    // Stalled by fault injection: the timer resumes us.
-                    None
-                } else {
-                    Some(Interest::WRITABLE)
+                Step::Wait => {
+                    conn.park(&self.poller);
+                    self.conns.insert(conn.token().0, conn);
+                    return;
                 }
+                Step::Close => return self.discard(conn),
             }
-        };
-        self.set_interest(&mut conn, want);
-        self.conns.insert(token, conn);
-    }
-
-    fn set_interest(&self, conn: &mut Conn, want: Option<Interest>) {
-        if conn.interest == want {
-            return;
-        }
-        let fd = conn.stream.as_raw_fd();
-        let result = match (conn.interest, want) {
-            (None, Some(interest)) => self.poller.register(fd, Token(conn.token), interest),
-            (Some(_), Some(interest)) => self.poller.reregister(fd, Token(conn.token), interest),
-            (Some(_), None) => self.poller.deregister(fd),
-            (None, None) => Ok(()),
-        };
-        if result.is_ok() {
-            conn.interest = want;
         }
     }
 
-    /// Closes a connection and releases its cap slot. Dropping the stream
-    /// closes the descriptor, which also deregisters it from the poller.
-    fn discard(&mut self, mut conn: Conn) {
-        if !conn.refused {
+    /// Closes a connection and releases its cap slot.
+    fn discard(&mut self, conn: Conn<Outgoing>) {
+        if !self.refused.remove(&conn.token().0) {
             self.active -= 1;
         }
-        self.set_interest(&mut conn, None);
+        conn.close(&self.poller);
     }
 
     /// Answers a request that could not be parsed. Even these get a
     /// (generated) request id echoed back, so client-side retry logs have
     /// something to correlate on.
-    fn queue_failure(&self, conn: &mut Conn, failure: http::Error) {
+    fn queue_failure(&self, conn: &mut Conn<Outgoing>, failure: http::Error) {
         let rid = self.shared.request_id(None);
         let parts = ResponseParts::json(failure.status, error_body(&failure.message, None));
         self.queue_response(conn, parts, &rid, None, false, None);
@@ -1075,7 +822,7 @@ impl Driver {
     /// stopped draining its receive window.
     fn queue_response(
         &self,
-        conn: &mut Conn,
+        conn: &mut Conn<Outgoing>,
         parts: ResponseParts,
         rid: &str,
         trace: Option<ActiveTrace>,
@@ -1090,167 +837,91 @@ impl Driver {
                 .with(&[("route", route), ("status", &parts.status.to_string())])
                 .inc();
         }
-        // A connection that closes after this response says so on the wire.
-        let now = Instant::now();
-        if self.shared.shutdown.load(Ordering::SeqCst) || conn.expires.is_some_and(|at| now >= at) {
-            conn.close_after_flush = true;
-        }
-        // Any unsent interim (`100 Continue`) tail must precede the final
-        // response on the wire, so it is folded into the same flush buffer.
-        let mut wire = conn.interim.split_off(conn.interim_sent);
-        conn.interim.clear();
-        conn.interim_sent = 0;
         // Every response — including 4xx/5xx error bodies — echoes the
         // request id, so client retry logs, server logs and traces all
         // correlate.
         let request_id = (!rid.is_empty()).then_some(("X-Request-Id", rid));
         let extra = parts.headers.iter().map(|(name, value)| (*name, value.as_str()));
         let model_version = parts.model_version.as_deref().map(|v| ("X-Model-Version", v));
-        let close = conn.close_after_flush.then_some(("Connection", "close"));
-        http::write_message(
-            &mut wire,
-            StartLine::Response(parts.status),
-            [("Content-Type", parts.content_type)]
-                .into_iter()
-                .chain(request_id)
-                .chain(extra)
-                .chain(model_version)
-                .chain(close),
-            parts.body.as_bytes(),
-        );
-        conn.write_buf = wire;
-        conn.written = 0;
-        conn.stall_until = self
-            .shared
-            .config
-            .fault_plan
-            .as_deref()
-            .and_then(|plan| plan.check(FaultKind::ClientWriteStall))
-            .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
-        conn.write_deadline = None;
-        conn.outgoing = Some(Outgoing {
+        let out = Outgoing {
             status: parts.status,
             trace,
             record_write,
             write_start: Instant::now(),
             meta,
-        });
-        conn.state = ConnState::Flushing;
-    }
-
-    /// Writes as much of the pending interim (`100 Continue`) bytes as the
-    /// kernel accepts. Returns `false` when the peer is gone. `WouldBlock`
-    /// leaves the unsent tail in place; `park` then waits for writability.
-    fn flush_interim(&self, conn: &mut Conn) -> bool {
-        while conn.interim_sent < conn.interim.len() {
-            match conn.stream.write(&conn.interim[conn.interim_sent..]) {
-                Ok(0) => return false,
-                Ok(n) => conn.interim_sent += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
-        }
-        conn.interim.clear();
-        conn.interim_sent = 0;
-        true
-    }
-
-    fn flush_step(&self, conn: &mut Conn) -> Flush {
-        if conn.stall_until.is_some_and(|at| at > Instant::now()) {
-            return Flush::Pending;
-        }
-        conn.stall_until = None;
-        while conn.written < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.written..]) {
-                Ok(0) => return Flush::Failed,
-                Ok(n) => {
-                    conn.written += n;
-                    // Progress restarts the write budget, matching the
-                    // per-`write` SO_SNDTIMEO the blocking handlers had.
-                    conn.write_deadline = Some(Instant::now() + self.shared.config.write_timeout);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if conn.write_deadline.is_none() {
-                        conn.write_deadline = Some(Instant::now() + self.shared.config.write_timeout);
-                    }
-                    return Flush::Pending;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Flush::Failed,
-            }
-        }
-        Flush::Done
+        };
+        conn.respond(
+            parts.status,
+            [("Content-Type", parts.content_type)]
+                .into_iter()
+                .chain(request_id)
+                .chain(extra)
+                .chain(model_version),
+            parts.body.as_bytes(),
+            out,
+            self.shared.shutdown.load(Ordering::SeqCst),
+        );
+        conn.hold_flush(
+            self.shared
+                .config
+                .fault_plan
+                .as_deref()
+                .and_then(|plan| plan.check(FaultKind::ClientWriteStall))
+                .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms))),
+        );
     }
 
     /// Post-flush bookkeeping: commit the trace with the status actually
     /// delivered (0 if the write failed), observe the request-duration
     /// histogram, emit the sampled log line — the exact sequence the
-    /// blocking handler ran after its write returned. Returns whether the
-    /// connection stays open.
-    fn finish_response(&self, conn: &mut Conn, delivered: bool) -> bool {
+    /// blocking handler ran after its write returned.
+    fn finish_response(&self, out: Outgoing, delivered: bool) {
         let now = Instant::now();
-        if let Some(out) = conn.outgoing.take() {
-            let status = if delivered { out.status } else { 0 };
-            if let Some(mut trace) = out.trace {
-                if out.record_write {
-                    trace.record(Stage::Write, out.write_start, now);
-                }
-                if let Some(tracer) = self.shared.tracer() {
-                    tracer.commit(trace, status);
-                }
+        let status = if delivered { out.status } else { 0 };
+        if let Some(mut trace) = out.trace {
+            if out.record_write {
+                trace.record(Stage::Write, out.write_start, now);
             }
-            if let Some(meta) = out.meta {
-                let duration = now.duration_since(meta.started);
-                if self.shared.config.metrics_enabled {
-                    self.shared
-                        .metrics
-                        .request_duration
-                        .with(&[("route", meta.route)])
-                        .observe(duration.as_secs_f64());
-                }
-                let seq = self.shared.log_seq.fetch_add(1, Ordering::Relaxed);
-                if should_sample(seq, self.shared.config.log_sample) {
-                    let ts = std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map(|d| d.as_secs_f64())
-                        .unwrap_or(0.0);
-                    eprintln!(
-                        "{}",
-                        format_log_line(
-                            ts,
-                            seq,
-                            meta.route,
-                            status,
-                            duration.as_micros() as u64,
-                            &meta.client,
-                            &meta.rid
-                        )
-                    );
-                }
+            if let Some(tracer) = self.shared.tracer() {
+                tracer.commit(trace, status);
             }
         }
-        conn.write_buf.clear();
-        conn.written = 0;
-        conn.write_deadline = None;
-        conn.stall_until = None;
-        if !delivered || conn.close_after_flush || self.shared.shutdown.load(Ordering::SeqCst) {
-            return false;
+        let Some(meta) = out.meta else { return };
+        let duration = now.duration_since(meta.started);
+        if self.shared.config.metrics_enabled {
+            self.shared
+                .metrics
+                .request_duration
+                .with(&[("route", meta.route)])
+                .observe(duration.as_secs_f64());
         }
-        if conn.expires.is_some_and(|at| now >= at) {
-            return false;
+        let seq = self.shared.log_seq.fetch_add(1, Ordering::Relaxed);
+        if should_sample(seq, self.shared.config.log_sample) {
+            let ts = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(0.0);
+            eprintln!(
+                "{}",
+                format_log_line(
+                    ts,
+                    seq,
+                    meta.route,
+                    status,
+                    duration.as_micros() as u64,
+                    &meta.client,
+                    &meta.rid
+                )
+            );
         }
-        conn.state = ConnState::Reading;
-        true
     }
 
     /// Routes one parsed request. Fast routes answer inline; `/score`
     /// admits a job and parks the connection; `/reload` runs on a
     /// short-lived worker thread (artifact IO plus probe scoring would
     /// otherwise stall every connection the driver owns).
-    fn dispatch(&mut self, token: u64, conn: &mut Conn, request: ParsedRequest) {
-        conn.close_after_flush = request.close;
-        let client = request.client_id.as_deref().unwrap_or(&conn.peer).to_string();
+    fn dispatch(&mut self, conn: &mut Conn<Outgoing>, request: Request) {
+        let client = request.client_id.as_deref().unwrap_or(conn.peer()).to_string();
         let rid = self.shared.request_id(request.request_id.as_deref());
         let meta = RequestMeta {
             route: route_label(&request.path),
@@ -1259,8 +930,8 @@ impl Driver {
             rid,
         };
         match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/score") => self.dispatch_score(token, conn, &request, meta),
-            ("POST", "/reload") => self.dispatch_reload(token, conn, &request, meta),
+            ("POST", "/score") => self.dispatch_score(conn, &request, meta),
+            ("POST", "/reload") => self.dispatch_reload(conn, &request, meta),
             _ => {
                 let parts = inline_route(&self.shared, &request);
                 let rid = meta.rid.clone();
@@ -1269,7 +940,7 @@ impl Driver {
         }
     }
 
-    fn dispatch_score(&mut self, token: u64, conn: &mut Conn, request: &ParsedRequest, meta: RequestMeta) {
+    fn dispatch_score(&mut self, conn: &mut Conn<Outgoing>, request: &Request, meta: RequestMeta) {
         let shared = Arc::clone(&self.shared);
         let mut trace = shared.tracer().map(|t| t.begin(meta.rid.clone(), "/score"));
         // The token bucket sits in front of the admission queue: an
@@ -1364,18 +1035,20 @@ impl Driver {
                 self.queue_response(conn, parts, &rid, bounced.trace, true, Some(meta));
             }
             Ok(()) => {
-                self.awaiting.insert(id, token);
-                conn.state = ConnState::Awaiting(Await {
-                    job: id,
-                    deadline: admitted.checked_add(SCORE_REPLY_TIMEOUT),
-                    admitted,
-                    meta,
-                });
+                self.awaiting.insert(
+                    id,
+                    Await {
+                        token: conn.token().0,
+                        deadline: admitted.checked_add(SCORE_REPLY_TIMEOUT),
+                        admitted,
+                        meta,
+                    },
+                );
             }
         }
     }
 
-    fn dispatch_reload(&mut self, token: u64, conn: &mut Conn, request: &ParsedRequest, meta: RequestMeta) {
+    fn dispatch_reload(&mut self, conn: &mut Conn<Outgoing>, request: &Request, meta: RequestMeta) {
         let path = match serde::json::from_str::<ReloadRequest>(&request.body) {
             Ok(reload) => reload.path,
             Err(e) => {
@@ -1417,7 +1090,7 @@ impl Driver {
                 // rollout did not happen.
                 Err(e) => (409, error_body(&e.to_string(), None), None),
             };
-            completions.push(Completion {
+            completions.post(Completion {
                 job,
                 status,
                 body,
@@ -1425,41 +1098,36 @@ impl Driver {
                 trace,
             });
         });
-        self.awaiting.insert(job, token);
-        conn.state = ConnState::Awaiting(Await {
+        self.awaiting.insert(
             job,
-            deadline: None,
-            admitted: Instant::now(),
-            meta,
-        });
+            Await {
+                token: conn.token().0,
+                deadline: None,
+                admitted: Instant::now(),
+                meta,
+            },
+        );
     }
 
-    /// Takes the connection parked on `job` out of the table, back in
-    /// `Reading` state, with its wait bookkeeping. `None` when the job is no
-    /// longer awaited — its reply timer fired and the 500 already went out —
-    /// so a late outcome is dropped rather than answered twice.
-    fn take_awaiting(&mut self, job: u64) -> Option<(u64, Conn, Await)> {
-        let token = self.awaiting.remove(&job)?;
-        let mut conn = self.conns.remove(&token)?;
-        match std::mem::replace(&mut conn.state, ConnState::Reading) {
-            ConnState::Awaiting(wait) => Some((token, conn, wait)),
-            other => {
-                conn.state = other;
-                self.conns.insert(token, conn);
-                None
-            }
-        }
+    /// Takes the connection parked on `job` out of the table, with its wait
+    /// bookkeeping. `None` when the job is no longer awaited — its reply
+    /// timer fired and the 500 already went out — so a late outcome is
+    /// dropped rather than answered twice.
+    fn take_awaiting(&mut self, job: u64) -> Option<(Conn<Outgoing>, Await)> {
+        let wait = self.awaiting.remove(&job)?;
+        let conn = self.conns.remove(&wait.token)?;
+        Some((conn, wait))
     }
 
     fn on_completion(&mut self, completion: Completion) {
-        let Some((token, mut conn, wait)) = self.take_awaiting(completion.job) else {
+        let Some((mut conn, wait)) = self.take_awaiting(completion.job) else {
             return;
         };
         let mut parts = ResponseParts::json(completion.status, completion.body);
         parts.model_version = completion.version.map(|v| v.to_string().into());
         let rid = wait.meta.rid.clone();
         self.queue_response(&mut conn, parts, &rid, completion.trace, false, Some(wait.meta));
-        self.drive(token, conn, false);
+        self.drive(conn);
     }
 
     /// Scores what the readiness pass admitted: batches of up to
@@ -1665,7 +1333,7 @@ impl Driver {
     /// The scoring-outcome → response mapping, one arm per [`JobOutcome`],
     /// queued straight onto the connection parked on the job.
     fn answer(&mut self, job: Job, outcome: JobOutcome) {
-        let Some((token, mut conn, wait)) = self.take_awaiting(job.id) else {
+        let Some((mut conn, wait)) = self.take_awaiting(job.id) else {
             return;
         };
         let mut trace = job.trace;
@@ -1699,64 +1367,47 @@ impl Driver {
         };
         let rid = wait.meta.rid.clone();
         self.queue_response(&mut conn, parts, &rid, trace, true, Some(wait.meta));
-        self.drive(token, conn, false);
+        self.drive(conn);
     }
 
-    /// Scans per-connection deadlines: lifetime caps, write-progress
-    /// budgets, injected-stall expiries, and score-reply timeouts.
+    /// Re-drives every connection whose timer passed (lifetime caps,
+    /// read and write budgets, injected-stall expiries — [`Conn::advance`]
+    /// applies them) and answers every job past its reply timeout.
     fn run_timers(&mut self) {
         let now = Instant::now();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            let Some(conn) = self.conns.get(&token) else { continue };
-            match &conn.state {
-                ConnState::Reading => {
-                    if conn.expires.is_some_and(|at| now >= at) {
-                        if let Some(conn) = self.conns.remove(&token) {
-                            self.discard(conn);
-                        }
-                    }
-                }
-                ConnState::Awaiting(wait) => {
-                    if wait.deadline.is_some_and(|at| now >= at) {
-                        self.score_reply_timed_out(token);
-                    }
-                }
-                ConnState::Flushing => {
-                    let stall_passed = conn.stall_until.is_some_and(|at| now >= at);
-                    let stalled = conn.stall_until.is_some_and(|at| now < at);
-                    if stall_passed {
-                        // Resume the deferred flush.
-                        self.on_event(token);
-                    } else if !stalled && conn.write_deadline.is_some_and(|at| now >= at) {
-                        // No write progress for the whole budget: give up on
-                        // this peer.
-                        if let Some(mut conn) = self.conns.remove(&token) {
-                            self.finish_response(&mut conn, false);
-                            self.discard(conn);
-                        }
-                    }
-                }
+        let due: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| conn.deadline().is_some_and(|at| now >= at))
+            .map(|(token, _)| *token)
+            .collect();
+        for token in due {
+            if let Some(conn) = self.conns.remove(&token) {
+                self.drive(conn);
             }
+        }
+        let late: Vec<u64> = self
+            .awaiting
+            .iter()
+            .filter(|(_, wait)| wait.deadline.is_some_and(|at| now >= at))
+            .map(|(job, _)| *job)
+            .collect();
+        for job in late {
+            self.score_reply_timed_out(job);
         }
     }
 
     /// The job was not scored within [`SCORE_REPLY_TIMEOUT`]:
     /// deterministic 500. The job stays queued; whenever it is scored, its
     /// outcome finds nobody awaiting it and is dropped.
-    fn score_reply_timed_out(&mut self, token: u64) {
-        let Some(mut conn) = self.conns.remove(&token) else {
+    fn score_reply_timed_out(&mut self, job: u64) {
+        let Some((mut conn, wait)) = self.take_awaiting(job) else {
             return;
         };
-        let ConnState::Awaiting(wait) = std::mem::replace(&mut conn.state, ConnState::Reading) else {
-            self.conns.insert(token, conn);
-            return;
-        };
-        self.awaiting.remove(&wait.job);
         let parts = ResponseParts::json(500, error_body("scoring pipeline stalled", None));
         let rid = wait.meta.rid.clone();
         self.queue_response(&mut conn, parts, &rid, None, true, Some(wait.meta));
-        self.drive(token, conn, false);
+        self.drive(conn);
     }
 
     /// Shutdown: close every connection that is not owed a response.
@@ -1764,7 +1415,7 @@ impl Driver {
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, conn)| matches!(conn.state, ConnState::Reading))
+            .filter(|(_, conn)| conn.is_reading())
             .map(|(token, _)| *token)
             .collect();
         for token in idle {
@@ -1814,53 +1465,6 @@ fn route_label(path: &str) -> &'static str {
         "/admin/pause" => "/admin/pause",
         "/admin/resume" => "/admin/resume",
         _ => "other",
-    }
-}
-
-struct ParsedRequest {
-    method: String,
-    path: String,
-    body: String,
-    close: bool,
-    /// The `X-Client-Id` header, the rate limiter's preferred client key.
-    client_id: Option<String>,
-    /// The `X-Request-Id` header, adopted as the trace id when well-formed.
-    request_id: Option<String>,
-    /// The `X-Deadline-Ms` header when usable (a positive integer); `None` —
-    /// missing, zero, or garbage — falls back to
-    /// [`ServerConfig::default_deadline_ms`].
-    deadline_ms: Option<u64>,
-}
-
-impl ParsedRequest {
-    /// Copies out of the read buffer what routing needs. The body must be
-    /// UTF-8 (it is JSON); the `X-*` headers are matched in place, so only
-    /// the values kept are allocated.
-    fn new(request: &http::Request<'_>) -> Result<Self, http::Error> {
-        let body = std::str::from_utf8(request.body).map_err(|_| http::Error::new(400, "request body is not UTF-8"))?;
-        let mut parsed = Self {
-            method: request.method.to_string(),
-            path: request.target.to_string(),
-            body: body.to_string(),
-            close: request.close,
-            client_id: None,
-            request_id: None,
-            deadline_ms: None,
-        };
-        for (name, value) in request.headers() {
-            if name.eq_ignore_ascii_case("x-client-id") && !value.is_empty() {
-                parsed.client_id = Some(value.to_string());
-            } else if name.eq_ignore_ascii_case("x-request-id") && !value.is_empty() {
-                parsed.request_id = Some(value.to_string());
-            } else if name.eq_ignore_ascii_case("x-deadline-ms") {
-                // Lenient by design: zero or garbage reads as "no usable
-                // deadline" (the server default applies) rather than a 400 —
-                // a client bug in deadline bookkeeping should degrade, not
-                // break, its requests.
-                parsed.deadline_ms = value.parse::<u64>().ok().filter(|ms| *ms > 0);
-            }
-        }
-        Ok(parsed)
     }
 }
 
@@ -1920,7 +1524,7 @@ fn error_body(message: &str, request_index: Option<usize>) -> String {
 /// Computes the response for every route the driver answers inline —
 /// everything but `POST /score` (admitted and scored after the pass) and `POST /reload`
 /// (offloaded to a worker thread), which the driver intercepts first.
-fn inline_route(shared: &Shared, request: &ParsedRequest) -> ResponseParts {
+fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let snapshot = shared.executor.snapshot();
@@ -2112,12 +1716,28 @@ pub fn http_roundtrip_with_headers(
 
 /// Reads one Content-Length-framed HTTP/1.1 response off the stream. Split
 /// out from [`http_roundtrip`] so pipelined callers can write several
-/// requests first and collect the responses afterwards.
+/// requests first and collect the responses afterwards: bytes are peeked
+/// and consumed only up to the end of this response, so the next response
+/// stays in the socket for the next call.
 pub fn read_http_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
     let mut buffer = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 2048];
+    let mut chunk = [0u8; 4096];
     loop {
-        if let Progress::Complete(response, _) = http::parse_response(&buffer, usize::MAX)? {
+        let peeked = match stream.peek(&mut chunk) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed before a full response",
+                ))
+            }
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let consumed = buffer.len();
+        buffer.extend_from_slice(&chunk[..peeked]);
+        if let Progress::Complete(response, len) = http::parse_response(&buffer, usize::MAX)? {
+            stream.read_exact(&mut chunk[..len - consumed])?;
             let body = String::from_utf8(response.body)
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response body is not UTF-8"))?;
             return Ok(HttpResponse {
@@ -2126,17 +1746,8 @@ pub fn read_http_response(stream: &mut TcpStream) -> io::Result<HttpResponse> {
                 body,
             });
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed before a full response",
-                ))
-            }
-            Ok(n) => buffer.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+        // Everything peeked belongs to this still-incomplete response.
+        stream.read_exact(&mut chunk[..peeked])?;
     }
 }
 
