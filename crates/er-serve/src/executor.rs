@@ -630,6 +630,50 @@ mod tests {
     }
 
     #[test]
+    fn traced_batches_record_one_score_span_per_chunk_and_one_recover_per_restart() {
+        use crate::fault::FaultPlan;
+        use crate::trace::Tracer;
+        use std::sync::Arc;
+
+        let reqs = requests(50, 50);
+        let baseline = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(1)).score_batch(&reqs);
+        for threads in [1usize, 4] {
+            let chunks = reqs.len().div_ceil(reqs.len().div_ceil(threads));
+            for plan in [None, Some("shard_worker_panic@0")] {
+                let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
+                exec.set_fault_plan(plan.map(|spec| Arc::new(FaultPlan::parse(spec).expect("spec"))));
+                let mut spans = SpanSet::new();
+                let scores = exec.try_score_batch_traced(&reqs, &mut spans).expect("scored");
+                let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                let base_bits: Vec<u64> = baseline.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(bits, base_bits, "threads = {threads}, plan = {plan:?}");
+
+                let tracer = Tracer::new(4);
+                let mut trace = tracer.begin("executor-spans".to_string(), "/score");
+                trace.extend_from(&spans);
+                tracer.commit(trace, 200);
+                let committed = tracer.snapshot();
+                let spans = &committed[0].spans;
+                let mut shards: Vec<Option<u32>> = spans
+                    .iter()
+                    .filter(|s| s.stage == Stage::Score)
+                    .map(|s| s.shard)
+                    .collect();
+                shards.sort_unstable();
+                let expected: Vec<Option<u32>> = (0..chunks as u32).map(Some).collect();
+                assert_eq!(shards, expected, "threads = {threads}, plan = {plan:?}");
+                let recovers = spans.iter().filter(|s| s.stage == Stage::Recover).count();
+                assert_eq!(
+                    recovers,
+                    usize::from(plan.is_some()),
+                    "threads = {threads}, plan = {plan:?}"
+                );
+                assert_eq!(exec.worker_panic_count(), recovers as u64);
+            }
+        }
+    }
+
+    #[test]
     fn errors_are_not_cached() {
         let exec = ShardedExecutor::new(
             engine(),
