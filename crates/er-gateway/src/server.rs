@@ -835,12 +835,15 @@ fn hedge_target(shared: &Shared, pair_id: u64, primary: usize, canary_set: bool)
 }
 
 /// Extracts the routing key from a `/score` body: the `pair_id` of a single
-/// request object, or of the first element of a batch.
+/// request object, or of the first element of a batch. An empty batch has
+/// no pair to route by and takes key 0: any healthy backend of its version
+/// set answers it.
 fn extract_pair_id(body: &[u8]) -> Option<u64> {
     let text = std::str::from_utf8(body).ok()?;
     let value = serde::json::parse(text).ok()?;
     let object = match value.as_seq() {
-        Some(items) => items.first()?,
+        Some([]) => return Some(0),
+        Some([first, ..]) => first,
         None => &value,
     };
     serde::from_value(object.get("pair_id")?).ok()
@@ -1078,7 +1081,7 @@ mod tests {
     fn pair_id_extraction_handles_objects_and_batches() {
         assert_eq!(extract_pair_id(br#"{"pair_id": 42, "metric_row": []}"#), Some(42));
         assert_eq!(extract_pair_id(br#"[{"pair_id": 7}, {"pair_id": 9}]"#), Some(7));
-        assert_eq!(extract_pair_id(b"[]"), None);
+        assert_eq!(extract_pair_id(b"[]"), Some(0), "an empty batch routes as pair 0");
         assert_eq!(extract_pair_id(b"{\"x\": 1}"), None);
         assert_eq!(extract_pair_id(b"not json"), None);
     }

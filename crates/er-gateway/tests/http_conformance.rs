@@ -20,7 +20,10 @@ use er_base::Label;
 use er_gateway::{GatewayConfig, GatewayServer};
 use er_rulegen::{CmpOp, Condition, Rule};
 use er_serve::http::{self, Progress};
-use er_serve::{read_http_response, ReloadableExecutor, ScoreServer, ScoringEngine, ServeConfig, ServerConfig};
+use er_serve::{
+    http_roundtrip, parse_score_response, read_http_response, ReloadableExecutor, ScoreServer, ScoringEngine,
+    ServeConfig, ServerConfig,
+};
 use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -250,6 +253,25 @@ fn expect_continue_gets_one_interim_response_per_request() {
             );
             assert!(response.body.contains("scores"), "{process}: {}", response.body);
         }
+    });
+}
+
+#[test]
+fn an_empty_batch_is_an_empty_200_with_its_version() {
+    against_both(|process, addr| {
+        let mut stream = connect(addr);
+        let response =
+            http_roundtrip(&mut stream, "POST", "/score", Some("[]")).unwrap_or_else(|e| panic!("{process}: {e}"));
+        assert_eq!(response.status, 200, "{process}: {}", response.body);
+        let (version, scores) =
+            parse_score_response(&response.body).unwrap_or_else(|e| panic!("{process}: {e}: {}", response.body));
+        assert!(scores.is_empty(), "{process}: {}", response.body);
+        let header = version.to_string();
+        assert_eq!(
+            response.header("x-model-version"),
+            Some(header.as_str()),
+            "{process}: the header names the body's version"
+        );
     });
 }
 

@@ -1,11 +1,16 @@
 //! The sharded multi-threaded executor.
 //!
 //! [`ShardedExecutor::score_batch`] splits a batch into contiguous chunks
-//! and scores them on the lanes of a persistent [`er_pool::WorkerPool`]
-//! (threads are spawned once per executor — or once per
+//! of `ceil(len / threads)` requests and hands each to one supervised chunk
+//! runner, with its own [`EngineScratch`] and its own outcome slot. One
+//! chunk (one thread, or one request) runs inline on the calling thread;
+//! more run on the lanes of a persistent [`er_pool::WorkerPool`] (threads
+//! are spawned once per executor — or once per
 //! [`crate::ReloadableExecutor`], which shares one pool across every
-//! reload generation — not once per batch), each chunk with its own
-//! [`EngineScratch`]. A bounded
+//! reload generation — not once per batch). A runner scores its first
+//! attempt under `catch_unwind`; a panicked chunk is counted and re-scored
+//! once. Because chunks are contiguous, the first failing chunk in order
+//! holds the batch's smallest failing index. A bounded
 //! LRU result cache, sharded across mutexes and keyed on pair id, serves
 //! repeated-pair traffic without re-scoring. Scoring is a pure function of
 //! the request, so results are deterministic: the same batch produces the
@@ -142,8 +147,8 @@ impl ShardedExecutor {
         }
     }
 
-    /// Attach (or clear) a fault-injection plan. Worker threads consult the
-    /// plan's `shard_worker_panic` point once per spawn; an absent plan is a
+    /// Attach (or clear) a fault-injection plan. Each chunk runner consults
+    /// the plan's `shard_worker_panic` point once; an absent plan is a
     /// single relaxed-atomic load on the batch path.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         self.fault_set.store(plan.is_some(), Ordering::Release);
@@ -263,34 +268,109 @@ impl ShardedExecutor {
     /// Fallible [`Self::score_batch`]: scores the batch and reports the
     /// *first* malformed request (smallest batch index, deterministic for
     /// every thread count) as a [`BatchScoreError`] instead of panicking a
-    /// worker.  Each worker stops its chunk at its first error, so a poisoned
-    /// batch fails fast rather than burning the remaining scoring work.
+    /// worker.  Each chunk stops at its first error, so a poisoned batch
+    /// fails fast rather than burning the remaining scoring work.
     ///
-    /// Workers additionally run under `catch_unwind` supervision: a worker
+    /// Chunks additionally run under `catch_unwind` supervision: a chunk
     /// that panics (scoring is pure, so in practice only via an injected
-    /// [`FaultKind::ShardWorkerPanic`]) has its chunk re-scored sequentially
-    /// after the fan-out joins, producing bit-exact scores; the panic is
-    /// counted in [`Self::worker_panic_count`].
+    /// [`FaultKind::ShardWorkerPanic`]) is re-scored once, sequentially,
+    /// producing bit-exact scores; the panic is counted in
+    /// [`Self::worker_panic_count`].
     pub fn try_score_batch(&self, requests: &[ScoreRequest]) -> Result<Vec<f64>, BatchScoreError> {
-        self.score_batch_inner(requests, None)
+        self.try_score_batch_spanned(requests, None)
     }
 
-    /// [`Self::try_score_batch`] that additionally records one
-    /// [`Stage::Score`] span per worker shard into `spans` (wall-clock
-    /// enter/exit of that shard's chunk), so a request trace can attribute
-    /// scoring time to the executor fan-out. The single-threaded path records
-    /// one shard-0 span covering the whole batch.
-    pub fn try_score_batch_traced(
+    /// [`Self::try_score_batch`] that, given `spans`, records one
+    /// [`Stage::Score`] span per chunk (shard = chunk index; its first
+    /// attempt's wall-clock window) and one [`Stage::Recover`] span per
+    /// restarted chunk, so a request trace can attribute scoring time to the
+    /// executor fan-out. `None` records nothing.
+    pub(crate) fn try_score_batch_spanned(
         &self,
         requests: &[ScoreRequest],
-        spans: &mut SpanSet,
+        spans: Option<&mut SpanSet>,
     ) -> Result<Vec<f64>, BatchScoreError> {
-        self.score_batch_inner(requests, Some(spans))
+        let mut scores = vec![0.0f64; requests.len()];
+        let chunk = requests.len().div_ceil(self.config.threads.max(1)).max(1);
+        let fault = self.fault_plan();
+        let fault = fault.as_deref();
+        // One outcome slot per chunk, written by that chunk's runner alone.
+        let mut outcomes: Vec<Option<ChunkOutcome>> = vec![None; requests.len().div_ceil(chunk)];
+        let inline = outcomes.len() <= 1;
+        let chunks = requests
+            .chunks(chunk)
+            .zip(scores.chunks_mut(chunk))
+            .zip(outcomes.iter_mut())
+            .enumerate();
+        if inline {
+            // One chunk (one thread, or one request) scores on this thread.
+            for (index, ((request_chunk, score_chunk), slot)) in chunks {
+                *slot = Some(self.run_chunk(request_chunk, score_chunk, index * chunk, fault));
+            }
+        } else {
+            // A restart that panics again is a real bug: the pool hands the
+            // panic back and it propagates to the caller's supervisor.
+            self.pool
+                .scope(|scope| {
+                    for (index, ((request_chunk, score_chunk), slot)) in chunks {
+                        scope.spawn(move || {
+                            *slot = Some(self.run_chunk(request_chunk, score_chunk, index * chunk, fault))
+                        });
+                    }
+                })
+                .propagate();
+        }
+        if let Some(spans) = spans {
+            for (shard, outcome) in outcomes.iter().flatten().enumerate() {
+                let (start, end) = outcome.score;
+                spans.record_shard(Stage::Score, shard as u32, start, end);
+                if let Some((start, end)) = outcome.recover {
+                    spans.record(Stage::Recover, start, end);
+                }
+            }
+        }
+        // Chunks are contiguous, so the first chunk in order that failed
+        // holds the batch's smallest failing index.
+        match outcomes.iter().flatten().find_map(|outcome| outcome.result.err()) {
+            Some(error) => Err(error),
+            None => Ok(scores),
+        }
     }
 
-    /// Scores `requests[base..]` (already sliced) sequentially into `scores`,
-    /// attributing errors against `base` — the single-threaded scoring path
-    /// and the supervisor's restart path for a panicked worker's chunk.
+    /// Scores one contiguous chunk of a batch (`base` = its first batch
+    /// index) under supervision: the first attempt runs under
+    /// `catch_unwind`, behind the `shard_worker_panic` fault point; if it
+    /// panics, the panic is counted and the chunk is re-scored from scratch
+    /// on the same thread. Scoring is pure, so the restart reproduces the
+    /// scores bit-exactly.
+    fn run_chunk(
+        &self,
+        requests: &[ScoreRequest],
+        scores: &mut [f64],
+        base: usize,
+        fault: Option<&FaultPlan>,
+    ) -> ChunkOutcome {
+        let start = Instant::now();
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            if fault.is_some_and(|plan| plan.fires(FaultKind::ShardWorkerPanic)) {
+                panic!("injected {}", FaultKind::ShardWorkerPanic);
+            }
+            self.score_range(requests, scores, base)
+        }));
+        let score = (start, Instant::now());
+        let (result, recover) = match attempt {
+            Ok(result) => (result, None),
+            Err(_) => {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                let result = self.score_range(requests, scores, base);
+                (result, Some((score.1, Instant::now())))
+            }
+        };
+        ChunkOutcome { result, score, recover }
+    }
+
+    /// Scores `requests` sequentially into `scores`, attributing errors
+    /// against batch index `base`; stops at the first error.
     fn score_range(&self, requests: &[ScoreRequest], scores: &mut [f64], base: usize) -> Result<(), BatchScoreError> {
         let mut scratch = self.engine.scratch();
         for (offset, (request, slot)) in requests.iter().zip(scores).enumerate() {
@@ -303,142 +383,17 @@ impl ShardedExecutor {
         }
         Ok(())
     }
+}
 
-    fn score_batch_inner(
-        &self,
-        requests: &[ScoreRequest],
-        mut spans: Option<&mut SpanSet>,
-    ) -> Result<Vec<f64>, BatchScoreError> {
-        let mut scores = vec![0.0f64; requests.len()];
-        let threads = self.config.threads.max(1);
-        let fault = self.fault_plan();
-        if threads == 1 || requests.len() <= 1 {
-            let start = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(plan) = fault.as_deref() {
-                    if plan.fires(FaultKind::ShardWorkerPanic) {
-                        panic!("injected {}", FaultKind::ShardWorkerPanic);
-                    }
-                }
-                self.score_range(requests, &mut scores, 0)
-            }));
-            let result = match attempt {
-                Ok(result) => result,
-                Err(_) => {
-                    // The worker panicked mid-chunk: count it and restart the
-                    // chunk from scratch on this thread. Scoring is pure, so
-                    // the restart reproduces the scores bit-exactly; a second
-                    // panic is a real bug and propagates to the caller's
-                    // supervisor.
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                    let recover_start = Instant::now();
-                    let result = self.score_range(requests, &mut scores, 0);
-                    if let Some(spans) = spans.as_mut() {
-                        spans.record(Stage::Recover, recover_start, Instant::now());
-                    }
-                    result
-                }
-            };
-            result?;
-            if let Some(spans) = spans.as_mut() {
-                spans.record_shard(Stage::Score, 0, start, Instant::now());
-            }
-            return Ok(scores);
-        }
-        let chunk = requests.len().div_ceil(threads);
-        // One enter/exit slot per worker shard, written by exactly one scoped
-        // thread each — per-shard span recording without any locking.
-        let shard_count = requests.len().div_ceil(chunk);
-        let mut shard_windows: Vec<Option<(Instant, Instant)>> = vec![None; shard_count];
-        // Every erroring worker reports its chunk's first error; the smallest
-        // request index across chunks is the batch's first error overall.
-        let first_error: Mutex<Option<BatchScoreError>> = Mutex::new(None);
-        // Chunks abandoned by a panicking worker, re-scored sequentially
-        // after the scope joins.
-        let panicked: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        self.pool.scope(|scope| {
-            for ((chunk_index, (request_chunk, score_chunk)), window) in requests
-                .chunks(chunk)
-                .zip(scores.chunks_mut(chunk))
-                .enumerate()
-                .zip(shard_windows.iter_mut())
-            {
-                let first_error = &first_error;
-                let panicked = &panicked;
-                let fault = fault.as_deref();
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    // The pool isolates task panics too, but catching here
-                    // keeps the panic accounting (and the chunk restart
-                    // decision) local to the executor, so the batch and its
-                    // reply channels stay alive for the supervisor to
-                    // restart the abandoned chunk instead of losing the
-                    // whole server.
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(plan) = fault {
-                            if plan.fires(FaultKind::ShardWorkerPanic) {
-                                panic!("injected {}", FaultKind::ShardWorkerPanic);
-                            }
-                        }
-                        let mut scratch = self.engine.scratch();
-                        for (offset, (request, slot)) in request_chunk.iter().zip(score_chunk).enumerate() {
-                            match self.try_score_one(request, &mut scratch) {
-                                Ok(score) => *slot = score,
-                                Err(error) => {
-                                    let found = BatchScoreError {
-                                        request_index: chunk_index * chunk + offset,
-                                        error,
-                                    };
-                                    let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
-                                    if slot.is_none_or(|prior| found.request_index < prior.request_index) {
-                                        *slot = Some(found);
-                                    }
-                                    return;
-                                }
-                            }
-                        }
-                    }));
-                    *window = Some((start, Instant::now()));
-                    if attempt.is_err() {
-                        self.panics.fetch_add(1, Ordering::Relaxed);
-                        panicked.lock().unwrap_or_else(|e| e.into_inner()).push(chunk_index);
-                    }
-                });
-            }
-        });
-        let panicked = panicked.into_inner().unwrap_or_else(|e| e.into_inner());
-        if !panicked.is_empty() {
-            // Supervision: restart each panicked worker's chunk on this
-            // thread. Injected faults fire once per occurrence, so the
-            // restart scores clean and bit-exact; a persistent panic is a
-            // real bug and propagates.
-            let recover_start = Instant::now();
-            for chunk_index in panicked {
-                let lo = chunk_index * chunk;
-                let hi = (lo + chunk).min(requests.len());
-                if let Err(found) = self.score_range(&requests[lo..hi], &mut scores[lo..hi], lo) {
-                    let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
-                    if slot.is_none_or(|prior| found.request_index < prior.request_index) {
-                        *slot = Some(found);
-                    }
-                }
-            }
-            if let Some(spans) = spans.as_mut() {
-                spans.record(Stage::Recover, recover_start, Instant::now());
-            }
-        }
-        if let Some(spans) = spans.as_mut() {
-            for (shard, window) in shard_windows.iter().enumerate() {
-                if let Some((start, end)) = window {
-                    spans.record_shard(Stage::Score, shard as u32, *start, *end);
-                }
-            }
-        }
-        match first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(error) => Err(error),
-            None => Ok(scores),
-        }
-    }
+/// What one chunk's runner leaves in the chunk's own slot.
+#[derive(Clone, Copy)]
+struct ChunkOutcome {
+    /// The chunk's first error, if any.
+    result: Result<(), BatchScoreError>,
+    /// Wall-clock window of the first attempt.
+    score: (Instant, Instant),
+    /// Wall-clock window of the restart, when the first attempt panicked.
+    recover: Option<(Instant, Instant)>,
 }
 
 #[cfg(test)]
@@ -643,7 +598,7 @@ mod tests {
                 let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
                 exec.set_fault_plan(plan.map(|spec| Arc::new(FaultPlan::parse(spec).expect("spec"))));
                 let mut spans = SpanSet::new();
-                let scores = exec.try_score_batch_traced(&reqs, &mut spans).expect("scored");
+                let scores = exec.try_score_batch_spanned(&reqs, Some(&mut spans)).expect("scored");
                 let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
                 let base_bits: Vec<u64> = baseline.iter().map(|s| s.to_bits()).collect();
                 assert_eq!(bits, base_bits, "threads = {threads}, plan = {plan:?}");

@@ -20,9 +20,9 @@
 //! * [`executor`] — [`ShardedExecutor`]: batches chunked across the lanes
 //!   of a persistent [`er_pool::WorkerPool`] plus a shard-locked result
 //!   cache keyed on pair id.
-//! * [`readiness`] — a hand-rolled readiness facility (`epoll` on Linux,
-//!   `poll(2)` elsewhere, `mio`-shaped API, nonblocking `connect`) behind
-//!   both processes' event-driven drivers.
+//! * [`readiness`] — a hand-rolled, Linux-only readiness facility
+//!   (`epoll`, `mio`-shaped API, nonblocking `connect`) behind both
+//!   processes' event-driven drivers.
 //! * [`conn`] — the connection half of a readiness-loop driver, shared by
 //!   the server and `er-gateway`: read → parse → `100 Continue` → respond
 //!   → flush → keep-alive or close, interest bookkeeping, and the

@@ -221,7 +221,7 @@ impl HistogramVec {
 }
 
 /// Latency bucket bounds in seconds: 25µs doubling to ~3.3s. Sized for
-/// socket round trips through the micro-batching window (hundreds of µs on
+/// socket round trips through the readiness loop (hundreds of µs on
 /// loopback) while keeping resolution at the tails.
 pub fn latency_bounds() -> Arc<[f64]> {
     let mut bounds = vec![25e-6, 50e-6];
@@ -311,8 +311,10 @@ pub struct MetricsRegistry {
     /// that got a deterministic 500 (batcher) or a transparently re-scored
     /// chunk (shard) instead of a severed connection.
     pub worker_panics: CounterVec,
-    /// `er_serve_worker_restarts_total{role}` — supervised worker threads
-    /// restarted after an unexpected unwind escaped a batch.
+    /// `er_serve_worker_restarts_total{role}` — supervised recoveries: a
+    /// panicked batch answered 500 (`batcher`), or a panicked chunk
+    /// re-scored (`shard`). No thread restarts; the panic is caught where
+    /// it happens.
     pub worker_restarts: CounterVec,
 }
 

@@ -265,30 +265,71 @@ impl ReloadableExecutor {
     /// `probes` (e.g. sampled live traffic). On error the current version
     /// keeps serving, untouched.
     pub fn reload_artifact(&self, artifact: ModelArtifact, probes: &[ScoreRequest]) -> Result<u64, ReloadError> {
-        self.reload_artifact_observed(artifact, probes, None)
+        self.promote(artifact, probes, None)
     }
 
-    /// [`Self::reload_artifact`] that additionally records the promotion
-    /// pipeline's `validate → probe → swap` stages into `spans` (the `load`
-    /// stage belongs to [`Self::reload_from_path_traced`], which times the
-    /// disk read). Spans for stages that ran are recorded even when a later
-    /// stage refuses the candidate.
-    pub fn reload_artifact_traced(
+    /// The promotion pipeline behind [`Self::reload_artifact`]. Given
+    /// `spans`, it records the `validate → probe → swap` stages that ran,
+    /// even when a later stage refuses the candidate. Every outcome lands in
+    /// the attached metrics registry.
+    fn promote(
         &self,
         artifact: ModelArtifact,
         probes: &[ScoreRequest],
-        spans: &mut SpanSet,
+        mut spans: Option<&mut SpanSet>,
     ) -> Result<u64, ReloadError> {
-        self.reload_artifact_observed(artifact, probes, Some(spans))
-    }
-
-    fn reload_artifact_observed(
-        &self,
-        artifact: ModelArtifact,
-        probes: &[ScoreRequest],
-        spans: Option<&mut SpanSet>,
-    ) -> Result<u64, ReloadError> {
-        let result = self.reload_artifact_inner(artifact, probes, spans);
+        let mut stage = |s: Stage, start: Instant| {
+            if let Some(spans) = spans.as_mut() {
+                spans.record(s, start, Instant::now());
+            }
+        };
+        let result = 'promote: {
+            let fault = self.fault_plan();
+            let start = Instant::now();
+            let validated = if fault.as_deref().is_some_and(|p| p.fires(FaultKind::ReloadValidateFail)) {
+                Err(ArtifactError::InvalidModel(format!(
+                    "injected {}",
+                    FaultKind::ReloadValidateFail
+                )))
+            } else {
+                artifact.model.validate().map_err(ArtifactError::InvalidModel)
+            };
+            stage(Stage::Validate, start);
+            if let Err(e) = validated {
+                break 'promote Err(e.into());
+            }
+            let start = Instant::now();
+            let candidate = ScoringEngine::new(artifact.model.clone());
+            let synthesized = synthesize_probes(&candidate);
+            let verified = verify_candidate_round_trip(&artifact, &candidate, &synthesized).and_then(|()| {
+                if probes.is_empty() {
+                    Ok(())
+                } else {
+                    verify_candidate_round_trip(&artifact, &candidate, probes)
+                }
+            });
+            stage(Stage::Probe, start);
+            if let Err(e) = verified {
+                break 'promote Err(e);
+            }
+            let start = Instant::now();
+            let _guard = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
+            let next_version = self.version() + 1;
+            // A fresh executor: the score cache is keyed on pair id only, so
+            // entries computed by the old model must not survive the swap.
+            // The worker pool carries over — reloads never respawn threads.
+            let executor = ShardedExecutor::with_pool(candidate, self.config, Arc::clone(&self.pool));
+            executor.set_fault_plan(fault);
+            let next = Arc::new(VersionedExecutor {
+                version: next_version,
+                producer: artifact.producer,
+                digest: crate::artifact::model_digest(&artifact.model),
+                executor,
+            });
+            *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
+            stage(Stage::Swap, start);
+            Ok(next_version)
+        };
         if let Some(metrics) = self.metrics.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
             let outcome = if result.is_ok() { "applied" } else { "refused" };
             metrics.reloads.with(&[("outcome", outcome)]).inc();
@@ -299,65 +340,28 @@ impl ReloadableExecutor {
         result
     }
 
-    fn reload_artifact_inner(
-        &self,
-        artifact: ModelArtifact,
-        probes: &[ScoreRequest],
-        mut spans: Option<&mut SpanSet>,
-    ) -> Result<u64, ReloadError> {
-        let stage = |spans: &mut Option<&mut SpanSet>, s: Stage, start: Instant| {
-            if let Some(spans) = spans.as_mut() {
-                spans.record(s, start, Instant::now());
-            }
-        };
-        let fault = self.fault_plan();
-        let start = Instant::now();
-        let validated = if fault.as_deref().is_some_and(|p| p.fires(FaultKind::ReloadValidateFail)) {
-            Err(ArtifactError::InvalidModel(format!(
-                "injected {}",
-                FaultKind::ReloadValidateFail
-            )))
-        } else {
-            artifact.model.validate().map_err(ArtifactError::InvalidModel)
-        };
-        stage(&mut spans, Stage::Validate, start);
-        validated?;
-        let start = Instant::now();
-        let candidate = ScoringEngine::new(artifact.model.clone());
-        let synthesized = synthesize_probes(&candidate);
-        let verified = verify_candidate_round_trip(&artifact, &candidate, &synthesized).and_then(|()| {
-            if probes.is_empty() {
-                Ok(())
-            } else {
-                verify_candidate_round_trip(&artifact, &candidate, probes)
-            }
-        });
-        stage(&mut spans, Stage::Probe, start);
-        verified?;
-        let start = Instant::now();
-        let _guard = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let next_version = self.version() + 1;
-        // A fresh executor: the score cache is keyed on pair id only, so
-        // entries computed by the old model must not survive the swap. The
-        // worker pool carries over — reloads never respawn threads.
-        let executor = ShardedExecutor::with_pool(candidate, self.config, Arc::clone(&self.pool));
-        executor.set_fault_plan(fault);
-        let next = Arc::new(VersionedExecutor {
-            version: next_version,
-            producer: artifact.producer,
-            digest: crate::artifact::model_digest(&artifact.model),
-            executor,
-        });
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
-        stage(&mut spans, Stage::Swap, start);
-        Ok(next_version)
-    }
-
     /// [`Self::reload_artifact`] from a file path (the operator-facing form
     /// the HTTP `POST /reload` endpoint calls).
     pub fn reload_from_path(&self, path: impl AsRef<Path>, probes: &[ScoreRequest]) -> Result<u64, ReloadError> {
-        let artifact = self.load_artifact(path.as_ref())?;
-        self.reload_artifact(artifact, probes)
+        self.reload_from_path_spanned(path.as_ref(), probes, None)
+    }
+
+    /// [`Self::reload_from_path`] that, given `spans`, records the full
+    /// `load → validate → probe → swap` stage timeline, so a traced
+    /// `POST /reload` can attribute promotion latency the same way `/score`
+    /// traces attribute request latency. `None` records nothing.
+    pub(crate) fn reload_from_path_spanned(
+        &self,
+        path: &Path,
+        probes: &[ScoreRequest],
+        mut spans: Option<&mut SpanSet>,
+    ) -> Result<u64, ReloadError> {
+        let start = Instant::now();
+        let loaded = self.load_artifact(path);
+        if let Some(spans) = spans.as_mut() {
+            spans.record(Stage::Load, start, Instant::now());
+        }
+        self.promote(loaded?, probes, spans)
     }
 
     /// [`ModelArtifact::load`] behind the `artifact_read_torn` fault point:
@@ -378,22 +382,6 @@ impl ReloadableExecutor {
             return ModelArtifact::from_json(&text[..cut]);
         }
         ModelArtifact::load(path)
-    }
-
-    /// [`Self::reload_from_path`] that records the full
-    /// `load → validate → probe → swap` stage timeline into `spans`, so a
-    /// traced `POST /reload` can attribute promotion latency the same way
-    /// `/score` traces attribute request latency.
-    pub fn reload_from_path_traced(
-        &self,
-        path: impl AsRef<Path>,
-        probes: &[ScoreRequest],
-        spans: &mut SpanSet,
-    ) -> Result<u64, ReloadError> {
-        let start = Instant::now();
-        let loaded = self.load_artifact(path.as_ref());
-        spans.record(Stage::Load, start, Instant::now());
-        self.reload_artifact_observed(loaded?, probes, Some(spans))
     }
 }
 

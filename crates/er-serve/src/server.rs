@@ -14,10 +14,20 @@
 //! only when a single pass admits several of them, so batching happens under
 //! load and a lone request never waits for company. A parked connection
 //! costs a few hundred bytes of state, not a thread, so thousands of
-//! mostly-idle keep-alive connections are cheap. Every batch is scored
-//! through a single [`ReloadableExecutor`] snapshot, so each HTTP response
-//! carries exactly one artifact version (the `model_version` field /
-//! `X-Model-Version` header) even while a hot reload is in flight.
+//! mostly-idle keep-alive connections are cheap.
+//!
+//! An admitted `/score` is one `Job` from admission to answer: the token of
+//! the connection parked on it, its request metadata, trace, admission
+//! instant and deadline. A connection has at most one request with the
+//! driver, so the token names the job. The job leaves the queue exactly
+//! once — scored, shed at its deadline, or taken by the reply watchdog —
+//! and its answer goes to the connection its token names. `POST /reload`
+//! parks by token too, while a worker thread promotes the artifact.
+//!
+//! Every batch is scored through a single [`ReloadableExecutor`] snapshot,
+//! so each HTTP response carries exactly one artifact version (the
+//! `model_version` field / `X-Model-Version` header) even while a hot
+//! reload is in flight; so does the empty batch `[]`, answered at once.
 //!
 //! **Backpressure is explicit and deterministic**: when the admission queue
 //! is full the server answers `429 Too Many Requests` immediately (with a
@@ -55,8 +65,8 @@
 //!
 //! ## Failure containment
 //!
-//! Each batch is scored under `catch_unwind`, and the executor's shard
-//! workers run under their own supervision: a panic is counted
+//! Each batch is scored under `catch_unwind`, and the executor's chunks
+//! run under their own supervision: a panic is counted
 //! (`er_serve_worker_panics_total{role}`, `role="batcher"` for a batch), the
 //! jobs of the panicked batch get a deterministic 500 (never a severed
 //! connection), and the next batch scores normally. Every internal lock
@@ -237,17 +247,24 @@ enum JobOutcome {
     Panicked,
     /// The job's deadline budget expired before scoring started → 504.
     Expired,
+    /// The job waited past [`SCORE_REPLY_TIMEOUT`] unscored → 500.
+    Stalled,
 }
 
+/// An admitted `POST /score`: the one record of it from admission to
+/// answer. A parked connection has at most one request with the driver, so
+/// the connection's token names the job.
 struct Job {
-    /// The key the parked connection awaits (see [`Driver::awaiting`]).
-    id: u64,
+    /// The token of the connection parked on the job.
+    token: u64,
     requests: Vec<ScoreRequest>,
+    meta: RequestMeta,
     /// The request's in-flight trace.
     trace: Option<ActiveTrace>,
-    /// When the job was admitted; opens the `admission_queue` span, which
-    /// closes when scoring starts.
-    enqueued: Instant,
+    /// When the job was admitted: opens the `admission_queue` span (closed
+    /// when scoring starts), drives `er_serve_score_duration_seconds`, and
+    /// starts the [`SCORE_REPLY_TIMEOUT`].
+    admitted: Instant,
     /// Absolute deadline derived from `X-Deadline-Ms` (or the server
     /// default); the job is shed with a 504 once this passes.
     deadline: Option<Instant>,
@@ -292,14 +309,21 @@ impl AdmissionQueue {
         }
         batch
     }
+
+    /// Takes the jobs admitted at or before `cutoff` — the reply
+    /// watchdog's expired jobs. Admission order is FIFO, so they are a
+    /// prefix of the queue.
+    fn take_admitted_by(&mut self, cutoff: Instant) -> Vec<Job> {
+        let late = self.jobs.iter().take_while(|job| job.admitted <= cutoff).count();
+        self.jobs.drain(..late).collect()
+    }
 }
 
 /// A finished `POST /reload`, posted to the driver by its worker thread and
-/// keyed by the job id the driver allotted when it parked the connection.
-/// The response is already decided; the driver only serializes and flushes
-/// it.
+/// keyed by the token of the connection parked on it. The response is
+/// already decided; the driver only serializes and flushes it.
 struct Completion {
-    job: u64,
+    token: u64,
     status: u16,
     body: String,
     version: Option<u64>,
@@ -315,6 +339,20 @@ struct VersionLabels {
     header: Arc<str>,
     score_requests: Option<Arc<Counter>>,
     score_duration: Option<Arc<Histogram>>,
+}
+
+impl VersionLabels {
+    /// The 200 `/score` response carrying `scores` under this version, named
+    /// in the body and the `X-Model-Version` header alike.
+    fn response(&self, scores: Vec<f64>) -> ResponseParts {
+        let body = serde::json::to_string(&ScoreResponse {
+            model_version: self.version,
+            scores,
+        });
+        let mut parts = ResponseParts::json(200, body);
+        parts.model_version = Some(Arc::clone(&self.header));
+        parts
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -449,10 +487,9 @@ impl ScoreServer {
                             lifetime: Some(shared.config.max_connection_lifetime),
                         },
                         conns: HashMap::new(),
-                        awaiting: HashMap::new(),
+                        reloads: HashMap::new(),
                         refused: HashSet::new(),
                         next_token: FIRST_CONN,
-                        next_job: 0,
                         active: 0,
                         queue: AdmissionQueue::new(shared.config.queue_capacity),
                         stalled: None,
@@ -548,12 +585,12 @@ impl Drop for ScoreServer {
 // ---------------------------------------------------------------------------
 
 /// Upper bound on one poll wait, so per-connection timers (lifetimes, write
-/// deadlines, injected stalls, reply timeouts) are scanned at least this
-/// often even when no readiness event arrives.
+/// deadlines, injected stalls) and the reply watchdog are scanned at least
+/// this often even when no readiness event arrives.
 const POLL_TICK: Duration = Duration::from_millis(100);
 /// How long an admitted job may stay unscored (paused intake, a stalled
-/// batch ahead of it) before the driver answers 500 (`scoring pipeline
-/// stalled`).
+/// batch ahead of it) before the driver takes it out of the queue and
+/// answers 500 (`scoring pipeline stalled`).
 const SCORE_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The listener's token in the readiness loop.
@@ -581,29 +618,13 @@ struct Outgoing {
     /// Pending trace, committed with the status actually flushed (0 if the
     /// write failed) — `/score` and `/reload` responses only.
     trace: Option<ActiveTrace>,
-    /// Record a `write` span (enqueue → flushed) on the trace before
-    /// committing — `/score` responses only, mirroring the old
-    /// `respond_score` single exit point.
-    record_write: bool,
-    /// When the response was built and enqueued; the write span's start.
+    /// When the response was built and enqueued; the start of the `write`
+    /// span a `/score` trace records.
     write_start: Instant,
     /// `None` for responses to unparseable requests and connection-cap
     /// refusals, which are never logged or duration-observed (there is no
     /// route to attribute them to).
     meta: Option<RequestMeta>,
-}
-
-/// The in-flight-job bookkeeping of a parked connection.
-struct Await {
-    /// The token of the connection parked on the job.
-    token: u64,
-    /// `Some` for scoring jobs: answer 500 (`scoring pipeline stalled`) if
-    /// no completion arrives by then. Reloads carry no reply timeout, just
-    /// as the blocking handler put no timeout on a reload.
-    deadline: Option<Instant>,
-    /// When the job was admitted; drives `er_serve_score_duration_seconds`.
-    admitted: Instant,
-    meta: RequestMeta,
 }
 
 /// A response computed by a route handler, not yet serialized to the wire.
@@ -643,13 +664,13 @@ struct Driver {
     listener: TcpListener,
     limits: Limits,
     conns: HashMap<u64, Conn<Outgoing>>,
-    /// job id → the connection parked on it.
-    awaiting: HashMap<u64, Await>,
+    /// Parked `/reload` requests, by connection token. Reloads carry no
+    /// reply timeout.
+    reloads: HashMap<u64, RequestMeta>,
     /// Over-cap connections that exist only to flush their 503; not
     /// counted against the connection cap.
     refused: HashSet<u64>,
     next_token: u64,
-    next_job: u64,
     /// Connections counted against `max_connections` (excludes refusals).
     active: usize,
     /// Admitted-but-unscored jobs.
@@ -706,15 +727,14 @@ impl Driver {
         }
     }
 
-    /// Sleep until the nearest per-connection deadline, reply timeout or
-    /// the end of an injected scoring stall, capped at [`POLL_TICK`];
-    /// readiness events and the waker interrupt it anyway.
+    /// Sleep until the nearest per-connection deadline or the end of an
+    /// injected scoring stall, capped at [`POLL_TICK`]; readiness events and
+    /// the waker interrupt it anyway.
     fn poll_timeout(&self) -> Duration {
         let deadline = self
             .conns
             .values()
             .filter_map(Conn::deadline)
-            .chain(self.awaiting.values().filter_map(|wait| wait.deadline))
             .chain(self.stalled.as_ref().map(|(until, _)| *until))
             .min();
         deadline.map_or(POLL_TICK, |at| {
@@ -758,7 +778,6 @@ impl Driver {
             let refusal = Outgoing {
                 status: 503,
                 trace: None,
-                record_write: false,
                 write_start: Instant::now(),
                 meta: None,
             };
@@ -811,22 +830,22 @@ impl Driver {
     /// something to correlate on.
     fn queue_failure(&self, conn: &mut Conn<Outgoing>, failure: http::Error) {
         let rid = self.shared.request_id(None);
-        let parts = ResponseParts::json(failure.status, error_body(&failure.message, None));
-        self.queue_response(conn, parts, &rid, None, false, None);
+        let body = error_body(&failure.message, None);
+        let parts = ResponseParts::with_headers(failure.status, body, vec![("X-Request-Id", rid)]);
+        self.queue_response(conn, parts, None, None);
     }
 
     /// Serializes a response onto the connection and arms the flush
-    /// machinery. The responses counter is incremented here, before any
-    /// byte moves — the position it held in the blocking writer — and an
-    /// injected `client_write_stall` defers the flush, as if the client had
-    /// stopped draining its receive window.
+    /// machinery; the `X-Request-Id` it echoes comes from `meta`. The
+    /// responses counter is incremented here, before any byte moves — the
+    /// position it held in the blocking writer — and an injected
+    /// `client_write_stall` defers the flush, as if the client had stopped
+    /// draining its receive window.
     fn queue_response(
         &self,
         conn: &mut Conn<Outgoing>,
         parts: ResponseParts,
-        rid: &str,
         trace: Option<ActiveTrace>,
-        record_write: bool,
         meta: Option<RequestMeta>,
     ) {
         let route = meta.as_ref().map_or("unparsed", |m| m.route);
@@ -840,16 +859,10 @@ impl Driver {
         // Every response — including 4xx/5xx error bodies — echoes the
         // request id, so client retry logs, server logs and traces all
         // correlate.
-        let request_id = (!rid.is_empty()).then_some(("X-Request-Id", rid));
+        let rid = meta.as_ref().map(|m| m.rid.clone());
+        let request_id = rid.as_deref().map(|rid| ("X-Request-Id", rid));
         let extra = parts.headers.iter().map(|(name, value)| (*name, value.as_str()));
         let model_version = parts.model_version.as_deref().map(|v| ("X-Model-Version", v));
-        let out = Outgoing {
-            status: parts.status,
-            trace,
-            record_write,
-            write_start: Instant::now(),
-            meta,
-        };
         conn.respond(
             parts.status,
             [("Content-Type", parts.content_type)]
@@ -858,7 +871,12 @@ impl Driver {
                 .chain(extra)
                 .chain(model_version),
             parts.body.as_bytes(),
-            out,
+            Outgoing {
+                status: parts.status,
+                trace,
+                write_start: Instant::now(),
+                meta,
+            },
             self.shared.shutdown.load(Ordering::SeqCst),
         );
         conn.hold_flush(
@@ -879,7 +897,7 @@ impl Driver {
         let now = Instant::now();
         let status = if delivered { out.status } else { 0 };
         if let Some(mut trace) = out.trace {
-            if out.record_write {
+            if out.meta.as_ref().is_some_and(|m| m.route == "/score") {
                 trace.record(Stage::Write, out.write_start, now);
             }
             if let Some(tracer) = self.shared.tracer() {
@@ -934,8 +952,7 @@ impl Driver {
             ("POST", "/reload") => self.dispatch_reload(conn, &request, meta),
             _ => {
                 let parts = inline_route(&self.shared, &request);
-                let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, None, false, Some(meta));
+                self.queue_response(conn, parts, None, Some(meta));
             }
         }
     }
@@ -966,8 +983,7 @@ impl Driver {
                         ("X-RateLimit-Reset", format!("{retry_after:.3}")),
                     ],
                 );
-                let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, trace, true, Some(meta));
+                self.queue_response(conn, parts, trace, Some(meta));
                 return;
             }
         }
@@ -980,18 +996,15 @@ impl Driver {
             Ok(requests) => requests,
             Err(message) => {
                 let parts = ResponseParts::json(400, error_body(&message, None));
-                let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, trace, true, Some(meta));
+                self.queue_response(conn, parts, trace, Some(meta));
                 return;
             }
         };
         if requests.is_empty() {
-            let body = serde::json::to_string(&ScoreResponse {
-                model_version: shared.executor.version(),
-                scores: Vec::new(),
-            });
-            let rid = meta.rid.clone();
-            self.queue_response(conn, ResponseParts::json(200, body), &rid, trace, true, Some(meta));
+            // Nothing to score, but the answer still names the version that
+            // serves it, in the body and the header alike.
+            let parts = self.version_labels(shared.executor.version()).response(Vec::new());
+            self.queue_response(conn, parts, trace, Some(meta));
             return;
         }
         let admitted = Instant::now();
@@ -1004,47 +1017,31 @@ impl Driver {
             .and_then(|ms| admitted.checked_add(Duration::from_millis(ms)));
         if shared.shutdown.load(Ordering::SeqCst) {
             let parts = ResponseParts::json(503, error_body("server is draining", None));
-            let rid = meta.rid.clone();
-            self.queue_response(conn, parts, &rid, trace, true, Some(meta));
+            self.queue_response(conn, parts, trace, Some(meta));
             return;
         }
-        let id = self.next_job;
-        self.next_job += 1;
         let pushed = self.queue.push(Job {
-            id,
+            token: conn.token().0,
             requests,
-            trace: trace.take(),
-            enqueued: admitted,
+            meta,
+            trace,
+            admitted,
             deadline,
         });
         shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
-        match pushed {
-            Err(bounced) => {
-                if shared.config.metrics_enabled {
-                    shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
-                }
-                // Deliberately NO X-RateLimit-* headers here: queue-full
-                // means the server is saturated (retry immediately), not
-                // that this client is over its own budget.
-                let parts = ResponseParts::with_headers(
-                    429,
-                    error_body("admission queue full; retry", None),
-                    vec![("Retry-After", "0".to_string())],
-                );
-                let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, bounced.trace, true, Some(meta));
+        if let Err(bounced) = pushed {
+            if shared.config.metrics_enabled {
+                shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
             }
-            Ok(()) => {
-                self.awaiting.insert(
-                    id,
-                    Await {
-                        token: conn.token().0,
-                        deadline: admitted.checked_add(SCORE_REPLY_TIMEOUT),
-                        admitted,
-                        meta,
-                    },
-                );
-            }
+            // Deliberately NO X-RateLimit-* headers here: queue-full means
+            // the server is saturated (retry immediately), not that this
+            // client is over its own budget.
+            let parts = ResponseParts::with_headers(
+                429,
+                error_body("admission queue full; retry", None),
+                vec![("Retry-After", "0".to_string())],
+            );
+            self.queue_response(conn, parts, bounced.trace, Some(bounced.meta));
         }
     }
 
@@ -1056,8 +1053,7 @@ impl Driver {
                     400,
                     error_body(&format!("malformed reload body (expected {{\"path\": ..}}): {e}"), None),
                 );
-                let rid = meta.rid.clone();
-                self.queue_response(conn, parts, &rid, None, false, Some(meta));
+                self.queue_response(conn, parts, None, Some(meta));
                 return;
             }
         };
@@ -1065,18 +1061,14 @@ impl Driver {
         // timeline, recorded by the reload pipeline into a detached span
         // set on the worker thread.
         let trace = self.shared.tracer().map(|t| t.begin(meta.rid.clone(), "/reload"));
-        let job = self.next_job;
-        self.next_job += 1;
+        let token = conn.token().0;
         let shared = Arc::clone(&self.shared);
         let completions = Arc::clone(&self.completions);
         std::thread::spawn(move || {
             let mut trace = trace;
             let mut spans = SpanSet::new();
-            let result = if trace.is_some() {
-                shared.executor.reload_from_path_traced(&path, &[], &mut spans)
-            } else {
-                shared.executor.reload_from_path(&path, &[])
-            };
+            let recorded = trace.is_some().then_some(&mut spans);
+            let result = shared.executor.reload_from_path_spanned(path.as_ref(), &[], recorded);
             if let Some(t) = trace.as_mut() {
                 t.extend_from(&spans);
             }
@@ -1091,42 +1083,26 @@ impl Driver {
                 Err(e) => (409, error_body(&e.to_string(), None), None),
             };
             completions.post(Completion {
-                job,
+                token,
                 status,
                 body,
                 version,
                 trace,
             });
         });
-        self.awaiting.insert(
-            job,
-            Await {
-                token: conn.token().0,
-                deadline: None,
-                admitted: Instant::now(),
-                meta,
-            },
-        );
-    }
-
-    /// Takes the connection parked on `job` out of the table, with its wait
-    /// bookkeeping. `None` when the job is no longer awaited — its reply
-    /// timer fired and the 500 already went out — so a late outcome is
-    /// dropped rather than answered twice.
-    fn take_awaiting(&mut self, job: u64) -> Option<(Conn<Outgoing>, Await)> {
-        let wait = self.awaiting.remove(&job)?;
-        let conn = self.conns.remove(&wait.token)?;
-        Some((conn, wait))
+        self.reloads.insert(token, meta);
     }
 
     fn on_completion(&mut self, completion: Completion) {
-        let Some((mut conn, wait)) = self.take_awaiting(completion.job) else {
+        let Some(meta) = self.reloads.remove(&completion.token) else {
+            return;
+        };
+        let Some(mut conn) = self.conns.remove(&completion.token) else {
             return;
         };
         let mut parts = ResponseParts::json(completion.status, completion.body);
         parts.model_version = completion.version.map(|v| v.to_string().into());
-        let rid = wait.meta.rid.clone();
-        self.queue_response(&mut conn, parts, &rid, completion.trace, false, Some(wait.meta));
+        self.queue_response(&mut conn, parts, completion.trace, Some(meta));
         self.drive(conn);
     }
 
@@ -1215,6 +1191,7 @@ impl Driver {
         let shared = Arc::clone(&self.shared);
         let metrics = shared.config.metrics_enabled.then_some(&shared.metrics);
         let snapshot = shared.executor.snapshot();
+        let executor = snapshot.executor();
         let labels = self.version_labels(snapshot.version);
         let total: usize = batch.iter().map(|j| j.requests.len()).sum();
         if let Some(metrics) = metrics {
@@ -1237,10 +1214,10 @@ impl Driver {
         // per-shard score spans.
         let tracing = batch.iter().any(|j| j.trace.is_some());
         let score_start = Instant::now();
-        let panics_before = snapshot.executor().worker_panic_count();
+        let panics_before = executor.worker_panic_count();
         // The scoring section runs under `catch_unwind`: a panic (injected
         // `batcher_panic`, or a real defect that escaped the executor's own
-        // shard supervision) is confined to this batch — every job in it
+        // chunk supervision) is confined to this batch — every job in it
         // gets a deterministic 500 and the driver moves on to the next.
         let fault = shared.config.fault_plan.as_deref();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -1248,16 +1225,12 @@ impl Driver {
                 panic!("injected {}", FaultKind::BatcherPanic);
             }
             let mut spans = SpanSet::new();
-            let scored = if tracing {
-                snapshot.executor().try_score_batch_traced(all, &mut spans)
-            } else {
-                snapshot.executor().try_score_batch(all)
-            };
+            let scored = executor.try_score_batch_spanned(all, tracing.then_some(&mut spans));
             (scored, spans)
         }));
         let finish_trace = |job: &mut Job, spans: &SpanSet| {
             if let Some(trace) = job.trace.as_mut() {
-                trace.record(Stage::AdmissionQueue, job.enqueued, score_start);
+                trace.record(Stage::AdmissionQueue, job.admitted, score_start);
                 trace.extend_from(spans);
             }
         };
@@ -1276,10 +1249,10 @@ impl Driver {
                 return;
             }
         };
-        // Shard-worker panics are caught (and their chunks re-scored) inside
-        // the executor; the driver — its only caller here — mirrors the
-        // count into the registry.
-        let shard_panics = snapshot.executor().worker_panic_count() - panics_before;
+        // Chunk panics are caught (and their chunks re-scored) inside the
+        // executor; the driver — its only caller here — mirrors the count
+        // into the registry.
+        let shard_panics = executor.worker_panic_count() - panics_before;
         if shard_panics > 0 {
             if let Some(metrics) = metrics {
                 metrics.worker_panics.with(&[("role", "shard")]).add(shard_panics);
@@ -1305,13 +1278,8 @@ impl Driver {
                 // innocent neighbors in the same batch still get scores.
                 for mut job in batch {
                     let mut job_spans = SpanSet::new();
-                    let outcome = match if job.trace.is_some() {
-                        snapshot
-                            .executor()
-                            .try_score_batch_traced(&job.requests, &mut job_spans)
-                    } else {
-                        snapshot.executor().try_score_batch(&job.requests)
-                    } {
+                    let recorded = job.trace.is_some().then_some(&mut job_spans);
+                    let outcome = match executor.try_score_batch_spanned(&job.requests, recorded) {
                         Ok(scores) => {
                             if let Some(counter) = &labels.score_requests {
                                 counter.add(job.requests.len() as u64);
@@ -1333,25 +1301,25 @@ impl Driver {
     /// The scoring-outcome → response mapping, one arm per [`JobOutcome`],
     /// queued straight onto the connection parked on the job.
     fn answer(&mut self, job: Job, outcome: JobOutcome) {
-        let Some((mut conn, wait)) = self.take_awaiting(job.id) else {
+        let Some(mut conn) = self.conns.remove(&job.token) else {
             return;
         };
-        let mut trace = job.trace;
+        let Job {
+            meta,
+            mut trace,
+            admitted,
+            ..
+        } = job;
         let parts = match outcome {
             JobOutcome::Scored(labels, scores) => {
                 if let Some(histogram) = &labels.score_duration {
-                    histogram.observe(wait.admitted.elapsed().as_secs_f64());
+                    histogram.observe(admitted.elapsed().as_secs_f64());
                 }
                 let serialize_start = Instant::now();
-                let body = serde::json::to_string(&ScoreResponse {
-                    model_version: labels.version,
-                    scores,
-                });
+                let parts = labels.response(scores);
                 if let Some(t) = trace.as_mut() {
                     t.record(Stage::Serialize, serialize_start, Instant::now());
                 }
-                let mut parts = ResponseParts::json(200, body);
-                parts.model_version = Some(Arc::clone(&labels.header));
                 parts
             }
             JobOutcome::Unscorable(failure) => {
@@ -1364,15 +1332,18 @@ impl Driver {
             JobOutcome::Expired => {
                 ResponseParts::json(504, error_body("deadline expired before scoring started", None))
             }
+            JobOutcome::Stalled => ResponseParts::json(500, error_body("scoring pipeline stalled", None)),
         };
-        let rid = wait.meta.rid.clone();
-        self.queue_response(&mut conn, parts, &rid, trace, true, Some(wait.meta));
+        self.queue_response(&mut conn, parts, trace, Some(meta));
         self.drive(conn);
     }
 
     /// Re-drives every connection whose timer passed (lifetime caps,
     /// read and write budgets, injected-stall expiries — [`Conn::advance`]
-    /// applies them) and answers every job past its reply timeout.
+    /// applies them), then runs the reply watchdog: a job still unscored
+    /// [`SCORE_REPLY_TIMEOUT`] after admission leaves the queue (or the
+    /// held stall batch) and is answered 500 in the same step, so no late
+    /// outcome can ever reach the next request its connection parks.
     fn run_timers(&mut self) {
         let now = Instant::now();
         let due: Vec<u64> = self
@@ -1386,28 +1357,22 @@ impl Driver {
                 self.drive(conn);
             }
         }
-        let late: Vec<u64> = self
-            .awaiting
-            .iter()
-            .filter(|(_, wait)| wait.deadline.is_some_and(|at| now >= at))
-            .map(|(job, _)| *job)
-            .collect();
-        for job in late {
-            self.score_reply_timed_out(job);
-        }
-    }
-
-    /// The job was not scored within [`SCORE_REPLY_TIMEOUT`]:
-    /// deterministic 500. The job stays queued; whenever it is scored, its
-    /// outcome finds nobody awaiting it and is dropped.
-    fn score_reply_timed_out(&mut self, job: u64) {
-        let Some((mut conn, wait)) = self.take_awaiting(job) else {
+        let Some(cutoff) = now.checked_sub(SCORE_REPLY_TIMEOUT) else {
             return;
         };
-        let parts = ResponseParts::json(500, error_body("scoring pipeline stalled", None));
-        let rid = wait.meta.rid.clone();
-        self.queue_response(&mut conn, parts, &rid, None, true, Some(wait.meta));
-        self.drive(conn);
+        let mut late = Vec::new();
+        if let Some((_, batch)) = &mut self.stalled {
+            let expired = batch.iter().take_while(|job| job.admitted <= cutoff).count();
+            late.extend(batch.drain(..expired));
+            if batch.is_empty() {
+                self.stalled = None;
+            }
+        }
+        late.extend(self.queue.take_admitted_by(cutoff));
+        self.shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
+        for job in late {
+            self.answer(job, JobOutcome::Stalled);
+        }
     }
 
     /// Shutdown: close every connection that is not owed a response.
@@ -2521,8 +2486,10 @@ mod tests {
 
     #[test]
     fn admission_queue_bounds_jobs_and_caps_batches_by_request_count() {
-        let job = |id: u64, requests: usize| Job {
-            id,
+        let start = Instant::now();
+        // Job `token` is admitted `token + 1` ms after `start`.
+        let job = |token: u64, requests: usize| Job {
+            token,
             requests: (0..requests as u64)
                 .map(|pair_id| ScoreRequest {
                     pair_id,
@@ -2531,24 +2498,40 @@ mod tests {
                     machine_says_match: true,
                 })
                 .collect(),
+            meta: RequestMeta {
+                route: "/score",
+                started: start,
+                client: String::new(),
+                rid: String::new(),
+            },
             trace: None,
-            enqueued: Instant::now(),
+            admitted: start + Duration::from_millis(token + 1),
             deadline: None,
         };
         let mut queue = AdmissionQueue::new(3);
-        for (id, requests) in [(0, 2), (1, 1), (2, 3)] {
-            assert!(queue.push(job(id, requests)).is_ok(), "job {id} fits");
+        for (token, requests) in [(0, 2), (1, 1), (2, 3)] {
+            assert!(queue.push(job(token, requests)).is_ok(), "job {token} fits");
         }
         // Full: the job comes back (with its trace) instead of being queued.
         let bounced = queue.push(job(3, 1)).expect_err("queue is at capacity");
-        assert_eq!(bounced.id, 3);
+        assert_eq!(bounced.token, 3);
         // A batch closes once it holds `max_requests` requests; a job is
         // never split, so the job that crosses the cap rides along.
-        let ids = |batch: Vec<Job>| batch.iter().map(|j| j.id).collect::<Vec<_>>();
-        assert_eq!(ids(queue.take_batch(2)), [0]);
-        assert_eq!(ids(queue.take_batch(2)), [1, 2]);
+        let tokens = |batch: Vec<Job>| batch.iter().map(|j| j.token).collect::<Vec<_>>();
+        assert_eq!(tokens(queue.take_batch(2)), [0]);
+        assert_eq!(tokens(queue.take_batch(2)), [1, 2]);
         assert!(queue.take_batch(2).is_empty());
         assert!(queue.push(job(4, 1)).is_ok(), "capacity frees as batches leave");
+        // The reply watchdog's expiry: the jobs admitted by its cutoff leave
+        // the queue oldest first; younger jobs stay queued.
+        let mut queue = AdmissionQueue::new(4);
+        for token in 0..4 {
+            assert!(queue.push(job(token, 1)).is_ok());
+        }
+        assert!(queue.take_admitted_by(start).is_empty(), "nothing is late yet");
+        assert_eq!(tokens(queue.take_admitted_by(start + Duration::from_millis(2))), [0, 1]);
+        assert!(queue.take_admitted_by(start + Duration::from_millis(2)).is_empty());
+        assert_eq!(tokens(queue.take_batch(8)), [2, 3]);
     }
 
     #[test]

@@ -611,3 +611,62 @@ fn resuming_intake_scores_queued_jobs_without_waiting_for_the_poll_tick() {
     assert_eq!(server.queued_jobs(), 0);
     server.shutdown();
 }
+
+#[test]
+fn coalesced_jobs_answer_their_own_connections() {
+    // Four connections park distinct jobs — two single objects and two
+    // arrays of different lengths — behind paused intake, so resuming
+    // scores all of them in one coalesced batch. Each connection must get
+    // exactly its own scores back.
+    let (server, model) = trained_server(ServerConfig::default());
+    let requests = serving_requests(10);
+    let expected = ScoringEngine::new(model).score_batch(&requests);
+    let slices = [0..1, 1..4, 4..9, 9..10];
+    let bodies: Vec<String> = slices
+        .iter()
+        .map(|range| match range.len() {
+            1 => serde::json::to_string(&requests[range.start]),
+            _ => serde::json::to_string(&requests[range.clone()].to_vec()),
+        })
+        .collect();
+    let batches = |server: &ScoreServer| {
+        let samples = parse_exposition(&server.metrics().render()).expect("exposition parses");
+        samples
+            .iter()
+            .filter(|s| s.name == "er_serve_batches_total")
+            .map(|s| s.value)
+            .sum::<f64>()
+    };
+    let batches_before = batches(&server);
+    server.pause_intake();
+    let addr = server.local_addr();
+    let clients: Vec<_> = bodies
+        .into_iter()
+        .map(|body| {
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                http_roundtrip(&mut stream, "POST", "/score", Some(&body)).expect("response")
+            })
+        })
+        .collect();
+    let queued_by = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while server.queued_jobs() < 4 {
+        assert!(std::time::Instant::now() < queued_by, "the jobs were never queued");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    server.resume_intake();
+    for (client, range) in clients.into_iter().zip(slices) {
+        let response = client.join().expect("client");
+        assert_eq!(response.status, 200, "{}", response.body);
+        let (_, scores) = parse_score_response(&response.body).expect("body");
+        let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+        let expected_bits: Vec<u64> = expected[range.clone()].iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, expected_bits, "connection for requests {range:?}");
+    }
+    assert_eq!(
+        batches(&server) - batches_before,
+        1.0,
+        "the four jobs coalesce into one batch"
+    );
+    server.shutdown();
+}
