@@ -80,6 +80,7 @@
 
 use crate::conn::{self, Conn, Limits, Request, Step};
 use crate::engine::ScoreRequest;
+use crate::executor::BatchScoreError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{self, Progress, StartLine};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
@@ -228,20 +229,13 @@ fn stats_from_registry(metrics: &MetricsRegistry) -> ServerStats {
 // Admission queue
 // ---------------------------------------------------------------------------
 
-/// A scoring job failed; maps to a 422 response.
-#[derive(Debug, Clone)]
-struct JobFailure {
-    request_index: usize,
-    message: String,
-}
-
 /// How a job left scoring.
 enum JobOutcome {
     /// Scored through one executor snapshot (whose version the labels
     /// carry) → 200.
     Scored(Arc<VersionLabels>, Vec<f64>),
     /// Well-formed HTTP but unscorable content → 422.
-    Unscorable(JobFailure),
+    Unscorable(BatchScoreError),
     /// The batch this job rode in panicked; supervision isolated the blast
     /// radius to a deterministic 500 instead of a severed connection.
     Panicked,
@@ -1286,10 +1280,7 @@ impl Driver {
                             }
                             JobOutcome::Scored(Arc::clone(&labels), scores)
                         }
-                        Err(e) => JobOutcome::Unscorable(JobFailure {
-                            request_index: e.request_index,
-                            message: e.to_string(),
-                        }),
+                        Err(e) => JobOutcome::Unscorable(e),
                     };
                     finish_trace(&mut job, &job_spans);
                     self.answer(job, outcome);
@@ -1322,9 +1313,7 @@ impl Driver {
                 }
                 parts
             }
-            JobOutcome::Unscorable(failure) => {
-                ResponseParts::json(422, error_body(&failure.message, Some(failure.request_index)))
-            }
+            JobOutcome::Unscorable(e) => ResponseParts::json(422, error_body(&e.to_string(), Some(e.request_index))),
             JobOutcome::Panicked => ResponseParts::json(
                 500,
                 error_body("scoring batch panicked; the request was not scored", None),
