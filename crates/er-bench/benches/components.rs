@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks of the performance-sensitive building blocks:
-//! similarity metrics, one-sided rule generation, risk-model training and
-//! risk scoring.  These complement the figure binaries (which regenerate the
-//! paper's result series) by tracking the runtime of each stage.
+//! similarity metrics, one-sided rule generation, risk-model training, risk
+//! scoring and the `/score` wire codec.  These complement the figure binaries
+//! (which regenerate the paper's result series) by tracking the runtime of
+//! each stage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 use er_base::{Label, SplitRatio};
 use er_datasets::{generate_benchmark, BenchmarkId};
-use er_eval::build_inputs_from_labeled;
+use er_eval::{build_inputs_from_labeled, build_score_requests, run_pipeline, PipelineConfig};
 use er_rulegen::{generate_rules, OneSidedTreeConfig};
+use er_serve::{decode_score_body, encode_score_response, ScoreRequest};
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{train as train_risk, LearnRiskModel, RiskFeatureSet, RiskModelConfig, RiskTrainConfig};
 use std::sync::Arc;
@@ -90,10 +92,52 @@ fn bench_risk_training_and_scoring(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tree reference `decode_score_body` replaced: a `serde::Value` tree,
+/// then the derived `Deserialize`.
+fn decode_via_tree(body: &str) -> Vec<ScoreRequest> {
+    let value = serde::json::parse(body).expect("valid body");
+    match value {
+        serde::Value::Seq(_) => serde::from_value(&value).expect("requests"),
+        _ => vec![serde::from_value(&value).expect("request")],
+    }
+}
+
+/// `/score` bodies of the DS pool (the pairs perfbench replays): decoding a
+/// 1-pair and a 32-pair array with the tree reference and with the pull
+/// reader, and encoding 32 scores.
+fn bench_serve_wire(c: &mut Criterion) {
+    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 1);
+    let config = PipelineConfig {
+        seed: 1,
+        ..Default::default()
+    };
+    let (_, trained) = run_pipeline(&ds.workload, SplitRatio::new(3, 2, 5), &config);
+    let pool = build_score_requests(&trained.evaluator, &trained.matcher, ds.workload.pairs());
+    let mut group = c.benchmark_group("serve/wire");
+    // One pair goes on the wire as a bare object, as zipf-direct sends it.
+    for (pairs, body) in [
+        (1, serde::json::to_string(&pool[0])),
+        (32, serde::json::to_string(&pool[..32])),
+    ] {
+        group.bench_with_input(CriterionId::new("decode_tree", pairs), &body, |b, body| {
+            b.iter(|| std::hint::black_box(decode_via_tree(body)))
+        });
+        group.bench_with_input(CriterionId::new("decode_reader", pairs), &body, |b, body| {
+            b.iter(|| std::hint::black_box(decode_score_body(body)))
+        });
+    }
+    let scores: Vec<f64> = pool.iter().take(32).map(|r| r.classifier_output.sqrt()).collect();
+    group.bench_function("encode_32", |b| {
+        b.iter(|| std::hint::black_box(encode_score_response(2, &scores)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_metric_evaluation,
     bench_rule_generation,
-    bench_risk_training_and_scoring
+    bench_risk_training_and_scoring,
+    bench_serve_wire
 );
 criterion_main!(benches);

@@ -44,6 +44,7 @@ use crate::upstream::{Flight, UpstreamResponse};
 use er_serve::conn::{self, Conn, Limits, Request, Step};
 use er_serve::http::{self, StartLine};
 use er_serve::readiness::{Events, Interest, Mailbox, Poller, Token};
+use serde::json::Reader;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io;
@@ -837,16 +838,44 @@ fn hedge_target(shared: &Shared, pair_id: u64, primary: usize, canary_set: bool)
 /// Extracts the routing key from a `/score` body: the `pair_id` of a single
 /// request object, or of the first element of a batch. An empty batch has
 /// no pair to route by and takes key 0: any healthy backend of its version
-/// set answers it.
+/// set answers it. The first `pair_id` is read with the JSON pull reader and
+/// the rest of the body only validated, so no tree is built; a body that is
+/// not valid JSON has no key.
 fn extract_pair_id(body: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let value = serde::json::parse(text).ok()?;
-    let object = match value.as_seq() {
-        Some([]) => return Some(0),
-        Some([first, ..]) => first,
-        None => &value,
+    let mut reader = Reader::new(std::str::from_utf8(body).ok()?);
+    let pair_id = if reader.peek() == Some(b'[') {
+        reader.enter_seq().ok()?.ok()?;
+        if reader.next_element().ok()? {
+            let first = first_pair_id(&mut reader).ok()?;
+            while reader.next_element().ok()? {
+                reader.skip().ok()?;
+            }
+            first
+        } else {
+            Some(0)
+        }
+    } else {
+        first_pair_id(&mut reader).ok()?
     };
-    serde::from_value(object.get("pair_id")?).ok()
+    reader.finish().ok()?;
+    pair_id
+}
+
+/// The first `pair_id` of the object at the cursor, if it is an unsigned
+/// integer; the value is read past either way.
+fn first_pair_id(reader: &mut Reader<'_>) -> Result<Option<u64>, serde::Error> {
+    if reader.enter_map()?.is_err() {
+        return Ok(None);
+    }
+    let mut pair_id = None;
+    while let Some(key) = reader.next_key()? {
+        if key == "pair_id" && pair_id.is_none() {
+            pair_id = Some(reader.u64()?.ok());
+        } else {
+            reader.skip()?;
+        }
+    }
+    Ok(pair_id.flatten())
 }
 
 /// Builds the upstream wire request: a fresh head carrying only the
@@ -1084,6 +1113,41 @@ mod tests {
         assert_eq!(extract_pair_id(b"[]"), Some(0), "an empty batch routes as pair 0");
         assert_eq!(extract_pair_id(b"{\"x\": 1}"), None);
         assert_eq!(extract_pair_id(b"not json"), None);
+    }
+
+    #[test]
+    fn pair_id_extraction_reads_the_first_pair_id_of_a_valid_body() {
+        assert_eq!(
+            extract_pair_id(br#"{"metric_row": [0.5, {"pair_id": 3}], "pair_id": 11}"#),
+            Some(11)
+        );
+        assert_eq!(
+            extract_pair_id(br#"[{"x": null, "pair_id": 5}, {"pair_id": 6}]"#),
+            Some(5)
+        );
+        assert_eq!(
+            extract_pair_id(br#"{"pair_id": 8, "pair_id": 9}"#),
+            Some(8),
+            "the first duplicate wins"
+        );
+        assert_eq!(extract_pair_id(br#"{"pair_id": 1.5, "pair_id": 9}"#), None);
+        assert_eq!(
+            extract_pair_id(br#"{"pair_id": 2.0}"#),
+            None,
+            "a float is not a pair id"
+        );
+        assert_eq!(
+            extract_pair_id(br#"[{"pair_id": 4}, {"pair_id": "#),
+            None,
+            "the rest must still parse"
+        );
+        assert_eq!(extract_pair_id(br#"[{"pair_id": 4}, {"pair_id": 5}] x"#), None);
+        assert_eq!(extract_pair_id(br#"{"pair_id": 4, "x": [1,]}"#), None);
+        assert_eq!(
+            extract_pair_id(br#"[5, {"pair_id": 4}]"#),
+            None,
+            "the first element is not an object"
+        );
     }
 
     #[test]

@@ -31,12 +31,14 @@ pub struct LruCache<K: Eq + Hash + Copy, V: Copy> {
 }
 
 impl<K: Eq + Hash + Copy, V: Copy> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
+    /// Creates a cache holding at most `capacity` entries. Nothing is
+    /// reserved up front: the slab and the map grow with the entries
+    /// actually cached, so a large, mostly empty capacity costs no memory.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::new(),
+            nodes: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -160,6 +162,15 @@ mod tests {
         assert_eq!(cache.get(&1), Some(11));
         assert_eq!(cache.get(&2), None);
         assert_eq!(cache.get(&3), Some(3));
+    }
+
+    #[test]
+    fn a_new_cache_reserves_nothing_up_front() {
+        let mut cache: LruCache<u64, f64> = LruCache::new(1024);
+        assert_eq!((cache.nodes.capacity(), cache.map.capacity()), (0, 0));
+        cache.insert(1, 0.5);
+        assert!(cache.nodes.capacity() < 1024, "the slab grows with the entries cached");
+        assert_eq!(cache.capacity(), 1024);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 
 use crate::index::{CompiledRuleIndex, MatchScratch, RowLengthError};
 use learnrisk_core::{ComponentBlock, LearnRiskModel, PairRiskInput, PortfolioError};
+use serde::json::Reader;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// One scoring request: a candidate pair reduced to its serving inputs.
 ///
@@ -29,6 +30,141 @@ pub struct ScoreRequest {
     pub classifier_output: f64,
     /// Whether the classifier labeled the pair as matching.
     pub machine_says_match: bool,
+}
+
+/// A decode step's outcome: the outer `Err` is a JSON syntax error, an inner
+/// `Err` a well-formed value that does not fit (the message `from_value`
+/// would give).
+type Decoded<T> = Result<Result<T, String>, serde::Error>;
+
+/// Decodes a `POST /score` body — one [`ScoreRequest`] object or an array of
+/// them — straight off the JSON text with [`serde::json::Reader`], building
+/// no [`serde::Value`] tree.
+///
+/// The result, error text included, is the one `serde::json::parse`
+/// followed by `from_value` gives for every body:
+/// - a JSON syntax error anywhere in the body wins, as
+///   `malformed JSON body: {error}`;
+/// - a scalar top level is `expected a request object or array, found {kind}`;
+/// - otherwise the first failing array element wins (`[i]: ..`), and within
+///   a request the first failing field in declaration order (`pair_id`,
+///   `metric_row`, `classifier_output`, `machine_says_match`);
+/// - unknown keys are skipped but still validated, the first of duplicate
+///   keys wins, and integer tokens are read into float fields (`-0` as
+///   `+0.0`).
+pub fn decode_score_body(body: &str) -> Result<Vec<ScoreRequest>, String> {
+    let mut reader = Reader::new(body);
+    // One scratch row for the whole body, each request's copied out at its
+    // exact length.
+    let mut row = Vec::new();
+    let decoded = decode_requests(&mut reader, &mut row);
+    match decoded.and_then(|requests| reader.finish().map(|()| requests)) {
+        Ok(requests) => requests,
+        Err(syntax) => Err(format!("malformed JSON body: {syntax}")),
+    }
+}
+
+fn decode_requests(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<Vec<ScoreRequest>> {
+    if reader.peek() == Some(b'{') {
+        return Ok(decode_request(reader, row)?.map(|request| vec![request]));
+    }
+    if let Err(kind) = reader.enter_seq()? {
+        return Ok(Err(format!("expected a request object or array, found {kind}")));
+    }
+    let mut requests = Vec::new();
+    let mut failure = None;
+    while reader.next_element()? {
+        if failure.is_some() {
+            reader.skip()?;
+            continue;
+        }
+        match decode_request(reader, row)? {
+            Ok(request) => requests.push(request),
+            Err(e) => failure = Some(format!("[{}]: {e}", requests.len())),
+        }
+    }
+    Ok(failure.map_or(Ok(requests), Err))
+}
+
+fn decode_request(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<ScoreRequest> {
+    if let Err(kind) = reader.enter_map()? {
+        return Ok(Err(format!("expected map for struct ScoreRequest, found {kind}")));
+    }
+    let mismatch = |expected: &'static str| move |kind| format!("expected {expected}, found {kind}");
+    let (mut pair_id, mut metric_row, mut classifier_output, mut machine_says_match) = (None, None, None, None);
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "pair_id" if pair_id.is_none() => pair_id = Some(reader.u64()?.map_err(mismatch("unsigned integer"))),
+            "metric_row" if metric_row.is_none() => metric_row = Some(decode_row(reader, row)?),
+            "classifier_output" if classifier_output.is_none() => {
+                classifier_output = Some(reader.f64()?.map_err(mismatch("number")))
+            }
+            "machine_says_match" if machine_says_match.is_none() => {
+                machine_says_match = Some(reader.bool()?.map_err(mismatch("bool")))
+            }
+            _ => {
+                reader.skip()?;
+            }
+        }
+    }
+    // Struct fields evaluate in source order: the first failing field in
+    // declaration order names the error.
+    Ok((|| {
+        Ok(ScoreRequest {
+            pair_id: field(pair_id, "pair_id")?,
+            metric_row: field(metric_row, "metric_row")?,
+            classifier_output: field(classifier_output, "classifier_output")?,
+            machine_says_match: field(machine_says_match, "machine_says_match")?,
+        })
+    })())
+}
+
+/// One field's first occurrence, with the derived `Deserialize`'s context.
+fn field<T>(slot: Option<Result<T, String>>, key: &str) -> Result<T, String> {
+    match slot {
+        Some(value) => value.map_err(|e| format!("ScoreRequest.{key}: {e}")),
+        None => Err(format!("ScoreRequest: missing field `{key}`")),
+    }
+}
+
+fn decode_row(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<Vec<f64>> {
+    if let Err(kind) = reader.enter_seq()? {
+        return Ok(Err(format!("expected sequence, found {kind}")));
+    }
+    row.clear();
+    let mut failure = None;
+    while reader.next_element()? {
+        if failure.is_some() {
+            reader.skip()?;
+            continue;
+        }
+        match reader.f64()? {
+            Ok(x) => row.push(x),
+            Err(kind) => failure = Some(format!("[{}]: expected number, found {kind}", row.len())),
+        }
+    }
+    Ok(failure.map_or_else(|| Ok(row.to_vec()), Err))
+}
+
+/// Encodes the `{"model_version":v,"scores":[..]}` body of a successful
+/// `POST /score`, byte for byte what `serde::json::to_string` writes for it,
+/// with no [`serde::Value`] tree and no per-score allocation.
+pub fn encode_score_response(model_version: u64, scores: &[f64]) -> String {
+    // `{"model_version":` + 20 digits + `,"scores":[]}`, then at most 24
+    // bytes per score and its comma.
+    let mut body = String::with_capacity(64 + 25 * scores.len());
+    body.push_str("{\"model_version\":");
+    // Writing into a `String` cannot fail.
+    let _ = write!(body, "{model_version}");
+    body.push_str(",\"scores\":[");
+    for (i, &score) in scores.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        serde::json::write_float(&mut body, score);
+    }
+    body.push_str("]}");
+    body
 }
 
 /// Why a request could not be scored — the error the fallible serving path

@@ -14,7 +14,9 @@
 //!   condition.
 //! * [`engine`] — [`ScoringEngine`]: `score_request` / `score_batch` over
 //!   raw metric rows, bit-identical to the offline
-//!   [`learnrisk_core::LearnRiskModel::risk_score`] path.
+//!   [`learnrisk_core::LearnRiskModel::risk_score`] path; plus the `/score`
+//!   wire codec ([`decode_score_body`], [`encode_score_response`]) that
+//!   reads and writes requests and answers without a JSON value tree.
 //! * [`cache`] — a bounded intrusive-list [`LruCache`] for repeated-pair
 //!   traffic.
 //! * [`executor`] — [`ShardedExecutor`]: batches chunked across the lanes
@@ -76,7 +78,7 @@ pub mod trace;
 
 pub use artifact::{model_digest, ArtifactError, ModelArtifact, FORMAT_VERSION};
 pub use cache::LruCache;
-pub use engine::{EngineScratch, ScoreError, ScoreRequest, ScoringEngine};
+pub use engine::{decode_score_body, encode_score_response, EngineScratch, ScoreError, ScoreRequest, ScoringEngine};
 pub use executor::{BatchScoreError, CacheStats, ServeConfig, ShardedExecutor};
 pub use fault::{FaultKind, FaultPlan, FaultSpecError, FAULT_KINDS};
 pub use index::{CompiledRuleIndex, MatchScratch, RowLengthError};

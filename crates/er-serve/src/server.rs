@@ -63,6 +63,16 @@
 //! in-process scores to the last `f64` bit — the integration suite asserts
 //! exactly that.
 //!
+//! A `/score` body is decoded straight into requests by
+//! [`crate::engine::decode_score_body`] on the vendored
+//! `serde::json::Reader` — no JSON value tree on the scoring path — and a
+//! 200 answer is written directly by
+//! [`crate::engine::encode_score_response`]. Unknown keys are skipped but
+//! still validated, the first of duplicate keys wins, and integer tokens
+//! are accepted in float fields. A syntax error anywhere in the body beats
+//! any field error; otherwise the first failing array index wins, and
+//! within a request the first failing field in declaration order.
+//!
 //! ## Failure containment
 //!
 //! Each batch is scored under `catch_unwind`, and the executor's chunks
@@ -79,7 +89,7 @@
 //! writes to attest all of it.
 
 use crate::conn::{self, Conn, Limits, Request, Step};
-use crate::engine::ScoreRequest;
+use crate::engine::{decode_score_body, encode_score_response, ScoreRequest};
 use crate::executor::BatchScoreError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{self, Progress, StartLine};
@@ -338,12 +348,8 @@ struct VersionLabels {
 impl VersionLabels {
     /// The 200 `/score` response carrying `scores` under this version, named
     /// in the body and the `X-Model-Version` header alike.
-    fn response(&self, scores: Vec<f64>) -> ResponseParts {
-        let body = serde::json::to_string(&ScoreResponse {
-            model_version: self.version,
-            scores,
-        });
-        let mut parts = ResponseParts::json(200, body);
+    fn response(&self, scores: &[f64]) -> ResponseParts {
+        let mut parts = ResponseParts::json(200, encode_score_response(self.version, scores));
         parts.model_version = Some(Arc::clone(&self.header));
         parts
     }
@@ -982,7 +988,7 @@ impl Driver {
             }
         }
         let parse_start = Instant::now();
-        let parsed = parse_score_body(&request.body);
+        let parsed = decode_score_body(&request.body);
         if let Some(t) = trace.as_mut() {
             t.record(Stage::Parse, parse_start, Instant::now());
         }
@@ -997,7 +1003,7 @@ impl Driver {
         if requests.is_empty() {
             // Nothing to score, but the answer still names the version that
             // serves it, in the body and the header alike.
-            let parts = self.version_labels(shared.executor.version()).response(Vec::new());
+            let parts = self.version_labels(shared.executor.version()).response(&[]);
             self.queue_response(conn, parts, trace, Some(meta));
             return;
         }
@@ -1307,7 +1313,7 @@ impl Driver {
                     histogram.observe(admitted.elapsed().as_secs_f64());
                 }
                 let serialize_start = Instant::now();
-                let parts = labels.response(scores);
+                let parts = labels.response(&scores);
                 if let Some(t) = trace.as_mut() {
                     t.record(Stage::Serialize, serialize_start, Instant::now());
                 }
@@ -1425,12 +1431,6 @@ fn route_label(path: &str) -> &'static str {
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
-
-#[derive(Serialize)]
-struct ScoreResponse {
-    model_version: u64,
-    scores: Vec<f64>,
-}
 
 #[derive(Serialize)]
 struct ErrorResponse {
@@ -1596,17 +1596,6 @@ fn stats_body(shared: &Shared) -> String {
         }
     }
     serde::json::to_string(&value)
-}
-
-fn parse_score_body(body: &str) -> Result<Vec<ScoreRequest>, String> {
-    let value = serde::json::parse(body).map_err(|e| format!("malformed JSON body: {e}"))?;
-    match &value {
-        serde::Value::Seq(_) => serde::from_value::<Vec<ScoreRequest>>(&value).map_err(|e| e.to_string()),
-        serde::Value::Map(_) => serde::from_value::<ScoreRequest>(&value)
-            .map(|r| vec![r])
-            .map_err(|e| e.to_string()),
-        other => Err(format!("expected a request object or array, found {}", other.kind())),
-    }
 }
 
 // ---------------------------------------------------------------------------
