@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks of the performance-sensitive building blocks:
 //! similarity metrics, one-sided rule generation, risk-model training, risk
-//! scoring and the `/score` wire codec.  These complement the figure binaries
-//! (which regenerate the paper's result series) by tracking the runtime of
-//! each stage.
+//! scoring, the `/score` wire codec and perfbench's set-up stages.  These
+//! complement the figure binaries (which regenerate the paper's result
+//! series) by tracking the runtime of each stage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 use er_base::{Label, SplitRatio};
+use er_classifier::{MatcherKind, TrainConfig};
 use er_datasets::{generate_benchmark, BenchmarkId};
 use er_eval::{build_inputs_from_labeled, build_score_requests, run_pipeline, PipelineConfig};
 use er_rulegen::{generate_rules, OneSidedTreeConfig};
@@ -133,11 +134,54 @@ fn bench_serve_wire(c: &mut Criterion) {
     group.finish();
 }
 
+/// perfbench's set-up stages, in-process at its configuration (DS at scale
+/// 0.02, seed 2020, logistic matcher): generating the workload, the
+/// pipeline run, and building the request pool from the trained matcher.
+fn bench_setup(c: &mut Criterion) {
+    const SEED: u64 = 2020;
+    let config = PipelineConfig {
+        matcher: MatcherKind::Logistic,
+        matcher_config: TrainConfig {
+            epochs: 25,
+            ..Default::default()
+        },
+        risk_train_config: RiskTrainConfig {
+            epochs: 80,
+            ..Default::default()
+        },
+        ensemble_members: 2,
+        seed: SEED,
+        ..Default::default()
+    };
+    let ratio = SplitRatio::new(3, 2, 5);
+    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, SEED);
+    let (_, trained) = run_pipeline(&ds.workload, ratio, &config);
+    let mut group = c.benchmark_group("setup");
+    group.sample_size(10);
+    group.bench_function("generate_ds", |b| {
+        b.iter(|| std::hint::black_box(generate_benchmark(BenchmarkId::DblpScholar, 0.02, SEED)))
+    });
+    group.bench_function("run_pipeline", |b| {
+        b.iter(|| std::hint::black_box(run_pipeline(&ds.workload, ratio, &config).0.rule_count))
+    });
+    group.bench_function("build_score_requests", |b| {
+        b.iter(|| {
+            std::hint::black_box(build_score_requests(
+                &trained.evaluator,
+                &trained.matcher,
+                ds.workload.pairs(),
+            ))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_metric_evaluation,
     bench_rule_generation,
     bench_risk_training_and_scoring,
-    bench_serve_wire
+    bench_serve_wire,
+    bench_setup
 );
 criterion_main!(benches);

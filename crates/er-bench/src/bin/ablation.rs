@@ -9,7 +9,7 @@
 
 use er_base::SplitRatio;
 use er_datasets::{generate_benchmark, BenchmarkId};
-use er_eval::{build_inputs_from_labeled, PipelineConfig};
+use er_eval::{build_inputs_from_rows, PipelineConfig};
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{
     evaluate_auroc, train as train_risk, LearnRiskModel, PairRiskInput, RiskFeatureSet, RiskMetric, RiskModelConfig,
@@ -30,12 +30,14 @@ fn main() {
     // Shared classifier and rule generation.
     let pipeline = PipelineConfig::default();
     let evaluator = MetricEvaluator::from_pairs(Arc::clone(&workload.left_schema), &train);
-    let mut matcher = er_classifier::ErMatcher::new(evaluator.clone(), pipeline.matcher, pipeline.matcher_config);
-    matcher.train(&train);
-    let valid_labeled = matcher.label_workload("ablation-valid", &valid);
-    let test_labeled = matcher.label_workload("ablation-test", &test);
-
     let train_rows = evaluator.eval_pairs(&train);
+    let valid_rows = evaluator.eval_pairs(&valid);
+    let test_rows = evaluator.eval_pairs(&test);
+    let mut matcher = er_classifier::ErMatcher::new(evaluator.clone(), pipeline.matcher, pipeline.matcher_config);
+    matcher.train_rows(&train_rows, &er_classifier::targets(&train));
+    let valid_labeled = matcher.label_rows("ablation-valid", &valid, &valid_rows);
+    let test_labeled = matcher.label_rows("ablation-test", &test, &test_rows);
+
     let train_labels: Vec<er_base::Label> = train.iter().map(|p| p.truth).collect();
     let rules = er_rulegen::generate_rules(&train_rows, &train_labels, pipeline.rule_config);
     let feature_set = RiskFeatureSet::from_training(rules, evaluator.metrics().to_vec(), &train_rows, &train_labels);
@@ -93,8 +95,8 @@ fn main() {
             }
         };
         let mut model = LearnRiskModel::new(fs, risk_config);
-        let valid_inputs: Vec<PairRiskInput> = build_inputs_from_labeled(&evaluator, &model.features, &valid_labeled);
-        let test_inputs: Vec<PairRiskInput> = build_inputs_from_labeled(&evaluator, &model.features, &test_labeled);
+        let valid_inputs: Vec<PairRiskInput> = build_inputs_from_rows(&model.features, &valid_rows, &valid_labeled);
+        let test_inputs: Vec<PairRiskInput> = build_inputs_from_rows(&model.features, &test_rows, &test_labeled);
         if do_train {
             train_risk(
                 &mut model,

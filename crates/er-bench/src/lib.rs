@@ -173,7 +173,7 @@ pub fn train_workload(config: &ExperimentConfig, accuracy: f64) -> TrainWorkload
     let mut prob_rng = er_base::rng::substream(config.seed, 0x7B);
     let probs = er_eval::synthetic_classifier_probs(&labels, accuracy, &mut prob_rng);
     let labeled = er_base::LabeledWorkload::from_probabilities("train-workload", workload.pairs().to_vec(), &probs);
-    let inputs = er_eval::build_inputs_from_labeled(&evaluator, &model.features, &labeled);
+    let inputs = er_eval::build_inputs_from_rows(&model.features, &rows, &labeled);
     TrainWorkload {
         model,
         inputs,

@@ -93,19 +93,27 @@ impl ErMatcher {
 
     /// Trains the matcher on labeled pairs.
     pub fn train(&mut self, train_pairs: &[Pair]) {
-        assert!(!train_pairs.is_empty(), "cannot train a matcher on an empty split");
-        let xs = self.featurizer.fit(train_pairs);
-        let ys = targets(train_pairs);
+        self.train_rows(
+            &self.featurizer.evaluator().eval_pairs(train_pairs),
+            &targets(train_pairs),
+        );
+    }
+
+    /// Trains the matcher on the raw basic-metric rows of the training pairs
+    /// and their targets (1.0 = match, see [`targets`]).
+    pub fn train_rows(&mut self, rows: &[Vec<f64>], ys: &[f64]) {
+        assert!(!rows.is_empty(), "cannot train a matcher on an empty split");
+        let xs = self.featurizer.fit_rows(rows);
         match self.kind {
             MatcherKind::Logistic => {
                 let mut model = LogisticRegression::new(self.featurizer.dim());
-                model.train(&xs, &ys, &self.config);
+                model.train(&xs, ys, &self.config);
                 self.logistic = Some(model);
             }
             MatcherKind::Mlp => {
                 let hidden = [24, 12];
                 let mut model = Mlp::new(self.featurizer.dim(), &hidden, self.config.seed);
-                model.train(&xs, &ys, &self.config);
+                model.train(&xs, ys, &self.config);
                 self.mlp = Some(model);
             }
         }
@@ -127,13 +135,30 @@ impl ErMatcher {
 
     /// Predicts probabilities for a slice of pairs.
     pub fn predict(&self, pairs: &[Pair]) -> Vec<f64> {
-        pairs.iter().map(|p| self.predict_pair(p)).collect()
+        self.predict_rows(&self.featurizer.evaluator().eval_pairs(pairs))
+    }
+
+    /// Predicts probabilities from raw basic-metric rows, evaluated by this
+    /// matcher's evaluator; bit-identical to [`ErMatcher::predict_pair`] on
+    /// the pairs the rows came from.
+    pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+        self.featurizer
+            .standardize(rows)
+            .iter()
+            .map(|x| self.predict_features(x))
+            .collect()
     }
 
     /// Labels a workload: predicts every pair and wraps the results.
     pub fn label_workload(&self, name: &str, pairs: &[Pair]) -> LabeledWorkload {
-        let probs = self.predict(pairs);
-        LabeledWorkload::from_probabilities(name, pairs.to_vec(), &probs)
+        self.label_rows(name, pairs, &self.featurizer.evaluator().eval_pairs(pairs))
+    }
+
+    /// Labels a workload from its pairs' raw basic-metric rows (aligned with
+    /// `pairs`).
+    pub fn label_rows(&self, name: &str, pairs: &[Pair], rows: &[Vec<f64>]) -> LabeledWorkload {
+        assert_eq!(pairs.len(), rows.len(), "one metric row per pair");
+        LabeledWorkload::from_probabilities(name, pairs.to_vec(), &self.predict_rows(rows))
     }
 }
 
@@ -188,6 +213,35 @@ mod tests {
         assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
         let labeled = matcher.label_workload("AB-test", &test);
         assert!(labeled.classifier_accuracy() > 0.7);
+    }
+
+    #[test]
+    fn row_predictions_equal_per_pair_predictions_bit_for_bit() {
+        let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.015, 12);
+        let pairs = ds.workload.pairs();
+        let (train, test) = split_pairs(pairs, 0.5);
+        for kind in [MatcherKind::Logistic, MatcherKind::Mlp] {
+            let evaluator = MetricEvaluator::from_pairs(ds.workload.left_schema.clone(), &train);
+            let config = TrainConfig {
+                epochs: 5,
+                ..Default::default()
+            };
+            let mut matcher = ErMatcher::new(evaluator.clone(), kind, config);
+            matcher.train(&train);
+            let per_pair: Vec<u64> = test.iter().map(|p| matcher.predict_pair(p).to_bits()).collect();
+            let rows: Vec<u64> = matcher
+                .predict_rows(&evaluator.eval_pairs(&test))
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(rows, per_pair, "{kind:?}");
+
+            // Training from rows is the same training as from pairs.
+            let mut from_rows = ErMatcher::new(evaluator.clone(), kind, config);
+            from_rows.train_rows(&evaluator.eval_pairs(&train), &targets(&train));
+            let again: Vec<u64> = test.iter().map(|p| from_rows.predict_pair(p).to_bits()).collect();
+            assert_eq!(again, per_pair, "{kind:?}");
+        }
     }
 
     #[test]

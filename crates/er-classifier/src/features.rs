@@ -90,9 +90,15 @@ impl PairFeaturizer {
     /// Fits the standardizer on the training pairs and returns the
     /// standardized training matrix.
     pub fn fit(&mut self, train: &[Pair]) -> Vec<Vec<f64>> {
-        let raw = self.evaluator.eval_pairs(train);
-        let std = Standardizer::fit(&raw);
-        let out = std.transform(&raw);
+        self.fit_rows(&self.evaluator.eval_pairs(train))
+    }
+
+    /// Fits the standardizer on raw basic-metric rows (one per training pair,
+    /// as [`MetricEvaluator::eval_pairs`] produces them) and returns the
+    /// standardized training matrix.
+    pub fn fit_rows(&mut self, raw: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let std = Standardizer::fit(raw);
+        let out = std.transform(raw);
         self.standardizer = Some(std);
         out
     }
@@ -100,10 +106,15 @@ impl PairFeaturizer {
     /// Featurizes pairs using the fitted standardizer (or raw metric values if
     /// [`PairFeaturizer::fit`] has not been called).
     pub fn features(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        let raw = self.evaluator.eval_pairs(pairs);
+        self.standardize(&self.evaluator.eval_pairs(pairs))
+    }
+
+    /// Featurizes raw basic-metric rows: standardized if a standardizer has
+    /// been fitted, copied unchanged otherwise.
+    pub fn standardize(&self, raw: &[Vec<f64>]) -> Vec<Vec<f64>> {
         match &self.standardizer {
-            Some(s) => s.transform(&raw),
-            None => raw,
+            Some(s) => s.transform(raw),
+            None => raw.to_vec(),
         }
     }
 

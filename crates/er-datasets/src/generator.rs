@@ -220,6 +220,50 @@ pub fn generate<D: Domain>(domain: &D, config: &DatasetConfig) -> GeneratedDatas
     }
 }
 
+/// Each record's blocking-attribute token set, sorted and deduplicated: the
+/// blocking attributes' strings joined by spaces, then tokenized.
+fn blocking_token_sets(table: &Table, blocking_attrs: &[usize]) -> Vec<Vec<String>> {
+    table
+        .records()
+        .iter()
+        .map(|record| {
+            let mut text = String::new();
+            for &a in blocking_attrs {
+                if let Some(s) = record.values[a].as_str() {
+                    text.push_str(s);
+                    text.push(' ');
+                }
+            }
+            let mut set = er_similarity::tokenize::tokens(&text);
+            set.sort_unstable();
+            set.dedup();
+            set
+        })
+        .collect()
+}
+
+/// Jaccard similarity `|A∩B| / |A∪B|` of two sorted, deduplicated token sets
+/// by one merge; two empty sets are identical (1.0), as in
+/// [`er_similarity::token_sim::jaccard`], whose counts and value this equals.
+fn sorted_jaccard(a: &[String], b: &[String]) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    inter as f64 / (a.len() + b.len() - inter) as f64
+}
+
 /// Assembles the candidate-pair workload with the target size and match rate.
 #[allow(clippy::too_many_arguments)]
 fn build_workload<R: Rng + ?Sized>(
@@ -267,29 +311,16 @@ fn build_workload<R: Rng + ?Sized>(
     // their blocking attributes so that near-duplicates of distinct entities
     // (sibling products, follow-up papers) dominate the negative class, as
     // they do after blocking in the real benchmarks.
-    let similarity_proxy = |&(i, j): &(u32, u32)| -> f64 {
-        let l = left.record(RecordId(i));
-        let r = right.record(RecordId(j));
-        let mut text_l = String::new();
-        let mut text_r = String::new();
-        for &a in &blocking_attrs {
-            if let Some(s) = l.values[a].as_str() {
-                text_l.push_str(s);
-                text_l.push(' ');
-            }
-            if let Some(s) = r.values[a].as_str() {
-                text_r.push_str(s);
-                text_r.push(' ');
-            }
-        }
-        er_similarity::token_sim::jaccard(
-            &er_similarity::tokenize::tokens(&text_l),
-            &er_similarity::tokenize::tokens(&text_r),
-        )
-    };
+    let left_tokens = blocking_token_sets(left, &blocking_attrs);
+    let right_tokens = blocking_token_sets(right, &blocking_attrs);
     let mut scored: Vec<((u32, u32), f64)> = blocked_nonmatches
         .drain(..)
-        .map(|p| (p, similarity_proxy(&p)))
+        .map(|p| {
+            (
+                p,
+                sorted_jaccard(&left_tokens[p.0 as usize], &right_tokens[p.1 as usize]),
+            )
+        })
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
 
@@ -364,6 +395,33 @@ mod tests {
         assert_eq!(w.attribute_count(), 4);
         assert_eq!(ds.left_entities.len(), ds.left.len());
         assert_eq!(ds.right_entities.len(), ds.right.len());
+    }
+
+    #[test]
+    fn sorted_jaccard_equals_the_hash_set_jaccard() {
+        let cases: [(&str, &str); 6] = [
+            ("", ""),
+            ("", "deep learning"),
+            ("the r tree the r tree", "r tree index"),
+            ("query optimization", "query optimization"),
+            ("a b c d", "e f g"),
+            ("spatial join spatial processing", "join spatial 1993 join"),
+        ];
+        for (x, y) in cases {
+            let (tx, ty) = (er_similarity::tokenize::tokens(x), er_similarity::tokenize::tokens(y));
+            let sorted = |t: &[String]| {
+                let mut t = t.to_vec();
+                t.sort_unstable();
+                t.dedup();
+                t
+            };
+            let want = er_similarity::token_sim::jaccard(&tx, &ty);
+            assert_eq!(
+                sorted_jaccard(&sorted(&tx), &sorted(&ty)).to_bits(),
+                want.to_bits(),
+                "{x:?} vs {y:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! selection strategy.  The compared strategies are `LeastConfidence`,
 //! `Entropy` and `LearnRisk` (select the pairs with the highest risk).
 
-use crate::pipeline::build_inputs_from_labeled;
+use crate::pipeline::build_inputs_from_rows;
 use er_base::stats::{clamp_prob, safe_ln};
 use er_base::{Label, LabeledWorkload, Pair, Schema};
-use er_classifier::{ErMatcher, MatcherKind, TrainConfig};
+use er_classifier::{targets, ErMatcher, MatcherKind, TrainConfig};
 use er_rulegen::OneSidedTreeConfig;
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{train as train_risk, LearnRiskModel, RiskFeatureSet, RiskModelConfig, RiskTrainConfig};
@@ -144,17 +144,13 @@ pub fn run_active_learning(
     let mut points = Vec::with_capacity(config.rounds + 1);
     for round in 0..=config.rounds {
         let labeled: Vec<Pair> = labeled_idx.iter().map(|&i| pool[i].clone()).collect();
-        // Ensure both classes are present; if not, the matcher would be degenerate.
-        let has_both = labeled.iter().any(|p| p.truth.is_match()) && labeled.iter().any(|p| !p.truth.is_match());
+        // Every pair's row is evaluated once per round: the IDF tables, and
+        // so the rows, change with the labeled set.
         let evaluator = MetricEvaluator::from_pairs(Arc::clone(&schema), &labeled);
+        let labeled_rows = evaluator.eval_pairs(&labeled);
         let mut matcher = ErMatcher::new(evaluator.clone(), config.matcher, config.matcher_config);
-        if has_both {
-            matcher.train(&labeled);
-        } else {
-            // Degenerate seed: skip training this round (predicts 0.5 everywhere).
-            matcher.train(&labeled);
-        }
-        let test_labeled = matcher.label_workload("al-test", test);
+        matcher.train_rows(&labeled_rows, &targets(&labeled));
+        let test_labeled = matcher.label_rows("al-test", test, &evaluator.eval_pairs(test));
         points.push(ActiveLearningPoint {
             labeled: labeled.len(),
             f1: test_labeled.classifier_f1(),
@@ -170,13 +166,20 @@ pub fn run_active_learning(
             break;
         }
         let unlabeled_pairs: Vec<Pair> = unlabeled.iter().map(|&i| pool[i].clone()).collect();
-        let outputs = matcher.predict(&unlabeled_pairs);
+        let unlabeled_rows = evaluator.eval_pairs(&unlabeled_pairs);
+        let outputs = matcher.predict_rows(&unlabeled_rows);
         let scores: Vec<f64> = match strategy {
             SelectionStrategy::LeastConfidence => outputs.iter().map(|&p| 0.5 - (p - 0.5).abs()).collect(),
             SelectionStrategy::Entropy => outputs.iter().map(|&p| entropy_score(p)).collect(),
-            SelectionStrategy::LearnRisk => {
-                learnrisk_selection_scores(&evaluator, &matcher, &labeled, &unlabeled_pairs, &outputs, config)
-            }
+            SelectionStrategy::LearnRisk => learnrisk_selection_scores(
+                &matcher,
+                &labeled,
+                &labeled_rows,
+                &unlabeled_pairs,
+                &unlabeled_rows,
+                &outputs,
+                config,
+            ),
         };
         let mut order: Vec<usize> = (0..unlabeled.len()).collect();
         order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
@@ -193,31 +196,33 @@ pub fn run_active_learning(
 
 /// Risk scores of the unlabeled pool under a LearnRisk model trained on the
 /// currently labeled data (the classifier's own labels on the labeled set act
-/// as risk-training signal).
+/// as risk-training signal). Each pair set comes with its basic-metric rows,
+/// evaluated by the matcher's evaluator.
 fn learnrisk_selection_scores(
-    evaluator: &MetricEvaluator,
     matcher: &ErMatcher,
     labeled: &[Pair],
+    labeled_rows: &[Vec<f64>],
     unlabeled: &[Pair],
+    unlabeled_rows: &[Vec<f64>],
     unlabeled_outputs: &[f64],
     config: &ActiveLearningConfig,
 ) -> Vec<f64> {
     // Generate risk features from the labeled data.
-    let rows = evaluator.eval_pairs(labeled);
+    let metrics = matcher.featurizer().evaluator().metrics().to_vec();
     let labels: Vec<Label> = labeled.iter().map(|p| p.truth).collect();
-    let rules = er_rulegen::generate_rules(&rows, &labels, config.rule_config);
-    let feature_set = RiskFeatureSet::from_training(rules, evaluator.metrics().to_vec(), &rows, &labels);
+    let rules = er_rulegen::generate_rules(labeled_rows, &labels, config.rule_config);
+    let feature_set = RiskFeatureSet::from_training(rules, metrics, labeled_rows, &labels);
     let mut model = LearnRiskModel::new(feature_set, RiskModelConfig::default());
 
     // Risk-train on the labeled data using the classifier's own decisions.
-    let labeled_probs = matcher.predict(labeled);
+    let labeled_probs = matcher.predict_rows(labeled_rows);
     let labeled_workload = LabeledWorkload::from_probabilities("al-labeled", labeled.to_vec(), &labeled_probs);
-    let risk_inputs = build_inputs_from_labeled(evaluator, &model.features, &labeled_workload);
+    let risk_inputs = build_inputs_from_rows(&model.features, labeled_rows, &labeled_workload);
     train_risk(&mut model, &risk_inputs, &config.risk_train_config);
 
     // Score the unlabeled pool (risk labels unknown, set to 0 — unused).
     let unlabeled_workload = LabeledWorkload::from_probabilities("al-pool", unlabeled.to_vec(), unlabeled_outputs);
-    let pool_inputs = build_inputs_from_labeled(evaluator, &model.features, &unlabeled_workload);
+    let pool_inputs = build_inputs_from_rows(&model.features, unlabeled_rows, &unlabeled_workload);
     model.rank(&pool_inputs)
 }
 

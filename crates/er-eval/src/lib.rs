@@ -28,8 +28,8 @@ pub use experiments::{
 };
 pub use ood::{project_workload, schemas_compatible};
 pub use pipeline::{
-    build_inputs_from_labeled, run_pipeline, run_pipeline_on_splits, MethodResult, PipelineArtifacts, PipelineConfig,
-    PipelineResult,
+    build_inputs_from_labeled, build_inputs_from_rows, run_pipeline, run_pipeline_on_splits, MethodResult,
+    PipelineArtifacts, PipelineConfig, PipelineResult,
 };
 pub use report::{render_active_learning, render_auroc_table, render_scalability, render_sensitivity, render_table2};
 pub use serving::{

@@ -10,12 +10,12 @@
 //! 5. scores the test split with LearnRisk and every baseline;
 //! 6. reports AUROC per method.
 
-use er_base::{auroc, Label, LabeledPair, LabeledWorkload, Pair, SplitRatio, Workload};
+use er_base::{auroc, Label, LabeledWorkload, Pair, SplitRatio, Workload};
 use er_baselines::{
     baseline_scores, HoloCleanConfig, HoloCleanRisk, StaticRisk, StaticRiskConfig, TrustScore, TrustScoreConfig,
     UncertaintyScorer,
 };
-use er_classifier::{BootstrapEnsemble, ErMatcher, MatcherKind, TrainConfig};
+use er_classifier::{targets, BootstrapEnsemble, ErMatcher, MatcherKind, TrainConfig};
 use er_rulegen::{OneSidedTreeConfig, RandomForest, TwoSidedTreeConfig};
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{
@@ -157,18 +157,24 @@ pub fn run_pipeline_on_splits(
         "train/test schema mismatch"
     );
 
-    // --- classifier -------------------------------------------------------
+    // --- basic-metric rows, evaluated once and shared by every stage --------
     let evaluator = MetricEvaluator::from_pairs(schema, train);
-    let mut matcher = ErMatcher::new(evaluator.clone(), config.matcher, config.matcher_config);
-    matcher.train(train);
+    let train_rows = evaluator.eval_pairs(train);
+    let valid_rows = evaluator.eval_pairs(valid);
+    let test_rows = evaluator.eval_pairs(test);
+    let train_labels: Vec<Label> = train.iter().map(|p| p.truth).collect();
+    let train_targets = targets(train);
 
-    let valid_labeled = matcher.label_workload(&format!("{dataset}-valid"), valid);
-    let test_labeled = matcher.label_workload(&format!("{dataset}-test"), test);
+    // --- classifier -------------------------------------------------------
+    let mut matcher = ErMatcher::new(evaluator.clone(), config.matcher, config.matcher_config);
+    matcher.train_rows(&train_rows, &train_targets);
+
+    let valid_labeled = matcher.label_rows(&format!("{dataset}-valid"), valid, &valid_rows);
+    let test_labeled = matcher.label_rows(&format!("{dataset}-test"), test, &test_rows);
 
     // --- shared feature representations ------------------------------------
-    let train_features = matcher.featurizer().features(train);
-    let test_features = matcher.featurizer().features(test);
-    let train_labels: Vec<Label> = train.iter().map(|p| p.truth).collect();
+    let train_features = matcher.featurizer().standardize(&train_rows);
+    let test_features = matcher.featurizer().standardize(&test_rows);
     let train_is_match: Vec<bool> = train_labels.iter().map(|l| l.is_match()).collect();
     let test_outputs: Vec<f64> = test_labeled.pairs.iter().map(|p| p.decision.probability).collect();
     let test_says_match: Vec<bool> = test_labeled
@@ -191,7 +197,7 @@ pub fn run_pipeline_on_splits(
     // --- Uncertainty --------------------------------------------------------
     let ensemble = BootstrapEnsemble::train(
         &train_features,
-        &train_labels.iter().map(|l| l.as_f64()).collect::<Vec<_>>(),
+        &train_targets,
         config.ensemble_members,
         &TrainConfig {
             epochs: 20,
@@ -227,7 +233,6 @@ pub fn run_pipeline_on_splits(
 
     // --- LearnRisk ----------------------------------------------------------
     let rule_timer = Instant::now();
-    let train_rows = evaluator.eval_pairs(train);
     let rules = er_rulegen::generate_rules(&train_rows, &train_labels, config.rule_config);
     let rule_generation_secs = rule_timer.elapsed().as_secs_f64();
     let feature_set = RiskFeatureSet::from_training(rules, evaluator.metrics().to_vec(), &train_rows, &train_labels);
@@ -235,8 +240,8 @@ pub fn run_pipeline_on_splits(
 
     let risk_timer = Instant::now();
     let mut risk_model = LearnRiskModel::new(feature_set, config.risk_config);
-    let valid_inputs = build_inputs_from_labeled(&evaluator, &risk_model.features, &valid_labeled);
-    let test_inputs = build_inputs_from_labeled(&evaluator, &risk_model.features, &test_labeled);
+    let valid_inputs = build_inputs_from_rows(&risk_model.features, &valid_rows, &valid_labeled);
+    let test_inputs = build_inputs_from_rows(&risk_model.features, &test_rows, &test_labeled);
     train_with_threads(
         &mut risk_model,
         &valid_inputs,
@@ -264,7 +269,6 @@ pub fn run_pipeline_on_splits(
         );
         let two_sided_rules = forest.rules(rule_count.max(10));
         let hc = HoloCleanRisk::new(two_sided_rules, HoloCleanConfig::default());
-        let test_rows = evaluator.eval_pairs(test);
         let scores = hc.scores(&test_rows, &test_outputs, &test_says_match);
         methods.push(MethodResult {
             method: "HoloClean".into(),
@@ -321,13 +325,25 @@ pub fn build_inputs_from_labeled(
     feature_set: &RiskFeatureSet,
     labeled: &LabeledWorkload,
 ) -> Vec<PairRiskInput> {
-    labeled
+    let rows: Vec<Vec<f64>> = labeled
         .pairs
         .iter()
-        .map(|lp: &LabeledPair| {
-            let row = evaluator.eval_all(&lp.pair.left, &lp.pair.right);
-            build_input_from_row(feature_set, &row, lp)
-        })
+        .map(|lp| evaluator.eval_all(&lp.pair.left, &lp.pair.right))
+        .collect();
+    build_inputs_from_rows(feature_set, &rows, labeled)
+}
+
+/// Builds risk inputs for every pair of a labeled workload from the pairs'
+/// basic-metric rows (aligned with `labeled.pairs`).
+pub fn build_inputs_from_rows(
+    feature_set: &RiskFeatureSet,
+    rows: &[Vec<f64>],
+    labeled: &LabeledWorkload,
+) -> Vec<PairRiskInput> {
+    assert_eq!(rows.len(), labeled.pairs.len(), "one metric row per labeled pair");
+    rows.iter()
+        .zip(&labeled.pairs)
+        .map(|(row, lp)| build_input_from_row(feature_set, row, lp))
         .collect()
 }
 
@@ -382,5 +398,44 @@ mod tests {
         );
         assert_eq!(artifacts.test_inputs.len(), result.test_size);
         assert!(result.rule_generation_secs >= 0.0 && result.risk_training_secs >= 0.0);
+    }
+
+    #[test]
+    fn shared_rows_give_the_inputs_a_from_scratch_evaluation_gives() {
+        let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 43);
+        let config = PipelineConfig {
+            matcher: MatcherKind::Logistic,
+            matcher_config: TrainConfig {
+                epochs: 10,
+                ..Default::default()
+            },
+            risk_train_config: RiskTrainConfig {
+                epochs: 10,
+                ..Default::default()
+            },
+            ensemble_members: 2,
+            ..Default::default()
+        };
+        let ratio = SplitRatio::new(3, 2, 5);
+        let (_, artifacts) = run_pipeline(&ds.workload, ratio, &config);
+
+        // The test split, labeled pair by pair and evaluated anew.
+        let mut rng = er_base::rng::substream(config.seed, 0x90);
+        let test = ds.workload.select(&ds.workload.split_by_ratio(ratio, &mut rng).test);
+        let probs: Vec<f64> = test.iter().map(|p| artifacts.matcher.predict_pair(p)).collect();
+        let labeled = LabeledWorkload::from_probabilities("test", test, &probs);
+        let expected = build_inputs_from_labeled(&artifacts.evaluator, &artifacts.risk_model.features, &labeled);
+
+        assert_eq!(artifacts.test_inputs.len(), expected.len());
+        for (i, (got, want)) in artifacts.test_inputs.iter().zip(&expected).enumerate() {
+            assert_eq!(got.rule_indices, want.rule_indices, "pair {i}");
+            assert_eq!(
+                got.classifier_output.to_bits(),
+                want.classifier_output.to_bits(),
+                "pair {i}"
+            );
+            assert_eq!(got.machine_says_match, want.machine_says_match, "pair {i}");
+            assert_eq!(got.risk_label, want.risk_label, "pair {i}");
+        }
     }
 }

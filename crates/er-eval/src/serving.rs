@@ -19,9 +19,13 @@ use std::path::Path;
 /// Builds serving requests for `pairs`: evaluates the basic-metric rows and
 /// attaches the classifier's decision, exactly as an online feature service
 /// would. Pair ids are the positions in `pairs`.
+///
+/// `evaluator` is the one `matcher` was built over (a pipeline's
+/// [`PipelineArtifacts::evaluator`]): each row is evaluated once and feeds
+/// both the request and the classifier.
 pub fn build_score_requests(evaluator: &MetricEvaluator, matcher: &ErMatcher, pairs: &[Pair]) -> Vec<ScoreRequest> {
     let rows = evaluator.eval_pairs(pairs);
-    let probs = matcher.predict(pairs);
+    let probs = matcher.predict_rows(&rows);
     rows.into_iter()
         .zip(probs)
         .enumerate()
@@ -142,6 +146,22 @@ mod tests {
         let pool = build_score_requests(&artifacts.evaluator, &artifacts.matcher, &pairs[..40.min(pairs.len())]);
         let engine = round_trip_engine(&artifacts.risk_model).expect("round trip");
         assert!(verify_round_trip(&artifacts.risk_model, &engine, &pool).is_ok());
+    }
+
+    #[test]
+    fn score_requests_equal_the_per_pair_reference_bit_for_bit() {
+        let (_, artifacts, pairs) = small_artifacts();
+        let pool = build_score_requests(&artifacts.evaluator, &artifacts.matcher, &pairs);
+        assert_eq!(pool.len(), pairs.len());
+        for (i, (request, pair)) in pool.iter().zip(&pairs).enumerate() {
+            let row = artifacts.evaluator.eval_all(&pair.left, &pair.right);
+            let p = artifacts.matcher.predict_pair(pair);
+            assert_eq!(request.pair_id, i as u64);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&request.metric_row), bits(&row), "pair {i}");
+            assert_eq!(request.classifier_output.to_bits(), p.to_bits(), "pair {i}");
+            assert_eq!(request.machine_says_match, p >= 0.5, "pair {i}");
+        }
     }
 
     #[test]

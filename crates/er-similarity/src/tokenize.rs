@@ -5,14 +5,15 @@
 //! attributes (author lists, artist lists) are additionally split on an entity
 //! separator (`,`, `;`, `&`, ` and `) before token-level processing.
 
-/// Normalizes a raw string: lower-case, trim, collapse internal whitespace.
+/// Normalizes a raw string: alphanumeric characters lower-cased by their full
+/// Unicode mapping (`Ü` → `ü`), every other run collapsed into one space,
+/// trimmed.
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut last_space = true;
     for ch in s.chars() {
-        let c = ch.to_ascii_lowercase();
-        if c.is_alphanumeric() {
-            out.push(c);
+        if ch.is_alphanumeric() {
+            out.extend(ch.to_lowercase());
             last_space = false;
         } else if !last_space {
             out.push(' ');
@@ -94,6 +95,41 @@ mod tests {
         assert_eq!(normalize("VLDB'99"), "vldb 99");
         assert_eq!(normalize(""), "");
         assert_eq!(normalize("..."), "");
+    }
+
+    #[test]
+    fn normalize_lowercases_beyond_ascii() {
+        assert_eq!(normalize("MÜLLER, Jürgen"), "müller jürgen");
+        assert_eq!(tokens("ÉCOLE"), tokens("école"));
+        assert_eq!(tokens("ÉCOLE"), vec!["école"]);
+    }
+
+    #[test]
+    fn ascii_strings_normalize_as_ascii_lowercasing_does() {
+        // The ASCII-only rule: lower-case ASCII letters, keep alphanumerics,
+        // and collapse every other run into one space.
+        let ascii_rule = |s: &str| {
+            let mapped: String = s
+                .chars()
+                .map(|c| {
+                    if c.is_ascii_alphanumeric() {
+                        c.to_ascii_lowercase()
+                    } else {
+                        ' '
+                    }
+                })
+                .collect();
+            mapped.split_whitespace().collect::<Vec<_>>().join(" ")
+        };
+        let every_ascii: String = (0u8..128).map(char::from).collect();
+        for s in [
+            every_ascii.as_str(),
+            "  The R*-Tree: An Efficient Index  ",
+            "VLDB'99 -- Proc. 25th Int. Conf.",
+            "iPod Nano 4GB (Silver) MB598LL/A",
+        ] {
+            assert_eq!(normalize(s), ascii_rule(s), "{s:?}");
+        }
     }
 
     #[test]
