@@ -20,6 +20,8 @@
 pub mod difference;
 pub mod edit;
 pub mod metric;
+#[cfg(test)]
+mod reference;
 pub mod sequence;
 pub mod token_sim;
 pub mod tokenize;

@@ -236,6 +236,12 @@ impl MetricEvaluator {
         self
     }
 
+    /// The IDF table of one attribute.
+    #[cfg(test)]
+    pub(crate) fn idf_table(&self, attr_index: usize) -> &IdfTable {
+        &self.idf[attr_index]
+    }
+
     /// Evaluates a single metric on a pair of records.
     pub fn eval_metric(&self, metric: &AttrMetric, left: &Record, right: &Record) -> f64 {
         let a = &left.values[metric.attr_index];
