@@ -15,18 +15,47 @@ use er_similarity::MetricEvaluator;
 use learnrisk_core::{train as train_risk, LearnRiskModel, RiskFeatureSet, RiskModelConfig, RiskTrainConfig};
 use std::sync::Arc;
 
+/// The basic-metric rows of the whole DS pool (perfbench's workload: scale
+/// 0.02, seed 2020) per iteration, so every sample covers the same pairs.
 fn bench_metric_evaluation(c: &mut Criterion) {
-    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 7);
+    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 2020);
     let pairs = ds.workload.pairs();
     let evaluator = MetricEvaluator::from_pairs(Arc::clone(&ds.workload.left_schema), pairs);
-    c.bench_function("similarity/basic_metrics_per_pair", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let p = &pairs[i % pairs.len()];
-            i += 1;
-            std::hint::black_box(evaluator.eval_all(&p.left, &p.right))
-        })
+    let mut group = c.benchmark_group("similarity");
+    group.sample_size(10);
+    group.bench_function("eval_pairs_ds", |b| {
+        b.iter(|| std::hint::black_box(evaluator.eval_pairs(pairs)))
     });
+    group.finish();
+}
+
+/// The character kernels on two DS titles of one pair, both cut to 40, 64
+/// (one full word of the bit-parallel kernels) and 100 characters.
+fn bench_similarity_kernels(c: &mut Criterion) {
+    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 2020);
+    let title = |r: &er_base::Record| r.values[0].as_str().unwrap_or_default().to_owned();
+    let (a, b) = ds
+        .workload
+        .pairs()
+        .iter()
+        .map(|p| (title(&p.left), title(&p.right)))
+        .find(|(a, b)| a != b && a.chars().count() >= 100 && b.chars().count() >= 100)
+        .expect("a DS pair with two distinct titles of 100+ characters");
+    let mut group = c.benchmark_group("similarity/kernel");
+    for len in [40usize, 64, 100] {
+        let cut = |s: &str| s.chars().take(len).collect::<String>();
+        let pair = (cut(&a), cut(&b));
+        group.bench_with_input(CriterionId::new("levenshtein", len), &pair, |bench, (a, b)| {
+            bench.iter(|| std::hint::black_box(er_similarity::edit::levenshtein(a, b)))
+        });
+        group.bench_with_input(CriterionId::new("lcs", len), &pair, |bench, (a, b)| {
+            bench.iter(|| std::hint::black_box(er_similarity::sequence::lcs_length(a, b)))
+        });
+        group.bench_with_input(CriterionId::new("jaro_winkler", len), &pair, |bench, (a, b)| {
+            bench.iter(|| std::hint::black_box(er_similarity::edit::jaro_winkler(a, b)))
+        });
+    }
+    group.finish();
 }
 
 fn bench_rule_generation(c: &mut Criterion) {
@@ -179,6 +208,7 @@ fn bench_setup(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_metric_evaluation,
+    bench_similarity_kernels,
     bench_rule_generation,
     bench_risk_training_and_scoring,
     bench_serve_wire,

@@ -14,50 +14,60 @@
 //! All metrics return a number where *larger means more different*; indicator
 //! metrics return `0.0` or `1.0`.
 
-use crate::token_sim::IdfTable;
-use crate::tokenize::{abbreviation, entities, normalize, tokens};
-use std::collections::HashSet;
+use crate::kernel::Kernels;
+use crate::prepared::{Prepared, DISTINCT, ENTITIES, TOKENS};
+use crate::token_sim::{merge_sorted, IdfTable, Side};
+use crate::tokenize::{entities, is_specific_token, normalize};
 
 /// Indicator that neither normalized value is a substring of the other.
 ///
 /// A value of `1.0` strongly suggests the two entity names denote different
 /// entities.
 pub fn non_substring(a: &str, b: &str) -> f64 {
-    let na = normalize(a);
-    let nb = normalize(b);
-    if na.is_empty() || nb.is_empty() {
-        // A missing value carries no difference evidence.
-        return 0.0;
-    }
-    if na.contains(&nb) || nb.contains(&na) {
-        0.0
-    } else {
-        1.0
-    }
+    neither(&normalize(a), &normalize(b), Contained::Substring)
 }
 
 /// Indicator that neither value is a prefix of the other.
 pub fn non_prefix(a: &str, b: &str) -> f64 {
-    let na = normalize(a);
-    let nb = normalize(b);
-    if na.is_empty() || nb.is_empty() {
-        return 0.0;
-    }
-    if na.starts_with(&nb) || nb.starts_with(&na) {
-        0.0
-    } else {
-        1.0
-    }
+    neither(&normalize(a), &normalize(b), Contained::Prefix)
 }
 
 /// Indicator that neither value is a suffix of the other.
 pub fn non_suffix(a: &str, b: &str) -> f64 {
-    let na = normalize(a);
-    let nb = normalize(b);
+    neither(&normalize(a), &normalize(b), Contained::Suffix)
+}
+
+/// How one value may sit inside another.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Contained {
+    Substring,
+    Prefix,
+    Suffix,
+}
+
+impl Contained {
+    /// Whether `part` sits inside `whole` this way.
+    fn within(self, part: &str, whole: &str) -> bool {
+        match self {
+            Contained::Substring => whole.contains(part),
+            Contained::Prefix => whole.starts_with(part),
+            Contained::Suffix => whole.ends_with(part),
+        }
+    }
+
+    /// Whether either value sits inside the other this way.
+    fn either_way(self, x: &str, y: &str) -> bool {
+        self.within(x, y) || self.within(y, x)
+    }
+}
+
+/// `1.0` when neither normalized value sits inside the other as `how` says;
+/// `0.0` when one does.  A missing value carries no difference evidence.
+pub(crate) fn neither(na: &str, nb: &str, how: Contained) -> f64 {
     if na.is_empty() || nb.is_empty() {
         return 0.0;
     }
-    if na.ends_with(&nb) || nb.ends_with(&na) {
+    if how.either_way(na, nb) {
         0.0
     } else {
         1.0
@@ -69,63 +79,33 @@ pub fn non_suffix(a: &str, b: &str) -> f64 {
 /// against the other raw value, so `"VLDB"` matches
 /// `"Very Large Data Bases"`.
 pub fn abbr_non_substring(a: &str, b: &str) -> f64 {
-    let na = normalize(a).replace(' ', "");
-    let nb = normalize(b).replace(' ', "");
-    if na.is_empty() || nb.is_empty() {
-        return 0.0;
-    }
-    let aa = abbreviation(a);
-    let ab = abbreviation(b);
-    let contained = aa.contains(&nb)
-        || nb.contains(&aa)
-        || ab.contains(&na)
-        || na.contains(&ab)
-        || (!aa.is_empty() && !ab.is_empty() && (aa.contains(&ab) || ab.contains(&aa)));
-    if contained {
-        0.0
-    } else {
-        1.0
-    }
+    abbr_neither(&Prepared::of(a, TOKENS), &Prepared::of(b, TOKENS), Contained::Substring)
 }
 
 /// Abbreviation-aware variant of [`non_prefix`].
 pub fn abbr_non_prefix(a: &str, b: &str) -> f64 {
-    let na = normalize(a).replace(' ', "");
-    let nb = normalize(b).replace(' ', "");
-    if na.is_empty() || nb.is_empty() {
-        return 0.0;
-    }
-    let aa = abbreviation(a);
-    let ab = abbreviation(b);
-    let ok = aa.starts_with(&ab)
-        || ab.starts_with(&aa)
-        || aa.starts_with(&nb)
-        || nb.starts_with(&aa)
-        || ab.starts_with(&na)
-        || na.starts_with(&ab);
-    if ok {
-        0.0
-    } else {
-        1.0
-    }
+    abbr_neither(&Prepared::of(a, TOKENS), &Prepared::of(b, TOKENS), Contained::Prefix)
 }
 
 /// Abbreviation-aware variant of [`non_suffix`].
 pub fn abbr_non_suffix(a: &str, b: &str) -> f64 {
-    let na = normalize(a).replace(' ', "");
-    let nb = normalize(b).replace(' ', "");
-    if na.is_empty() || nb.is_empty() {
+    abbr_neither(&Prepared::of(a, TOKENS), &Prepared::of(b, TOKENS), Contained::Suffix)
+}
+
+/// `0.0` when either value's abbreviation sits inside (as `how` says) or
+/// around the other's abbreviation or the other's normalized text with spaces
+/// removed; `1.0` otherwise.
+pub(crate) fn abbr_neither(a: &Prepared, b: &Prepared, how: Contained) -> f64 {
+    if a.norm.is_empty() || b.norm.is_empty() {
         return 0.0;
     }
-    let aa = abbreviation(a);
-    let ab = abbreviation(b);
-    let ok = aa.ends_with(&ab)
-        || ab.ends_with(&aa)
-        || aa.ends_with(&nb)
-        || nb.ends_with(&aa)
-        || ab.ends_with(&na)
-        || na.ends_with(&ab);
-    if ok {
+    // A non-empty normalized text has tokens, so both abbreviations are
+    // non-empty too.
+    let compact = |p: &Prepared| p.norm.replace(' ', "");
+    let initials = |p: &Prepared| -> String { p.tokens().filter_map(|t| t.chars().next()).collect() };
+    let (na, nb) = (compact(a), compact(b));
+    let (aa, ab) = (initials(a), initials(b));
+    if how.either_way(&aa, &ab) || how.either_way(&aa, &nb) || how.either_way(&ab, &na) {
         0.0
     } else {
         1.0
@@ -135,12 +115,12 @@ pub fn abbr_non_suffix(a: &str, b: &str) -> f64 {
 /// Indicator that two entity sets have different cardinalities
 /// (`diff-cardinality` in the paper).
 pub fn diff_cardinality(a: &str, b: &str) -> f64 {
-    let ea = entities(a);
-    let eb = entities(b);
-    if ea.is_empty() || eb.is_empty() {
-        return 0.0;
-    }
-    if ea.len() == eb.len() {
+    cardinality_differs(entities(a).len(), entities(b).len())
+}
+
+/// [`diff_cardinality`] from the two entity counts.
+pub(crate) fn cardinality_differs(len_a: usize, len_b: usize) -> f64 {
+    if len_a == 0 || len_b == 0 || len_a == len_b {
         0.0
     } else {
         1.0
@@ -153,21 +133,29 @@ pub fn diff_cardinality(a: &str, b: &str) -> f64 {
 /// Entity names are matched approximately (Jaro–Winkler ≥ 0.9 or containment)
 /// so that `"H Kriegel"` and `"Hans-Peter Kriegel"` do not count as distinct.
 pub fn distinct_entity(a: &str, b: &str) -> f64 {
-    let ea = entities(a);
-    let eb = entities(b);
-    if ea.is_empty() || eb.is_empty() {
-        return 0.0;
-    }
-    let unmatched = |xs: &[String], ys: &[String]| -> usize {
-        xs.iter()
-            .filter(|x| !ys.iter().any(|y| entity_names_match(x, y)))
-            .count()
-    };
-    (unmatched(&ea, &eb) + unmatched(&eb, &ea)) as f64
+    distinct_entities(
+        &Prepared::of(a, ENTITIES),
+        &Prepared::of(b, ENTITIES),
+        &mut Kernels::default(),
+    )
 }
 
-/// Approximate entity-name equality used by [`distinct_entity`].
-fn entity_names_match(a: &str, b: &str) -> bool {
+/// [`distinct_entity`] over prepared entity names.
+pub(crate) fn distinct_entities(a: &Prepared, b: &Prepared, kernels: &mut Kernels) -> f64 {
+    if a.entity_count() == 0 || b.entity_count() == 0 {
+        return 0.0;
+    }
+    let mut unmatched = |xs: &Prepared, ys: &Prepared| {
+        xs.entities()
+            .filter(|&x| !ys.entities().any(|y| entity_names_match(x, y, kernels)))
+            .count()
+    };
+    (unmatched(a, b) + unmatched(b, a)) as f64
+}
+
+/// Approximate entity-name equality used by [`distinct_entity`]; each name
+/// comes with its characters.
+fn entity_names_match((a, a_chars): (&str, &[char]), (b, b_chars): (&str, &[char]), kernels: &mut Kernels) -> bool {
     if a == b || a.contains(b) || b.contains(a) {
         return true;
     }
@@ -177,7 +165,7 @@ fn entity_names_match(a: &str, b: &str) -> bool {
     if la == lb {
         return true;
     }
-    crate::edit::jaro_winkler(a, b) >= 0.9
+    kernels.jaro_winkler(a_chars, b_chars) >= 0.9
 }
 
 /// Number of *key* (discriminating) tokens contained in exactly one of the two
@@ -186,37 +174,34 @@ fn entity_names_match(a: &str, b: &str) -> bool {
 /// A token is a key token when it is rare in the corpus (per the [`IdfTable`])
 /// or intrinsically specific (contains digits / long).
 pub fn diff_key_token(a: &str, b: &str, idf: &IdfTable, max_df_ratio: f64) -> f64 {
-    let ta = tokens(a);
-    let tb = tokens(b);
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    let sa: HashSet<&str> = ta.iter().map(String::as_str).collect();
-    let sb: HashSet<&str> = tb.iter().map(String::as_str).collect();
-    let count_one_sided = |xs: &HashSet<&str>, ys: &HashSet<&str>| -> usize {
-        xs.iter()
-            .filter(|t| !ys.contains(*t) && idf.is_key_token(t, max_df_ratio))
-            .count()
-    };
-    (count_one_sided(&sa, &sb) + count_one_sided(&sb, &sa)) as f64
+    one_sided_tokens(&Prepared::of(a, DISTINCT), &Prepared::of(b, DISTINCT), |t| {
+        idf.is_key_token(t, max_df_ratio)
+    })
 }
 
 /// Variant of [`diff_key_token`] without corpus statistics: only intrinsically
 /// specific tokens count.
 pub fn diff_specific_token(a: &str, b: &str) -> f64 {
-    let ta = tokens(a);
-    let tb = tokens(b);
-    if ta.is_empty() || tb.is_empty() {
+    one_sided_tokens(
+        &Prepared::of(a, DISTINCT),
+        &Prepared::of(b, DISTINCT),
+        is_specific_token,
+    )
+}
+
+/// Number of distinct tokens held by one side only that pass `counts`; 0
+/// when either value has no tokens.
+pub(crate) fn one_sided_tokens(a: &Prepared, b: &Prepared, counts: impl Fn(&str) -> bool) -> f64 {
+    if a.token_count() == 0 || b.token_count() == 0 {
         return 0.0;
     }
-    let sa: HashSet<&str> = ta.iter().map(String::as_str).collect();
-    let sb: HashSet<&str> = tb.iter().map(String::as_str).collect();
-    let one_sided = |xs: &HashSet<&str>, ys: &HashSet<&str>| -> usize {
-        xs.iter()
-            .filter(|t| !ys.contains(*t) && crate::tokenize::is_specific_token(t))
-            .count()
-    };
-    (one_sided(&sa, &sb) + one_sided(&sb, &sa)) as f64
+    let mut one_sided = 0usize;
+    merge_sorted(a.distinct_tokens(), b.distinct_tokens(), |t, side| {
+        if side != Side::Both && counts(t) {
+            one_sided += 1;
+        }
+    });
+    one_sided as f64
 }
 
 /// Absolute numeric difference; 0 when either value is missing.

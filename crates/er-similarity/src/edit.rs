@@ -1,95 +1,42 @@
 //! Character-level edit similarity metrics.
+//!
+//! Thin wrappers over the shared kernels: bit-parallel Levenshtein and the
+//! Jaro window match.
+
+use crate::kernel::{chars, Kernels};
 
 /// Levenshtein edit distance between two strings (character-level).
 ///
-/// Uses the two-row dynamic program, `O(|a|·|b|)` time and `O(min)` memory.
+/// Myers/Hyyrö bit vectors, `O(⌈m/64⌉·n)` word operations for a shorter
+/// string of `m` characters and a longer one of `n`.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Keep the shorter string as the row for less memory.
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur: Vec<usize> = vec![0; short.len() + 1];
-    for (i, &lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &sc) in short.iter().enumerate() {
-            let cost = usize::from(lc != sc);
-            cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[short.len()]
+    Kernels::default().levenshtein(&chars(a), &chars(b))
 }
 
 /// Normalized Levenshtein similarity in `[0, 1]`:
 /// `1 - distance / max(|a|, |b|)`.  Two empty strings are fully similar.
 pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
+    edit_similarity_chars(&chars(a), &chars(b), &mut Kernels::default())
+}
+
+/// [`edit_similarity`] over characters.
+pub(crate) fn edit_similarity_chars(a: &[char], b: &[char], kernels: &mut Kernels) -> f64 {
+    let max_len = a.len().max(b.len());
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
+    1.0 - kernels.levenshtein(a, b) as f64 / max_len as f64
 }
 
 /// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_matched = vec![false; b.len()];
-    let mut a_matched = vec![false; a.len()];
-    let mut matches = 0usize;
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_matched[j] && b[j] == ca {
-                a_matched[i] = true;
-                b_matched[j] = true;
-                matches += 1;
-                break;
-            }
-        }
-    }
-    if matches == 0 {
-        return 0.0;
-    }
-    // Count transpositions among matched characters.
-    let a_ms: Vec<char> = a
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| a_matched[*i])
-        .map(|(_, &c)| c)
-        .collect();
-    let b_ms: Vec<char> = b
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| b_matched[*j])
-        .map(|(_, &c)| c)
-        .collect();
-    let transpositions = a_ms.iter().zip(b_ms.iter()).filter(|(x, y)| x != y).count() / 2;
-    let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    Kernels::default().jaro(&chars(a), &chars(b))
 }
 
 /// Jaro–Winkler similarity with the standard prefix scale of 0.1 and a prefix
 /// cap of 4 characters.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count() as f64;
-    j + prefix * 0.1 * (1.0 - j)
+    Kernels::default().jaro_winkler(&chars(a), &chars(b))
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 
 pub mod difference;
 pub mod edit;
+mod kernel;
 pub mod metric;
+mod prepared;
 #[cfg(test)]
 mod reference;
 pub mod sequence;

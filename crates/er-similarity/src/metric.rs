@@ -8,9 +8,11 @@
 
 use crate::difference as diff;
 use crate::edit;
+use crate::kernel::Kernels;
+use crate::prepared::{needs, PairScratch, Prepared};
 use crate::sequence;
 use crate::token_sim::{self, IdfTable};
-use crate::tokenize::{entities, tokens};
+use crate::tokenize::tokens;
 use er_base::{AttrType, AttrValue, Pair, Record, Schema};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -258,12 +260,37 @@ impl MetricEvaluator {
     /// Evaluates every configured metric on a pair of records, producing the
     /// basic-metric vector used by rule generation and classification.
     pub fn eval_all(&self, left: &Record, right: &Record) -> Vec<f64> {
-        self.metrics.iter().map(|m| self.eval_metric(m, left, right)).collect()
+        self.eval_row(left, right, &mut PairScratch::default())
     }
 
     /// Evaluates every metric for each pair, producing a row-major matrix.
     pub fn eval_pairs(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        pairs.iter().map(|p| self.eval_all(&p.left, &p.right)).collect()
+        let mut scratch = PairScratch::default();
+        pairs
+            .iter()
+            .map(|p| self.eval_row(&p.left, &p.right, &mut scratch))
+            .collect()
+    }
+
+    /// One pair's row: each string attribute's values are prepared once, with
+    /// the parts its metrics read, and every metric reads those parts.
+    fn eval_row(&self, left: &Record, right: &Record, scratch: &mut PairScratch) -> Vec<f64> {
+        scratch.values.prepare(&self.metrics, left, right);
+        self.metrics
+            .iter()
+            .map(|m| match scratch.values.sides(m.attr_index) {
+                Some((a, b)) if needs(m.kind) != 0 => eval_prepared(
+                    m.kind,
+                    a,
+                    b,
+                    &self.idf[m.attr_index],
+                    self.key_token_max_df,
+                    &mut scratch.kernels,
+                ),
+                // Numeric metrics, and string metrics over a missing value.
+                _ => self.eval_metric(m, left, right),
+            })
+            .collect()
     }
 }
 
@@ -307,38 +334,69 @@ pub fn eval_metric_kind(kind: MetricKind, a: &AttrValue, b: &AttrValue, idf: &Id
         NumericNotEqual => diff::numeric_not_equal(a.as_num(), b.as_num()),
         NumericAbsDiff => diff::numeric_abs_diff(a.as_num(), b.as_num()),
         NumericRelDiff => diff::numeric_rel_diff(a.as_num(), b.as_num()),
-        _ => {
-            let (sa, sb) = match (a.as_str(), b.as_str()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => {
-                    return if kind.is_difference() { 0.0 } else { 0.5 };
-                }
-            };
-            match kind {
-                EditSimilarity => edit::edit_similarity(sa, sb),
-                JaroWinkler => edit::jaro_winkler(sa, sb),
-                Jaccard => token_sim::jaccard(&tokens(sa), &tokens(sb)),
-                Dice => token_sim::dice(&tokens(sa), &tokens(sb)),
-                Overlap => token_sim::overlap(&tokens(sa), &tokens(sb)),
-                CosineTf => token_sim::cosine_tf(&tokens(sa), &tokens(sb)),
-                CosineTfIdf => idf.cosine_tfidf(&tokens(sa), &tokens(sb)),
-                MongeElkan => token_sim::monge_elkan_sym(&tokens(sa), &tokens(sb)),
-                Lcs => sequence::lcs_similarity(sa, sb),
-                SubstringSim => sequence::substring_similarity(sa, sb),
-                EntityJaccard => token_sim::jaccard(&entities(sa), &entities(sb)),
-                NonSubstring => diff::non_substring(sa, sb),
-                NonPrefix => diff::non_prefix(sa, sb),
-                NonSuffix => diff::non_suffix(sa, sb),
-                AbbrNonSubstring => diff::abbr_non_substring(sa, sb),
-                AbbrNonPrefix => diff::abbr_non_prefix(sa, sb),
-                AbbrNonSuffix => diff::abbr_non_suffix(sa, sb),
-                DiffCardinality => diff::diff_cardinality(sa, sb),
-                DistinctEntity => diff::distinct_entity(sa, sb),
-                DiffKeyToken => diff::diff_key_token(sa, sb, idf, key_df),
-                NumericEqual | NumericSimilarity | NumericNotEqual | NumericAbsDiff | NumericRelDiff => {
-                    unreachable!("numeric kinds handled above")
-                }
+        _ => match (a.as_str(), b.as_str()) {
+            (Some(sa), Some(sb)) => {
+                let parts = needs(kind);
+                let (pa, pb) = (Prepared::of(sa, parts), Prepared::of(sb, parts));
+                eval_prepared(kind, &pa, &pb, idf, key_df, &mut Kernels::default())
             }
+            _ if kind.is_difference() => 0.0,
+            _ => 0.5,
+        },
+    }
+}
+
+/// Evaluates a string metric kind over two values prepared with (at least)
+/// the parts the kind [`needs`].
+fn eval_prepared(
+    kind: MetricKind,
+    a: &Prepared,
+    b: &Prepared,
+    idf: &IdfTable,
+    key_df: f64,
+    kernels: &mut Kernels,
+) -> f64 {
+    use MetricKind::*;
+    let sets = |metric: fn(usize, usize, usize) -> f64| {
+        let inter = token_sim::sorted_intersection(a.distinct_tokens(), b.distinct_tokens());
+        metric(a.distinct_len(), b.distinct_len(), inter)
+    };
+    match kind {
+        EditSimilarity => edit::edit_similarity_chars(&a.raw, &b.raw, kernels),
+        JaroWinkler => kernels.jaro_winkler(&a.raw, &b.raw),
+        Jaccard => sets(token_sim::jaccard_of),
+        Dice => sets(token_sim::dice_of),
+        Overlap => sets(token_sim::overlap_of),
+        CosineTf => {
+            let [wa, wb] = [a, b].map(|p| p.distinct_counts().map(|(t, n)| (t, f64::from(n))).collect::<Vec<_>>());
+            token_sim::cosine_of(&wa, &wb)
+        }
+        CosineTfIdf => token_sim::cosine_of(
+            &idf.tfidf_weights(a.distinct_counts()),
+            &idf.tfidf_weights(b.distinct_counts()),
+        ),
+        MongeElkan => {
+            let [ta, tb] = [a, b].map(|p| p.token_chars().collect::<Vec<_>>());
+            token_sim::monge_elkan_sym_chars(&ta, &tb, kernels)
+        }
+        Lcs => sequence::lcs_similarity_chars(&a.raw, &b.raw, kernels),
+        SubstringSim => sequence::substring_similarity_chars(&a.raw, &b.raw),
+        EntityJaccard => token_sim::jaccard_of(
+            a.distinct_entity_len(),
+            b.distinct_entity_len(),
+            token_sim::sorted_intersection(a.distinct_entities(), b.distinct_entities()),
+        ),
+        NonSubstring => diff::neither(&a.norm, &b.norm, diff::Contained::Substring),
+        NonPrefix => diff::neither(&a.norm, &b.norm, diff::Contained::Prefix),
+        NonSuffix => diff::neither(&a.norm, &b.norm, diff::Contained::Suffix),
+        AbbrNonSubstring => diff::abbr_neither(a, b, diff::Contained::Substring),
+        AbbrNonPrefix => diff::abbr_neither(a, b, diff::Contained::Prefix),
+        AbbrNonSuffix => diff::abbr_neither(a, b, diff::Contained::Suffix),
+        DiffCardinality => diff::cardinality_differs(a.entity_count(), b.entity_count()),
+        DistinctEntity => diff::distinct_entities(a, b, kernels),
+        DiffKeyToken => diff::one_sided_tokens(a, b, |t| idf.is_key_token(t, key_df)),
+        NumericEqual | NumericSimilarity | NumericNotEqual | NumericAbsDiff | NumericRelDiff => {
+            unreachable!("numeric kinds read no prepared parts")
         }
     }
 }

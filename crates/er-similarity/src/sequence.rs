@@ -1,65 +1,50 @@
 //! Sequence similarity metrics: longest common subsequence and substring.
+//!
+//! Thin wrappers over the shared kernels: bit-parallel LCS and the
+//! longest-common-run dynamic program.
+
+use crate::kernel::{self, chars, Kernels};
 
 /// Length of the longest common subsequence of two strings (character level).
 pub fn lcs_length(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    let mut prev = vec![0usize; short.len() + 1];
-    let mut cur = vec![0usize; short.len() + 1];
-    for &lc in long.iter() {
-        for (j, &sc) in short.iter().enumerate() {
-            cur[j + 1] = if lc == sc { prev[j] + 1 } else { prev[j + 1].max(cur[j]) };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        cur.iter_mut().for_each(|x| *x = 0);
-    }
-    prev[short.len()]
+    Kernels::default().lcs_length(&chars(a), &chars(b))
 }
 
 /// Normalized LCS similarity in `[0, 1]`: `lcs / max(|a|, |b|)`.
 ///
 /// This is the `LCS` comparison used in the paper's example rules (Figure 6).
 pub fn lcs_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
+    lcs_similarity_chars(&chars(a), &chars(b), &mut Kernels::default())
+}
+
+/// [`lcs_similarity`] over characters.
+pub(crate) fn lcs_similarity_chars(a: &[char], b: &[char], kernels: &mut Kernels) -> f64 {
+    let max_len = a.len().max(b.len());
     if max_len == 0 {
         return 1.0;
     }
-    lcs_length(a, b) as f64 / max_len as f64
+    kernels.lcs_length(a, b) as f64 / max_len as f64
 }
 
 /// Length of the longest common contiguous substring (character level).
 pub fn longest_common_substring(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let mut prev = vec![0usize; b.len() + 1];
-    let mut cur = vec![0usize; b.len() + 1];
-    let mut best = 0usize;
-    for &ca in a.iter() {
-        for (j, &cb) in b.iter().enumerate() {
-            cur[j + 1] = if ca == cb { prev[j] + 1 } else { 0 };
-            best = best.max(cur[j + 1]);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    best
+    kernel::longest_common_substring(&chars(a), &chars(b))
 }
 
 /// Normalized longest-common-substring similarity in `[0, 1]`, relative to the
 /// shorter string.  A value of 1 means one value is fully contained in the
 /// other.
 pub fn substring_similarity(a: &str, b: &str) -> f64 {
-    let min_len = a.chars().count().min(b.chars().count());
+    substring_similarity_chars(&chars(a), &chars(b))
+}
+
+/// [`substring_similarity`] over characters.
+pub(crate) fn substring_similarity_chars(a: &[char], b: &[char]) -> f64 {
+    let min_len = a.len().min(b.len());
     if min_len == 0 {
         return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
     }
-    longest_common_substring(a, b) as f64 / min_len as f64
+    kernel::longest_common_substring(a, b) as f64 / min_len as f64
 }
 
 #[cfg(test)]

@@ -1,77 +1,178 @@
 //! Token- and set-based similarity metrics.
+//!
+//! Set metrics merge two sorted, distinct token sequences; cosine metrics walk
+//! sorted `(token, weight)` lists, in the order a `BTreeMap` would; Monge–Elkan
+//! runs the Jaro–Winkler kernel over token characters.  The public functions
+//! sort their token slices and call the same kernels the metric evaluator
+//! calls on prepared values.
 
-use crate::edit::jaro_winkler;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::kernel::Kernels;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+
+/// Where a token met in [`merge_sorted`] occurs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    Left,
+    Right,
+    Both,
+}
+
+/// Walks two sorted, distinct token sequences in merged order, calling
+/// `visit` once per distinct token with the side(s) holding it.
+pub(crate) fn merge_sorted<'a>(
+    a: impl Iterator<Item = &'a str>,
+    b: impl Iterator<Item = &'a str>,
+    mut visit: impl FnMut(&'a str, Side),
+) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => match x.cmp(y) {
+                Ordering::Less => {
+                    visit(x, Side::Left);
+                    a.next();
+                }
+                Ordering::Greater => {
+                    visit(y, Side::Right);
+                    b.next();
+                }
+                Ordering::Equal => {
+                    visit(x, Side::Both);
+                    a.next();
+                    b.next();
+                }
+            },
+            (Some(&x), None) => {
+                visit(x, Side::Left);
+                a.next();
+            }
+            (None, Some(&y)) => {
+                visit(y, Side::Right);
+                b.next();
+            }
+            (None, None) => return,
+        }
+    }
+}
+
+/// `|A ∩ B|` of two sorted, distinct token sequences.
+pub(crate) fn sorted_intersection<'a>(a: impl Iterator<Item = &'a str>, b: impl Iterator<Item = &'a str>) -> usize {
+    let mut inter = 0;
+    merge_sorted(a, b, |_, side| inter += usize::from(side == Side::Both));
+    inter
+}
+
+/// The distinct tokens of a slice, sorted.
+fn sorted_set<S: AsRef<str>>(xs: &[S]) -> Vec<&str> {
+    let mut set = sorted_tokens(xs);
+    set.dedup();
+    set
+}
+
+/// The distinct tokens of a slice, sorted, with their counts.
+fn sorted_counts<S: AsRef<str>>(xs: &[S]) -> Vec<(&str, u32)> {
+    let mut counts: Vec<(&str, u32)> = Vec::new();
+    for t in sorted_tokens(xs) {
+        match counts.last_mut() {
+            Some((last, n)) if *last == t => *n += 1,
+            _ => counts.push((t, 1)),
+        }
+    }
+    counts
+}
+
+/// The tokens of a slice, sorted.
+fn sorted_tokens<S: AsRef<str>>(xs: &[S]) -> Vec<&str> {
+    let mut tokens: Vec<&str> = xs.iter().map(AsRef::as_ref).collect();
+    tokens.sort_unstable();
+    tokens
+}
+
+/// Applies a set metric to two token slices.
+fn on_sets<S: AsRef<str>>(a: &[S], b: &[S], metric: fn(usize, usize, usize) -> f64) -> f64 {
+    let (sa, sb) = (sorted_set(a), sorted_set(b));
+    metric(
+        sa.len(),
+        sb.len(),
+        sorted_intersection(sa.iter().copied(), sb.iter().copied()),
+    )
+}
 
 /// Jaccard index of two token multisets (treated as sets).
 pub fn jaccard<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    on_sets(a, b, jaccard_of)
+}
+
+/// Jaccard index from set sizes and intersection size.
+pub(crate) fn jaccard_of(len_a: usize, len_b: usize, inter: usize) -> f64 {
+    if len_a == 0 && len_b == 0 {
         return 1.0;
     }
-    let sa: HashSet<&str> = a.iter().map(AsRef::as_ref).collect();
-    let sb: HashSet<&str> = b.iter().map(AsRef::as_ref).collect();
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    if union == 0 {
-        1.0
-    } else {
-        inter as f64 / union as f64
-    }
+    inter as f64 / (len_a + len_b - inter) as f64
 }
 
 /// Dice coefficient `2|A∩B| / (|A| + |B|)` over token sets.
 pub fn dice<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let sa: HashSet<&str> = a.iter().map(AsRef::as_ref).collect();
-    let sb: HashSet<&str> = b.iter().map(AsRef::as_ref).collect();
-    let denom = sa.len() + sb.len();
+    on_sets(a, b, dice_of)
+}
+
+/// Dice coefficient from set sizes and intersection size.
+pub(crate) fn dice_of(len_a: usize, len_b: usize, inter: usize) -> f64 {
+    let denom = len_a + len_b;
     if denom == 0 {
         return 1.0;
     }
-    2.0 * sa.intersection(&sb).count() as f64 / denom as f64
+    2.0 * inter as f64 / denom as f64
 }
 
 /// Overlap coefficient `|A∩B| / min(|A|, |B|)` over token sets.
 pub fn overlap<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    on_sets(a, b, overlap_of)
+}
+
+/// Overlap coefficient from set sizes and intersection size.
+pub(crate) fn overlap_of(len_a: usize, len_b: usize, inter: usize) -> f64 {
+    if len_a == 0 && len_b == 0 {
         return 1.0;
     }
-    let sa: HashSet<&str> = a.iter().map(AsRef::as_ref).collect();
-    let sb: HashSet<&str> = b.iter().map(AsRef::as_ref).collect();
-    let min = sa.len().min(sb.len());
+    let min = len_a.min(len_b);
     if min == 0 {
         return 0.0;
     }
-    sa.intersection(&sb).count() as f64 / min as f64
+    inter as f64 / min as f64
 }
 
 /// Cosine similarity of term-frequency vectors built from the token lists.
 pub fn cosine_tf<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
+    let weigh = |xs| -> Vec<(&str, f64)> { sorted_counts(xs).into_iter().map(|(t, n)| (t, f64::from(n))).collect() };
+    cosine_of(&weigh(a), &weigh(b))
+}
+
+/// Cosine similarity of two weight vectors given as `(token, weight)` lists
+/// sorted by token.  Empty lists are empty token lists: two are fully
+/// similar, one is not similar at all.
+pub(crate) fn cosine_of(a: &[(&str, f64)], b: &[(&str, f64)]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    fn count<S: AsRef<str>>(xs: &[S]) -> BTreeMap<&str, f64> {
-        let mut m: BTreeMap<&str, f64> = BTreeMap::new();
-        for x in xs {
-            *m.entry(x.as_ref()).or_insert(0.0) += 1.0;
-        }
-        m
-    }
-    let ca = count(a);
-    let cb = count(b);
     let mut dot = 0.0;
-    for (t, &wa) in &ca {
-        if let Some(&wb) = cb.get(t) {
-            dot += wa * wb;
+    let mut rest = b;
+    for &(t, x) in a {
+        while rest.first().is_some_and(|&(u, _)| u < t) {
+            rest = &rest[1..];
+        }
+        if let Some(&(u, y)) = rest.first() {
+            if u == t {
+                dot += x * y;
+            }
         }
     }
-    let na: f64 = ca.values().map(|w| w * w).sum::<f64>().sqrt();
-    let nb: f64 = cb.values().map(|w| w * w).sum::<f64>().sqrt();
+    let na: f64 = a.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
+    let nb: f64 = b.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
@@ -83,6 +184,27 @@ pub fn cosine_tf<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
 /// in `b`, averaged.  Tolerant to token-level typos and reorderings, useful for
 /// person-name lists.
 pub fn monge_elkan<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
+    let (ca, cb) = (token_chars(a), token_chars(b));
+    monge_elkan_chars(&slices(&ca), &slices(&cb), &mut Kernels::default())
+}
+
+/// Symmetric Monge–Elkan: the mean of both directions, making the metric
+/// order-independent.
+pub fn monge_elkan_sym<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
+    let (ca, cb) = (token_chars(a), token_chars(b));
+    monge_elkan_sym_chars(&slices(&ca), &slices(&cb), &mut Kernels::default())
+}
+
+fn token_chars<S: AsRef<str>>(xs: &[S]) -> Vec<Vec<char>> {
+    xs.iter().map(|x| x.as_ref().chars().collect()).collect()
+}
+
+fn slices(xs: &[Vec<char>]) -> Vec<&[char]> {
+    xs.iter().map(Vec::as_slice).collect()
+}
+
+/// [`monge_elkan`] over the characters of each token.
+pub(crate) fn monge_elkan_chars(a: &[&[char]], b: &[&[char]], kernels: &mut Kernels) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -91,19 +213,21 @@ pub fn monge_elkan<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
     }
     let mut total = 0.0;
     for ta in a {
-        let mut best = 0.0f64;
-        for tb in b {
-            best = best.max(jaro_winkler(ta.as_ref(), tb.as_ref()));
-        }
+        // Jaro–Winkler never exceeds 1.0 and is exactly 1.0 on equal tokens,
+        // so an equal token settles the maximum without scoring the rest.
+        let best = if b.contains(ta) {
+            1.0
+        } else {
+            b.iter().fold(0.0f64, |best, tb| best.max(kernels.jaro_winkler(ta, tb)))
+        };
         total += best;
     }
     total / a.len() as f64
 }
 
-/// Symmetric Monge–Elkan: the mean of both directions, making the metric
-/// order-independent.
-pub fn monge_elkan_sym<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    (monge_elkan(a, b) + monge_elkan(b, a)) / 2.0
+/// [`monge_elkan_sym`] over the characters of each token.
+pub(crate) fn monge_elkan_sym_chars(a: &[&[char]], b: &[&[char]], kernels: &mut Kernels) -> f64 {
+    (monge_elkan_chars(a, b, kernels) + monge_elkan_chars(b, a, kernels)) / 2.0
 }
 
 /// A corpus-level inverse-document-frequency table over tokens.
@@ -159,37 +283,13 @@ impl IdfTable {
 
     /// Cosine similarity of TF-IDF weighted token vectors.
     pub fn cosine_tfidf<S: AsRef<str>>(&self, a: &[S], b: &[S]) -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        fn weigh<'a, S: AsRef<str>>(table: &IdfTable, xs: &'a [S]) -> BTreeMap<&'a str, f64> {
-            let mut m: BTreeMap<&str, f64> = BTreeMap::new();
-            for x in xs {
-                *m.entry(x.as_ref()).or_insert(0.0) += 1.0;
-            }
-            for (t, w) in m.iter_mut() {
-                *w *= table.idf(t);
-            }
-            m
-        }
-        let wa = weigh(self, a);
-        let wb = weigh(self, b);
-        let mut dot = 0.0;
-        for (t, &x) in &wa {
-            if let Some(&y) = wb.get(t) {
-                dot += x * y;
-            }
-        }
-        let na: f64 = wa.values().map(|w| w * w).sum::<f64>().sqrt();
-        let nb: f64 = wb.values().map(|w| w * w).sum::<f64>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
+        let weigh = |xs| self.tfidf_weights(sorted_counts(xs).into_iter());
+        cosine_of(&weigh(a), &weigh(b))
+    }
+
+    /// TF-IDF weights of sorted `(token, count)` pairs.
+    pub(crate) fn tfidf_weights<'a>(&self, counts: impl Iterator<Item = (&'a str, u32)>) -> Vec<(&'a str, f64)> {
+        counts.map(|(t, n)| (t, f64::from(n) * self.idf(t))).collect()
     }
 }
 

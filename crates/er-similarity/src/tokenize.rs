@@ -10,9 +10,19 @@
 /// trimmed.
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    normalize_into(s, &mut out);
+    out
+}
+
+/// Appends [`normalize`]`(s)` to `out`.
+pub(crate) fn normalize_into(s: &str, out: &mut String) {
+    let start = out.len();
     let mut last_space = true;
     for ch in s.chars() {
-        if ch.is_alphanumeric() {
+        if ch.is_ascii_alphanumeric() {
+            out.push(ch.to_ascii_lowercase());
+            last_space = false;
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
             out.extend(ch.to_lowercase());
             last_space = false;
         } else if !last_space {
@@ -20,10 +30,9 @@ pub fn normalize(s: &str) -> String {
             last_space = true;
         }
     }
-    while out.ends_with(' ') {
+    while out.len() > start && out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 /// Splits a string into lower-cased alphanumeric tokens.
@@ -42,16 +51,13 @@ pub fn tokens(s: &str) -> Vec<String> {
 /// entity-level metrics (`distinct-entity`, `diff-cardinality`, entity-based
 /// Jaccard) can compare whole names.
 pub fn entities(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for chunk in s.split([',', ';', '&', '|']) {
-        for part in chunk.split(" and ") {
-            let norm = normalize(part);
-            if !norm.is_empty() {
-                out.push(norm);
-            }
-        }
-    }
-    out
+    entity_parts(s).map(normalize).filter(|n| !n.is_empty()).collect()
+}
+
+/// The raw parts of an entity-set value, before normalization: one per
+/// entity, plus empty or punctuation-only parts that normalize to nothing.
+pub(crate) fn entity_parts(s: &str) -> impl Iterator<Item = &str> {
+    s.split([',', ';', '&', '|']).flat_map(|chunk| chunk.split(" and "))
 }
 
 /// First-letter abbreviation of a value: the concatenated initial letters of
@@ -76,13 +82,14 @@ pub fn qgrams(s: &str, q: usize) -> Vec<String> {
     padded.windows(q).map(|w| w.iter().collect()).collect()
 }
 
-/// Whether a token is "specific": long enough or containing digits, so that it
-/// is likely to identify an entity (model numbers, edition numbers, years).
+/// Whether a token is "specific": at least 8 characters long or containing
+/// digits, so that it is likely to identify an entity (model numbers, edition
+/// numbers, years).
 ///
 /// This is the fallback key-token test used by `diff-key-token` when no
 /// corpus statistics are available.
 pub fn is_specific_token(t: &str) -> bool {
-    t.chars().any(|c| c.is_ascii_digit()) || t.len() >= 8
+    t.chars().any(|c| c.is_ascii_digit()) || t.chars().count() >= 8
 }
 
 #[cfg(test)]
@@ -183,5 +190,14 @@ mod tests {
         assert!(is_specific_token("thinkpad"));
         assert!(!is_specific_token("the"));
         assert!(!is_specific_token("photo"));
+    }
+
+    #[test]
+    fn specific_token_length_counts_characters_not_bytes() {
+        // Four two-byte characters: 8 bytes, but short.
+        assert!(!is_specific_token("éééé"));
+        assert!(!is_specific_token("中文中文中文中"));
+        assert!(is_specific_token("éééééééé"));
+        assert!(is_specific_token("中文中文中文中文"));
     }
 }

@@ -107,13 +107,6 @@ TRACED_REQUESTS=$(grep -o '"cat":"request"' "$SERVE_BENCH_TRACE_SNAPSHOT" | wc -
 }
 echo "trace snapshot parses; $TRACED_REQUESTS request timelines reconcile with the $REPLAYED-request replay"
 
-# The standalone gateway smoke: two in-process backends behind an in-process
-# gateway, 32 scores bit-exact through the hop, then one full automatic
-# rollback cycle on an injected divergent artifact.
-echo "== kick-tires: gateway smoke =="
-./target/release/gateway_smoke | tee "$OUT/gateway_smoke.txt"
-grep -q "gateway smoke OK" "$OUT/gateway_smoke.txt" || { echo "gateway smoke did not pass" >&2; exit 1; }
-
 # Binary wiring: spawn the real er-gateway binary in front of two real
 # er-serve binaries on localhost (reusing the artifact serve_bench exported),
 # then talk raw HTTP/1.1 over /dev/tcp — liveness and stats at the gateway,
