@@ -16,7 +16,7 @@
 
 use crate::kernel::Kernels;
 use crate::prepared::{Prepared, DISTINCT, ENTITIES, TOKENS};
-use crate::token_sim::{merge_sorted, IdfTable, Side};
+use crate::token_sim::{merge_sorted, IdfTable};
 use crate::tokenize::{entities, is_specific_token, normalize};
 
 /// Indicator that neither normalized value is a substring of the other.
@@ -196,8 +196,8 @@ pub(crate) fn one_sided_tokens(a: &Prepared, b: &Prepared, counts: impl Fn(&str)
         return 0.0;
     }
     let mut one_sided = 0usize;
-    merge_sorted(a.distinct_tokens(), b.distinct_tokens(), |t, side| {
-        if side != Side::Both && counts(t) {
+    merge_sorted(a.distinct_tokens(), b.distinct_tokens(), |t, shared| {
+        if !shared && counts(t) {
             one_sided += 1;
         }
     });

@@ -157,7 +157,7 @@ impl Prepared {
     }
 
     /// Tokens in order.
-    pub(crate) fn tokens(&self) -> impl Iterator<Item = &str> + Clone {
+    pub(crate) fn tokens(&self) -> impl Iterator<Item = &str> {
         self.tokens.iter().map(|s| s.text(&self.norm))
     }
 
@@ -167,14 +167,14 @@ impl Prepared {
     }
 
     /// Distinct tokens in sorted order, with their counts.
-    pub(crate) fn distinct_counts(&self) -> impl Iterator<Item = (&str, u32)> + Clone {
+    pub(crate) fn distinct_counts(&self) -> impl Iterator<Item = (&str, u32)> {
         self.distinct
             .iter()
             .map(|&(i, count)| (self.tokens[i as usize].text(&self.norm), count))
     }
 
     /// Distinct tokens in sorted order.
-    pub(crate) fn distinct_tokens(&self) -> impl Iterator<Item = &str> + Clone {
+    pub(crate) fn distinct_tokens(&self) -> impl Iterator<Item = &str> {
         self.distinct_counts().map(|(t, _)| t)
     }
 
@@ -189,14 +189,14 @@ impl Prepared {
     }
 
     /// Entity names in order, with their characters.
-    pub(crate) fn entities(&self) -> impl Iterator<Item = (&str, &[char])> + Clone {
+    pub(crate) fn entities(&self) -> impl Iterator<Item = (&str, &[char])> {
         self.entities
             .iter()
             .map(|s| (s.text(&self.entity_text), s.chars(&self.entity_chars)))
     }
 
     /// Distinct entity names in sorted order.
-    pub(crate) fn distinct_entities(&self) -> impl Iterator<Item = &str> + Clone {
+    pub(crate) fn distinct_entities(&self) -> impl Iterator<Item = &str> {
         self.distinct_entities
             .iter()
             .map(|&i| self.entities[i as usize].text(&self.entity_text))
@@ -267,8 +267,11 @@ impl PreparedPair {
         }
         self.sides.resize_with(attrs, Default::default);
         for (attr, [pa, pb]) in self.sides.iter_mut().enumerate() {
+            if self.parts[attr] == 0 {
+                continue;
+            }
             match (left.values[attr].as_str(), right.values[attr].as_str()) {
-                (Some(a), Some(b)) if self.parts[attr] != 0 => {
+                (Some(a), Some(b)) => {
                     pa.prepare(a, self.parts[attr]);
                     pb.prepare(b, self.parts[attr]);
                 }

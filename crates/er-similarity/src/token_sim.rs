@@ -10,45 +10,37 @@ use crate::kernel::Kernels;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-/// Where a token met in [`merge_sorted`] occurs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    Left,
-    Right,
-    Both,
-}
-
 /// Walks two sorted, distinct token sequences in merged order, calling
-/// `visit` once per distinct token with the side(s) holding it.
+/// `visit` once per distinct token with whether both sequences hold it.
 pub(crate) fn merge_sorted<'a>(
     a: impl Iterator<Item = &'a str>,
     b: impl Iterator<Item = &'a str>,
-    mut visit: impl FnMut(&'a str, Side),
+    mut visit: impl FnMut(&'a str, bool),
 ) {
     let (mut a, mut b) = (a.peekable(), b.peekable());
     loop {
         match (a.peek(), b.peek()) {
             (Some(&x), Some(&y)) => match x.cmp(y) {
                 Ordering::Less => {
-                    visit(x, Side::Left);
+                    visit(x, false);
                     a.next();
                 }
                 Ordering::Greater => {
-                    visit(y, Side::Right);
+                    visit(y, false);
                     b.next();
                 }
                 Ordering::Equal => {
-                    visit(x, Side::Both);
+                    visit(x, true);
                     a.next();
                     b.next();
                 }
             },
             (Some(&x), None) => {
-                visit(x, Side::Left);
+                visit(x, false);
                 a.next();
             }
             (None, Some(&y)) => {
-                visit(y, Side::Right);
+                visit(y, false);
                 b.next();
             }
             (None, None) => return,
@@ -59,7 +51,7 @@ pub(crate) fn merge_sorted<'a>(
 /// `|A ∩ B|` of two sorted, distinct token sequences.
 pub(crate) fn sorted_intersection<'a>(a: impl Iterator<Item = &'a str>, b: impl Iterator<Item = &'a str>) -> usize {
     let mut inter = 0;
-    merge_sorted(a, b, |_, side| inter += usize::from(side == Side::Both));
+    merge_sorted(a, b, |_, shared| inter += usize::from(shared));
     inter
 }
 
