@@ -9,7 +9,7 @@
 use crate::difference as diff;
 use crate::edit;
 use crate::kernel::Kernels;
-use crate::prepared::{needs, PairScratch, Prepared};
+use crate::prepared::{needs, PairBuffers, Prepared};
 use crate::sequence;
 use crate::token_sim::{self, IdfTable};
 use crate::tokenize::tokens;
@@ -260,32 +260,32 @@ impl MetricEvaluator {
     /// Evaluates every configured metric on a pair of records, producing the
     /// basic-metric vector used by rule generation and classification.
     pub fn eval_all(&self, left: &Record, right: &Record) -> Vec<f64> {
-        self.eval_row(left, right, &mut PairScratch::default())
+        self.eval_row(left, right, &mut PairBuffers::default())
     }
 
     /// Evaluates every metric for each pair, producing a row-major matrix.
     pub fn eval_pairs(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        let mut scratch = PairScratch::default();
+        let mut buffers = PairBuffers::default();
         pairs
             .iter()
-            .map(|p| self.eval_row(&p.left, &p.right, &mut scratch))
+            .map(|p| self.eval_row(&p.left, &p.right, &mut buffers))
             .collect()
     }
 
     /// One pair's row: each string attribute's values are prepared once, with
     /// the parts its metrics read, and every metric reads those parts.
-    fn eval_row(&self, left: &Record, right: &Record, scratch: &mut PairScratch) -> Vec<f64> {
-        scratch.values.prepare(&self.metrics, left, right);
+    fn eval_row(&self, left: &Record, right: &Record, buffers: &mut PairBuffers) -> Vec<f64> {
+        buffers.values.prepare(&self.metrics, left, right);
         self.metrics
             .iter()
-            .map(|m| match scratch.values.sides(m.attr_index) {
+            .map(|m| match buffers.values.sides(m.attr_index) {
                 Some((a, b)) if needs(m.kind) != 0 => eval_prepared(
                     m.kind,
                     a,
                     b,
                     &self.idf[m.attr_index],
                     self.key_token_max_df,
-                    &mut scratch.kernels,
+                    &mut buffers.kernels,
                 ),
                 // Numeric metrics, and string metrics over a missing value.
                 _ => self.eval_metric(m, left, right),

@@ -240,7 +240,7 @@ fn split_spans(text: &str, out: &mut Vec<Span>) {
 /// Per-pair buffers of an evaluation loop: both sides' prepared values per
 /// attribute, and the character kernels.
 #[derive(Debug, Default)]
-pub(crate) struct PairScratch {
+pub(crate) struct PairBuffers {
     pub(crate) values: PreparedPair,
     pub(crate) kernels: Kernels,
 }
