@@ -364,8 +364,76 @@ mod tests {
         )
     }
 
+    /// Values a row entry can take besides the rules' own thresholds.
+    const SPECIAL_VALUES: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+
+    /// Strategy producing a rule set over 3 metric slots and rows over it,
+    /// where every threshold comes from a small per-case pool (signed zeros
+    /// and infinities included) and every row entry is one of those
+    /// thresholds or one of [`SPECIAL_VALUES`] — the exact ties a `0.0..1.0`
+    /// draw never produces. With 3 metrics and up to 5 conditions per rule,
+    /// metrics repeat within and across rules.
+    fn arb_tied_rules_and_rows() -> impl Strategy<Value = (Vec<Rule>, Vec<Vec<f64>>)> {
+        let pool = proptest::collection::vec(
+            (0u8..8, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 0.5,
+                3 => 1.0,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
+                _ => x,
+            }),
+            1..6,
+        );
+        let rules = proptest::collection::vec(proptest::collection::vec((0usize..3, 0u8..2, 0usize..64), 0..5), 1..16);
+        let rows = proptest::collection::vec(proptest::collection::vec(0usize..64, 3..4), 1..8);
+        (pool, rules, rows).prop_map(|(pool, rules, rows)| {
+            let rules = rules
+                .into_iter()
+                .map(|conds| {
+                    rule(
+                        conds
+                            .into_iter()
+                            .map(|(m, op, t)| {
+                                let op = if op == 0 { CmpOp::Gt } else { CmpOp::Le };
+                                (m, op, pool[t % pool.len()])
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let rows = rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|i| {
+                            let i = i % (pool.len() + SPECIAL_VALUES.len());
+                            pool.get(i).copied().unwrap_or_else(|| SPECIAL_VALUES[i - pool.len()])
+                        })
+                        .collect()
+                })
+                .collect();
+            (rules, rows)
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn index_agrees_with_covers_at_exact_thresholds_and_special_values(
+            case in arb_tied_rules_and_rows(),
+        ) {
+            let (rules, rows) = &case;
+            let index = CompiledRuleIndex::compile(rules);
+            let mut scratch = index.scratch();
+            let mut out = Vec::new();
+            for row in rows {
+                index.matching_rules_into(row, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &linear_scan(rules, row));
+            }
+        }
 
         #[test]
         fn index_agrees_with_linear_scan(
