@@ -1,21 +1,39 @@
-//! The compiled rule index: attribute-indexed threshold lists.
+//! The compiled rule index: per-metric violation bitsets.
 //!
 //! Offline, rule matching tests every condition of every rule against the
 //! pair's basic-metric row (`O(total conditions)` per pair). Online that scan
 //! is the hot path, so at engine load time the rule set is compiled into one
-//! sorted threshold list per *metric* and *operator*:
+//! table of rule bitsets per *metric* that carries conditions, in the manner
+//! of QuickScorer's bit-vector tree traversal (Lucchese et al., SIGIR 2015)
+//! applied to one-sided rules.
 //!
-//! * `Gt` conditions on metric `m`, sorted ascending — the conditions
-//!   satisfied by a value `v` are exactly the prefix with `threshold < v`;
-//! * `Le` conditions on metric `m`, sorted ascending — the satisfied ones are
-//!   exactly the suffix with `threshold >= v`.
+//! **Cut positions.** A metric's `cuts` are its distinct condition
+//! thresholds in ascending order, `Gt` and `Le` together (`-0.0` and `0.0`
+//! are one cut). For a value `v`, its position is
+//! `p = cuts.partition_point(|t| t < v)`, in `0..=cuts.len()`. A `Gt t`
+//! condition holds iff `rank(t) < p` and a `Le t` condition holds iff
+//! `rank(t) >= p`, so `p` alone decides every condition on the metric.
 //!
-//! Matching a row is then one binary search per (metric, operator) list plus
-//! a counter increment per *satisfied* condition; a rule fires when its
-//! counter reaches its condition count. Only metrics that actually carry
-//! conditions are visited, and the fired set is returned in ascending rule
-//! order — the same order the offline linear scan produces, which keeps the
-//! downstream floating-point aggregation bit-identical.
+//! **Masks.** For each position the index stores one mask of
+//! `words = ceil(rules / 64)` little-endian `u64` words: bit `r` is set iff
+//! rule `r` has a condition on this metric that position leaves
+//! unsatisfied. One more row follows for NaN, where no condition holds (as
+//! in `Rule::covers`); a NaN threshold (which a validated model never
+//! carries) is unsatisfied at every position. All masks live in one flat
+//! `Vec<u64>`: metric `m`'s rows `0..=cuts.len()` and its NaN row sit
+//! back to back from its offset, `words` words each.
+//!
+//! **Matching** ORs one row per active metric into the violated set,
+//! complements it, masks off the bits past the last rule and emits the set
+//! bits word by word, lowest first. That is ascending rule order — the order
+//! the offline linear scan produces — so there is nothing to sort and the
+//! downstream floating-point aggregation stays bit-identical. Rules without
+//! conditions are never violated and fire on every row.
+//!
+//! **Memory.** A metric with `c` conditions has at most `c` cuts and so at
+//! most `c + 2` rows; the masks take at most
+//! `(conditions + 2 · active metrics) × words × 8` bytes (about 9 KB for a
+//! 166-rule, 18-metric model).
 
 use er_rulegen::{CmpOp, Rule};
 use std::fmt;
@@ -46,41 +64,42 @@ impl fmt::Display for RowLengthError {
 
 impl std::error::Error for RowLengthError {}
 
-/// One metric's compiled condition lists (see the module docs).
-#[derive(Debug, Clone, Default)]
-struct MetricConditions {
-    /// `Gt` thresholds ascending, with the owning rule of each condition.
-    gt_thresholds: Vec<f64>,
-    gt_rules: Vec<u32>,
-    /// `Le` thresholds ascending, with the owning rule of each condition.
-    le_thresholds: Vec<f64>,
-    le_rules: Vec<u32>,
+/// One metric's cut list and where its mask rows start (see the module docs).
+#[derive(Debug, Clone)]
+struct MetricMasks {
+    /// Index into the metric row.
+    metric: usize,
+    /// Distinct non-NaN thresholds, ascending.
+    cuts: Vec<f64>,
+    /// Offset in [`CompiledRuleIndex::masks`] of position 0's row.
+    offset: usize,
 }
 
 /// The rule set of a risk model, pre-compiled for per-request matching.
 #[derive(Debug, Clone)]
 pub struct CompiledRuleIndex {
     rule_count: usize,
-    /// Number of conditions each rule needs before it fires.
-    condition_counts: Vec<u32>,
-    /// Rules with no conditions fire on every row.
-    always_fire: Vec<u32>,
-    /// Per-metric condition lists, indexed by `Condition::metric_index`.
-    metrics: Vec<MetricConditions>,
-    /// Metric indices that carry at least one condition.
-    active_metrics: Vec<u32>,
+    /// Words per mask: `ceil(rule_count / 64)`.
+    words: usize,
+    /// The bits of the last word that stand for rules.
+    last_word: u64,
+    /// One past the largest metric index any condition references.
+    required_row_len: usize,
+    /// The metrics that carry at least one condition.
+    metrics: Vec<MetricMasks>,
+    /// Every metric's violation masks, back to back.
+    masks: Vec<u64>,
 }
 
 /// Reusable per-worker scratch state for [`CompiledRuleIndex::matching_rules_into`].
 ///
-/// Keeping the counters outside the index lets many threads match against the
-/// same shared index without synchronization or per-request allocation.
+/// Keeping the violated-rule accumulator outside the index lets many threads
+/// match against the same shared index without synchronization or
+/// per-request allocation.
 #[derive(Debug, Clone)]
 pub struct MatchScratch {
-    /// Satisfied-condition counter per rule.
-    counters: Vec<u32>,
-    /// Rules whose counter is non-zero (reset list).
-    touched: Vec<u32>,
+    /// Rules with at least one unsatisfied condition, one bit per rule.
+    violated: Vec<u64>,
 }
 
 impl CompiledRuleIndex {
@@ -90,52 +109,55 @@ impl CompiledRuleIndex {
             u32::try_from(rules.len()).is_ok(),
             "rule sets beyond u32::MAX rules are not supported"
         );
-        let num_metrics = rules
+        let words = rules.len().div_ceil(64);
+        let required_row_len = rules
             .iter()
             .flat_map(|r| r.conditions.iter())
             .map(|c| c.metric_index + 1)
             .max()
             .unwrap_or(0);
-        let mut metrics = vec![MetricConditions::default(); num_metrics];
-        let mut condition_counts = Vec::with_capacity(rules.len());
-        let mut always_fire = Vec::new();
-
-        // Gather (threshold, rule) pairs per metric/operator...
-        let mut gt: Vec<Vec<(f64, u32)>> = vec![Vec::new(); num_metrics];
-        let mut le: Vec<Vec<(f64, u32)>> = vec![Vec::new(); num_metrics];
+        let mut by_metric: Vec<Vec<(CmpOp, f64, usize)>> = vec![Vec::new(); required_row_len];
         for (ri, rule) in rules.iter().enumerate() {
-            condition_counts.push(rule.conditions.len() as u32);
-            if rule.conditions.is_empty() {
-                always_fire.push(ri as u32);
-            }
             for cond in &rule.conditions {
-                match cond.op {
-                    CmpOp::Gt => gt[cond.metric_index].push((cond.threshold, ri as u32)),
-                    CmpOp::Le => le[cond.metric_index].push((cond.threshold, ri as u32)),
+                by_metric[cond.metric_index].push((cond.op, cond.threshold, ri));
+            }
+        }
+        let mut metrics = Vec::new();
+        let mut masks = Vec::new();
+        for (metric, conditions) in by_metric.into_iter().enumerate() {
+            if conditions.is_empty() {
+                continue;
+            }
+            let mut cuts: Vec<f64> = conditions.iter().map(|c| c.1).filter(|t| !t.is_nan()).collect();
+            cuts.sort_by(f64::total_cmp);
+            cuts.dedup_by(|a, b| a == b);
+            let offset = masks.len();
+            // Positions 0..=cuts.len(), then the NaN row.
+            let positions = cuts.len() + 1;
+            masks.resize(offset + (positions + 1) * words, 0);
+            for (op, threshold, rule) in conditions {
+                let violated_at = if threshold.is_nan() {
+                    0..positions
+                } else {
+                    let rank = cuts.partition_point(|&t| t < threshold);
+                    match op {
+                        CmpOp::Gt => 0..rank + 1,
+                        CmpOp::Le => rank + 1..positions,
+                    }
+                };
+                for p in violated_at.chain([positions]) {
+                    masks[offset + p * words + rule / 64] |= 1 << (rule % 64);
                 }
             }
+            metrics.push(MetricMasks { metric, cuts, offset });
         }
-        // ...and freeze them as parallel sorted arrays.
-        for (m, (mut g, mut l)) in gt.into_iter().zip(le).enumerate() {
-            g.sort_by(|a, b| a.0.total_cmp(&b.0));
-            l.sort_by(|a, b| a.0.total_cmp(&b.0));
-            metrics[m].gt_thresholds = g.iter().map(|&(t, _)| t).collect();
-            metrics[m].gt_rules = g.iter().map(|&(_, r)| r).collect();
-            metrics[m].le_thresholds = l.iter().map(|&(t, _)| t).collect();
-            metrics[m].le_rules = l.iter().map(|&(_, r)| r).collect();
-        }
-        let active_metrics = metrics
-            .iter()
-            .enumerate()
-            .filter(|(_, mc)| !mc.gt_thresholds.is_empty() || !mc.le_thresholds.is_empty())
-            .map(|(m, _)| m as u32)
-            .collect();
         Self {
             rule_count: rules.len(),
-            condition_counts,
-            always_fire,
+            words,
+            last_word: u64::MAX >> (words * 64 - rules.len()),
+            required_row_len,
             metrics,
-            active_metrics,
+            masks,
         }
     }
 
@@ -146,14 +168,13 @@ impl CompiledRuleIndex {
 
     /// Smallest metric-row length the index can match against.
     pub fn required_row_len(&self) -> usize {
-        self.metrics.len()
+        self.required_row_len
     }
 
     /// Creates scratch state sized for this index.
     pub fn scratch(&self) -> MatchScratch {
         MatchScratch {
-            counters: vec![0; self.rule_count],
-            touched: Vec::with_capacity(16),
+            violated: vec![0; self.words],
         }
     }
 
@@ -179,40 +200,36 @@ impl CompiledRuleIndex {
         scratch: &mut MatchScratch,
         out: &mut Vec<u32>,
     ) -> Result<(), RowLengthError> {
-        if row.len() < self.metrics.len() {
-            out.clear();
+        out.clear();
+        if row.len() < self.required_row_len {
             return Err(RowLengthError {
                 row_len: row.len(),
-                required: self.metrics.len(),
+                required: self.required_row_len,
             });
         }
-        assert_eq!(scratch.counters.len(), self.rule_count, "scratch/index mismatch");
-        out.clear();
-        out.extend_from_slice(&self.always_fire);
-        for &m in &self.active_metrics {
-            let v = row[m as usize];
-            if v.is_nan() {
-                // NaN satisfies neither `>` nor `<=`, same as `Rule::covers`.
-                continue;
-            }
-            let mc = &self.metrics[m as usize];
-            // Gt: satisfied iff threshold < v — an ascending prefix.
-            let end = mc.gt_thresholds.partition_point(|&t| t < v);
-            for &rule in &mc.gt_rules[..end] {
-                Self::bump(&self.condition_counts, scratch, out, rule);
-            }
-            // Le: satisfied iff v <= threshold — an ascending suffix.
-            let start = mc.le_thresholds.partition_point(|&t| t < v);
-            for &rule in &mc.le_rules[start..] {
-                Self::bump(&self.condition_counts, scratch, out, rule);
+        let words = self.words;
+        let violated = &mut scratch.violated[..];
+        assert_eq!(violated.len(), words, "scratch/index mismatch");
+        violated.fill(0);
+        for mm in &self.metrics {
+            let v = row[mm.metric];
+            let position = if v.is_nan() {
+                mm.cuts.len() + 1
+            } else {
+                mm.cuts.partition_point(|&t| t < v)
+            };
+            let start = mm.offset + position * words;
+            for (acc, &mask) in violated.iter_mut().zip(&self.masks[start..start + words]) {
+                *acc |= mask;
             }
         }
-        for &rule in &scratch.touched {
-            scratch.counters[rule as usize] = 0;
+        for (w, &acc) in violated.iter().enumerate() {
+            let mut fired = if w + 1 == words { !acc & self.last_word } else { !acc };
+            while fired != 0 {
+                out.push((w * 64) as u32 + fired.trailing_zeros());
+                fired &= fired - 1;
+            }
         }
-        scratch.touched.clear();
-        // Few rules fire per pair, so the final ordering sort is cheap.
-        out.sort_unstable();
         Ok(())
     }
 
@@ -222,18 +239,6 @@ impl CompiledRuleIndex {
         let mut out = Vec::new();
         self.matching_rules_into(row, &mut scratch, &mut out);
         out
-    }
-
-    #[inline]
-    fn bump(condition_counts: &[u32], scratch: &mut MatchScratch, out: &mut Vec<u32>, rule: u32) {
-        let counter = &mut scratch.counters[rule as usize];
-        if *counter == 0 {
-            scratch.touched.push(rule);
-        }
-        *counter += 1;
-        if *counter == condition_counts[rule as usize] {
-            out.push(rule);
-        }
     }
 }
 
@@ -302,6 +307,27 @@ mod tests {
     }
 
     #[test]
+    fn nan_thresholds_never_hold() {
+        // A validated model carries none, but `compile` takes any rule set.
+        let rules = vec![
+            rule(vec![(0, CmpOp::Gt, f64::NAN)]),
+            rule(vec![(0, CmpOp::Le, f64::NAN)]),
+            rule(vec![(0, CmpOp::Le, 0.5), (1, CmpOp::Gt, f64::NAN)]),
+            rule(vec![(0, CmpOp::Le, 0.5)]),
+        ];
+        let index = CompiledRuleIndex::compile(&rules);
+        for row in [
+            [0.2, 0.2],
+            [0.9, f64::NAN],
+            [f64::NAN, 0.0],
+            [f64::INFINITY, f64::NEG_INFINITY],
+        ] {
+            assert_eq!(index.matching_rules(&row), linear_scan(&rules, &row), "row {row:?}");
+        }
+        assert_eq!(index.matching_rules(&[0.2, 0.2]), vec![3]);
+    }
+
+    #[test]
     fn empty_rule_sets_and_condition_free_rules() {
         let index = CompiledRuleIndex::compile(&[]);
         assert!(index.matching_rules(&[]).is_empty());
@@ -350,7 +376,7 @@ mod tests {
     }
 
     /// Strategy producing random rule sets over `metrics` metric slots.
-    fn arb_rules(metrics: usize) -> impl Strategy<Value = Vec<Rule>> {
+    fn arb_rules(metrics: usize, count: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Rule>> {
         proptest::collection::vec(
             proptest::collection::vec(
                 (0usize..metrics, 0u8..2, 0.0f64..1.0).prop_map(|(m, op, t)| {
@@ -360,7 +386,7 @@ mod tests {
                 0..4,
             )
             .prop_map(rule),
-            1..12,
+            count,
         )
     }
 
@@ -437,7 +463,7 @@ mod tests {
 
         #[test]
         fn index_agrees_with_linear_scan(
-            rules in arb_rules(5),
+            rules in arb_rules(5, 1..12),
             rows in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 5..6), 1..8),
         ) {
             let index = CompiledRuleIndex::compile(&rules);
@@ -450,8 +476,24 @@ mod tests {
         }
 
         #[test]
+        fn wide_rule_sets_match_across_mask_words_within_the_memory_bound(
+            rules in arb_rules(6, 60..200),
+            rows in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 6..7), 1..8),
+        ) {
+            let index = CompiledRuleIndex::compile(&rules);
+            let conditions: usize = rules.iter().map(|r| r.conditions.len()).sum();
+            prop_assert!(index.masks.len() <= (conditions + 2 * index.metrics.len()) * index.words);
+            let mut scratch = index.scratch();
+            let mut out = Vec::new();
+            for row in &rows {
+                index.matching_rules_into(row, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &linear_scan(&rules, row));
+            }
+        }
+
+        #[test]
         fn scratch_reuse_is_stateless(
-            rules in arb_rules(4),
+            rules in arb_rules(4, 1..12),
             row in proptest::collection::vec(0.0f64..1.0, 4..5),
         ) {
             let index = CompiledRuleIndex::compile(&rules);
