@@ -1,10 +1,10 @@
 //! The sharded multi-threaded executor.
 //!
 //! [`ShardedExecutor::score_batch`] splits a batch into contiguous chunks
-//! of `ceil(len / threads)` requests and hands each to one supervised chunk
-//! runner, with its own [`EngineScratch`] and its own outcome slot. One
-//! chunk (one thread, or one request) runs inline on the calling thread;
-//! more run on the lanes of a persistent [`er_pool::WorkerPool`] (threads
+//! of `max(ceil(len / threads), MIN_CHUNK_PAIRS)` requests and hands each to
+//! one supervised chunk runner, with its own [`EngineScratch`] and its own
+//! outcome slot. One chunk runs inline on the calling thread; more run on
+//! the lanes of a persistent [`er_pool::WorkerPool`] (threads
 //! are spawned once per executor — or once per
 //! [`crate::ReloadableExecutor`], which shares one pool across every
 //! reload generation — not once per batch). A runner scores its first
@@ -16,6 +16,16 @@
 //! the request, so results are deterministic: the same batch produces the
 //! same scores for every thread count and cache state (the concurrency test
 //! suite asserts this bit-exactly).
+//!
+//! **Chunk floor.** Handing a chunk to a pool lane and joining it costs
+//! tens of microseconds, while the engine scores a pair in well under one.
+//! A chunk therefore holds at least `MIN_CHUNK_PAIRS` requests: a batch of
+//! up to that many pairs (a 32-pair `/score` array, or two coalesced ones)
+//! scores inline on the calling thread, and only batches that give each
+//! lane enough pairs to pay for the dispatch fan out. The floor was chosen
+//! with the `serve/executor/score_cold` criterion bench as the smallest
+//! chunk at which the 2-lane path is no slower than inline. Scores are a
+//! pure function of each request, so the floor cannot change them.
 
 use crate::cache::LruCache;
 use crate::engine::{EngineScratch, ScoreError, ScoreRequest, ScoringEngine};
@@ -28,6 +38,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The fewest requests a chunk holds (see the module docs).
+const MIN_CHUNK_PAIRS: usize = 64;
+
+/// Requests per chunk when a batch of `len` requests is split for `threads`
+/// lanes: an even share, but never fewer than [`MIN_CHUNK_PAIRS`].
+fn chunk_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.max(1)).max(MIN_CHUNK_PAIRS)
+}
 
 /// A [`ScoreError`] attributed to its position in a batch — the error
 /// [`ShardedExecutor::try_score_batch`] reports, so a caller can reject the
@@ -255,7 +274,7 @@ impl ShardedExecutor {
         Ok(score)
     }
 
-    /// Scores a batch across `config.threads` chunks on the persistent
+    /// Scores a batch across up to `config.threads` chunks on the persistent
     /// worker pool, preserving request order in the returned scores.
     ///
     /// # Panics
@@ -291,7 +310,7 @@ impl ShardedExecutor {
         spans: Option<&mut SpanSet>,
     ) -> Result<Vec<f64>, BatchScoreError> {
         let mut scores = vec![0.0f64; requests.len()];
-        let chunk = requests.len().div_ceil(self.config.threads.max(1)).max(1);
+        let chunk = chunk_len(requests.len(), self.config.threads);
         let fault = self.fault_plan();
         let fault = fault.as_deref();
         // One outcome slot per chunk, written by that chunk's runner alone.
@@ -303,7 +322,8 @@ impl ShardedExecutor {
             .zip(outcomes.iter_mut())
             .enumerate();
         if inline {
-            // One chunk (one thread, or one request) scores on this thread.
+            // One chunk (one thread, or a batch within the floor) scores on
+            // this thread.
             for (index, ((request_chunk, score_chunk), slot)) in chunks {
                 *slot = Some(self.run_chunk(request_chunk, score_chunk, index * chunk, fault));
             }
@@ -432,11 +452,29 @@ mod tests {
             .collect()
     }
 
+    /// Asserts that a `len`-request batch on `threads` lanes runs at least two
+    /// chunks, so a test of the fan-out path does not silently score inline.
+    fn assert_fans_out(len: usize, threads: usize) {
+        assert!(
+            len.div_ceil(chunk_len(len, threads)) >= 2,
+            "{len} requests on {threads} threads run one chunk"
+        );
+    }
+
+    #[test]
+    fn chunks_hold_an_even_share_but_at_least_the_floor() {
+        assert_eq!(chunk_len(32, 2), MIN_CHUNK_PAIRS, "a 32-pair array scores inline");
+        assert_eq!(chunk_len(0, 4), MIN_CHUNK_PAIRS);
+        assert_eq!(chunk_len(10 * MIN_CHUNK_PAIRS, 2), 5 * MIN_CHUNK_PAIRS);
+        assert_eq!(chunk_len(10 * MIN_CHUNK_PAIRS, 0), 10 * MIN_CHUNK_PAIRS);
+    }
+
     #[test]
     fn batch_scores_are_identical_across_thread_counts() {
-        let reqs = requests(500, 100);
+        let reqs = requests(8 * MIN_CHUNK_PAIRS + 12, 100);
         let baseline = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(1)).score_batch(&reqs);
         for threads in [2, 3, 8] {
+            assert_fans_out(reqs.len(), threads);
             let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
             let scores = exec.score_batch(&reqs);
             let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
@@ -516,18 +554,22 @@ mod tests {
 
     #[test]
     fn malformed_batch_requests_surface_as_errors_not_panics() {
-        let good = requests(50, 50);
+        let good = requests(4 * MIN_CHUNK_PAIRS + 4, 1000);
+        assert_fans_out(good.len(), 4);
+        // On 4 threads the poisoned requests sit in chunks 1 and 2.
+        let chunk = chunk_len(good.len(), 4);
+        let (first, second) = (chunk + 13, 2 * chunk + 37);
         for threads in [1usize, 4] {
             let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
             // Poison two requests: the *first* (smallest index) is reported,
             // regardless of the thread count.
             let mut poisoned = good.clone();
-            poisoned[13].metric_row = vec![0.4]; // too short for 2 metrics
-            poisoned[37].metric_row = vec![];
+            poisoned[first].metric_row = vec![0.4]; // too short for 2 metrics
+            poisoned[second].metric_row = vec![];
             let err = exec.try_score_batch(&poisoned).unwrap_err();
-            assert_eq!(err.request_index, 13, "threads = {threads}");
+            assert_eq!(err.request_index, first, "threads = {threads}");
             assert!(matches!(err.error, ScoreError::Row(_)));
-            assert!(err.to_string().contains("request 13"));
+            assert!(err.to_string().contains(&format!("request {first}")));
             // The executor survives and keeps serving clean traffic through
             // the same fallible path.
             let scores = exec.try_score_batch(&good).expect("still serving");
@@ -540,9 +582,12 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan};
         use std::sync::Arc;
 
-        let reqs = requests(200, 200);
+        let reqs = requests(8 * MIN_CHUNK_PAIRS + 12, 1000);
         let baseline = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(1)).score_batch(&reqs);
         for threads in [1usize, 3, 8] {
+            if threads > 1 {
+                assert_fans_out(reqs.len(), threads);
+            }
             let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
             // The first two worker spawns panic; the supervisor re-scores
             // their chunks, so the batch still comes back complete.
@@ -578,10 +623,13 @@ mod tests {
         exec.set_fault_plan(Some(Arc::new(
             FaultPlan::parse("shard_worker_panic@0,1,2,3").expect("spec"),
         )));
-        let mut poisoned = requests(50, 50);
-        poisoned[13].metric_row = vec![0.4];
+        let mut poisoned = requests(4 * MIN_CHUNK_PAIRS + 4, 1000);
+        assert_fans_out(poisoned.len(), 4);
+        // The poisoned request sits in chunk 1, as the second of four.
+        let first = chunk_len(poisoned.len(), 4) + 13;
+        poisoned[first].metric_row = vec![0.4];
         let err = exec.try_score_batch(&poisoned).unwrap_err();
-        assert_eq!(err.request_index, 13, "restart path reports the same first error");
+        assert_eq!(err.request_index, first, "restart path reports the same first error");
     }
 
     #[test]
@@ -590,10 +638,11 @@ mod tests {
         use crate::trace::Tracer;
         use std::sync::Arc;
 
-        let reqs = requests(50, 50);
+        let reqs = requests(4 * MIN_CHUNK_PAIRS + 4, 1000);
+        assert_fans_out(reqs.len(), 4);
         let baseline = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(1)).score_batch(&reqs);
         for threads in [1usize, 4] {
-            let chunks = reqs.len().div_ceil(reqs.len().div_ceil(threads));
+            let chunks = reqs.len().div_ceil(chunk_len(reqs.len(), threads));
             for plan in [None, Some("shard_worker_panic@0")] {
                 let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
                 exec.set_fault_plan(plan.map(|spec| Arc::new(FaultPlan::parse(spec).expect("spec"))));

@@ -85,6 +85,8 @@ fn arb_model() -> impl Strategy<Value = LearnRiskModel> {
 /// Generates a batch as draws from a consistent pool of pairs: equal
 /// `pair_id`s always carry identical content (the [`ScoreRequest::pair_id`]
 /// contract the cache relies on), while the small pool guarantees repeats.
+/// Up to 400 draws, so most batches are long enough for the executor to
+/// split them into several chunks instead of scoring them inline.
 fn arb_requests() -> impl Strategy<Value = Vec<ScoreRequest>> {
     (
         proptest::collection::vec(
@@ -94,7 +96,7 @@ fn arb_requests() -> impl Strategy<Value = Vec<ScoreRequest>> {
             ),
             1..12,
         ),
-        proptest::collection::vec(0.0f64..1.0, 1..60),
+        proptest::collection::vec(0.0f64..1.0, 1..400),
     )
         .prop_map(|(pool, draws)| {
             let requests: Vec<ScoreRequest> = pool
