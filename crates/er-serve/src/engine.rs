@@ -174,6 +174,10 @@ pub fn encode_score_response(model_version: u64, scores: &[f64]) -> String {
 pub enum ScoreError {
     /// The request's metric row is shorter than the rule set requires.
     Row(RowLengthError),
+    /// The request's `classifier_output` is NaN, which has no place on the
+    /// probability scale (infinities and other values outside `[0, 1]` are
+    /// clamped and score).
+    NanClassifierOutput,
     /// The pair's portfolio could not be aggregated (e.g. a corrupt artifact
     /// producing a non-positive total weight).
     Portfolio(PortfolioError),
@@ -183,6 +187,7 @@ impl fmt::Display for ScoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScoreError::Row(e) => write!(f, "{e}"),
+            ScoreError::NanClassifierOutput => write!(f, "classifier_output is NaN, not a probability"),
             ScoreError::Portfolio(e) => write!(f, "cannot aggregate the pair's portfolio: {e}"),
         }
     }
@@ -190,9 +195,9 @@ impl fmt::Display for ScoreError {
 
 impl std::error::Error for ScoreError {}
 
-/// Reusable per-worker scratch for the engine (rule-match counters, the
-/// assembled [`PairRiskInput`], and the SoA portfolio block the model
-/// aggregates through); create one per thread via
+/// Reusable per-worker scratch for the engine (the rule index's
+/// violated-rule bitset, the assembled [`PairRiskInput`], and the SoA
+/// portfolio block the model aggregates through); create one per thread via
 /// [`ScoringEngine::scratch`].
 #[derive(Debug, Clone)]
 pub struct EngineScratch {
@@ -266,8 +271,9 @@ impl ScoringEngine {
     }
 
     /// Fallible [`Self::score_request`]: a malformed request (metric row
-    /// shorter than the rule set requires) or a degenerate portfolio from a
-    /// corrupt artifact becomes a [`ScoreError`] instead of a panic.
+    /// shorter than the rule set requires, NaN classifier output) or a
+    /// degenerate portfolio from a corrupt artifact becomes a [`ScoreError`]
+    /// instead of a panic.
     pub fn try_score_request(&self, request: &ScoreRequest, scratch: &mut EngineScratch) -> Result<f64, ScoreError> {
         self.index
             .try_matching_rules_into(
@@ -276,6 +282,9 @@ impl ScoringEngine {
                 &mut scratch.input.rule_indices,
             )
             .map_err(ScoreError::Row)?;
+        if request.classifier_output.is_nan() {
+            return Err(ScoreError::NanClassifierOutput);
+        }
         scratch.input.classifier_output = request.classifier_output;
         scratch.input.machine_says_match = request.machine_says_match;
         self.model
@@ -425,5 +434,42 @@ mod tests {
         assert!(err.to_string().contains("metric row has 1 entries"));
         let after = engine.try_score_request(&ok, &mut scratch).expect("scratch reusable");
         assert_eq!(plain.to_bits(), after.to_bits());
+    }
+
+    #[test]
+    fn nan_classifier_outputs_are_errors_and_out_of_range_ones_clamp() {
+        let model = model();
+        let engine = ScoringEngine::new(model.clone());
+        let mut scratch = engine.scratch();
+        let row = vec![0.9, 0.1, 0.8];
+        let nan = request(0, row.clone(), f64::NAN);
+        let err = engine.try_score_request(&nan, &mut scratch).unwrap_err();
+        assert_eq!(err, ScoreError::NanClassifierOutput);
+        assert!(err.to_string().contains("classifier_output is NaN"), "{err}");
+        // Infinities and values outside [0, 1] clamp to the nearest bound.
+        for (p, clamped) in [(f64::INFINITY, 1.0), (1.5, 1.0), (f64::NEG_INFINITY, 0.0), (-0.25, 0.0)] {
+            let out_of_range = request(1, row.clone(), p);
+            let score = engine
+                .try_score_request(&out_of_range, &mut scratch)
+                .expect("out-of-range outputs score");
+            let bound = ScoreRequest {
+                classifier_output: clamped,
+                ..out_of_range.clone()
+            };
+            assert_eq!(
+                score.to_bits(),
+                engine.score_request(&bound, &mut scratch).to_bits(),
+                "p = {p}"
+            );
+        }
+        // The scratch keeps serving well-formed requests afterwards.
+        let ok = request(2, row, 0.7);
+        assert_eq!(
+            engine
+                .try_score_request(&ok, &mut scratch)
+                .expect("well-formed")
+                .to_bits(),
+            offline_score(&model, &ok).to_bits()
+        );
     }
 }

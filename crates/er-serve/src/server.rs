@@ -54,7 +54,8 @@
 //! Error responses always carry a JSON `{"error": ..}` body: `400` malformed
 //! HTTP or JSON, `404`/`405` unknown path/method, `409` refused reload (the
 //! old version keeps serving), `413` oversized body, `422` well-formed but
-//! unscorable request (e.g. short metric row, with `request_index`), `429`
+//! unscorable request (e.g. short metric row or NaN `classifier_output`,
+//! with `request_index`), `429`
 //! admission queue full, `500` a scoring-pipeline panic was isolated to this
 //! batch, `503` draining or at the connection cap, `504` the request's
 //! `X-Deadline-Ms` budget expired before scoring started. Scores round-trip
@@ -1947,6 +1948,31 @@ mod tests {
             http_roundtrip(&mut stream, "GET", "/score", None).expect("405").status,
             405
         );
+    }
+
+    #[test]
+    fn nan_classifier_outputs_get_a_422_not_a_batch_panic() {
+        let (server, _executor) = start_server(16);
+        let mut stream = connect(&server);
+        let body = format!(
+            r#"[{}, {{"pair_id": 7, "metric_row": [0.5, 0.5], "classifier_output": NaN, "machine_says_match": true}}]"#,
+            request_json(6, 0.4)
+        );
+        let nan = http_roundtrip(&mut stream, "POST", "/score", Some(&body)).expect("response");
+        assert_eq!(nan.status, 422, "{}", nan.body);
+        assert!(nan.body.contains("\"request_index\":1"), "{}", nan.body);
+        assert!(nan.body.contains("classifier_output is NaN"), "{}", nan.body);
+        // No scoring worker panicked, and the same connection keeps serving.
+        let rendered = server.metrics().render();
+        let panics: f64 = rendered
+            .lines()
+            .filter(|line| line.starts_with("er_serve_worker_panics_total{"))
+            .filter_map(|line| line.rsplit(' ').next()?.parse::<f64>().ok())
+            .sum();
+        assert_eq!(panics, 0.0, "{rendered}");
+        let ok = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(8, 0.4))).expect("response");
+        assert_eq!(ok.status, 200, "{}", ok.body);
+        server.shutdown();
     }
 
     #[test]
