@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the performance-sensitive building blocks:
 //! similarity metrics, one-sided rule generation, risk-model training, risk
-//! scoring, the `/score` wire codec and perfbench's set-up stages.  These
+//! scoring, the serving rule index and executor, the `/score` wire codec and
+//! perfbench's set-up stages.  These
 //! complement the figure binaries (which regenerate the paper's result
 //! series) by tracking the runtime of each stage.
 
@@ -10,7 +11,7 @@ use er_classifier::{MatcherKind, TrainConfig};
 use er_datasets::{generate_benchmark, BenchmarkId};
 use er_eval::{build_inputs_from_labeled, build_score_requests, run_pipeline, PipelineConfig};
 use er_rulegen::{generate_rules, OneSidedTreeConfig};
-use er_serve::{decode_score_body, encode_score_response, ScoreRequest};
+use er_serve::{decode_score_body, encode_score_response, ScoreRequest, ScoringEngine, ServeConfig, ShardedExecutor};
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{train as train_risk, LearnRiskModel, RiskFeatureSet, RiskModelConfig, RiskTrainConfig};
 use std::sync::Arc;
@@ -163,12 +164,12 @@ fn bench_serve_wire(c: &mut Criterion) {
     group.finish();
 }
 
-/// perfbench's set-up stages, in-process at its configuration (DS at scale
-/// 0.02, seed 2020, logistic matcher): generating the workload, the
-/// pipeline run, and building the request pool from the trained matcher.
-fn bench_setup(c: &mut Criterion) {
-    const SEED: u64 = 2020;
-    let config = PipelineConfig {
+/// Seed of perfbench's DS workload and of its training.
+const PERFBENCH_SEED: u64 = 2020;
+
+/// perfbench's pipeline configuration (DS at scale 0.02, logistic matcher).
+fn perfbench_config() -> PipelineConfig {
+    PipelineConfig {
         matcher: MatcherKind::Logistic,
         matcher_config: TrainConfig {
             epochs: 25,
@@ -179,16 +180,74 @@ fn bench_setup(c: &mut Criterion) {
             ..Default::default()
         },
         ensemble_members: 2,
-        seed: SEED,
+        seed: PERFBENCH_SEED,
         ..Default::default()
-    };
+    }
+}
+
+/// perfbench's served model (v1) and the request pool it re-scores.
+fn perfbench_model() -> (ScoringEngine, Vec<ScoreRequest>) {
+    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, PERFBENCH_SEED);
+    let (_, trained) = run_pipeline(&ds.workload, SplitRatio::new(3, 2, 5), &perfbench_config());
+    let pool = build_score_requests(&trained.evaluator, &trained.matcher, ds.workload.pairs());
+    (ScoringEngine::new(trained.risk_model), pool)
+}
+
+/// Rule matching on perfbench's model: one iteration finds the rules
+/// covering one pool pair's row, cycling through the pool.
+fn bench_serve_index(c: &mut Criterion) {
+    let (engine, pool) = perfbench_model();
+    let index = engine.index();
+    let mut scratch = index.scratch();
+    let mut out = Vec::new();
+    let mut rows = pool.iter().map(|r| r.metric_row.as_slice()).cycle();
+    let mut group = c.benchmark_group("serve/index");
+    group.bench_function("match_ds", |b| {
+        b.iter(|| {
+            let row = rows.next().expect("a non-empty pool");
+            index.matching_rules_into(row, &mut scratch, &mut out);
+            std::hint::black_box(out.len())
+        })
+    });
+    group.finish();
+}
+
+/// Cold-cache batches of perfbench's pool through a 2-thread executor, as
+/// `rerank-after-reload` sends them: below the chunk floor a batch scores
+/// inline, above it on both lanes. `score_cold_inline` is the same batch on
+/// a 1-thread executor — the floor is the smallest batch at which the
+/// 2-thread row is no slower.
+fn bench_serve_executor(c: &mut Criterion) {
+    let (engine, pool) = perfbench_model();
+    let mut group = c.benchmark_group("serve/executor");
+    for (name, threads) in [("score_cold", 2), ("score_cold_inline", 1)] {
+        let executor = ShardedExecutor::new(
+            engine.clone(),
+            ServeConfig::default().with_threads(threads).with_cache_capacity(0),
+        );
+        for len in [32usize, 64, 128, 256] {
+            let batches: Vec<&[ScoreRequest]> = pool.chunks_exact(len).collect();
+            let mut batches = batches.iter().cycle();
+            group.bench_function(CriterionId::new(name, len), |b| {
+                b.iter(|| std::hint::black_box(executor.score_batch(batches.next().expect("a pool of 256+ pairs"))))
+            });
+        }
+    }
+    group.finish();
+}
+
+/// perfbench's set-up stages, in-process at its configuration (DS at scale
+/// 0.02, seed 2020, logistic matcher): generating the workload, the
+/// pipeline run, and building the request pool from the trained matcher.
+fn bench_setup(c: &mut Criterion) {
+    let config = perfbench_config();
     let ratio = SplitRatio::new(3, 2, 5);
-    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, SEED);
+    let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, PERFBENCH_SEED);
     let (_, trained) = run_pipeline(&ds.workload, ratio, &config);
     let mut group = c.benchmark_group("setup");
     group.sample_size(10);
     group.bench_function("generate_ds", |b| {
-        b.iter(|| std::hint::black_box(generate_benchmark(BenchmarkId::DblpScholar, 0.02, SEED)))
+        b.iter(|| std::hint::black_box(generate_benchmark(BenchmarkId::DblpScholar, 0.02, PERFBENCH_SEED)))
     });
     group.bench_function("run_pipeline", |b| {
         b.iter(|| std::hint::black_box(run_pipeline(&ds.workload, ratio, &config).0.rule_count))
@@ -212,6 +271,8 @@ criterion_group!(
     bench_rule_generation,
     bench_risk_training_and_scoring,
     bench_serve_wire,
+    bench_serve_index,
+    bench_serve_executor,
     bench_setup
 );
 criterion_main!(benches);
