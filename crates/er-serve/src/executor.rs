@@ -18,13 +18,14 @@
 //! suite asserts this bit-exactly).
 //!
 //! **Chunk floor.** Handing a chunk to a pool lane and joining it costs
-//! tens of microseconds, while the engine scores a pair in well under one.
+//! around ten microseconds, while the engine scores a pair in under one.
 //! A chunk therefore holds at least `MIN_CHUNK_PAIRS` requests: a batch of
 //! up to that many pairs (a 32-pair `/score` array, or two coalesced ones)
 //! scores inline on the calling thread, and only batches that give each
 //! lane enough pairs to pay for the dispatch fan out. The floor was chosen
-//! with the `serve/executor/score_cold` criterion bench as the smallest
-//! chunk at which the 2-lane path is no slower than inline. Scores are a
+//! with the `serve/executor/score_cold` and `score_cold_inline` criterion
+//! benches as the smallest chunk at which the 2-lane path is no slower than
+//! inline. Scores are a
 //! pure function of each request, so the floor cannot change them.
 
 use crate::cache::LruCache;

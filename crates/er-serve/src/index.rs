@@ -183,7 +183,7 @@ impl CompiledRuleIndex {
     ///
     /// # Panics
     /// Panics if `row` is shorter than [`Self::required_row_len`] or `scratch`
-    /// was built for a different index.  [`Self::try_matching_rules_into`] is
+    /// was sized for a different index.  [`Self::try_matching_rules_into`] is
     /// the non-panicking form the serving request path uses.
     pub fn matching_rules_into(&self, row: &[f64], scratch: &mut MatchScratch, out: &mut Vec<u32>) {
         self.try_matching_rules_into(row, scratch, out)
@@ -192,7 +192,7 @@ impl CompiledRuleIndex {
 
     /// Fallible [`Self::matching_rules_into`]: a row shorter than
     /// [`Self::required_row_len`] becomes a [`RowLengthError`] instead of a
-    /// panic (`out` is left cleared).  A `scratch` built for a different
+    /// panic (`out` is left cleared).  A `scratch` sized for a different
     /// index is still a programming error and panics.
     pub fn try_matching_rules_into(
         &self,
