@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the performance-sensitive building blocks:
 //! similarity metrics, one-sided rule generation, risk-model training, risk
 //! scoring, the serving rule index and executor, the `/score` wire codec and
-//! perfbench's set-up stages.  These
-//! complement the figure binaries (which regenerate the paper's result
-//! series) by tracking the runtime of each stage.
+//! perfbench's set-up stages.  These complement the figure binaries (which
+//! regenerate the paper's result series) by tracking the runtime of each
+//! stage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 use er_base::{Label, SplitRatio};
@@ -185,18 +185,22 @@ fn perfbench_config() -> PipelineConfig {
     }
 }
 
-/// perfbench's served model (v1) and the request pool it re-scores.
-fn perfbench_model() -> (ScoringEngine, Vec<ScoreRequest>) {
+/// Serving perfbench's model (v1) over the request pool it re-scores.
+///
+/// `serve/index/match_ds`: one iteration finds the rules covering one pool
+/// pair's row, cycling through the pool.
+///
+/// `serve/executor/score_cold/{len}`: cold-cache `len`-pair batches of the
+/// pool through a 2-thread executor, as `rerank-after-reload` sends them;
+/// `score_cold_inline` is the same batch on a 1-thread executor. To re-tune
+/// the executor's chunk floor, set it to 1 and find the smallest batch at
+/// which the 2-thread row is no slower than the inline one: half that batch
+/// is the floor.
+fn bench_serve_scoring(c: &mut Criterion) {
     let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, PERFBENCH_SEED);
     let (_, trained) = run_pipeline(&ds.workload, SplitRatio::new(3, 2, 5), &perfbench_config());
     let pool = build_score_requests(&trained.evaluator, &trained.matcher, ds.workload.pairs());
-    (ScoringEngine::new(trained.risk_model), pool)
-}
-
-/// Rule matching on perfbench's model: one iteration finds the rules
-/// covering one pool pair's row, cycling through the pool.
-fn bench_serve_index(c: &mut Criterion) {
-    let (engine, pool) = perfbench_model();
+    let engine = ScoringEngine::new(trained.risk_model);
     let index = engine.index();
     let mut scratch = index.scratch();
     let mut out = Vec::new();
@@ -210,15 +214,7 @@ fn bench_serve_index(c: &mut Criterion) {
         })
     });
     group.finish();
-}
 
-/// Cold-cache batches of perfbench's pool through a 2-thread executor, as
-/// `rerank-after-reload` sends them: below the chunk floor a batch scores
-/// inline, above it on both lanes. `score_cold_inline` is the same batch on
-/// a 1-thread executor — the floor is the smallest batch at which the
-/// 2-thread row is no slower.
-fn bench_serve_executor(c: &mut Criterion) {
-    let (engine, pool) = perfbench_model();
     let mut group = c.benchmark_group("serve/executor");
     for (name, threads) in [("score_cold", 2), ("score_cold_inline", 1)] {
         let executor = ShardedExecutor::new(
@@ -271,8 +267,7 @@ criterion_group!(
     bench_rule_generation,
     bench_risk_training_and_scoring,
     bench_serve_wire,
-    bench_serve_index,
-    bench_serve_executor,
+    bench_serve_scoring,
     bench_setup
 );
 criterion_main!(benches);
