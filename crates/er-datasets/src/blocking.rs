@@ -101,6 +101,39 @@ where
 mod tests {
     use super::*;
     use er_base::{AttrDef, AttrType, AttrValue, Schema};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The straightforward body: each new pair is recorded in a `HashSet` as
+    /// it is emitted, and the output is sorted at the end.
+    fn reference_blocking_pairs(left: &Table, right: &Table, attrs: &[usize], dedup: bool) -> Vec<(u32, u32)> {
+        let left_index = blocking_index(left, attrs);
+        let right_index = blocking_index(right, attrs);
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        let mut seen: HashSet<(u32, u32)> = HashSet::new();
+        for (tok, ls) in &left_index {
+            if ls.len() > MAX_BLOCK_SIZE {
+                continue;
+            }
+            if let Some(rs) = right_index.get(tok) {
+                if rs.len() > MAX_BLOCK_SIZE {
+                    continue;
+                }
+                for &l in ls {
+                    for &r in rs {
+                        if dedup && r <= l {
+                            continue;
+                        }
+                        if seen.insert((l, r)) {
+                            out.push((l, r));
+                        }
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
 
     fn table(names: &[&str]) -> Table {
         let schema = Schema::new(vec![AttrDef::new("name", AttrType::Text)]);
@@ -150,6 +183,62 @@ mod tests {
         assert_eq!(pairs.len(), 100);
     }
 
+    /// Words of a random table: a few short ones blocking ignores, and a
+    /// frequent one that overflows `MAX_BLOCK_SIZE` in the larger tables.
+    const WORDS: [&str; 10] = [
+        "ab", "x", "common", "sony", "apple", "ipod", "nano", "tune", "blue", "rose",
+    ];
+
+    /// A two-attribute table; a `None` value is stored as a number, which
+    /// blocking skips.  Three names in four hold "common", so its block
+    /// overflows in tables of more than about 80 records.
+    fn random_table(rows: &[(Vec<usize>, Option<Vec<usize>>)]) -> Table {
+        let schema = Schema::new(vec![
+            AttrDef::new("name", AttrType::Text),
+            AttrDef::new("brand", AttrType::Text),
+        ]);
+        let spell = |picks: &[usize]| picks.iter().map(|&i| WORDS[i]).collect::<Vec<_>>().join(" ");
+        let mut t = Table::new("t", schema);
+        for (name, brand) in rows {
+            let brand = brand
+                .as_deref()
+                .map_or(AttrValue::Num(1.0), |b| AttrValue::from(spell(b).as_str()));
+            t.push(vec![AttrValue::from(spell(name).as_str()), brand]);
+        }
+        t
+    }
+
+    fn rows() -> impl Strategy<Value = Vec<(Vec<usize>, Option<Vec<usize>>)>> {
+        let words = || proptest::collection::vec(0usize..WORDS.len(), 0..4);
+        let name = (0usize..4, words()).prop_map(|(k, mut w)| {
+            if k > 0 {
+                w.push(2);
+            }
+            w
+        });
+        let brand = (0usize..4, words()).prop_map(|(k, w)| (k > 0).then_some(w));
+        proptest::collection::vec((name, brand), 0..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn blocking_equals_the_hash_set_reference(left in rows(), right in rows()) {
+            let (left, right) = (random_table(&left), random_table(&right));
+            for attrs in [&[0usize][..], &[0, 1]] {
+                prop_assert_eq!(
+                    token_blocking_pairs(&left, &right, attrs, false),
+                    reference_blocking_pairs(&left, &right, attrs, false)
+                );
+                prop_assert_eq!(
+                    token_blocking_pairs(&left, &left, attrs, true),
+                    reference_blocking_pairs(&left, &left, attrs, true)
+                );
+            }
+        }
+    }
+
     #[test]
     fn reduction_ratio_and_completeness() {
         assert!((reduction_ratio(100, 100, 100, false) - 0.99).abs() < 1e-12);
@@ -158,7 +247,7 @@ mod tests {
 
         let candidates = vec![(0u32, 0u32), (1, 1)];
         let matches = vec![(0u32, 0u32), (2, 2)];
-        let set: std::collections::HashSet<_> = candidates.iter().copied().collect();
+        let set: HashSet<_> = candidates.iter().copied().collect();
         let pc = pair_completeness(&candidates, &matches, |m| set.contains(m));
         assert!((pc - 0.5).abs() < 1e-12);
         assert_eq!(pair_completeness(&candidates, &[], |_| true), 1.0);

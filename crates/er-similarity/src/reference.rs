@@ -530,6 +530,7 @@ mod tests {
     use super::*;
     use crate::token_sim::IdfTable;
     use crate::{difference, edit, eval_metric_kind, sequence, token_sim};
+    use er_base::{PairId, Record, RecordId};
     use er_datasets::{generate_benchmark, BenchmarkId};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -584,6 +585,111 @@ mod tests {
         }
     }
 
+    /// Asserts that `eval_pairs` and `eval_all` give the reference rows of
+    /// `pairs`, bit for bit.
+    fn assert_rows_match(evaluator: &MetricEvaluator, pairs: &[Pair], what: &str) {
+        let want = bits(&eval_pairs(evaluator, pairs));
+        assert_eq!(bits(&evaluator.eval_pairs(pairs)), want, "{what}: {} rows", pairs.len());
+        for (i, (p, row)) in pairs.iter().zip(&want).enumerate() {
+            assert_eq!(
+                &bits(&[evaluator.eval_all(&p.left, &p.right)])[0],
+                row,
+                "{what}: pair {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_match_the_reference_on_lists_that_repeat_records() {
+        let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 2020);
+        let pool = ds.workload.pairs();
+        let evaluator = MetricEvaluator::from_pairs(Arc::clone(&ds.workload.left_schema), pool);
+        // Each record on both sides, against itself, and in many pairs.
+        let mut pairs = Vec::new();
+        for (k, p) in pool.iter().take(60).enumerate() {
+            let next = &pool[(k + 1) % pool.len()];
+            for (l, r) in [
+                (&p.left, &p.right),
+                (&p.right, &p.left),
+                (&p.left, &p.left),
+                (&p.left, &next.right),
+                (&next.left, &p.left),
+            ] {
+                pairs.push(Pair::new(
+                    PairId(pairs.len() as u32),
+                    Arc::clone(l),
+                    Arc::clone(r),
+                    p.truth,
+                ));
+            }
+        }
+        assert_rows_match(&evaluator, &pairs, "repeated records");
+    }
+
+    #[test]
+    fn rows_match_the_reference_when_a_side_holds_no_string() {
+        let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 2020);
+        let pool = ds.workload.pairs();
+        let evaluator = MetricEvaluator::from_pairs(Arc::clone(&ds.workload.left_schema), pool);
+        // Copies of pool records with one attribute a number or missing
+        // (and the numeric attribute a string), paired with the originals.
+        let mut pairs = Vec::new();
+        for (k, p) in pool.iter().take(80).enumerate() {
+            let mut values = p.left.values.clone();
+            let attr = k % values.len();
+            values[attr] = match k % 3 {
+                0 => AttrValue::Num(k as f64),
+                1 => AttrValue::Null,
+                _ => AttrValue::from("1999 vldb"),
+            };
+            let odd = Arc::new(Record::new(RecordId(10_000 + k as u32), values));
+            for (l, r) in [(&odd, &p.right), (&p.right, &odd), (&odd, &odd)] {
+                pairs.push(Pair::new(
+                    PairId(pairs.len() as u32),
+                    Arc::clone(l),
+                    Arc::clone(r),
+                    p.truth,
+                ));
+            }
+        }
+        assert_rows_match(&evaluator, &pairs, "non-string values");
+    }
+
+    #[test]
+    fn rows_match_the_reference_on_songs_where_equal_values_sit_in_separate_records() {
+        // A dedup workload fills both tables with the same values, each
+        // record in its own allocation.
+        let ds = generate_benchmark(BenchmarkId::Songs, 0.02, 2020);
+        let evaluator = MetricEvaluator::from_pairs(Arc::clone(&ds.workload.left_schema), ds.workload.pairs());
+        let mut pairs = ds.workload.pairs().to_vec();
+        for i in (0..ds.left.len()).step_by(7) {
+            let (l, r) = (ds.left.record(RecordId(i as u32)), ds.right.record(RecordId(i as u32)));
+            assert!(!Arc::ptr_eq(l, r) && l.values == r.values);
+            pairs.push(Pair::new(
+                PairId(pairs.len() as u32),
+                Arc::clone(l),
+                Arc::clone(r),
+                er_base::Label::Equivalent,
+            ));
+        }
+        assert_rows_match(&evaluator, &pairs, "SG");
+    }
+
+    #[test]
+    fn rows_match_the_reference_on_lists_below_and_above_the_chunk_floor() {
+        let ds = generate_benchmark(BenchmarkId::AbtBuy, 0.02, 2020);
+        let pool = ds.workload.pairs();
+        let evaluator = MetricEvaluator::from_pairs(Arc::clone(&ds.workload.left_schema), pool);
+        // Around one and two chunks of 32 pairs, the whole pool, and the
+        // pool three times over.
+        let thrice: Vec<Pair> = pool.iter().chain(pool).chain(pool).cloned().collect();
+        for len in [0usize, 1, 2, 31, 32, 33, 63, 64, 65, 129] {
+            assert_rows_match(&evaluator, &pool[..len], "AB prefix");
+        }
+        assert_rows_match(&evaluator, pool, "AB");
+        assert_rows_match(&evaluator, &thrice, "AB three times");
+    }
+
     /// Characters the kernels see: ASCII first, then two-byte Latin and
     /// three-byte CJK.  A narrow prefix makes long runs of matches, so bit
     /// carries cross whole words.
@@ -631,6 +737,23 @@ mod tests {
             ] {
                 prop_assert!(got.to_bits() == want.to_bits(), "{name}: {got} != {want}");
             }
+        }
+
+        #[test]
+        fn jaro_winkler_is_symmetric_bit_for_bit(
+            lens in (0usize..24, 0usize..24),
+            width in 1usize..6,
+            picks_a in proptest::collection::vec(0usize..CHARS.len(), 129..130),
+            picks_b in proptest::collection::vec(0usize..CHARS.len(), 129..130),
+            boundary in (0usize..LENGTHS.len(), 0usize..LENGTHS.len(), 0usize..4),
+        ) {
+            // Short strings over a few characters make many matches and
+            // transpositions; one case in four takes word-boundary lengths.
+            let (la, lb) = if boundary.2 == 0 { (LENGTHS[boundary.0], LENGTHS[boundary.1]) } else { lens };
+            let a = spell(&picks_a, la, width);
+            let b = spell(&picks_b, lb, width);
+            let (ab, ba) = (edit::jaro_winkler(&a, &b), edit::jaro_winkler(&b, &a));
+            prop_assert!(ab.to_bits() == ba.to_bits(), "{a:?} vs {b:?}: {ab} != {ba}");
         }
 
         #[test]

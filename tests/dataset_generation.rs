@@ -89,8 +89,8 @@ fn dedup_workload_never_pairs_a_record_with_itself() {
 }
 
 /// FNV-1a over the left id, right id and label of every pair, in order.
-fn workload_hash(id: BenchmarkId) -> u64 {
-    let ds = generate_benchmark(id, 0.02, 2020);
+fn workload_hash(id: BenchmarkId, scale: f64, seed: u64) -> u64 {
+    let ds = generate_benchmark(id, scale, seed);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for pair in ds.workload.pairs() {
         let words = [
@@ -109,17 +109,28 @@ fn workload_hash(id: BenchmarkId) -> u64 {
 
 #[test]
 fn generated_workloads_are_pinned() {
-    // Captured before the generator's hard-negative proxy was reworked; any
-    // change to which pairs are drawn, in which order or with which label
-    // shows up here. The hash covers integers only, so it is the same on
-    // every platform.
+    // Captured before the generator's hard-negative proxy was reworked (the
+    // paper datasets at 0.02) and before its candidate ranking was (DA, and
+    // every dataset at a second scale and seed); any change to which pairs
+    // are drawn, in which order or with which label shows up here. The hash
+    // covers integers only, so it is the same on every platform.
     let expected = [
-        (BenchmarkId::DblpScholar, 0xd985_c355_85a8_f6fa),
-        (BenchmarkId::AbtBuy, 0xca20_5ddc_eae0_c1c8),
-        (BenchmarkId::AmazonGoogle, 0xcbf4_a52b_706f_5c75),
-        (BenchmarkId::Songs, 0xeecb_a945_54ea_f066),
+        (BenchmarkId::DblpScholar, 0.02, 2020, 0xd985_c355_85a8_f6fa),
+        (BenchmarkId::AbtBuy, 0.02, 2020, 0xca20_5ddc_eae0_c1c8),
+        (BenchmarkId::AmazonGoogle, 0.02, 2020, 0xcbf4_a52b_706f_5c75),
+        (BenchmarkId::Songs, 0.02, 2020, 0xeecb_a945_54ea_f066),
+        (BenchmarkId::DblpAcm, 0.02, 2020, 0x8874_e82c_0deb_ac46),
+        (BenchmarkId::DblpScholar, 0.05, 7, 0xebda_4713_cd41_ed7b),
+        (BenchmarkId::AbtBuy, 0.05, 7, 0xfc28_6d82_f33e_2e19),
+        (BenchmarkId::AmazonGoogle, 0.05, 7, 0x69d0_6f0d_8f89_bebd),
+        (BenchmarkId::Songs, 0.05, 7, 0x0a02_8259_db78_919b),
+        (BenchmarkId::DblpAcm, 0.05, 7, 0x31d8_faf2_6d1a_580b),
     ];
-    for (id, want) in expected {
-        assert_eq!(workload_hash(id), want, "{id:?}");
+    for (id, scale, seed, want) in expected {
+        assert_eq!(
+            workload_hash(id, scale, seed),
+            want,
+            "{id:?} at scale {scale}, seed {seed}"
+        );
     }
 }
