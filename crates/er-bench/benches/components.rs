@@ -17,7 +17,9 @@ use learnrisk_core::{train as train_risk, LearnRiskModel, RiskFeatureSet, RiskMo
 use std::sync::Arc;
 
 /// The basic-metric rows of the whole DS pool (perfbench's workload: scale
-/// 0.02, seed 2020) per iteration, so every sample covers the same pairs.
+/// 0.02, seed 2020) per iteration, so every sample covers the same pairs:
+/// batched (each distinct record prepared once, rows over the pool's lanes)
+/// and pair by pair.
 fn bench_metric_evaluation(c: &mut Criterion) {
     let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 2020);
     let pairs = ds.workload.pairs();
@@ -26,6 +28,12 @@ fn bench_metric_evaluation(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("eval_pairs_ds", |b| {
         b.iter(|| std::hint::black_box(evaluator.eval_pairs(pairs)))
+    });
+    group.bench_function("eval_all_ds", |b| {
+        b.iter(|| {
+            let rows: Vec<Vec<f64>> = pairs.iter().map(|p| evaluator.eval_all(&p.left, &p.right)).collect();
+            std::hint::black_box(rows)
+        })
     });
     group.finish();
 }

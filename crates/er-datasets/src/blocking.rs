@@ -42,7 +42,6 @@ pub fn token_blocking_pairs(left: &Table, right: &Table, attrs: &[usize], dedup:
     let right_index = blocking_index(right, attrs);
 
     let mut out: Vec<(u32, u32)> = Vec::new();
-    let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
     for (tok, ls) in &left_index {
         if ls.len() > MAX_BLOCK_SIZE {
             continue;
@@ -52,20 +51,15 @@ pub fn token_blocking_pairs(left: &Table, right: &Table, attrs: &[usize], dedup:
                 continue;
             }
             for &l in ls {
-                for &r in rs {
-                    if dedup && r <= l {
-                        continue;
-                    }
-                    if seen.insert((l, r)) {
-                        out.push((l, r));
-                    }
-                }
+                out.extend(rs.iter().filter(|&&r| !dedup || r > l).map(|&r| (l, r)));
             }
         }
     }
-    // HashMap iteration order is unspecified; sort so that candidate
-    // generation (and everything downstream of it) is deterministic.
+    // HashMap iteration order is unspecified; sorting makes candidate
+    // generation (and everything downstream of it) deterministic, and brings
+    // a pair emitted through several shared tokens together for `dedup`.
     out.sort_unstable();
+    out.dedup();
     out
 }
 

@@ -12,6 +12,17 @@
 //!    [`DirtinessProfile`];
 //! 4. run token blocking and assemble a candidate-pair [`Workload`] with a
 //!    target size and match rate (mirroring Table 2 of the paper).
+//!
+//! Step 4 takes every equivalent pair it needs, and prefers *hard*
+//! non-matches: the blocked candidates of distinct entities are ranked by
+//! the Jaccard overlap of their records' blocking tokens, two thirds of the
+//! negatives come from the top of that ranking and the rest from a shuffle
+//! of the remainder.  Each record's tokens are interned once as `u32` ids,
+//! and as the candidates come sorted by left record, each left record's ids
+//! are marked once in a table and every right record counts its marked ids:
+//! the intersection counts, and so the overlaps, are exactly those of a
+//! string-set Jaccard.  The ranking is a stable sort, so candidates of equal
+//! overlap keep their order into the shuffle.
 
 use crate::blocking::token_blocking_pairs;
 use crate::perturb::DirtinessProfile;
@@ -19,7 +30,7 @@ use er_base::rng::substream;
 use er_base::{AttrValue, Label, Pair, PairId, RecordId, Schema, Table, Workload};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A clean (canonical) entity: the ground truth record before dirtying.
@@ -220,21 +231,30 @@ pub fn generate<D: Domain>(domain: &D, config: &DatasetConfig) -> GeneratedDatas
     }
 }
 
-/// Each record's blocking-attribute token set, sorted and deduplicated: the
-/// blocking attributes' strings joined by spaces, then tokenized.
-fn blocking_token_sets(table: &Table, blocking_attrs: &[usize]) -> Vec<Vec<String>> {
+/// Each record's blocking-attribute token set as sorted, distinct token
+/// ids: the blocking attributes' strings joined by spaces, then tokenized,
+/// with every token interned in `ids` (shared by both tables, so equal
+/// tokens get equal ids).
+fn blocking_token_ids(table: &Table, blocking_attrs: &[usize], ids: &mut HashMap<String, u32>) -> Vec<Vec<u32>> {
+    let mut text = String::new();
     table
         .records()
         .iter()
         .map(|record| {
-            let mut text = String::new();
+            text.clear();
             for &a in blocking_attrs {
                 if let Some(s) = record.values[a].as_str() {
                     text.push_str(s);
                     text.push(' ');
                 }
             }
-            let mut set = er_similarity::tokenize::tokens(&text);
+            let mut set: Vec<u32> = er_similarity::tokenize::tokens(&text)
+                .into_iter()
+                .map(|token| {
+                    let next = ids.len() as u32;
+                    *ids.entry(token).or_insert(next)
+                })
+                .collect();
             set.sort_unstable();
             set.dedup();
             set
@@ -242,26 +262,34 @@ fn blocking_token_sets(table: &Table, blocking_attrs: &[usize]) -> Vec<Vec<Strin
         .collect()
 }
 
-/// Jaccard similarity `|A∩B| / |A∪B|` of two sorted, deduplicated token sets
-/// by one merge; two empty sets are identical (1.0), as in
+/// The Jaccard similarity `|A∩B| / |A∪B|` of each candidate's two token-id
+/// sets, in candidate order; two empty sets are identical (1.0), as in
 /// [`er_similarity::token_sim::jaccard`], whose counts and value this equals.
-fn sorted_jaccard(a: &[String], b: &[String]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (mut i, mut j, mut inter) = (0, 0, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
+///
+/// The candidates come sorted by left record, so each left set is marked
+/// once in a table indexed by token id, and the intersection is the number
+/// of marked ids in the right set.
+fn candidate_jaccards(candidates: &[(u32, u32)], left: &[Vec<u32>], right: &[Vec<u32>], vocab: usize) -> Vec<f64> {
+    // `marked[id] == l + 1` while left record `l`'s set is marked.
+    let mut marked = vec![0u32; vocab];
+    let mut current = None;
+    candidates
+        .iter()
+        .map(|&(l, r)| {
+            let (a, b) = (&left[l as usize], &right[r as usize]);
+            if current != Some(l) {
+                current = Some(l);
+                for &id in a {
+                    marked[id as usize] = l + 1;
+                }
             }
-        }
-    }
-    inter as f64 / (a.len() + b.len() - inter) as f64
+            if a.is_empty() && b.is_empty() {
+                return 1.0;
+            }
+            let inter = b.iter().filter(|&&id| marked[id as usize] == l + 1).count();
+            inter as f64 / (a.len() + b.len() - inter) as f64
+        })
+        .collect()
 }
 
 /// Assembles the candidate-pair workload with the target size and match rate.
@@ -291,13 +319,10 @@ fn build_workload<R: Rng + ?Sized>(
         }
     }
 
-    // Candidate non-matches from token blocking.
-    let blocked = token_blocking_pairs(left, right, &blocking_attrs, dedup);
-    let match_set: HashSet<(u32, u32)> = match_pairs.iter().copied().collect();
-    let mut blocked_nonmatches: Vec<(u32, u32)> = blocked
-        .into_iter()
-        .filter(|idx| !match_set.contains(idx) && left_entities[idx.0 as usize] != right_entities[idx.1 as usize])
-        .collect();
+    // Candidate non-matches from token blocking.  `match_pairs` holds
+    // exactly the equal-entity pairs, so the entity test excludes them all.
+    let mut blocked_nonmatches = token_blocking_pairs(left, right, &blocking_attrs, dedup);
+    blocked_nonmatches.retain(|&(l, r)| left_entities[l as usize] != right_entities[r as usize]);
 
     // Determine final composition.
     let target_matches = ((config.target_pairs as f64) * config.target_match_rate).round() as usize;
@@ -311,17 +336,13 @@ fn build_workload<R: Rng + ?Sized>(
     // their blocking attributes so that near-duplicates of distinct entities
     // (sibling products, follow-up papers) dominate the negative class, as
     // they do after blocking in the real benchmarks.
-    let left_tokens = blocking_token_sets(left, &blocking_attrs);
-    let right_tokens = blocking_token_sets(right, &blocking_attrs);
-    let mut scored: Vec<((u32, u32), f64)> = blocked_nonmatches
-        .drain(..)
-        .map(|p| {
-            (
-                p,
-                sorted_jaccard(&left_tokens[p.0 as usize], &right_tokens[p.1 as usize]),
-            )
-        })
-        .collect();
+    let mut ids = HashMap::new();
+    let left_tokens = blocking_token_ids(left, &blocking_attrs, &mut ids);
+    let right_tokens = blocking_token_ids(right, &blocking_attrs, &mut ids);
+    let jaccards = candidate_jaccards(&blocked_nonmatches, &left_tokens, &right_tokens, ids.len());
+    let mut scored: Vec<((u32, u32), f64)> = blocked_nonmatches.into_iter().zip(jaccards).collect();
+    // Stable: equal overlaps keep candidate order, which the tail's shuffle
+    // below reads.
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
 
     // Two thirds of the negatives come from the hardest candidates, the rest is
@@ -398,29 +419,34 @@ mod tests {
     }
 
     #[test]
-    fn sorted_jaccard_equals_the_hash_set_jaccard() {
-        let cases: [(&str, &str); 6] = [
+    fn candidate_jaccards_equal_the_hash_set_jaccard() {
+        let cases: [(&str, &str); 7] = [
             ("", ""),
             ("", "deep learning"),
+            ("deep learning", ""),
             ("the r tree the r tree", "r tree index"),
             ("query optimization", "query optimization"),
             ("a b c d", "e f g"),
             ("spatial join spatial processing", "join spatial 1993 join"),
         ];
+        let schema = Schema::new(vec![er_base::AttrDef::new("title", er_base::AttrType::Text)]);
+        let (mut left, mut right) = (Table::new("l", schema.clone()), Table::new("r", schema));
         for (x, y) in cases {
+            left.push(vec![AttrValue::from(x)]);
+            right.push(vec![AttrValue::from(y)]);
+        }
+        let mut ids = HashMap::new();
+        let left_sets = blocking_token_ids(&left, &[0], &mut ids);
+        let right_sets = blocking_token_ids(&right, &[0], &mut ids);
+        // Every left record against every right one, sorted by left record.
+        let n = cases.len() as u32;
+        let candidates: Vec<(u32, u32)> = (0..n).flat_map(|l| (0..n).map(move |r| (l, r))).collect();
+        let got = candidate_jaccards(&candidates, &left_sets, &right_sets, ids.len());
+        for (&(l, r), got) in candidates.iter().zip(got) {
+            let (x, y) = (cases[l as usize].0, cases[r as usize].1);
             let (tx, ty) = (er_similarity::tokenize::tokens(x), er_similarity::tokenize::tokens(y));
-            let sorted = |t: &[String]| {
-                let mut t = t.to_vec();
-                t.sort_unstable();
-                t.dedup();
-                t
-            };
             let want = er_similarity::token_sim::jaccard(&tx, &ty);
-            assert_eq!(
-                sorted_jaccard(&sorted(&tx), &sorted(&ty)).to_bits(),
-                want.to_bits(),
-                "{x:?} vs {y:?}"
-            );
+            assert_eq!(got.to_bits(), want.to_bits(), "{x:?} vs {y:?}");
         }
     }
 

@@ -9,6 +9,15 @@
 //! 4. constructs and trains the LearnRisk model on the validation split;
 //! 5. scores the test split with LearnRisk and every baseline;
 //! 6. reports AUROC per method.
+//!
+//! The basic-metric rows of all three splits come from one
+//! [`MetricEvaluator::eval_pairs`] call, so a record in several splits is
+//! prepared once, and every stage reads those rows.  Steps 3–5 overlap: the
+//! Uncertainty, TrustScore and StaticRisk baselines read nothing LearnRisk
+//! produces, so they run on a second lane of an [`er_pool::WorkerPool`]
+//! while rule generation and risk training run on the other; with one CPU
+//! both run inline, in turn.  Each method's scores are the same either way,
+//! and methods are reported in the same order.
 
 use er_base::{auroc, Label, LabeledWorkload, Pair, SplitRatio, Workload};
 use er_baselines::{
@@ -16,6 +25,7 @@ use er_baselines::{
     UncertaintyScorer,
 };
 use er_classifier::{targets, BootstrapEnsemble, ErMatcher, MatcherKind, TrainConfig};
+use er_pool::WorkerPool;
 use er_rulegen::{OneSidedTreeConfig, RandomForest, TwoSidedTreeConfig};
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{
@@ -158,10 +168,11 @@ pub fn run_pipeline_on_splits(
     );
 
     // --- basic-metric rows, evaluated once and shared by every stage --------
+    // One call for all three splits, so a record in several is prepared once.
     let evaluator = MetricEvaluator::from_pairs(schema, train);
-    let train_rows = evaluator.eval_pairs(train);
-    let valid_rows = evaluator.eval_pairs(valid);
-    let test_rows = evaluator.eval_pairs(test);
+    let mut train_rows = evaluator.eval_pairs(&[train, valid, test].concat());
+    let mut valid_rows = train_rows.split_off(train.len());
+    let test_rows = valid_rows.split_off(valid.len());
     let train_labels: Vec<Label> = train.iter().map(|p| p.truth).collect();
     let train_targets = targets(train);
 
@@ -184,72 +195,89 @@ pub fn run_pipeline_on_splits(
         .collect();
     let test_risk_labels: Vec<u8> = test_labeled.risk_labels();
 
-    let mut methods = Vec::new();
-
     // --- Baseline -----------------------------------------------------------
     let scores = baseline_scores(&test_outputs);
-    methods.push(MethodResult {
+    let mut methods = vec![MethodResult {
         method: "Baseline".into(),
         auroc: auroc(&scores, &test_risk_labels),
         scores,
-    });
+    }];
 
-    // --- Uncertainty --------------------------------------------------------
-    let ensemble = BootstrapEnsemble::train(
-        &train_features,
-        &train_targets,
-        config.ensemble_members,
-        &TrainConfig {
-            epochs: 20,
-            ..config.matcher_config
-        },
-    );
-    let scores = UncertaintyScorer::new(&ensemble).scores(&test_features);
-    methods.push(MethodResult {
-        method: "Uncertainty".into(),
-        auroc: auroc(&scores, &test_risk_labels),
-        scores,
-    });
+    // The other baselines read nothing LearnRisk produces: with a second CPU
+    // they run on a second lane while rules are generated and the risk model
+    // trained, and their results are pushed in the usual order afterwards.
+    let other_baselines = || {
+        // --- Uncertainty ----------------------------------------------------
+        let ensemble = BootstrapEnsemble::train(
+            &train_features,
+            &train_targets,
+            config.ensemble_members,
+            &TrainConfig {
+                epochs: 20,
+                ..config.matcher_config
+            },
+        );
+        let uncertainty = UncertaintyScorer::new(&ensemble).scores(&test_features);
 
-    // --- TrustScore ---------------------------------------------------------
-    let trust = TrustScore::fit(&train_features, &train_is_match, TrustScoreConfig::default());
-    let scores = trust.scores(&test_features, &test_says_match);
-    methods.push(MethodResult {
-        method: "TrustScore".into(),
-        auroc: auroc(&scores, &test_risk_labels),
-        scores,
-    });
+        // --- TrustScore -----------------------------------------------------
+        let trust = TrustScore::fit(&train_features, &train_is_match, TrustScoreConfig::default());
+        let trust = trust.scores(&test_features, &test_says_match);
 
-    // --- StaticRisk ---------------------------------------------------------
-    let valid_outputs: Vec<f64> = valid_labeled.pairs.iter().map(|p| p.decision.probability).collect();
-    let valid_is_match: Vec<bool> = valid_labeled.pairs.iter().map(|p| p.pair.truth.is_match()).collect();
-    let static_risk = StaticRisk::fit(&valid_outputs, &valid_is_match, StaticRiskConfig::default());
-    let scores = static_risk.scores(&test_outputs, &test_says_match);
-    methods.push(MethodResult {
-        method: "StaticRisk".into(),
-        auroc: auroc(&scores, &test_risk_labels),
-        scores,
-    });
+        // --- StaticRisk -----------------------------------------------------
+        let valid_outputs: Vec<f64> = valid_labeled.pairs.iter().map(|p| p.decision.probability).collect();
+        let valid_is_match: Vec<bool> = valid_labeled.pairs.iter().map(|p| p.pair.truth.is_match()).collect();
+        let static_risk = StaticRisk::fit(&valid_outputs, &valid_is_match, StaticRiskConfig::default());
+        let static_risk = static_risk.scores(&test_outputs, &test_says_match);
+
+        [
+            ("Uncertainty", uncertainty),
+            ("TrustScore", trust),
+            ("StaticRisk", static_risk),
+        ]
+        .map(|(method, scores)| MethodResult {
+            method: method.into(),
+            auroc: auroc(&scores, &test_risk_labels),
+            scores,
+        })
+    };
 
     // --- LearnRisk ----------------------------------------------------------
-    let rule_timer = Instant::now();
-    let rules = er_rulegen::generate_rules(&train_rows, &train_labels, config.rule_config);
-    let rule_generation_secs = rule_timer.elapsed().as_secs_f64();
-    let feature_set = RiskFeatureSet::from_training(rules, evaluator.metrics().to_vec(), &train_rows, &train_labels);
-    let rule_count = feature_set.len();
+    let learn_risk = || {
+        let rule_timer = Instant::now();
+        let rules = er_rulegen::generate_rules(&train_rows, &train_labels, config.rule_config);
+        let rule_generation_secs = rule_timer.elapsed().as_secs_f64();
+        let feature_set =
+            RiskFeatureSet::from_training(rules, evaluator.metrics().to_vec(), &train_rows, &train_labels);
 
-    let risk_timer = Instant::now();
-    let mut risk_model = LearnRiskModel::new(feature_set, config.risk_config);
-    let valid_inputs = build_inputs_from_rows(&risk_model.features, &valid_rows, &valid_labeled);
-    let test_inputs = build_inputs_from_rows(&risk_model.features, &test_rows, &test_labeled);
-    train_with_threads(
-        &mut risk_model,
-        &valid_inputs,
-        &config.risk_train_config,
-        config.risk_train_threads,
-    );
-    let risk_training_secs = risk_timer.elapsed().as_secs_f64();
+        let risk_timer = Instant::now();
+        let mut risk_model = LearnRiskModel::new(feature_set, config.risk_config);
+        let valid_inputs = build_inputs_from_rows(&risk_model.features, &valid_rows, &valid_labeled);
+        let test_inputs = build_inputs_from_rows(&risk_model.features, &test_rows, &test_labeled);
+        train_with_threads(
+            &mut risk_model,
+            &valid_inputs,
+            &config.risk_train_config,
+            config.risk_train_threads,
+        );
+        let risk_training_secs = risk_timer.elapsed().as_secs_f64();
+        (risk_model, test_inputs, rule_generation_secs, risk_training_secs)
+    };
 
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(2);
+    let (mut learned, mut baselines) = (None, None);
+    WorkerPool::new(lanes)
+        .scope(|scope| {
+            scope.spawn(|| learned = Some(learn_risk()));
+            scope.spawn(|| baselines = Some(other_baselines()));
+        })
+        .propagate();
+    let (Some((risk_model, test_inputs, rule_generation_secs, risk_training_secs)), Some(baselines)) =
+        (learned, baselines)
+    else {
+        unreachable!("a clean scope ran both tasks")
+    };
+    methods.extend(baselines);
+    let rule_count = risk_model.features.len();
     let scores = risk_model.rank(&test_inputs);
     methods.push(MethodResult {
         method: "LearnRisk".into(),

@@ -104,16 +104,16 @@ impl<'a> OneSidedTreeBuilder<'a> {
         self.counts(subset, 1.0)
     }
 
-    /// Finds the best threshold for one metric under one class weighting.
-    fn best_split_for_metric(&self, subset: &[u32], metric: usize, match_weight: f64) -> Option<Split> {
-        // Sort subset by the metric value.
-        let mut order: Vec<u32> = subset.to_vec();
-        order.sort_by(|&a, &b| {
-            self.metrics[a as usize][metric]
-                .partial_cmp(&self.metrics[b as usize][metric])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let total = self.counts(subset, match_weight);
+    /// Finds the best threshold for one metric under one class weighting:
+    /// `order` is the node's subset sorted by the metric's value, and
+    /// `total` the subset's counts under `match_weight`.
+    fn best_split_for_metric(
+        &self,
+        order: &[u32],
+        total: ClassCounts,
+        metric: usize,
+        match_weight: f64,
+    ) -> Option<Split> {
         if total.total() <= 0.0 {
             return None;
         }
@@ -156,9 +156,21 @@ impl<'a> OneSidedTreeBuilder<'a> {
     fn candidate_splits(&self, subset: &[u32]) -> Vec<Split> {
         let n_metrics = self.metrics[0].len();
         let mut splits = Vec::with_capacity(n_metrics * 2);
+        let weights = [1.0, self.config.match_class_weight];
+        let totals = weights.map(|weight| self.counts(subset, weight));
+        let mut order: Vec<u32> = Vec::with_capacity(subset.len());
         for metric in 0..n_metrics {
-            for &weight in &[1.0, self.config.match_class_weight] {
-                if let Some(split) = self.best_split_for_metric(subset, metric, weight) {
+            // Sort the subset by the metric's value once for both weightings
+            // (stable, so equal values keep subset order).
+            order.clear();
+            order.extend_from_slice(subset);
+            order.sort_by(|&a, &b| {
+                self.metrics[a as usize][metric]
+                    .partial_cmp(&self.metrics[b as usize][metric])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            for (weight, total) in weights.into_iter().zip(totals) {
+                if let Some(split) = self.best_split_for_metric(&order, total, metric, weight) {
                     splits.push(split);
                 }
             }

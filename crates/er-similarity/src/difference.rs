@@ -145,12 +145,24 @@ pub(crate) fn distinct_entities(a: &Prepared, b: &Prepared, kernels: &mut Kernel
     if a.entity_count() == 0 || b.entity_count() == 0 {
         return 0.0;
     }
-    let mut unmatched = |xs: &Prepared, ys: &Prepared| {
-        xs.entities()
-            .filter(|&x| !ys.entities().any(|y| entity_names_match(x, y, kernels)))
-            .count()
-    };
-    (unmatched(a, b) + unmatched(b, a)) as f64
+    // The match is symmetric (Jaro–Winkler is, bit for bit), so each cell of
+    // the match matrix is tested once, and only while its row or its column
+    // is still unmatched.
+    let mut b_matched = vec![false; b.entity_count()];
+    let mut a_unmatched = 0usize;
+    for x in a.entities() {
+        let mut x_matched = false;
+        for (y, y_matched) in b.entities().zip(b_matched.iter_mut()) {
+            if (x_matched && *y_matched) || !entity_names_match(x, y, kernels) {
+                continue;
+            }
+            x_matched = true;
+            *y_matched = true;
+        }
+        a_unmatched += usize::from(!x_matched);
+    }
+    let b_unmatched = b_matched.iter().filter(|&&m| !m).count();
+    (a_unmatched + b_unmatched) as f64
 }
 
 /// Approximate entity-name equality used by [`distinct_entity`]; each name

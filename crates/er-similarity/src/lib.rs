@@ -18,9 +18,9 @@
 //! ## How a row is computed
 //!
 //! [`MetricEvaluator::eval_all`] and [`MetricEvaluator::eval_pairs`] prepare
-//! each string attribute value once per pair, building only the parts that
-//! attribute's metrics read: the raw characters, the normalized text, its
-//! token spans in order, its distinct tokens sorted with counts, and its
+//! each string attribute value once per record, building only the parts
+//! that attribute's metrics read: the raw characters, the normalized text,
+//! its token spans in order, its distinct tokens sorted with counts, and its
 //! entity names with their sorted distinct set.  Every metric then reads
 //! those parts:
 //!
@@ -29,7 +29,10 @@
 //! * the cosine metrics walk the sorted `(token, weight)` lists in the order a
 //!   `BTreeMap` iterates, so every sum adds the same terms in the same order;
 //! * Monge–Elkan and `distinct-entity` run Jaro–Winkler over the prepared
-//!   tokens and names, in the original loop order.
+//!   tokens and names.  Jaro–Winkler is symmetric bit for bit, so each
+//!   fills one matrix and reads both directions from it: Monge–Elkan takes
+//!   the best of each row and of each column, and `distinct-entity` tests a
+//!   cell only while its row or its column is still unmatched.
 //!
 //! The character kernels are bit-parallel over 64-bit words: Levenshtein is
 //! Myers/Hyyrö, LCS is Allison–Dix/Hyyrö, and Jaro finds each window match in
@@ -38,7 +41,21 @@
 //! mask table directly and other characters use a short side list.  The
 //! public functions of [`edit`], [`sequence`], [`token_sim`] and
 //! [`difference`] and [`eval_metric_kind`] are thin wrappers over the same
-//! kernels, and `eval_pairs` reuses one set of buffers across its pairs.
+//! kernels.
+//!
+//! ## How a list of pairs is computed
+//!
+//! A workload's pairs share records: perfbench's 828 DS pairs reference 519
+//! records.  [`MetricEvaluator::eval_pairs`] therefore runs in two phases.
+//! Phase 1 builds a table of the distinct records of the call, keyed by
+//! allocation (`Arc::as_ptr`), and prepares each of them once; phase 2
+//! evaluates every row from two entries of that table.  Each phase splits
+//! its items into contiguous chunks over the lanes of an
+//! [`er_pool::WorkerPool`], one lane per available CPU: an even share per
+//! lane, but at least 32 items, so a phase that fits in one chunk runs
+//! inline.  Every chunk has its own kernel buffers.  Rows are independent
+//! and land in pair order, so they equal `eval_all`'s bit for bit on any
+//! number of lanes.
 //!
 //! The straightforward bodies these replaced — character dynamic programs,
 //! `HashSet` token sets, `BTreeMap` term vectors — live on as a test-only

@@ -9,12 +9,14 @@
 use crate::difference as diff;
 use crate::edit;
 use crate::kernel::Kernels;
-use crate::prepared::{needs, PairBuffers, Prepared};
+use crate::prepared::{attr_parts, needs, Prepared, PreparedRecord};
 use crate::sequence;
 use crate::token_sim::{self, IdfTable};
 use crate::tokenize::tokens;
 use er_base::{AttrType, AttrValue, Pair, Record, Schema};
+use er_pool::WorkerPool;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -260,38 +262,127 @@ impl MetricEvaluator {
     /// Evaluates every configured metric on a pair of records, producing the
     /// basic-metric vector used by rule generation and classification.
     pub fn eval_all(&self, left: &Record, right: &Record) -> Vec<f64> {
-        self.eval_row(left, right, &mut PairBuffers::default())
+        let parts = attr_parts(&self.metrics);
+        let [a, b] = [left, right].map(|r| PreparedRecord::new(r, &parts));
+        self.eval_row(left, right, &a, &b, &mut Kernels::default())
     }
 
-    /// Evaluates every metric for each pair, producing a row-major matrix.
+    /// Evaluates every metric for each pair, producing a row-major matrix
+    /// whose rows equal [`eval_all`](Self::eval_all)'s, bit for bit.
+    ///
+    /// Phase 1 prepares each distinct record (by allocation) once, however
+    /// many pairs it is in; phase 2 evaluates the rows from the prepared
+    /// records.  Each phase runs in contiguous chunks over the lanes of a
+    /// worker pool, one per available CPU, with its own kernel buffers per
+    /// chunk, and inline when it has too few items for two chunks.
     pub fn eval_pairs(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        let mut buffers = PairBuffers::default();
-        pairs
+        let mut slots: HashMap<*const Record, u32> = HashMap::with_capacity(2 * pairs.len());
+        let mut records: Vec<&Record> = Vec::new();
+        let sides: Vec<[u32; 2]> = pairs
             .iter()
-            .map(|p| self.eval_row(&p.left, &p.right, &mut buffers))
-            .collect()
+            .map(|p| {
+                [&p.left, &p.right].map(|r| {
+                    *slots.entry(Arc::as_ptr(r)).or_insert_with(|| {
+                        records.push(r);
+                        (records.len() - 1) as u32
+                    })
+                })
+            })
+            .collect();
+
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (record_chunk, pair_chunk) = (chunk_len(records.len(), cpus), chunk_len(pairs.len(), cpus));
+        // One lane per chunk of the larger phase: never more than `cpus`.
+        let chunks = records
+            .len()
+            .div_ceil(record_chunk)
+            .max(pairs.len().div_ceil(pair_chunk));
+        let pool = (chunks > 1).then(|| WorkerPool::new(chunks));
+        let pool = pool.as_ref();
+
+        let parts = attr_parts(&self.metrics);
+        let prepared = map_chunked(
+            pool,
+            &records,
+            record_chunk,
+            || (),
+            |r, _| PreparedRecord::new(r, &parts),
+        );
+        map_chunked(pool, &sides, pair_chunk, Kernels::default, |&[l, r], kernels| {
+            let (l, r) = (l as usize, r as usize);
+            self.eval_row(records[l], records[r], &prepared[l], &prepared[r], kernels)
+        })
     }
 
-    /// One pair's row: each string attribute's values are prepared once, with
-    /// the parts its metrics read, and every metric reads those parts.
-    fn eval_row(&self, left: &Record, right: &Record, buffers: &mut PairBuffers) -> Vec<f64> {
-        buffers.values.prepare(&self.metrics, left, right);
+    /// One pair's row: every string metric reads the values prepared for
+    /// its attribute.
+    fn eval_row(
+        &self,
+        left: &Record,
+        right: &Record,
+        a: &PreparedRecord,
+        b: &PreparedRecord,
+        kernels: &mut Kernels,
+    ) -> Vec<f64> {
         self.metrics
             .iter()
-            .map(|m| match buffers.values.sides(m.attr_index) {
-                Some((a, b)) if needs(m.kind) != 0 => eval_prepared(
-                    m.kind,
-                    a,
-                    b,
-                    &self.idf[m.attr_index],
-                    self.key_token_max_df,
-                    &mut buffers.kernels,
-                ),
-                // Numeric metrics, and string metrics over a missing value.
+            .map(|m| match (a.value(m.attr_index), b.value(m.attr_index)) {
+                (Some(a), Some(b)) if needs(m.kind) != 0 => {
+                    eval_prepared(m.kind, a, b, &self.idf[m.attr_index], self.key_token_max_df, kernels)
+                }
+                // Numeric metrics, and string metrics over a value that is
+                // not a string.
                 _ => self.eval_metric(m, left, right),
             })
             .collect()
     }
+}
+
+/// Fewest items (records in phase 1 of [`MetricEvaluator::eval_pairs`],
+/// pairs in phase 2) per chunk: below this the hand-off to another lane
+/// costs more than the work.
+const MIN_CHUNK_LEN: usize = 32;
+
+/// Items per chunk of `len` items over `lanes` lanes: an even share, but
+/// never fewer than [`MIN_CHUNK_LEN`].
+fn chunk_len(len: usize, lanes: usize) -> usize {
+    len.div_ceil(lanes.max(1)).max(MIN_CHUNK_LEN)
+}
+
+/// `f` of every item, in order.  Items go in contiguous chunks of `chunk`,
+/// each chunk with its own `state()`, over the pool's lanes when there is a
+/// pool and more than one chunk, and inline otherwise.
+fn map_chunked<T, U, S>(
+    pool: Option<&WorkerPool>,
+    items: &[T],
+    chunk: usize,
+    state: impl Fn() -> S + Sync,
+    f: impl Fn(&T, &mut S) -> U + Sync,
+) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+{
+    let run = |items: &[T]| {
+        let mut state = state();
+        items.iter().map(|x| f(x, &mut state)).collect::<Vec<U>>()
+    };
+    let Some(pool) = pool.filter(|_| items.len() > chunk) else {
+        return run(items);
+    };
+    let mut outputs: Vec<Vec<U>> = items.chunks(chunk).map(|_| Vec::new()).collect();
+    pool.scope(|scope| {
+        for (input, output) in items.chunks(chunk).zip(&mut outputs) {
+            let run = &run;
+            scope.spawn(move || *output = run(input));
+        }
+    })
+    .propagate();
+    let mut out = Vec::with_capacity(items.len());
+    for output in outputs {
+        out.extend(output);
+    }
+    out
 }
 
 /// Evaluates a metric kind over two attribute values.
@@ -576,6 +667,26 @@ mod tests {
             kind: MetricKind::NumericNotEqual,
         };
         assert_eq!(m.to_string(), "num_not_equal(year)");
+    }
+
+    #[test]
+    fn chunked_maps_keep_item_order_on_any_number_of_lanes() {
+        let items: Vec<u32> = (0..101).collect();
+        // Each chunk's state counts its items, so chunk boundaries show.
+        let f = |&x: &u32, seen: &mut u32| {
+            *seen += 1;
+            (x, *seen)
+        };
+        let inline = map_chunked(None, &items, 10, || 0, f);
+        assert_eq!(inline, items.iter().zip(1..).map(|(&x, n)| (x, n)).collect::<Vec<_>>());
+        for lanes in [1, 2, 3] {
+            let pool = WorkerPool::new(lanes);
+            let chunked = map_chunked(Some(&pool), &items, 10, || 0, f);
+            let want: Vec<(u32, u32)> = items.iter().map(|&x| (x, x % 10 + 1)).collect();
+            assert_eq!(chunked, want, "{lanes} lanes");
+        }
+        assert_eq!(chunk_len(10, 2), MIN_CHUNK_LEN, "a short list is one chunk");
+        assert_eq!(chunk_len(10 * MIN_CHUNK_LEN, 2), 5 * MIN_CHUNK_LEN);
     }
 
     #[test]

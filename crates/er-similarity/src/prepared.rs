@@ -1,12 +1,13 @@
-//! Attribute values prepared once per pair.
+//! Attribute values prepared once per record.
 //!
 //! Every string metric reads one or more *parts* of a value: its raw
 //! characters, its normalized text, its tokens, its distinct tokens or its
 //! entity names.  [`Prepared`] builds exactly the parts a set of metrics
 //! [`needs`], once per value, so that an attribute with five metrics
-//! normalizes and tokenizes each side once instead of five times.
+//! normalizes and tokenizes each side once instead of five times, and
+//! [`PreparedRecord`] holds them for every attribute of one record, so that
+//! a record in many pairs is prepared once for all of them.
 
-use crate::kernel::Kernels;
 use crate::metric::{AttrMetric, MetricKind};
 use crate::tokenize::{entity_parts, normalize_into};
 use er_base::Record;
@@ -60,8 +61,7 @@ impl Span {
     }
 }
 
-/// One attribute value with the parts its metrics read.  Buffers are reused
-/// from one [`Prepared::prepare`] to the next.
+/// One attribute value with the parts its metrics read.
 #[derive(Debug, Default)]
 pub(crate) struct Prepared {
     /// Raw characters.
@@ -237,53 +237,43 @@ fn split_spans(text: &str, out: &mut Vec<Span>) {
     }
 }
 
-/// Per-pair buffers of an evaluation loop: both sides' prepared values per
-/// attribute, and the character kernels.
-#[derive(Debug, Default)]
-pub(crate) struct PairBuffers {
-    pub(crate) values: PreparedPair,
-    pub(crate) kernels: Kernels,
+/// The parts each attribute's metrics read, indexed by attribute up to the
+/// last one a metric reads.
+pub(crate) fn attr_parts(metrics: &[AttrMetric]) -> Vec<Parts> {
+    let attrs = metrics.iter().map(|m| m.attr_index + 1).max().unwrap_or(0);
+    let mut parts = vec![0; attrs];
+    for m in metrics {
+        parts[m.attr_index] |= needs(m.kind);
+    }
+    parts
 }
 
-/// Both records' prepared values, per attribute.
+/// One record's string values, each prepared with the parts its
+/// attribute's metrics read.
 #[derive(Debug, Default)]
-pub(crate) struct PreparedPair {
-    /// Parts each attribute's metrics read; 0 for an attribute without
-    /// string metrics or with a side that holds no string.
-    parts: Vec<Parts>,
-    /// Prepared left and right values per attribute, kept across pairs.
-    sides: Vec<[Prepared; 2]>,
+pub(crate) struct PreparedRecord {
+    /// Per attribute; `None` for an attribute no string metric reads or a
+    /// value that is not a string.
+    values: Vec<Option<Prepared>>,
 }
 
-impl PreparedPair {
-    /// Prepares, for every attribute the metrics read as strings, both
-    /// records' values with the parts those metrics need.
-    pub(crate) fn prepare(&mut self, metrics: &[AttrMetric], left: &Record, right: &Record) {
-        let attrs = left.values.len();
-        self.parts.clear();
-        self.parts.resize(attrs, 0);
-        for m in metrics {
-            self.parts[m.attr_index] |= needs(m.kind);
-        }
-        self.sides.resize_with(attrs, Default::default);
-        for (attr, [pa, pb]) in self.sides.iter_mut().enumerate() {
-            if self.parts[attr] == 0 {
-                continue;
-            }
-            match (left.values[attr].as_str(), right.values[attr].as_str()) {
-                (Some(a), Some(b)) => {
-                    pa.prepare(a, self.parts[attr]);
-                    pb.prepare(b, self.parts[attr]);
-                }
-                _ => self.parts[attr] = 0,
-            }
-        }
+impl PreparedRecord {
+    /// Prepares `record` with `parts` (see [`attr_parts`]).
+    pub(crate) fn new(record: &Record, parts: &[Parts]) -> Self {
+        let values = parts
+            .iter()
+            .zip(&record.values)
+            .map(|(&parts, value)| match value.as_str() {
+                Some(s) if parts != 0 => Some(Prepared::of(s, parts)),
+                _ => None,
+            })
+            .collect();
+        Self { values }
     }
 
-    /// The prepared left and right values of an attribute, when both sides
-    /// hold strings.
-    pub(crate) fn sides(&self, attr: usize) -> Option<(&Prepared, &Prepared)> {
-        let [a, b] = &self.sides[attr];
-        (self.parts[attr] != 0).then_some((a, b))
+    /// The prepared value of an attribute, when it holds a string that a
+    /// string metric reads.
+    pub(crate) fn value(&self, attr: usize) -> Option<&Prepared> {
+        self.values.get(attr).and_then(Option::as_ref)
     }
 }

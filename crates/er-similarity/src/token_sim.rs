@@ -218,8 +218,31 @@ pub(crate) fn monge_elkan_chars(a: &[&[char]], b: &[&[char]], kernels: &mut Kern
 }
 
 /// [`monge_elkan_sym`] over the characters of each token.
+///
+/// Jaro–Winkler is symmetric bit for bit, so both directions read one
+/// similarity matrix: the best of each row, then of each column.  A cell of
+/// two equal tokens holds exactly 1.0 without scoring them, as in
+/// [`monge_elkan_chars`].
 pub(crate) fn monge_elkan_sym_chars(a: &[&[char]], b: &[&[char]], kernels: &mut Kernels) -> f64 {
-    (monge_elkan_chars(a, b, kernels) + monge_elkan_chars(b, a, kernels)) / 2.0
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let mut column_best = vec![0.0f64; b.len()];
+    let mut rows_total = 0.0;
+    for ta in a {
+        let mut row_best = 0.0f64;
+        for (tb, column_best) in b.iter().zip(column_best.iter_mut()) {
+            let sim = if ta == tb { 1.0 } else { kernels.jaro_winkler(ta, tb) };
+            row_best = row_best.max(sim);
+            *column_best = column_best.max(sim);
+        }
+        rows_total += row_best;
+    }
+    let columns_total: f64 = column_best.iter().fold(0.0, |total, best| total + best);
+    (rows_total / a.len() as f64 + columns_total / b.len() as f64) / 2.0
 }
 
 /// A corpus-level inverse-document-frequency table over tokens.
