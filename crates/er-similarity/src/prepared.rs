@@ -87,20 +87,15 @@ impl Prepared {
     /// `s` prepared with the given parts.
     pub(crate) fn of(s: &str, parts: Parts) -> Self {
         let mut p = Self::default();
-        p.prepare(s, parts);
+        p.fill(s, parts);
         p
     }
 
-    /// Rebuilds `self` as `s` with the given parts.
-    pub(crate) fn prepare(&mut self, s: &str, parts: Parts) {
-        self.raw.clear();
+    /// Builds the given parts of `s` into `self`, which is empty.
+    fn fill(&mut self, s: &str, parts: Parts) {
         if parts & RAW != 0 {
             self.raw.extend(s.chars());
         }
-        self.norm.clear();
-        self.norm_chars.clear();
-        self.tokens.clear();
-        self.distinct.clear();
         if parts & (NORM | TOKENS | TOKEN_CHARS | DISTINCT) != 0 {
             normalize_into(s, &mut self.norm);
         }
@@ -123,10 +118,6 @@ impl Prepared {
                 repeat
             });
         }
-        self.entity_text.clear();
-        self.entity_chars.clear();
-        self.entities.clear();
-        self.distinct_entities.clear();
         if parts & ENTITIES != 0 {
             for part in entity_parts(s) {
                 let start = self.entity_text.len();
