@@ -271,12 +271,9 @@ pub fn run_pipeline_on_splits(
             scope.spawn(|| baselines = Some(other_baselines()));
         })
         .propagate();
-    let (Some((risk_model, test_inputs, rule_generation_secs, risk_training_secs)), Some(baselines)) =
-        (learned, baselines)
-    else {
-        unreachable!("a clean scope ran both tasks")
-    };
-    methods.extend(baselines);
+    let (risk_model, test_inputs, rule_generation_secs, risk_training_secs) =
+        learned.expect("a scope that did not panic ran every task");
+    methods.extend(baselines.expect("a scope that did not panic ran every task"));
     let rule_count = risk_model.features.len();
     let scores = risk_model.rank(&test_inputs);
     methods.push(MethodResult {
