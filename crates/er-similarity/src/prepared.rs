@@ -241,7 +241,7 @@ pub(crate) fn attr_parts(metrics: &[AttrMetric]) -> Vec<Parts> {
 
 /// One record's string values, each prepared with the parts its
 /// attribute's metrics read.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct PreparedRecord {
     /// Per attribute; `None` for an attribute no string metric reads or a
     /// value that is not a string.
