@@ -460,7 +460,6 @@ pub fn run_fig13(config: &ExperimentConfig, sizes: &[usize], threads: &[usize]) 
                 er_serve::ServeConfig {
                     threads: t.max(1),
                     cache_capacity: 0,
-                    cache_shards: 1,
                 },
             );
             let start = Instant::now();

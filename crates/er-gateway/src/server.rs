@@ -155,7 +155,9 @@ struct Shared {
     served_by_backend: Vec<AtomicU64>,
     /// Guards rollback/promotion reloads: only one control action at a time.
     action_inflight: AtomicBool,
-    shutdown: AtomicBool,
+    /// Set once by [`GatewayServer::shutdown`]; read by the driver and the
+    /// health monitor.
+    shutdown: Arc<AtomicBool>,
     /// Counter behind generated request ids.
     id_seq: AtomicU64,
 }
@@ -178,7 +180,6 @@ pub struct GatewayServer {
     mailbox: Arc<Mailbox<(u64, Reply)>>,
     driver: Option<std::thread::JoinHandle<()>>,
     health_thread: Option<std::thread::JoinHandle<()>>,
-    shutdown_flag: Arc<AtomicBool>,
 }
 
 impl GatewayServer {
@@ -210,7 +211,6 @@ impl GatewayServer {
         ));
         health.probe_all();
         let canary = CanaryController::new(config.canary.clone(), config.baseline_artifact.clone());
-        let shutdown_flag = Arc::new(AtomicBool::new(false));
         let limits = Limits {
             max_body_bytes: config.max_body_bytes,
             write_timeout: config.io_timeout,
@@ -224,11 +224,11 @@ impl GatewayServer {
             canary,
             counters: Counters::default(),
             action_inflight: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             id_seq: AtomicU64::new(0),
             config,
         });
-        let health_thread = spawn_monitor(health, shared.config.health_interval, Arc::clone(&shutdown_flag))?;
+        let health_thread = spawn_monitor(health, shared.config.health_interval, Arc::clone(&shared.shutdown))?;
         let driver = Driver {
             shared: Arc::clone(&shared),
             poller,
@@ -250,7 +250,6 @@ impl GatewayServer {
             mailbox,
             driver: Some(driver),
             health_thread: Some(health_thread),
-            shutdown_flag,
         })
     }
 
@@ -272,10 +271,9 @@ impl GatewayServer {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.shutdown_flag.swap(true, Ordering::SeqCst) {
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         let _ = self.mailbox.waker().wake();
         if let Some(handle) = self.driver.take() {
             let _ = handle.join();

@@ -8,11 +8,16 @@
 //! are spawned once per executor — or once per
 //! [`crate::ReloadableExecutor`], which shares one pool across every
 //! reload generation — not once per batch). A runner scores its first
-//! attempt under `catch_unwind`; a panicked chunk is counted and re-scored
-//! once. Because chunks are contiguous, the first failing chunk in order
-//! holds the batch's smallest failing index. A bounded
-//! LRU result cache, sharded across mutexes and keyed on pair id, serves
-//! repeated-pair traffic without re-scoring. Scoring is a pure function of
+//! attempt under `catch_unwind`; a panicked chunk is re-scored once, and the
+//! call hands the number of restarts back to its caller. Because chunks are
+//! contiguous, the first failing chunk in order holds the batch's smallest
+//! failing index. A bounded LRU result cache, sharded across
+//! 16 mutexes and keyed on pair id, serves repeated-pair
+//! traffic without re-scoring.
+//!
+//! The executor holds scoring state only: the engine, the pool, the cache
+//! and its hit/miss counters. A fault plan is an argument of the
+//! crate-private scoring call, passed by the server that owns it. Scoring is a pure function of
 //! the request, so results are deterministic: the same batch produces the
 //! same scores for every thread count and cache state (the concurrency test
 //! suite asserts this bit-exactly).
@@ -36,12 +41,15 @@ use er_pool::WorkerPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The fewest requests a chunk holds (see the module docs).
 const MIN_CHUNK_PAIRS: usize = 64;
+
+/// Independently locked score-cache shards per executor.
+const CACHE_SHARDS: usize = 16;
 
 /// Requests per chunk when a batch of `len` requests is split for `threads`
 /// lanes: an even share, but never fewer than [`MIN_CHUNK_PAIRS`].
@@ -75,8 +83,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Total cached scores across all shards; 0 disables caching.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards.
-    pub cache_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -84,7 +90,6 @@ impl Default for ServeConfig {
         Self {
             threads: std::thread::available_parallelism().map_or(2, |n| n.get()),
             cache_capacity: 16_384,
-            cache_shards: 16,
         }
     }
 }
@@ -131,16 +136,13 @@ pub struct ShardedExecutor {
     shards: Vec<Mutex<LruCache<u64, f64>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    fault: Mutex<Option<Arc<FaultPlan>>>,
-    fault_set: AtomicBool,
-    panics: AtomicU64,
 }
 
 impl ShardedExecutor {
-    /// Wraps an engine. `config.threads` and `config.cache_shards` are
-    /// floored at 1; `cache_capacity` splits across the shards rounding *up*,
-    /// so a non-zero requested capacity always caches at least one entry per
-    /// shard (the total may exceed the request by up to `cache_shards - 1`).
+    /// Wraps an engine. `config.threads` is floored at 1; `cache_capacity`
+    /// splits across the 16 cache shards rounding *up*, so a non-zero
+    /// requested capacity always caches at least one entry per shard (the
+    /// total may exceed the request by up to 15).
     pub fn new(engine: ScoringEngine, config: ServeConfig) -> Self {
         Self::with_pool(engine, config, Arc::new(WorkerPool::new(config.threads.max(1))))
     }
@@ -151,9 +153,10 @@ impl ShardedExecutor {
     /// parallelism; chunking (and therefore scores, bit for bit) depends
     /// only on `config.threads` and the batch length.
     pub fn with_pool(engine: ScoringEngine, config: ServeConfig, pool: Arc<WorkerPool>) -> Self {
-        let shard_count = config.cache_shards.max(1);
-        let per_shard = config.cache_capacity.div_ceil(shard_count);
-        let shards = (0..shard_count).map(|_| Mutex::new(LruCache::new(per_shard))).collect();
+        let per_shard = config.cache_capacity.div_ceil(CACHE_SHARDS);
+        let shards = (0..CACHE_SHARDS)
+            .map(|_| Mutex::new(LruCache::new(per_shard)))
+            .collect();
         Self {
             engine,
             config,
@@ -161,30 +164,7 @@ impl ShardedExecutor {
             shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            fault: Mutex::new(None),
-            fault_set: AtomicBool::new(false),
-            panics: AtomicU64::new(0),
         }
-    }
-
-    /// Attach (or clear) a fault-injection plan. Each chunk runner consults
-    /// the plan's `shard_worker_panic` point once; an absent plan is a
-    /// single relaxed-atomic load on the batch path.
-    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        self.fault_set.store(plan.is_some(), Ordering::Release);
-        *self.fault.lock().unwrap_or_else(|e| e.into_inner()) = plan;
-    }
-
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        if !self.fault_set.load(Ordering::Acquire) {
-            return None;
-        }
-        self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// How many worker panics this executor has caught and recovered from.
-    pub fn worker_panic_count(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
     }
 
     /// The wrapped engine.
@@ -292,15 +272,15 @@ impl ShardedExecutor {
     /// fails fast rather than burning the remaining scoring work.
     ///
     /// Chunks additionally run under `catch_unwind` supervision: a chunk
-    /// that panics (scoring is pure, so in practice only via an injected
-    /// [`FaultKind::ShardWorkerPanic`]) is re-scored once, sequentially,
-    /// producing bit-exact scores; the panic is counted in
-    /// [`Self::worker_panic_count`].
+    /// that panics is re-scored once, sequentially, producing bit-exact
+    /// scores.
     pub fn try_score_batch(&self, requests: &[ScoreRequest]) -> Result<Vec<f64>, BatchScoreError> {
-        self.try_score_batch_spanned(requests, None)
+        self.try_score_batch_spanned(requests, None, None).0
     }
 
-    /// [`Self::try_score_batch`] that, given `spans`, records one
+    /// [`Self::try_score_batch`] behind `fault`'s `shard_worker_panic` point
+    /// (consulted once per chunk), returning how many chunks panicked and
+    /// were re-scored alongside the result. Given `spans`, it records one
     /// [`Stage::Score`] span per chunk (shard = chunk index; its first
     /// attempt's wall-clock window) and one [`Stage::Recover`] span per
     /// restarted chunk, so a request trace can attribute scoring time to the
@@ -308,12 +288,11 @@ impl ShardedExecutor {
     pub(crate) fn try_score_batch_spanned(
         &self,
         requests: &[ScoreRequest],
+        fault: Option<&FaultPlan>,
         spans: Option<&mut SpanSet>,
-    ) -> Result<Vec<f64>, BatchScoreError> {
+    ) -> (Result<Vec<f64>, BatchScoreError>, u64) {
         let mut scores = vec![0.0f64; requests.len()];
         let chunk = chunk_len(requests.len(), self.config.threads);
-        let fault = self.fault_plan();
-        let fault = fault.as_deref();
         // One outcome slot per chunk, written by that chunk's runner alone.
         let mut outcomes: Vec<Option<ChunkOutcome>> = vec![None; requests.len().div_ceil(chunk)];
         let inline = outcomes.len() <= 1;
@@ -350,19 +329,24 @@ impl ShardedExecutor {
                 }
             }
         }
+        let restarts = outcomes
+            .iter()
+            .flatten()
+            .filter(|outcome| outcome.recover.is_some())
+            .count();
         // Chunks are contiguous, so the first chunk in order that failed
         // holds the batch's smallest failing index.
-        match outcomes.iter().flatten().find_map(|outcome| outcome.result.err()) {
+        let result = match outcomes.iter().flatten().find_map(|outcome| outcome.result.err()) {
             Some(error) => Err(error),
             None => Ok(scores),
-        }
+        };
+        (result, restarts as u64)
     }
 
     /// Scores one contiguous chunk of a batch (`base` = its first batch
     /// index) under supervision: the first attempt runs under
     /// `catch_unwind`, behind the `shard_worker_panic` fault point; if it
-    /// panics, the panic is counted and the chunk is re-scored from scratch
-    /// on the same thread. Scoring is pure, so the restart reproduces the
+    /// panics, the chunk is re-scored from scratch on the same thread. Scoring is pure, so the restart reproduces the
     /// scores bit-exactly.
     fn run_chunk(
         &self,
@@ -382,7 +366,6 @@ impl ShardedExecutor {
         let (result, recover) = match attempt {
             Ok(result) => (result, None),
             Err(_) => {
-                self.panics.fetch_add(1, Ordering::Relaxed);
                 let result = self.score_range(requests, scores, base);
                 (result, Some((score.1, Instant::now())))
             }
@@ -491,7 +474,6 @@ mod tests {
             ServeConfig {
                 threads: 1,
                 cache_capacity: 64,
-                cache_shards: 4,
             },
         );
         let reqs = requests(300, 10); // 10 distinct pairs, replayed 30×
@@ -506,7 +488,6 @@ mod tests {
             ServeConfig {
                 threads: 1,
                 cache_capacity: 0,
-                cache_shards: 1,
             },
         );
         let plain = uncached.score_batch(&reqs);
@@ -519,12 +500,12 @@ mod tests {
     #[test]
     fn small_capacities_still_cache() {
         // A capacity below the shard count must not silently disable caching.
+        const { assert!(8 < CACHE_SHARDS) };
         let exec = ShardedExecutor::new(
             engine(),
             ServeConfig {
                 threads: 1,
                 cache_capacity: 8,
-                cache_shards: 16,
             },
         );
         let reqs = requests(40, 4); // 4 distinct pairs, replayed 10×
@@ -580,9 +561,6 @@ mod tests {
 
     #[test]
     fn injected_worker_panics_are_supervised_and_scores_stay_bit_exact() {
-        use crate::fault::{FaultKind, FaultPlan};
-        use std::sync::Arc;
-
         let reqs = requests(8 * MIN_CHUNK_PAIRS + 12, 1000);
         let baseline = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(1)).score_batch(&reqs);
         for threads in [1usize, 3, 8] {
@@ -592,9 +570,9 @@ mod tests {
             let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
             // The first two worker spawns panic; the supervisor re-scores
             // their chunks, so the batch still comes back complete.
-            let plan = Arc::new(FaultPlan::parse("shard_worker_panic@0,1").expect("spec"));
-            exec.set_fault_plan(Some(Arc::clone(&plan)));
-            let scores = exec.try_score_batch(&reqs).expect("supervised batch completes");
+            let plan = FaultPlan::parse("shard_worker_panic@0,1").expect("spec");
+            let (scores, restarts) = exec.try_score_batch_spanned(&reqs, Some(&plan), None);
+            let scores = scores.expect("supervised batch completes");
             let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
             let base_bits: Vec<u64> = baseline.iter().map(|s| s.to_bits()).collect();
             assert_eq!(bits, base_bits, "threads = {threads}: recovery must be bit-exact");
@@ -604,12 +582,10 @@ mod tests {
                 "threads = {threads}: the fault must actually fire"
             );
             assert_eq!(
-                exec.worker_panic_count(),
-                expected_panics,
+                restarts, expected_panics,
                 "threads = {threads}: every injected panic is counted"
             );
-            // With the plan exhausted the executor serves normally.
-            exec.set_fault_plan(None);
+            // Without the plan the executor serves normally.
             let clean = exec.try_score_batch(&reqs).expect("clean batch");
             assert_eq!(clean.len(), reqs.len());
         }
@@ -617,27 +593,23 @@ mod tests {
 
     #[test]
     fn panicked_chunk_with_malformed_request_still_reports_first_error() {
-        use crate::fault::FaultPlan;
-        use std::sync::Arc;
-
         let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(4));
-        exec.set_fault_plan(Some(Arc::new(
-            FaultPlan::parse("shard_worker_panic@0,1,2,3").expect("spec"),
-        )));
+        let plan = FaultPlan::parse("shard_worker_panic@0,1,2,3").expect("spec");
         let mut poisoned = requests(4 * MIN_CHUNK_PAIRS + 4, 1000);
         assert_fans_out(poisoned.len(), 4);
         // The poisoned request sits in chunk 1, as the second of four.
         let first = chunk_len(poisoned.len(), 4) + 13;
         poisoned[first].metric_row = vec![0.4];
-        let err = exec.try_score_batch(&poisoned).unwrap_err();
+        let err = exec
+            .try_score_batch_spanned(&poisoned, Some(&plan), None)
+            .0
+            .unwrap_err();
         assert_eq!(err.request_index, first, "restart path reports the same first error");
     }
 
     #[test]
     fn traced_batches_record_one_score_span_per_chunk_and_one_recover_per_restart() {
-        use crate::fault::FaultPlan;
         use crate::trace::Tracer;
-        use std::sync::Arc;
 
         let reqs = requests(4 * MIN_CHUNK_PAIRS + 4, 1000);
         assert_fans_out(reqs.len(), 4);
@@ -646,9 +618,10 @@ mod tests {
             let chunks = reqs.len().div_ceil(chunk_len(reqs.len(), threads));
             for plan in [None, Some("shard_worker_panic@0")] {
                 let exec = ShardedExecutor::new(engine(), ServeConfig::default().with_threads(threads));
-                exec.set_fault_plan(plan.map(|spec| Arc::new(FaultPlan::parse(spec).expect("spec"))));
+                let fault = plan.map(|spec| FaultPlan::parse(spec).expect("spec"));
                 let mut spans = SpanSet::new();
-                let scores = exec.try_score_batch_spanned(&reqs, Some(&mut spans)).expect("scored");
+                let (scores, restarts) = exec.try_score_batch_spanned(&reqs, fault.as_ref(), Some(&mut spans));
+                let scores = scores.expect("scored");
                 let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
                 let base_bits: Vec<u64> = baseline.iter().map(|s| s.to_bits()).collect();
                 assert_eq!(bits, base_bits, "threads = {threads}, plan = {plan:?}");
@@ -673,7 +646,7 @@ mod tests {
                     usize::from(plan.is_some()),
                     "threads = {threads}, plan = {plan:?}"
                 );
-                assert_eq!(exec.worker_panic_count(), recovers as u64);
+                assert_eq!(restarts, recovers as u64);
             }
         }
     }
@@ -685,7 +658,6 @@ mod tests {
             ServeConfig {
                 threads: 1,
                 cache_capacity: 64,
-                cache_shards: 4,
             },
         );
         let mut scratch = exec.engine().scratch();

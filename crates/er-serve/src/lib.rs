@@ -9,9 +9,8 @@
 //!   state ([`ModelArtifact`]); the loader rejects format-version mismatches
 //!   and structurally corrupt models.
 //! * [`index`] — [`CompiledRuleIndex`]: the rule set pre-compiled into
-//!   per-metric sorted threshold lists, so per-request rule matching is a
-//!   handful of binary searches instead of a linear scan over every rule
-//!   condition.
+//!   per-metric violation bitsets, so per-request rule matching ORs one
+//!   mask per metric instead of scanning every rule condition.
 //! * [`engine`] — [`ScoringEngine`]: `score_request` / `score_batch` over
 //!   raw metric rows, bit-identical to the offline
 //!   [`learnrisk_core::LearnRiskModel::risk_score`] path; plus the `/score`
@@ -21,7 +20,8 @@
 //!   traffic.
 //! * [`executor`] — [`ShardedExecutor`]: batches chunked across the lanes
 //!   of a persistent [`er_pool::WorkerPool`] plus a shard-locked result
-//!   cache keyed on pair id.
+//!   cache keyed on pair id. It holds scoring state only; the server passes
+//!   its fault plan into each scoring call.
 //! * [`readiness`] — a hand-rolled, Linux-only readiness facility
 //!   (`epoll`, `mio`-shaped API, nonblocking `connect`) behind both
 //!   processes' event-driven drivers.
@@ -35,7 +35,8 @@
 //! * [`reload`] — [`ReloadableExecutor`]: versioned artifact hot-reload
 //!   (load → validate → verify round trip → atomic swap), so a retrained
 //!   model rolls out without draining traffic and every response is
-//!   attributable to exactly one artifact version.
+//!   attributable to exactly one artifact version. It counts applied and
+//!   refused reloads; `GET /metrics` copies the counts in when scraped.
 //! * [`http`] — the one incremental HTTP/1.1 codec (request and response
 //!   parsers, one head writer) that the server, the blocking client and
 //!   `er-gateway` all frame messages with.
@@ -84,7 +85,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSpecError, FAULT_KINDS};
 pub use index::{CompiledRuleIndex, MatchScratch, RowLengthError};
 pub use metrics::{extract_histogram, parse_exposition, MetricsRegistry, ParsedHistogram, Sample};
 pub use ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
-pub use reload::{synthesize_probes, ReloadError, ReloadableExecutor, VersionedExecutor};
+pub use reload::{synthesize_probes, ReloadError, ReloadStats, ReloadableExecutor, VersionedExecutor};
 pub use replay::{run_replay, summarize_latencies, zipf_stream, LatencySummary, ReplayConfig, ReplayReport};
 pub use server::{
     http_roundtrip, http_roundtrip_with_headers, http_roundtrip_with_retry, parse_score_response, read_http_response,

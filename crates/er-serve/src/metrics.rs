@@ -294,7 +294,7 @@ pub struct MetricsRegistry {
     /// parsing response headers.
     pub rejected: CounterVec,
     /// `er_serve_reloads_total{outcome}` — hot-reload outcomes
-    /// (`applied` / `refused`).
+    /// (`applied` / `refused`), copied from the executor at scrape time.
     pub reloads: CounterVec,
     /// `er_serve_cache_hits_total{version}` — executor score-cache hits,
     /// mirrored at scrape time.
@@ -311,11 +311,6 @@ pub struct MetricsRegistry {
     /// that got a deterministic 500 (batcher) or a transparently re-scored
     /// chunk (shard) instead of a severed connection.
     pub worker_panics: CounterVec,
-    /// `er_serve_worker_restarts_total{role}` — supervised recoveries: a
-    /// panicked batch answered 500 (`batcher`), or a panicked chunk
-    /// re-scored (`shard`). No thread restarts; the panic is caught where
-    /// it happens.
-    pub worker_restarts: CounterVec,
 }
 
 impl Default for MetricsRegistry {
@@ -344,7 +339,6 @@ impl MetricsRegistry {
             cache_hit_rate: GaugeVec::default(),
             cache_entries: GaugeVec::default(),
             worker_panics: CounterVec::default(),
-            worker_restarts: CounterVec::default(),
         }
     }
 
@@ -448,12 +442,6 @@ impl MetricsRegistry {
             "er_serve_worker_panics_total",
             "Panics caught by worker supervision, by role (batcher vs shard).",
             &self.worker_panics,
-        );
-        render_counter_vec(
-            &mut out,
-            "er_serve_worker_restarts_total",
-            "Supervised worker threads restarted after an escaped unwind.",
-            &self.worker_restarts,
         );
         out
     }

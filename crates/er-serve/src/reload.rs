@@ -25,18 +25,21 @@
 //!    the next version number.
 //!
 //! A failed reload leaves the serving state untouched: traffic keeps scoring
-//! through the old version and the error is reported to the operator.
+//! through the old version and the error is reported to the operator. Every
+//! outcome is counted ([`ReloadableExecutor::reload_stats`]); the server
+//! copies the counts into `er_serve_reloads_total` when `/metrics` is
+//! scraped.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::engine::{ScoreRequest, ScoringEngine};
 use crate::executor::{ServeConfig, ShardedExecutor};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::metrics::MetricsRegistry;
 use crate::trace::{SpanSet, Stage};
 use er_pool::WorkerPool;
 use er_rulegen::CmpOp;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -130,6 +133,15 @@ impl VersionedExecutor {
     }
 }
 
+/// Reload outcome counters of a [`ReloadableExecutor`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReloadStats {
+    /// Candidates promoted to serving.
+    pub applied: u64,
+    /// Candidates refused; the old version kept serving.
+    pub refused: u64,
+}
+
 /// The hot-reloadable serving state: see the [module docs](self).
 ///
 /// # Examples
@@ -164,78 +176,52 @@ pub struct ReloadableExecutor {
     /// version counter (scoring traffic only takes the read lock).
     reload_lock: Mutex<()>,
     config: ServeConfig,
-    /// Attached by [`crate::ScoreServer`] so reload outcomes land in the
-    /// same registry `GET /metrics` scrapes.
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>,
-    /// Fault-injection plan propagated onto every generation's executor and
-    /// consulted by the reload path (`artifact_read_torn`,
-    /// `reload_validate_fail`).
-    fault: Mutex<Option<Arc<FaultPlan>>>,
     /// One persistent set of scoring lanes shared by every generation:
     /// a reload swaps the engine and the cache, never the threads.
     pool: Arc<WorkerPool>,
+    applied: AtomicU64,
+    refused: AtomicU64,
 }
 
 impl ReloadableExecutor {
     /// Boots serving state at version 1 from an in-memory engine.
     pub fn new(engine: ScoringEngine, config: ServeConfig) -> Self {
-        let pool = Arc::new(WorkerPool::new(config.threads.max(1)));
-        let digest = crate::artifact::model_digest(engine.model());
-        Self {
-            current: RwLock::new(Arc::new(VersionedExecutor {
-                version: 1,
-                producer: "boot".to_string(),
-                digest,
-                executor: ShardedExecutor::with_pool(engine, config, Arc::clone(&pool)),
-            })),
-            reload_lock: Mutex::new(()),
-            config,
-            metrics: Mutex::new(None),
-            fault: Mutex::new(None),
-            pool,
-        }
+        Self::boot(engine, "boot".to_string(), config)
     }
 
     /// Boots serving state at version 1 from a loaded artifact.
     pub fn from_artifact(artifact: ModelArtifact, config: ServeConfig) -> Result<Self, ReloadError> {
         artifact.model.validate().map_err(ArtifactError::InvalidModel)?;
-        let digest = artifact.digest();
-        let ModelArtifact { producer, model, .. } = artifact;
+        Ok(Self::boot(
+            ScoringEngine::new(artifact.model),
+            artifact.producer,
+            config,
+        ))
+    }
+
+    fn boot(engine: ScoringEngine, producer: String, config: ServeConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(config.threads.max(1)));
-        Ok(Self {
+        Self {
             current: RwLock::new(Arc::new(VersionedExecutor {
                 version: 1,
                 producer,
-                digest,
-                executor: ShardedExecutor::with_pool(ScoringEngine::new(model), config, Arc::clone(&pool)),
+                digest: crate::artifact::model_digest(engine.model()),
+                executor: ShardedExecutor::with_pool(engine, config, Arc::clone(&pool)),
             })),
             reload_lock: Mutex::new(()),
             config,
-            metrics: Mutex::new(None),
-            fault: Mutex::new(None),
             pool,
-        })
+            applied: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+        }
     }
 
-    /// Routes reload observations (`er_serve_reloads_total{outcome}`, the
-    /// `er_serve_model_version` gauge) into `registry`. Called by
-    /// [`crate::ScoreServer::start`] when metrics are enabled; reloads
-    /// before attachment are simply unobserved.
-    pub fn attach_metrics(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Some(registry);
-    }
-
-    /// Attaches a fault-injection plan: the current generation's executor
-    /// picks it up immediately, every future generation inherits it, and the
-    /// reload path consults it for `artifact_read_torn` /
-    /// `reload_validate_fail`.
-    pub fn attach_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        self.snapshot().executor().set_fault_plan(plan.clone());
-        *self.fault.lock().unwrap_or_else(|e| e.into_inner()) = plan;
-    }
-
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    /// How many reloads were applied and refused since construction.
+    pub fn reload_stats(&self) -> ReloadStats {
+        ReloadStats {
+            applied: self.applied.load(Ordering::Relaxed),
+            refused: self.refused.load(Ordering::Relaxed),
+        }
     }
 
     /// The executor configuration every generation is built with.
@@ -265,17 +251,19 @@ impl ReloadableExecutor {
     /// `probes` (e.g. sampled live traffic). On error the current version
     /// keeps serving, untouched.
     pub fn reload_artifact(&self, artifact: ModelArtifact, probes: &[ScoreRequest]) -> Result<u64, ReloadError> {
-        self.promote(artifact, probes, None)
+        self.promote(artifact, probes, None, None)
     }
 
-    /// The promotion pipeline behind [`Self::reload_artifact`]. Given
-    /// `spans`, it records the `validate → probe → swap` stages that ran,
-    /// even when a later stage refuses the candidate. Every outcome lands in
-    /// the attached metrics registry.
+    /// The promotion pipeline behind [`Self::reload_artifact`], behind
+    /// `fault`'s `reload_validate_fail` point. Given `spans`, it records the
+    /// `validate → probe → swap` stages that ran, even when a later stage
+    /// refuses the candidate. Every outcome is counted in
+    /// [`Self::reload_stats`].
     fn promote(
         &self,
         artifact: ModelArtifact,
         probes: &[ScoreRequest],
+        fault: Option<&FaultPlan>,
         mut spans: Option<&mut SpanSet>,
     ) -> Result<u64, ReloadError> {
         let mut stage = |s: Stage, start: Instant| {
@@ -284,9 +272,8 @@ impl ReloadableExecutor {
             }
         };
         let result = 'promote: {
-            let fault = self.fault_plan();
             let start = Instant::now();
-            let validated = if fault.as_deref().is_some_and(|p| p.fires(FaultKind::ReloadValidateFail)) {
+            let validated = if fault.is_some_and(|p| p.fires(FaultKind::ReloadValidateFail)) {
                 Err(ArtifactError::InvalidModel(format!(
                     "injected {}",
                     FaultKind::ReloadValidateFail
@@ -318,35 +305,29 @@ impl ReloadableExecutor {
             // A fresh executor: the score cache is keyed on pair id only, so
             // entries computed by the old model must not survive the swap.
             // The worker pool carries over — reloads never respawn threads.
-            let executor = ShardedExecutor::with_pool(candidate, self.config, Arc::clone(&self.pool));
-            executor.set_fault_plan(fault);
             let next = Arc::new(VersionedExecutor {
                 version: next_version,
                 producer: artifact.producer,
                 digest: crate::artifact::model_digest(&artifact.model),
-                executor,
+                executor: ShardedExecutor::with_pool(candidate, self.config, Arc::clone(&self.pool)),
             });
             *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
             stage(Stage::Swap, start);
             Ok(next_version)
         };
-        if let Some(metrics) = self.metrics.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-            let outcome = if result.is_ok() { "applied" } else { "refused" };
-            metrics.reloads.with(&[("outcome", outcome)]).inc();
-            if let Ok(version) = &result {
-                metrics.model_version.set(*version as f64);
-            }
-        }
+        let outcome = if result.is_ok() { &self.applied } else { &self.refused };
+        outcome.fetch_add(1, Ordering::Relaxed);
         result
     }
 
     /// [`Self::reload_artifact`] from a file path (the operator-facing form
     /// the HTTP `POST /reload` endpoint calls).
     pub fn reload_from_path(&self, path: impl AsRef<Path>, probes: &[ScoreRequest]) -> Result<u64, ReloadError> {
-        self.reload_from_path_spanned(path.as_ref(), probes, None)
+        self.reload_from_path_spanned(path.as_ref(), probes, None, None)
     }
 
-    /// [`Self::reload_from_path`] that, given `spans`, records the full
+    /// [`Self::reload_from_path`] behind `fault`'s `artifact_read_torn` and
+    /// `reload_validate_fail` points that, given `spans`, records the full
     /// `load → validate → probe → swap` stage timeline, so a traced
     /// `POST /reload` can attribute promotion latency the same way `/score`
     /// traces attribute request latency. `None` records nothing.
@@ -354,35 +335,38 @@ impl ReloadableExecutor {
         &self,
         path: &Path,
         probes: &[ScoreRequest],
+        fault: Option<&FaultPlan>,
         mut spans: Option<&mut SpanSet>,
     ) -> Result<u64, ReloadError> {
         let start = Instant::now();
-        let loaded = self.load_artifact(path);
+        let loaded = load_artifact(path, fault);
         if let Some(spans) = spans.as_mut() {
             spans.record(Stage::Load, start, Instant::now());
         }
-        self.promote(loaded?, probes, spans)
-    }
-
-    /// [`ModelArtifact::load`] behind the `artifact_read_torn` fault point:
-    /// when the plan fires, the loader sees the file as a concurrent writer
-    /// would mid-write — truncated half-way — and must refuse it exactly
-    /// like any other malformed artifact, leaving the old version serving.
-    fn load_artifact(&self, path: &Path) -> Result<ModelArtifact, ArtifactError> {
-        if self
-            .fault_plan()
-            .as_deref()
-            .is_some_and(|p| p.fires(FaultKind::ArtifactReadTorn))
-        {
-            let text = std::fs::read_to_string(path).map_err(ArtifactError::Io)?;
-            let mut cut = text.len() / 2;
-            while !text.is_char_boundary(cut) {
-                cut -= 1;
+        match loaded {
+            Ok(artifact) => self.promote(artifact, probes, fault, spans),
+            Err(e) => {
+                self.refused.fetch_add(1, Ordering::Relaxed);
+                Err(e.into())
             }
-            return ModelArtifact::from_json(&text[..cut]);
         }
-        ModelArtifact::load(path)
     }
+}
+
+/// [`ModelArtifact::load`] behind the `artifact_read_torn` fault point:
+/// when the plan fires, the loader sees the file as a concurrent writer
+/// would mid-write — truncated half-way — and must refuse it exactly like
+/// any other malformed artifact, leaving the old version serving.
+fn load_artifact(path: &Path, fault: Option<&FaultPlan>) -> Result<ModelArtifact, ArtifactError> {
+    if fault.is_some_and(|p| p.fires(FaultKind::ArtifactReadTorn)) {
+        let text = std::fs::read_to_string(path).map_err(ArtifactError::Io)?;
+        let mut cut = text.len() / 2;
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        return ModelArtifact::from_json(&text[..cut]);
+    }
+    ModelArtifact::load(path)
 }
 
 impl fmt::Debug for ReloadableExecutor {
@@ -550,7 +534,6 @@ mod tests {
         let config = ServeConfig {
             threads: 1,
             cache_capacity: 64,
-            cache_shards: 2,
         };
         let handle = ReloadableExecutor::new(ScoringEngine::new(model(1.3)), config);
         let req = request(7, 0.8);
@@ -599,19 +582,23 @@ mod tests {
     }
 
     #[test]
-    fn reload_outcomes_are_counted_once_metrics_are_attached() {
+    fn reload_outcomes_are_counted_by_the_executor() {
         let handle = ReloadableExecutor::new(ScoringEngine::new(model(1.3)), ServeConfig::default().with_threads(1));
-        let registry = Arc::new(MetricsRegistry::new());
-        handle.attach_metrics(Arc::clone(&registry));
+        assert_eq!(handle.reload_stats(), ReloadStats::default());
         handle
             .reload_artifact(ModelArtifact::new(model(2.6)), &[])
             .expect("reload");
         let mut bad = ModelArtifact::new(model(2.6));
         bad.model.rule_weights.pop();
         handle.reload_artifact(bad, &[]).expect_err("must refuse");
-        assert_eq!(registry.reloads.with(&[("outcome", "applied")]).get(), 1);
-        assert_eq!(registry.reloads.with(&[("outcome", "refused")]).get(), 1);
-        assert_eq!(registry.model_version.get(), 2.0, "gauge tracks the applied version");
+        assert_eq!(handle.reload_stats().applied, 1);
+        assert_eq!(handle.reload_stats().refused, 1);
+        assert_eq!(handle.version(), 2, "the version tracks the applied reload");
+        // An artifact that cannot be read is a refusal too.
+        handle
+            .reload_from_path(std::env::temp_dir().join("er-serve-no-such-artifact.json"), &[])
+            .expect_err("missing file refused");
+        assert_eq!(handle.reload_stats(), ReloadStats { applied: 1, refused: 2 });
     }
 
     #[test]
@@ -622,11 +609,11 @@ mod tests {
         ModelArtifact::new(model(2.6)).save(&path).expect("save");
 
         let handle = ReloadableExecutor::new(ScoringEngine::new(model(1.3)), ServeConfig::default().with_threads(1));
-        let plan = Arc::new(FaultPlan::parse("artifact_read_torn@0").expect("spec"));
-        handle.attach_fault_plan(Some(Arc::clone(&plan)));
+        let plan = FaultPlan::parse("artifact_read_torn@0").expect("spec");
+        let reload = || handle.reload_from_path_spanned(&path, &[], Some(&plan), None);
 
         // First reload sees the half-written file and must refuse it.
-        let err = handle.reload_from_path(&path, &[]).expect_err("torn read refused");
+        let err = reload().expect_err("torn read refused");
         assert!(
             matches!(err, ReloadError::Artifact(ArtifactError::Malformed(_))),
             "{err}"
@@ -635,7 +622,7 @@ mod tests {
         assert_eq!(plan.fired(FaultKind::ArtifactReadTorn), 1);
 
         // The fault fired once; the retry reads the intact file and applies.
-        let version = handle.reload_from_path(&path, &[]).expect("clean retry applies");
+        let version = reload().expect("clean retry applies");
         assert_eq!(version, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -643,17 +630,15 @@ mod tests {
     #[test]
     fn injected_validate_failures_refuse_the_reload() {
         let handle = ReloadableExecutor::new(ScoringEngine::new(model(1.3)), ServeConfig::default().with_threads(1));
-        handle.attach_fault_plan(Some(Arc::new(
-            FaultPlan::parse("reload_validate_fail@0").expect("spec"),
-        )));
+        let plan = FaultPlan::parse("reload_validate_fail@0").expect("spec");
         let err = handle
-            .reload_artifact(ModelArtifact::new(model(2.6)), &[])
+            .promote(ModelArtifact::new(model(2.6)), &[], Some(&plan), None)
             .expect_err("injected validate failure");
         assert!(err.to_string().contains("reload_validate_fail"), "{err}");
         assert_eq!(handle.version(), 1);
-        // Generations built after the plan attaches inherit it.
+        // The point fires at occurrence 0 only: the next attempt applies.
         handle
-            .reload_artifact(ModelArtifact::new(model(2.6)), &[])
+            .promote(ModelArtifact::new(model(2.6)), &[], Some(&plan), None)
             .expect("fault exhausted");
         assert_eq!(handle.version(), 2);
     }

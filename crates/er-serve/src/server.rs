@@ -169,7 +169,8 @@ pub struct ServerConfig {
     pub max_connection_lifetime: Duration,
     /// Deterministic fault injection ([`crate::fault`]). Defaults to
     /// [`FaultPlan::from_env`] (the `ER_FAULT_PLAN` variable), i.e. `None`
-    /// unless an operator or harness opted in.
+    /// unless an operator or harness opted in. The plan lives here only: the
+    /// driver passes it into each scoring and reload call it makes.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -448,22 +449,12 @@ impl ScoreServer {
         let poller = readiness::Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
         let completions = Arc::new(Mailbox::new(&poller, WAKER)?);
-        let metrics = Arc::new(MetricsRegistry::new());
-        if config.metrics_enabled {
-            // The executor records reload outcomes and version bumps into
-            // the same registry the server scrapes.
-            executor.attach_metrics(Arc::clone(&metrics));
-            metrics.model_version.set(executor.version() as f64);
-        }
-        // The fault plan rides the executor so reload-built generations
-        // inherit it; the server-side hooks read it from the config.
-        executor.attach_fault_plan(config.fault_plan.clone());
         let tracer = (config.trace_capacity > 0).then(|| Tracer::new(config.trace_capacity));
         let shared = Arc::new(Shared {
             executor,
             paused: AtomicBool::new(false),
             queued: AtomicUsize::new(0),
-            metrics,
+            metrics: Arc::new(MetricsRegistry::new()),
             limiter: config.rate_limit.map(RateLimiter::new),
             config,
             shutdown: AtomicBool::new(false),
@@ -480,7 +471,7 @@ impl ScoreServer {
                     Driver {
                         poller,
                         completions,
-                        listener,
+                        listener: Some(listener),
                         limits: Limits {
                             max_body_bytes: shared.config.max_body_bytes,
                             write_timeout: shared.config.write_timeout,
@@ -662,7 +653,8 @@ struct Driver {
     shared: Arc<Shared>,
     poller: readiness::Poller,
     completions: Arc<Mailbox<Completion>>,
-    listener: TcpListener,
+    /// Dropped when shutdown begins, so new connections are refused at once.
+    listener: Option<TcpListener>,
     limits: Limits,
     conns: HashMap<u64, Conn<Outgoing>>,
     /// Parked `/reload` requests, by connection token. Reloads carry no
@@ -686,11 +678,13 @@ impl Driver {
     fn run(mut self) {
         let mut events = readiness::Events::with_capacity(1024);
         loop {
-            let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
-            if shutting_down {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                // Stop listening: a connect made during the drain is
+                // refused, not parked in the backlog until the drain ends.
                 // Idle and mid-read connections close now (a half-received
                 // head can never be admitted); parked and flushing ones get
                 // their response first — never a severed connection.
+                self.listener = None;
                 self.close_reading_conns();
                 if self.conns.is_empty() {
                     return;
@@ -711,7 +705,7 @@ impl Driver {
                     Token(token) => ready.push(token),
                 }
             }
-            if accept && !shutting_down {
+            if accept {
                 self.accept_ready();
             }
             for token in ready {
@@ -744,10 +738,9 @@ impl Driver {
     }
 
     fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
+        while let Some(accepted) = self.listener.as_ref().map(TcpListener::accept) {
+            match accepted {
                 Ok((stream, _)) => self.admit(stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
@@ -1069,7 +1062,10 @@ impl Driver {
             let mut trace = trace;
             let mut spans = SpanSet::new();
             let recorded = trace.is_some().then_some(&mut spans);
-            let result = shared.executor.reload_from_path_spanned(path.as_ref(), &[], recorded);
+            let fault = shared.config.fault_plan.as_deref();
+            let result = shared
+                .executor
+                .reload_from_path_spanned(path.as_ref(), &[], fault, recorded);
             if let Some(t) = trace.as_mut() {
                 t.extend_from(&spans);
             }
@@ -1215,7 +1211,6 @@ impl Driver {
         // per-shard score spans.
         let tracing = batch.iter().any(|j| j.trace.is_some());
         let score_start = Instant::now();
-        let panics_before = executor.worker_panic_count();
         // The scoring section runs under `catch_unwind`: a panic (injected
         // `batcher_panic`, or a real defect that escaped the executor's own
         // chunk supervision) is confined to this batch — every job in it
@@ -1226,21 +1221,27 @@ impl Driver {
                 panic!("injected {}", FaultKind::BatcherPanic);
             }
             let mut spans = SpanSet::new();
-            let scored = executor.try_score_batch_spanned(all, tracing.then_some(&mut spans));
-            (scored, spans)
+            let (scored, restarts) = executor.try_score_batch_spanned(all, fault, tracing.then_some(&mut spans));
+            (scored, restarts, spans)
         }));
+        // The executor catches chunk panics and re-scores those chunks; each
+        // scoring call reports how many, and the driver counts them here.
+        let count_restarts = |restarts: u64| {
+            if let Some(metrics) = metrics.filter(|_| restarts > 0) {
+                metrics.worker_panics.with(&[("role", "shard")]).add(restarts);
+            }
+        };
         let finish_trace = |job: &mut Job, spans: &SpanSet| {
             if let Some(trace) = job.trace.as_mut() {
                 trace.record(Stage::AdmissionQueue, job.admitted, score_start);
                 trace.extend_from(spans);
             }
         };
-        let (scored, shard_spans) = match attempt {
+        let (scored, restarts, shard_spans) = match attempt {
             Ok(result) => result,
             Err(_) => {
                 if let Some(metrics) = metrics {
                     metrics.worker_panics.with(&[("role", "batcher")]).inc();
-                    metrics.worker_restarts.with(&[("role", "batcher")]).inc();
                 }
                 let empty = SpanSet::new();
                 for mut job in batch {
@@ -1250,16 +1251,7 @@ impl Driver {
                 return;
             }
         };
-        // Chunk panics are caught (and their chunks re-scored) inside the
-        // executor; the driver — its only caller here — mirrors the count
-        // into the registry.
-        let shard_panics = executor.worker_panic_count() - panics_before;
-        if shard_panics > 0 {
-            if let Some(metrics) = metrics {
-                metrics.worker_panics.with(&[("role", "shard")]).add(shard_panics);
-                metrics.worker_restarts.with(&[("role", "shard")]).add(shard_panics);
-            }
-        }
+        count_restarts(restarts);
         match scored {
             Ok(scores) => {
                 if let Some(counter) = &labels.score_requests {
@@ -1280,7 +1272,9 @@ impl Driver {
                 for mut job in batch {
                     let mut job_spans = SpanSet::new();
                     let recorded = job.trace.is_some().then_some(&mut job_spans);
-                    let outcome = match executor.try_score_batch_spanned(&job.requests, recorded) {
+                    let (scored, restarts) = executor.try_score_batch_spanned(&job.requests, fault, recorded);
+                    count_restarts(restarts);
+                    let outcome = match scored {
                         Ok(scores) => {
                             if let Some(counter) = &labels.score_requests {
                                 counter.add(job.requests.len() as u64);
@@ -1532,7 +1526,8 @@ fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
 }
 
 /// `GET /metrics`: refresh the scrape-time gauges (queue depth, model
-/// version, cache mirror) and render the registry as Prometheus text.
+/// version), copy in the executor's cache and reload counts, and render the
+/// registry as Prometheus text.
 fn metrics_parts(shared: &Shared) -> ResponseParts {
     if !shared.config.metrics_enabled {
         return ResponseParts::json(404, error_body("metrics are disabled for this server", None));
@@ -1540,9 +1535,12 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
     let snapshot = shared.executor.snapshot();
     let version = snapshot.version.to_string();
     let cache = snapshot.executor().cache_stats();
+    let reloads = shared.executor.reload_stats();
     let metrics = &shared.metrics;
     metrics.queue_depth.set(shared.queued.load(Ordering::Relaxed) as f64);
     metrics.model_version.set(snapshot.version as f64);
+    metrics.reloads.with(&[("outcome", "applied")]).store(reloads.applied);
+    metrics.reloads.with(&[("outcome", "refused")]).store(reloads.refused);
     metrics.cache_hits.with(&[("version", &version)]).store(cache.hits);
     metrics.cache_misses.with(&[("version", &version)]).store(cache.misses);
     metrics
@@ -1851,7 +1849,6 @@ mod tests {
             ServeConfig {
                 threads: 2,
                 cache_capacity: 64,
-                cache_shards: 4,
             },
         ));
         let server = ScoreServer::start(Arc::clone(&executor), config).expect("bind ephemeral port");
@@ -2373,11 +2370,135 @@ mod tests {
             rendered.contains("er_serve_worker_panics_total{role=\"batcher\"} 1"),
             "{rendered}"
         );
-        assert!(
-            rendered.contains("er_serve_worker_restarts_total{role=\"batcher\"} 1"),
-            "{rendered}"
+        server.shutdown();
+    }
+
+    /// The sum of the scraped samples named `name` whose `key` label is
+    /// `value`.
+    fn scraped(stream: &mut TcpStream, name: &str, key: &str, value: &str) -> f64 {
+        let scrape = http_roundtrip(stream, "GET", "/metrics", None).expect("scrape");
+        assert_eq!(scrape.status, 200, "{}", scrape.body);
+        crate::metrics::parse_exposition(&scrape.body)
+            .expect("exposition parses")
+            .iter()
+            .filter(|s| s.name == name && s.labels.iter().any(|(k, v)| k == key && v == value))
+            .map(|s| s.value)
+            .sum()
+    }
+
+    #[test]
+    fn shard_restarts_during_the_per_job_rescore_are_counted() {
+        // Two jobs coalesce behind paused intake; one is unscorable, so the
+        // batch fails and each job is re-scored on its own. Occurrence 0 of
+        // the fault point is the coalesced call; occurrence 1 is the first
+        // per-job call, whose chunk panics and is re-scored.
+        let plan = Arc::new(FaultPlan::parse("shard_worker_panic@1").expect("plan"));
+        let (server, executor) = start_server_with(ServerConfig {
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        });
+        server.pause_intake();
+        let addr = server.local_addr();
+        let short_row =
+            r#"{"pair_id": 5, "metric_row": [0.5], "classifier_output": 0.5, "machine_says_match": true}"#.to_string();
+        let clients: Vec<_> = [request_json(4, 0.3), short_row]
+            .into_iter()
+            .map(|body| {
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    http_roundtrip(&mut stream, "POST", "/score", Some(&body)).expect("response")
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.queued_jobs() < 2 {
+            assert!(Instant::now() < deadline, "jobs were not admitted in time");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.resume_intake();
+        let responses: Vec<HttpResponse> = clients.into_iter().map(|c| c.join().expect("client")).collect();
+        assert_eq!(responses[0].status, 200, "{}", responses[0].body);
+        assert_eq!(responses[1].status, 422, "{}", responses[1].body);
+        let (_, scores) = parse_score_response(&responses[0].body).expect("body");
+        let expected = executor.snapshot().executor().score_batch(&[ScoreRequest {
+            pair_id: 4,
+            metric_row: vec![0.3, 0.7],
+            classifier_output: 0.3,
+            machine_says_match: false,
+        }]);
+        assert_eq!(scores[0].to_bits(), expected[0].to_bits());
+        assert_eq!(plan.fired(FaultKind::ShardWorkerPanic), 1);
+        let mut stream = connect(&server);
+        assert_eq!(
+            scraped(&mut stream, "er_serve_worker_panics_total", "role", "shard"),
+            1.0
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn in_process_and_http_reloads_both_reach_the_scraped_reload_counts() {
+        let (server, _executor) = start_server(16);
+        let dir = std::env::temp_dir().join(format!("er-serve-reload-counts-{}", std::process::id()));
+        let path = dir.join("v2.json");
+        crate::artifact::ModelArtifact::new(model(2.6))
+            .save(&path)
+            .expect("save");
+        assert_eq!(server.executor().reload_from_path(&path, &[]).expect("in-process"), 2);
+        let mut stream = connect(&server);
+        let body = format!("{{\"path\": {:?}}}", path.display().to_string());
+        let applied = http_roundtrip(&mut stream, "POST", "/reload", Some(&body)).expect("reload");
+        assert_eq!(applied.status, 200, "{}", applied.body);
+        let missing = format!("{{\"path\": {:?}}}", dir.join("nope.json").display().to_string());
+        let refused = http_roundtrip(&mut stream, "POST", "/reload", Some(&missing)).expect("reload");
+        assert_eq!(refused.status, 409, "{}", refused.body);
+        assert_eq!(
+            scraped(&mut stream, "er_serve_reloads_total", "outcome", "applied"),
+            2.0
+        );
+        assert_eq!(
+            scraped(&mut stream, "er_serve_reloads_total", "outcome", "refused"),
+            1.0
+        );
+        let scrape = http_roundtrip(&mut stream, "GET", "/metrics", None).expect("scrape");
+        assert!(scrape.body.contains("er_serve_model_version 3"), "{}", scrape.body);
+        std::fs::remove_dir_all(&dir).ok();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_connect_made_during_the_shutdown_drain_is_refused() {
+        // The first response's flush is held for 1.5 s, which keeps the
+        // drain open that long after shutdown begins.
+        let plan = Arc::new(FaultPlan::parse("client_write_stall@0:1500ms").expect("plan"));
+        let (server, _executor) = start_server_with(ServerConfig {
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        let held = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            http_roundtrip(&mut stream, "GET", "/healthz", None).expect("held response")
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while plan.fired(FaultKind::ClientWriteStall) == 0 {
+            assert!(Instant::now() < deadline, "the write stall never fired");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let began = Instant::now();
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        // Well inside the held flush, a fresh connect must be refused.
+        let refused = loop {
+            match TcpStream::connect(addr) {
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => break true,
+                _ if began.elapsed() > Duration::from_millis(1000) => break false,
+                _ => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        assert!(refused, "a connect made during the drain was accepted");
+        // The drain still delivers the held response.
+        assert_eq!(held.join().expect("held client").status, 200);
+        shutdown.join().expect("shutdown");
     }
 
     #[test]

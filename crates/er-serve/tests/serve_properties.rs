@@ -146,7 +146,7 @@ proptest! {
             // ...and disabled: the cache must never change a score.
             let uncached = ShardedExecutor::new(
                 engine.clone(),
-                ServeConfig { threads, cache_capacity: 0, cache_shards: 1 },
+                ServeConfig { threads, cache_capacity: 0 },
             )
             .score_batch(&requests);
             prop_assert_eq!(bits(&uncached), bits(&single));
@@ -191,7 +191,7 @@ proptest! {
 
         let handle = ReloadableExecutor::new(
             ScoringEngine::new(old_model.clone()),
-            ServeConfig { threads: 1, cache_capacity: 64, cache_shards: 4 },
+            ServeConfig { threads: 1, cache_capacity: 64 },
         );
         let artifact = ModelArtifact::new(new_model.clone());
 

@@ -516,7 +516,7 @@ fn batcher_panic_is_a_500_then_the_recovered_server_scores_bit_exactly() {
     let (_, scores) = parse_score_response(&retried.body).expect("body");
     assert_eq!(scores[0].to_bits(), expected[0].to_bits());
 
-    // Both panics and both restarts are attributed in the exposition.
+    // Both panics are attributed in the exposition.
     let scrape = http_roundtrip(&mut stream, "GET", "/metrics", None).expect("scrape");
     let samples = parse_exposition(&scrape.body).expect("exposition parses");
     let role_total = |name: &str| {
@@ -527,7 +527,6 @@ fn batcher_panic_is_a_500_then_the_recovered_server_scores_bit_exactly() {
             .sum::<f64>()
     };
     assert_eq!(role_total("er_serve_worker_panics_total"), 2.0);
-    assert_eq!(role_total("er_serve_worker_restarts_total"), 2.0);
     server.shutdown();
 }
 
