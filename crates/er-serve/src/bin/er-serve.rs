@@ -11,6 +11,11 @@
 //!          [--queue-capacity N] [--max-connections N]
 //! ```
 //!
+//! `--threads` sets the scoring lanes (default: the CPUs available): the
+//! worker pool's lanes and as many readiness loops sharing the connections.
+//! `--queue-capacity` and `--max-connections` bound the whole server, across
+//! every loop.
+//!
 //! Fault injection is inherited from the `ER_FAULT_PLAN` environment
 //! variable exactly as library-embedded servers do (see `er_serve::fault`).
 
@@ -29,7 +34,10 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: er-serve --artifact <model.json> [--listen <addr:port>] [--threads <n>] \
-         [--queue-capacity <n>] [--max-connections <n>]"
+         [--queue-capacity <n>] [--max-connections <n>]\n\
+         \n  --threads <n>          scoring lanes: worker-pool lanes and readiness loops (default: CPUs)\
+         \n  --queue-capacity <n>   admitted-but-unscored jobs, server-wide (default 256)\
+         \n  --max-connections <n>  concurrent connections, server-wide (default 256)"
     );
     std::process::exit(2);
 }

@@ -79,7 +79,9 @@ impl std::error::Error for BatchScoreError {}
 /// Configuration of a [`ShardedExecutor`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ServeConfig {
-    /// Worker threads used by [`ShardedExecutor::score_batch`].
+    /// Scoring lanes: the worker threads [`ShardedExecutor::score_batch`]
+    /// splits a batch over, and, for a [`crate::ScoreServer`] over this
+    /// executor, its number of readiness loops.
     pub threads: usize,
     /// Total cached scores across all shards; 0 disables caching.
     pub cache_capacity: usize,

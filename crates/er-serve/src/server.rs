@@ -1,28 +1,38 @@
 //! A dependency-free HTTP/1.1 front-end over [`std::net::TcpListener`].
 //!
 //! The serving lifecycle the rest of the crate builds toward: a
-//! [`ScoreServer`] owns every connection from one **event-driven readiness
-//! loop** (the [`crate::readiness`] poller — `epoll` on Linux) running on a
-//! single driver thread: it accepts connections, routes the requests that
-//! [`crate::conn`] — the connection state machine `er-gateway` runs too —
-//! reads and parses off them, and admits scoring requests into a **bounded
-//! queue**.
-//! After each readiness pass the same thread scores what that pass
-//! admitted — up to [`ServerConfig::max_batch`] requests per
+//! [`ScoreServer`] runs one **event-driven readiness loop** (the
+//! [`crate::readiness`] poller — `epoll` on Linux) per scoring lane, that
+//! is [`crate::ServeConfig::threads`] loops, each on its own thread. The
+//! first loop owns the listener: it hands each accepted connection to the
+//! loop with the fewest live connections, through that loop's mailbox. From
+//! then on the connection belongs to that loop alone, which routes the
+//! requests that [`crate::conn`] — the connection state machine
+//! `er-gateway` runs too — reads and parses off it, and admits scoring
+//! requests into its **bounded queue**.
+//! After each readiness pass a loop scores what that pass admitted — up to
+//! [`ServerConfig::max_batch`] requests per
 //! [`crate::ShardedExecutor::try_score_batch`] call — and queues every
 //! response straight onto its connection. Requests coalesce into one batch
-//! only when a single pass admits several of them, so batching happens under
-//! load and a lone request never waits for company. A parked connection
-//! costs a few hundred bytes of state, not a thread, so thousands of
-//! mostly-idle keep-alive connections are cheap.
+//! only when a single pass of one loop admits several of them, so batching
+//! happens under load and a lone request never waits for company; a batch
+//! held on one loop never delays another loop's connections. A parked
+//! connection costs a few hundred bytes of state, not a thread, so
+//! thousands of mostly-idle keep-alive connections are cheap.
+//!
+//! What must hold across the whole server is shared by every loop: the
+//! admission-queue capacity and the connection cap are server-wide counts,
+//! and the executor (with its worker pool), rate limiter, metrics registry
+//! and tracer are one each. Pause, resume and shutdown reach every loop.
 //!
 //! An admitted `/score` is one `Job` from admission to answer: the token of
 //! the connection parked on it, its request metadata, trace, admission
-//! instant and deadline. A connection has at most one request with the
-//! driver, so the token names the job. The job leaves the queue exactly
+//! instant and deadline. A connection has at most one request with its
+//! loop, so the token names the job. The job leaves the queue exactly
 //! once — scored, shed at its deadline, or taken by the reply watchdog —
 //! and its answer goes to the connection its token names. `POST /reload`
-//! parks by token too, while a worker thread promotes the artifact.
+//! parks by token too, while a worker thread promotes the artifact and
+//! posts the answer back to the loop that owns the connection.
 //!
 //! Every batch is scored through a single [`ReloadableExecutor`] snapshot,
 //! so each HTTP response carries exactly one artifact version (the
@@ -84,8 +94,9 @@
 //! recovers from poisoning via `into_inner`, so one panic can never
 //! permanently wedge metrics, stats or reload completions. The
 //! [`crate::fault`] module can inject these failures deterministically; an
-//! injected scoring stall holds its batch on a timer while the loop keeps
-//! accepting, answering health probes and admitting. `serve_bench`'s chaos
+//! injected scoring stall holds its batch on a timer while its loop keeps
+//! answering health probes and admitting behind it, and the other loops
+//! keep scoring their own connections. `serve_bench`'s chaos
 //! phase replays traffic under injected panics, stalls, and torn artifact
 //! writes to attest all of it.
 
@@ -100,6 +111,7 @@ use crate::readiness::{self, Interest, Mailbox, Token};
 use crate::reload::ReloadableExecutor;
 use crate::trace::{ActiveTrace, SpanSet, Stage, Tracer};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -115,11 +127,13 @@ pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port (tests, benches).
     pub addr: String,
     /// Maximum admitted-but-unscored jobs (one HTTP scoring request = one
-    /// job); the queue answers 429 beyond this.
+    /// job), counted across every readiness loop; the queue answers 429
+    /// beyond this.
     pub queue_capacity: usize,
-    /// Micro-batch cap: the most requests one `try_score_batch` call
-    /// scores. Jobs coalesce only when one readiness pass admits several of
-    /// them; nothing ever waits for a batch to fill.
+    /// Micro-batch cap, per readiness loop: the most requests one
+    /// `try_score_batch` call scores. Jobs coalesce only when one pass of
+    /// one loop admits several of them; nothing ever waits for a batch to
+    /// fill.
     pub max_batch: usize,
     /// Maximum accepted request-body size in bytes (413 beyond it).
     pub max_body_bytes: usize,
@@ -150,14 +164,15 @@ pub struct ServerConfig {
     /// either way.
     pub trace_capacity: usize,
     /// Default per-request deadline budget in milliseconds, applied when a
-    /// request carries no (or an unusable) `X-Deadline-Ms` header. The
-    /// driver sheds jobs whose budget has already expired before scoring
+    /// request carries no (or an unusable) `X-Deadline-Ms` header. A loop
+    /// sheds jobs whose budget has already expired before scoring
     /// them, answering `504` with `er_serve_rejected_total{cause="deadline"}`.
     /// `None` (the default) imposes no deadline.
     pub default_deadline_ms: Option<u64>,
-    /// Maximum concurrently served connections. The readiness loop answers
-    /// additional connections with an immediate `503` + `Retry-After` instead
-    /// of admitting an unbounded connection pile-up.
+    /// Maximum concurrently served connections, counted across every
+    /// readiness loop. The listening loop answers additional connections
+    /// with an immediate `503` + `Retry-After` instead of admitting an
+    /// unbounded connection pile-up.
     pub max_connections: usize,
     /// Write-progress budget on accepted sockets: a connection whose peer
     /// accepts no response bytes for this long is closed, so a reader that
@@ -170,7 +185,8 @@ pub struct ServerConfig {
     /// Deterministic fault injection ([`crate::fault`]). Defaults to
     /// [`FaultPlan::from_env`] (the `ER_FAULT_PLAN` variable), i.e. `None`
     /// unless an operator or harness opted in. The plan lives here only: the
-    /// driver passes it into each scoring and reload call it makes.
+    /// loops pass it into each scoring and reload call they make, so
+    /// occurrence counts are server-wide.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -258,7 +274,7 @@ enum JobOutcome {
 }
 
 /// An admitted `POST /score`: the one record of it from admission to
-/// answer. A parked connection has at most one request with the driver, so
+/// answer. A parked connection has at most one request with its loop, so
 /// the connection's token names the job.
 struct Job {
     /// The token of the connection parked on the job.
@@ -276,27 +292,35 @@ struct Job {
     deadline: Option<Instant>,
 }
 
-/// The bounded admission queue between request parsing and scoring, owned
-/// by the driver thread. Its length is mirrored into [`Shared::queued`] for
-/// readers on other threads.
+/// One loop's admission queue between request parsing and scoring. Its
+/// bound is server-wide: every loop's queue counts its jobs in one shared
+/// `queued` count, which [`ScoreServer::queued_jobs`] and the
+/// `er_serve_queue_depth` gauge read.
 struct AdmissionQueue {
     jobs: VecDeque<Job>,
+    /// Admitted-but-unscored jobs across every loop's queue.
+    queued: Arc<AtomicUsize>,
     capacity: usize,
 }
 
 impl AdmissionQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, queued: Arc<AtomicUsize>) -> Self {
         Self {
             jobs: VecDeque::new(),
+            queued,
             capacity: capacity.max(1),
         }
     }
 
-    /// Admits a job, or hands it back when the queue is full (→ 429) so the
-    /// caller keeps ownership of the in-flight trace.
+    /// Admits a job, or hands it back when the server-wide queue is full
+    /// (→ 429) so the caller keeps ownership of the in-flight trace.
     #[allow(clippy::result_large_err)] // the Err deliberately returns the whole job
     fn push(&mut self, job: Job) -> Result<(), Job> {
-        if self.jobs.len() >= self.capacity {
+        let capacity = self.capacity;
+        let slot = self.queued.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < capacity).then_some(n + 1)
+        });
+        if slot.is_err() {
             return Err(job);
         }
         self.jobs.push_back(job);
@@ -313,6 +337,7 @@ impl AdmissionQueue {
             total += job.requests.len().max(1);
             batch.push(job);
         }
+        self.queued.fetch_sub(batch.len(), Ordering::Relaxed);
         batch
     }
 
@@ -321,19 +346,49 @@ impl AdmissionQueue {
     /// prefix of the queue.
     fn take_admitted_by(&mut self, cutoff: Instant) -> Vec<Job> {
         let late = self.jobs.iter().take_while(|job| job.admitted <= cutoff).count();
+        self.queued.fetch_sub(late, Ordering::Relaxed);
         self.jobs.drain(..late).collect()
     }
 }
 
-/// A finished `POST /reload`, posted to the driver by its worker thread and
-/// keyed by the token of the connection parked on it. The response is
-/// already decided; the driver only serializes and flushes it.
+/// A finished `POST /reload`, posted by its worker thread to the loop that
+/// owns the connection parked on it, and keyed by that connection's token.
+/// The response is already decided; the loop only serializes and flushes it.
 struct Completion {
     token: u64,
     status: u16,
     body: String,
     version: Option<u64>,
     trace: Option<ActiveTrace>,
+}
+
+/// What other threads post to a readiness loop.
+enum Message {
+    /// A connection the listening loop accepted and handed to this loop.
+    Conn(TcpStream),
+    /// A finished `POST /reload` of one of this loop's connections.
+    Reload(Completion),
+}
+
+/// One readiness loop as the other threads see it: its mailbox (whose
+/// waker also carries resume and shutdown) and its load.
+struct Lane {
+    mailbox: Mailbox<Message>,
+    /// Connections the loop owns, counted against `max_connections`. Only
+    /// the listening loop raises it, when it hands a connection over; the
+    /// owning loop lowers it when the connection closes.
+    live: AtomicUsize,
+}
+
+/// The `/score` metric children every answered array touches, resolved on
+/// first use and kept for the loop's life, so a 200 `/score` answer takes
+/// no registry lock and allocates no label strings.
+#[derive(Default)]
+struct ScoreHandles {
+    /// `er_serve_responses_total{route="/score",status="200"}`.
+    ok: OnceCell<Arc<Counter>>,
+    /// `er_serve_request_duration_seconds{route="/score"}`.
+    duration: OnceCell<Arc<Histogram>>,
 }
 
 /// The `version`-labelled metric handles and the `X-Model-Version` header
@@ -366,9 +421,12 @@ struct Shared {
     /// Intake paused ([`ScoreServer::pause_intake`], `POST /admin/pause`):
     /// admitted jobs stay queued until resume or shutdown.
     paused: AtomicBool,
-    /// Mirror of the driver-owned admission queue's length, for
+    /// Admitted-but-unscored jobs across every loop's admission queue, held
+    /// under [`ServerConfig::queue_capacity`]; read by
     /// [`ScoreServer::queued_jobs`] and the `er_serve_queue_depth` gauge.
-    queued: AtomicUsize,
+    queued: Arc<AtomicUsize>,
+    /// One entry per readiness loop; the first owns the listener.
+    lanes: Vec<Lane>,
     metrics: Arc<MetricsRegistry>,
     limiter: Option<RateLimiter>,
     config: ServerConfig,
@@ -392,11 +450,19 @@ impl Shared {
     fn request_id(&self, client_supplied: Option<&str>) -> String {
         conn::request_id(client_supplied, "er", &self.id_seq)
     }
+
+    /// Interrupts every loop's poll, so each notices resumed intake or
+    /// shutdown at once.
+    fn wake_all(&self) {
+        for lane in &self.lanes {
+            let _ = lane.mailbox.waker().wake();
+        }
+    }
 }
 
 /// A running HTTP scoring server; see the [module docs](self) for the wire
 /// format. Dropping the handle shuts the server down gracefully (scores the
-/// admitted queue, joins the driver thread).
+/// admitted queues, joins the loop threads).
 ///
 /// # Examples
 ///
@@ -433,27 +499,39 @@ impl Shared {
 /// ```
 pub struct ScoreServer {
     shared: Arc<Shared>,
-    completions: Arc<Mailbox<Completion>>,
     local_addr: SocketAddr,
-    driver: Option<std::thread::JoinHandle<()>>,
+    /// One thread per readiness loop.
+    loops: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ScoreServer {
-    /// Binds `config.addr` and starts the connection-driver thread. The
-    /// caller keeps the [`ReloadableExecutor`] handle, so
-    /// in-process reloads and the HTTP `POST /reload` endpoint coexist.
+    /// Binds `config.addr` and starts one readiness-loop thread per scoring
+    /// lane ([`crate::ServeConfig::threads`] of the executor). The caller
+    /// keeps the [`ReloadableExecutor`] handle, so in-process reloads and
+    /// the HTTP `POST /reload` endpoint coexist.
     pub fn start(executor: Arc<ReloadableExecutor>, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let poller = readiness::Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-        let completions = Arc::new(Mailbox::new(&poller, WAKER)?);
+        let pollers = (0..executor.config().threads.max(1))
+            .map(|_| readiness::Poller::new())
+            .collect::<io::Result<Vec<_>>>()?;
+        pollers[0].register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+        let lanes = pollers
+            .iter()
+            .map(|poller| {
+                Ok(Lane {
+                    mailbox: Mailbox::new(poller, WAKER)?,
+                    live: AtomicUsize::new(0),
+                })
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         let tracer = (config.trace_capacity > 0).then(|| Tracer::new(config.trace_capacity));
         let shared = Arc::new(Shared {
             executor,
             paused: AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
+            queued: Arc::new(AtomicUsize::new(0)),
+            lanes,
             metrics: Arc::new(MetricsRegistry::new()),
             limiter: config.rate_limit.map(RateLimiter::new),
             config,
@@ -462,16 +540,24 @@ impl ScoreServer {
             tracer,
             id_seq: AtomicU64::new(0),
         });
-        let driver = {
-            let shared = Arc::clone(&shared);
-            let completions = Arc::clone(&completions);
-            std::thread::Builder::new()
-                .name("er-serve-driver".to_string())
+        // Built before the threads, so a failed spawn drops it and shuts
+        // down the loops already running.
+        let mut server = Self {
+            shared,
+            local_addr,
+            loops: Vec::new(),
+        };
+        let mut listener = Some(listener);
+        for (lane, poller) in pollers.into_iter().enumerate() {
+            let shared = Arc::clone(&server.shared);
+            let listener = listener.take();
+            let handle = std::thread::Builder::new()
+                .name(format!("er-serve-loop-{lane}"))
                 .spawn(move || {
                     Driver {
+                        lane,
                         poller,
-                        completions,
-                        listener: Some(listener),
+                        listener,
                         limits: Limits {
                             max_body_bytes: shared.config.max_body_bytes,
                             write_timeout: shared.config.write_timeout,
@@ -482,21 +568,17 @@ impl ScoreServer {
                         reloads: HashMap::new(),
                         refused: HashSet::new(),
                         next_token: FIRST_CONN,
-                        active: 0,
-                        queue: AdmissionQueue::new(shared.config.queue_capacity),
+                        queue: AdmissionQueue::new(shared.config.queue_capacity, Arc::clone(&shared.queued)),
                         stalled: None,
                         labels: None,
+                        score: ScoreHandles::default(),
                         shared,
                     }
                     .run()
-                })?
-        };
-        Ok(Self {
-            shared,
-            completions,
-            local_addr,
-            driver: Some(driver),
-        })
+                })?;
+            server.loops.push(handle);
+        }
+        Ok(server)
     }
 
     /// The bound address (resolves the ephemeral port).
@@ -539,11 +621,11 @@ impl ScoreServer {
         self.shared.paused.store(true, Ordering::SeqCst);
     }
 
-    /// Resumes scoring after [`Self::pause_intake`], waking the driver so
+    /// Resumes scoring after [`Self::pause_intake`], waking every loop so
     /// the queued jobs are scored at once.
     pub fn resume_intake(&self) {
         self.shared.paused.store(false, Ordering::SeqCst);
-        let _ = self.completions.waker().wake();
+        self.shared.wake_all();
     }
 
     /// Graceful shutdown: stop accepting, answer in-flight admissions with
@@ -556,11 +638,11 @@ impl ScoreServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Interrupt the driver's poll so it notices the flag, closes idle
-        // connections, scores every admitted job, and flushes every
+        // Interrupt every loop's poll so each notices the flag, closes its
+        // idle connections, scores every job it admitted, and flushes every
         // in-flight response before exiting.
-        let _ = self.completions.waker().wake();
-        if let Some(handle) = self.driver.take() {
+        self.shared.wake_all();
+        for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
     }
@@ -573,7 +655,7 @@ impl Drop for ScoreServer {
 }
 
 // ---------------------------------------------------------------------------
-// Readiness-loop driver
+// Readiness loops
 // ---------------------------------------------------------------------------
 
 /// Upper bound on one poll wait, so per-connection timers (lifetimes, write
@@ -581,15 +663,16 @@ impl Drop for ScoreServer {
 /// this often even when no readiness event arrives.
 const POLL_TICK: Duration = Duration::from_millis(100);
 /// How long an admitted job may stay unscored (paused intake, a stalled
-/// batch ahead of it) before the driver takes it out of the queue and
+/// batch ahead of it) before its loop takes it out of the queue and
 /// answers 500 (`scoring pipeline stalled`).
 const SCORE_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The listener's token in the readiness loop.
+/// The listener's token in the listening loop.
 const LISTENER: Token = Token(0);
-/// The waker's token (reload completions, resumed intake, or shutdown).
+/// The mailbox waker's token (handed-over connections, reload completions,
+/// resumed intake, or shutdown).
 const WAKER: Token = Token(1);
-/// First token handed to an accepted connection.
+/// First token a loop gives a connection it owns.
 const FIRST_CONN: u64 = 2;
 
 /// Identity and timing of one parsed request, carried from dispatch to the
@@ -604,7 +687,7 @@ struct RequestMeta {
 }
 
 /// The ticket a queued response carries through its flush: everything the
-/// driver records once [`Step::Sent`] hands it back.
+/// loop records once [`Step::Sent`] hands it back.
 struct Outgoing {
     status: u16,
     /// Pending trace, committed with the status actually flushed (0 if the
@@ -645,15 +728,18 @@ impl ResponseParts {
     }
 }
 
-/// The event loop owning every connection: accepts, routes, scores admitted
-/// jobs, and hands each connection's reading, parsing and flushing to
-/// [`crate::conn`] — all over nonblocking sockets driven by the
-/// [`crate::readiness`] poller.
+/// One readiness loop, owning the connections handed to it: routes their
+/// requests, scores the jobs it admitted, and hands each connection's
+/// reading, parsing and flushing to [`crate::conn`] — all over nonblocking
+/// sockets driven by the loop's own [`crate::readiness`] poller. The first
+/// loop also accepts, and places every new connection.
 struct Driver {
     shared: Arc<Shared>,
+    /// This loop's index in [`Shared::lanes`].
+    lane: usize,
     poller: readiness::Poller,
-    completions: Arc<Mailbox<Completion>>,
-    /// Dropped when shutdown begins, so new connections are refused at once.
+    /// The first loop's listener; dropped when shutdown begins, so new
+    /// connections are refused at once.
     listener: Option<TcpListener>,
     limits: Limits,
     conns: HashMap<u64, Conn<Outgoing>>,
@@ -664,14 +750,13 @@ struct Driver {
     /// counted against the connection cap.
     refused: HashSet<u64>,
     next_token: u64,
-    /// Connections counted against `max_connections` (excludes refusals).
-    active: usize,
     /// Admitted-but-unscored jobs.
     queue: AdmissionQueue,
     /// A batch held by an injected `score_stall` until the instant passes.
     stalled: Option<(Instant, Vec<Job>)>,
     /// Labels of the artifact version that scored last.
     labels: Option<Arc<VersionLabels>>,
+    score: ScoreHandles,
 }
 
 impl Driver {
@@ -701,7 +786,7 @@ impl Driver {
             for event in events.iter() {
                 match event.token() {
                     LISTENER => accept = true,
-                    WAKER => self.completions.waker().drain(),
+                    WAKER => self.lane().mailbox.waker().drain(),
                     Token(token) => ready.push(token),
                 }
             }
@@ -714,12 +799,19 @@ impl Driver {
                     self.drive(conn);
                 }
             }
-            for completion in self.completions.take() {
-                self.on_completion(completion);
+            for message in self.lane().mailbox.take() {
+                match message {
+                    Message::Conn(stream) => self.admit(stream, false),
+                    Message::Reload(completion) => self.on_completion(completion),
+                }
             }
             self.score_admitted();
             self.run_timers();
         }
+    }
+
+    fn lane(&self) -> &Lane {
+        &self.shared.lanes[self.lane]
     }
 
     /// Sleep until the nearest per-connection deadline or the end of an
@@ -740,25 +832,51 @@ impl Driver {
     fn accept_ready(&mut self) {
         while let Some(accepted) = self.listener.as_ref().map(TcpListener::accept) {
             match accepted {
-                Ok((stream, _)) => self.admit(stream),
+                Ok((stream, _)) => self.place(stream),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
         }
     }
 
-    fn admit(&mut self, stream: TcpStream) {
+    /// Hands an accepted connection to the loop with the fewest live
+    /// connections (the lowest index on a tie), or refuses it at the
+    /// connection cap. Only this loop raises live counts, so their sum never
+    /// passes the cap.
+    fn place(&mut self, stream: TcpStream) {
+        let lanes = &self.shared.lanes;
+        let live = |lane: &Lane| lane.live.load(Ordering::Relaxed);
+        if lanes.iter().map(live).sum::<usize>() >= self.shared.config.max_connections {
+            return self.admit(stream, true);
+        }
+        let Some((index, lane)) = lanes.iter().enumerate().min_by_key(|(_, lane)| live(lane)) else {
+            return;
+        };
+        lane.live.fetch_add(1, Ordering::Relaxed);
+        if index == self.lane {
+            self.admit(stream, false);
+        } else {
+            lane.mailbox.post(Message::Conn(stream));
+        }
+    }
+
+    /// Takes a placed connection into this loop, or (`refused`) one over
+    /// the connection cap.
+    fn admit(&mut self, stream: TcpStream, refused: bool) {
         let token = self.next_token;
         self.next_token += 1;
         let Ok(mut conn) = Conn::new(Token(token), stream, self.limits) else {
+            if !refused {
+                self.lane().live.fetch_sub(1, Ordering::Relaxed);
+            }
             return;
         };
         // The connection cap bounds live connection state: at the limit the
         // new connection gets one clean 503 + Retry-After and is closed,
-        // rather than growing the loop's working set without bound. The
+        // rather than growing the loops' working sets without bound. The
         // refusal flushes through the same machinery as any response but
         // is not counted against the cap, logged, or duration-observed.
-        if self.active >= self.shared.config.max_connections {
+        if refused {
             if self.shared.config.metrics_enabled {
                 self.shared.metrics.rejected.with(&[("cause", "overloaded")]).inc();
                 self.shared
@@ -777,8 +895,6 @@ impl Driver {
             };
             conn.respond(503, headers, body.as_bytes(), refusal, true);
             self.refused.insert(token);
-        } else {
-            self.active += 1;
         }
         // Drive immediately: request bytes may already be waiting, and the
         // eager read shaves one poll round-trip off accept-to-first-byte.
@@ -814,7 +930,7 @@ impl Driver {
     /// Closes a connection and releases its cap slot.
     fn discard(&mut self, conn: Conn<Outgoing>) {
         if !self.refused.remove(&conn.token().0) {
-            self.active -= 1;
+            self.lane().live.fetch_sub(1, Ordering::Relaxed);
         }
         conn.close(&self.poller);
     }
@@ -844,11 +960,15 @@ impl Driver {
     ) {
         let route = meta.as_ref().map_or("unparsed", |m| m.route);
         if self.shared.config.metrics_enabled {
-            self.shared
-                .metrics
-                .responses
-                .with(&[("route", route), ("status", &parts.status.to_string())])
-                .inc();
+            let metrics = &self.shared.metrics;
+            if route == "/score" && parts.status == 200 {
+                let ok = &self.score.ok;
+                ok.get_or_init(|| metrics.responses.with(&[("route", route), ("status", "200")]))
+                    .inc();
+            } else {
+                let status = parts.status.to_string();
+                metrics.responses.with(&[("route", route), ("status", &status)]).inc();
+            }
         }
         // Every response — including 4xx/5xx error bodies — echoes the
         // request id, so client retry logs, server logs and traces all
@@ -901,11 +1021,17 @@ impl Driver {
         let Some(meta) = out.meta else { return };
         let duration = now.duration_since(meta.started);
         if self.shared.config.metrics_enabled {
-            self.shared
-                .metrics
-                .request_duration
-                .with(&[("route", meta.route)])
-                .observe(duration.as_secs_f64());
+            let metrics = &self.shared.metrics;
+            let route = [("route", meta.route)];
+            let seconds = duration.as_secs_f64();
+            match meta.route {
+                "/score" => self
+                    .score
+                    .duration
+                    .get_or_init(|| metrics.request_duration.with(&route))
+                    .observe(seconds),
+                _ => metrics.request_duration.with(&route).observe(seconds),
+            }
         }
         let seq = self.shared.log_seq.fetch_add(1, Ordering::Relaxed);
         if should_sample(seq, self.shared.config.log_sample) {
@@ -931,7 +1057,7 @@ impl Driver {
     /// Routes one parsed request. Fast routes answer inline; `/score`
     /// admits a job and parks the connection; `/reload` runs on a
     /// short-lived worker thread (artifact IO plus probe scoring would
-    /// otherwise stall every connection the driver owns).
+    /// otherwise stall every connection the loop owns).
     fn dispatch(&mut self, conn: &mut Conn<Outgoing>, request: Request) {
         let client = request.client_id.as_deref().unwrap_or(conn.peer()).to_string();
         let rid = self.shared.request_id(request.request_id.as_deref());
@@ -1022,7 +1148,6 @@ impl Driver {
             admitted,
             deadline,
         });
-        shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
         if let Err(bounced) = pushed {
             if shared.config.metrics_enabled {
                 shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
@@ -1057,7 +1182,7 @@ impl Driver {
         let trace = self.shared.tracer().map(|t| t.begin(meta.rid.clone(), "/reload"));
         let token = conn.token().0;
         let shared = Arc::clone(&self.shared);
-        let completions = Arc::clone(&self.completions);
+        let lane = self.lane;
         std::thread::spawn(move || {
             let mut trace = trace;
             let mut spans = SpanSet::new();
@@ -1079,13 +1204,13 @@ impl Driver {
                 // rollout did not happen.
                 Err(e) => (409, error_body(&e.to_string(), None), None),
             };
-            completions.post(Completion {
+            shared.lanes[lane].mailbox.post(Message::Reload(Completion {
                 token,
                 status,
                 body,
                 version,
                 trace,
-            });
+            }));
         });
         self.reloads.insert(token, meta);
     }
@@ -1123,7 +1248,6 @@ impl Driver {
                 return;
             }
             let batch = self.queue.take_batch(self.shared.config.max_batch.max(1));
-            self.shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
             let batch = self.shed_expired(batch);
             if batch.is_empty() {
                 continue;
@@ -1214,7 +1338,7 @@ impl Driver {
         // The scoring section runs under `catch_unwind`: a panic (injected
         // `batcher_panic`, or a real defect that escaped the executor's own
         // chunk supervision) is confined to this batch — every job in it
-        // gets a deterministic 500 and the driver moves on to the next.
+        // gets a deterministic 500 and the loop moves on to the next.
         let fault = shared.config.fault_plan.as_deref();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             if fault.is_some_and(|plan| plan.fires(FaultKind::BatcherPanic)) {
@@ -1225,7 +1349,7 @@ impl Driver {
             (scored, restarts, spans)
         }));
         // The executor catches chunk panics and re-scores those chunks; each
-        // scoring call reports how many, and the driver counts them here.
+        // scoring call reports how many, and the loop counts them here.
         let count_restarts = |restarts: u64| {
             if let Some(metrics) = metrics.filter(|_| restarts > 0) {
                 metrics.worker_panics.with(&[("role", "shard")]).add(restarts);
@@ -1359,7 +1483,6 @@ impl Driver {
             }
         }
         late.extend(self.queue.take_admitted_by(cutoff));
-        self.shared.queued.store(self.queue.jobs.len(), Ordering::Relaxed);
         for job in late {
             self.answer(job, JobOutcome::Stalled);
         }
@@ -1470,9 +1593,9 @@ fn error_body(message: &str, request_index: Option<usize>) -> String {
     })
 }
 
-/// Computes the response for every route the driver answers inline —
+/// Computes the response for every route a loop answers inline —
 /// everything but `POST /score` (admitted and scored after the pass) and `POST /reload`
-/// (offloaded to a worker thread), which the driver intercepts first.
+/// (offloaded to a worker thread), which the loop intercepts first.
 fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
@@ -1511,9 +1634,10 @@ fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
             ResponseParts::json(200, serde::json::to_string(&PausedResponse { paused: true }))
         }
         ("POST", "/admin/resume") => {
-            // The driver answering this route scores the queue at the end
-            // of the same pass; no wake-up needed.
+            // Every loop scores its queue once it wakes; the one answering
+            // this route would anyway, at the end of this pass.
             shared.paused.store(false, Ordering::SeqCst);
+            shared.wake_all();
             ResponseParts::json(200, serde::json::to_string(&PausedResponse { paused: false }))
         }
         (
@@ -1844,10 +1968,16 @@ mod tests {
     }
 
     fn start_server_with(config: ServerConfig) -> (ScoreServer, Arc<ReloadableExecutor>) {
+        start_server_on(2, config)
+    }
+
+    /// A server with `threads` scoring lanes, hence `threads` readiness
+    /// loops.
+    fn start_server_on(threads: usize, config: ServerConfig) -> (ScoreServer, Arc<ReloadableExecutor>) {
         let executor = Arc::new(ReloadableExecutor::new(
             ScoringEngine::new(model(1.3)),
             ServeConfig {
-                threads: 2,
+                threads,
                 cache_capacity: 64,
             },
         ));
@@ -2388,15 +2518,19 @@ mod tests {
 
     #[test]
     fn shard_restarts_during_the_per_job_rescore_are_counted() {
-        // Two jobs coalesce behind paused intake; one is unscorable, so the
-        // batch fails and each job is re-scored on its own. Occurrence 0 of
-        // the fault point is the coalesced call; occurrence 1 is the first
-        // per-job call, whose chunk panics and is re-scored.
+        // Two jobs coalesce behind paused intake on a one-loop server; one
+        // is unscorable, so the batch fails and each job is re-scored on its
+        // own. Occurrence 0 of the fault point is the coalesced call;
+        // occurrence 1 is the first per-job call, whose chunk panics and is
+        // re-scored.
         let plan = Arc::new(FaultPlan::parse("shard_worker_panic@1").expect("plan"));
-        let (server, executor) = start_server_with(ServerConfig {
-            fault_plan: Some(Arc::clone(&plan)),
-            ..ServerConfig::default()
-        });
+        let (server, executor) = start_server_on(
+            1,
+            ServerConfig {
+                fault_plan: Some(Arc::clone(&plan)),
+                ..ServerConfig::default()
+            },
+        );
         server.pause_intake();
         let addr = server.local_addr();
         let short_row =
@@ -2417,6 +2551,7 @@ mod tests {
         }
         server.resume_intake();
         let responses: Vec<HttpResponse> = clients.into_iter().map(|c| c.join().expect("client")).collect();
+        assert_eq!(server.stats().batches, 1, "the two jobs coalesce into one batch");
         assert_eq!(responses[0].status, 200, "{}", responses[0].body);
         assert_eq!(responses[1].status, 422, "{}", responses[1].body);
         let (_, scores) = parse_score_response(&responses[0].body).expect("body");
@@ -2499,6 +2634,192 @@ mod tests {
         // The drain still delivers the held response.
         assert_eq!(held.join().expect("held client").status, 200);
         shutdown.join().expect("shutdown");
+    }
+
+    /// Live connections per readiness loop, as the listening loop placed
+    /// them.
+    fn live_per_loop(server: &ScoreServer) -> Vec<usize> {
+        let lanes = &server.shared.lanes;
+        lanes.iter().map(|lane| lane.live.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Posts `body` to `/score` from a fresh connection on its own thread.
+    fn score_from_thread(addr: SocketAddr, body: String) -> std::thread::JoinHandle<HttpResponse> {
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            http_roundtrip(&mut stream, "POST", "/score", Some(&body)).expect("response")
+        })
+    }
+
+    fn wait_for_queued(server: &ScoreServer, jobs: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.queued_jobs() < jobs {
+            assert!(Instant::now() < deadline, "jobs were not admitted in time");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_batch_stalled_on_one_loop_does_not_hold_another_loops_jobs() {
+        let plan = Arc::new(FaultPlan::parse("score_stall@0:2000ms").expect("plan"));
+        let (server, executor) = start_server_with(ServerConfig {
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        let sent = Instant::now();
+        let stalled = score_from_thread(addr, request_json(1, 0.3));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while plan.fired(FaultKind::ScoreStall) == 0 {
+            assert!(Instant::now() < deadline, "the stall never fired");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The first connection holds the first loop; this one goes to the
+        // second, whose queue nothing stalls.
+        let mut stream = connect(&server);
+        let asked = Instant::now();
+        let answered = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(2, 0.7))).expect("score");
+        let answered_in = asked.elapsed();
+        assert_eq!(answered.status, 200, "{}", answered.body);
+        assert_eq!(live_per_loop(&server), [1, 1]);
+        assert!(
+            answered_in < Duration::from_millis(500),
+            "a /score on the other loop took {answered_in:?} behind a 2 s stall"
+        );
+        let held = stalled.join().expect("stalled client");
+        assert_eq!(held.status, 200, "{}", held.body);
+        assert!(
+            sent.elapsed() >= Duration::from_millis(1900),
+            "the stall must hold its batch"
+        );
+        let (_, scores) = parse_score_response(&held.body).expect("body");
+        let expected = executor.snapshot().executor().score_batch(&[ScoreRequest {
+            pair_id: 1,
+            metric_row: vec![0.3, 0.7],
+            classifier_output: 0.3,
+            machine_says_match: false,
+        }]);
+        assert_eq!(scores[0].to_bits(), expected[0].to_bits());
+        server.shutdown();
+    }
+
+    #[test]
+    fn queue_and_connection_caps_hold_across_loops() {
+        let (server, _executor) = start_server_with(ServerConfig {
+            queue_capacity: 3,
+            max_connections: 4,
+            ..ServerConfig::default()
+        });
+        server.pause_intake();
+        let addr = server.local_addr();
+        let parked: Vec<_> = (0..3).map(|i| score_from_thread(addr, request_json(i, 0.4))).collect();
+        wait_for_queued(&server, 3);
+        assert_eq!(live_per_loop(&server), [2, 1], "connections spread over both loops");
+        // The fourth connection lands on the second loop, whose own queue
+        // holds one job: only the server-wide count is full.
+        let mut fourth = connect(&server);
+        let bounced = http_roundtrip(&mut fourth, "POST", "/score", Some(&request_json(3, 0.4))).expect("response");
+        assert_eq!(live_per_loop(&server), [2, 2]);
+        assert_eq!(bounced.status, 429, "{}", bounced.body);
+        assert!(bounced.body.contains("admission queue full"), "{}", bounced.body);
+        // The fifth connection is one past the server-wide cap, though each
+        // loop holds only two.
+        let mut fifth = connect(&server);
+        let refused = read_http_response(&mut fifth).expect("refusal");
+        assert_eq!(refused.status, 503, "{}", refused.body);
+        assert!(refused.body.contains("capacity"), "{}", refused.body);
+        server.resume_intake();
+        for client in parked {
+            let response = client.join().expect("client");
+            assert_eq!(response.status, 200, "{}", response.body);
+        }
+        assert_eq!(server.queued_jobs(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_drains_every_loop_and_refuses_new_connects() {
+        // The first response's flush is held for 1.5 s, which keeps the
+        // drain open that long after shutdown begins.
+        let plan = Arc::new(FaultPlan::parse("client_write_stall@0:1500ms").expect("plan"));
+        let (server, _executor) = start_server_with(ServerConfig {
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        });
+        server.pause_intake();
+        let addr = server.local_addr();
+        let parked: Vec<_> = (0..2).map(|i| score_from_thread(addr, request_json(i, 0.6))).collect();
+        wait_for_queued(&server, 2);
+        assert_eq!(live_per_loop(&server), [1, 1]);
+        let metrics = Arc::clone(server.metrics());
+        let began = Instant::now();
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        let refused = loop {
+            match TcpStream::connect(addr) {
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => break true,
+                _ if began.elapsed() > Duration::from_millis(1000) => break false,
+                _ => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        assert!(refused, "a connect made during the drain was accepted");
+        // Each loop scores the job it admitted, paused intake or not.
+        for client in parked {
+            let response = client.join().expect("client");
+            assert_eq!(response.status, 200, "{}", response.body);
+        }
+        shutdown.join().expect("shutdown");
+        assert_eq!(metrics.batches.get(), 2, "one batch per loop");
+        assert_eq!(plan.fired(FaultKind::ClientWriteStall), 1);
+    }
+
+    #[test]
+    fn a_reload_is_answered_on_its_own_loop_while_the_other_keeps_scoring() {
+        let (server, _executor) = start_server(16);
+        let dir = std::env::temp_dir().join(format!("er-serve-loop-reload-{}", std::process::id()));
+        let path = dir.join("v2.json");
+        crate::artifact::ModelArtifact::new(model(2.6))
+            .save(&path)
+            .expect("save");
+        // The scoring connection goes to the listening loop, the reloading
+        // one to the second loop.
+        let mut scoring = connect(&server);
+        let warm = http_roundtrip(&mut scoring, "POST", "/score", Some(&request_json(0, 0.8))).expect("score");
+        assert_eq!(warm.status, 200, "{}", warm.body);
+        let mut reloading = connect(&server);
+        let health = http_roundtrip(&mut reloading, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200);
+        assert_eq!(live_per_loop(&server), [1, 1]);
+        let done = Arc::new(AtomicBool::new(false));
+        let scorer = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut versions = Vec::new();
+                let mut i = 1;
+                while !done.load(Ordering::SeqCst) {
+                    let body = request_json(i, 0.8);
+                    let response = http_roundtrip(&mut scoring, "POST", "/score", Some(&body)).expect("score");
+                    assert_eq!(response.status, 200, "{}", response.body);
+                    versions.push(parse_score_response(&response.body).expect("body").0);
+                    i += 1;
+                }
+                versions
+            })
+        };
+        reloading
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let body = format!("{{\"path\": {:?}}}", path.display().to_string());
+        let reloaded = http_roundtrip(&mut reloading, "POST", "/reload", Some(&body)).expect("reload answered");
+        assert_eq!(reloaded.status, 200, "{}", reloaded.body);
+        assert!(reloaded.body.contains("\"model_version\":2"), "{}", reloaded.body);
+        // Let the scorer see the new version before it stops.
+        std::thread::sleep(Duration::from_millis(20));
+        done.store(true, Ordering::SeqCst);
+        let versions = scorer.join().expect("scorer");
+        assert!(versions.windows(2).all(|w| w[0] <= w[1]), "{versions:?}");
+        assert_eq!(versions.last(), Some(&2), "{versions:?}");
+        std::fs::remove_dir_all(&dir).ok();
+        server.shutdown();
     }
 
     #[test]
@@ -2633,28 +2954,37 @@ mod tests {
             admitted: start + Duration::from_millis(token + 1),
             deadline: None,
         };
-        let mut queue = AdmissionQueue::new(3);
+        let queued = Arc::new(AtomicUsize::new(0));
+        let mut queue = AdmissionQueue::new(3, Arc::clone(&queued));
         for (token, requests) in [(0, 2), (1, 1), (2, 3)] {
             assert!(queue.push(job(token, requests)).is_ok(), "job {token} fits");
         }
         // Full: the job comes back (with its trace) instead of being queued.
         let bounced = queue.push(job(3, 1)).expect_err("queue is at capacity");
         assert_eq!(bounced.token, 3);
+        // The bound is the shared count: another loop's queue is full too.
+        let mut other = AdmissionQueue::new(3, Arc::clone(&queued));
+        assert!(other.push(job(5, 1)).is_err(), "the server-wide count is at capacity");
+        assert_eq!(queued.load(Ordering::Relaxed), 3);
         // A batch closes once it holds `max_requests` requests; a job is
         // never split, so the job that crosses the cap rides along.
         let tokens = |batch: Vec<Job>| batch.iter().map(|j| j.token).collect::<Vec<_>>();
         assert_eq!(tokens(queue.take_batch(2)), [0]);
         assert_eq!(tokens(queue.take_batch(2)), [1, 2]);
         assert!(queue.take_batch(2).is_empty());
-        assert!(queue.push(job(4, 1)).is_ok(), "capacity frees as batches leave");
+        assert_eq!(queued.load(Ordering::Relaxed), 0);
+        assert!(other.push(job(4, 1)).is_ok(), "capacity frees as batches leave");
+        assert_eq!(queued.load(Ordering::Relaxed), 1);
         // The reply watchdog's expiry: the jobs admitted by its cutoff leave
         // the queue oldest first; younger jobs stay queued.
-        let mut queue = AdmissionQueue::new(4);
+        let queued = Arc::new(AtomicUsize::new(0));
+        let mut queue = AdmissionQueue::new(4, Arc::clone(&queued));
         for token in 0..4 {
             assert!(queue.push(job(token, 1)).is_ok());
         }
         assert!(queue.take_admitted_by(start).is_empty(), "nothing is late yet");
         assert_eq!(tokens(queue.take_admitted_by(start + Duration::from_millis(2))), [0, 1]);
+        assert_eq!(queued.load(Ordering::Relaxed), 2);
         assert!(queue.take_admitted_by(start + Duration::from_millis(2)).is_empty());
         assert_eq!(tokens(queue.take_batch(8)), [2, 3]);
     }
