@@ -2789,22 +2789,30 @@ mod tests {
         let health = http_roundtrip(&mut reloading, "GET", "/healthz", None).expect("healthz");
         assert_eq!(health.status, 200);
         assert_eq!(live_per_loop(&server), [1, 1]);
-        let done = Arc::new(AtomicBool::new(false));
+        // The scorer runs from before the reload until it reads the new
+        // version, every answer a 200.
+        let scored = Arc::new(AtomicUsize::new(0));
         let scorer = {
-            let done = Arc::clone(&done);
+            let scored = Arc::clone(&scored);
             std::thread::spawn(move || {
+                let began = Instant::now();
                 let mut versions = Vec::new();
-                let mut i = 1;
-                while !done.load(Ordering::SeqCst) {
-                    let body = request_json(i, 0.8);
+                while versions.last() != Some(&2) {
+                    assert!(began.elapsed() < Duration::from_secs(5), "{versions:?}");
+                    let body = request_json(versions.len() as u64, 0.8);
                     let response = http_roundtrip(&mut scoring, "POST", "/score", Some(&body)).expect("score");
                     assert_eq!(response.status, 200, "{}", response.body);
                     versions.push(parse_score_response(&response.body).expect("body").0);
-                    i += 1;
+                    scored.fetch_add(1, Ordering::SeqCst);
                 }
                 versions
             })
         };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while scored.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the scorer never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         reloading
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
@@ -2812,12 +2820,9 @@ mod tests {
         let reloaded = http_roundtrip(&mut reloading, "POST", "/reload", Some(&body)).expect("reload answered");
         assert_eq!(reloaded.status, 200, "{}", reloaded.body);
         assert!(reloaded.body.contains("\"model_version\":2"), "{}", reloaded.body);
-        // Let the scorer see the new version before it stops.
-        std::thread::sleep(Duration::from_millis(20));
-        done.store(true, Ordering::SeqCst);
         let versions = scorer.join().expect("scorer");
+        assert_eq!(versions.first(), Some(&1), "{versions:?}");
         assert!(versions.windows(2).all(|w| w[0] <= w[1]), "{versions:?}");
-        assert_eq!(versions.last(), Some(&2), "{versions:?}");
         std::fs::remove_dir_all(&dir).ok();
         server.shutdown();
     }
