@@ -723,7 +723,6 @@ fn frontend_bench(
     // Captured before the config moves into the server, so the JSON block
     // records the shape actually served (not `ServerConfig::default()`).
     let queue_capacity = server_config.queue_capacity;
-    let max_batch = server_config.max_batch;
 
     // Phase 0: the metrics-off control — the identical replay against its
     // own fresh server with every registry observation compiled out of the
@@ -940,7 +939,7 @@ fn frontend_bench(
     FrontendBench {
         threads,
         queue_capacity,
-        max_batch,
+        max_batch: er_serve::server::MAX_BATCH,
         replay,
         replay_metrics_off,
         metrics_on_relative_throughput: Ratio(metrics_on_relative_throughput),

@@ -82,8 +82,6 @@ pub struct GatewayConfig {
     pub eject_after: u32,
     /// Canary ladder tuning.
     pub canary: CanaryConfig,
-    /// Largest accepted downstream request body.
-    pub max_body_bytes: usize,
     /// Downstream read/write budget: a connection that sends nothing, or
     /// stops draining its response, for this long is closed.
     pub io_timeout: Duration,
@@ -103,7 +101,6 @@ impl Default for GatewayConfig {
             health_interval: Duration::from_millis(500),
             eject_after: 3,
             canary: CanaryConfig::default(),
-            max_body_bytes: 1 << 20,
             io_timeout: Duration::from_secs(30),
         }
     }
@@ -212,7 +209,6 @@ impl GatewayServer {
         health.probe_all();
         let canary = CanaryController::new(config.canary.clone(), config.baseline_artifact.clone());
         let limits = Limits {
-            max_body_bytes: config.max_body_bytes,
             write_timeout: config.io_timeout,
             read_timeout: Some(config.io_timeout),
             lifetime: None,

@@ -92,6 +92,7 @@ fn framing_violations_get_their_status_then_close() {
     let body = score_body();
     let mut oversized_head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
     oversized_head.resize(http::MAX_HEAD_BYTES, b'a');
+    let over_limit = format!("exceeds the {}-byte limit", http::MAX_BODY_BYTES);
     // (request, half-close after writing it, status, message substring)
     let cases: Vec<(Vec<u8>, bool, u16, &str)> = vec![
         (
@@ -160,6 +161,17 @@ fn framing_violations_get_their_status_then_close() {
             413,
             "request body of 1073741824 bytes",
         ),
+        // One byte past the limit both processes share.
+        (
+            format!(
+                "POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+                http::MAX_BODY_BYTES + 1
+            )
+            .into_bytes(),
+            false,
+            413,
+            &over_limit,
+        ),
         (oversized_head, false, 431, "request head too large"),
         (
             b"POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n{}".to_vec(),
@@ -181,6 +193,48 @@ fn framing_violations_get_their_status_then_close() {
             assert!(text.contains(needle), "{process}: {text}");
             assert_eq!(response.header("connection"), Some("close"), "{process}: {text}");
         }
+    });
+}
+
+#[test]
+fn a_refusal_reaches_the_client_while_request_bytes_still_arrive() {
+    // The head is refused while 4 MiB of body follow it. A server that
+    // closed with those bytes unread would reset the connection, and the
+    // reset can destroy the 400 before the client reads it; the race loses
+    // only now and then, hence the repeats.
+    const ATTEMPTS: usize = 20;
+    let mut request = b"POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n".to_vec();
+    request.resize(request.len() + (4 << 20), b'x');
+    against_both(|process, addr| {
+        let mut resets = 0;
+        for _ in 0..ATTEMPTS {
+            let mut stream = connect(addr);
+            let mut writer = stream.try_clone().expect("clone");
+            let mut bytes = Vec::new();
+            let read = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    // A server that stops reading fails this write; the
+                    // read below is what the case judges.
+                    if writer.write_all(&request).is_ok() {
+                        let _ = writer.shutdown(Shutdown::Write);
+                    }
+                });
+                stream.read_to_end(&mut bytes)
+            });
+            if read.is_err() {
+                resets += 1;
+                continue;
+            }
+            let response = match http::parse_response(&bytes, usize::MAX) {
+                Ok(Progress::Complete(response, len)) if len == bytes.len() => response,
+                other => panic!("{process}: expected one response then EOF, got {other:?}"),
+            };
+            let text = String::from_utf8_lossy(&response.body);
+            assert_eq!(response.status, 400, "{process}: {text}");
+            assert!(text.contains("conflicting Content-Length"), "{process}: {text}");
+            assert_eq!(response.header("connection"), Some("close"), "{process}: {text}");
+        }
+        assert_eq!(resets, 0, "{process}: {resets} of {ATTEMPTS} attempts reset");
     });
 }
 

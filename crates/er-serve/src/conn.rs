@@ -2,7 +2,8 @@
 //! [`crate::server`] and `er-gateway`. Each driver owns a poller, a table of
 //! [`Conn`]s, its routes and its timers; a [`Conn`] carries one accepted
 //! socket through read → parse → `100 Continue` → respond → flush →
-//! keep-alive or close.
+//! keep-alive or close. A close after a delivered response shuts down the
+//! write side and lingers, discarding input, until the peer's EOF.
 //!
 //! The driver calls [`Conn::advance`] until it returns [`Step::Wait`] (then
 //! [`Conn::park`]) or [`Step::Close`]. On [`Step::Request`] it answers with
@@ -16,16 +17,21 @@ use crate::http::{self, Progress, StartLine};
 use crate::readiness::{Interest, Poller, Token};
 use crate::trace::valid_trace_id;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The budgets a driver gives every connection it accepts.
+/// How long a connection that answered its last request keeps reading and
+/// discarding what its peer still sends, waiting for the peer's EOF. Closing
+/// with request bytes unread makes the kernel reset the connection, and the
+/// reset can destroy the response before the client has read it.
+const LINGER: Duration = Duration::from_secs(2);
+
+/// The budgets a driver gives every connection it accepts. Every connection
+/// refuses a body over [`http::MAX_BODY_BYTES`] with a 413.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Largest accepted request body (413 beyond it).
-    pub max_body_bytes: usize,
     /// A connection whose peer accepts no response bytes for this long is
     /// closed (the nonblocking analog of `SO_SNDTIMEO`).
     pub write_timeout: Duration,
@@ -116,6 +122,9 @@ enum State<T> {
     Awaiting,
     /// Draining `write_buf`; the ticket returns with [`Step::Sent`].
     Flushing(T),
+    /// The last response was delivered and the write side shut down: what
+    /// the peer still sends is discarded until its EOF or the instant.
+    Lingering(Instant),
     Closed,
 }
 
@@ -194,23 +203,30 @@ impl<T> Conn<T> {
         &self.peer
     }
 
-    /// Owed nothing and flushing nothing: a draining driver closes it.
+    /// Owed nothing and flushing nothing (reading, or lingering after its
+    /// last response): a draining driver closes it.
     pub fn is_reading(&self) -> bool {
-        matches!(self.state, State::Reading)
+        matches!(self.state, State::Reading | State::Lingering(_))
     }
 
-    /// Pulls what the kernel has for a reading connection, capped per pass
-    /// so one firehose client cannot monopolize the loop (the
-    /// level-triggered poller re-reports the rest).
+    /// Pulls what the kernel has for a reading connection, or discards it
+    /// for a lingering one, capped per pass so one firehose client cannot
+    /// monopolize the loop (the level-triggered poller re-reports the rest).
     pub fn read(&mut self) {
-        if !matches!(self.state, State::Reading) || self.eof {
+        let lingering = matches!(self.state, State::Lingering(_));
+        if !(lingering || matches!(self.state, State::Reading)) || self.eof {
             return;
         }
-        let cap = self.limits.max_body_bytes + http::MAX_HEAD_BYTES;
+        let cap = http::MAX_BODY_BYTES + http::MAX_HEAD_BYTES;
         let mut chunk = [0u8; 4096];
-        while self.read_buf.len() < cap {
+        let mut discarded = 0;
+        while self.read_buf.len() + discarded < cap {
             match self.stream.read(&mut chunk) {
                 Ok(0) => self.eof = true,
+                Ok(n) if lingering => {
+                    discarded += n;
+                    continue;
+                }
                 Ok(n) => {
                     self.read_buf.extend_from_slice(&chunk[..n]);
                     self.read_deadline = self.limits.read_timeout.and_then(|t| Instant::now().checked_add(t));
@@ -233,6 +249,11 @@ impl<T> Conn<T> {
                 Step::Wait
             }
             State::Reading => self.parse(),
+            State::Lingering(until) if !self.eof && Instant::now() < until => {
+                self.state = State::Lingering(until);
+                Step::Wait
+            }
+            State::Lingering(_) => Step::Close,
             State::Flushing(ticket) => match self.flush() {
                 Flush::Pending => {
                     self.state = State::Flushing(ticket);
@@ -245,6 +266,13 @@ impl<T> Conn<T> {
                     if delivered && !self.close_after_flush && self.expires.is_none_or(|at| now < at) {
                         self.read_deadline = self.limits.read_timeout.and_then(|t| now.checked_add(t));
                         self.state = State::Reading;
+                    } else if delivered {
+                        // The peer may still be sending (a refused body, a
+                        // pipelined request): end the response with a FIN
+                        // and drain, so the close does not reset it.
+                        let _ = self.stream.shutdown(Shutdown::Write);
+                        self.read_buf = Vec::new();
+                        self.state = State::Lingering(now + LINGER);
                     }
                     Step::Sent(ticket, delivered)
                 }
@@ -253,7 +281,7 @@ impl<T> Conn<T> {
     }
 
     fn parse(&mut self) -> Step<T> {
-        let request = match http::parse_request(&self.read_buf, self.limits.max_body_bytes) {
+        let request = match http::parse_request(&self.read_buf, http::MAX_BODY_BYTES) {
             Ok(Progress::Complete(request, len)) => {
                 let request = Request::new(&request);
                 self.read_buf.drain(..len);
@@ -346,11 +374,13 @@ impl<T> Conn<T> {
     }
 
     /// When the connection's next timer fires: the lifetime or read budget
-    /// while reading, the held flush or write budget while flushing.
+    /// while reading, the held flush or write budget while flushing, the
+    /// end of the linger.
     pub fn deadline(&self) -> Option<Instant> {
         let (a, b) = match self.state {
             State::Reading => (self.expires, self.read_deadline),
             State::Flushing(_) => (self.stall_until, self.write_deadline),
+            State::Lingering(until) => (Some(until), None),
             State::Awaiting | State::Closed => return None,
         };
         a.into_iter().chain(b).min()
@@ -361,7 +391,7 @@ impl<T> Conn<T> {
         let want = match self.state {
             // An unsent `100 Continue` tail needs send-buffer space too.
             State::Reading if self.written < self.write_buf.len() => Some(Interest::BOTH),
-            State::Reading => Some(Interest::READABLE),
+            State::Reading | State::Lingering(_) => Some(Interest::READABLE),
             // A held flush resumes on its timer.
             State::Flushing(_) if self.stall_until.is_some_and(|at| at > Instant::now()) => None,
             State::Flushing(_) => Some(Interest::WRITABLE),

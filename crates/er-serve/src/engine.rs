@@ -292,12 +292,6 @@ impl ScoringEngine {
             .map_err(ScoreError::Portfolio)
     }
 
-    /// Scores a pre-resolved risk input (rule coverage already known), e.g.
-    /// when replaying batch-pipeline outputs.
-    pub fn score_pair(&self, input: &PairRiskInput) -> f64 {
-        self.model.risk_score(input)
-    }
-
     /// Scores a batch sequentially. For multi-threaded batches with caching,
     /// wrap the engine in a [`crate::ShardedExecutor`].
     pub fn score_batch(&self, requests: &[ScoreRequest]) -> Vec<f64> {
@@ -395,19 +389,6 @@ mod tests {
         for (req, &score) in reqs.iter().zip(&batch) {
             assert_eq!(engine.score_request(req, &mut scratch).to_bits(), score.to_bits());
         }
-    }
-
-    #[test]
-    fn score_pair_delegates_to_the_model() {
-        let model = model();
-        let engine = ScoringEngine::new(model.clone());
-        let input = PairRiskInput {
-            rule_indices: vec![0, 2],
-            classifier_output: 0.8,
-            machine_says_match: true,
-            risk_label: 0,
-        };
-        assert_eq!(engine.score_pair(&input).to_bits(), model.risk_score(&input).to_bits());
     }
 
     #[test]

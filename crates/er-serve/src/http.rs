@@ -16,6 +16,10 @@ use std::io::{self, Write};
 /// line that ends them.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
+/// The largest request body either server accepts; both answer 413 beyond
+/// it.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// The interim response that answers `Expect: 100-continue`.
 pub const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 

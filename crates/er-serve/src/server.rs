@@ -11,7 +11,7 @@
 //! `er-gateway` runs too — reads and parses off it, and admits scoring
 //! requests into its **bounded queue**.
 //! After each readiness pass a loop scores what that pass admitted — up to
-//! [`ServerConfig::max_batch`] requests per
+//! [`MAX_BATCH`] requests per
 //! [`crate::ShardedExecutor::try_score_batch`] call — and queues every
 //! response straight onto its connection. Requests coalesce into one batch
 //! only when a single pass of one loop admits several of them, so batching
@@ -130,13 +130,6 @@ pub struct ServerConfig {
     /// job), counted across every readiness loop; the queue answers 429
     /// beyond this.
     pub queue_capacity: usize,
-    /// Micro-batch cap, per readiness loop: the most requests one
-    /// `try_score_batch` call scores. Jobs coalesce only when one pass of
-    /// one loop admits several of them; nothing ever waits for a batch to
-    /// fill.
-    pub max_batch: usize,
-    /// Maximum accepted request-body size in bytes (413 beyond it).
-    pub max_body_bytes: usize,
     /// Per-client token-bucket rate limiting in front of the admission
     /// queue (`None` disables it). Clients are keyed by their `X-Client-Id`
     /// header, falling back to the peer IP. An exhausted bucket yields a 429
@@ -150,11 +143,6 @@ pub struct ServerConfig {
     /// freezes `/stats` at zero, since its counters are re-derived from the
     /// registry.
     pub metrics_enabled: bool,
-    /// Structured request-log sampling: every `log_sample`-th request (by
-    /// global arrival sequence) emits one JSON line to stderr. `0` disables
-    /// logging; `1` logs every request. Sampling is deterministic — request
-    /// sequence `seq` is logged iff `seq % log_sample == 0`.
-    pub log_sample: u64,
     /// How many completed request traces the [`crate::trace::Tracer`] ring
     /// retains (an eighth of the capacity is reserved for the slowest traces,
     /// which survive wrap-around). `0` disables tracing entirely: no spans
@@ -163,21 +151,11 @@ pub struct ServerConfig {
     /// against. Request-id handling (`X-Request-Id` accept/echo) stays on
     /// either way.
     pub trace_capacity: usize,
-    /// Default per-request deadline budget in milliseconds, applied when a
-    /// request carries no (or an unusable) `X-Deadline-Ms` header. A loop
-    /// sheds jobs whose budget has already expired before scoring
-    /// them, answering `504` with `er_serve_rejected_total{cause="deadline"}`.
-    /// `None` (the default) imposes no deadline.
-    pub default_deadline_ms: Option<u64>,
     /// Maximum concurrently served connections, counted across every
     /// readiness loop. The listening loop answers additional connections
     /// with an immediate `503` + `Retry-After` instead of admitting an
     /// unbounded connection pile-up.
     pub max_connections: usize,
-    /// Write-progress budget on accepted sockets: a connection whose peer
-    /// accepts no response bytes for this long is closed, so a reader that
-    /// stops draining its receive window cannot pin response state forever.
-    pub write_timeout: Duration,
     /// Hard per-connection lifetime: a keep-alive connection is closed (after
     /// the in-flight request, if any, completes) once it has been open this
     /// long.
@@ -195,15 +173,10 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             queue_capacity: 256,
-            max_batch: 128,
-            max_body_bytes: 1 << 20,
             rate_limit: None,
             metrics_enabled: true,
-            log_sample: 0,
             trace_capacity: 512,
-            default_deadline_ms: None,
             max_connections: 256,
-            write_timeout: Duration::from_secs(10),
             max_connection_lifetime: Duration::from_secs(600),
             fault_plan: FaultPlan::from_env(),
         }
@@ -287,8 +260,8 @@ struct Job {
     /// when scoring starts), drives `er_serve_score_duration_seconds`, and
     /// starts the [`SCORE_REPLY_TIMEOUT`].
     admitted: Instant,
-    /// Absolute deadline derived from `X-Deadline-Ms` (or the server
-    /// default); the job is shed with a 504 once this passes.
+    /// Absolute deadline derived from `X-Deadline-Ms`; the job is shed with
+    /// a 504 once this passes.
     deadline: Option<Instant>,
 }
 
@@ -431,8 +404,6 @@ struct Shared {
     limiter: Option<RateLimiter>,
     config: ServerConfig,
     shutdown: AtomicBool,
-    /// Global request arrival sequence, driving deterministic log sampling.
-    log_seq: AtomicU64,
     /// `None` when [`ServerConfig::trace_capacity`] is 0.
     tracer: Option<Tracer>,
     /// Counter behind generated request ids (requests without a valid
@@ -536,7 +507,6 @@ impl ScoreServer {
             limiter: config.rate_limit.map(RateLimiter::new),
             config,
             shutdown: AtomicBool::new(false),
-            log_seq: AtomicU64::new(0),
             tracer,
             id_seq: AtomicU64::new(0),
         });
@@ -559,8 +529,7 @@ impl ScoreServer {
                         poller,
                         listener,
                         limits: Limits {
-                            max_body_bytes: shared.config.max_body_bytes,
-                            write_timeout: shared.config.write_timeout,
+                            write_timeout: WRITE_TIMEOUT,
                             read_timeout: None,
                             lifetime: Some(shared.config.max_connection_lifetime),
                         },
@@ -666,6 +635,14 @@ const POLL_TICK: Duration = Duration::from_millis(100);
 /// batch ahead of it) before its loop takes it out of the queue and
 /// answers 500 (`scoring pipeline stalled`).
 const SCORE_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+/// Micro-batch cap, per readiness loop: the most requests one
+/// `try_score_batch` call scores. Jobs coalesce only when one pass of one
+/// loop admits several of them; nothing ever waits for a batch to fill.
+pub const MAX_BATCH: usize = 128;
+/// Write-progress budget on accepted sockets: a connection whose peer
+/// accepts no response bytes for this long is closed, so a reader that stops
+/// draining its receive window cannot pin response state forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The listener's token in the listening loop.
 const LISTENER: Token = Token(0);
@@ -676,13 +653,12 @@ const WAKER: Token = Token(1);
 const FIRST_CONN: u64 = 2;
 
 /// Identity and timing of one parsed request, carried from dispatch to the
-/// response's flush completion — where the duration histogram, the sampled
-/// log line and the trace commit happen, the same post-write position they
-/// had when a blocking handler thread owned the whole exchange.
+/// response's flush completion — where the duration histogram and the trace
+/// commit happen, the same post-write position they had when a blocking
+/// handler thread owned the whole exchange.
 struct RequestMeta {
     route: &'static str,
     started: Instant,
-    client: String,
     rid: String,
 }
 
@@ -697,8 +673,8 @@ struct Outgoing {
     /// span a `/score` trace records.
     write_start: Instant,
     /// `None` for responses to unparseable requests and connection-cap
-    /// refusals, which are never logged or duration-observed (there is no
-    /// route to attribute them to).
+    /// refusals, which are never duration-observed (there is no route to
+    /// attribute them to).
     meta: Option<RequestMeta>,
 }
 
@@ -875,7 +851,7 @@ impl Driver {
         // new connection gets one clean 503 + Retry-After and is closed,
         // rather than growing the loops' working sets without bound. The
         // refusal flushes through the same machinery as any response but
-        // is not counted against the cap, logged, or duration-observed.
+        // is not counted against the cap or duration-observed.
         if refused {
             if self.shared.config.metrics_enabled {
                 self.shared.metrics.rejected.with(&[("cause", "overloaded")]).inc();
@@ -1004,53 +980,32 @@ impl Driver {
     }
 
     /// Post-flush bookkeeping: commit the trace with the status actually
-    /// delivered (0 if the write failed), observe the request-duration
-    /// histogram, emit the sampled log line — the exact sequence the
-    /// blocking handler ran after its write returned.
+    /// delivered (0 if the write failed) and observe the request-duration
+    /// histogram — the exact sequence the blocking handler ran after its
+    /// write returned.
     fn finish_response(&self, out: Outgoing, delivered: bool) {
         let now = Instant::now();
-        let status = if delivered { out.status } else { 0 };
         if let Some(mut trace) = out.trace {
             if out.meta.as_ref().is_some_and(|m| m.route == "/score") {
                 trace.record(Stage::Write, out.write_start, now);
             }
             if let Some(tracer) = self.shared.tracer() {
-                tracer.commit(trace, status);
+                tracer.commit(trace, if delivered { out.status } else { 0 });
             }
         }
-        let Some(meta) = out.meta else { return };
-        let duration = now.duration_since(meta.started);
-        if self.shared.config.metrics_enabled {
-            let metrics = &self.shared.metrics;
-            let route = [("route", meta.route)];
-            let seconds = duration.as_secs_f64();
-            match meta.route {
-                "/score" => self
-                    .score
-                    .duration
-                    .get_or_init(|| metrics.request_duration.with(&route))
-                    .observe(seconds),
-                _ => metrics.request_duration.with(&route).observe(seconds),
-            }
-        }
-        let seq = self.shared.log_seq.fetch_add(1, Ordering::Relaxed);
-        if should_sample(seq, self.shared.config.log_sample) {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(0.0);
-            eprintln!(
-                "{}",
-                format_log_line(
-                    ts,
-                    seq,
-                    meta.route,
-                    status,
-                    duration.as_micros() as u64,
-                    &meta.client,
-                    &meta.rid
-                )
-            );
+        let Some(meta) = out.meta.filter(|_| self.shared.config.metrics_enabled) else {
+            return;
+        };
+        let metrics = &self.shared.metrics;
+        let route = [("route", meta.route)];
+        let seconds = now.duration_since(meta.started).as_secs_f64();
+        match meta.route {
+            "/score" => self
+                .score
+                .duration
+                .get_or_init(|| metrics.request_duration.with(&route))
+                .observe(seconds),
+            _ => metrics.request_duration.with(&route).observe(seconds),
         }
     }
 
@@ -1059,13 +1014,10 @@ impl Driver {
     /// short-lived worker thread (artifact IO plus probe scoring would
     /// otherwise stall every connection the loop owns).
     fn dispatch(&mut self, conn: &mut Conn<Outgoing>, request: Request) {
-        let client = request.client_id.as_deref().unwrap_or(conn.peer()).to_string();
-        let rid = self.shared.request_id(request.request_id.as_deref());
         let meta = RequestMeta {
             route: route_label(&request.path),
             started: Instant::now(),
-            client,
-            rid,
+            rid: self.shared.request_id(request.request_id.as_deref()),
         };
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/score") => self.dispatch_score(conn, &request, meta),
@@ -1082,10 +1034,11 @@ impl Driver {
         let mut trace = shared.tracer().map(|t| t.begin(meta.rid.clone(), "/score"));
         // The token bucket sits in front of the admission queue: an
         // over-budget client is turned away before it can occupy queue
-        // capacity.
+        // capacity. Clients are keyed by `X-Client-Id`, else the peer IP.
         if let Some(limiter) = &shared.limiter {
             let check_start = Instant::now();
-            let decision = limiter.check(&meta.client, check_start);
+            let client = request.client_id.as_deref().unwrap_or(conn.peer());
+            let decision = limiter.check(client, check_start);
             if let Some(t) = trace.as_mut() {
                 t.record(Stage::Ratelimit, check_start, Instant::now());
             }
@@ -1128,12 +1081,10 @@ impl Driver {
             return;
         }
         let admitted = Instant::now();
-        // The absolute deadline this request's budget implies. The header
-        // wins over the server default; a budget so large it overflows
-        // `Instant` saturates to "no deadline".
+        // The absolute deadline this request's budget implies; a budget so
+        // large it overflows `Instant` saturates to "no deadline".
         let deadline = request
             .deadline_ms
-            .or(shared.config.default_deadline_ms)
             .and_then(|ms| admitted.checked_add(Duration::from_millis(ms)));
         if shared.shutdown.load(Ordering::SeqCst) {
             let parts = ResponseParts::json(503, error_body("server is draining", None));
@@ -1229,7 +1180,7 @@ impl Driver {
     }
 
     /// Scores what the readiness pass admitted: batches of up to
-    /// `max_batch` requests until the queue is empty, intake is paused
+    /// [`MAX_BATCH`] requests until the queue is empty, intake is paused
     /// (ignored once shutdown has begun, so shutdown never strands an
     /// admitted job), or an injected `score_stall` holds a batch.
     fn score_admitted(&mut self) {
@@ -1247,7 +1198,7 @@ impl Driver {
             if paused || self.queue.jobs.is_empty() {
                 return;
             }
-            let batch = self.queue.take_batch(self.shared.config.max_batch.max(1));
+            let batch = self.queue.take_batch(MAX_BATCH);
             let batch = self.shed_expired(batch);
             if batch.is_empty() {
                 continue;
@@ -1502,30 +1453,6 @@ impl Driver {
             }
         }
     }
-}
-
-/// Whether request `seq` is in the deterministic log sample (`n == 0`
-/// disables logging entirely).
-fn should_sample(seq: u64, n: u64) -> bool {
-    n != 0 && seq.is_multiple_of(n)
-}
-
-/// One structured request-log line — a single JSON object, pure function of
-/// its inputs so tests can assert the exact format. `trace_id` is the same
-/// id echoed to the client as `X-Request-Id`, so logs, traces and client
-/// retries correlate.
-fn format_log_line(
-    ts: f64,
-    seq: u64,
-    route: &str,
-    status: u16,
-    duration_us: u64,
-    client: &str,
-    trace_id: &str,
-) -> String {
-    format!(
-        "{{\"ts\":{ts:.3},\"seq\":{seq},\"route\":{route:?},\"status\":{status},\"duration_us\":{duration_us},\"client\":{client:?},\"trace_id\":{trace_id:?}}}"
-    )
 }
 
 /// The bounded-cardinality `route` label: known paths label as themselves,
@@ -2275,23 +2202,6 @@ mod tests {
     }
 
     #[test]
-    fn log_lines_are_json_and_sampling_is_deterministic() {
-        assert!(!should_sample(0, 0), "0 disables logging");
-        assert!(should_sample(0, 1) && should_sample(1, 1));
-        assert!(should_sample(0, 10) && !should_sample(9, 10) && should_sample(10, 10));
-        let line = format_log_line(1754600000.125, 42, "/score", 200, 311, "10.2.3.4", "er-0000002a");
-        let value = serde::json::parse(&line).expect("log line is one JSON object");
-        let field = |name: &str| value.get(name).unwrap_or_else(|| panic!("missing {name} in {line}"));
-        assert_eq!(field("seq"), &serde::Value::UInt(42));
-        assert_eq!(field("status"), &serde::Value::UInt(200));
-        assert_eq!(field("duration_us"), &serde::Value::UInt(311));
-        assert_eq!(field("route").as_str(), Some("/score"));
-        assert_eq!(field("client").as_str(), Some("10.2.3.4"));
-        assert_eq!(field("ts"), &serde::Value::Float(1754600000.125));
-        assert_eq!(field("trace_id").as_str(), Some("er-0000002a"));
-    }
-
-    #[test]
     fn shutdown_does_not_hang_on_a_half_received_request() {
         let (server, _executor) = start_server(8);
         let mut stream = connect(&server);
@@ -2860,25 +2770,6 @@ mod tests {
     }
 
     #[test]
-    fn server_default_deadline_applies_without_a_header() {
-        let (server, _executor) = start_server_with(ServerConfig {
-            default_deadline_ms: Some(5),
-            ..ServerConfig::default()
-        });
-        server.pause_intake();
-        let addr = server.local_addr();
-        let client = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(4, 0.7))).expect("roundtrip")
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        server.resume_intake();
-        let response = client.join().expect("client thread");
-        assert_eq!(response.status, 504, "{}", response.body);
-        server.shutdown();
-    }
-
-    #[test]
     fn connection_cap_refuses_with_503_and_retry_after() {
         let (server, _executor) = start_server_with(ServerConfig {
             max_connections: 1,
@@ -2952,7 +2843,6 @@ mod tests {
             meta: RequestMeta {
                 route: "/score",
                 started: start,
-                client: String::new(),
                 rid: String::new(),
             },
             trace: None,

@@ -182,14 +182,6 @@ impl ActiveTrace {
     pub fn extend_from(&mut self, set: &SpanSet) {
         self.spans.extend_from_slice(&set.spans);
     }
-
-    /// Time the closure and record it as `stage`.
-    pub fn measure<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(stage, start, Instant::now());
-        out
-    }
 }
 
 /// One completed span: stage, optional shard, and microsecond offsets against
@@ -223,17 +215,6 @@ pub struct CompletedTrace {
     pub total_us: u64,
     /// Recorded stage spans, in recording order.
     pub spans: Vec<Span>,
-}
-
-impl CompletedTrace {
-    /// Sum of recorded `score` span durations across shards, in microseconds.
-    pub fn score_us(&self) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.stage == Stage::Score)
-            .map(|s| s.dur_us)
-            .sum()
-    }
 }
 
 /// A slow-request exemplar: the trace id plus a per-stage duration breakdown,
@@ -364,25 +345,11 @@ impl Tracer {
     /// slowest traces seen. `capacity == 0` disables retention entirely —
     /// commits still count, but nothing is stored.
     pub fn new(capacity: usize) -> Self {
-        Self::with_reserve(capacity, Self::default_reserve(capacity))
-    }
-
-    /// A tracer with an explicit slowest-N reserve (clamped to `capacity`).
-    pub fn with_reserve(capacity: usize, slow_reserve: usize) -> Self {
         Self {
             epoch: Instant::now(),
             seq: AtomicU64::new(0),
             committed: AtomicU64::new(0),
-            ring: Mutex::new(TraceRing::new(capacity, slow_reserve)),
-        }
-    }
-
-    /// The default slowest-N reserve for a given capacity.
-    pub fn default_reserve(capacity: usize) -> usize {
-        if capacity == 0 {
-            0
-        } else {
-            (capacity / 8).max(1).min(capacity)
+            ring: Mutex::new(TraceRing::new(capacity, (capacity / 8).max(1))),
         }
     }
 

@@ -359,9 +359,9 @@ fn trained_server(config: ServerConfig) -> (ScoreServer, LearnRiskModel) {
 
 #[test]
 fn deadline_header_edge_cases_are_parsed_leniently_over_the_wire() {
-    // No server default: a missing, zero, garbage, or absurdly huge
-    // X-Deadline-Ms must all degrade to "no deadline" — a lenient header
-    // parse must never turn into a spurious 504 or a 400.
+    // A missing, zero, garbage, or absurdly huge X-Deadline-Ms must all
+    // degrade to "no deadline" — a lenient header parse must never turn
+    // into a spurious 504 or a 400.
     let (server, model) = trained_server(ServerConfig::default());
     let expected = ScoringEngine::new(model).score_batch(&serving_requests(1));
     let body = serde::json::to_string(&serving_requests(1)[0]);
@@ -370,7 +370,7 @@ fn deadline_header_edge_cases_are_parsed_leniently_over_the_wire() {
     let cases: [&[(&str, &str)]; 4] = [
         &[],                                          // missing header
         &[("X-Deadline-Ms", "0")],                    // zero is "unset", not "already dead"
-        &[("X-Deadline-Ms", "soon")],                 // garbage falls back to the default
+        &[("X-Deadline-Ms", "soon")],                 // garbage is "unset" too
         &[("X-Deadline-Ms", "18446744073709551615")], // u64::MAX saturates to "no deadline"
     ];
     for headers in cases {
@@ -380,57 +380,6 @@ fn deadline_header_edge_cases_are_parsed_leniently_over_the_wire() {
         let (_, scores) = parse_score_response(&ok.body).expect("body");
         assert_eq!(scores[0].to_bits(), expected[0].to_bits(), "headers {headers:?}");
     }
-    server.shutdown();
-
-    // With a server default, the same unset spellings inherit it: park the
-    // queue past the 5ms budget and every one is shed with 504, while an
-    // explicit generous header on the same connection overrides the default
-    // and still scores.
-    let (server, _) = trained_server(ServerConfig {
-        default_deadline_ms: Some(5),
-        ..ServerConfig::default()
-    });
-    let addr = server.local_addr();
-    server.pause_intake();
-    const UNSET_SPELLINGS: [&[(&str, &str)]; 3] = [&[], &[("X-Deadline-Ms", "0")], &[("X-Deadline-Ms", "soon")]];
-    let handles: Vec<_> = UNSET_SPELLINGS
-        .iter()
-        .copied()
-        .map(|headers| {
-            let body = body.clone();
-            std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                http_roundtrip_with_headers(&mut stream, "POST", "/score", Some(&body), headers)
-                    .expect("still a response")
-            })
-        })
-        .collect();
-    let generous = {
-        let body = body.clone();
-        std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            http_roundtrip_with_headers(
-                &mut stream,
-                "POST",
-                "/score",
-                Some(&body),
-                &[("X-Deadline-Ms", "60000")],
-            )
-            .expect("still a response")
-        })
-    };
-    while server.queued_jobs() < 4 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    server.resume_intake();
-    for handle in handles {
-        let response = handle.join().expect("join");
-        assert_eq!(response.status, 504, "{}", response.body);
-        assert!(response.body.contains("deadline"), "{}", response.body);
-    }
-    let response = generous.join().expect("join");
-    assert_eq!(response.status, 200, "{}", response.body);
     server.shutdown();
 }
 
