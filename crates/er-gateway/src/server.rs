@@ -474,7 +474,9 @@ impl Driver {
                     let rid = conn::request_id(None, "gw", &self.shared.id_seq);
                     self.reply(&mut conn, Reply::error(failure.status, &failure.message), &rid);
                 }
-                Step::Sent((), _) if !self.shared.shutdown.load(Ordering::SeqCst) => {}
+                // A draining gateway closes a kept-alive connection after
+                // its response; a lingering one runs out its linger first.
+                Step::Sent((), _) if !(self.shared.shutdown.load(Ordering::SeqCst) && conn.is_reading()) => {}
                 Step::Sent(..) | Step::Close => return conn.close(&self.poller),
                 Step::Wait => {
                     conn.park(&self.poller);

@@ -2,8 +2,9 @@
 //! [`crate::server`] and `er-gateway`. Each driver owns a poller, a table of
 //! [`Conn`]s, its routes and its timers; a [`Conn`] carries one accepted
 //! socket through read → parse → `100 Continue` → respond → flush →
-//! keep-alive or close. A close after a delivered response shuts down the
-//! write side and lingers, discarding input, until the peer's EOF.
+//! keep-alive or close. A close that may leave request bytes unread shuts
+//! down the write side after the response and lingers, discarding input,
+//! until the peer's EOF.
 //!
 //! The driver calls [`Conn::advance`] until it returns [`Step::Wait`] (then
 //! [`Conn::park`]) or [`Step::Close`]. On [`Step::Request`] it answers with
@@ -22,10 +23,11 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// How long a connection that answered its last request keeps reading and
-/// discarding what its peer still sends, waiting for the peer's EOF. Closing
-/// with request bytes unread makes the kernel reset the connection, and the
-/// reset can destroy the response before the client has read it.
+/// How long a connection that answered its last request with request bytes
+/// possibly unread keeps reading and discarding what its peer still sends,
+/// waiting for the peer's EOF. Closing with request bytes unread makes the
+/// kernel reset the connection, and the reset can destroy the response
+/// before the client has read it.
 const LINGER: Duration = Duration::from_secs(2);
 
 /// The budgets a driver gives every connection it accepts. Every connection
@@ -153,6 +155,8 @@ pub struct Conn<T> {
     /// trickling body cannot elicit a storm of interim responses.
     continue_sent: bool,
     close_after_flush: bool,
+    /// Linger before closing even with nothing buffered ([`Self::linger`]).
+    linger: bool,
     expires: Option<Instant>,
     read_deadline: Option<Instant>,
     /// Reset on every partial write.
@@ -185,6 +189,7 @@ impl<T> Conn<T> {
             written: 0,
             continue_sent: false,
             close_after_flush: false,
+            linger: false,
             expires: limits.lifetime.and_then(|lifetime| now.checked_add(lifetime)),
             read_deadline: limits.read_timeout.and_then(|timeout| now.checked_add(timeout)),
             write_deadline: None,
@@ -203,10 +208,16 @@ impl<T> Conn<T> {
         &self.peer
     }
 
-    /// Owed nothing and flushing nothing (reading, or lingering after its
-    /// last response): a draining driver closes it.
+    /// Owed nothing and flushing nothing: a draining driver closes it. A
+    /// lingering connection is not reading; it runs out its bounded linger.
     pub fn is_reading(&self) -> bool {
-        matches!(self.state, State::Reading | State::Lingering(_))
+        matches!(self.state, State::Reading)
+    }
+
+    /// Makes the close after the next response linger even when no request
+    /// bytes are buffered: for a response sent before any request was read.
+    pub fn linger(&mut self) {
+        self.linger = true;
     }
 
     /// Pulls what the kernel has for a reading connection, or discards it
@@ -266,10 +277,11 @@ impl<T> Conn<T> {
                     if delivered && !self.close_after_flush && self.expires.is_none_or(|at| now < at) {
                         self.read_deadline = self.limits.read_timeout.and_then(|t| now.checked_add(t));
                         self.state = State::Reading;
-                    } else if delivered {
-                        // The peer may still be sending (a refused body, a
-                        // pipelined request): end the response with a FIN
-                        // and drain, so the close does not reset it.
+                    } else if delivered && (self.linger || !self.read_buf.is_empty()) {
+                        // The peer may still be sending (a refused request's
+                        // body, a pipelined request): end the response with
+                        // a FIN and drain, so the close does not reset it. A
+                        // fully read exchange closes at once.
                         let _ = self.stream.shutdown(Shutdown::Write);
                         self.read_buf = Vec::new();
                         self.state = State::Lingering(now + LINGER);

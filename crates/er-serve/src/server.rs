@@ -744,7 +744,8 @@ impl Driver {
                 // refused, not parked in the backlog until the drain ends.
                 // Idle and mid-read connections close now (a half-received
                 // head can never be admitted); parked and flushing ones get
-                // their response first — never a severed connection.
+                // their response first — never a severed connection — and
+                // lingering ones run out their bounded linger.
                 self.listener = None;
                 self.close_reading_conns();
                 if self.conns.is_empty() {
@@ -851,7 +852,10 @@ impl Driver {
         // new connection gets one clean 503 + Retry-After and is closed,
         // rather than growing the loops' working sets without bound. The
         // refusal flushes through the same machinery as any response but
-        // is not counted against the cap or duration-observed.
+        // is not counted against the cap or duration-observed. Its request
+        // may already be on the way, so the close lingers to spare the 503
+        // a reset — but at most `max_connections` refusals linger at once,
+        // so a connect flood cannot pin descriptors past twice the cap.
         if refused {
             if self.shared.config.metrics_enabled {
                 self.shared.metrics.rejected.with(&[("cause", "overloaded")]).inc();
@@ -870,6 +874,9 @@ impl Driver {
                 meta: None,
             };
             conn.respond(503, headers, body.as_bytes(), refusal, true);
+            if self.refused.len() < self.shared.config.max_connections {
+                conn.linger();
+            }
             self.refused.insert(token);
         }
         // Drive immediately: request bytes may already be waiting, and the
@@ -887,7 +894,9 @@ impl Driver {
                 Step::Request(Err(failure)) => self.queue_failure(&mut conn, failure),
                 Step::Sent(out, delivered) => {
                     self.finish_response(out, delivered);
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
+                    // A draining loop closes a kept-alive connection now; a
+                    // lingering one runs out its linger first.
+                    if self.shared.shutdown.load(Ordering::SeqCst) && conn.is_reading() {
                         return self.discard(conn);
                     }
                     // Otherwise loop on, so a pipelined request already
@@ -2804,6 +2813,61 @@ mod tests {
                 .contains("er_serve_rejected_total{cause=\"overloaded\"}"),
             "refusals must be counted"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn at_most_max_connections_refusals_linger() {
+        let (server, _executor) = start_server_with(ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        });
+        let mut held: Vec<TcpStream> = (0..2).map(|_| connect(&server)).collect();
+        for stream in &mut held {
+            let ok = http_roundtrip(stream, "GET", "/healthz", None).expect("held connection");
+            assert_eq!(ok.status, 200);
+        }
+        // Over-cap clients that read their 503 and its EOF but never close.
+        let mut refused: Vec<TcpStream> = (0..5).map(|_| connect(&server)).collect();
+        for stream in &mut refused {
+            let response = read_http_response(stream).expect("refusal response");
+            assert_eq!(response.status, 503, "{}", response.body);
+            assert_eq!(stream.read(&mut [0u8; 16]).expect("end of the refusal"), 0);
+        }
+        // A lingering refusal discards what its peer sends; one closed at
+        // once answers the first write with a reset, and the next fails.
+        for stream in &mut refused {
+            stream.write_all(b"x").expect("first write after the refusal");
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let lingering: Vec<bool> = refused
+            .iter_mut()
+            .map(|stream| stream.write_all(b"y").is_ok())
+            .collect();
+        assert_eq!(
+            lingering,
+            [true, true, false, false, false],
+            "only max_connections refusals linger"
+        );
+        drop(refused);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_fully_read_close_exchange_closes_without_lingering() {
+        let (server, _executor) = start_server(8);
+        let mut stream = connect(&server);
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            .expect("request");
+        let response = read_http_response(&mut stream).expect("response");
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert_eq!(stream.read(&mut [0u8; 16]).expect("end of the response"), 0);
+        // Closed at once: the first write after it draws a reset, so the
+        // next one fails. A lingering connection would discard both.
+        stream.write_all(b"x").expect("first write after the close");
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(stream.write_all(b"y").is_err(), "a fully read exchange lingered");
         server.shutdown();
     }
 
