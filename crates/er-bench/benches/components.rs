@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the performance-sensitive building blocks:
 //! similarity metrics, one-sided rule generation, risk-model training, risk
-//! scoring, the serving rule index and executor, the `/score` wire codec and
-//! perfbench's set-up stages.  These complement the figure binaries (which
+//! scoring, the serving rule index and executor, the `/score` wire codec,
+//! the serving metrics registry and perfbench's set-up stages.  These complement the figure binaries (which
 //! regenerate the paper's result series) by tracking the runtime of each
 //! stage.
 
@@ -11,9 +11,14 @@ use er_classifier::{MatcherKind, TrainConfig};
 use er_datasets::{generate_benchmark, BenchmarkId};
 use er_eval::{build_inputs_from_labeled, build_score_requests, run_pipeline, PipelineConfig};
 use er_rulegen::{generate_rules, OneSidedTreeConfig};
-use er_serve::{decode_score_body, encode_score_response, ScoreRequest, ScoringEngine, ServeConfig, ShardedExecutor};
+use er_serve::metrics::KEPT_VERSIONS;
+use er_serve::{
+    decode_score_body, encode_score_response, parse_exposition, MetricsRegistry, ScoreRequest, ScoringEngine,
+    ServeConfig, ShardedExecutor,
+};
 use er_similarity::MetricEvaluator;
 use learnrisk_core::{train as train_risk, LearnRiskModel, RiskFeatureSet, RiskModelConfig, RiskTrainConfig};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The basic-metric rows of the whole DS pool (perfbench's workload: scale
@@ -240,6 +245,66 @@ fn bench_serve_scoring(c: &mut Criterion) {
     group.finish();
 }
 
+/// A registry after `versions` artifact versions each scored one 32-pair
+/// array and went through the retire path, as a server does on every
+/// version change.
+fn registry_after(versions: u64) -> MetricsRegistry {
+    let metrics = MetricsRegistry::new();
+    for version in 1..=versions {
+        let label = version.to_string();
+        let label = [("version", label.as_str())];
+        metrics.responses.with(&[("route", "/reload"), ("status", "200")]).inc();
+        metrics.responses.with(&[("route", "/score"), ("status", "200")]).inc();
+        metrics.score_requests.with(&label).add(32);
+        metrics.score_duration.with(&label).observe(2e-4);
+        metrics.cache_misses.with(&label).add(32);
+        metrics.cache_hits.with(&label).add(0);
+        metrics.cache_hit_rate.with(&label).set(0.0);
+        metrics.cache_entries.with(&label).set(32.0);
+        metrics.retire_versions(version);
+    }
+    metrics
+}
+
+/// The metrics registry's record paths and its scrape.
+///
+/// `serve/metrics/record_lookup`: one `CounterVec::with` on
+/// `route`/`status`, then `inc` (a lock, a `BTreeMap` lookup and label
+/// `String`s), as every response but a `/score` 200 records.
+///
+/// `serve/metrics/record_resolved`: `inc` on a handle already held, as the
+/// `/score` 200s and the `version` series record.
+///
+/// `serve/metrics/render/{versions}`: `GET /metrics`'s render of
+/// [`registry_after`] that many versions.
+fn bench_serve_metrics(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve/metrics");
+    let metrics = MetricsRegistry::new();
+    group.bench_function("record_lookup", |b| {
+        b.iter(|| {
+            metrics
+                .responses
+                .with(&[("route", "/healthz"), ("status", "200")])
+                .inc()
+        })
+    });
+    let resolved = metrics.responses.with(&[("route", "/score"), ("status", "200")]);
+    group.bench_function("record_resolved", |b| b.iter(|| resolved.inc()));
+    for versions in [2u64, 800] {
+        let metrics = registry_after(versions);
+        let samples = parse_exposition(&metrics.render()).expect("the exposition parses");
+        let labelled: HashSet<&str> = samples.iter().filter_map(|s| s.label("version")).collect();
+        assert!(
+            labelled.len() as u64 <= KEPT_VERSIONS + 1,
+            "{versions} versions left {labelled:?} in the scrape"
+        );
+        group.bench_with_input(CriterionId::new("render", versions), &metrics, |b, metrics| {
+            b.iter(|| std::hint::black_box(metrics.render()))
+        });
+    }
+    group.finish();
+}
+
 /// perfbench's set-up stages, in-process at its configuration (DS at scale
 /// 0.02, seed 2020, logistic matcher): generating the workload, the
 /// pipeline run, and building the request pool from the trained matcher.
@@ -276,6 +341,7 @@ criterion_group!(
     bench_risk_training_and_scoring,
     bench_serve_wire,
     bench_serve_scoring,
+    bench_serve_metrics,
     bench_setup
 );
 criterion_main!(benches);

@@ -36,12 +36,12 @@
 use crate::cache::LruCache;
 use crate::engine::{EngineScratch, ScoreError, ScoreRequest, ScoringEngine};
 use crate::fault::{FaultKind, FaultPlan};
+use crate::metrics::Counter;
 use crate::trace::{SpanSet, Stage};
 use er_pool::WorkerPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -136,8 +136,10 @@ pub struct ShardedExecutor {
     config: ServeConfig,
     pool: Arc<WorkerPool>,
     shards: Vec<Mutex<LruCache<u64, f64>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Shared with the metrics registry, which exposes them as this
+    /// generation's `er_serve_cache_{hits,misses}_total` series.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
 }
 
 impl ShardedExecutor {
@@ -164,8 +166,8 @@ impl ShardedExecutor {
             config,
             pool,
             shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Arc::default(),
+            misses: Arc::default(),
         }
     }
 
@@ -188,15 +190,21 @@ impl ShardedExecutor {
     /// Cache hit/miss counters since construction (or the last reset).
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
         }
+    }
+
+    /// The hit and miss counters themselves, for the metrics registry to
+    /// expose ([`crate::metrics::CounterVec::adopt`]).
+    pub(crate) fn cache_counters(&self) -> (&Arc<Counter>, &Arc<Counter>) {
+        (&self.hits, &self.misses)
     }
 
     /// Resets the hit/miss counters (the cache contents stay warm).
     pub fn reset_cache_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.hits.store(0);
+        self.misses.store(0);
     }
 
     /// Live entries across all cache shards (the `er_serve_cache_entries`
@@ -245,11 +253,11 @@ impl ShardedExecutor {
             .unwrap_or_else(|e| e.into_inner())
             .get(&request.pair_id)
         {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.inc();
             return Ok(score);
         }
         let score = self.engine.try_score_request(request, scratch)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc();
         self.shards[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner())

@@ -7,8 +7,8 @@
 //! [`AtomicU64`]:
 //!
 //! * [`Counter`] — monotonic `u64` (`inc`/`add`); [`Counter::store`] exists
-//!   only to mirror counters owned elsewhere (the executor's cache hit/miss
-//!   totals) into the exposition at scrape time.
+//!   only to mirror counters owned elsewhere (the executor's reload
+//!   outcomes) into the exposition at scrape time.
 //! * [`Gauge`] — an `f64` stored as bits (queue depth, model version).
 //! * [`Histogram`] — fixed bucket bounds with **exclusive** upper bounds: an
 //!   observation equal to a bound lands in the *next* bucket (the bucket
@@ -21,6 +21,15 @@
 //!   (per route, per artifact version, per reload outcome). Label lookup
 //!   takes one short mutex on a `BTreeMap`; the returned `Arc` handle then
 //!   observes lock-free, so hot paths can cache it.
+//!
+//! The per-artifact-version families are bounded: only the serving version
+//! and the one it replaced keep series of their own ([`KEPT_VERSIONS`]).
+//! [`MetricsRegistry::retire_versions`] folds every older version's counters
+//! and histograms into one `version="retired"` series per family and drops
+//! its gauges, so reloads never grow the registry or the scrape, and the
+//! sum over `version` of every counter and histogram count stays the exact
+//! total since boot. A series folds only once no handle outside the registry
+//! holds it, so a count still in flight on an old version is never lost.
 //!
 //! The module also ships the consumer side — [`parse_exposition`] and
 //! [`extract_histogram`] — used by `serve_bench` and the smoke tiers to
@@ -107,6 +116,10 @@ impl Histogram {
         let idx = self.bounds.partition_point(|b| value >= *b);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.add_sum(value);
+    }
+
+    fn add_sum(&self, value: f64) {
         // A CAS loop instead of a lock: histogram observation stays wait-free
         // in the common uncontended case.
         let _ = self
@@ -114,6 +127,15 @@ impl Histogram {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
                 Some((f64::from_bits(bits) + value).to_bits())
             });
+    }
+
+    /// Adds `other`'s buckets, sum and count (same bounds) into this one.
+    fn absorb(&self, other: &Histogram) {
+        for (bucket, theirs) in self.buckets.iter().zip(&other.buckets) {
+            bucket.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.add_sum(other.sum());
     }
 
     /// Bucket upper bounds (without the implicit `+Inf`).
@@ -144,6 +166,38 @@ fn label_key(labels: &[(&'static str, &str)]) -> LabelPairs {
     labels.iter().map(|(n, v)| (*n, v.to_string())).collect()
 }
 
+/// How many artifact versions keep series of their own in the
+/// `version`-labelled families: the serving one and the one it replaced.
+pub const KEPT_VERSIONS: u64 = 2;
+
+/// The `version` label value every retired version's series folds into.
+const RETIRED_VERSION: &str = "retired";
+
+/// Takes out of `children` every series whose `version` label names a
+/// version below `oldest_kept` and that no handle outside the family still
+/// holds (the caller holds the family's lock, so none can be cloned
+/// meanwhile).
+fn take_retired<T>(children: &mut BTreeMap<LabelPairs, Arc<T>>, oldest_kept: u64) -> Vec<Arc<T>> {
+    let mut taken = Vec::new();
+    children.retain(|labels, child| {
+        let version = labels.iter().find(|(name, _)| *name == "version");
+        let old = version
+            .and_then(|(_, v)| v.parse::<u64>().ok())
+            .is_some_and(|v| v < oldest_kept);
+        let retire = old && Arc::strong_count(child) == 1;
+        if retire {
+            taken.push(Arc::clone(child));
+        }
+        !retire
+    });
+    taken
+}
+
+/// The label set every retired version's series folds into.
+fn retired_key() -> LabelPairs {
+    label_key(&[("version", RETIRED_VERSION)])
+}
+
 /// A labeled family of [`Counter`]s.
 #[derive(Debug, Default)]
 pub struct CounterVec {
@@ -155,6 +209,25 @@ impl CounterVec {
     pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<Counter> {
         let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(children.entry(label_key(labels)).or_default())
+    }
+
+    /// Makes `counter` the child for this label set unless it has one: the
+    /// family then exposes a counter owned elsewhere, which counts on and
+    /// cannot retire while its owner holds it.
+    pub fn adopt(&self, labels: &[(&'static str, &str)], counter: &Arc<Counter>) {
+        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
+        children.entry(label_key(labels)).or_insert_with(|| Arc::clone(counter));
+    }
+
+    /// Folds each unheld child of a version below `oldest_kept` into the
+    /// `retired` child, under one lock, so the family's total never falls.
+    fn retire_versions(&self, oldest_kept: u64) {
+        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
+        let taken = take_retired(&mut children, oldest_kept);
+        if !taken.is_empty() {
+            let retired = children.entry(retired_key()).or_default();
+            taken.iter().for_each(|child| retired.add(child.get()));
+        }
     }
 
     /// Every child's label set and current value.
@@ -180,6 +253,15 @@ impl GaugeVec {
     pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<Gauge> {
         let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(children.entry(label_key(labels)).or_default())
+    }
+
+    /// Drops each unheld child of a version below `oldest_kept`: a retired
+    /// version's gauge describes nothing that still exists.
+    fn retire_versions(&self, oldest_kept: u64) {
+        take_retired(
+            &mut self.children.lock().unwrap_or_else(|e| e.into_inner()),
+            oldest_kept,
+        );
     }
 
     fn snapshot(&self) -> Vec<(LabelPairs, f64)> {
@@ -212,6 +294,19 @@ impl HistogramVec {
                 .entry(label_key(labels))
                 .or_insert_with(|| Arc::new(Histogram::new(Arc::clone(&self.bounds)))),
         )
+    }
+
+    /// Folds each unheld child of a version below `oldest_kept` (buckets,
+    /// sum and count) into the `retired` child, under one lock.
+    fn retire_versions(&self, oldest_kept: u64) {
+        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
+        let taken = take_retired(&mut children, oldest_kept);
+        if !taken.is_empty() {
+            let retired = children
+                .entry(retired_key())
+                .or_insert_with(|| Arc::new(Histogram::new(Arc::clone(&self.bounds))));
+            taken.iter().for_each(|child| retired.absorb(child));
+        }
     }
 
     fn snapshot(&self) -> Vec<(LabelPairs, Arc<Histogram>)> {
@@ -296,11 +391,11 @@ pub struct MetricsRegistry {
     /// `er_serve_reloads_total{outcome}` — hot-reload outcomes
     /// (`applied` / `refused`), copied from the executor at scrape time.
     pub reloads: CounterVec,
-    /// `er_serve_cache_hits_total{version}` — executor score-cache hits,
-    /// mirrored at scrape time.
+    /// `er_serve_cache_hits_total{version}` — executor score-cache hits: each
+    /// version's series is its executor's own counter.
     pub cache_hits: CounterVec,
     /// `er_serve_cache_misses_total{version}` — executor score-cache misses,
-    /// mirrored at scrape time.
+    /// likewise.
     pub cache_misses: CounterVec,
     /// `er_serve_cache_hit_rate{version}` — hits / (hits + misses).
     pub cache_hit_rate: GaugeVec,
@@ -340,6 +435,21 @@ impl MetricsRegistry {
             cache_entries: GaugeVec::default(),
             worker_panics: CounterVec::default(),
         }
+    }
+
+    /// Bounds every `version`-labelled family to the versions from
+    /// `serving − KEPT_VERSIONS + 1` up (see the [module docs](self)): an
+    /// older version's counters and histograms fold into its family's
+    /// `version="retired"` series and its gauges are dropped, each once no
+    /// handle outside the registry holds it.
+    pub fn retire_versions(&self, serving: u64) {
+        let oldest_kept = serving.saturating_sub(KEPT_VERSIONS - 1);
+        self.score_requests.retire_versions(oldest_kept);
+        self.score_duration.retire_versions(oldest_kept);
+        self.cache_hits.retire_versions(oldest_kept);
+        self.cache_misses.retire_versions(oldest_kept);
+        self.cache_hit_rate.retire_versions(oldest_kept);
+        self.cache_entries.retire_versions(oldest_kept);
     }
 
     /// Renders the registry in the Prometheus text exposition format.
@@ -803,6 +913,73 @@ mod tests {
         assert_eq!(vec.with(&[("route", "/score"), ("status", "200")]).get(), 3);
         assert_eq!(vec.total(), 5);
         assert_eq!(vec.snapshot().len(), 3);
+    }
+
+    #[test]
+    fn a_held_series_outlives_its_retirement_and_folds_once_released() {
+        let registry = MetricsRegistry::new();
+        fn version(v: &str) -> [(&'static str, &str); 1] {
+            [("version", v)]
+        }
+        for v in 1..=5u64 {
+            let label = v.to_string();
+            registry.score_requests.with(&version(&label)).add(v);
+            registry.score_duration.with(&version(&label)).observe(v as f64 * 1e-3);
+            registry.cache_hit_rate.with(&version(&label)).set(0.5);
+        }
+        let held = registry.score_requests.with(&version("2"));
+        let held_histogram = registry.score_duration.with(&version("2"));
+        let labels = |snapshot: Vec<(LabelPairs, u64)>| -> Vec<String> {
+            snapshot.into_iter().map(|(labels, _)| labels[0].1.clone()).collect()
+        };
+
+        // Versions 1 and 3 fold; 2 stays while its handles are held; 4 and
+        // 5 are live. The total never falls.
+        registry.retire_versions(5);
+        assert_eq!(labels(registry.score_requests.snapshot()), ["2", "4", "5", "retired"]);
+        assert_eq!(registry.score_requests.with(&version("retired")).get(), 1 + 3);
+        assert_eq!(registry.score_requests.total(), 15);
+
+        // A count through the still-held handle is kept, then folds with
+        // the rest once the handle drops.
+        held.add(10);
+        held_histogram.observe(0.5);
+        registry.retire_versions(5);
+        assert_eq!(registry.score_requests.total(), 25);
+        drop((held, held_histogram));
+        registry.retire_versions(5);
+        assert_eq!(labels(registry.score_requests.snapshot()), ["4", "5", "retired"]);
+        assert_eq!(registry.score_requests.with(&version("retired")).get(), 1 + 2 + 3 + 10);
+        assert_eq!(registry.score_requests.total(), 25);
+
+        // Histograms fold buckets, sum and count alike.
+        let retired = registry.score_duration.with(&version("retired"));
+        assert_eq!(retired.count(), 4);
+        assert_eq!(retired.bucket_counts().iter().sum::<u64>(), 4);
+        assert!((retired.sum() - (1e-3 + 2e-3 + 3e-3 + 0.5)).abs() < 1e-12);
+        assert_eq!(registry.score_duration.snapshot().len(), 3);
+        let gauges: Vec<String> = registry
+            .cache_hit_rate
+            .snapshot()
+            .into_iter()
+            .map(|(l, _)| l[0].1.clone())
+            .collect();
+        assert_eq!(gauges, ["4", "5"], "a retired version's gauges drop, not fold");
+    }
+
+    #[test]
+    fn an_adopted_counter_counts_on_and_retires_with_its_final_count() {
+        let registry = MetricsRegistry::new();
+        let owned = Arc::new(Counter::default());
+        registry.cache_misses.adopt(&[("version", "1")], &owned);
+        owned.add(5);
+        registry.retire_versions(3);
+        assert_eq!(registry.cache_misses.snapshot().len(), 1, "its owner still holds it");
+        owned.add(2);
+        drop(owned);
+        registry.retire_versions(3);
+        assert_eq!(registry.cache_misses.with(&[("version", "retired")]).get(), 7);
+        assert_eq!(registry.cache_misses.total(), 7);
     }
 
     #[test]

@@ -108,7 +108,7 @@ use crate::http::{self, Progress, StartLine};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
 use crate::readiness::{self, Interest, Mailbox, Token};
-use crate::reload::ReloadableExecutor;
+use crate::reload::{ReloadableExecutor, VersionedExecutor};
 use crate::trace::{ActiveTrace, SpanSet, Stage, Tracer};
 use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
@@ -1085,7 +1085,7 @@ impl Driver {
         if requests.is_empty() {
             // Nothing to score, but the answer still names the version that
             // serves it, in the body and the header alike.
-            let parts = self.version_labels(shared.executor.version()).response(&[]);
+            let parts = self.version_labels(&shared.executor.snapshot()).response(&[]);
             self.queue_response(conn, parts, trace, Some(meta));
             return;
         }
@@ -1247,9 +1247,11 @@ impl Driver {
         live
     }
 
-    /// The labels of artifact `version`, rebuilt only when the version
-    /// changes.
-    fn version_labels(&mut self, version: u64) -> Arc<VersionLabels> {
+    /// The labels of `generation`'s version, rebuilt only when the version
+    /// changes. A new version also exposes its cache counters and retires
+    /// the series of versions no longer live.
+    fn version_labels(&mut self, generation: &VersionedExecutor) -> Arc<VersionLabels> {
+        let version = generation.version;
         if let Some(labels) = self.labels.as_ref().filter(|labels| labels.version == version) {
             return Arc::clone(labels);
         }
@@ -1261,7 +1263,13 @@ impl Driver {
             score_duration: metrics.map(|m| m.score_duration.with(&[("version", &header)])),
             header,
         });
+        // Replacing this loop's old labels releases their handles first, so
+        // their series can fold now.
         self.labels = Some(Arc::clone(&labels));
+        if let Some(metrics) = metrics {
+            expose_cache_counters(metrics, generation, &labels.header);
+            metrics.retire_versions(version);
+        }
         labels
     }
 
@@ -1273,7 +1281,7 @@ impl Driver {
         let metrics = shared.config.metrics_enabled.then_some(&shared.metrics);
         let snapshot = shared.executor.snapshot();
         let executor = snapshot.executor();
-        let labels = self.version_labels(snapshot.version);
+        let labels = self.version_labels(&snapshot);
         let total: usize = batch.iter().map(|j| j.requests.len()).sum();
         if let Some(metrics) = metrics {
             metrics.batches.inc();
@@ -1585,9 +1593,19 @@ fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
     }
 }
 
+/// Exposes `generation`'s own cache hit and miss counters as its
+/// `version` series: they count on after a reload, and fold into `retired`
+/// with the generation's final counts once it is released.
+fn expose_cache_counters(metrics: &MetricsRegistry, generation: &VersionedExecutor, version: &str) {
+    let (hits, misses) = generation.executor().cache_counters();
+    metrics.cache_hits.adopt(&[("version", version)], hits);
+    metrics.cache_misses.adopt(&[("version", version)], misses);
+}
+
 /// `GET /metrics`: refresh the scrape-time gauges (queue depth, model
-/// version), copy in the executor's cache and reload counts, and render the
-/// registry as Prometheus text.
+/// version, the serving version's cache gauges), copy in the reload counts,
+/// retire the series of versions no longer live, and render the registry
+/// as Prometheus text.
 fn metrics_parts(shared: &Shared) -> ResponseParts {
     if !shared.config.metrics_enabled {
         return ResponseParts::json(404, error_body("metrics are disabled for this server", None));
@@ -1601,8 +1619,7 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
     metrics.model_version.set(snapshot.version as f64);
     metrics.reloads.with(&[("outcome", "applied")]).store(reloads.applied);
     metrics.reloads.with(&[("outcome", "refused")]).store(reloads.refused);
-    metrics.cache_hits.with(&[("version", &version)]).store(cache.hits);
-    metrics.cache_misses.with(&[("version", &version)]).store(cache.misses);
+    expose_cache_counters(metrics, &snapshot, &version);
     metrics
         .cache_hit_rate
         .with(&[("version", &version)])
@@ -1611,6 +1628,7 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
         .cache_entries
         .with(&[("version", &version)])
         .set(snapshot.executor().cache_entries() as f64);
+    metrics.retire_versions(snapshot.version);
     ResponseParts {
         status: 200,
         content_type: "text/plain; version=0.0.4; charset=utf-8",
@@ -2516,6 +2534,104 @@ mod tests {
         );
         let scrape = http_roundtrip(&mut stream, "GET", "/metrics", None).expect("scrape");
         assert!(scrape.body.contains("er_serve_model_version 3"), "{}", scrape.body);
+        std::fs::remove_dir_all(&dir).ok();
+        server.shutdown();
+    }
+
+    /// Reloads over `stream` to the artifact at `path`, asserting success.
+    fn reload_over(stream: &mut TcpStream, path: &std::path::Path) {
+        let body = format!("{{\"path\": {:?}}}", path.display().to_string());
+        let reloaded = http_roundtrip(stream, "POST", "/reload", Some(&body)).expect("reload");
+        assert_eq!(reloaded.status, 200, "{}", reloaded.body);
+    }
+
+    /// Scores the pairs `ids` as one array over `stream`, asserting a 200.
+    fn score_array(stream: &mut TcpStream, ids: std::ops::Range<u64>) {
+        let body = format!("[{}]", ids.map(|i| request_json(i, 0.4)).collect::<Vec<_>>().join(","));
+        let scored = http_roundtrip(stream, "POST", "/score", Some(&body)).expect("score");
+        assert_eq!(scored.status, 200, "{}", scored.body);
+    }
+
+    #[test]
+    fn a_version_reloaded_away_unscraped_still_reports_its_cache_counts() {
+        let (server, _executor) = start_server(16);
+        let dir = std::env::temp_dir().join(format!("er-serve-unscraped-cache-{}", std::process::id()));
+        let path = dir.join("v2.json");
+        crate::artifact::ModelArtifact::new(model(2.6))
+            .save(&path)
+            .expect("save");
+        let mut stream = connect(&server);
+        score_array(&mut stream, 0..5);
+        reload_over(&mut stream, &path);
+        score_array(&mut stream, 0..3);
+        // Every miss since boot is in the scrape: version 1's five, counted
+        // before any scrape, and version 2's three.
+        assert_eq!(scraped(&mut stream, "er_serve_cache_misses_total", "version", "1"), 5.0);
+        assert_eq!(scraped(&mut stream, "er_serve_cache_misses_total", "version", "2"), 3.0);
+        std::fs::remove_dir_all(&dir).ok();
+        server.shutdown();
+    }
+
+    #[test]
+    fn reload_churn_keeps_the_version_series_bounded_and_their_sums_exact() {
+        let (server, _executor) = start_server(16);
+        let dir = std::env::temp_dir().join(format!("er-serve-reload-churn-{}", std::process::id()));
+        let paths = [dir.join("a.json"), dir.join("b.json")];
+        for (path, weight) in paths.iter().zip([2.6, 1.3]) {
+            crate::artifact::ModelArtifact::new(model(weight))
+                .save(path)
+                .expect("save");
+        }
+        let mut stream = connect(&server);
+        let scrape = |stream: &mut TcpStream| {
+            let scrape = http_roundtrip(stream, "GET", "/metrics", None).expect("scrape");
+            assert_eq!(scrape.status, 200, "{}", scrape.body);
+            scrape.body
+        };
+        let mut lines_after_4 = 0;
+        for reload in 1..=40u64 {
+            reload_over(&mut stream, &paths[reload as usize % 2]);
+            score_array(&mut stream, reload * 2..reload * 2 + 2);
+            if reload == 4 {
+                // The first scrape's own response is recorded after it
+                // renders; the second sees every route this test uses.
+                scrape(&mut stream);
+                lines_after_4 = scrape(&mut stream).lines().count();
+            }
+        }
+        let text = scrape(&mut stream);
+        assert_eq!(
+            text.lines().count(),
+            lines_after_4,
+            "the scrape grew with reloads:\n{text}"
+        );
+        let samples = crate::metrics::parse_exposition(&text).expect("exposition parses");
+        let versioned = [
+            "er_serve_score_requests_total",
+            "er_serve_score_duration_seconds_count",
+            "er_serve_cache_hits_total",
+            "er_serve_cache_misses_total",
+            "er_serve_cache_hit_rate",
+            "er_serve_cache_entries",
+        ];
+        for name in versioned {
+            let versions: HashSet<&str> = samples
+                .iter()
+                .filter(|s| s.name == name)
+                .filter_map(|s| s.label("version"))
+                .collect();
+            assert!(versions.len() <= 3, "{name} holds {versions:?}");
+            assert!(
+                versions.iter().all(|v| ["41", "40", "retired"].contains(v)),
+                "{name} holds {versions:?}"
+            );
+        }
+        let sum_of = |name: &str| -> f64 { samples.iter().filter(|s| s.name == name).map(|s| s.value).sum() };
+        // 40 arrays of two pairs each, all distinct pairs: exact sums.
+        assert_eq!(sum_of("er_serve_score_requests_total"), 80.0);
+        assert_eq!(sum_of("er_serve_score_duration_seconds_count"), 40.0);
+        assert_eq!(sum_of("er_serve_cache_misses_total"), 80.0);
+        assert_eq!(sum_of("er_serve_cache_hits_total"), 0.0);
         std::fs::remove_dir_all(&dir).ok();
         server.shutdown();
     }
