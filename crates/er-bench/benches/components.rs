@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the performance-sensitive building blocks:
 //! similarity metrics, one-sided rule generation, risk-model training, risk
 //! scoring, the serving rule index and executor, the `/score` wire codec,
-//! the serving metrics registry and perfbench's set-up stages.  These complement the figure binaries (which
-//! regenerate the paper's result series) by tracking the runtime of each
-//! stage.
+//! the serving metrics registry and perfbench's set-up stages.  These
+//! complement the figure binaries (which regenerate the paper's result
+//! series) by tracking the runtime of each stage.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId as CriterionId, Criterion};
 use er_base::{Label, SplitRatio};

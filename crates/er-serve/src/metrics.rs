@@ -170,9 +170,6 @@ fn label_key(labels: &[(&'static str, &str)]) -> LabelPairs {
 /// `version`-labelled families: the serving one and the one it replaced.
 pub const KEPT_VERSIONS: u64 = 2;
 
-/// The `version` label value every retired version's series folds into.
-const RETIRED_VERSION: &str = "retired";
-
 /// Takes out of `children` every series whose `version` label names a
 /// version below `oldest_kept` and that no handle outside the family still
 /// holds (the caller holds the family's lock, so none can be cloned
@@ -195,7 +192,7 @@ fn take_retired<T>(children: &mut BTreeMap<LabelPairs, Arc<T>>, oldest_kept: u64
 
 /// The label set every retired version's series folds into.
 fn retired_key() -> LabelPairs {
-    label_key(&[("version", RETIRED_VERSION)])
+    label_key(&[("version", "retired")])
 }
 
 /// A labeled family of [`Counter`]s.
