@@ -1,27 +1,38 @@
-//! `serve_bench` — traffic replay against the `er-serve` online engine.
+//! `serve_bench` — correctness attestations for the `er-serve` online
+//! engine and the `er-gateway` fleet in front of it.
 //!
 //! End to end: trains a LearnRisk model on a synthetic DS-style workload,
 //! exports it as a versioned artifact, loads the artifact back, compiles the
-//! scoring engine, verifies the round trip is bit-exact, then replays a
-//! Zipf-skewed request stream at each `--threads` count and reports
-//! throughput plus p50/p95/p99 service latency. Results are printed as a
-//! table and written as machine-readable JSON (default `out/serve_bench.json`,
-//! override with `SERVE_BENCH_JSON`; request count via
-//! `SERVE_BENCH_REQUESTS`).
+//! scoring engine and verifies the round trip is bit-exact. It then replays a
+//! Zipf-skewed request stream over real sockets through each serving layer
+//! (front-end, hot reload, tracing, connection series, chaos, the
+//! multi-process gateway) and attests that every served score matches the
+//! in-process engine bit for bit. Results are printed and written as
+//! machine-readable JSON (default `out/serve_bench.json`, override with
+//! `SERVE_BENCH_JSON`; stream length via `SERVE_BENCH_REQUESTS`).
+//!
+//! Timing is perfbench's job (interleaved repeats, medians, per-metric
+//! bounds). The replays here still report throughput and latency, but as
+//! plain informational fields, each naming the perfbench row that times the
+//! same layer. `bench_diff` gates the attestations, the three machine-local
+//! ratios (`metrics_on_relative_throughput`,
+//! `tracing_on_relative_throughput`, `gateway.scaling_2x`) and the
+//! connection series' accept-to-first-byte percentiles.
 //!
 //! Usage: `cargo run -p er-bench --release --bin serve_bench [scale] [--threads 1,2,4]`
+//! (the front-end serves with the largest `--threads` count).
 
 use er_base::SplitRatio;
-use er_bench::gate::{Attest, Field, Latency, Ratio, Replay, Series, Throughput};
+use er_bench::gate::{Attest, Latency, Ratio, Series};
 use er_classifier::{MatcherKind, TrainConfig};
 use er_datasets::{generate_benchmark, BenchmarkId};
 use er_eval::{build_score_requests, export_and_load_engine, run_pipeline, verify_round_trip, PipelineConfig};
-use er_gateway::{CanaryConfig, GatewayConfig, GatewayServer, HashRing};
+use er_gateway::{GatewayConfig, GatewayServer, HashRing};
 use er_serve::{
     extract_histogram, http_roundtrip, http_roundtrip_with_headers, parse_exposition, parse_score_response,
-    read_http_response, run_replay, summarize_latencies, zipf_stream, LatencySummary, ModelArtifact, RateLimitConfig,
-    ReloadableExecutor, ReplayConfig, ReplayReport, ScoreRequest, ScoreServer, ScoringEngine, ServeConfig,
-    ServerConfig, ServerStats, ShardedExecutor, Stage,
+    read_http_response, summarize_latencies, zipf_stream, LatencySummary, ModelArtifact, ParsedHistogram,
+    ReloadableExecutor, ReplayConfig, ScoreRequest, ScoreServer, ScoringEngine, ServeConfig, ServerConfig, ServerStats,
+    Stage,
 };
 use learnrisk_core::{LearnRiskModel, RiskTrainConfig};
 use serde::Serialize;
@@ -32,11 +43,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Machine-readable result of one `serve_bench` invocation (the
-/// `BENCH_*.json` perf-trajectory format). `runs_uncached` measures pure
-/// scoring scalability (cache off); `runs_cached` measures the production
-/// regime where the LRU cache absorbs the Zipf head. Every field typed with
-/// an [`er_bench::gate`] leaf is gated by `bench_diff`.
+/// Machine-readable result of one `serve_bench` invocation. Every field
+/// typed with an [`er_bench::gate`] leaf is gated by `bench_diff`.
 #[derive(Debug, Serialize)]
 struct ServeBenchSummary {
     scale: f64,
@@ -47,33 +55,34 @@ struct ServeBenchSummary {
     available_parallelism: usize,
     pool_pairs: usize,
     rule_count: usize,
+    /// Length of the generated Zipf stream; each phase replays a prefix.
     requests: usize,
     zipf_exponent: f64,
     round_trip_bit_exact: Attest,
-    /// Keyed `threads=N`.
-    runs_uncached: Series<Replay>,
-    runs_cached: Series<Replay>,
-    /// HTTP front-end replay: socket round-trip latency, latency under a
-    /// mid-replay hot reload, and the deliberate backpressure smoke.
+    /// HTTP front-end replays: socket round trips, a mid-replay hot reload,
+    /// the metrics and tracing A/Bs, the connection series and chaos.
     frontend: FrontendBench,
     /// The multi-process gateway phase: `er-serve` child processes behind an
     /// `er-gateway` router — throughput scaling in backend count, hedging
-    /// against an injected straggler, and the canary promotion/rollback
-    /// attestations. `None` only when the `er-serve` binary is not built
-    /// (the gate hard-fails that absence once a baseline carries the phase).
+    /// against an injected straggler, and the connection series through the
+    /// hop. `None` only when the `er-serve` binary is not built (the gate
+    /// hard-fails that absence once a baseline carries the phase).
     gateway: Option<GatewayBench>,
 }
 
 /// One entry of the gateway scaling series: the identical closed-loop
-/// replay against `backends` freshly spawned `er-serve` processes.
+/// replay against `backends` freshly spawned `er-serve` processes. Its
+/// throughput feeds `scaling_2x`; perfbench times the hop itself as
+/// `layer.er_gateway_child_us.p50`, `gateway.self_us.p50` and
+/// `gateway.cpu_us_per_req`.
 #[derive(Debug, Serialize)]
 struct GatewayScalingEntry {
     backends: usize,
     requests: usize,
     clients: usize,
     elapsed_secs: f64,
-    throughput_rps: Throughput,
-    latency: Latency,
+    throughput_rps: f64,
+    latency: LatencySummary,
     non_2xx: u64,
     /// Every response through the hop was 2xx.
     all_2xx: Attest,
@@ -100,32 +109,6 @@ struct GatewayHedging {
     bit_exact: Attest,
 }
 
-/// One canary cycle through the gateway control plane (promotion with an
-/// equivalent candidate, rollback with a divergent one).
-#[derive(Debug, Serialize)]
-struct GatewayCanary {
-    candidate_path: String,
-    /// Requests driven through the gateway while the canary was in flight.
-    requests: usize,
-    promotions: u64,
-    rollbacks: u64,
-    /// The cycle ended in an automatic promotion — attested by the
-    /// promotion cycle, informational (and asserted false) in the other.
-    promotion_fired: Field<Attest, bool>,
-    /// The cycle ended in an automatic rollback — attested by the rollback
-    /// cycle only.
-    rollback_fired: Field<Attest, bool>,
-    non_2xx: u64,
-    /// No connection was severed and no request errored across the cycle —
-    /// promotion/rollback are routing + hot-reload changes only.
-    zero_severed: Attest,
-    /// Every served score matched the baseline engine bit for bit (canary
-    /// answers never leak to clients before the verdict).
-    bit_exact: Attest,
-    /// After the cycle every backend reports the same artifact digest.
-    digests_converged: Attest,
-}
-
 /// The multi-process gateway phase: see [`gateway_bench`].
 #[derive(Debug, Serialize)]
 struct GatewayBench {
@@ -139,8 +122,6 @@ struct GatewayBench {
     /// scaling claim.
     scaling_2x: Ratio,
     hedging: GatewayHedging,
-    canary_promotion: GatewayCanary,
-    canary_rollback: GatewayCanary,
     /// The high-connection-count series through a gateway in front of one
     /// in-process backend: the gateway's one readiness loop holds every
     /// connection, scores bit-exactly through the hop, severs none.
@@ -149,22 +130,25 @@ struct GatewayBench {
 
 /// One front-end socket replay: closed-loop clients posting the stream one
 /// request at a time, with every response's score bit-compared against the
-/// in-process engine of the version it reports.
+/// in-process engine of the version it reports. Throughput and latency are
+/// informational; the field that holds a run names the perfbench row that
+/// times its layer.
 #[derive(Debug, Serialize)]
 struct FrontendRun {
     clients: usize,
     requests: usize,
     elapsed_secs: f64,
-    throughput_rps: Throughput,
+    throughput_rps: f64,
     /// Socket round-trip (request write → response parsed) percentiles.
-    latency: Latency,
+    latency: LatencySummary,
     non_2xx: u64,
     /// Every socket score matched the in-process engine bit for bit.
     bit_exact: Attest,
 }
 
 /// The latency-under-reload series: the same replay with hot reloads fired
-/// at request-count milestones while traffic is in flight.
+/// at request-count milestones while traffic is in flight. perfbench times
+/// reloads as `e2e.reload_ms` and `reload.in_process_ms`.
 #[derive(Debug, Serialize)]
 struct FrontendReload {
     clients: usize,
@@ -174,28 +158,19 @@ struct FrontendReload {
     /// Distinct `model_version` tags observed across all responses.
     versions_observed: Vec<u64>,
     elapsed_secs: f64,
-    throughput_rps: Throughput,
-    latency: Latency,
+    throughput_rps: f64,
+    latency: LatencySummary,
     non_2xx: u64,
     /// Every response's score matched a fresh engine of exactly the version
     /// it was tagged with (no torn batches, no stale cache hits).
     bit_exact_per_version: Attest,
 }
 
-/// The deliberate backpressure phase: intake paused, queue filled, one
-/// overflow request that must bounce with 429, then full recovery.
-#[derive(Debug, Serialize)]
-struct FrontendBackpressure {
-    queue_capacity: usize,
-    deliberate_rejections_429: u64,
-    recovered_2xx: Attest,
-}
-
-/// The `/metrics` scrape taken right after the plain replay, with both
-/// reconciliations the perf gate attests: the exposition parses and its
-/// `er_serve_score_requests_total` equals the replay's own request count,
-/// and the `request_duration` histogram brackets the replay's measured
-/// p50/p95/p99 (±1 bucket, [`PERCENTILE_SLACK_SECS`] absolute slack).
+/// The `/metrics` scrape taken right after the plain replay: the exposition
+/// parses and its `er_serve_score_requests_total` equals the replay's own
+/// request count. The `request_duration` histogram is reconciled in the
+/// tracing phase, against the server's own trace totals
+/// ([`TracingBench::histogram_reconciled`]).
 #[derive(Debug, Serialize)]
 struct FrontendMetrics {
     snapshot_path: String,
@@ -204,9 +179,6 @@ struct FrontendMetrics {
     score_requests_total: u64,
     /// `score_requests_total == replay.requests`.
     reconciles_with_replay: Attest,
-    /// Histogram-derived p50/p95/p99 bracket the replay's socket-measured
-    /// percentiles.
-    histogram_reconciled: Attest,
 }
 
 /// The tracing A/B phase: the identical replay against a tracing-off control
@@ -218,7 +190,8 @@ struct TracingBench {
     /// Ring capacity of the tracing-on server — sized to `2 × requests` so
     /// no trace is evicted and the reconciliations below cover every request.
     trace_capacity: usize,
-    /// The tracing-off control replay (`trace_capacity: 0`).
+    /// The tracing-off control replay (`trace_capacity: 0`). perfbench times
+    /// the tracing cost as `tracing.overhead_us.p50`.
     replay_trace_off: FrontendRun,
     /// The tracing-on replay.
     replay_trace_on: FrontendRun,
@@ -243,6 +216,11 @@ struct TracingBench {
     totals_bracket_replay: Attest,
     /// Server-side p50/p95/p99 over trace totals, for the trajectory.
     trace_latency: LatencySummary,
+    /// The scraped `er_serve_request_duration_seconds{route="/score"}`
+    /// histogram counts every replayed request, and its p50/p95/p99 buckets
+    /// (±1 bucket) hold the trace-total percentiles: both time the same
+    /// requests over the same server-side window.
+    histogram_reconciled: Attest,
     /// `GET /debug/traces` parsed as Chrome trace-event JSON.
     chrome_export_parsed: Attest,
     /// Where the raw `/debug/traces` body was written.
@@ -284,22 +262,6 @@ struct ConnectionBench {
     max_connections: usize,
     /// Keyed `connections=N`.
     series: Series<ConnectionSeriesEntry>,
-}
-
-/// The rate-limit smoke (its own server, so the canonical phase counters
-/// stay clean): one client exhausts its burst and must get 429 +
-/// `X-RateLimit-*`, while a second client on the same peer IP flows freely.
-#[derive(Debug, Serialize)]
-struct RateLimitSmoke {
-    rate_per_sec: f64,
-    burst: f64,
-    /// The over-budget client got a 429.
-    limited_429: Attest,
-    /// …carrying all three `X-RateLimit-*` headers and a non-zero
-    /// `Retry-After` (distinguishing it from a queue-full 429).
-    headers_present: Attest,
-    /// The second client's request scored 200 after the first was limited.
-    second_client_unaffected: Attest,
 }
 
 /// The chaos phase (its own server, so the canonical phase counters stay
@@ -352,6 +314,9 @@ struct FrontendBench {
     threads: usize,
     queue_capacity: usize,
     max_batch: usize,
+    /// perfbench times this layer as `layer.server_in_process_us.p50`,
+    /// `p50_us.light`, `e2e.p90_us.light`, `e2e.p99_us.light` and
+    /// `e2e.sustained_rps`.
     replay: FrontendRun,
     /// The same replay against a `metrics_enabled: false` server — the A/B
     /// control behind `metrics_on_relative_throughput`.
@@ -363,16 +328,14 @@ struct FrontendBench {
     /// The high-connection-count series (256/1024/… mostly-idle keep-alive
     /// connections, `SERVE_BENCH_CONNECTIONS`).
     connections: ConnectionBench,
-    rate_limit: RateLimitSmoke,
     /// The tracing-on/off A/B with span reconciliation and Chrome export.
     tracing: TracingBench,
     reload: FrontendReload,
-    backpressure: FrontendBackpressure,
     /// Fault injection under live traffic: supervision, retries, deadline
     /// shedding and reload refusal, attested end to end.
     chaos: ChaosBench,
-    /// Final server counters; 4xx/5xx must be zero and 429 must equal the
-    /// deliberate rejections (asserted before the JSON is written).
+    /// Final server counters; 4xx/5xx/429 must be zero (asserted before the
+    /// JSON is written).
     statuses: ServerStats,
 }
 
@@ -427,7 +390,7 @@ fn main() {
         }
     }
 
-    // --- replay -----------------------------------------------------------
+    // --- request stream ---------------------------------------------------
     let stream = zipf_stream(
         &pool,
         &ReplayConfig {
@@ -436,44 +399,9 @@ fn main() {
             seed: args.config.seed,
         },
     );
-    let run_mode = |label: &str, cache_capacity: usize| -> Vec<ReplayReport> {
-        println!();
-        println!("-- {label} --");
-        println!(
-            "{:>8} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8}",
-            "Threads", "Requests/s", "p50 (µs)", "p95 (µs)", "p99 (µs)", "max (µs)", "Hit rate"
-        );
-        let mut runs = Vec::new();
-        for &threads in &args.threads {
-            let config = ServeConfig {
-                cache_capacity,
-                ..ServeConfig::default().with_threads(threads)
-            };
-            let executor = ShardedExecutor::new(engine.clone(), config);
-            let report = run_replay(&executor, &stream);
-            println!(
-                "{:>8} {:>14.0} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>7.1}%",
-                report.threads,
-                report.throughput_rps,
-                report.latency.p50_us,
-                report.latency.p95_us,
-                report.latency.p99_us,
-                report.latency.max_us,
-                report.cache_hit_rate * 100.0
-            );
-            runs.push(report);
-        }
-        runs
-    };
-    // Cache off: every request is scored, so this measures how the engine
-    // itself scales with threads. Cache on: the production regime, where the
-    // LRU absorbs the Zipf head and throughput is lookup-bound.
-    let runs_uncached = run_mode("scoring (cache off)", 0);
-    let runs_cached = run_mode("cached serving (LRU on)", ServeConfig::default().cache_capacity);
 
     // --- HTTP front-end ---------------------------------------------------
-    // Socket round trips are orders of magnitude slower than in-process
-    // calls, so the front-end replays a prefix of the stream (override with
+    // The front-end replays a prefix of the stream (override with
     // SERVE_BENCH_FRONTEND_REQUESTS / SERVE_BENCH_CLIENTS).
     let frontend_requests = er_bench::env_usize("SERVE_BENCH_FRONTEND_REQUESTS", 4_000)
         .min(stream.len())
@@ -494,28 +422,6 @@ fn main() {
         .max(1);
     let gateway = gateway_bench(&engine, &artifact_path, &stream[..gateway_requests], clients);
 
-    // --- summary ----------------------------------------------------------
-    if let Some(single) = runs_uncached.iter().find(|r| r.threads == 1) {
-        let best = runs_uncached
-            .iter()
-            .max_by(|a, b| a.throughput_rps.total_cmp(&b.throughput_rps))
-            .expect("at least one run");
-        println!();
-        println!(
-            "serve_bench: best scoring throughput {:.0} req/s at {} threads ({:.2}× single-threaded)",
-            best.throughput_rps,
-            best.threads,
-            best.throughput_rps / single.throughput_rps.max(1e-9),
-        );
-        let cores = er_bench::available_parallelism();
-        if cores == 1 {
-            println!(
-                "serve_bench: note — only 1 CPU is available to this process; \
-                 thread counts above 1 time-slice a single core and cannot show a speedup here"
-            );
-        }
-    }
-
     let summary = ServeBenchSummary {
         scale: args.config.scale,
         seed: args.config.seed,
@@ -525,8 +431,6 @@ fn main() {
         requests,
         zipf_exponent: 1.1,
         round_trip_bit_exact: Attest(check.is_ok()),
-        runs_uncached: by_threads(runs_uncached),
-        runs_cached: by_threads(runs_cached),
         frontend,
         gateway,
     };
@@ -537,13 +441,6 @@ fn main() {
     }
     std::fs::write(&json_path, serde::json::to_string_pretty(&summary)).expect("write serve_bench JSON");
     println!("serve_bench: wrote {}", json_path.display());
-}
-
-/// In-process replay runs as a gated series keyed `threads=N`.
-fn by_threads(runs: Vec<ReplayReport>) -> Series<Replay> {
-    runs.into_iter()
-        .map(|r| (format!("threads={}", r.threads), r.into()))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -602,8 +499,8 @@ impl FrontendRun {
             clients,
             requests,
             elapsed_secs: outcome.elapsed_secs,
-            throughput_rps: Throughput(outcome.throughput_rps),
-            latency: outcome.latency.into(),
+            throughput_rps: outcome.throughput_rps,
+            latency: outcome.latency,
             non_2xx: outcome.non_2xx,
             bit_exact: Attest(outcome.bit_exact),
         }
@@ -690,11 +587,12 @@ fn run_socket_replay(
     }
 }
 
-/// Runs the three front-end phases against a live [`ScoreServer`]: plain
-/// socket replay, the same replay with hot reloads fired mid-flight, and the
-/// deliberate backpressure smoke. Panics (failing the smoke tiers) on any
-/// non-2xx outside the backpressure phase, any score-bit divergence, or a
-/// dropped request.
+/// Runs the front-end phases: the metrics-off control, then against one live
+/// [`ScoreServer`] the plain socket replay, its `/metrics` scrape and the
+/// same replay with hot reloads fired mid-flight; then the connection
+/// series, tracing and chaos phases, each on its own server. Panics (failing
+/// the smoke tiers) on any unexpected non-2xx, any score-bit divergence, or
+/// a dropped request.
 fn frontend_bench(
     engine: &ScoringEngine,
     artifact_v1_path: &Path,
@@ -714,9 +612,7 @@ fn frontend_bench(
 
     let server_config = ServerConfig {
         queue_capacity: 16,
-        // The canonical phases stay tracing-free so their absolute baselines
-        // keep meaning what they always meant; the dedicated tracing phase
-        // below owns the tracing-on/off A/B.
+        // Tracing off: the tracing phase below owns the tracing-on/off A/B.
         trace_capacity: 0,
         ..ServerConfig::default()
     };
@@ -788,12 +684,12 @@ fn frontend_bench(
         outcome.throughput_rps, outcome.latency.p50_us, outcome.latency.p95_us, outcome.latency.p99_us
     );
     let replay = FrontendRun::new(clients, stream.len(), outcome);
-    let metrics_on_relative_throughput = replay.throughput_rps.0 / replay_metrics_off.throughput_rps.0.max(1e-9);
+    let metrics_on_relative_throughput = replay.throughput_rps / replay_metrics_off.throughput_rps.max(1e-9);
     println!("frontend metrics on/off throughput ratio: {metrics_on_relative_throughput:.3}");
 
     // Scrape `/metrics` while the registry holds exactly the plain replay's
     // traffic, and reconcile it against what the replay itself measured.
-    let metrics = scrape_and_reconcile(addr, &replay);
+    let metrics = scrape_and_reconcile(addr, replay.requests);
 
     // Phase 2: the same replay with RELOADS hot reloads fired at
     // request-count milestones while traffic is in flight.
@@ -854,83 +750,23 @@ fn frontend_bench(
         reloads: RELOADS,
         versions_observed: outcome.versions,
         elapsed_secs: outcome.elapsed_secs,
-        throughput_rps: Throughput(outcome.throughput_rps),
-        latency: outcome.latency.into(),
+        throughput_rps: outcome.throughput_rps,
+        latency: outcome.latency,
         non_2xx: outcome.non_2xx,
         bit_exact_per_version: Attest(outcome.bit_exact),
-    };
-
-    // Phase 3: deliberate backpressure. Pause intake, fill the
-    // admission queue with blocked in-flight requests, and require the
-    // overflow request to bounce with a deterministic 429 — then recover.
-    server.pause_intake();
-    let sample = stream[0].clone();
-    let blocked: Vec<std::thread::JoinHandle<u16>> = (0..queue_capacity)
-        .map(|_| {
-            let request = sample.clone();
-            std::thread::spawn(move || {
-                let mut conn = TcpStream::connect(addr).expect("frontend: connect while paused");
-                let body = serde::json::to_string(&request);
-                http_roundtrip(&mut conn, "POST", "/score", Some(&body))
-                    .expect("frontend: blocked request dropped")
-                    .status
-            })
-        })
-        .collect();
-    let deadline = Instant::now() + std::time::Duration::from_secs(10);
-    while server.queued_jobs() < queue_capacity {
-        assert!(
-            Instant::now() < deadline,
-            "backpressure phase: queue never filled ({} of {queue_capacity})",
-            server.queued_jobs()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    let mut conn = TcpStream::connect(addr).expect("frontend: connect for overflow");
-    let body = serde::json::to_string(&sample);
-    let rejected = http_roundtrip(&mut conn, "POST", "/score", Some(&body)).expect("frontend: overflow round trip");
-    assert_eq!(
-        rejected.status, 429,
-        "overflow beyond the admission queue must bounce with 429, got {}: {}",
-        rejected.status, rejected.body
-    );
-    assert!(
-        rejected.header("x-ratelimit-limit").is_none() && rejected.header("retry-after") == Some("0"),
-        "a queue-full 429 must not look like a rate-limit 429: {:?}",
-        rejected.headers
-    );
-    server.resume_intake();
-    for handle in blocked {
-        let status = handle.join().expect("blocked client panicked");
-        assert_eq!(status, 200, "a queued request was dropped instead of scored");
-    }
-    let recovered = http_roundtrip(&mut conn, "POST", "/score", Some(&body)).expect("frontend: recovery round trip");
-    assert_eq!(recovered.status, 200, "server did not recover after backpressure");
-    println!("frontend backpressure: queue {queue_capacity} filled, overflow bounced 429, recovered");
-    let backpressure = FrontendBackpressure {
-        queue_capacity,
-        deliberate_rejections_429: 1,
-        recovered_2xx: Attest(true),
     };
 
     let statuses = server.stats();
     assert_eq!(statuses.responses_4xx, 0, "unexpected 4xx responses: {statuses:?}");
     assert_eq!(statuses.responses_5xx, 0, "unexpected 5xx responses: {statuses:?}");
-    assert_eq!(
-        statuses.responses_429, backpressure.deliberate_rejections_429,
-        "429s outside the deliberate backpressure phase: {statuses:?}"
-    );
+    assert_eq!(statuses.responses_429, 0, "unexpected 429 responses: {statuses:?}");
     server.shutdown();
 
     // The high-connection-count series gets its own server with a raised
     // connection cap.
     let connections = connection_series_bench(engine, stream, threads, &expected_v1);
 
-    // The rate-limit smoke runs on its own server so the canonical phase
-    // counters above stay exactly attributable.
-    let rate_limit = rate_limit_smoke(engine, &stream[0], threads);
-
-    // The tracing A/B likewise gets its own pair of servers.
+    // The tracing A/B gets its own pair of servers.
     let tracing = tracing_bench(engine, stream, clients, threads, &expected_v1);
 
     // The chaos phase runs last, on its own server, with its own fault plan.
@@ -945,10 +781,8 @@ fn frontend_bench(
         metrics_on_relative_throughput: Ratio(metrics_on_relative_throughput),
         metrics,
         connections,
-        rate_limit,
         tracing,
         reload,
-        backpressure,
         chaos,
         statuses,
     }
@@ -1230,11 +1064,13 @@ fn chaos_bench(
 
 /// The tracing phase: replay the identical stream against a tracing-off
 /// control and a tracing-on server whose ring retains every trace, then
-/// reconcile the span timelines three ways — counts (committed `/score`
+/// reconcile the span timelines four ways — counts (committed `/score`
 /// traces == replayed requests == `er_serve_score_requests_total`), nesting
-/// (every stage span ends inside its request's total) and bracketing
+/// (every stage span ends inside its request's total), bracketing
 /// (trace-total percentiles sit at or below the client-measured socket
-/// percentiles) — and snapshot the Chrome trace-event export.
+/// percentiles) and the request-duration histogram (its percentile buckets
+/// hold the trace-total percentiles) — and snapshot the Chrome trace-event
+/// export.
 fn tracing_bench(
     engine: &ScoringEngine,
     stream: &[ScoreRequest],
@@ -1246,7 +1082,7 @@ fn tracing_bench(
         queue_capacity: 16,
         ..ServerConfig::default()
     };
-    let run = |label: &str, trace_capacity: usize| -> (FrontendRun, Option<ScoreServer>) {
+    let run = |label: &str, trace_capacity: usize| -> (FrontendRun, ScoreServer) {
         let executor = Arc::new(ReloadableExecutor::new(
             engine.clone(),
             ServeConfig::default().with_threads(threads),
@@ -1267,24 +1103,30 @@ fn tracing_bench(
             "frontend replay (tracing {label}): {:>10.0} req/s  p50 {:>7.1}µs  p95 {:>7.1}µs  p99 {:>7.1}µs",
             outcome.throughput_rps, outcome.latency.p50_us, outcome.latency.p95_us, outcome.latency.p99_us
         );
-        (FrontendRun::new(clients, stream.len(), outcome), Some(server))
+        (FrontendRun::new(clients, stream.len(), outcome), server)
     };
 
     println!();
     // Control first, so the tracing-on series cannot inherit its warmup.
     let (replay_trace_off, control) = run("OFF control", 0);
-    control.expect("control server").shutdown();
+    control.shutdown();
 
     // Retain everything: with capacity ≥ 2 × requests the ring never wraps,
     // so the reconciliations below see every request, not a survivor set.
     let trace_capacity = stream.len() * 2;
     let (replay_trace_on, server) = run("ON", trace_capacity);
-    let server = server.expect("tracing-on server");
-    let tracing_on_relative_throughput = replay_trace_on.throughput_rps.0 / replay_trace_off.throughput_rps.0.max(1e-9);
+    let tracing_on_relative_throughput = replay_trace_on.throughput_rps / replay_trace_off.throughput_rps.max(1e-9);
     println!("frontend tracing on/off throughput ratio: {tracing_on_relative_throughput:.3}");
 
     // --- reconciliation: counts --------------------------------------------
+    // The server commits a trace and observes the request-duration histogram
+    // after writing the response, so the replay can return before that
+    // bookkeeping has run for its last requests: wait for it (bounded).
     let tracer = server.tracer().expect("tracing-on server has a tracer");
+    let settle_deadline = Instant::now() + Duration::from_secs(5);
+    while tracer.committed_total() < stream.len() as u64 && Instant::now() < settle_deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let traces = tracer.snapshot();
     let score_traces: Vec<_> = traces
         .iter()
@@ -1344,9 +1186,9 @@ fn tracing_bench(
     let slack_us = PERCENTILE_SLACK_SECS * 1e6;
     let mut totals_bracket_replay = true;
     for (label, server_us, client_us) in [
-        ("p50", trace_latency.p50_us, replay_trace_on.latency.p50_us.0),
-        ("p95", trace_latency.p95_us, replay_trace_on.latency.p95_us.0),
-        ("p99", trace_latency.p99_us, replay_trace_on.latency.p99_us.0),
+        ("p50", trace_latency.p50_us, replay_trace_on.latency.p50_us),
+        ("p95", trace_latency.p95_us, replay_trace_on.latency.p95_us),
+        ("p99", trace_latency.p99_us, replay_trace_on.latency.p99_us),
     ] {
         let ok = server_us <= client_us + slack_us;
         println!(
@@ -1358,6 +1200,20 @@ fn tracing_bench(
     assert!(
         totals_bracket_replay,
         "summed stage timelines exceed the client-measured socket latency"
+    );
+
+    // --- reconciliation: the request-duration histogram ---------------------
+    // The histogram and the traces time the same requests over the same
+    // server-side window, so the histogram's percentile buckets must hold
+    // the trace-total percentiles. (Against the client's socket timings the
+    // check would also measure client-side scheduling.)
+    let histogram = extract_histogram(&samples, "er_serve_request_duration_seconds", &[("route", "/score")])
+        .expect("request_duration{route=\"/score\"} histogram present and consistent");
+    assert_eq!(histogram.count, stream.len() as u64, "histogram count mismatch");
+    let histogram_reconciled = histogram_brackets(&histogram, &trace_latency);
+    assert!(
+        histogram_reconciled,
+        "the request-duration histogram does not bracket the server's own trace totals"
     );
 
     // --- Chrome trace-event export -----------------------------------------
@@ -1396,21 +1252,40 @@ fn tracing_bench(
         stage_taxonomy_complete: Attest(stage_taxonomy_complete),
         totals_bracket_replay: Attest(totals_bracket_replay),
         trace_latency,
+        histogram_reconciled: Attest(histogram_reconciled),
         chrome_export_parsed: Attest(chrome_export_parsed),
         snapshot_path,
     }
 }
 
-/// Absolute slack when bracketing a socket-measured percentile inside a
-/// server-side histogram bucket range: the client round trip includes
-/// syscall and wire time the server-side `request_duration` histogram
-/// cannot see.
+/// Absolute slack allowed when checking that a server-side trace-total
+/// percentile sits at or below the client-measured socket percentile.
 const PERCENTILE_SLACK_SECS: f64 = 500e-6;
+
+/// Whether the server-side percentiles `server` lie inside the histogram's
+/// p50/p95/p99 bucket ranges, widened by one bucket each side.
+fn histogram_brackets(histogram: &ParsedHistogram, server: &LatencySummary) -> bool {
+    let mut reconciled = true;
+    for (q, measured_us) in [(0.50, server.p50_us), (0.95, server.p95_us), (0.99, server.p99_us)] {
+        let (lo, hi) = histogram.quantile_bounds(q, 1).expect("non-empty histogram");
+        let ok = (lo..=hi).contains(&(measured_us * 1e-6));
+        println!(
+            "frontend tracing: p{:.0} histogram bucket [{:.1}µs, {:.1}µs] vs trace total {measured_us:.1}µs — {}",
+            q * 100.0,
+            lo * 1e6,
+            hi * 1e6,
+            if ok { "reconciled" } else { "DIVERGED" }
+        );
+        reconciled &= ok;
+    }
+    reconciled
+}
 
 /// Scrapes `GET /metrics`, writes the raw exposition to
 /// `SERVE_BENCH_METRICS_SNAPSHOT` (default `out/metrics-snapshot.prom`) for
-/// the smoke tiers, and asserts both reconciliations.
-fn scrape_and_reconcile(addr: SocketAddr, replay: &FrontendRun) -> FrontendMetrics {
+/// the smoke tiers, and asserts that `er_serve_score_requests_total` counts
+/// the `requests` the replay sent.
+fn scrape_and_reconcile(addr: SocketAddr, requests: usize) -> FrontendMetrics {
     let mut conn = TcpStream::connect(addr).expect("frontend: connect for /metrics");
     let response = http_roundtrip(&mut conn, "GET", "/metrics", None).expect("frontend: scrape round trip");
     assert_eq!(response.status, 200, "scrape failed: {}", response.body);
@@ -1430,41 +1305,10 @@ fn scrape_and_reconcile(addr: SocketAddr, replay: &FrontendRun) -> FrontendMetri
         .filter(|s| s.name == "er_serve_score_requests_total")
         .map(|s| s.value as u64)
         .sum();
-    let reconciles_with_replay = score_requests_total == replay.requests as u64;
+    let reconciles_with_replay = score_requests_total == requests as u64;
     assert!(
         reconciles_with_replay,
-        "er_serve_score_requests_total {} != replayed requests {}",
-        score_requests_total, replay.requests
-    );
-
-    // The replay measured each socket round trip itself; the histogram saw
-    // the server-side slice of the same requests. Each measured percentile
-    // must land inside the histogram's quantile bucket, widened by one
-    // bucket each side plus wire-time slack.
-    let histogram = extract_histogram(&samples, "er_serve_request_duration_seconds", &[("route", "/score")])
-        .expect("request_duration{route=\"/score\"} histogram present and consistent");
-    assert_eq!(histogram.count, replay.requests as u64, "histogram count mismatch");
-    let mut histogram_reconciled = true;
-    for (q, measured_us) in [
-        (0.50, replay.latency.p50_us.0),
-        (0.95, replay.latency.p95_us.0),
-        (0.99, replay.latency.p99_us.0),
-    ] {
-        let (lo, hi) = histogram.quantile_bounds(q, 1).expect("non-empty histogram");
-        let measured = measured_us * 1e-6;
-        let ok = measured >= lo - PERCENTILE_SLACK_SECS && measured <= hi + PERCENTILE_SLACK_SECS;
-        println!(
-            "frontend scrape: p{:.0} histogram bucket [{:.1}µs, {:.1}µs] vs replay {measured_us:.1}µs — {}",
-            q * 100.0,
-            lo * 1e6,
-            hi * 1e6,
-            if ok { "reconciled" } else { "DIVERGED" }
-        );
-        histogram_reconciled &= ok;
-    }
-    assert!(
-        histogram_reconciled,
-        "histogram-derived percentiles do not bracket the replay's own measurements"
+        "er_serve_score_requests_total {score_requests_total} != replayed requests {requests}"
     );
     println!(
         "frontend scrape: exposition parsed ({} samples), score_requests_total {score_requests_total} reconciled, snapshot at {snapshot_path}",
@@ -1475,7 +1319,6 @@ fn scrape_and_reconcile(addr: SocketAddr, replay: &FrontendRun) -> FrontendMetri
         scrape_parsed: Attest(true),
         score_requests_total,
         reconciles_with_replay: Attest(reconciles_with_replay),
-        histogram_reconciled: Attest(histogram_reconciled),
     }
 }
 
@@ -1652,67 +1495,6 @@ fn connection_series(
     entries
 }
 
-/// Proves the per-client token bucket over a raw socket: client `rl-a`
-/// exhausts its burst and must bounce with 429 + `X-RateLimit-*`; client
-/// `rl-b` (same peer IP, its own `X-Client-Id`) is untouched.
-fn rate_limit_smoke(engine: &ScoringEngine, sample: &ScoreRequest, threads: usize) -> RateLimitSmoke {
-    let config = RateLimitConfig::new(0.5, 4.0);
-    let executor = Arc::new(ReloadableExecutor::new(
-        engine.clone(),
-        ServeConfig::default().with_threads(threads),
-    ));
-    let server = ScoreServer::start(
-        executor,
-        ServerConfig {
-            rate_limit: Some(config),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind rate-limited score server");
-    let mut conn = TcpStream::connect(server.local_addr()).expect("frontend: connect for rate-limit smoke");
-    let body = serde::json::to_string(sample);
-    let a = [("X-Client-Id", "rl-a")];
-    for i in 0..config.burst as usize {
-        let ok = http_roundtrip_with_headers(&mut conn, "POST", "/score", Some(&body), &a)
-            .expect("frontend: rate-limit smoke round trip");
-        assert_eq!(ok.status, 200, "burst request {i} should pass: {}", ok.body);
-    }
-    let limited = http_roundtrip_with_headers(&mut conn, "POST", "/score", Some(&body), &a)
-        .expect("frontend: over-budget round trip");
-    let limited_429 = limited.status == 429;
-    let headers_present = limited.header("x-ratelimit-limit").is_some()
-        && limited.header("x-ratelimit-remaining") == Some("0")
-        && limited.header("x-ratelimit-reset").is_some()
-        && limited.header("retry-after").is_some_and(|v| v != "0");
-    assert!(
-        limited_429 && headers_present,
-        "over-budget client must get 429 + X-RateLimit-* headers, got {} {:?}",
-        limited.status,
-        limited.headers
-    );
-    let b = [("X-Client-Id", "rl-b")];
-    let unaffected = http_roundtrip_with_headers(&mut conn, "POST", "/score", Some(&body), &b)
-        .expect("frontend: second-client round trip");
-    let second_client_unaffected = unaffected.status == 200;
-    assert!(
-        second_client_unaffected,
-        "a second client must not inherit the first client's exhausted bucket: {} {}",
-        unaffected.status, unaffected.body
-    );
-    println!(
-        "frontend rate limit: burst {} exhausted → 429 with X-RateLimit-* headers; second client unaffected",
-        config.burst
-    );
-    server.shutdown();
-    RateLimitSmoke {
-        rate_per_sec: config.rate_per_sec,
-        burst: config.burst,
-        limited_429: Attest(limited_429),
-        headers_present: Attest(headers_present),
-        second_client_unaffected: Attest(second_client_unaffected),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Multi-process gateway phase
 // ---------------------------------------------------------------------------
@@ -1795,111 +1577,20 @@ fn gateway_config(backends: &[BackendProcess], baseline: &Path) -> GatewayConfig
     }
 }
 
-/// Drives one canary cycle: `/reload` the candidate onto the gateway's
-/// canary backends, then replay traffic until the controller's verdict
-/// (promotion or rollback) fires, bit-comparing every served score against
-/// the baseline engine. Asserts the verdict is the expected one (`promote`)
-/// with zero errors and converged digests, and returns the attestation block.
-fn gateway_canary_cycle(
-    gateway: &GatewayServer,
-    candidate: &Path,
-    stream: &[ScoreRequest],
-    expected: &[f64],
-    promote: bool,
-) -> GatewayCanary {
-    let mut conn = TcpStream::connect(gateway.local_addr()).expect("gateway: connect for reload");
-    let body = format!(
-        "{{\"path\": {}}}",
-        serde::json::to_string(&candidate.display().to_string())
-    );
-    let reload = http_roundtrip(&mut conn, "POST", "/reload", Some(&body)).expect("gateway: reload round trip");
-    assert_eq!(reload.status, 200, "gateway reload refused: {}", reload.body);
-
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut requests = 0usize;
-    let mut non_2xx = 0u64;
-    let mut bit_exact = true;
-    let stats = loop {
-        let request = &stream[requests % stream.len()];
-        let expected_score = expected[requests % stream.len()];
-        let body = serde::json::to_string(request);
-        let response =
-            http_roundtrip(&mut conn, "POST", "/score", Some(&body)).expect("gateway: canary-cycle request severed");
-        requests += 1;
-        if response.status != 200 {
-            non_2xx += 1;
-        } else {
-            let (_, scores) = parse_score_response(&response.body).expect("gateway: malformed score body");
-            if scores.len() != 1 || scores[0].to_bits() != expected_score.to_bits() {
-                bit_exact = false;
-            }
-        }
-        let stats = gateway.stats();
-        if stats.canary.promotions >= 1 || stats.canary.rollbacks >= 1 {
-            break stats;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "gateway canary verdict never fired after {requests} requests: {:?}",
-            stats.canary
-        );
-    };
-    assert_eq!(stats.canary.phase, "stable", "a verdict must land back in Stable");
-    let digests: Vec<&str> = stats.backends.iter().map(|b| b.model_digest.as_str()).collect();
-    let digests_converged = !digests.is_empty() && !digests[0].is_empty() && digests.iter().all(|d| *d == digests[0]);
-    let (promoted, rolled_back) = (stats.canary.promotions >= 1, stats.canary.rollbacks >= 1);
-    let verdict = if promote { "promotion" } else { "rollback" };
-    assert!(
-        promoted == promote && rolled_back != promote,
-        "expected a {verdict}: {:?}",
-        stats.canary
-    );
-    assert!(
-        non_2xx == 0 && bit_exact,
-        "{verdict} cycle degraded traffic: {non_2xx} non-2xx, bit-exact {bit_exact}"
-    );
-    assert!(
-        digests_converged,
-        "fleet digests diverged after the {verdict}: {digests:?}"
-    );
-    println!("gateway canary {verdict}: fired after {requests} requests, zero errors, digests converged");
-    // Each cycle attests its own verdict; the other flag is informational.
-    let flag = |fired: bool, attested: bool| {
-        if attested {
-            Field::Gated(Attest(fired))
-        } else {
-            Field::Info(fired)
-        }
-    };
-    GatewayCanary {
-        candidate_path: candidate.display().to_string(),
-        requests,
-        promotions: stats.canary.promotions,
-        rollbacks: stats.canary.rollbacks,
-        promotion_fired: flag(promoted, promote),
-        rollback_fired: flag(rolled_back, !promote),
-        non_2xx,
-        zero_severed: Attest(non_2xx == 0),
-        bit_exact: Attest(bit_exact),
-        digests_converged: Attest(digests_converged),
-    }
-}
-
 /// The multi-process gateway phase: spawns real `er-serve` child processes
 /// and routes through an in-process [`GatewayServer`] (the gateway *binary*
 /// is the same library entry; `scripts/kick-tires.sh` exercises it as a
-/// separate process). Five sub-phases, each on fresh backends:
+/// separate process). Three sub-phases, each on fresh backends:
 ///
 /// 1. **Scaling series** — the identical closed-loop replay against 1 and 2
 ///    backends; aggregate throughput must scale with backend count.
 /// 2. **Hedging** — one backend stalls every score via `ER_FAULT_PLAN`;
 ///    requests aimed at it must be won by the hedge, bit-exactly.
-/// 3. **Canary promotion** — an equivalent candidate walks shadow → serving
-///    → automatic promotion with zero errors.
-/// 4. **Canary rollback** — a divergent candidate is caught by shadow
-///    comparison and rolled back automatically, zero severed connections.
-/// 5. **Connection series** — the front-end's high-connection-count series
+/// 3. **Connection series** — the front-end's high-connection-count series
 ///    through a gateway in front of an in-process backend.
+///
+/// The canary promotion and rollback cycles are workspace tests
+/// (`er-gateway/tests/gateway_integration.rs`).
 fn gateway_bench(
     engine: &ScoringEngine,
     artifact_v1_path: &Path,
@@ -1949,8 +1640,8 @@ fn gateway_bench(
             requests: stream.len(),
             clients,
             elapsed_secs: outcome.elapsed_secs,
-            throughput_rps: Throughput(outcome.throughput_rps),
-            latency: outcome.latency.into(),
+            throughput_rps: outcome.throughput_rps,
+            latency: outcome.latency,
             non_2xx: outcome.non_2xx,
             all_2xx: Attest(outcome.non_2xx == 0),
             bit_exact: Attest(outcome.bit_exact),
@@ -1958,7 +1649,7 @@ fn gateway_bench(
         series.0.push((format!("backends={n}"), entry));
         gateway.shutdown();
     }
-    let scaling_2x = series.0[1].1.throughput_rps.0 / series.0[0].1.throughput_rps.0.max(1e-9);
+    let scaling_2x = series.0[1].1.throughput_rps / series.0[0].1.throughput_rps.max(1e-9);
     println!("gateway scaling 2 backends / 1 backend: {scaling_2x:.2}x");
 
     // Phase 2: hedging against an injected straggler. Backend 1 stalls its
@@ -2022,45 +1713,6 @@ fn gateway_bench(
         }
     };
 
-    // Phase 3 + 4: the canary cycles, each on a fresh 2-backend fleet with
-    // backend 1 designated canary and a fast verdict (8 comparisons).
-    let canary_fleet = || -> (Vec<BackendProcess>, GatewayServer) {
-        let backends: Vec<BackendProcess> = (0..2).map(|_| spawn_backend(&binary, artifact_v1_path, None)).collect();
-        let mut config = gateway_config(&backends, artifact_v1_path);
-        config.canary_backends = vec![1];
-        config.canary = CanaryConfig {
-            shadow_sample_bp: 10_000,
-            min_samples: 8,
-            divergence_threshold: 1e-9,
-            ladder: vec![2_000],
-            auto_advance: true,
-        };
-        let gateway = GatewayServer::start(config).expect("start canary gateway");
-        (backends, gateway)
-    };
-
-    // An equivalent candidate: the served model re-exported under a new
-    // path — identical parameters, identical digest, must promote.
-    let promote_path = artifact_v1_path.with_file_name("serve_model_gateway_promote.json");
-    ModelArtifact::new(engine.model().clone())
-        .save(&promote_path)
-        .expect("save equivalent candidate");
-    let canary_promotion = {
-        let (_backends, gateway) = canary_fleet();
-        gateway_canary_cycle(&gateway, &promote_path, stream, &expected, true)
-    };
-
-    // A divergent candidate: the retrained variant — shadow comparison must
-    // catch it and roll the canary back without touching live traffic.
-    let rollback_path = artifact_v1_path.with_file_name("serve_model_gateway_divergent.json");
-    ModelArtifact::new(retrained_variant(engine.model()))
-        .save(&rollback_path)
-        .expect("save divergent candidate");
-    let canary_rollback = {
-        let (_backends, gateway) = canary_fleet();
-        gateway_canary_cycle(&gateway, &rollback_path, stream, &expected, false)
-    };
-
     let connections = gateway_connection_series_bench(engine, stream, &expected);
 
     Some(GatewayBench {
@@ -2069,8 +1721,34 @@ fn gateway_bench(
         series,
         scaling_2x: Ratio(scaling_2x),
         hedging,
-        canary_promotion,
-        canary_rollback,
         connections,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use er_serve::MetricsRegistry;
+
+    /// The `/score` request-duration histogram a server would expose after
+    /// observing `seconds`, read back through the exposition.
+    fn scraped_histogram(seconds: impl Iterator<Item = f64>) -> ParsedHistogram {
+        let registry = MetricsRegistry::new();
+        let histogram = registry.request_duration.with(&[("route", "/score")]);
+        for s in seconds {
+            histogram.observe(s);
+        }
+        let samples = parse_exposition(&registry.render()).expect("exposition parses");
+        extract_histogram(&samples, "er_serve_request_duration_seconds", &[("route", "/score")]).expect("histogram")
+    }
+
+    #[test]
+    fn histogram_brackets_its_own_trace_totals_but_not_four_times_them() {
+        // Trace totals of 80–275 µs, as whole microseconds.
+        let totals_us: Vec<u64> = (0..400).map(|i| 80 + (i % 40) * 5).collect();
+        let trace_latency = summarize_latencies(&mut totals_us.iter().map(|us| us * 1_000).collect::<Vec<_>>());
+        let observed = |scale: f64| scraped_histogram(totals_us.iter().map(move |&us| us as f64 * 1e-6 * scale));
+        assert!(histogram_brackets(&observed(1.0), &trace_latency));
+        assert!(!histogram_brackets(&observed(4.0), &trace_latency));
+    }
 }

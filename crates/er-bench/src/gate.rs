@@ -21,7 +21,7 @@
 //!   [`RUNTIME_FLOOR_S`] in *both* runs are timer jitter and skipped.
 //! * A leaf that vanished from the current run, or a non-finite value, fails.
 
-use er_serve::{LatencySummary, ReplayReport};
+use er_serve::LatencySummary;
 use serde::{Serialize, Value};
 
 /// Relative worsening beyond which a compared leaf regresses (and
@@ -122,7 +122,7 @@ leaf!(
 );
 
 /// A field gated in some records and informational in others — e.g. a
-/// canary cycle's `promotion_fired`, attested only by the promotion cycle.
+/// `fig13` point's `runtime_secs`, gated only for risk-training stages.
 #[derive(Debug)]
 pub enum Field<G, P> {
     /// Serialized as the gated leaf `G`.
@@ -140,7 +140,7 @@ impl<G: Serialize, P: Serialize> Serialize for Field<G, P> {
     }
 }
 
-/// A series written as a map keyed by a stable label (`threads=1`,
+/// A series written as a map keyed by a stable label (`connections=256`,
 /// `backends=2`, `risk_training[t2]@500`), so each entry's gated leaves keep
 /// one path whatever the entry's position or the series' length.
 #[derive(Debug)]
@@ -186,40 +186,10 @@ impl From<LatencySummary> for Latency {
     }
 }
 
-/// [`ReplayReport`] with its throughput and latency percentiles gated.
-#[derive(Debug, Serialize)]
-pub struct Replay {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Requests replayed.
-    pub requests: usize,
-    /// Wall-clock duration of the replay.
-    pub elapsed_secs: f64,
-    /// Requests per second across all workers.
-    pub throughput_rps: Throughput,
-    /// Per-request service-latency percentiles.
-    pub latency: Latency,
-    /// Fraction of requests answered from the score cache.
-    pub cache_hit_rate: f64,
-}
-
-impl From<ReplayReport> for Replay {
-    fn from(r: ReplayReport) -> Self {
-        Self {
-            threads: r.threads,
-            requests: r.requests,
-            elapsed_secs: r.elapsed_secs,
-            throughput_rps: Throughput(r.throughput_rps),
-            latency: r.latency.into(),
-            cache_hit_rate: r.cache_hit_rate,
-        }
-    }
-}
-
 /// One gated leaf found in a JSON tree.
 #[derive(Debug)]
 pub struct Leaf<'v> {
-    /// Dotted path, e.g. `serve.runs_uncached[threads=1].throughput_rps`.
+    /// Dotted path, e.g. `serve.gateway.series[backends=2].bit_exact`.
     pub name: String,
     /// The leaf's kind.
     pub kind: Kind,
@@ -236,7 +206,7 @@ fn as_leaf(v: &Value) -> Option<(Kind, &Value)> {
     }
 }
 
-/// Series keys (`threads=1`) render bracketed, every other key dotted.
+/// Series keys (`backends=2`) render bracketed, every other key dotted.
 fn child_path(path: &str, key: &str) -> String {
     if key.contains('=') {
         format!("{path}[{key}]")

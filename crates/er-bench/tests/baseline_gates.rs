@@ -132,7 +132,7 @@ fn every_gated_leaf_of_the_committed_baseline_fails_when_broken() {
     }
 }
 
-/// `serve_bench` wrote these four attestations long before any gate read
+/// `serve_bench` wrote these three attestations long before any gate read
 /// them; each must now fail the gate when it goes missing.
 #[test]
 fn the_formerly_ungated_serve_attestations_are_gated() {
@@ -141,7 +141,6 @@ fn the_formerly_ungated_serve_attestations_are_gated() {
         &["frontend", "replay_metrics_off", "bit_exact"][..],
         &["frontend", "tracing", "replay_trace_off", "bit_exact"],
         &["frontend", "tracing", "replay_trace_on", "bit_exact"],
-        &["frontend", "backpressure", "recovered_2xx"],
     ] {
         let mut current = base.clone();
         let (parent, leaf) = path.split_at(path.len() - 1);

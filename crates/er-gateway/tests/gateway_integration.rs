@@ -11,8 +11,8 @@
 use er_gateway::{CanaryConfig, GatewayConfig, GatewayServer, HashRing};
 use er_serve::http::{self, Progress};
 use er_serve::{
-    http_roundtrip, http_roundtrip_with_headers, ModelArtifact, ReloadableExecutor, ScoreServer, ServeConfig,
-    ServerConfig,
+    http_roundtrip, http_roundtrip_with_headers, parse_score_response, ModelArtifact, ReloadableExecutor, ScoreRequest,
+    ScoreServer, ScoringEngine, ServeConfig, ServerConfig,
 };
 use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
 use std::io::{Read, Write};
@@ -89,13 +89,32 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-fn score_body(pair_id: u64) -> String {
+fn score_request(pair_id: u64) -> ScoreRequest {
     let x = (pair_id % 10) as f64 / 10.0;
-    format!(
-        "{{\"pair_id\": {pair_id}, \"metric_row\": [{x}, {}], \"classifier_output\": {x}, \"machine_says_match\": {}}}",
-        1.0 - x,
-        x >= 0.5
-    )
+    ScoreRequest {
+        pair_id,
+        metric_row: vec![x, 1.0 - x],
+        classifier_output: x,
+        machine_says_match: x >= 0.5,
+    }
+}
+
+fn score_body(pair_id: u64) -> String {
+    serde::json::to_string(&score_request(pair_id))
+}
+
+/// Asserts that a 200 `/score` answer for `pair_id` carries the baseline
+/// model's score bit for bit: a canary's answers must never reach clients
+/// before its verdict, and after a rollback or promotion every backend
+/// serves scores identical to the baseline's.
+fn assert_baseline_score(baseline: &ScoringEngine, pair_id: u64, body: &str) {
+    let (_, scores) = parse_score_response(body).expect("score body");
+    let expected = baseline.score_batch(&[score_request(pair_id)]);
+    assert_eq!(
+        scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+        vec![expected[0].to_bits()],
+        "pair {pair_id}: served {scores:?}, baseline {expected:?}"
+    );
 }
 
 fn stats(gateway_addr: SocketAddr) -> serde::Value {
@@ -332,6 +351,7 @@ fn divergent_canary_rolls_back_automatically_with_zero_errors() {
 
     // Shadow comparisons run after each response; with min_samples=8 the
     // divergence verdict must fire within a handful of requests.
+    let engine = ScoringEngine::new(tiny_model());
     for pair_id in 0..16u64 {
         let mut stream = connect(gateway.local_addr());
         let response = http_roundtrip(&mut stream, "POST", "/score", Some(&score_body(pair_id))).expect("score");
@@ -340,6 +360,7 @@ fn divergent_canary_rolls_back_automatically_with_zero_errors() {
             "divergence rollback must not sever live traffic: {}",
             response.body
         );
+        assert_baseline_score(&engine, pair_id, &response.body);
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -360,6 +381,7 @@ fn divergent_canary_rolls_back_automatically_with_zero_errors() {
     // The canary backend is back on the baseline artifact: digests agree
     // and its /reload counter shows candidate + rollback loads.
     let snapshot = gateway.stats();
+    assert!(!snapshot.backends[0].model_digest.is_empty(), "no digest reported");
     assert_eq!(
         snapshot.backends[0].model_digest, snapshot.backends[1].model_digest,
         "canary backend still serves the divergent artifact"
@@ -402,12 +424,14 @@ fn equivalent_canary_walks_the_ladder_to_promotion() {
 
     // Identical scores: each rung passes after min_samples=4 comparisons.
     // Shadow rung → Serving(2000) → promote (single-rung ladder).
+    let engine = ScoringEngine::new(tiny_model());
     let deadline = Instant::now() + Duration::from_secs(15);
     let mut pair_id = 0u64;
     loop {
         let mut stream = connect(gateway.local_addr());
         let response = http_roundtrip(&mut stream, "POST", "/score", Some(&score_body(pair_id))).expect("score");
         assert_eq!(response.status, 200, "{}", response.body);
+        assert_baseline_score(&engine, pair_id, &response.body);
         pair_id += 1;
         let snapshot = stats(gateway.local_addr());
         if stats_u64(&snapshot, &["canary", "promotions"]) >= 1 {
@@ -429,6 +453,7 @@ fn equivalent_canary_walks_the_ladder_to_promotion() {
         snapshot.backends[0].model_version, 2,
         "promotion must reload the baseline backend onto the candidate"
     );
+    assert!(!snapshot.backends[0].model_digest.is_empty(), "no digest reported");
     assert_eq!(snapshot.backends[0].model_digest, snapshot.backends[1].model_digest);
     assert_eq!(
         snapshot.responses_non_2xx, 0,

@@ -50,9 +50,9 @@
 //!   `GET /metrics`; the single source of truth `/stats` is derived from.
 //! * [`ratelimit`] — [`RateLimiter`]: per-client token buckets in front of
 //!   the admission queue (429 + `X-RateLimit-*` headers).
-//! * [`replay`] — a Zipf-skewed synthetic traffic generator and a
-//!   closed-loop replay harness reporting throughput and p50/p95/p99
-//!   latency.
+//! * [`replay`] — a Zipf-skewed synthetic traffic generator and the
+//!   p50/p95/p99 latency summary the socket replays of `perfbench` and
+//!   `serve_bench` report.
 //! * [`trace`] — end-to-end request tracing: per-request span timelines
 //!   through `parse → ratelimit → admission_queue → score (per-shard) →
 //!   serialize → write`, retained in a tail-biased ring
@@ -86,7 +86,7 @@ pub use index::{CompiledRuleIndex, MatchScratch, RowLengthError};
 pub use metrics::{extract_histogram, parse_exposition, MetricsRegistry, ParsedHistogram, Sample};
 pub use ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
 pub use reload::{synthesize_probes, ReloadError, ReloadStats, ReloadableExecutor, VersionedExecutor};
-pub use replay::{run_replay, summarize_latencies, zipf_stream, LatencySummary, ReplayConfig, ReplayReport};
+pub use replay::{summarize_latencies, zipf_stream, LatencySummary, ReplayConfig};
 pub use server::{
     http_roundtrip, http_roundtrip_with_headers, http_roundtrip_with_retry, parse_score_response, read_http_response,
     HttpResponse, RetryPolicy, ScoreServer, ServerConfig, ServerStats,

@@ -1,19 +1,16 @@
-//! Traffic replay: Zipf-skewed synthetic request streams and a closed-loop
-//! load harness.
+//! Traffic replay: Zipf-skewed synthetic request streams and the latency
+//! summary their replays report.
 //!
 //! Real ER serving traffic is heavily skewed — a small set of contested
 //! pairs (popular products, prolific authors) is re-scored far more often
 //! than the long tail — so the generator draws pairs from a Zipf
-//! distribution over a seeded permutation of the pool. The harness replays
-//! the stream through a [`ShardedExecutor`] with one closed loop per worker
-//! thread, timing every request, and reports throughput plus p50/p95/p99
-//! latency.
+//! distribution over a seeded permutation of the pool. `perfbench` and
+//! `serve_bench` replay these streams over sockets and summarize the
+//! per-request latencies with [`summarize_latencies`].
 
 use crate::engine::ScoreRequest;
-use crate::executor::ShardedExecutor;
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Shape of a synthetic request stream.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -25,16 +22,6 @@ pub struct ReplayConfig {
     pub zipf_exponent: f64,
     /// Seed of the popularity permutation and the draw stream.
     pub seed: u64,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            requests: 40_000,
-            zipf_exponent: 1.1,
-            seed: 2020,
-        }
-    }
 }
 
 /// Generates a Zipf-skewed stream of requests drawn from `pool`.
@@ -67,7 +54,8 @@ pub fn zipf_stream(pool: &[ScoreRequest], config: &ReplayConfig) -> Vec<ScoreReq
         .collect()
 }
 
-/// Latency percentiles of one replay run, in microseconds.
+/// Latency percentiles of one replay run, in microseconds (nearest rank:
+/// the `q`-quantile is the sample at sorted index `round(q × (n − 1))`).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Median request latency.
@@ -82,87 +70,11 @@ pub struct LatencySummary {
     pub max_us: f64,
 }
 
-/// Result of replaying one stream through an executor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplayReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Requests replayed.
-    pub requests: usize,
-    /// Wall-clock duration of the replay.
-    pub elapsed_secs: f64,
-    /// Requests per second across all workers.
-    pub throughput_rps: f64,
-    /// Per-request service-latency percentiles.
-    pub latency: LatencySummary,
-    /// Fraction of requests answered from the score cache.
-    pub cache_hit_rate: f64,
-}
-
-/// Replays `stream` through the executor (closed loop, one worker per
-/// configured thread) and reports throughput and latency percentiles.
-pub fn run_replay(executor: &ShardedExecutor, stream: &[ScoreRequest]) -> ReplayReport {
-    let threads = executor.config().threads.max(1);
-    executor.reset_cache_stats();
-    let start = Instant::now();
-    let mut latencies_ns: Vec<u64> = if stream.is_empty() {
-        Vec::new()
-    } else if threads == 1 {
-        replay_worker(executor, stream)
-    } else {
-        let chunk = stream.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = stream
-                .chunks(chunk)
-                .map(|chunk| scope.spawn(move || replay_worker(executor, chunk)))
-                .collect();
-            let mut all = Vec::with_capacity(stream.len());
-            for handle in handles {
-                // A replay worker only unwinds when scoring itself paniced;
-                // re-raise rather than report a truncated latency series.
-                all.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            }
-            all
-        })
-    };
-    let elapsed = start.elapsed().as_secs_f64();
-    latencies_ns.sort_unstable();
-    ReplayReport {
-        threads,
-        requests: stream.len(),
-        elapsed_secs: elapsed,
-        throughput_rps: if elapsed > 0.0 {
-            stream.len() as f64 / elapsed
-        } else {
-            0.0
-        },
-        latency: summarize(&latencies_ns),
-        cache_hit_rate: executor.cache_stats().hit_rate(),
-    }
-}
-
-/// Sorts raw per-request latencies (nanoseconds) and summarizes them with
-/// the same percentile definitions the in-process replay reports — shared
-/// with `serve_bench`'s HTTP front-end replay so socket and in-process
-/// latency series are directly comparable.
+/// Sorts raw per-request latencies (nanoseconds) and summarizes them; an
+/// empty slice summarizes to all zeroes.
 pub fn summarize_latencies(latencies_ns: &mut [u64]) -> LatencySummary {
     latencies_ns.sort_unstable();
-    summarize(latencies_ns)
-}
-
-fn replay_worker(executor: &ShardedExecutor, requests: &[ScoreRequest]) -> Vec<u64> {
-    let mut scratch = executor.engine().scratch();
-    let mut latencies = Vec::with_capacity(requests.len());
-    for request in requests {
-        let t0 = Instant::now();
-        std::hint::black_box(executor.score_one(request, &mut scratch));
-        latencies.push(t0.elapsed().as_nanos() as u64);
-    }
-    latencies
-}
-
-fn summarize(sorted_ns: &[u64]) -> LatencySummary {
-    if sorted_ns.is_empty() {
+    let Some(&max_ns) = latencies_ns.last() else {
         return LatencySummary {
             p50_us: 0.0,
             p95_us: 0.0,
@@ -170,30 +82,25 @@ fn summarize(sorted_ns: &[u64]) -> LatencySummary {
             mean_us: 0.0,
             max_us: 0.0,
         };
-    }
-    let pct = |q: f64| -> f64 {
-        let idx = ((q * (sorted_ns.len() - 1) as f64).round() as usize).min(sorted_ns.len() - 1);
-        sorted_ns[idx] as f64 / 1_000.0
     };
-    let mean_ns = sorted_ns.iter().sum::<u64>() as f64 / sorted_ns.len() as f64;
+    let n = latencies_ns.len();
+    let pct = |q: f64| -> f64 {
+        let idx = ((q * (n - 1) as f64).round() as usize).min(n - 1);
+        latencies_ns[idx] as f64 / 1_000.0
+    };
+    let mean_ns = latencies_ns.iter().sum::<u64>() as f64 / n as f64;
     LatencySummary {
         p50_us: pct(0.50),
         p95_us: pct(0.95),
         p99_us: pct(0.99),
         mean_us: mean_ns / 1_000.0,
-        // The empty case returned above, so `last` always exists.
-        max_us: sorted_ns.last().copied().unwrap_or_default() as f64 / 1_000.0,
+        max_us: max_ns as f64 / 1_000.0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ScoringEngine;
-    use crate::executor::ServeConfig;
-    use er_base::Label;
-    use er_rulegen::{CmpOp, Condition, Rule};
-    use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
 
     fn pool(n: usize) -> Vec<ScoreRequest> {
         (0..n)
@@ -207,21 +114,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    fn executor(threads: usize) -> ShardedExecutor {
-        let rules = vec![
-            Rule::new(vec![Condition::new(0, CmpOp::Gt, 0.5)], Label::Inequivalent, 20, 0.97),
-            Rule::new(vec![Condition::new(1, CmpOp::Le, 0.3)], Label::Equivalent, 15, 0.93),
-        ];
-        let fs = RiskFeatureSet {
-            rules,
-            metrics: vec![],
-            expectations: vec![0.05, 0.92],
-            support: vec![20, 15],
-        };
-        let engine = ScoringEngine::new(LearnRiskModel::new(fs, RiskModelConfig::default()));
-        ShardedExecutor::new(engine, ServeConfig::default().with_threads(threads))
     }
 
     #[test]
@@ -276,34 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn replay_reports_sane_numbers() {
-        let pool = pool(50);
-        let stream = zipf_stream(
-            &pool,
-            &ReplayConfig {
-                requests: 2_000,
-                ..Default::default()
-            },
-        );
-        for threads in [1, 2] {
-            let exec = executor(threads);
-            let report = run_replay(&exec, &stream);
-            assert_eq!(report.threads, threads);
-            assert_eq!(report.requests, 2_000);
-            assert!(report.throughput_rps > 0.0);
-            assert!(report.elapsed_secs > 0.0);
-            assert!(report.latency.p50_us <= report.latency.p95_us);
-            assert!(report.latency.p95_us <= report.latency.p99_us);
-            assert!(report.latency.p99_us <= report.latency.max_us);
-            assert!(report.cache_hit_rate > 0.5, "zipf stream over 50 pairs must mostly hit");
+    fn latency_summary_is_nearest_rank_in_microseconds() {
+        let empty = summarize_latencies(&mut []);
+        for value in [empty.p50_us, empty.p95_us, empty.p99_us, empty.mean_us, empty.max_us] {
+            assert_eq!(value, 0.0);
         }
-    }
 
-    #[test]
-    fn empty_stream_reports_zeroes() {
-        let exec = executor(2);
-        let report = run_replay(&exec, &[]);
-        assert_eq!(report.requests, 0);
-        assert_eq!(report.latency.p99_us, 0.0);
+        // 1..=100 µs, shuffled: rank round(q × 99) of the sorted samples.
+        let mut ns: Vec<u64> = (1..=100u64).rev().map(|us| us * 1_000).collect();
+        ns.swap(3, 70);
+        let summary = summarize_latencies(&mut ns);
+        assert_eq!(summary.p50_us, 51.0, "index round(0.50 × 99) = 50");
+        assert_eq!(summary.p95_us, 95.0, "index round(0.95 × 99) = 94");
+        assert_eq!(summary.p99_us, 99.0, "index round(0.99 × 99) = 98");
+        assert_eq!(summary.mean_us, 50.5);
+        assert_eq!(summary.max_us, 100.0);
+        assert!(ns.windows(2).all(|w| w[0] <= w[1]), "the samples are sorted in place");
     }
 }

@@ -184,8 +184,8 @@ impl Default for ServerConfig {
 }
 
 /// Response and micro-batching counters of a running server (a monotonic
-/// snapshot; the smoke tiers assert "zero non-2xx outside the deliberate
-/// backpressure phase" from these).
+/// snapshot; `serve_bench` asserts zero non-2xx on its front-end replay
+/// server from these).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Successful responses (2xx).

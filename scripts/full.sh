@@ -18,7 +18,7 @@ export TRAIN_BENCH_JSON="$OUT/train_bench.json"
 export FIG13_JSON="$OUT/fig13.json"
 export SERVE_BENCH_METRICS_SNAPSHOT="$OUT/metrics-snapshot.prom"
 # The full tier drives the HTTP front-end (socket replay + mid-replay
-# hot-reload + backpressure smoke inside serve_bench) with a longer stream,
+# hot-reload inside serve_bench) with a longer stream,
 # and the multi-process gateway phase (real er-serve children behind
 # er-gateway) with a longer replay per scaling entry.
 export SERVE_BENCH_FRONTEND_REQUESTS="${FULL_FRONTEND_REQUESTS:-8000}"

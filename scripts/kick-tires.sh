@@ -50,9 +50,11 @@ echo "fig13 JSON at $FIG13_JSON"
 
 # The serve_bench run above is also the HTTP front-end and gateway smoke: it
 # starts the score server on an ephemeral port, replays traffic over raw
-# sockets, hot-reloads mid-replay, runs the backpressure, connection-series,
-# rate-limit, tracing and chaos phases, then the multi-process gateway phase,
-# exiting non-zero on any broken invariant. Every attestation serve_bench,
+# sockets (metrics on and off), hot-reloads mid-replay, runs the
+# connection-series, tracing and chaos phases, then the multi-process gateway
+# phase (scaling, hedging, connection series), exiting non-zero on any broken
+# invariant. The rate-limit, backpressure and canary checks are workspace
+# tests. Every attestation serve_bench,
 # train_bench and fig13 emit is gated by its type (see er_bench::gate), so
 # bench_diff against the committed baseline catches a phase that was skipped,
 # a shrunk series or a null gateway block: an attestation failure (exit 3) or

@@ -21,7 +21,7 @@
 //! * [`serve`] (`er-serve`) — the online serving layer: versioned model
 //!   artifacts, the compiled rule index, the sharded scoring executor, the
 //!   HTTP/1.1 front-end with micro-batching and backpressure, versioned
-//!   artifact hot-reload and the traffic-replay harness.
+//!   artifact hot-reload and the Zipf traffic generator.
 //!
 //! See the `examples/` directory for runnable end-to-end walkthroughs and
 //! `EXPERIMENTS.md` for the measured reproduction results.
