@@ -1,9 +1,9 @@
 //! `bench_diff` — the CI perf-regression and attestation gate.
 //!
 //! Walks every gated leaf of the committed baseline under `out/baseline/`
-//! and judges it against the current `out/serve_bench.json` +
-//! `out/train_bench.json` (+ `out/fig13.json` when either side has it) as
-//! written by `scripts/kick-tires.sh`, then prints and writes the report.
+//! and judges it against the current `out/train_bench.json` (+
+//! `out/fig13.json` when either side has it) as written by
+//! `scripts/kick-tires.sh`, then prints and writes the report.
 //! See [`er_bench::gate`] for the leaf encoding and the rules.
 //!
 //! Usage:
@@ -35,11 +35,7 @@ use std::process::ExitCode;
 
 /// The benchmark files: name, report prefix, and whether a run must have it
 /// (`fig13` only runs in the smoke and full tiers, not on its own).
-const FILES: [(&str, &str, bool); 3] = [
-    ("serve_bench.json", "serve", true),
-    ("train_bench.json", "train", true),
-    ("fig13.json", "fig13", false),
-];
+const FILES: [(&str, &str, bool); 2] = [("train_bench.json", "train", true), ("fig13.json", "fig13", false)];
 
 struct Args {
     baseline_dir: PathBuf,

@@ -4,7 +4,7 @@
 //!
 //! Besides the rendered table, the run is written as machine-readable JSON
 //! (default `out/fig13.json`, override with `FIG13_JSON`) in the same
-//! perf-trajectory format as `serve_bench`/`train_bench`, with points keyed
+//! perf-trajectory format as `train_bench`, with points keyed
 //! `stage@size` so `bench_diff` can gate them against the committed baseline.
 use er_bench::gate::{Field, Runtime, Series, Throughput};
 use er_eval::{render_scalability, run_fig13, ScalabilityPoint};

@@ -14,8 +14,8 @@
 //! the baseline within 1e-9 or the benchmark aborts.  Results are printed as
 //! a table and written as machine-readable JSON (default
 //! `out/train_bench.json`, override with `TRAIN_BENCH_JSON`; rank-pair budget
-//! via `TRAIN_BENCH_PAIRS`, timing repetitions via `TRAIN_BENCH_REPS`),
-//! extending the `serve_bench.json` perf trajectory to the training path.
+//! via `TRAIN_BENCH_PAIRS`, timing repetitions via `TRAIN_BENCH_REPS`)
+//! that `bench_diff` gates against `out/baseline/train_bench.json`.
 //!
 //! Usage: `cargo run -p er-bench --release --bin train_bench [scale] [--threads 1,2,4]`
 
@@ -57,7 +57,7 @@ struct TrainBenchPoint {
 }
 
 /// Machine-readable result of one `train_bench` invocation (the
-/// `BENCH_*.json` perf-trajectory format, alongside `serve_bench.json`).
+/// `BENCH_*.json` perf-trajectory format, alongside `fig13.json`).
 #[derive(Debug, Serialize)]
 struct TrainBenchSummary {
     scale: f64,

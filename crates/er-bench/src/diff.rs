@@ -1,7 +1,6 @@
 //! Perf-trajectory regression detection: walks every gated leaf (see
 //! [`crate::gate`]) of a committed baseline (`out/baseline/*.json`) and
-//! judges it against the current `serve_bench.json`, `train_bench.json` and
-//! `fig13.json`.
+//! judges it against the current `train_bench.json` and `fig13.json`.
 //!
 //! The walk is generic — nothing here names a metric. Every leaf the baseline
 //! gates is judged, so a leaf the current run lost fails and schema drift
@@ -15,7 +14,7 @@ use std::fmt;
 /// One judged leaf.
 #[derive(Debug, Clone)]
 pub struct MetricDiff {
-    /// Dotted path, prefixed by the file (`serve.`, `train.`, `fig13.`).
+    /// Dotted path, prefixed by the file (`train.`, `fig13.`).
     pub name: String,
     /// The leaf's kind.
     pub kind: Kind,
@@ -231,26 +230,20 @@ mod tests {
 
     #[test]
     fn the_noise_floor_boundary_is_exclusive() {
-        // A latency *at* the floor is signal: doubling from exactly 20µs fails.
-        let report = run(
-            r#"{"available_parallelism": 1, "p": {"abs_latency_us": 20.0}}"#,
-            r#"{"available_parallelism": 1, "p": {"abs_latency_us": 40.0}}"#,
-        );
-        assert_eq!(status(&report, "t.p"), Status::Failed, "{report}");
-        assert_eq!(report.exit_code(), 1);
-        // Strictly under the floor on both sides: timer jitter, skipped.
-        let report = run(
-            r#"{"available_parallelism": 1, "p": {"abs_latency_us": 19.0}}"#,
-            r#"{"available_parallelism": 1, "p": {"abs_latency_us": 19.99}}"#,
-        );
-        assert!(matches!(status(&report, "t.p"), Status::Skipped(_)), "{report}");
-        assert_eq!(report.exit_code(), 0);
-        // The runtime floor is exclusive too.
+        // A runtime *at* the floor is signal: doubling from exactly 10ms fails.
         let report = run(
             r#"{"available_parallelism": 1, "r": {"runtime_s": 0.01}}"#,
             r#"{"available_parallelism": 1, "r": {"runtime_s": 0.02}}"#,
         );
         assert_eq!(status(&report, "t.r"), Status::Failed, "{report}");
+        assert_eq!(report.exit_code(), 1);
+        // Strictly under the floor on both sides: scheduler jitter, skipped.
+        let report = run(
+            r#"{"available_parallelism": 1, "r": {"runtime_s": 0.009}}"#,
+            r#"{"available_parallelism": 1, "r": {"runtime_s": 0.00999}}"#,
+        );
+        assert!(matches!(status(&report, "t.r"), Status::Skipped(_)), "{report}");
+        assert_eq!(report.exit_code(), 0);
     }
 
     #[test]
@@ -301,8 +294,8 @@ mod tests {
 
     #[test]
     fn malformed_json_is_an_error() {
-        let err = parse("baseline serve_bench.json", "{").unwrap_err();
-        assert!(err.contains("serve_bench"), "{err}");
+        let err = parse("baseline train_bench.json", "{").unwrap_err();
+        assert!(err.contains("train_bench"), "{err}");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! A gated leaf serializes as a one-key object named by its [`Kind`] —
 //! `{"attest": true}`, `{"ratio": 1.44}`, `{"abs_throughput": 6206.3}`,
-//! `{"abs_latency_us": 497.6}`, `{"runtime_s": 0.0117}` — and the kind alone
-//! fixes the direction and the rule. A writer gates a field by giving it one
-//! of the leaf types below ([`Attest`], [`Ratio`], [`Throughput`],
-//! [`LatencyUs`], [`Runtime`]); [`leaves`] finds every such leaf in a JSON
-//! tree, so adding a gate touches the writer and nothing else.
+//! `{"runtime_s": 0.0117}` — and the kind alone fixes the direction and the
+//! rule. A writer gates a field by giving it one of the leaf types below
+//! ([`Attest`], [`Ratio`], [`Throughput`], [`Runtime`]); [`leaves`] finds
+//! every such leaf in a JSON tree, so adding a gate touches the writer and
+//! nothing else.
 //!
 //! Rules (see [`judge`]):
 //!
@@ -15,13 +15,11 @@
 //! * `ratio` (higher is better) is a machine-local ratio of two back-to-back
 //!   measurements, compared on any hardware at [`TOLERANCE`], loosened to
 //!   [`CROSS_HARDWARE_TOLERANCE`] when `available_parallelism` differs.
-//! * `abs_throughput` (higher is better), `abs_latency_us` and `runtime_s`
-//!   (lower is better) are compared only when `available_parallelism`
-//!   matches; latencies under [`LATENCY_FLOOR_US`] and runtimes under
-//!   [`RUNTIME_FLOOR_S`] in *both* runs are timer jitter and skipped.
+//! * `abs_throughput` (higher is better) and `runtime_s` (lower is better)
+//!   are compared only when `available_parallelism` matches; runtimes under
+//!   [`RUNTIME_FLOOR_S`] in *both* runs are scheduler jitter and skipped.
 //! * A leaf that vanished from the current run, or a non-finite value, fails.
 
-use er_serve::LatencySummary;
 use serde::{Serialize, Value};
 
 /// Relative worsening beyond which a compared leaf regresses (and
@@ -31,8 +29,6 @@ pub const TOLERANCE: f64 = 0.25;
 /// still shifts with cache sizes and ALU latencies, so the gate only catches
 /// halvings, the signature of a broken hot path.
 pub const CROSS_HARDWARE_TOLERANCE: f64 = 0.50;
-/// Latencies below this in both runs are skipped as timer jitter.
-pub const LATENCY_FLOOR_US: f64 = 20.0;
 /// Runtimes below this in both runs are skipped as scheduler jitter.
 pub const RUNTIME_FLOOR_S: f64 = 0.01;
 
@@ -45,20 +41,12 @@ pub enum Kind {
     Ratio,
     /// An absolute throughput, higher is better.
     AbsThroughput,
-    /// An absolute latency in microseconds, lower is better.
-    AbsLatencyUs,
     /// An absolute stage runtime in seconds, lower is better.
     RuntimeS,
 }
 
 impl Kind {
-    const ALL: [Kind; 5] = [
-        Kind::Attest,
-        Kind::Ratio,
-        Kind::AbsThroughput,
-        Kind::AbsLatencyUs,
-        Kind::RuntimeS,
-    ];
+    const ALL: [Kind; 4] = [Kind::Attest, Kind::Ratio, Kind::AbsThroughput, Kind::RuntimeS];
 
     /// The leaf's one JSON key.
     pub fn key(self) -> &'static str {
@@ -66,7 +54,6 @@ impl Kind {
             Kind::Attest => "attest",
             Kind::Ratio => "ratio",
             Kind::AbsThroughput => "abs_throughput",
-            Kind::AbsLatencyUs => "abs_latency_us",
             Kind::RuntimeS => "runtime_s",
         }
     }
@@ -78,11 +65,7 @@ impl Kind {
 
     /// The noise floor and its label, for the kinds that have one.
     fn noise_floor(self) -> Option<(f64, &'static str)> {
-        match self {
-            Kind::AbsLatencyUs => Some((LATENCY_FLOOR_US, "20µs")),
-            Kind::RuntimeS => Some((RUNTIME_FLOOR_S, "10ms")),
-            _ => None,
-        }
+        (self == Kind::RuntimeS).then_some((RUNTIME_FLOOR_S, "10ms"))
     }
 }
 
@@ -113,10 +96,6 @@ leaf!(
     Throughput(f64) = AbsThroughput
 );
 leaf!(
-    /// A gated absolute latency in µs (`{"abs_latency_us": 497.6}`).
-    LatencyUs(f64) = AbsLatencyUs
-);
-leaf!(
     /// A gated absolute stage runtime in seconds (`{"runtime_s": 0.0117}`).
     Runtime(f64) = RuntimeS
 );
@@ -140,9 +119,9 @@ impl<G: Serialize, P: Serialize> Serialize for Field<G, P> {
     }
 }
 
-/// A series written as a map keyed by a stable label (`connections=256`,
-/// `backends=2`, `risk_training[t2]@500`), so each entry's gated leaves keep
-/// one path whatever the entry's position or the series' length.
+/// A series written as a map keyed by a stable label (`inputs=500`,
+/// `risk_training[t2]@500`), so each entry's gated leaves keep one path
+/// whatever the entry's position or the series' length.
 #[derive(Debug)]
 pub struct Series<T>(pub Vec<(String, T)>);
 
@@ -158,38 +137,10 @@ impl<T: Serialize> Serialize for Series<T> {
     }
 }
 
-/// [`LatencySummary`] with its percentiles gated; the mean and max stay
-/// informational (a mean hides the tail, a max is one sample).
-#[derive(Debug, Serialize)]
-pub struct Latency {
-    /// Median latency.
-    pub p50_us: LatencyUs,
-    /// 95th-percentile latency.
-    pub p95_us: LatencyUs,
-    /// 99th-percentile latency.
-    pub p99_us: LatencyUs,
-    /// Mean latency.
-    pub mean_us: f64,
-    /// Worst observed latency.
-    pub max_us: f64,
-}
-
-impl From<LatencySummary> for Latency {
-    fn from(l: LatencySummary) -> Self {
-        Self {
-            p50_us: LatencyUs(l.p50_us),
-            p95_us: LatencyUs(l.p95_us),
-            p99_us: LatencyUs(l.p99_us),
-            mean_us: l.mean_us,
-            max_us: l.max_us,
-        }
-    }
-}
-
 /// One gated leaf found in a JSON tree.
 #[derive(Debug)]
 pub struct Leaf<'v> {
-    /// Dotted path, e.g. `serve.gateway.series[backends=2].bit_exact`.
+    /// Dotted path, e.g. `train.points[inputs=500].single_thread_speedup`.
     pub name: String,
     /// The leaf's kind.
     pub kind: Kind,
@@ -206,7 +157,7 @@ fn as_leaf(v: &Value) -> Option<(Kind, &Value)> {
     }
 }
 
-/// Series keys (`backends=2`) render bracketed, every other key dotted.
+/// Series keys (`inputs=500`) render bracketed, every other key dotted.
 fn child_path(path: &str, key: &str) -> String {
     if key.contains('=') {
         format!("{path}[{key}]")

@@ -1,9 +1,11 @@
 //! # er-bench
 //!
 //! Benchmark harness of the reproduction: one binary per table/figure of the
-//! paper (printing the same rows/series the paper reports), the `serve_bench`
-//! traffic-replay benchmark of the online engine, and Criterion benches for
-//! the performance-sensitive building blocks.
+//! paper (printing the same rows/series the paper reports), the
+//! `train_bench` training benchmark, the `bench_diff` gate over their JSON,
+//! and Criterion benches for the performance-sensitive building blocks.
+//! The serving stack is attested by workspace tests and timed by
+//! `perfbench`.
 //!
 //! Binaries (run with
 //! `cargo run -p er-bench --release --bin <name> [scale] [--threads 1,2,4]`):
@@ -18,12 +20,11 @@
 //! | `fig13`      | Figure 13 — scalability (rule generation / risk training / engine scoring) |
 //! | `fig14`      | Figure 14 — active learning |
 //! | `ablation`   | Design-choice ablations called out in DESIGN.md |
-//! | `serve_bench`| Zipf traffic replay against the `er-serve` engine |
 //! | `train_bench`| Factorized vs per-pair risk-training epoch benchmark |
 //!
 //! All binaries share one argument parser ([`parse_args`]): an optional
 //! positional workload scale plus `--threads a,b,c` for the binaries that
-//! exercise a multi-threaded path (`fig13`, `serve_bench`, `train_bench`),
+//! exercise a multi-threaded path (`fig13`, `train_bench`),
 //! and the [`env_usize`] helper for their environment overrides.
 
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ pub struct BenchArgs {
     /// Workload scale and seed (the seed is fixed at 2020 for
     /// reproducibility).
     pub config: ExperimentConfig,
-    /// Thread counts for the serving-path binaries, from `--threads`;
+    /// Thread counts for the multi-threaded binaries, from `--threads`;
     /// defaults to [`default_thread_counts`].
     pub threads: Vec<usize>,
 }
@@ -95,7 +96,7 @@ pub fn config_from_args(default_scale: f64) -> ExperimentConfig {
     parse_args(default_scale).config
 }
 
-/// Default thread counts for the serving-path binaries: powers of two up to
+/// Default thread counts for the multi-threaded binaries: powers of two up to
 /// the machine's parallelism, always including at least 1 and 2 so the
 /// single- vs multi-threaded comparison is always reported.
 pub fn default_thread_counts() -> Vec<usize> {

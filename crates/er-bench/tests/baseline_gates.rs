@@ -6,8 +6,7 @@ use er_bench::diff::{diff_all, parse, DiffReport};
 use er_bench::gate::{leaves, Kind, Status, TOLERANCE};
 use serde::Value;
 
-const FILES: [(&str, &str); 3] = [
-    ("serve", include_str!("../../../out/baseline/serve_bench.json")),
+const FILES: [(&str, &str); 2] = [
     ("train", include_str!("../../../out/baseline/train_bench.json")),
     ("fig13", include_str!("../../../out/baseline/fig13.json")),
 ];
@@ -129,33 +128,5 @@ fn every_gated_leaf_of_the_committed_baseline_fails_when_broken() {
                 );
             }
         }
-    }
-}
-
-/// `serve_bench` wrote these three attestations long before any gate read
-/// them; each must now fail the gate when it goes missing.
-#[test]
-fn the_formerly_ungated_serve_attestations_are_gated() {
-    let base = baseline();
-    for path in [
-        &["frontend", "replay_metrics_off", "bit_exact"][..],
-        &["frontend", "tracing", "replay_trace_off", "bit_exact"],
-        &["frontend", "tracing", "replay_trace_on", "bit_exact"],
-    ] {
-        let mut current = base.clone();
-        let (parent, leaf) = path.split_at(path.len() - 1);
-        let mut node = &mut current[0];
-        for key in parent {
-            node = match node {
-                Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).expect("path exists").1,
-                _ => panic!("{key} is not in a map"),
-            };
-        }
-        let Value::Map(entries) = node else { panic!("not a map") };
-        entries.retain(|(k, _)| k != leaf[0]);
-        let report = diff(&base, &current);
-        let name = format!("serve.{}", path.join("."));
-        assert_eq!(status(&report, &name), Status::Failed, "{report}");
-        assert_eq!(report.exit_code(), 3, "{name}");
     }
 }

@@ -1,19 +1,21 @@
-//! The gateway's connection model, measured from inside its process: one
-//! readiness loop owns every downstream connection, so the thread count
-//! does not grow with connections, and `io_timeout` still closes a
-//! connection that sends nothing. A test binary of its own, so no other
-//! suite's threads perturb the count; the tests in it take turns.
+//! The connection model, measured from inside the process: one readiness
+//! loop owns every downstream connection, so the gateway's thread count
+//! does not grow with connections, `io_timeout` still closes a connection
+//! that sends nothing, and both a backend and a gateway in front of one
+//! hold 1024 keep-alive connections open while scoring through them. A
+//! test binary of its own, so no other suite's threads perturb the count;
+//! the tests in it take turns.
 
 use er_base::Label;
 use er_gateway::{GatewayConfig, GatewayServer};
 use er_rulegen::{CmpOp, Condition, Rule};
 use er_serve::{
-    http_roundtrip, parse_score_response, ReloadableExecutor, ScoreRequest, ScoreServer, ScoringEngine, ServeConfig,
-    ServerConfig,
+    http_roundtrip, parse_score_response, read_http_response, ReloadableExecutor, ScoreRequest, ScoreServer,
+    ScoringEngine, ServeConfig, ServerConfig,
 };
 use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -123,4 +125,64 @@ fn io_timeout_closes_silent_and_stalled_connections() {
         }
     }
     assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
+}
+
+/// Opens `n` keep-alive connections to `addr`, each answering an opening
+/// `/healthz` 200 as it connects; with all `n` open, scores 64 requests
+/// across a stripe of them, each bit-exact; then sweeps every connection
+/// with a closing `/healthz`, which each must answer 200: none was severed.
+fn hold_and_score(process: &str, addr: SocketAddr, n: usize) {
+    const SCORES: usize = 64;
+    let probe = b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n";
+    let mut conns: Vec<TcpStream> = (0..n)
+        .map(|i| {
+            let mut conn = TcpStream::connect(addr).unwrap_or_else(|e| panic!("{process}: connect {i}: {e}"));
+            conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            conn.write_all(probe).expect("probe");
+            let response = read_http_response(&mut conn).unwrap_or_else(|e| panic!("{process}: probe {i}: {e}"));
+            assert_eq!(response.status, 200, "{process}: probe {i}");
+            conn
+        })
+        .collect();
+    let engine = ScoringEngine::new(tiny_model());
+    for k in 0..SCORES {
+        let x = (k as f64 * 0.618_033_988_749_895).fract();
+        let request = ScoreRequest {
+            pair_id: k as u64,
+            metric_row: vec![x, 1.0 - x],
+            classifier_output: x,
+            machine_says_match: x >= 0.5,
+        };
+        let conn = &mut conns[k * (n / SCORES)];
+        let body = serde::json::to_string(&request);
+        let response = http_roundtrip(conn, "POST", "/score", Some(&body))
+            .unwrap_or_else(|e| panic!("{process}: score {k} severed: {e}"));
+        assert_eq!(response.status, 200, "{process}: {}", response.body);
+        let (_, scores) = parse_score_response(&response.body).expect("score body");
+        let expected = engine.score_batch(std::slice::from_ref(&request));
+        assert_eq!(
+            scores[0].to_bits(),
+            expected[0].to_bits(),
+            "{process}: pair {k} drifted"
+        );
+    }
+    for (i, conn) in conns.iter_mut().enumerate() {
+        let response = http_roundtrip(conn, "GET", "/healthz", None)
+            .unwrap_or_else(|e| panic!("{process}: sweep {i} severed: {e}"));
+        assert_eq!(response.status, 200, "{process}: sweep {i}");
+    }
+}
+
+#[test]
+fn a_backend_and_a_gateway_each_hold_1024_keep_alive_connections() {
+    const CONNECTIONS: usize = 1024;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let backend = backend(CONNECTIONS + 64);
+    hold_and_score("er-serve", backend.local_addr(), CONNECTIONS);
+    let gateway = GatewayServer::start(GatewayConfig {
+        backends: vec![backend.local_addr()],
+        ..GatewayConfig::default()
+    })
+    .expect("bind gateway");
+    hold_and_score("er-gateway", gateway.local_addr(), CONNECTIONS);
 }

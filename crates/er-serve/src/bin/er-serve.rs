@@ -111,9 +111,9 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // The one line a supervising parent (gateway launcher, serve_bench)
-    // scrapes to learn the ephemeral port. Flushed explicitly: the parent
-    // blocks on it before sending traffic.
+    // The one line a supervising parent (gateway launcher, perfbench, the
+    // spawned-binary tests) scrapes to learn the ephemeral port. Flushed
+    // explicitly: the parent blocks on it before sending traffic.
     println!(
         "LISTENING {} version={} digest={digest}",
         server.local_addr(),

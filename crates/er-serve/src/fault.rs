@@ -11,7 +11,7 @@
 //!
 //! Plans are built three ways:
 //!
-//! * programmatically ([`FaultPlan::parse`]) by tests and `serve_bench`,
+//! * programmatically ([`FaultPlan::parse`]) by tests,
 //! * from the `ER_FAULT_PLAN` environment variable
 //!   ([`FaultPlan::from_env`]) for operator-driven game days,
 //! * not at all — the default. An absent plan is a `None` check on the hot

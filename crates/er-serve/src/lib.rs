@@ -50,9 +50,8 @@
 //!   `GET /metrics`; the single source of truth `/stats` is derived from.
 //! * [`ratelimit`] — [`RateLimiter`]: per-client token buckets in front of
 //!   the admission queue (429 + `X-RateLimit-*` headers).
-//! * [`replay`] — a Zipf-skewed synthetic traffic generator and the
-//!   p50/p95/p99 latency summary the socket replays of `perfbench` and
-//!   `serve_bench` report.
+//! * [`replay`] — the Zipf-skewed synthetic traffic generator `perfbench`
+//!   and the socket-replay tests draw request streams from.
 //! * [`trace`] — end-to-end request tracing: per-request span timelines
 //!   through `parse → ratelimit → admission_queue → score (per-shard) →
 //!   serialize → write`, retained in a tail-biased ring
@@ -83,10 +82,10 @@ pub use engine::{decode_score_body, encode_score_response, EngineScratch, ScoreE
 pub use executor::{BatchScoreError, CacheStats, ServeConfig, ShardedExecutor};
 pub use fault::{FaultKind, FaultPlan, FaultSpecError, FAULT_KINDS};
 pub use index::{CompiledRuleIndex, MatchScratch, RowLengthError};
-pub use metrics::{extract_histogram, parse_exposition, MetricsRegistry, ParsedHistogram, Sample};
+pub use metrics::{parse_exposition, MetricsRegistry, Sample};
 pub use ratelimit::{RateLimitConfig, RateLimitDecision, RateLimiter};
 pub use reload::{synthesize_probes, ReloadError, ReloadStats, ReloadableExecutor, VersionedExecutor};
-pub use replay::{summarize_latencies, zipf_stream, LatencySummary, ReplayConfig};
+pub use replay::{zipf_stream, ReplayConfig};
 pub use server::{
     http_roundtrip, http_roundtrip_with_headers, http_roundtrip_with_retry, parse_score_response, read_http_response,
     HttpResponse, RetryPolicy, ScoreServer, ServerConfig, ServerStats,

@@ -31,11 +31,11 @@
 //! total since boot. A series folds only once no handle outside the registry
 //! holds it, so a count still in flight on an old version is never lost.
 //!
-//! The module also ships the consumer side — [`parse_exposition`] and
-//! [`extract_histogram`] — used by `serve_bench` and the smoke tiers to
-//! prove the scrape parses, that `er_serve_score_requests_total` reconciles
-//! with the replay's own request count, and that histogram-derived
-//! percentiles bracket the replay harness's measured ones.
+//! The module also ships the consumer side, [`parse_exposition`], which
+//! perfbench and the tests use to read a scrape back. The tests below
+//! reconcile a traced socket replay against its scrape: the request
+//! counters equal the replay's request count, and the request-duration
+//! histogram's percentile buckets hold the server's own trace totals.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -656,7 +656,7 @@ fn render_histogram_vec(out: &mut String, name: &str, help: &str, vec: &Histogra
 }
 
 // ---------------------------------------------------------------------------
-// Exposition parsing (the consumer side: serve_bench, smoke tiers, tests)
+// Exposition parsing (the consumer side: perfbench and tests)
 // ---------------------------------------------------------------------------
 
 /// One sample line of a Prometheus text exposition.
@@ -779,88 +779,88 @@ fn split_label_pairs(s: &str) -> Option<Vec<(String, String)>> {
     Some(pairs)
 }
 
-/// A histogram reconstructed from exposition samples.
-#[derive(Debug, Clone)]
-pub struct ParsedHistogram {
-    /// Finite bucket upper bounds, ascending (the `+Inf` bucket is implied).
-    pub bounds: Vec<f64>,
-    /// Cumulative counts per bucket, `+Inf` last (equals `count`).
-    pub cumulative: Vec<u64>,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl ParsedHistogram {
-    /// The half-open bucket range `[lower, upper)` containing the
-    /// `q`-quantile observation under the replay harness's percentile
-    /// definition (`rank = round(q × (count − 1))`, 0-based), widened by
-    /// `widen` buckets on each side. `upper` is `+Inf` when the range
-    /// reaches the overflow bucket. Returns `None` on an empty histogram.
-    pub fn quantile_bounds(&self, q: f64, widen: usize) -> Option<(f64, f64)> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q * (self.count - 1) as f64).round() as u64 + 1; // 1-based
-        let idx = self.cumulative.partition_point(|&c| c < rank);
-        let lower_idx = idx.saturating_sub(widen);
-        let upper_idx = idx + widen;
-        let lower = if lower_idx == 0 {
-            0.0
-        } else {
-            self.bounds[lower_idx - 1]
-        };
-        let upper = if upper_idx < self.bounds.len() {
-            self.bounds[upper_idx]
-        } else {
-            f64::INFINITY
-        };
-        Some((lower, upper))
-    }
-}
-
-/// Reconstructs the histogram `base_name` (its `_bucket`/`_sum`/`_count`
-/// samples) whose labels carry every pair in `filter`. Validates the
-/// cumulative bucket counts are monotone and consistent with `_count`.
-pub fn extract_histogram(samples: &[Sample], base_name: &str, filter: &[(&str, &str)]) -> Option<ParsedHistogram> {
-    let bucket_name = format!("{base_name}_bucket");
-    let mut buckets: Vec<(f64, u64)> = samples
-        .iter()
-        .filter(|s| s.name == bucket_name && s.matches(filter))
-        .filter_map(|s| {
-            let le = s.label("le")?;
-            let le = if le == "+Inf" { f64::INFINITY } else { le.parse().ok()? };
-            Some((le, s.value as u64))
-        })
-        .collect();
-    buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let find = |suffix: &str| {
-        samples
-            .iter()
-            .find(|s| s.name == format!("{base_name}{suffix}") && s.matches(filter))
-            .map(|s| s.value)
-    };
-    let sum = find("_sum")?;
-    let count = find("_count")? as u64;
-    let (bounds, cumulative): (Vec<f64>, Vec<u64>) = buckets.into_iter().unzip();
-    if bounds.last() != Some(&f64::INFINITY)
-        || cumulative.windows(2).any(|w| w[0] > w[1])
-        || cumulative.last() != Some(&count)
-    {
-        return None;
-    }
-    Some(ParsedHistogram {
-        bounds: bounds[..bounds.len() - 1].to_vec(),
-        cumulative,
-        sum,
-        count,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A histogram reconstructed from exposition samples.
+    #[derive(Debug, Clone)]
+    struct ParsedHistogram {
+        /// Finite bucket upper bounds, ascending (the `+Inf` bucket is implied).
+        bounds: Vec<f64>,
+        /// Cumulative counts per bucket, `+Inf` last (equals `count`).
+        cumulative: Vec<u64>,
+        /// Sum of observations.
+        sum: f64,
+        /// Number of observations.
+        count: u64,
+    }
+
+    impl ParsedHistogram {
+        /// The half-open bucket range `[lower, upper)` containing the
+        /// `q`-quantile observation under the replay harness's percentile
+        /// definition (`rank = round(q × (count − 1))`, 0-based), widened by
+        /// `widen` buckets on each side. `upper` is `+Inf` when the range
+        /// reaches the overflow bucket. Returns `None` on an empty histogram.
+        fn quantile_bounds(&self, q: f64, widen: usize) -> Option<(f64, f64)> {
+            if self.count == 0 {
+                return None;
+            }
+            let rank = (q * (self.count - 1) as f64).round() as u64 + 1; // 1-based
+            let idx = self.cumulative.partition_point(|&c| c < rank);
+            let lower_idx = idx.saturating_sub(widen);
+            let upper_idx = idx + widen;
+            let lower = if lower_idx == 0 {
+                0.0
+            } else {
+                self.bounds[lower_idx - 1]
+            };
+            let upper = if upper_idx < self.bounds.len() {
+                self.bounds[upper_idx]
+            } else {
+                f64::INFINITY
+            };
+            Some((lower, upper))
+        }
+    }
+
+    /// Reconstructs the histogram `base_name` (its `_bucket`/`_sum`/`_count`
+    /// samples) whose labels carry every pair in `filter`. Validates the
+    /// cumulative bucket counts are monotone and consistent with `_count`.
+    fn extract_histogram(samples: &[Sample], base_name: &str, filter: &[(&str, &str)]) -> Option<ParsedHistogram> {
+        let bucket_name = format!("{base_name}_bucket");
+        let mut buckets: Vec<(f64, u64)> = samples
+            .iter()
+            .filter(|s| s.name == bucket_name && s.matches(filter))
+            .filter_map(|s| {
+                let le = s.label("le")?;
+                let le = if le == "+Inf" { f64::INFINITY } else { le.parse().ok()? };
+                Some((le, s.value as u64))
+            })
+            .collect();
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let find = |suffix: &str| {
+            samples
+                .iter()
+                .find(|s| s.name == format!("{base_name}{suffix}") && s.matches(filter))
+                .map(|s| s.value)
+        };
+        let sum = find("_sum")?;
+        let count = find("_count")? as u64;
+        let (bounds, cumulative): (Vec<f64>, Vec<u64>) = buckets.into_iter().unzip();
+        if bounds.last() != Some(&f64::INFINITY)
+            || cumulative.windows(2).any(|w| w[0] > w[1])
+            || cumulative.last() != Some(&count)
+        {
+            return None;
+        }
+        Some(ParsedHistogram {
+            bounds: bounds[..bounds.len() - 1].to_vec(),
+            cumulative,
+            sum,
+            count,
+        })
+    }
 
     #[test]
     fn histogram_upper_bounds_are_exclusive() {
@@ -1072,5 +1072,225 @@ mod tests {
         assert_eq!((lo, hi), (0.01, 0.1));
         // Widening by one bucket relaxes both sides.
         assert_eq!(parsed.quantile_bounds(0.95, 1), Some((0.001, f64::INFINITY)));
+    }
+
+    /// The nearest-rank `q`-percentile of sorted nanosecond samples, in µs:
+    /// the sample at index `round(q × (n − 1))`, as
+    /// [`ParsedHistogram::quantile_bounds`] ranks observations.
+    fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
+        sorted_ns[(q * (sorted_ns.len() - 1) as f64).round() as usize] as f64 / 1e3
+    }
+
+    const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+    /// Whether the p50/p95/p99 `trace_us` lie inside the histogram's bucket
+    /// ranges for the same quantiles, widened by one bucket each side.
+    fn histogram_brackets(histogram: &ParsedHistogram, trace_us: [f64; 3]) -> bool {
+        QUANTILES.into_iter().zip(trace_us).all(|(q, us)| {
+            let (lo, hi) = histogram.quantile_bounds(q, 1).expect("non-empty histogram");
+            (lo..=hi).contains(&(us * 1e-6))
+        })
+    }
+
+    #[test]
+    fn histogram_brackets_its_own_trace_totals_but_not_four_times_them() {
+        // Trace totals of 80–275 µs, as whole microseconds.
+        let totals_ns: Vec<u64> = (0..400).map(|i| (80 + (i % 40) * 5) * 1_000).collect();
+        let mut sorted = totals_ns.clone();
+        sorted.sort_unstable();
+        let trace_us = QUANTILES.map(|q| percentile_us(&sorted, q));
+        let observed = |scale: f64| {
+            let registry = MetricsRegistry::new();
+            let histogram = registry.request_duration.with(&[("route", "/score")]);
+            for ns in &totals_ns {
+                histogram.observe(*ns as f64 * 1e-9 * scale);
+            }
+            let samples = parse_exposition(&registry.render()).expect("exposition parses");
+            extract_histogram(&samples, "er_serve_request_duration_seconds", &[("route", "/score")]).expect("histogram")
+        };
+        assert!(histogram_brackets(&observed(1.0), trace_us));
+        assert!(!histogram_brackets(&observed(4.0), trace_us));
+    }
+
+    /// A socket replay from four keep-alive clients against a server that
+    /// retains every trace, reconciled four ways: the committed `/score`
+    /// traces, the scraped score counter and the replay agree on the count;
+    /// every stage span nests inside its request and every scored request
+    /// covers parse, score, serialize and write; the trace totals sit at or
+    /// below the client's socket timings at p50/p95/p99; and the scraped
+    /// request-duration histogram holds the trace-total percentiles within
+    /// one bucket. The Chrome export carries one request event per request.
+    #[test]
+    fn a_traced_socket_replay_reconciles_with_its_traces_scrape_and_export() {
+        use crate::server::{http_roundtrip, parse_score_response, ScoreServer, ServerConfig};
+        use crate::trace::Stage;
+        use crate::{ReloadableExecutor, ReplayConfig, ScoreRequest, ScoringEngine, ServeConfig};
+        use er_base::Label;
+        use er_rulegen::{CmpOp, Condition, Rule};
+        use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
+        use std::net::TcpStream;
+        use std::time::{Duration, Instant};
+
+        const REQUESTS: usize = 400;
+        const CLIENTS: usize = 4;
+        // Offsets round to whole microseconds independently, so a span may
+        // end a hair after its trace.
+        const ROUNDING_SLACK_US: u64 = 2;
+        // The client's window also holds the wire both ways.
+        const WIRE_SLACK_US: f64 = 500.0;
+
+        let rules = vec![
+            Rule::new(vec![Condition::new(0, CmpOp::Gt, 0.5)], Label::Inequivalent, 20, 0.97),
+            Rule::new(vec![Condition::new(1, CmpOp::Le, 0.3)], Label::Equivalent, 15, 0.93),
+        ];
+        let feature_set = RiskFeatureSet {
+            rules,
+            metrics: vec![],
+            expectations: vec![0.05, 0.92],
+            support: vec![20, 15],
+        };
+        let engine = ScoringEngine::new(LearnRiskModel::new(feature_set, RiskModelConfig::default()));
+        let executor = Arc::new(ReloadableExecutor::new(
+            engine.clone(),
+            ServeConfig::default().with_threads(2),
+        ));
+        let server = ScoreServer::start(
+            executor,
+            ServerConfig {
+                queue_capacity: 16,
+                // Twice the replay: the ring never wraps, so every request
+                // is reconciled, not a survivor set.
+                trace_capacity: 2 * REQUESTS,
+                fault_plan: None,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let pool: Vec<ScoreRequest> = (0..100u64)
+            .map(|pair_id| {
+                let x = (pair_id as f64 * 0.618_033_988_749_895).fract();
+                ScoreRequest {
+                    pair_id,
+                    metric_row: vec![x, 1.0 - x],
+                    classifier_output: x,
+                    machine_says_match: x >= 0.5,
+                }
+            })
+            .collect();
+        let stream = crate::zipf_stream(
+            &pool,
+            &ReplayConfig {
+                requests: REQUESTS,
+                zipf_exponent: 1.1,
+                seed: 2020,
+            },
+        );
+        let expected = engine.score_batch(&stream);
+
+        let mut client_ns: Vec<u64> = std::thread::scope(|scope| {
+            let clients: Vec<_> = stream
+                .chunks(REQUESTS / CLIENTS)
+                .zip(expected.chunks(REQUESTS / CLIENTS))
+                .map(|(requests, expected)| {
+                    let server = &server;
+                    scope.spawn(move || {
+                        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+                        let mut latencies = Vec::with_capacity(requests.len());
+                        for (request, expected) in requests.iter().zip(expected) {
+                            let body = serde::json::to_string(request);
+                            let t0 = Instant::now();
+                            let response = http_roundtrip(&mut conn, "POST", "/score", Some(&body)).expect("score");
+                            latencies.push(t0.elapsed().as_nanos() as u64);
+                            assert_eq!(response.status, 200, "{}", response.body);
+                            let (_, scores) = parse_score_response(&response.body).expect("score body");
+                            assert_eq!(
+                                scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                                [expected.to_bits()]
+                            );
+                        }
+                        latencies
+                    })
+                })
+                .collect();
+            clients.into_iter().flat_map(|c| c.join().expect("client")).collect()
+        });
+        client_ns.sort_unstable();
+
+        // A trace is committed after its response is written: wait for the
+        // last ones (bounded).
+        let tracer = server.tracer().expect("tracing on");
+        let settle_by = Instant::now() + Duration::from_secs(5);
+        while tracer.committed_total() < REQUESTS as u64 && Instant::now() < settle_by {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let traces = tracer.snapshot();
+        let scored: Vec<_> = traces
+            .iter()
+            .filter(|t| t.route == "/score" && t.status == 200)
+            .collect();
+        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+        let scrape = http_roundtrip(&mut conn, "GET", "/metrics", None).expect("scrape");
+        assert_eq!(scrape.status, 200, "{}", scrape.body);
+        let samples = parse_exposition(&scrape.body).expect("every scraped line parses");
+        let score_requests: f64 = samples
+            .iter()
+            .filter(|s| s.name == "er_serve_score_requests_total")
+            .map(|s| s.value)
+            .sum();
+        assert_eq!(
+            (scored.len(), score_requests),
+            (REQUESTS, REQUESTS as f64),
+            "span counts"
+        );
+
+        for trace in &scored {
+            let end = trace.start_us + trace.total_us + ROUNDING_SLACK_US;
+            for span in &trace.spans {
+                assert!(
+                    span.start_us >= trace.start_us && span.start_us + span.dur_us <= end,
+                    "{:?} span leaves its trace: {trace:?}",
+                    span.stage
+                );
+            }
+            for stage in [Stage::Parse, Stage::Score, Stage::Serialize, Stage::Write] {
+                assert!(
+                    trace.spans.iter().any(|s| s.stage == stage),
+                    "no {stage:?} span: {trace:?}"
+                );
+            }
+        }
+
+        let mut totals_ns: Vec<u64> = scored.iter().map(|t| t.total_us * 1_000).collect();
+        totals_ns.sort_unstable();
+        let trace_us = QUANTILES.map(|q| percentile_us(&totals_ns, q));
+        for (q, server_us) in QUANTILES.into_iter().zip(trace_us) {
+            let client_us = percentile_us(&client_ns, q);
+            assert!(
+                server_us <= client_us + WIRE_SLACK_US,
+                "p{}: trace total {server_us} µs exceeds the socket's {client_us} µs",
+                q * 100.0
+            );
+        }
+
+        let histogram = extract_histogram(&samples, "er_serve_request_duration_seconds", &[("route", "/score")])
+            .expect("request-duration histogram present and consistent");
+        assert_eq!(histogram.count, REQUESTS as u64);
+        assert!(
+            histogram_brackets(&histogram, trace_us),
+            "the histogram does not hold the trace totals {trace_us:?}: {histogram:?}"
+        );
+
+        let export = http_roundtrip(&mut conn, "GET", "/debug/traces", None).expect("/debug/traces");
+        assert_eq!(export.status, 200, "{}", export.body);
+        let doc = serde::json::parse(&export.body).expect("Chrome trace-event JSON");
+        let events = doc.get("traceEvents").and_then(|v| v.as_seq()).expect("traceEvents");
+        let field = |event: &serde::Value, key: &str| event.get(key).and_then(|v| v.as_str()).map(str::to_string);
+        assert!(events.iter().all(|e| field(e, "ph").as_deref() == Some("X")));
+        let requests = events
+            .iter()
+            .filter(|e| field(e, "cat").as_deref() == Some("request"))
+            .count();
+        assert_eq!(requests, REQUESTS, "one request event per replayed request");
+        server.shutdown();
     }
 }

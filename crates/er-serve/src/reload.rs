@@ -380,8 +380,9 @@ impl fmt::Debug for ReloadableExecutor {
 
 /// Proves the candidate artifact is persistence-stable: serialize → parse →
 /// compile must reproduce the candidate engine's probe scores bit-exactly.
-/// This is the same attestation `serve_bench` performs offline, run at
-/// promotion time so a serialization bug can never reach traffic.
+/// This is the same attestation `er_eval::verify_round_trip` performs
+/// offline, run at promotion time so a serialization bug can never reach
+/// traffic.
 fn verify_candidate_round_trip(
     artifact: &ModelArtifact,
     candidate: &ScoringEngine,

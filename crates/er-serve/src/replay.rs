@@ -1,12 +1,10 @@
-//! Traffic replay: Zipf-skewed synthetic request streams and the latency
-//! summary their replays report.
+//! Traffic replay: Zipf-skewed synthetic request streams.
 //!
 //! Real ER serving traffic is heavily skewed — a small set of contested
 //! pairs (popular products, prolific authors) is re-scored far more often
 //! than the long tail — so the generator draws pairs from a Zipf
-//! distribution over a seeded permutation of the pool. `perfbench` and
-//! `serve_bench` replay these streams over sockets and summarize the
-//! per-request latencies with [`summarize_latencies`].
+//! distribution over a seeded permutation of the pool. `perfbench` and the
+//! socket-replay tests replay these streams.
 
 use crate::engine::ScoreRequest;
 use rand::prelude::*;
@@ -52,50 +50,6 @@ pub fn zipf_stream(pool: &[ScoreRequest], config: &ReplayConfig) -> Vec<ScoreReq
             pool[ranked[rank]].clone()
         })
         .collect()
-}
-
-/// Latency percentiles of one replay run, in microseconds (nearest rank:
-/// the `q`-quantile is the sample at sorted index `round(q × (n − 1))`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Median request latency.
-    pub p50_us: f64,
-    /// 95th-percentile latency.
-    pub p95_us: f64,
-    /// 99th-percentile latency.
-    pub p99_us: f64,
-    /// Mean latency.
-    pub mean_us: f64,
-    /// Worst observed latency.
-    pub max_us: f64,
-}
-
-/// Sorts raw per-request latencies (nanoseconds) and summarizes them; an
-/// empty slice summarizes to all zeroes.
-pub fn summarize_latencies(latencies_ns: &mut [u64]) -> LatencySummary {
-    latencies_ns.sort_unstable();
-    let Some(&max_ns) = latencies_ns.last() else {
-        return LatencySummary {
-            p50_us: 0.0,
-            p95_us: 0.0,
-            p99_us: 0.0,
-            mean_us: 0.0,
-            max_us: 0.0,
-        };
-    };
-    let n = latencies_ns.len();
-    let pct = |q: f64| -> f64 {
-        let idx = ((q * (n - 1) as f64).round() as usize).min(n - 1);
-        latencies_ns[idx] as f64 / 1_000.0
-    };
-    let mean_ns = latencies_ns.iter().sum::<u64>() as f64 / n as f64;
-    LatencySummary {
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-        mean_us: mean_ns / 1_000.0,
-        max_us: max_ns as f64 / 1_000.0,
-    }
 }
 
 #[cfg(test)]
@@ -165,24 +119,5 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((700..1300).contains(&c), "pair {i} drew {c} of 10000");
         }
-    }
-
-    #[test]
-    fn latency_summary_is_nearest_rank_in_microseconds() {
-        let empty = summarize_latencies(&mut []);
-        for value in [empty.p50_us, empty.p95_us, empty.p99_us, empty.mean_us, empty.max_us] {
-            assert_eq!(value, 0.0);
-        }
-
-        // 1..=100 µs, shuffled: rank round(q × 99) of the sorted samples.
-        let mut ns: Vec<u64> = (1..=100u64).rev().map(|us| us * 1_000).collect();
-        ns.swap(3, 70);
-        let summary = summarize_latencies(&mut ns);
-        assert_eq!(summary.p50_us, 51.0, "index round(0.50 × 99) = 50");
-        assert_eq!(summary.p95_us, 95.0, "index round(0.95 × 99) = 94");
-        assert_eq!(summary.p99_us, 99.0, "index round(0.99 × 99) = 98");
-        assert_eq!(summary.mean_us, 50.5);
-        assert_eq!(summary.max_us, 100.0);
-        assert!(ns.windows(2).all(|w| w[0] <= w[1]), "the samples are sorted in place");
     }
 }

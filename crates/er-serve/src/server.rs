@@ -96,9 +96,9 @@
 //! [`crate::fault`] module can inject these failures deterministically; an
 //! injected scoring stall holds its batch on a timer while its loop keeps
 //! answering health probes and admitting behind it, and the other loops
-//! keep scoring their own connections. `serve_bench`'s chaos
-//! phase replays traffic under injected panics, stalls, and torn artifact
-//! writes to attest all of it.
+//! keep scoring their own connections. The chaos test in
+//! `tests/server_integration.rs` replays traffic under injected panics,
+//! stalls, and torn artifact reads to attest all of it.
 
 use crate::conn::{self, Conn, Limits, Request, Step};
 use crate::engine::{decode_score_body, encode_score_response, ScoreRequest};
@@ -138,17 +138,17 @@ pub struct ServerConfig {
     pub rate_limit: Option<RateLimitConfig>,
     /// Whether the [`crate::metrics::MetricsRegistry`] records observations
     /// and `GET /metrics` serves them. Disabling removes every observation
-    /// from the hot path (the A/B switch `serve_bench` uses to prove the
-    /// metrics overhead is below the perf-gate noise floor) — which also
-    /// freezes `/stats` at zero, since its counters are re-derived from the
-    /// registry.
+    /// from the hot path (the A/B switch `tests/request_allocations.rs`
+    /// uses to hold that metrics add no allocation to a `/score`) — which
+    /// also freezes `/stats` at zero, since its counters are re-derived from
+    /// the registry.
     pub metrics_enabled: bool,
     /// How many completed request traces the [`crate::trace::Tracer`] ring
     /// retains (an eighth of the capacity is reserved for the slowest traces,
     /// which survive wrap-around). `0` disables tracing entirely: no spans
     /// are recorded, `GET /debug/traces` answers 404, and `/stats` carries no
-    /// exemplars — the A/B control `serve_bench` measures tracing overhead
-    /// against. Request-id handling (`X-Request-Id` accept/echo) stays on
+    /// exemplars — the A/B control `tests/request_allocations.rs` counts
+    /// tracing's allocations against. Request-id handling (`X-Request-Id` accept/echo) stays on
     /// either way.
     pub trace_capacity: usize,
     /// Maximum concurrently served connections, counted across every
@@ -184,8 +184,7 @@ impl Default for ServerConfig {
 }
 
 /// Response and micro-batching counters of a running server (a monotonic
-/// snapshot; `serve_bench` asserts zero non-2xx on its front-end replay
-/// server from these).
+/// snapshot).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Successful responses (2xx).
@@ -1702,8 +1701,8 @@ impl HttpResponse {
 
 /// Sends one HTTP/1.1 request over an existing connection and reads the
 /// response (Content-Length framed). This is the raw-socket client the
-/// integration tests and `serve_bench`'s front-end replay drive the server
-/// with — deliberately minimal, not a general HTTP client.
+/// tests and perfbench drive the server with — deliberately minimal, not a
+/// general HTTP client.
 pub fn http_roundtrip(
     stream: &mut TcpStream,
     method: &str,
@@ -1943,14 +1942,29 @@ mod tests {
         TcpStream::connect(server.local_addr()).expect("connect")
     }
 
-    fn request_json(pair_id: u64, x: f64) -> String {
-        let request = ScoreRequest {
+    fn request(pair_id: u64, x: f64) -> ScoreRequest {
+        ScoreRequest {
             pair_id,
             metric_row: vec![x, 1.0 - x],
             classifier_output: x,
             machine_says_match: x >= 0.5,
-        };
-        serde::json::to_string(&request)
+        }
+    }
+
+    fn request_json(pair_id: u64, x: f64) -> String {
+        serde::json::to_string(&request(pair_id, x))
+    }
+
+    /// Asserts a 200 `/score` answer carries `executor`'s score for
+    /// `request(pair_id, x)` bit for bit.
+    fn assert_scored_bit_exactly(response: &HttpResponse, executor: &ReloadableExecutor, pair_id: u64, x: f64) {
+        assert_eq!(response.status, 200, "{}", response.body);
+        let (_, scores) = parse_score_response(&response.body).expect("score body");
+        let expected = executor.snapshot().executor().score_batch(&[request(pair_id, x)]);
+        assert_eq!(
+            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            [expected[0].to_bits()]
+        );
     }
 
     #[test]
@@ -2174,13 +2188,13 @@ mod tests {
 
     #[test]
     fn disabled_metrics_turn_off_the_endpoint_and_freeze_stats() {
-        let (server, _executor) = start_server_with(ServerConfig {
+        let (server, executor) = start_server_with(ServerConfig {
             metrics_enabled: false,
             ..ServerConfig::default()
         });
         let mut stream = connect(&server);
         let ok = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(0, 0.4))).expect("score");
-        assert_eq!(ok.status, 200, "{}", ok.body);
+        assert_scored_bit_exactly(&ok, &executor, 0, 0.4);
         let scraped = http_roundtrip(&mut stream, "GET", "/metrics", None).expect("response");
         assert_eq!(scraped.status, 404, "{}", scraped.body);
         let stats = server.stats();
@@ -2340,13 +2354,13 @@ mod tests {
 
     #[test]
     fn trace_capacity_zero_disables_the_endpoint_and_stats_exemplars() {
-        let (server, _executor) = start_server_with(ServerConfig {
+        let (server, executor) = start_server_with(ServerConfig {
             trace_capacity: 0,
             ..ServerConfig::default()
         });
         let mut stream = connect(&server);
         let ok = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(0, 0.6))).expect("score");
-        assert_eq!(ok.status, 200, "{}", ok.body);
+        assert_scored_bit_exactly(&ok, &executor, 0, 0.6);
         // Request ids still flow when tracing is off.
         assert!(ok.header("x-request-id").is_some());
         let traces = http_roundtrip(&mut stream, "GET", "/debug/traces", None).expect("response");

@@ -13,9 +13,9 @@
 use er_base::Label;
 use er_rulegen::{CmpOp, Condition, Rule};
 use er_serve::{
-    http_roundtrip, http_roundtrip_with_headers, parse_exposition, parse_score_response, FaultPlan, ModelArtifact,
-    RateLimitConfig, ReloadableExecutor, RetryPolicy, ScoreRequest, ScoreServer, ScoringEngine, ServeConfig,
-    ServerConfig,
+    http_roundtrip, http_roundtrip_with_headers, parse_exposition, parse_score_response, FaultKind, FaultPlan,
+    ModelArtifact, RateLimitConfig, ReloadableExecutor, RetryPolicy, ScoreRequest, ScoreServer, ScoringEngine,
+    ServeConfig, ServerConfig,
 };
 use learnrisk_core::{train, LearnRiskModel, PairRiskInput, RiskFeatureSet, RiskModelConfig, RiskTrainConfig};
 use std::net::TcpStream;
@@ -617,4 +617,159 @@ fn coalesced_jobs_answer_their_own_connections() {
         "the four jobs coalesce into one batch"
     );
     server.shutdown();
+}
+
+#[test]
+fn chaos_under_live_traffic_is_supervised_reconciled_and_sheds_expired_work() {
+    // A fixed-seed plan fires at exact occurrences, so every count below is
+    // an equality: 3 shard-worker panics, 2 batcher panics, a 150 ms scoring
+    // stall, a 100 ms slow client write, then a torn and an invalid reload.
+    const REQUESTS: u64 = 300;
+    let spec = "seed=2020; shard_worker_panic@0,40,80; batcher_panic@20,120; \
+                score_stall@60:150ms; client_write_stall@100:100ms; \
+                artifact_read_torn@0; reload_validate_fail@0";
+    let plan = Arc::new(FaultPlan::parse(spec).expect("spec"));
+    let model = untrained_model();
+    let dir = std::env::temp_dir().join(format!("er-serve-chaos-{}", std::process::id()));
+    let artifact = dir.join("model.json");
+    ModelArtifact::new(model.clone())
+        .save(&artifact)
+        .expect("save artifact");
+    let executor = Arc::new(ReloadableExecutor::new(
+        ScoringEngine::new(model.clone()),
+        ServeConfig::default().with_threads(2),
+    ));
+    let server = ScoreServer::start(
+        Arc::clone(&executor),
+        ServerConfig {
+            queue_capacity: 16,
+            trace_capacity: 0,
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    // Distinct pairs: every request misses the cache and reaches a shard
+    // worker, so the worker panics fire at fixed requests.
+    let requests = serving_requests(REQUESTS);
+    let expected = ScoringEngine::new(model).score_batch(&requests);
+    let policy = RetryPolicy {
+        max_attempts: 6,
+        base_backoff_ms: 5,
+        max_backoff_ms: 100,
+        seed: 2020,
+    };
+    let reload_body = format!(
+        "{{\"path\": {}}}",
+        serde::json::to_string(&artifact.display().to_string())
+    );
+
+    // One retrying client. A panicked batch answers 500 on a connection that
+    // stays open; a transport error is a severed connection.
+    let mut severed = 0u32;
+    let mut retried = 0u64;
+    let mut reloads_refused = 0;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    for (i, (request, expected)) in requests.iter().zip(&expected).enumerate() {
+        if i as u64 == REQUESTS / 3 || i as u64 == 2 * REQUESTS / 3 {
+            let refused = http_roundtrip(&mut stream, "POST", "/reload", Some(&reload_body)).expect("reload");
+            assert_eq!(refused.status, 409, "{}", refused.body);
+            reloads_refused += 1;
+        }
+        let body = serde::json::to_string(request);
+        let mut attempt = 0;
+        loop {
+            match http_roundtrip(&mut stream, "POST", "/score", Some(&body)) {
+                Ok(response) if response.status == 200 => {
+                    let (version, scores) = parse_score_response(&response.body).expect("score body");
+                    assert_eq!(version, 1, "a refused reload leaked");
+                    assert_eq!(scores.len(), 1);
+                    assert_eq!(
+                        scores[0].to_bits(),
+                        expected.to_bits(),
+                        "pair {i} drifted across a recovery"
+                    );
+                    break;
+                }
+                Ok(response) => assert!(
+                    matches!(response.status, 429 | 500 | 503),
+                    "request {i}: {} {}",
+                    response.status,
+                    response.body
+                ),
+                Err(_) => {
+                    severed += 1;
+                    stream = TcpStream::connect(addr).expect("reconnect");
+                }
+            }
+            attempt += 1;
+            assert!(attempt < policy.max_attempts, "request {i} exhausted its attempts");
+            std::thread::sleep(std::time::Duration::from_millis(policy.backoff_ms(attempt - 1)));
+        }
+        retried += u64::from(attempt > 0);
+    }
+    assert_eq!(severed, 0, "supervision must never sever a connection");
+    let shard_panics = plan.fired(FaultKind::ShardWorkerPanic);
+    let batcher_panics = plan.fired(FaultKind::BatcherPanic);
+    assert_eq!((shard_panics, batcher_panics), (3, 2));
+    assert!(retried >= batcher_panics, "{retried} retried");
+    assert_eq!(plan.fired(FaultKind::ArtifactReadTorn), 1);
+    assert_eq!(plan.fired(FaultKind::ReloadValidateFail), 1);
+    assert_eq!(reloads_refused, 2);
+    assert_eq!(executor.version(), 1);
+
+    // Deadline tranche: park 8 jobs whose 5 ms budget expires in the queue;
+    // on resume every one is shed with a 504 within 500 ms, not scored.
+    const TRANCHE: usize = 8;
+    server.pause_intake();
+    let body = serde::json::to_string(&requests[0]);
+    let tranche: Vec<_> = (0..TRANCHE)
+        .map(|_| {
+            let body = body.clone();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                http_roundtrip_with_headers(&mut stream, "POST", "/score", Some(&body), &[("X-Deadline-Ms", "5")])
+                    .expect("tranche round trip")
+            })
+        })
+        .collect();
+    let queued_by = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.queued_jobs() < TRANCHE {
+        assert!(std::time::Instant::now() < queued_by, "the tranche never queued");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let resumed = std::time::Instant::now();
+    server.resume_intake();
+    for handle in tranche {
+        let response = handle.join().expect("tranche client");
+        assert_eq!(response.status, 504, "{}", response.body);
+    }
+    let shed_in = resumed.elapsed();
+    assert!(
+        shed_in < std::time::Duration::from_millis(500),
+        "shedding {TRANCHE} jobs took {shed_in:?}"
+    );
+
+    // The scrape reconciles with the plan's own counts.
+    let scrape = http_roundtrip(&mut stream, "GET", "/metrics", None).expect("scrape");
+    let samples = parse_exposition(&scrape.body).expect("exposition parses");
+    let total = |name: &str, label: Option<(&str, &str)>| {
+        samples
+            .iter()
+            .filter(|s| s.name == name && label.is_none_or(|(k, v)| s.label(k) == Some(v)))
+            .map(|s| s.value as u64)
+            .sum::<u64>()
+    };
+    assert_eq!(
+        total("er_serve_worker_panics_total", None),
+        shard_panics + batcher_panics
+    );
+    assert_eq!(
+        total("er_serve_rejected_total", Some(("cause", "deadline"))),
+        TRANCHE as u64
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,7 @@
 //! Quickstart: run the full LearnRisk pipeline on a small synthetic
-//! DBLP-Scholar-style workload and print the AUROC of every risk method.
+//! DBLP-Scholar-style workload, print the AUROC of every risk method, and
+//! export the trained model as the serving artifact `out/serve_model.json`
+//! that `er-serve --artifact` boots from.
 //!
 //! ```bash
 //! cargo run --release --example quickstart
@@ -7,7 +9,9 @@
 
 use learnrisk_repro::base::SplitRatio;
 use learnrisk_repro::datasets::{generate_benchmark, BenchmarkId};
-use learnrisk_repro::eval::{run_pipeline, PipelineConfig};
+use learnrisk_repro::eval::{
+    build_score_requests, export_and_load_engine, run_pipeline, verify_round_trip, PipelineConfig,
+};
 
 fn main() {
     // 1. Generate a candidate-pair workload emulating DBLP-Scholar
@@ -63,4 +67,17 @@ fn main() {
             contribution.weight, contribution.expectation, contribution.std, contribution.description
         );
     }
+
+    // 4. Export the trained model as a serving artifact, load it back, and
+    //    check that the compiled engine scores every workload pair bit for
+    //    bit like the in-memory model.
+    let path = "out/serve_model.json";
+    std::fs::create_dir_all("out").expect("create out/");
+    let (_, engine) = export_and_load_engine(&artifacts, path).expect("export and load the artifact");
+    let pool = build_score_requests(&artifacts.evaluator, &artifacts.matcher, workload.pairs());
+    verify_round_trip(&artifacts.risk_model, &engine, &pool).expect("served scores match the model bit for bit");
+    println!(
+        "\nServing artifact written to {path}; {} pairs score bit-exactly after the round trip",
+        pool.len()
+    );
 }

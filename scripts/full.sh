@@ -11,18 +11,10 @@ cd "$(dirname "$0")/.."
 # the paper's dataset sizes (runtime grows roughly quadratically in scale).
 SCALE="${FULL_SCALE:-0.05}"
 OUT=out/full
-BINARIES=(table2 fig9 fig10 fig11 fig12 fig13 fig14 ablation serve_bench train_bench)
+BINARIES=(table2 fig9 fig10 fig11 fig12 fig13 fig14 ablation train_bench)
 
-export SERVE_BENCH_JSON="$OUT/serve_bench.json"
 export TRAIN_BENCH_JSON="$OUT/train_bench.json"
 export FIG13_JSON="$OUT/fig13.json"
-export SERVE_BENCH_METRICS_SNAPSHOT="$OUT/metrics-snapshot.prom"
-# The full tier drives the HTTP front-end (socket replay + mid-replay
-# hot-reload inside serve_bench) with a longer stream,
-# and the multi-process gateway phase (real er-serve children behind
-# er-gateway) with a longer replay per scaling entry.
-export SERVE_BENCH_FRONTEND_REQUESTS="${FULL_FRONTEND_REQUESTS:-8000}"
-export SERVE_BENCH_GATEWAY_REQUESTS="${FULL_GATEWAY_REQUESTS:-4000}"
 
 echo "== full: release build =="
 cargo build --release --workspace
