@@ -225,16 +225,26 @@ impl LearnRiskModel {
     /// caller-owned SoA component block so batch forward passes allocate
     /// nothing after warm-up.
     pub fn training_score_with(&self, input: &PairRiskInput, block: &mut ComponentBlock) -> f64 {
-        self.training_score_with_z(input, self.z_theta(), block)
+        self.training_score_with_z(input, self.z_theta(), block).0
     }
 
-    /// [`Self::training_score_with`] with a precomputed `z_theta` — the
+    /// [`Self::training_score_with`] with a precomputed `z_theta`, also
+    /// returning the aggregate of the portfolio it leaves in `block` — the
     /// per-input form of the trainer's forward pass, which hoists the
-    /// quantile computation out of the loop.
-    pub fn training_score_with_z(&self, input: &PairRiskInput, z_theta: f64, block: &mut ComponentBlock) -> f64 {
+    /// quantile computation out of the loop and keeps the portfolio for the
+    /// gradient pass.
+    pub fn training_score_with_z(
+        &self,
+        input: &PairRiskInput,
+        z_theta: f64,
+        block: &mut ComponentBlock,
+    ) -> (f64, PortfolioDistribution) {
         self.components_into_block(input, block);
         let d = block.aggregate();
-        training_risk_score(d.mean, d.std(), input.machine_says_match, z_theta)
+        (
+            training_risk_score(d.mean, d.std(), input.machine_says_match, z_theta),
+            d,
+        )
     }
 
     /// Risk scores for a batch of pairs.
@@ -545,7 +555,7 @@ mod tests {
         ] {
             let fresh = model.training_score_with(&inp, &mut ComponentBlock::new());
             let buffered = model.training_score_with(&inp, &mut block);
-            let hoisted = model.training_score_with_z(&inp, z, &mut block);
+            let (hoisted, _) = model.training_score_with_z(&inp, z, &mut block);
             assert_eq!(fresh.to_bits(), buffered.to_bits());
             assert_eq!(fresh.to_bits(), hoisted.to_bits());
             assert!(fresh.is_finite());

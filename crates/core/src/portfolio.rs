@@ -77,7 +77,7 @@ pub struct PortfolioComponent {
 
 /// The aggregated distribution of a pair plus the intermediate sums needed for
 /// analytic gradients during training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PortfolioDistribution {
     /// Aggregated expectation μ_i.
     pub mean: f64,

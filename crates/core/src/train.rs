@@ -21,10 +21,13 @@
 //! d_ab = (p_ab − target_ab) / |pairs|
 //! ```
 //!
-//! so one epoch needs exactly one forward evaluation and (at most) one
-//! gradient evaluation per *input*, plus an O(rank_pairs) scalar sweep.
-//! [`EpochScratch`] implements the three passes with reusable buffers — after
-//! the first epoch the trainer performs no heap allocation — and parallelizes
+//! so one epoch needs exactly one forward evaluation per *input*, (at most)
+//! one gradient evaluation per input, and an O(rank_pairs) scalar sweep.
+//! The forward pass keeps each scored input's portfolio and its aggregate,
+//! and the gradient pass reads them: a portfolio is built and aggregated
+//! once per epoch, not once per pass.  [`EpochScratch`] implements the three
+//! passes with reusable buffers — after the first epoch the trainer performs
+//! no heap allocation — and parallelizes
 //! the forward and gradient passes over a persistent [`er_pool::WorkerPool`]
 //! living in the scratch, so worker threads are spawned once per training
 //! run (not once per epoch pass, as the earlier `std::thread::scope`
@@ -46,6 +49,7 @@ use crate::feature::PairRiskInput;
 use crate::model::LearnRiskModel;
 use crate::portfolio::{
     aggregate, component_gradients, ComponentBlock, ComponentGradients, GradientBlock, PortfolioComponent,
+    PortfolioDistribution,
 };
 use crate::var::{training_risk_gradients, training_risk_score};
 use er_base::rng::substream;
@@ -277,14 +281,17 @@ fn ensure_pool(slot: &mut Option<WorkerPool>, lanes: usize) -> &WorkerPool {
 }
 
 /// Reusable buffers of the factorized training epoch (see the module docs):
-/// per-input forward scores, per-input λ coefficients, per-chunk gradient
-/// shards and per-worker SoA scratch.  Construct once, reuse across epochs
-/// (and across models of the same feature set); after the first epoch no
-/// pass allocates.
+/// per-input forward scores, per-input λ coefficients, the forward pass's
+/// portfolios, per-chunk gradient shards and per-worker gradient scratch.
+/// Construct once, reuse across epochs (and across models of the same
+/// feature set); after the first epoch no pass allocates (in the sampled
+/// regime, once the active set has reached its largest size).
 ///
-/// Both the forward and the gradient pass build each input's portfolio in a
-/// per-worker [`ComponentBlock`] and reduce it through the canonical chunked
-/// SoA kernel — bit-identical to the AoS reference path, and (as before)
+/// The forward pass builds each active input's portfolio in a
+/// [`ComponentBlock`] of its own, reduces it through the canonical chunked
+/// SoA kernel and keeps both; the gradient pass reads that block and
+/// aggregate instead of building them again under the same parameters.  The
+/// arithmetic is bit-identical to the AoS reference path, and (as before)
 /// bit-identical across thread counts thanks to the fixed chunk-order shard
 /// reduction.
 #[derive(Default)]
@@ -295,8 +302,6 @@ pub struct EpochScratch {
     lambdas: Vec<f64>,
     /// One flat gradient shard per λ-active fixed-size input chunk.
     chunk_grads: Vec<Vec<f64>>,
-    /// One SoA component block per worker thread.
-    worker_comps: Vec<ComponentBlock>,
     /// One SoA gradient-term block per worker thread (gradient pass only).
     worker_terms: Vec<GradientBlock>,
     /// Distinct input indices referenced by the epoch's rank pairs, in first-
@@ -308,6 +313,11 @@ pub struct EpochScratch {
     touched: Vec<bool>,
     /// Forward scores of the active inputs, aligned with `active`.
     active_scores: Vec<f64>,
+    /// The last forward pass's portfolios, aligned with `active` (only the
+    /// first `active.len()` are current; the rest keep their capacity).
+    portfolios: Vec<Portfolio>,
+    /// Per input, its position in `active` (current for active inputs only).
+    active_slot: Vec<u32>,
     /// Persistent worker pool for the forward and gradient fan-outs; built
     /// lazily at the first multi-lane pass and reused across epochs.
     pool: Option<WorkerPool>,
@@ -326,10 +336,7 @@ impl EpochScratch {
         &self.scores
     }
 
-    fn ensure_worker_buffers(&mut self, workers: usize) {
-        while self.worker_comps.len() < workers {
-            self.worker_comps.push(ComponentBlock::new());
-        }
+    fn ensure_worker_terms(&mut self, workers: usize) {
         while self.worker_terms.len() < workers {
             self.worker_terms.push(GradientBlock::new());
         }
@@ -337,8 +344,9 @@ impl EpochScratch {
 
     /// Step 1: computes each input's training score γ_i exactly once —
     /// O(inputs), not O(rank_pairs) — in parallel over at most `threads`
-    /// scoped workers.  Each score lands in its own slot, so the result does
-    /// not depend on the thread count.
+    /// scoped workers, and keeps each input's portfolio and aggregate for
+    /// the gradient pass.  Each score lands in its own slot, so the result
+    /// does not depend on the thread count.
     pub fn forward_pass(&mut self, model: &LearnRiskModel, inputs: &[PairRiskInput], threads: usize) {
         self.active.clear();
         self.active.extend(0..inputs.len() as u32);
@@ -370,40 +378,46 @@ impl EpochScratch {
     /// model evaluations run instead of O(inputs).  Scores of untouched
     /// inputs are left at 0.0; the λ sweep never reads them.
     fn forward_pass_active(&mut self, model: &LearnRiskModel, inputs: &[PairRiskInput], threads: usize) {
+        let n_active = self.active.len();
         self.scores.clear();
         self.scores.resize(inputs.len(), 0.0);
         self.active_scores.clear();
-        self.active_scores.resize(self.active.len(), 0.0);
-        let workers = effective_workers(threads, self.active.len(), MIN_FORWARD_INPUTS_PER_WORKER);
-        self.ensure_worker_buffers(workers);
+        self.active_scores.resize(n_active, 0.0);
+        if self.portfolios.len() < n_active {
+            self.portfolios.resize_with(n_active, Portfolio::default);
+        }
+        let workers = effective_workers(threads, n_active, MIN_FORWARD_INPUTS_PER_WORKER);
         let z = model.z_theta();
         let active = &self.active;
+        let portfolios = &mut self.portfolios[..n_active];
         if workers <= 1 {
-            let comps = &mut self.worker_comps[0];
-            for (&i, slot) in active.iter().zip(&mut self.active_scores) {
-                *slot = model.training_score_with_z(&inputs[i as usize], z, comps);
+            for ((&i, slot), portfolio) in active.iter().zip(&mut self.active_scores).zip(portfolios) {
+                *slot = portfolio.fill(model, &inputs[i as usize], z);
             }
         } else {
-            let per = active.len().div_ceil(workers);
+            let per = n_active.div_ceil(workers);
             let pool = ensure_pool(&mut self.pool, workers);
             pool.scope(|scope| {
-                for ((index_chunk, score_chunk), comps) in active
+                for ((index_chunk, score_chunk), portfolio_chunk) in active
                     .chunks(per)
                     .zip(self.active_scores.chunks_mut(per))
-                    .zip(self.worker_comps.iter_mut())
+                    .zip(portfolios.chunks_mut(per))
                 {
                     scope.spawn(move || {
-                        for (&i, slot) in index_chunk.iter().zip(score_chunk) {
-                            *slot = model.training_score_with_z(&inputs[i as usize], z, comps);
+                        for ((&i, slot), portfolio) in index_chunk.iter().zip(score_chunk).zip(portfolio_chunk) {
+                            *slot = portfolio.fill(model, &inputs[i as usize], z);
                         }
                     });
                 }
             })
             .propagate();
         }
-        // Scatter back to the per-input slots the λ sweep indexes by.
-        for (&i, &score) in active.iter().zip(&self.active_scores) {
+        // Scatter back to the per-input slots the λ sweep indexes by, and
+        // record where the gradient pass finds each input's portfolio.
+        self.active_slot.resize(inputs.len(), 0);
+        for (slot, (&i, &score)) in active.iter().zip(&self.active_scores).enumerate() {
             self.scores[i as usize] = score;
+            self.active_slot[i as usize] = slot as u32;
         }
     }
 
@@ -425,7 +439,17 @@ impl EpochScratch {
             let (a, b) = (a as usize, b as usize);
             let p_ab = clamp_prob(sigmoid(self.scores[a] - self.scores[b]));
             let target = 0.5 * (1.0 + inputs[a].risk_label as f64 - inputs[b].risk_label as f64);
-            loss += -(target * safe_ln(p_ab) + (1.0 - target) * safe_ln(1.0 - p_ab));
+            // A 0/1 target weights one log term only.  `p_ab` is clamped
+            // inside (0, 1), so the other term is 0 · (a finite log) = ±0,
+            // and adding it would not change one bit of the loss.
+            let log_likelihood = if target == 1.0 {
+                safe_ln(p_ab)
+            } else if target == 0.0 {
+                safe_ln(1.0 - p_ab)
+            } else {
+                target * safe_ln(p_ab) + (1.0 - target) * safe_ln(1.0 - p_ab)
+            };
+            loss -= log_likelihood;
             // dL/dγ_a = p_ab - target; dL/dγ_b = -(p_ab - target).
             let d = (p_ab - target) / n_pairs;
             self.lambdas[a] += d;
@@ -434,14 +458,16 @@ impl EpochScratch {
         loss / n_pairs
     }
 
-    /// Step 3: one gradient evaluation per input with a non-zero λ, in
+    /// Step 3: one gradient evaluation per input with a non-zero λ, reading
+    /// the portfolio and aggregate the forward pass kept for it, in
     /// parallel over fixed-size input chunks.  Only chunks containing a
     /// non-zero λ get a shard (so the pass is O(λ-active inputs) plus one
     /// scalar sweep of λ, not O(inputs)); each shard accumulates its chunk's
     /// inputs in index order, and the shards are reduced into `grad` in
     /// ascending chunk order on the calling thread — the chunk grid depends
     /// only on the input count, so the result is bit-identical for every
-    /// thread count.  Requires a preceding [`EpochScratch::lambda_pass`].
+    /// thread count.  Requires a preceding [`EpochScratch::lambda_pass`],
+    /// after a forward pass of the same model over the same inputs.
     pub fn gradient_pass(
         &mut self,
         model: &LearnRiskModel,
@@ -479,30 +505,33 @@ impl EpochScratch {
             shard.resize(dim, 0.0);
         }
         let workers = effective_workers(threads, n_active, 1);
-        self.ensure_worker_buffers(workers);
-        let z = model.z_theta();
-        let lambdas = &self.lambdas;
+        self.ensure_worker_terms(workers);
+        let forward = Forward {
+            z_theta: model.z_theta(),
+            lambdas: &self.lambdas,
+            active_slot: &self.active_slot,
+            portfolios: &self.portfolios,
+        };
         let active_chunks = &self.active_chunks;
         let shards = &mut self.chunk_grads[..n_active];
         if workers <= 1 {
-            let comps = &mut self.worker_comps[0];
             let terms = &mut self.worker_terms[0];
             for (shard, &c) in shards.iter_mut().zip(active_chunks) {
-                gradient_chunk(model, inputs, lambdas, z, c, comps, terms, shard);
+                forward.gradient_chunk(model, inputs, c, terms, shard);
             }
         } else {
             let per = n_active.div_ceil(workers);
             let pool = ensure_pool(&mut self.pool, workers);
+            let forward = &forward;
             pool.scope(|scope| {
-                for (((shard_slice, chunk_ids), comps), terms) in shards
+                for ((shard_slice, chunk_ids), terms) in shards
                     .chunks_mut(per)
                     .zip(active_chunks.chunks(per))
-                    .zip(self.worker_comps.iter_mut())
                     .zip(self.worker_terms.iter_mut())
                 {
                     scope.spawn(move || {
                         for (shard, &c) in shard_slice.iter_mut().zip(chunk_ids) {
-                            gradient_chunk(model, inputs, lambdas, z, c, comps, terms, shard);
+                            forward.gradient_chunk(model, inputs, c, terms, shard);
                         }
                     });
                 }
@@ -570,35 +599,68 @@ impl EpochScratch {
     }
 }
 
-/// Gradient accumulation of one fixed-size input chunk into its shard: per
-/// λ-active input, build the SoA portfolio, aggregate it with the fused
-/// chunked kernel, compute every component's gradient terms in one bulk
-/// elementwise pass, then scatter them into the shard.
-#[allow(clippy::too_many_arguments)]
-fn gradient_chunk(
-    model: &LearnRiskModel,
-    inputs: &[PairRiskInput],
-    lambdas: &[f64],
+/// One input's portfolio as the forward pass built it: its SoA components
+/// and their aggregate.
+#[derive(Default)]
+struct Portfolio {
+    block: ComponentBlock,
+    aggregate: PortfolioDistribution,
+}
+
+impl Portfolio {
+    /// Builds and aggregates `input`'s portfolio under `model`, keeps both,
+    /// and returns its training score.
+    fn fill(&mut self, model: &LearnRiskModel, input: &PairRiskInput, z_theta: f64) -> f64 {
+        let (score, aggregate) = model.training_score_with_z(input, z_theta, &mut self.block);
+        self.aggregate = aggregate;
+        score
+    }
+}
+
+/// What the gradient pass reads from the forward pass and the λ sweep.
+struct Forward<'a> {
     z_theta: f64,
-    chunk_index: usize,
-    comps: &mut ComponentBlock,
-    terms: &mut GradientBlock,
-    shard: &mut [f64],
-) {
-    let start = chunk_index * GRAD_CHUNK;
-    let end = (start + GRAD_CHUNK).min(inputs.len());
-    for i in start..end {
-        let lambda = lambdas[i];
-        if lambda == 0.0 {
-            continue;
+    lambdas: &'a [f64],
+    active_slot: &'a [u32],
+    portfolios: &'a [Portfolio],
+}
+
+impl Forward<'_> {
+    /// Gradient accumulation of one fixed-size input chunk into its shard:
+    /// per λ-active input, compute every component's gradient terms of its
+    /// forward-pass portfolio in one bulk elementwise pass, then scatter
+    /// them into the shard.  A non-zero λ means a rank pair referenced the
+    /// input, so the forward pass scored it.
+    fn gradient_chunk(
+        &self,
+        model: &LearnRiskModel,
+        inputs: &[PairRiskInput],
+        chunk_index: usize,
+        terms: &mut GradientBlock,
+        shard: &mut [f64],
+    ) {
+        let start = chunk_index * GRAD_CHUNK;
+        let end = (start + GRAD_CHUNK).min(inputs.len());
+        let chunk = inputs[start..end]
+            .iter()
+            .zip(&self.lambdas[start..end])
+            .zip(&self.active_slot[start..end]);
+        for ((input, &lambda), &slot) in chunk {
+            if lambda == 0.0 {
+                continue;
+            }
+            let portfolio = &self.portfolios[slot as usize];
+            portfolio.block.component_gradients_into(&portfolio.aggregate, terms);
+            scatter_score_gradient(
+                model,
+                input,
+                portfolio.block.len(),
+                self.z_theta,
+                lambda,
+                shard,
+                |slot| terms.gradients(slot),
+            );
         }
-        let input = &inputs[i];
-        model.components_into_block(input, comps);
-        let agg = comps.aggregate();
-        comps.component_gradients_into(&agg, terms);
-        scatter_score_gradient(model, input, comps.len(), z_theta, lambda, shard, |slot| {
-            terms.gradients(slot)
-        });
     }
 }
 

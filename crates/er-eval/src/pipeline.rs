@@ -12,7 +12,8 @@
 //!
 //! The basic-metric rows of all three splits come from one
 //! [`MetricEvaluator::eval_pairs`] call, so a record in several splits is
-//! prepared once, and every stage reads those rows.  Steps 3–5 overlap: the
+//! prepared once, and every stage reads those rows.  The returned evaluator
+//! remembers them (see [`PipelineArtifacts::evaluator`]).  Steps 3–5 overlap: the
 //! Uncertainty, TrustScore and StaticRisk baselines read nothing LearnRisk
 //! produces, so they run on a second lane of an [`er_pool::WorkerPool`]
 //! while rule generation and risk training run on the other; with one CPU
@@ -131,7 +132,11 @@ pub struct PipelineArtifacts {
     /// The trained matcher.
     pub matcher: ErMatcher,
     /// Metric evaluator (raw basic metrics, shared by rule generation and
-    /// risk-feature construction).
+    /// risk-feature construction).  It remembers the rows the run evaluated
+    /// for its train, validation and test pairs, so
+    /// [`MetricEvaluator::eval_pairs`] (and [`crate::build_score_requests`])
+    /// copies them for pairs built from the same record `Arc`s instead of
+    /// evaluating those pairs again.
     pub evaluator: MetricEvaluator,
     /// The trained risk model.
     pub risk_model: LearnRiskModel,
@@ -170,7 +175,8 @@ pub fn run_pipeline_on_splits(
     // --- basic-metric rows, evaluated once and shared by every stage --------
     // One call for all three splits, so a record in several is prepared once.
     let evaluator = MetricEvaluator::from_pairs(schema, train);
-    let mut train_rows = evaluator.eval_pairs(&[train, valid, test].concat());
+    let all_pairs = [train, valid, test].concat();
+    let mut train_rows = evaluator.eval_pairs(&all_pairs);
     let mut valid_rows = train_rows.split_off(train.len());
     let test_rows = valid_rows.split_off(valid.len());
     let train_labels: Vec<Label> = train.iter().map(|p| p.truth).collect();
@@ -313,9 +319,12 @@ pub fn run_pipeline_on_splits(
         rule_generation_secs,
         risk_training_secs,
     };
+    let mut rows = train_rows;
+    rows.extend(valid_rows);
+    rows.extend(test_rows);
     let artifacts = PipelineArtifacts {
         matcher,
-        evaluator,
+        evaluator: evaluator.with_remembered_rows(&all_pairs, rows),
         risk_model,
         test_inputs,
     };

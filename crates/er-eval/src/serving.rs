@@ -21,8 +21,9 @@ use std::path::Path;
 /// would. Pair ids are the positions in `pairs`.
 ///
 /// `evaluator` is the one `matcher` was built over (a pipeline's
-/// [`PipelineArtifacts::evaluator`]): each row is evaluated once and feeds
-/// both the request and the classifier.
+/// [`PipelineArtifacts::evaluator`]): each row feeds both the request and
+/// the classifier.  A pair the pipeline already evaluated (same record
+/// `Arc`s) reuses the row it remembers; the rest are evaluated here.
 pub fn build_score_requests(evaluator: &MetricEvaluator, matcher: &ErMatcher, pairs: &[Pair]) -> Vec<ScoreRequest> {
     let rows = evaluator.eval_pairs(pairs);
     let probs = matcher.predict_rows(&rows);
@@ -161,6 +162,55 @@ mod tests {
             assert_eq!(bits(&request.metric_row), bits(&row), "pair {i}");
             assert_eq!(request.classifier_output.to_bits(), p.to_bits(), "pair {i}");
             assert_eq!(request.machine_says_match, p >= 0.5, "pair {i}");
+        }
+    }
+
+    #[test]
+    fn requests_from_the_pipelines_rows_equal_a_fresh_evaluators_bit_for_bit() {
+        let ds = generate_benchmark(BenchmarkId::DblpScholar, 0.02, 2020);
+        let config = PipelineConfig {
+            matcher: MatcherKind::Logistic,
+            risk_train_config: RiskTrainConfig {
+                epochs: 5,
+                ..Default::default()
+            },
+            ensemble_members: 2,
+            seed: 2020,
+            ..Default::default()
+        };
+        let ratio = SplitRatio::new(3, 2, 5);
+        let (_, artifacts) = run_pipeline(&ds.workload, ratio, &config);
+        let mut rng = er_base::rng::substream(config.seed, 0x90);
+        let train = ds.workload.select(&ds.workload.split_by_ratio(ratio, &mut rng).train);
+        let fresh = MetricEvaluator::from_pairs(std::sync::Arc::clone(&ds.workload.left_schema), &train);
+
+        // The whole workload (every pair remembered), and a part of it
+        // rebuilt from copies of its records (none remembered).
+        let pairs = ds.workload.pairs();
+        let rebuilt: Vec<Pair> = pairs[..40]
+            .iter()
+            .map(|p| {
+                let copy = |r: &std::sync::Arc<er_base::Record>| std::sync::Arc::new(er_base::Record::clone(r));
+                Pair::new(p.id, copy(&p.left), copy(&p.right), p.truth)
+            })
+            .collect();
+        for pairs in [pairs, &rebuilt[..]] {
+            let got = build_score_requests(&artifacts.evaluator, &artifacts.matcher, pairs);
+            let want = build_score_requests(&fresh, &artifacts.matcher, pairs);
+            assert_eq!(got.len(), want.len());
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.metric_row), bits(&want.metric_row), "pair {i}");
+                assert_eq!(
+                    got.classifier_output.to_bits(),
+                    want.classifier_output.to_bits(),
+                    "pair {i}"
+                );
+                assert_eq!(
+                    (got.pair_id, got.machine_says_match),
+                    (want.pair_id, want.machine_says_match)
+                );
+            }
         }
     }
 

@@ -17,7 +17,7 @@ use er_serve::{
 use learnrisk_core::{LearnRiskModel, RiskFeatureSet, RiskModelConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -50,14 +50,32 @@ fn divergent_model() -> LearnRiskModel {
 
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn scratch_dir(tag: &str) -> PathBuf {
+/// A test's scratch directory, removed with everything in it when the guard
+/// drops — at the end of the test, or while a failing test unwinds.
+struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch_dir(tag: &str) -> ScratchDir {
     let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("er-gateway-it-{tag}-{}-{seq}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+    ScratchDir(dir)
 }
 
-fn write_artifact(dir: &std::path::Path, name: &str, model: LearnRiskModel) -> String {
+fn write_artifact(dir: &Path, name: &str, model: LearnRiskModel) -> String {
     let path = dir.join(name);
     ModelArtifact::new(model).save(&path).expect("save artifact");
     path.to_string_lossy().into_owned()

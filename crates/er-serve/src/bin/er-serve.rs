@@ -82,7 +82,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let digest = artifact.digest();
     let mut serve_config = ServeConfig::default();
     if let Some(threads) = options.threads {
         serve_config = serve_config.with_threads(threads.max(1));
@@ -113,11 +112,14 @@ fn main() {
     };
     // The one line a supervising parent (gateway launcher, perfbench, the
     // spawned-binary tests) scrapes to learn the ephemeral port. Flushed
-    // explicitly: the parent blocks on it before sending traffic.
+    // explicitly: the parent blocks on it before sending traffic. The digest
+    // is the one the executor computed when it booted on the artifact.
+    let boot = server.executor().snapshot();
     println!(
-        "LISTENING {} version={} digest={digest}",
+        "LISTENING {} version={} digest={}",
         server.local_addr(),
-        server.executor().version()
+        boot.version,
+        boot.digest
     );
     let _ = std::io::stdout().flush();
     loop {

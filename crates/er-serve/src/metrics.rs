@@ -38,6 +38,7 @@
 //! histogram's percentile buckets hold the server's own trace totals.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -558,56 +559,95 @@ impl MetricsRegistry {
 // Exposition rendering
 // ---------------------------------------------------------------------------
 
-/// Formats an f64 the way Prometheus text exposition expects (shortest
+/// An f64 formatted the way Prometheus text exposition expects (shortest
 /// round-trip; integral values without a trailing `.0`).
-fn fmt_value(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+struct Value(f64);
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let v = self.0;
+        if v == v.trunc() && v.abs() < 1e15 {
+            write!(f, "{}", v as i64)
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
-fn fmt_labels(labels: &[(&'static str, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(n, v)| format!("{n}={:?}", v.replace('\\', "\\\\").replace('\n', "\\n")))
-        .collect();
-    if let Some((n, v)) = extra {
-        parts.push(format!("{n}={v:?}"));
+/// Appends a label value between its quotes, escaping `\`, `"` and newline
+/// as the text format requires — the escapes [`parse_exposition`] undoes.
+fn write_label_value(out: &mut String, value: &str) {
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
     }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
+}
+
+/// Appends one sample line, `<name><suffix>{<labels>} <value>`, with a final
+/// `le` label when `le` is set (`+Inf` for infinity) and no braces when
+/// there is no label at all.  Writing into a `String` cannot fail.
+fn write_sample(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(&'static str, String)],
+    le: Option<f64>,
+    value: impl std::fmt::Display,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    let mut separator = '{';
+    for (label, value) in labels {
+        out.push(separator);
+        out.push_str(label);
+        out.push_str("=\"");
+        write_label_value(out, value);
+        out.push('"');
+        separator = ',';
     }
+    if let Some(le) = le {
+        out.push(separator);
+        let _ = match le {
+            f64::INFINITY => write!(out, "le=\"+Inf\""),
+            le => write!(out, "le=\"{}\"", Value(le)),
+        };
+        separator = ',';
+    }
+    if separator == ',' {
+        out.push('}');
+    }
+    let _ = writeln!(out, " {value}");
 }
 
 fn header(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
 }
 
 fn render_counter(out: &mut String, name: &str, help: &str, counter: &Counter) {
     header(out, name, "counter", help);
-    out.push_str(&format!("{name} {}\n", counter.get()));
+    write_sample(out, name, "", &[], None, counter.get());
 }
 
 fn render_gauge(out: &mut String, name: &str, help: &str, value: f64) {
     header(out, name, "gauge", help);
-    out.push_str(&format!("{name} {}\n", fmt_value(value)));
+    write_sample(out, name, "", &[], None, Value(value));
 }
 
 fn render_counter_vec(out: &mut String, name: &str, help: &str, vec: &CounterVec) {
     header(out, name, "counter", help);
     for (labels, value) in vec.snapshot() {
-        out.push_str(&format!("{name}{} {value}\n", fmt_labels(&labels, None)));
+        write_sample(out, name, "", &labels, None, value);
     }
 }
 
 fn render_gauge_vec(out: &mut String, name: &str, help: &str, vec: &GaugeVec) {
     header(out, name, "gauge", help);
     for (labels, value) in vec.snapshot() {
-        out.push_str(&format!("{name}{} {}\n", fmt_labels(&labels, None), fmt_value(value)));
+        write_sample(out, name, "", &labels, None, Value(value));
     }
 }
 
@@ -626,26 +666,11 @@ fn render_histogram(
     let mut cumulative = 0u64;
     for (i, count) in counts.iter().enumerate() {
         cumulative += count;
-        let le = if i < histogram.bounds().len() {
-            fmt_value(histogram.bounds()[i])
-        } else {
-            "+Inf".to_string()
-        };
-        out.push_str(&format!(
-            "{name}_bucket{} {cumulative}\n",
-            fmt_labels(labels, Some(("le", &le)))
-        ));
+        let le = histogram.bounds().get(i).copied().unwrap_or(f64::INFINITY);
+        write_sample(out, name, "_bucket", labels, Some(le), cumulative);
     }
-    out.push_str(&format!(
-        "{name}_sum{} {}\n",
-        fmt_labels(labels, None),
-        fmt_value(histogram.sum())
-    ));
-    out.push_str(&format!(
-        "{name}_count{} {}\n",
-        fmt_labels(labels, None),
-        histogram.count()
-    ));
+    write_sample(out, name, "_sum", labels, None, Value(histogram.sum()));
+    write_sample(out, name, "_count", labels, None, histogram.count());
 }
 
 fn render_histogram_vec(out: &mut String, name: &str, help: &str, vec: &HistogramVec) {
@@ -1027,6 +1052,37 @@ mod tests {
             ),
             1.0
         );
+    }
+
+    #[test]
+    fn label_values_are_escaped_once_and_parse_back() {
+        let value = "a\\b\"c\nd";
+        let registry = MetricsRegistry::new();
+        registry.responses.with(&[("route", value), ("status", "200")]).add(3);
+        registry.request_duration.with(&[("route", value)]).observe(0.0003);
+        let text = registry.render();
+        assert!(
+            text.contains("er_serve_responses_total{route=\"a\\\\b\\\"c\\nd\",status=\"200\"} 3\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("er_serve_request_duration_seconds_bucket{route=\"a\\\\b\\\"c\\nd\",le=\"+Inf\"} 1\n"),
+            "{text}"
+        );
+        let samples = parse_exposition(&text).expect("rendered exposition must parse");
+        for name in [
+            "er_serve_responses_total",
+            "er_serve_request_duration_seconds_count",
+            "er_serve_request_duration_seconds_sum",
+        ] {
+            let sample = samples.iter().find(|s| s.name == name).expect(name);
+            assert_eq!(sample.label("route"), Some(value), "{name}");
+        }
+        let buckets = samples
+            .iter()
+            .filter(|s| s.name == "er_serve_request_duration_seconds_bucket");
+        assert!(buckets.clone().count() > 1);
+        assert!(buckets.clone().all(|s| s.label("route") == Some(value)));
     }
 
     #[test]

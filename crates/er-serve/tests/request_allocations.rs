@@ -1,15 +1,17 @@
-//! Exact per-request heap-allocation budgets of the backend's `/score` path.
+//! Exact per-request heap-allocation budgets of the backend's `/score` path
+//! and of a `/metrics` scrape.
 //!
 //! Wall-clock ratios cannot resolve a small cost on a shared machine; heap
 //! allocations can be counted exactly. This test binary installs a counting
 //! global allocator, starts an in-process [`ScoreServer`], and drives one
-//! cached single-pair `/score` at a time over a keep-alive connection from a
-//! client that allocates nothing, so every allocation in the measured window
-//! is the server's. It holds:
+//! cached single-pair `/score` (or one `GET /metrics`) at a time over a
+//! keep-alive connection from a client that allocates nothing, so every
+//! allocation in the measured window is the server's. It holds:
 //!
 //! * metrics on against off: the same count (the registry costs nothing);
 //! * tracing on against off: at most [`TRACING_ALLOCS`] more;
-//! * each configuration at most its count when these bounds were set.
+//! * each configuration at most its count when these bounds were set;
+//! * a scrape at most [`SCRAPE_ALLOCS`].
 //!
 //! A change that removes allocations lowers the bounds; one that adds them
 //! must justify the new bound. The file holds one `#[test]`, so no other test
@@ -67,9 +69,12 @@ const TRACING_OFF_ALLOCS: u64 = 20;
 const METRICS_AND_TRACING_OFF_ALLOCS: u64 = 20;
 /// What tracing may add per request.
 const TRACING_ALLOCS: u64 = 5;
+/// Allocations per `GET /metrics` scrape of a server that has scored.
+const SCRAPE_ALLOCS: u64 = 66;
 
 const WARM_UP: u64 = 600;
 const MEASURED: u64 = 1_000;
+const MEASURED_SCRAPES: u64 = 200;
 
 fn model() -> LearnRiskModel {
     let rules = vec![
@@ -85,7 +90,7 @@ fn model() -> LearnRiskModel {
     LearnRiskModel::new(feature_set, RiskModelConfig::default())
 }
 
-/// One `POST /score` on a keep-alive connection, written from and read into
+/// One request on a keep-alive connection, written from and read into
 /// buffers allocated before the measured window.
 struct Client {
     stream: TcpStream,
@@ -94,7 +99,8 @@ struct Client {
 }
 
 impl Client {
-    fn new(server: &ScoreServer) -> Self {
+    /// A client that sends one cached single-pair `POST /score`.
+    fn score(server: &ScoreServer) -> Self {
         let body = serde::json::to_string(&ScoreRequest {
             pair_id: 7,
             metric_row: vec![0.7, 0.2],
@@ -105,24 +111,33 @@ impl Client {
             "POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
             body.len()
         );
+        Self::new(server, [head.as_bytes(), body.as_bytes()].concat(), 4096)
+    }
+
+    /// A client that sends `GET /metrics`.
+    fn scrape(server: &ScoreServer) -> Self {
+        Self::new(server, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n".to_vec(), 1 << 16)
+    }
+
+    fn new(server: &ScoreServer, request: Vec<u8>, buffer_len: usize) -> Self {
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
         stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
         Client {
             stream,
-            request: [head.as_bytes(), body.as_bytes()].concat(),
-            buffer: vec![0; 4096],
+            request,
+            buffer: vec![0; buffer_len],
         }
     }
 
     /// Sends the request and reads the whole `200` response, allocating
     /// nothing.
-    fn score(&mut self) {
+    fn send(&mut self) {
         self.stream.write_all(&self.request).expect("write request");
         let mut filled = 0;
         loop {
             let n = self.stream.read(&mut self.buffer[filled..]).expect("read response");
-            assert!(n > 0, "the server closed the connection");
+            assert!(n > 0, "the server closed the connection or the buffer is full");
             filled += n;
             let response = &self.buffer[..filled];
             let Some(head_end) = response.windows(4).position(|w| w == b"\r\n\r\n") else {
@@ -181,15 +196,40 @@ fn allocations(lanes: usize, metrics_enabled: bool, trace_capacity: usize) -> u6
         },
     )
     .expect("bind");
-    let mut client = Client::new(&server);
+    let mut client = Client::score(&server);
     // The first request fills the cache; the warm-up also fills the trace
     // ring, so the window sees its steady state.
     for _ in 0..WARM_UP {
-        client.score();
+        client.send();
     }
     let before = settled_count();
     for _ in 0..MEASURED {
-        client.score();
+        client.send();
+    }
+    let total = settled_count() - before;
+    server.shutdown();
+    total
+}
+
+/// Allocations of [`MEASURED_SCRAPES`] `/metrics` scrapes of a default
+/// server on `lanes` scoring lanes that has scored [`WARM_UP`] requests.
+fn scrape_allocations(lanes: usize) -> u64 {
+    let executor = Arc::new(ReloadableExecutor::new(
+        ScoringEngine::new(model()),
+        ServeConfig::default().with_threads(lanes),
+    ));
+    let server = ScoreServer::start(executor, ServerConfig::default()).expect("bind");
+    let mut scorer = Client::score(&server);
+    for _ in 0..WARM_UP {
+        scorer.send();
+    }
+    let mut client = Client::scrape(&server);
+    for _ in 0..WARM_UP / 10 {
+        client.send();
+    }
+    let before = settled_count();
+    for _ in 0..MEASURED_SCRAPES {
+        client.send();
     }
     let total = settled_count() - before;
     server.shutdown();
@@ -227,5 +267,13 @@ fn cached_single_pair_scores_stay_within_their_allocation_budgets() {
                 per_request(total)
             );
         }
+
+        let scrapes = scrape_allocations(lanes);
+        let per_scrape = scrapes as f64 / MEASURED_SCRAPES as f64;
+        println!("{lanes} lane(s), allocations per /metrics scrape: {per_scrape:.3}");
+        assert!(
+            scrapes <= SCRAPE_ALLOCS * MEASURED_SCRAPES,
+            "{per_scrape:.3} allocations per scrape, budget {SCRAPE_ALLOCS} ({lanes} lanes)"
+        );
     }
 }

@@ -164,6 +164,32 @@ pub struct MetricEvaluator {
     idf: Vec<IdfTable>,
     /// Document-frequency ratio below which a token counts as a key token.
     pub key_token_max_df: f64,
+    /// Rows attached by [`MetricEvaluator::with_remembered_rows`], shared by
+    /// every clone.
+    remembered: Option<Arc<RememberedRows>>,
+}
+
+/// Rows this evaluator computed earlier, each for the pair built from two
+/// particular records.
+#[derive(Debug)]
+struct RememberedRows {
+    /// Index into `rows`, keyed by the addresses of a pair's left and right
+    /// record.
+    index: HashMap<[usize; 2], usize>,
+    /// The records of every keyed pair, held so that while the rows live no
+    /// other record can be allocated at one of their addresses.
+    _records: Vec<[Arc<Record>; 2]>,
+    rows: Vec<Vec<f64>>,
+    /// The evaluator's `key_token_max_df` when the rows were computed.
+    key_token_max_df: f64,
+}
+
+impl RememberedRows {
+    /// The row of the pair built from exactly `pair`'s two records.
+    fn row(&self, pair: &Pair) -> Option<&[f64]> {
+        let key = [&pair.left, &pair.right].map(|r| Arc::as_ptr(r) as usize);
+        self.index.get(&key).map(|&i| self.rows[i].as_slice())
+    }
 }
 
 impl MetricEvaluator {
@@ -191,6 +217,7 @@ impl MetricEvaluator {
             metrics,
             idf,
             key_token_max_df: 0.05,
+            remembered: None,
         }
     }
 
@@ -234,9 +261,46 @@ impl MetricEvaluator {
 
     /// Restricts the evaluator to a custom metric list (used by tests and by
     /// dataset-specific configurations mirroring the paper's per-dataset
-    /// metric counts).
+    /// metric counts).  Drops any remembered rows: they hold the old
+    /// metrics.
     pub fn with_metrics(mut self, metrics: Vec<AttrMetric>) -> Self {
         self.metrics = metrics;
+        self.remembered = None;
+        self
+    }
+
+    /// Remembers `rows`, this evaluator's [`eval_pairs`](Self::eval_pairs)
+    /// output for `pairs`, so later `eval_pairs` calls (on this evaluator
+    /// and its clones) take a pair's row from here instead of evaluating
+    /// it again.  A row is found only for a pair built from the same two
+    /// record `Arc`s; the evaluator holds those `Arc`s, so no other record
+    /// can reuse their addresses.  Replaces any rows remembered before.
+    ///
+    /// # Panics
+    /// Panics unless there is one row per pair, each with one value per
+    /// metric.
+    pub fn with_remembered_rows(mut self, pairs: &[Pair], rows: Vec<Vec<f64>>) -> Self {
+        assert_eq!(rows.len(), pairs.len(), "one remembered row per pair");
+        assert!(
+            rows.iter().all(|row| row.len() == self.metrics.len()),
+            "a remembered row has one value per metric"
+        );
+        let mut index = HashMap::with_capacity(pairs.len());
+        for (i, p) in pairs.iter().enumerate() {
+            index
+                .entry([&p.left, &p.right].map(|r| Arc::as_ptr(r) as usize))
+                .or_insert(i);
+        }
+        let records = pairs
+            .iter()
+            .map(|p| [Arc::clone(&p.left), Arc::clone(&p.right)])
+            .collect();
+        self.remembered = Some(Arc::new(RememberedRows {
+            index,
+            _records: records,
+            rows,
+            key_token_max_df: self.key_token_max_df,
+        }));
         self
     }
 
@@ -270,16 +334,40 @@ impl MetricEvaluator {
     /// Evaluates every metric for each pair, producing a row-major matrix
     /// whose rows equal [`eval_all`](Self::eval_all)'s, bit for bit.
     ///
-    /// Phase 1 prepares each distinct record (by allocation) once, however
-    /// many pairs it is in; phase 2 evaluates the rows from the prepared
+    /// A pair built from the same two record `Arc`s as a pair whose row was
+    /// attached with [`with_remembered_rows`](Self::with_remembered_rows)
+    /// gets a copy of that row; only the pipeline attaches rows, and this
+    /// call keeps none of its output.  The other pairs are evaluated: phase
+    /// 1 prepares each distinct record (by allocation) once, however many
+    /// pairs it is in; phase 2 evaluates the rows from the prepared
     /// records.  Each phase runs in contiguous chunks over the lanes of a
     /// worker pool, one per available CPU, with its own kernel buffers per
     /// chunk, and inline when it has too few items for two chunks.
     pub fn eval_pairs(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        let mut slots: HashMap<*const Record, u32> = HashMap::with_capacity(2 * pairs.len());
+        let remembered = self
+            .remembered
+            .as_deref()
+            .filter(|r| r.key_token_max_df.to_bits() == self.key_token_max_df.to_bits());
+        let Some(remembered) = remembered else {
+            return self.evaluate(pairs.iter());
+        };
+        let known: Vec<Option<&[f64]>> = pairs.iter().map(|p| remembered.row(p)).collect();
+        let unknown = pairs.iter().zip(&known).filter(|(_, row)| row.is_none());
+        let mut fresh = self.evaluate(unknown.map(|(p, _)| p)).into_iter();
+        known
+            .into_iter()
+            .map(|row| match row {
+                Some(row) => row.to_vec(),
+                None => fresh.next().expect("one evaluated row per unknown pair"),
+            })
+            .collect()
+    }
+
+    /// The two phases of [`eval_pairs`](Self::eval_pairs) over `pairs`.
+    fn evaluate<'a>(&self, pairs: impl Iterator<Item = &'a Pair>) -> Vec<Vec<f64>> {
+        let mut slots: HashMap<*const Record, u32> = HashMap::with_capacity(2 * pairs.size_hint().0);
         let mut records: Vec<&Record> = Vec::new();
         let sides: Vec<[u32; 2]> = pairs
-            .iter()
             .map(|p| {
                 [&p.left, &p.right].map(|r| {
                     *slots.entry(Arc::as_ptr(r)).or_insert_with(|| {
@@ -291,12 +379,12 @@ impl MetricEvaluator {
             .collect();
 
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (record_chunk, pair_chunk) = (chunk_len(records.len(), cpus), chunk_len(pairs.len(), cpus));
+        let (record_chunk, pair_chunk) = (chunk_len(records.len(), cpus), chunk_len(sides.len(), cpus));
         // One lane per chunk of the larger phase: never more than `cpus`.
         let chunks = records
             .len()
             .div_ceil(record_chunk)
-            .max(pairs.len().div_ceil(pair_chunk));
+            .max(sides.len().div_ceil(pair_chunk));
         let pool = (chunks > 1).then(|| WorkerPool::new(chunks));
         let pool = pool.as_ref();
 
@@ -687,6 +775,107 @@ mod tests {
         }
         assert_eq!(chunk_len(10, 2), MIN_CHUNK_LEN, "a short list is one chunk");
         assert_eq!(chunk_len(10 * MIN_CHUNK_LEN, 2), 5 * MIN_CHUNK_LEN);
+    }
+
+    /// DS pairs, the first `n` of them, and an evaluator over them.
+    fn ds_pairs(n: usize) -> (Vec<Pair>, MetricEvaluator) {
+        let ds = er_datasets::generate_benchmark(er_datasets::BenchmarkId::DblpScholar, 0.02, 2020);
+        let pairs = ds.workload.pairs()[..n].to_vec();
+        let evaluator = MetricEvaluator::from_pairs(Arc::clone(&ds.workload.left_schema), &pairs);
+        (pairs, evaluator)
+    }
+
+    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// The pair rebuilt from fresh records with the same values.
+    fn rebuilt(p: &Pair) -> Pair {
+        let copy = |r: &Arc<Record>| Arc::new(Record::clone(r));
+        Pair::new(p.id, copy(&p.left), copy(&p.right), p.truth)
+    }
+
+    #[test]
+    fn remembered_rows_are_used_only_for_pairs_built_from_the_same_records() {
+        let (pairs, fresh) = ds_pairs(80);
+        let want = bits(&fresh.eval_pairs(&pairs));
+        // Rows no evaluation produces, so every output shows where it came
+        // from: the first 50 pairs are remembered.
+        let marker = |i: usize| vec![-(i as f64) - 1.0; fresh.len()];
+        let marked = fresh
+            .clone()
+            .with_remembered_rows(&pairs[..50], (0..50).map(marker).collect());
+
+        let got = bits(&marked.eval_pairs(&pairs));
+        let marked_want = bits(&(0..50).map(marker).collect::<Vec<_>>());
+        assert_eq!(got[..50], marked_want, "the first 50 pairs take their remembered rows");
+        assert_eq!(got[50..], want[50..], "the other pairs are evaluated");
+        // The same pairs again, reversed and each rebuilt from equal-valued
+        // records: the reversed ones still find their rows; a rebuilt pair
+        // is evaluated afresh, and so is the swapped pair.
+        let reversed: Vec<Pair> = pairs[..50].iter().rev().cloned().collect();
+        assert_eq!(
+            bits(&marked.eval_pairs(&reversed)),
+            bits(&(0..50).rev().map(marker).collect::<Vec<_>>())
+        );
+        let rebuilt_pairs: Vec<Pair> = pairs.iter().map(rebuilt).collect();
+        assert_eq!(bits(&marked.eval_pairs(&rebuilt_pairs)), want);
+        let swapped = Pair::new(
+            pairs[0].id,
+            Arc::clone(&pairs[0].right),
+            Arc::clone(&pairs[0].left),
+            pairs[0].truth,
+        );
+        assert_eq!(
+            bits(&marked.eval_pairs(std::slice::from_ref(&swapped))),
+            bits(&[fresh.eval_all(&swapped.left, &swapped.right)])
+        );
+    }
+
+    #[test]
+    fn remembered_rows_end_with_a_change_to_what_they_were_computed_with() {
+        let (pairs, fresh) = ds_pairs(60);
+        let marked = fresh
+            .clone()
+            .with_remembered_rows(&pairs, vec![vec![f64::NAN; fresh.len()]; pairs.len()]);
+        // `with_metrics` drops the rows, even for the same metric list.
+        let same_metrics = marked.clone().with_metrics(fresh.metrics().to_vec());
+        assert_eq!(bits(&same_metrics.eval_pairs(&pairs)), bits(&fresh.eval_pairs(&pairs)));
+        // A new key-token threshold ignores them.
+        let (mut retuned, mut retuned_fresh) = (marked.clone(), fresh.clone());
+        retuned.key_token_max_df = 0.2;
+        retuned_fresh.key_token_max_df = 0.2;
+        assert_eq!(
+            bits(&retuned.eval_pairs(&pairs)),
+            bits(&retuned_fresh.eval_pairs(&pairs))
+        );
+        // Clones share them.
+        assert!(marked.clone().eval_pairs(&pairs).iter().flatten().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn remembering_an_evaluators_own_rows_changes_no_output_bit() {
+        let (pairs, fresh) = ds_pairs(120);
+        let remembering = fresh
+            .clone()
+            .with_remembered_rows(&pairs[..70], fresh.eval_pairs(&pairs[..70]));
+        let mixed: Vec<Pair> = pairs
+            .iter()
+            .rev()
+            .cloned()
+            .chain(pairs.iter().step_by(3).map(rebuilt))
+            .collect();
+        assert_eq!(bits(&remembering.eval_pairs(&mixed)), bits(&fresh.eval_pairs(&mixed)));
+        assert_eq!(bits(&remembering.eval_pairs(&[])), bits(&fresh.eval_pairs(&[])));
+    }
+
+    #[test]
+    #[should_panic(expected = "one remembered row per pair")]
+    fn remembered_rows_need_one_row_per_pair() {
+        let (pairs, fresh) = ds_pairs(4);
+        let _ = fresh
+            .clone()
+            .with_remembered_rows(&pairs, fresh.eval_pairs(&pairs[..3]));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test line counts: for every Rust file under crates/*/src, the lines
 # before its first `#[cfg(test)]` (the rule scripts/lint-hot-paths.sh uses
-# for test modules), then one total per crate and one for the workspace.
+# for test modules) that does not just declare a module from another file,
+# leaving out such declarations, then one total per crate and one for the
+# workspace.
 # A file whose `mod` declaration sits under `#[cfg(test)]` is test code as a
 # whole and is left out. Needs no build; the CI build + test job prints it so
 # every run's log shows the counts.
@@ -38,7 +40,18 @@ for src in crates/*/src; do
     total=0
     while IFS= read -r file; do
         grep -qxF "$file" <<<"$test_only" && continue
-        lines=$(awk '/#\[cfg\(test\)\]/ {exit} {n++} END {print n + 0}' "$file")
+        # A `#[cfg(test)] mod name;` declaration (one line or two) is
+        # skipped and counting goes on; any other `#[cfg(test)]` ends it.
+        lines=$(awk '
+            pending { if ($0 ~ /^[[:space:]]*mod [A-Za-z0-9_]+;/) { pending = 0; next } exit }
+            /#\[cfg\(test\)\]/ {
+                if ($0 ~ /mod [A-Za-z0-9_]+;/) next
+                if ($0 ~ /#\[cfg\(test\)\][[:space:]]*$/) { pending = 1; next }
+                exit
+            }
+            { n++ }
+            END { print n + 0 }
+        ' "$file")
         printf '%6d  %s\n' "$lines" "$file"
         total=$((total + lines))
     done < <(find "$src" -name '*.rs' | sort)
