@@ -1054,6 +1054,167 @@ mod tests {
         );
     }
 
+    /// Every family populated, a version folded into `version="retired"`, an
+    /// adopted counter and a label value holding `\`, `"` and a newline,
+    /// rendered and compared byte for byte.
+    #[test]
+    fn a_populated_registry_renders_byte_for_byte() {
+        let registry = MetricsRegistry::new();
+        let odd = "a\\b\"c\nd";
+        registry
+            .responses
+            .with(&[("route", "/score"), ("status", "200")])
+            .add(5);
+        registry.responses.with(&[("route", odd), ("status", "404")]).inc();
+        registry.request_duration.with(&[("route", odd)]).observe(0.0003);
+        for (version, n, seconds) in [("1", 2u64, 0.0004), ("2", 1, 0.002), ("4", 3, 0.003)] {
+            let label = [("version", version)];
+            registry.score_requests.with(&label).add(n);
+            registry.score_duration.with(&label).observe(seconds);
+            registry.cache_hits.with(&label).add(n + 1);
+            registry.cache_hit_rate.with(&label).set(0.25);
+            registry.cache_entries.with(&label).set(4.0);
+        }
+        let misses = Arc::new(Counter::default());
+        registry.cache_misses.adopt(&[("version", "4")], &misses);
+        misses.add(6);
+        registry.batches.add(2);
+        registry.batched_requests.add(5);
+        registry.batch_size.observe(1.0);
+        registry.batch_size.observe(4.0);
+        registry.queue_depth.set(1.0);
+        registry.model_version.set(4.0);
+        registry.rejected.with(&[("cause", "queue_full")]).inc();
+        registry.reloads.with(&[("outcome", "applied")]).store(2);
+        registry.worker_panics.with(&[("role", "shard")]).inc();
+        registry.retire_versions(4);
+        assert_eq!(registry.render(), GOLDEN_EXPOSITION);
+    }
+
+    const GOLDEN_EXPOSITION: &str = r##"# HELP er_serve_responses_total HTTP responses by route and status.
+# TYPE er_serve_responses_total counter
+er_serve_responses_total{route="/score",status="200"} 5
+er_serve_responses_total{route="a\\b\"c\nd",status="404"} 1
+# HELP er_serve_request_duration_seconds Request handling time by route.
+# TYPE er_serve_request_duration_seconds histogram
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.000025"} 0
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.00005"} 0
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0001"} 0
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0002"} 0
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0004"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0008"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0016"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0032"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0064"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0128"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0256"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.0512"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.1024"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.2048"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.4096"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="0.8192"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="1.6384"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="3.2768"} 1
+er_serve_request_duration_seconds_bucket{route="a\\b\"c\nd",le="+Inf"} 1
+er_serve_request_duration_seconds_sum{route="a\\b\"c\nd"} 0.0003
+er_serve_request_duration_seconds_count{route="a\\b\"c\nd"} 1
+# HELP er_serve_score_requests_total Scoring requests answered with scores, by artifact version.
+# TYPE er_serve_score_requests_total counter
+er_serve_score_requests_total{version="4"} 3
+er_serve_score_requests_total{version="retired"} 3
+# HELP er_serve_score_duration_seconds Score admission-to-reply latency by artifact version.
+# TYPE er_serve_score_duration_seconds histogram
+er_serve_score_duration_seconds_bucket{version="4",le="0.000025"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.00005"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.0001"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.0002"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.0004"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.0008"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.0016"} 0
+er_serve_score_duration_seconds_bucket{version="4",le="0.0032"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.0064"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.0128"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.0256"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.0512"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.1024"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.2048"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.4096"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="0.8192"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="1.6384"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="3.2768"} 1
+er_serve_score_duration_seconds_bucket{version="4",le="+Inf"} 1
+er_serve_score_duration_seconds_sum{version="4"} 0.003
+er_serve_score_duration_seconds_count{version="4"} 1
+er_serve_score_duration_seconds_bucket{version="retired",le="0.000025"} 0
+er_serve_score_duration_seconds_bucket{version="retired",le="0.00005"} 0
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0001"} 0
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0002"} 0
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0004"} 0
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0008"} 1
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0016"} 1
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0032"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0064"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0128"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0256"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.0512"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.1024"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.2048"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.4096"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="0.8192"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="1.6384"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="3.2768"} 2
+er_serve_score_duration_seconds_bucket{version="retired",le="+Inf"} 2
+er_serve_score_duration_seconds_sum{version="retired"} 0.0024000000000000002
+er_serve_score_duration_seconds_count{version="retired"} 2
+# HELP er_serve_batches_total Micro-batches scored.
+# TYPE er_serve_batches_total counter
+er_serve_batches_total 2
+# HELP er_serve_batched_requests_total Requests coalesced across all micro-batches.
+# TYPE er_serve_batched_requests_total counter
+er_serve_batched_requests_total 5
+# HELP er_serve_batch_size Requests per micro-batch.
+# TYPE er_serve_batch_size histogram
+er_serve_batch_size_bucket{le="2"} 1
+er_serve_batch_size_bucket{le="4"} 1
+er_serve_batch_size_bucket{le="8"} 2
+er_serve_batch_size_bucket{le="16"} 2
+er_serve_batch_size_bucket{le="32"} 2
+er_serve_batch_size_bucket{le="64"} 2
+er_serve_batch_size_bucket{le="128"} 2
+er_serve_batch_size_bucket{le="256"} 2
+er_serve_batch_size_bucket{le="+Inf"} 2
+er_serve_batch_size_sum 5
+er_serve_batch_size_count 2
+# HELP er_serve_queue_depth Admitted-but-unscored jobs in the admission queue.
+# TYPE er_serve_queue_depth gauge
+er_serve_queue_depth 1
+# HELP er_serve_model_version Artifact version currently serving.
+# TYPE er_serve_model_version gauge
+er_serve_model_version 4
+# HELP er_serve_rejected_total Requests shed, by cause (rate_limited, queue_full, deadline, overloaded).
+# TYPE er_serve_rejected_total counter
+er_serve_rejected_total{cause="queue_full"} 1
+# HELP er_serve_reloads_total Hot-reload outcomes.
+# TYPE er_serve_reloads_total counter
+er_serve_reloads_total{outcome="applied"} 2
+# HELP er_serve_cache_hits_total Score-cache hits by artifact version.
+# TYPE er_serve_cache_hits_total counter
+er_serve_cache_hits_total{version="4"} 4
+er_serve_cache_hits_total{version="retired"} 5
+# HELP er_serve_cache_misses_total Score-cache misses by artifact version.
+# TYPE er_serve_cache_misses_total counter
+er_serve_cache_misses_total{version="4"} 6
+# HELP er_serve_cache_hit_rate Score-cache hit rate by artifact version.
+# TYPE er_serve_cache_hit_rate gauge
+er_serve_cache_hit_rate{version="4"} 0.25
+# HELP er_serve_cache_entries Live score-cache entries by artifact version.
+# TYPE er_serve_cache_entries gauge
+er_serve_cache_entries{version="4"} 4
+# HELP er_serve_worker_panics_total Panics caught by worker supervision, by role (batcher vs shard).
+# TYPE er_serve_worker_panics_total counter
+er_serve_worker_panics_total{role="shard"} 1
+"##;
+
     #[test]
     fn label_values_are_escaped_once_and_parse_back() {
         let value = "a\\b\"c\nd";
