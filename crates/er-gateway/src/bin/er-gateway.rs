@@ -4,7 +4,8 @@
 //! ```text
 //! er-gateway --backend 127.0.0.1:7101 --backend 127.0.0.1:7102 \
 //!            --baseline out/model.json [--canary 1] [--listen 127.0.0.1:0] \
-//!            [--hedge-after-ms 30] [--health-interval-ms 500] [--eject-after 3] \
+//!            [--hedge-after-ms 30] [--upstream-timeout-ms 10000] \
+//!            [--health-interval-ms 500] [--eject-after 3] [--vnodes 128] \
 //!            [--shadow-sample-bp 2000] [--min-samples 64] \
 //!            [--divergence-threshold 1e-9] [--ladder 500,2500,5000] \
 //!            [--no-auto-advance]
@@ -14,11 +15,12 @@
 //! stdout once bound, then serves until killed. `--canary` takes a backend
 //! *index* (repeatable) naming which backends hold candidate artifacts
 //! during a canary; without it `/reload` refuses and the gateway is a plain
-//! router.
+//! router. A flag without a value, or with one that does not parse, exits
+//! with the usage and status 2.
 
 use er_gateway::{CanaryConfig, GatewayConfig, GatewayServer};
 use std::io::Write;
-use std::net::SocketAddr;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -26,10 +28,26 @@ fn usage() -> ! {
         "usage: er-gateway --backend <addr:port>... --baseline <model.json> \
          [--canary <backend-index>]... [--listen <addr:port>] [--hedge-after-ms <n|0>] \
          [--upstream-timeout-ms <n>] [--health-interval-ms <n>] [--eject-after <n>] \
-         [--shadow-sample-bp <n>] [--min-samples <n>] [--divergence-threshold <f>] \
+         [--vnodes <n>] [--shadow-sample-bp <n>] [--min-samples <n>] [--divergence-threshold <f>] \
          [--ladder <bp,bp,...>] [--no-auto-advance]"
     );
     std::process::exit(2);
+}
+
+/// The value after `flag`, parsed; a missing or unparsable one exits through
+/// [`usage`], naming the flag.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = args.next() else {
+        eprintln!("{flag} needs a value");
+        usage();
+    };
+    raw.parse().unwrap_or_else(|e| {
+        eprintln!("bad {flag} {raw:?}: {e}");
+        usage()
+    })
 }
 
 fn parse_config() -> GatewayConfig {
@@ -37,48 +55,36 @@ fn parse_config() -> GatewayConfig {
     let mut canary = CanaryConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let args = &mut args;
         match flag.as_str() {
-            "--backend" => {
-                let raw = value("--backend");
-                match raw.parse::<SocketAddr>() {
-                    Ok(addr) => config.backends.push(addr),
-                    Err(e) => {
-                        eprintln!("bad --backend {raw:?}: {e}");
-                        usage();
-                    }
-                }
-            }
-            "--canary" => match value("--canary").parse::<usize>() {
-                Ok(index) => config.canary_backends.push(index),
-                Err(_) => usage(),
-            },
-            "--baseline" => config.baseline_artifact = value("--baseline"),
-            "--listen" => config.listen = value("--listen"),
+            "--backend" => config.backends.push(value(args, "--backend")),
+            "--canary" => config.canary_backends.push(value(args, "--canary")),
+            "--baseline" => config.baseline_artifact = value(args, "--baseline"),
+            "--listen" => config.listen = value(args, "--listen"),
             "--hedge-after-ms" => {
-                let ms: u64 = value("--hedge-after-ms").parse().unwrap_or(30);
+                let ms: u64 = value(args, "--hedge-after-ms");
                 config.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--upstream-timeout-ms" => {
-                let ms: u64 = value("--upstream-timeout-ms").parse().unwrap_or(10_000);
-                config.upstream_timeout = Duration::from_millis(ms.max(1));
+                config.upstream_timeout = Duration::from_millis(value::<u64>(args, "--upstream-timeout-ms").max(1))
             }
             "--health-interval-ms" => {
-                let ms: u64 = value("--health-interval-ms").parse().unwrap_or(500);
-                config.health_interval = Duration::from_millis(ms.max(10));
+                config.health_interval = Duration::from_millis(value::<u64>(args, "--health-interval-ms").max(10))
             }
-            "--eject-after" => config.eject_after = value("--eject-after").parse().unwrap_or(3),
-            "--vnodes" => config.vnodes = value("--vnodes").parse().unwrap_or(128),
-            "--shadow-sample-bp" => canary.shadow_sample_bp = value("--shadow-sample-bp").parse().unwrap_or(2_000),
-            "--min-samples" => canary.min_samples = value("--min-samples").parse().unwrap_or(64),
-            "--divergence-threshold" => {
-                canary.divergence_threshold = value("--divergence-threshold").parse().unwrap_or(1e-9)
-            }
+            "--eject-after" => config.eject_after = value(args, "--eject-after"),
+            "--vnodes" => config.vnodes = value(args, "--vnodes"),
+            "--shadow-sample-bp" => canary.shadow_sample_bp = value(args, "--shadow-sample-bp"),
+            "--min-samples" => canary.min_samples = value(args, "--min-samples"),
+            "--divergence-threshold" => canary.divergence_threshold = value(args, "--divergence-threshold"),
             "--ladder" => {
-                let parsed: Option<Vec<u32>> = value("--ladder").split(',').map(|r| r.trim().parse().ok()).collect();
+                let raw: String = value(args, "--ladder");
+                let parsed: Option<Vec<u32>> = raw.split(',').map(|r| r.trim().parse().ok()).collect();
                 match parsed {
                     Some(ladder) if !ladder.is_empty() => canary.ladder = ladder,
-                    _ => usage(),
+                    _ => {
+                        eprintln!("bad --ladder {raw:?}: expected comma-separated basis points");
+                        usage();
+                    }
                 }
             }
             "--no-auto-advance" => canary.auto_advance = false,

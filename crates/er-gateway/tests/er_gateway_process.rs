@@ -291,3 +291,31 @@ fn a_spawned_gateway_boots_healthy_and_frames_with_the_shared_codec() {
     assert_eq!(http10.status, 200, "{}", http10.body);
     assert_eq!(http10.header("connection"), Some("close"));
 }
+
+#[test]
+fn a_spawned_gateway_exits_with_its_usage_on_a_bad_flag() {
+    // The baseline does not exist: a flag that parsed would reach the start
+    // and exit 1, not 2.
+    let baseline = std::env::temp_dir().join("er-gateway-process-flags-missing.json");
+    for bad in [
+        &["--threads", "x"][..],
+        &["--hedge-after-ms", "3O"],
+        &["--vnodes", "-1"],
+        &["--listen"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_er-gateway"))
+            .args(["--backend", "127.0.0.1:9", "--baseline"])
+            .arg(&baseline)
+            .args(bad)
+            .output()
+            .expect("run er-gateway");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(!stdout.contains("LISTENING"), "{bad:?}: {stdout}");
+        assert!(
+            stderr.contains(bad[0]) && stderr.contains("usage:"),
+            "{bad:?}: {stderr}"
+        );
+    }
+}

@@ -14,13 +14,15 @@
 //! `--threads` sets the scoring lanes (default: the CPUs available): the
 //! worker pool's lanes and as many readiness loops sharing the connections.
 //! `--queue-capacity` and `--max-connections` bound the whole server, across
-//! every loop.
+//! every loop. A flag without a value, or with one that does not parse,
+//! exits with the usage and status 2.
 //!
 //! Fault injection is inherited from the `ER_FAULT_PLAN` environment
 //! variable exactly as library-embedded servers do (see `er_serve::fault`).
 
 use er_serve::{ModelArtifact, ReloadableExecutor, ScoreServer, ServeConfig, ServerConfig};
 use std::io::Write;
+use std::str::FromStr;
 use std::sync::Arc;
 
 struct Options {
@@ -42,6 +44,22 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The value after `flag`, parsed; a missing or unparsable one exits through
+/// [`usage`], naming the flag.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = args.next() else {
+        eprintln!("{flag} needs a value");
+        usage();
+    };
+    raw.parse().unwrap_or_else(|e| {
+        eprintln!("bad {flag} {raw:?}: {e}");
+        usage()
+    })
+}
+
 fn parse_options() -> Options {
     let mut options = Options {
         artifact: String::new(),
@@ -52,13 +70,13 @@ fn parse_options() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let args = &mut args;
         match flag.as_str() {
-            "--artifact" => options.artifact = value("--artifact"),
-            "--listen" => options.listen = value("--listen"),
-            "--threads" => options.threads = value("--threads").parse().ok(),
-            "--queue-capacity" => options.queue_capacity = value("--queue-capacity").parse().ok(),
-            "--max-connections" => options.max_connections = value("--max-connections").parse().ok(),
+            "--artifact" => options.artifact = value(args, "--artifact"),
+            "--listen" => options.listen = value(args, "--listen"),
+            "--threads" => options.threads = Some(value(args, "--threads")),
+            "--queue-capacity" => options.queue_capacity = Some(value(args, "--queue-capacity")),
+            "--max-connections" => options.max_connections = Some(value(args, "--max-connections")),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");

@@ -217,3 +217,31 @@ fn a_spawned_er_serve_frames_with_the_shared_codec() {
     assert_eq!(http10.status, 200, "{}", http10.body);
     assert_eq!(http10.header("connection"), Some("close"));
 }
+
+#[test]
+fn a_spawned_er_serve_exits_with_its_usage_on_a_bad_flag() {
+    // The artifact does not exist: a flag that parsed would reach the load
+    // and exit 1, not 2.
+    let artifact = std::env::temp_dir().join("er-serve-process-flags-missing.json");
+    for bad in [
+        &["--threads", "x"][..],
+        &["--max-connections", "3O"],
+        &["--hedge-after-ms", "3O"],
+        &["--listen"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_er-serve"))
+            .arg("--artifact")
+            .arg(&artifact)
+            .args(bad)
+            .output()
+            .expect("run er-serve");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(!stdout.contains("LISTENING"), "{bad:?}: {stdout}");
+        assert!(
+            stderr.contains(bad[0]) && stderr.contains("usage:"),
+            "{bad:?}: {stderr}"
+        );
+    }
+}
