@@ -46,8 +46,8 @@
 //!   calls only under load — with a bounded admission queue and
 //!   deterministic 429/503 backpressure.
 //! * [`metrics`] — [`MetricsRegistry`]: lock-cheap counters, gauges and
-//!   fixed-bucket histograms rendered as a Prometheus text exposition by
-//!   `GET /metrics`; the single source of truth `/stats` is derived from.
+//!   fixed-bucket histograms, always on, rendered as a Prometheus text
+//!   exposition by `GET /metrics`.
 //! * [`ratelimit`] — [`RateLimiter`]: per-client token buckets in front of
 //!   the admission queue (429 + `X-RateLimit-*` headers).
 //! * [`replay`] — the Zipf-skewed synthetic traffic generator `perfbench`
@@ -55,8 +55,8 @@
 //! * [`trace`] — end-to-end request tracing: per-request span timelines
 //!   through `parse → ratelimit → admission_queue → score (per-shard) →
 //!   serialize → write`, retained in a tail-biased ring
-//!   (slowest-N survive wrap-around), exported as Chrome trace-event JSON
-//!   by `GET /debug/traces` and as slow-request exemplars in `/stats`.
+//!   (slowest-N survive wrap-around), exported with every span as Chrome
+//!   trace-event JSON by `GET /debug/traces`.
 
 #![warn(missing_docs)]
 
@@ -88,9 +88,6 @@ pub use reload::{synthesize_probes, ReloadError, ReloadStats, ReloadableExecutor
 pub use replay::{zipf_stream, ReplayConfig};
 pub use server::{
     http_roundtrip, http_roundtrip_with_headers, http_roundtrip_with_retry, parse_score_response, read_http_response,
-    HttpResponse, RetryPolicy, ScoreServer, ServerConfig, ServerStats,
+    HttpResponse, RetryPolicy, ScoreServer, ServerConfig,
 };
-pub use trace::{
-    chrome_trace_document, valid_trace_id, ActiveTrace, CompletedTrace, SlowExemplar, Span, SpanSet, Stage, StageDur,
-    Tracer,
-};
+pub use trace::{chrome_trace_document, valid_trace_id, ActiveTrace, CompletedTrace, Span, SpanSet, Stage, Tracer};

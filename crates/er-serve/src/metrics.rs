@@ -1,10 +1,8 @@
 //! A lock-cheap metrics registry with Prometheus text exposition.
 //!
-//! The registry is the **single source of truth** for everything the server
-//! observes about itself: the `/stats` JSON counters are re-derived from it
-//! and `GET /metrics` renders it in the Prometheus text format (v0.0.4), so
-//! the two endpoints can never disagree. Every primitive is built on
-//! [`AtomicU64`]:
+//! The registry holds everything the server observes about itself, and
+//! `GET /metrics` renders it in the Prometheus text format (v0.0.4). Every
+//! primitive is built on [`AtomicU64`]:
 //!
 //! * [`Counter`] — monotonic `u64` (`inc`/`add`); [`Counter::store`] exists
 //!   only to mirror counters owned elsewhere (the executor's reload
@@ -17,10 +15,12 @@
 //!   Exposition is cumulative `le`-labeled, as Prometheus expects; the
 //!   exclusive-vs-inclusive distinction is only observable for values
 //!   exactly on a bound, which for continuous latencies is measure-zero.
-//! * [`CounterVec`] / [`GaugeVec`] / [`HistogramVec`] — labeled families
-//!   (per route, per artifact version, per reload outcome). Label lookup
-//!   takes one short mutex on a `BTreeMap`; the returned `Arc` handle then
-//!   observes lock-free, so hot paths can cache it.
+//! * [`Family`] — a labeled family of one [`Series`] kind
+//!   ([`CounterVec`] / [`GaugeVec`] / [`HistogramVec`]: per route, per
+//!   artifact version, per reload outcome). Label lookup takes one short
+//!   mutex on a `BTreeMap`; the returned `Arc` handle then observes
+//!   lock-free, so hot paths can cache it. A scrape writes each child's
+//!   sample lines while it holds that lock, so it copies no label set.
 //!
 //! The per-artifact-version families are bounded: only the serving version
 //! and the one it replaced keep series of their own ([`KEPT_VERSIONS`]).
@@ -130,20 +130,6 @@ impl Histogram {
             });
     }
 
-    /// Adds `other`'s buckets, sum and count (same bounds) into this one.
-    fn absorb(&self, other: &Histogram) {
-        for (bucket, theirs) in self.buckets.iter().zip(&other.buckets) {
-            bucket.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.add_sum(other.sum());
-    }
-
-    /// Bucket upper bounds (without the implicit `+Inf`).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Per-bucket counts (not cumulative), `+Inf` overflow last.
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
@@ -160,6 +146,115 @@ impl Histogram {
     }
 }
 
+/// A kind of series a [`Family`] holds: how a child is made and read, what
+/// becomes of it when its version retires, and its exposition lines.
+pub trait Series: std::fmt::Debug {
+    /// What every child of a family is made from: nothing, or a
+    /// histogram's bucket bounds.
+    type Spec: std::fmt::Debug;
+    /// What [`Family::snapshot`] reports of a child.
+    type Value;
+    /// The exposition's `# TYPE`.
+    const KIND: &'static str;
+    /// Whether a retired version's child folds into the family's
+    /// `version="retired"` child ([`Series::absorb`]) rather than dropping.
+    const FOLDS: bool;
+
+    /// A new child.
+    fn make(spec: &Self::Spec) -> Self;
+
+    /// The child's current value.
+    fn value(&self) -> Self::Value;
+
+    /// Adds a retired child's counts into this one.
+    fn absorb(&self, retired: &Self);
+
+    /// Appends the child's sample lines under `name` and `labels`.
+    fn write(&self, out: &mut String, name: &str, labels: &[(&'static str, String)]);
+}
+
+impl Series for Counter {
+    type Spec = ();
+    type Value = u64;
+    const KIND: &'static str = "counter";
+    const FOLDS: bool = true;
+
+    fn make(_: &()) -> Self {
+        Self::default()
+    }
+
+    fn value(&self) -> u64 {
+        self.get()
+    }
+
+    fn absorb(&self, retired: &Self) {
+        self.add(retired.get());
+    }
+
+    fn write(&self, out: &mut String, name: &str, labels: &[(&'static str, String)]) {
+        write_sample(out, name, "", labels, None, self.get());
+    }
+}
+
+impl Series for Gauge {
+    type Spec = ();
+    type Value = f64;
+    const KIND: &'static str = "gauge";
+    /// A retired version's gauge describes nothing that still exists.
+    const FOLDS: bool = false;
+
+    fn make(_: &()) -> Self {
+        Self::default()
+    }
+
+    fn value(&self) -> f64 {
+        self.get()
+    }
+
+    fn absorb(&self, _: &Self) {}
+
+    fn write(&self, out: &mut String, name: &str, labels: &[(&'static str, String)]) {
+        write_sample(out, name, "", labels, None, Value(self.get()));
+    }
+}
+
+impl Series for Histogram {
+    type Spec = Arc<[f64]>;
+    /// The observation count.
+    type Value = u64;
+    const KIND: &'static str = "histogram";
+    const FOLDS: bool = true;
+
+    fn make(bounds: &Arc<[f64]>) -> Self {
+        Self::new(Arc::clone(bounds))
+    }
+
+    fn value(&self) -> u64 {
+        self.count()
+    }
+
+    /// Adds `retired`'s buckets, sum and count (same bounds) into this one.
+    fn absorb(&self, retired: &Self) {
+        for (bucket, theirs) in self.buckets.iter().zip(&retired.buckets) {
+            bucket.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(retired.count(), Ordering::Relaxed);
+        self.add_sum(retired.sum());
+    }
+
+    /// Cumulative `le` buckets, `+Inf` last, then `_sum` and `_count`.
+    fn write(&self, out: &mut String, name: &str, labels: &[(&'static str, String)]) {
+        let mut cumulative = 0u64;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let le = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+            write_sample(out, name, "_bucket", labels, Some(le), cumulative);
+        }
+        write_sample(out, name, "_sum", labels, None, Value(self.sum()));
+        write_sample(out, name, "_count", labels, None, self.count());
+    }
+}
+
 /// A resolved label set: `(name, value)` pairs in declaration order.
 pub type LabelPairs = Vec<(&'static str, String)>;
 
@@ -171,145 +266,103 @@ fn label_key(labels: &[(&'static str, &str)]) -> LabelPairs {
 /// `version`-labelled families: the serving one and the one it replaced.
 pub const KEPT_VERSIONS: u64 = 2;
 
-/// Takes out of `children` every series whose `version` label names a
-/// version below `oldest_kept` and that no handle outside the family still
-/// holds (the caller holds the family's lock, so none can be cloned
-/// meanwhile).
-fn take_retired<T>(children: &mut BTreeMap<LabelPairs, Arc<T>>, oldest_kept: u64) -> Vec<Arc<T>> {
-    let mut taken = Vec::new();
-    children.retain(|labels, child| {
-        let version = labels.iter().find(|(name, _)| *name == "version");
-        let old = version
-            .and_then(|(_, v)| v.parse::<u64>().ok())
-            .is_some_and(|v| v < oldest_kept);
-        let retire = old && Arc::strong_count(child) == 1;
-        if retire {
-            taken.push(Arc::clone(child));
-        }
-        !retire
-    });
-    taken
-}
-
-/// The label set every retired version's series folds into.
-fn retired_key() -> LabelPairs {
-    label_key(&[("version", "retired")])
+/// A labeled family of one [`Series`] kind.
+#[derive(Debug)]
+pub struct Family<S: Series> {
+    spec: S::Spec,
+    children: Mutex<BTreeMap<LabelPairs, Arc<S>>>,
 }
 
 /// A labeled family of [`Counter`]s.
-#[derive(Debug, Default)]
-pub struct CounterVec {
-    children: Mutex<BTreeMap<LabelPairs, Arc<Counter>>>,
-}
-
-impl CounterVec {
-    /// The child for this label set, created on first use.
-    pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<Counter> {
-        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(children.entry(label_key(labels)).or_default())
-    }
-
-    /// Makes `counter` the child for this label set unless it has one: the
-    /// family then exposes a counter owned elsewhere, which counts on and
-    /// cannot retire while its owner holds it.
-    pub fn adopt(&self, labels: &[(&'static str, &str)], counter: &Arc<Counter>) {
-        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        children.entry(label_key(labels)).or_insert_with(|| Arc::clone(counter));
-    }
-
-    /// Folds each unheld child of a version below `oldest_kept` into the
-    /// `retired` child, under one lock, so the family's total never falls.
-    fn retire_versions(&self, oldest_kept: u64) {
-        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        let taken = take_retired(&mut children, oldest_kept);
-        if !taken.is_empty() {
-            let retired = children.entry(retired_key()).or_default();
-            taken.iter().for_each(|child| retired.add(child.get()));
-        }
-    }
-
-    /// Every child's label set and current value.
-    pub fn snapshot(&self) -> Vec<(LabelPairs, u64)> {
-        let children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        children.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// Sum across all children.
-    pub fn total(&self) -> u64 {
-        self.snapshot().iter().map(|(_, v)| v).sum()
-    }
-}
-
+pub type CounterVec = Family<Counter>;
 /// A labeled family of [`Gauge`]s.
-#[derive(Debug, Default)]
-pub struct GaugeVec {
-    children: Mutex<BTreeMap<LabelPairs, Arc<Gauge>>>,
-}
-
-impl GaugeVec {
-    /// The child for this label set, created on first use.
-    pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<Gauge> {
-        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(children.entry(label_key(labels)).or_default())
-    }
-
-    /// Drops each unheld child of a version below `oldest_kept`: a retired
-    /// version's gauge describes nothing that still exists.
-    fn retire_versions(&self, oldest_kept: u64) {
-        take_retired(
-            &mut self.children.lock().unwrap_or_else(|e| e.into_inner()),
-            oldest_kept,
-        );
-    }
-
-    fn snapshot(&self) -> Vec<(LabelPairs, f64)> {
-        let children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        children.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-}
-
+pub type GaugeVec = Family<Gauge>;
 /// A labeled family of [`Histogram`]s sharing one set of bucket bounds.
-#[derive(Debug)]
-pub struct HistogramVec {
-    bounds: Arc<[f64]>,
-    children: Mutex<BTreeMap<LabelPairs, Arc<Histogram>>>,
+pub type HistogramVec = Family<Histogram>;
+
+impl<S: Series<Spec = ()>> Default for Family<S> {
+    fn default() -> Self {
+        Self::new(())
+    }
 }
 
-impl HistogramVec {
-    /// A family whose children all use `bounds`.
-    pub fn new(bounds: Arc<[f64]>) -> Self {
+impl<S: Series> Family<S> {
+    /// A family whose children are all made from `spec`.
+    pub fn new(spec: S::Spec) -> Self {
         Self {
-            bounds,
+            spec,
             children: Mutex::new(BTreeMap::new()),
         }
     }
 
+    fn children(&self) -> std::sync::MutexGuard<'_, BTreeMap<LabelPairs, Arc<S>>> {
+        self.children.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The child for this label set, created on first use.
-    pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<Histogram> {
-        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
+    pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<S> {
+        let mut children = self.children();
         Arc::clone(
             children
                 .entry(label_key(labels))
-                .or_insert_with(|| Arc::new(Histogram::new(Arc::clone(&self.bounds)))),
+                .or_insert_with(|| Arc::new(S::make(&self.spec))),
         )
     }
 
-    /// Folds each unheld child of a version below `oldest_kept` (buckets,
-    /// sum and count) into the `retired` child, under one lock.
+    /// Makes `child` the child for this label set unless it has one: the
+    /// family then exposes a series owned elsewhere, which counts on and
+    /// cannot retire while its owner holds it.
+    pub fn adopt(&self, labels: &[(&'static str, &str)], child: &Arc<S>) {
+        self.children()
+            .entry(label_key(labels))
+            .or_insert_with(|| Arc::clone(child));
+    }
+
+    /// Takes out every child whose `version` label names a version below
+    /// `oldest_kept` and that no handle outside the family still holds (the
+    /// lock is held throughout, so none can be cloned meanwhile), and folds
+    /// each into the `retired` child if its kind folds, so the family's
+    /// total never falls.
     fn retire_versions(&self, oldest_kept: u64) {
-        let mut children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        let taken = take_retired(&mut children, oldest_kept);
-        if !taken.is_empty() {
+        let mut children = self.children();
+        let mut taken = Vec::new();
+        children.retain(|labels, child| {
+            let version = labels.iter().find(|(name, _)| *name == "version");
+            let old = version
+                .and_then(|(_, v)| v.parse::<u64>().ok())
+                .is_some_and(|v| v < oldest_kept);
+            let retire = old && Arc::strong_count(child) == 1;
+            if retire {
+                taken.push(Arc::clone(child));
+            }
+            !retire
+        });
+        if S::FOLDS && !taken.is_empty() {
             let retired = children
-                .entry(retired_key())
-                .or_insert_with(|| Arc::new(Histogram::new(Arc::clone(&self.bounds))));
+                .entry(label_key(&[("version", "retired")]))
+                .or_insert_with(|| Arc::new(S::make(&self.spec)));
             taken.iter().for_each(|child| retired.absorb(child));
         }
     }
 
-    fn snapshot(&self) -> Vec<(LabelPairs, Arc<Histogram>)> {
-        let children = self.children.lock().unwrap_or_else(|e| e.into_inner());
-        children.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
+    /// Every child's label set and current value.
+    pub fn snapshot(&self) -> Vec<(LabelPairs, S::Value)> {
+        self.children().iter().map(|(k, v)| (k.clone(), v.value())).collect()
+    }
+
+    /// Appends the family's header and every child's sample lines.
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        header(out, name, S::KIND, help);
+        for (labels, child) in self.children().iter() {
+            child.write(out, name, labels);
+        }
+    }
+}
+
+impl CounterVec {
+    /// Sum across all children.
+    pub fn total(&self) -> u64 {
+        self.children().values().map(|c| c.get()).sum()
     }
 }
 
@@ -452,106 +505,83 @@ impl MetricsRegistry {
 
     /// Renders the registry in the Prometheus text exposition format.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        render_counter_vec(
-            &mut out,
-            "er_serve_responses_total",
-            "HTTP responses by route and status.",
-            &self.responses,
-        );
-        render_histogram_vec(
-            &mut out,
+        let mut text = String::with_capacity(4096);
+        let out = &mut text;
+        self.responses
+            .render(out, "er_serve_responses_total", "HTTP responses by route and status.");
+        self.request_duration.render(
+            out,
             "er_serve_request_duration_seconds",
             "Request handling time by route.",
-            &self.request_duration,
         );
-        render_counter_vec(
-            &mut out,
+        self.score_requests.render(
+            out,
             "er_serve_score_requests_total",
             "Scoring requests answered with scores, by artifact version.",
-            &self.score_requests,
         );
-        render_histogram_vec(
-            &mut out,
+        self.score_duration.render(
+            out,
             "er_serve_score_duration_seconds",
             "Score admission-to-reply latency by artifact version.",
-            &self.score_duration,
         );
-        render_counter(
-            &mut out,
-            "er_serve_batches_total",
-            "Micro-batches scored.",
-            &self.batches,
-        );
-        render_counter(
-            &mut out,
+        render_series(out, "er_serve_batches_total", "Micro-batches scored.", &self.batches);
+        render_series(
+            out,
             "er_serve_batched_requests_total",
             "Requests coalesced across all micro-batches.",
             &self.batched_requests,
         );
-        render_histogram(
-            &mut out,
+        render_series(
+            out,
             "er_serve_batch_size",
             "Requests per micro-batch.",
-            &[],
             &self.batch_size,
-            true,
         );
-        render_gauge(
-            &mut out,
+        render_series(
+            out,
             "er_serve_queue_depth",
             "Admitted-but-unscored jobs in the admission queue.",
-            self.queue_depth.get(),
+            &self.queue_depth,
         );
-        render_gauge(
-            &mut out,
+        render_series(
+            out,
             "er_serve_model_version",
             "Artifact version currently serving.",
-            self.model_version.get(),
+            &self.model_version,
         );
-        render_counter_vec(
-            &mut out,
+        self.rejected.render(
+            out,
             "er_serve_rejected_total",
             "Requests shed, by cause (rate_limited, queue_full, deadline, overloaded).",
-            &self.rejected,
         );
-        render_counter_vec(
-            &mut out,
-            "er_serve_reloads_total",
-            "Hot-reload outcomes.",
-            &self.reloads,
-        );
-        render_counter_vec(
-            &mut out,
+        self.reloads
+            .render(out, "er_serve_reloads_total", "Hot-reload outcomes.");
+        self.cache_hits.render(
+            out,
             "er_serve_cache_hits_total",
             "Score-cache hits by artifact version.",
-            &self.cache_hits,
         );
-        render_counter_vec(
-            &mut out,
+        self.cache_misses.render(
+            out,
             "er_serve_cache_misses_total",
             "Score-cache misses by artifact version.",
-            &self.cache_misses,
         );
-        render_gauge_vec(
-            &mut out,
+        self.cache_hit_rate.render(
+            out,
             "er_serve_cache_hit_rate",
             "Score-cache hit rate by artifact version.",
-            &self.cache_hit_rate,
         );
-        render_gauge_vec(
-            &mut out,
+        self.cache_entries.render(
+            out,
             "er_serve_cache_entries",
             "Live score-cache entries by artifact version.",
-            &self.cache_entries,
         );
-        render_counter_vec(
-            &mut out,
+        self.worker_panics.render(
+            out,
             "er_serve_worker_panics_total",
             "Panics caught by worker supervision, by role (batcher vs shard).",
-            &self.worker_panics,
         );
-        out
+        text
     }
 }
 
@@ -627,57 +657,10 @@ fn header(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
 }
 
-fn render_counter(out: &mut String, name: &str, help: &str, counter: &Counter) {
-    header(out, name, "counter", help);
-    write_sample(out, name, "", &[], None, counter.get());
-}
-
-fn render_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    header(out, name, "gauge", help);
-    write_sample(out, name, "", &[], None, Value(value));
-}
-
-fn render_counter_vec(out: &mut String, name: &str, help: &str, vec: &CounterVec) {
-    header(out, name, "counter", help);
-    for (labels, value) in vec.snapshot() {
-        write_sample(out, name, "", &labels, None, value);
-    }
-}
-
-fn render_gauge_vec(out: &mut String, name: &str, help: &str, vec: &GaugeVec) {
-    header(out, name, "gauge", help);
-    for (labels, value) in vec.snapshot() {
-        write_sample(out, name, "", &labels, None, Value(value));
-    }
-}
-
-fn render_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    labels: &[(&'static str, String)],
-    histogram: &Histogram,
-    with_header: bool,
-) {
-    if with_header {
-        header(out, name, "histogram", help);
-    }
-    let counts = histogram.bucket_counts();
-    let mut cumulative = 0u64;
-    for (i, count) in counts.iter().enumerate() {
-        cumulative += count;
-        let le = histogram.bounds().get(i).copied().unwrap_or(f64::INFINITY);
-        write_sample(out, name, "_bucket", labels, Some(le), cumulative);
-    }
-    write_sample(out, name, "_sum", labels, None, Value(histogram.sum()));
-    write_sample(out, name, "_count", labels, None, histogram.count());
-}
-
-fn render_histogram_vec(out: &mut String, name: &str, help: &str, vec: &HistogramVec) {
-    header(out, name, "histogram", help);
-    for (labels, histogram) in vec.snapshot() {
-        render_histogram(out, name, help, &labels, &histogram, false);
-    }
+/// Appends an unlabeled series with its header.
+fn render_series<S: Series>(out: &mut String, name: &str, help: &str, series: &S) {
+    header(out, name, S::KIND, help);
+    series.write(out, name, &[]);
 }
 
 // ---------------------------------------------------------------------------
@@ -1261,7 +1244,7 @@ er_serve_worker_panics_total{role="shard"} 1
             h.observe(v);
         }
         let mut out = String::new();
-        render_histogram(&mut out, "m", "help", &[("route", "/score".into())], &h, true);
+        h.write(&mut out, "m", &[("route", "/score".into())]);
         let samples = parse_exposition(&out).expect("parse");
         let parsed = extract_histogram(&samples, "m", &[("route", "/score")]).expect("extract");
         assert_eq!(parsed.count, 3);
@@ -1282,7 +1265,7 @@ er_serve_worker_panics_total{role="shard"} 1
             h.observe(0.05); // [0.01, 0.1)
         }
         let mut out = String::new();
-        render_histogram(&mut out, "m", "h", &[], &h, true);
+        render_series(&mut out, "m", "h", &h);
         let parsed = extract_histogram(&parse_exposition(&out).expect("parse"), "m", &[]).expect("extract");
         assert_eq!(parsed.quantile_bounds(0.5, 0), Some((0.0, 0.001)));
         let (lo, hi) = parsed.quantile_bounds(0.95, 0).expect("p95");

@@ -56,7 +56,6 @@
 //! | `POST /score`      | one [`ScoreRequest`] object or an array | `200` `{"model_version": v, "scores": [..]}` |
 //! | `GET /healthz`     | —                                      | `200` `{"status": "ok", "model_version": v, "model_digest": ..}` |
 //! | `GET /version`     | —                                      | `200` `{"model_version": v, "producer": .., "format_version": .., "model_digest": ..}` |
-//! | `GET /stats`       | —                                      | `200` response counters + micro-batch stats |
 //! | `GET /metrics`     | —                                      | `200` Prometheus text exposition ([`crate::metrics`]) |
 //! | `POST /reload`     | `{"path": "artifact.json"}`            | `200` `{"model_version": v+1}` |
 //! | `POST /admin/pause` / `POST /admin/resume` | —              | `200` `{"paused": ..}` |
@@ -92,7 +91,7 @@
 //! jobs of the panicked batch get a deterministic 500 (never a severed
 //! connection), and the next batch scores normally. Every internal lock
 //! recovers from poisoning via `into_inner`, so one panic can never
-//! permanently wedge metrics, stats or reload completions. The
+//! permanently wedge metrics or reload completions. The
 //! [`crate::fault`] module can inject these failures deterministically; an
 //! injected scoring stall holds its batch on a timer while its loop keeps
 //! answering health probes and admitting behind it, and the other loops
@@ -136,20 +135,12 @@ pub struct ServerConfig {
     /// with `X-RateLimit-*` headers — distinguishable from the queue-full
     /// 429, which carries `Retry-After: 0` and no `X-RateLimit-*` headers.
     pub rate_limit: Option<RateLimitConfig>,
-    /// Whether the [`crate::metrics::MetricsRegistry`] records observations
-    /// and `GET /metrics` serves them. Disabling removes every observation
-    /// from the hot path (the A/B switch `tests/request_allocations.rs`
-    /// uses to hold that metrics add no allocation to a `/score`) — which
-    /// also freezes `/stats` at zero, since its counters are re-derived from
-    /// the registry.
-    pub metrics_enabled: bool,
     /// How many completed request traces the [`crate::trace::Tracer`] ring
     /// retains (an eighth of the capacity is reserved for the slowest traces,
     /// which survive wrap-around). `0` disables tracing entirely: no spans
-    /// are recorded, `GET /debug/traces` answers 404, and `/stats` carries no
-    /// exemplars — the A/B control `tests/request_allocations.rs` counts
-    /// tracing's allocations against. Request-id handling (`X-Request-Id` accept/echo) stays on
-    /// either way.
+    /// are recorded and `GET /debug/traces` answers 404 — the A/B control
+    /// `tests/request_allocations.rs` counts tracing's allocations against.
+    /// Request-id handling (`X-Request-Id` accept/echo) stays on either way.
     pub trace_capacity: usize,
     /// Maximum concurrently served connections, counted across every
     /// readiness loop. The listening loop answers additional connections
@@ -174,55 +165,12 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_capacity: 256,
             rate_limit: None,
-            metrics_enabled: true,
             trace_capacity: 512,
             max_connections: 256,
             max_connection_lifetime: Duration::from_secs(600),
             fault_plan: FaultPlan::from_env(),
         }
     }
-}
-
-/// Response and micro-batching counters of a running server (a monotonic
-/// snapshot).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct ServerStats {
-    /// Successful responses (2xx).
-    pub responses_2xx: u64,
-    /// Client errors other than backpressure (400/404/405/413/422).
-    pub responses_4xx: u64,
-    /// Backpressure rejections (429).
-    pub responses_429: u64,
-    /// Server errors including draining 503s.
-    pub responses_5xx: u64,
-    /// Micro-batches scored.
-    pub batches: u64,
-    /// Requests scored across all micro-batches (`/ batches` = mean
-    /// coalescing factor).
-    pub batched_requests: u64,
-}
-
-/// Re-derives the `/stats` counters from the metrics registry — the
-/// registry is the single source of truth, so `/stats` and `/metrics` can
-/// never disagree (they are the same counters, classified by status class).
-fn stats_from_registry(metrics: &MetricsRegistry) -> ServerStats {
-    let mut stats = ServerStats::default();
-    for (labels, value) in metrics.responses.snapshot() {
-        let status: u16 = labels
-            .iter()
-            .find(|(name, _)| *name == "status")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-        match status {
-            200..=299 => stats.responses_2xx += value,
-            429 => stats.responses_429 += value,
-            400..=499 => stats.responses_4xx += value,
-            _ => stats.responses_5xx += value,
-        }
-    }
-    stats.batches = metrics.batches.get();
-    stats.batched_requests = metrics.batched_requests.get();
-    stats
 }
 
 // ---------------------------------------------------------------------------
@@ -366,12 +314,12 @@ struct ScoreHandles {
 /// The `version`-labelled metric handles and the `X-Model-Version` header
 /// value of one artifact version. Resolved once per version and reused
 /// until the snapshot version changes, so answering a `/score` allocates no
-/// label strings. The handles are `None` when metrics are disabled.
+/// label strings.
 struct VersionLabels {
     version: u64,
     header: Arc<str>,
-    score_requests: Option<Arc<Counter>>,
-    score_duration: Option<Arc<Histogram>>,
+    score_requests: Arc<Counter>,
+    score_duration: Arc<Histogram>,
 }
 
 impl VersionLabels {
@@ -557,12 +505,6 @@ impl ScoreServer {
     /// The hot-reloadable serving state behind this server.
     pub fn executor(&self) -> &Arc<ReloadableExecutor> {
         &self.shared.executor
-    }
-
-    /// Response/batching counters since start, re-derived from the metrics
-    /// registry (all zero when [`ServerConfig::metrics_enabled`] is off).
-    pub fn stats(&self) -> ServerStats {
-        stats_from_registry(&self.shared.metrics)
     }
 
     /// The metrics registry behind `GET /metrics`.
@@ -856,14 +798,9 @@ impl Driver {
         // a reset — but at most `max_connections` refusals linger at once,
         // so a connect flood cannot pin descriptors past twice the cap.
         if refused {
-            if self.shared.config.metrics_enabled {
-                self.shared.metrics.rejected.with(&[("cause", "overloaded")]).inc();
-                self.shared
-                    .metrics
-                    .responses
-                    .with(&[("route", "refused"), ("status", "503")])
-                    .inc();
-            }
+            let metrics = &self.shared.metrics;
+            metrics.rejected.with(&[("cause", "overloaded")]).inc();
+            metrics.responses.with(&[("route", "refused"), ("status", "503")]).inc();
             let body = error_body("server at connection capacity; retry", None);
             let headers = [("Content-Type", "application/json"), ("Retry-After", "1")];
             let refusal = Outgoing {
@@ -943,16 +880,14 @@ impl Driver {
         meta: Option<RequestMeta>,
     ) {
         let route = meta.as_ref().map_or("unparsed", |m| m.route);
-        if self.shared.config.metrics_enabled {
-            let metrics = &self.shared.metrics;
-            if route == "/score" && parts.status == 200 {
-                let ok = &self.score.ok;
-                ok.get_or_init(|| metrics.responses.with(&[("route", route), ("status", "200")]))
-                    .inc();
-            } else {
-                let status = parts.status.to_string();
-                metrics.responses.with(&[("route", route), ("status", &status)]).inc();
-            }
+        let metrics = &self.shared.metrics;
+        if route == "/score" && parts.status == 200 {
+            let ok = &self.score.ok;
+            ok.get_or_init(|| metrics.responses.with(&[("route", route), ("status", "200")]))
+                .inc();
+        } else {
+            let status = parts.status.to_string();
+            metrics.responses.with(&[("route", route), ("status", &status)]).inc();
         }
         // Every response — including 4xx/5xx error bodies — echoes the
         // request id, so client retry logs, server logs and traces all
@@ -1001,7 +936,7 @@ impl Driver {
                 tracer.commit(trace, if delivered { out.status } else { 0 });
             }
         }
-        let Some(meta) = out.meta.filter(|_| self.shared.config.metrics_enabled) else {
+        let Some(meta) = out.meta else {
             return;
         };
         let metrics = &self.shared.metrics;
@@ -1051,9 +986,7 @@ impl Driver {
                 t.record(Stage::Ratelimit, check_start, Instant::now());
             }
             if let RateLimitDecision::Limited { retry_after, limit } = decision {
-                if shared.config.metrics_enabled {
-                    shared.metrics.rejected.with(&[("cause", "rate_limited")]).inc();
-                }
+                shared.metrics.rejected.with(&[("cause", "rate_limited")]).inc();
                 let parts = ResponseParts::with_headers(
                     429,
                     error_body("rate limit exceeded; slow down", None),
@@ -1108,9 +1041,7 @@ impl Driver {
             deadline,
         });
         if let Err(bounced) = pushed {
-            if shared.config.metrics_enabled {
-                shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
-            }
+            shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
             // Deliberately NO X-RateLimit-* headers here: queue-full means
             // the server is saturated (retry immediately), not that this
             // client is over its own budget.
@@ -1238,9 +1169,7 @@ impl Driver {
         }
         let (expired, live): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(expired);
         for job in expired {
-            if self.shared.config.metrics_enabled {
-                self.shared.metrics.rejected.with(&[("cause", "deadline")]).inc();
-            }
+            self.shared.metrics.rejected.with(&[("cause", "deadline")]).inc();
             self.answer(job, JobOutcome::Expired);
         }
         live
@@ -1255,20 +1184,18 @@ impl Driver {
             return Arc::clone(labels);
         }
         let header: Arc<str> = version.to_string().into();
-        let metrics = self.shared.config.metrics_enabled.then_some(&self.shared.metrics);
+        let metrics = &self.shared.metrics;
         let labels = Arc::new(VersionLabels {
             version,
-            score_requests: metrics.map(|m| m.score_requests.with(&[("version", &header)])),
-            score_duration: metrics.map(|m| m.score_duration.with(&[("version", &header)])),
+            score_requests: metrics.score_requests.with(&[("version", &header)]),
+            score_duration: metrics.score_duration.with(&[("version", &header)]),
             header,
         });
         // Replacing this loop's old labels releases their handles first, so
         // their series can fold now.
         self.labels = Some(Arc::clone(&labels));
-        if let Some(metrics) = metrics {
-            expose_cache_counters(metrics, generation, &labels.header);
-            metrics.retire_versions(version);
-        }
+        expose_cache_counters(metrics, generation, &labels.header);
+        metrics.retire_versions(version);
         labels
     }
 
@@ -1277,16 +1204,14 @@ impl Driver {
     /// mid-reload — and answers each job on its connection.
     fn score_batch(&mut self, batch: Vec<Job>) {
         let shared = Arc::clone(&self.shared);
-        let metrics = shared.config.metrics_enabled.then_some(&shared.metrics);
+        let metrics = &shared.metrics;
         let snapshot = shared.executor.snapshot();
         let executor = snapshot.executor();
         let labels = self.version_labels(&snapshot);
         let total: usize = batch.iter().map(|j| j.requests.len()).sum();
-        if let Some(metrics) = metrics {
-            metrics.batches.inc();
-            metrics.batched_requests.add(total as u64);
-            metrics.batch_size.observe(total as f64);
-        }
+        metrics.batches.inc();
+        metrics.batched_requests.add(total as u64);
+        metrics.batch_size.observe(total as f64);
         // A lone job is scored from its own request slice; only a
         // coalesced batch is gathered into one.
         let gathered: Vec<ScoreRequest>;
@@ -1318,7 +1243,7 @@ impl Driver {
         // The executor catches chunk panics and re-scores those chunks; each
         // scoring call reports how many, and the loop counts them here.
         let count_restarts = |restarts: u64| {
-            if let Some(metrics) = metrics.filter(|_| restarts > 0) {
+            if restarts > 0 {
                 metrics.worker_panics.with(&[("role", "shard")]).add(restarts);
             }
         };
@@ -1331,9 +1256,7 @@ impl Driver {
         let (scored, restarts, shard_spans) = match attempt {
             Ok(result) => result,
             Err(_) => {
-                if let Some(metrics) = metrics {
-                    metrics.worker_panics.with(&[("role", "batcher")]).inc();
-                }
+                metrics.worker_panics.with(&[("role", "batcher")]).inc();
                 let empty = SpanSet::new();
                 for mut job in batch {
                     finish_trace(&mut job, &empty);
@@ -1345,9 +1268,7 @@ impl Driver {
         count_restarts(restarts);
         match scored {
             Ok(scores) => {
-                if let Some(counter) = &labels.score_requests {
-                    counter.add(total as u64);
-                }
+                labels.score_requests.add(total as u64);
                 let mut offset = 0;
                 for mut job in batch {
                     let slice = scores[offset..offset + job.requests.len()].to_vec();
@@ -1367,9 +1288,7 @@ impl Driver {
                     count_restarts(restarts);
                     let outcome = match scored {
                         Ok(scores) => {
-                            if let Some(counter) = &labels.score_requests {
-                                counter.add(job.requests.len() as u64);
-                            }
+                            labels.score_requests.add(job.requests.len() as u64);
                             JobOutcome::Scored(Arc::clone(&labels), scores)
                         }
                         Err(e) => JobOutcome::Unscorable(e),
@@ -1395,9 +1314,7 @@ impl Driver {
         } = job;
         let parts = match outcome {
             JobOutcome::Scored(labels, scores) => {
-                if let Some(histogram) = &labels.score_duration {
-                    histogram.observe(admitted.elapsed().as_secs_f64());
-                }
+                labels.score_duration.observe(admitted.elapsed().as_secs_f64());
                 let serialize_start = Instant::now();
                 let parts = labels.response(&scores);
                 if let Some(t) = trace.as_mut() {
@@ -1479,7 +1396,6 @@ fn route_label(path: &str) -> &'static str {
         "/score" => "/score",
         "/healthz" => "/healthz",
         "/version" => "/version",
-        "/stats" => "/stats",
         "/metrics" => "/metrics",
         "/reload" => "/reload",
         "/debug/traces" => "/debug/traces",
@@ -1564,7 +1480,6 @@ fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
                 }),
             )
         }
-        ("GET", "/stats") => ResponseParts::json(200, stats_body(shared)),
         ("GET", "/metrics") => metrics_parts(shared),
         // Every retained trace as Chrome trace-event JSON, loadable in
         // `chrome://tracing` or Perfetto. 404 when tracing is disabled.
@@ -1585,7 +1500,7 @@ fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
         }
         (
             _,
-            "/score" | "/healthz" | "/version" | "/stats" | "/metrics" | "/reload" | "/debug/traces" | "/admin/pause"
+            "/score" | "/healthz" | "/version" | "/metrics" | "/reload" | "/debug/traces" | "/admin/pause"
             | "/admin/resume",
         ) => ResponseParts::json(405, error_body("method not allowed", None)),
         _ => ResponseParts::json(404, error_body(&format!("no route for {}", request.path), None)),
@@ -1606,9 +1521,6 @@ fn expose_cache_counters(metrics: &MetricsRegistry, generation: &VersionedExecut
 /// retire the series of versions no longer live, and render the registry
 /// as Prometheus text.
 fn metrics_parts(shared: &Shared) -> ResponseParts {
-    if !shared.config.metrics_enabled {
-        return ResponseParts::json(404, error_body("metrics are disabled for this server", None));
-    }
     let snapshot = shared.executor.snapshot();
     let version = snapshot.version.to_string();
     let cache = snapshot.executor().cache_stats();
@@ -1635,43 +1547,6 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
         headers: Vec::new(),
         model_version: None,
     }
-}
-
-/// How many slow-request exemplars `/stats` attaches.
-const STATS_EXEMPLARS: usize = 5;
-
-/// The `/stats` body: the [`ServerStats`] counters plus (when tracing is on)
-/// `slow_exemplars` — the slowest retained traces with their per-stage
-/// breakdown, each annotated with the `er_serve_score_duration_seconds`
-/// bucket (`bucket_le`, Prometheus `le` format) its total latency falls
-/// into, so a histogram tail bucket can be traced back to concrete requests.
-fn stats_body(shared: &Shared) -> String {
-    let stats = stats_from_registry(&shared.metrics);
-    let mut value = serde::to_value(&stats);
-    if let Some(tracer) = shared.tracer() {
-        let bounds = crate::metrics::latency_bounds();
-        let exemplars: Vec<serde::Value> = tracer
-            .slow_exemplars(STATS_EXEMPLARS)
-            .into_iter()
-            .map(|exemplar| {
-                let total_secs = exemplar.total_us as f64 / 1e6;
-                let le = bounds
-                    .iter()
-                    .find(|b| total_secs < **b)
-                    .map(|b| format!("{b}"))
-                    .unwrap_or_else(|| "+Inf".to_string());
-                let mut entry = serde::to_value(&exemplar);
-                if let serde::Value::Map(entries) = &mut entry {
-                    entries.push(("bucket_le".to_string(), serde::Value::Str(le)));
-                }
-                entry
-            })
-            .collect();
-        if let serde::Value::Map(entries) = &mut value {
-            entries.push(("slow_exemplars".to_string(), serde::Value::Seq(exemplars)));
-        }
-    }
-    serde::json::to_string(&value)
 }
 
 // ---------------------------------------------------------------------------
@@ -1967,6 +1842,18 @@ mod tests {
         );
     }
 
+    /// `er_serve_responses_total` summed over the statuses `class` admits.
+    fn responses(server: &ScoreServer, class: impl Fn(u16) -> bool) -> u64 {
+        let counts = server.metrics().responses.snapshot();
+        let status =
+            |labels: &crate::metrics::LabelPairs| labels.iter().find(|(name, _)| *name == "status")?.1.parse().ok();
+        counts
+            .iter()
+            .filter(|(labels, _)| status(labels).is_some_and(&class))
+            .map(|(_, n)| n)
+            .sum()
+    }
+
     #[test]
     fn health_version_and_stats_respond() {
         let (server, _executor) = start_server(16);
@@ -1978,9 +1865,17 @@ mod tests {
         assert_eq!(version.status, 200);
         assert!(version.body.contains("\"model_version\":1"), "{}", version.body);
         let stats = http_roundtrip(&mut stream, "GET", "/stats", None).expect("stats");
-        assert_eq!(stats.status, 200);
-        let parsed: ServerStats = serde::json::from_str(&stats.body).expect("stats body");
-        assert_eq!(parsed.responses_2xx, 2, "healthz + version preceded the stats call");
+        assert_eq!(stats.status, 404, "/stats is gone: {}", stats.body);
+        assert_eq!(
+            responses(&server, |s| (200..300).contains(&s)),
+            2,
+            "healthz + version preceded the stats call"
+        );
+        let other = server
+            .metrics()
+            .responses
+            .with(&[("route", "other"), ("status", "404")]);
+        assert_eq!(other.get(), 1, "/stats counts under the route label `other`");
     }
 
     #[test]
@@ -2110,7 +2005,7 @@ mod tests {
         }
         let ok = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(9, 0.6))).expect("response");
         assert_eq!(ok.status, 200, "{}", ok.body);
-        assert_eq!(server.stats().responses_429, 1);
+        assert_eq!(responses(&server, |s| s == 429), 1);
     }
 
     #[test]
@@ -2172,33 +2067,18 @@ mod tests {
         assert_eq!(sum_of("er_serve_score_requests_total"), 3.0);
         assert_eq!(sum_of("er_serve_model_version"), 1.0);
         assert_eq!(sum_of("er_serve_request_duration_seconds_count"), 3.0);
-        // The /stats counters are the same registry, classified by status
-        // class: 3 scores + the /metrics scrape itself.
-        let stats = server.stats();
-        assert_eq!(stats.responses_2xx, 4, "{stats:?}");
-        assert_eq!(stats.responses_4xx + stats.responses_429 + stats.responses_5xx, 0);
-        // The exposition's own responses_total agrees with what /stats saw
-        // at scrape time (the scrape response is recorded after rendering).
+        // The registry, classified by status class: 3 scores + the
+        // /metrics scrape itself.
+        assert_eq!(responses(&server, |s| (200..300).contains(&s)), 4);
+        assert_eq!(responses(&server, |s| s >= 300), 0);
+        // The exposition's own responses_total agrees with the registry at
+        // scrape time (the scrape response is recorded after rendering).
         assert_eq!(sum_of("er_serve_responses_total"), 3.0);
         // Batching evidence flows through the same registry.
-        assert_eq!(stats.batched_requests, 3);
-        assert!(stats.batches >= 1 && stats.batches <= 3, "{stats:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn disabled_metrics_turn_off_the_endpoint_and_freeze_stats() {
-        let (server, executor) = start_server_with(ServerConfig {
-            metrics_enabled: false,
-            ..ServerConfig::default()
-        });
-        let mut stream = connect(&server);
-        let ok = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(0, 0.4))).expect("score");
-        assert_scored_bit_exactly(&ok, &executor, 0, 0.4);
-        let scraped = http_roundtrip(&mut stream, "GET", "/metrics", None).expect("response");
-        assert_eq!(scraped.status, 404, "{}", scraped.body);
-        let stats = server.stats();
-        assert_eq!(stats.responses_2xx, 0, "no observations when disabled: {stats:?}");
+        let metrics = server.metrics();
+        assert_eq!(metrics.batched_requests.get(), 3);
+        let batches = metrics.batches.get();
+        assert!((1..=3).contains(&batches), "{batches} batches");
         server.shutdown();
     }
 
@@ -2353,7 +2233,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_capacity_zero_disables_the_endpoint_and_stats_exemplars() {
+    fn trace_capacity_zero_disables_the_trace_endpoint() {
         let (server, executor) = start_server_with(ServerConfig {
             trace_capacity: 0,
             ..ServerConfig::default()
@@ -2365,55 +2245,6 @@ mod tests {
         assert!(ok.header("x-request-id").is_some());
         let traces = http_roundtrip(&mut stream, "GET", "/debug/traces", None).expect("response");
         assert_eq!(traces.status, 404, "{}", traces.body);
-        let stats = http_roundtrip(&mut stream, "GET", "/stats", None).expect("stats");
-        assert!(!stats.body.contains("slow_exemplars"), "{}", stats.body);
-        server.shutdown();
-    }
-
-    #[test]
-    fn stats_carry_slow_request_exemplars_with_histogram_buckets() {
-        let (server, _executor) = start_server(16);
-        let mut stream = connect(&server);
-        for i in 0..4u64 {
-            let ok = http_roundtrip(&mut stream, "POST", "/score", Some(&request_json(i, 0.8))).expect("score");
-            assert_eq!(ok.status, 200, "{}", ok.body);
-        }
-        let stats = http_roundtrip(&mut stream, "GET", "/stats", None).expect("stats");
-        assert_eq!(stats.status, 200);
-        let doc = serde::json::parse(&stats.body).expect("stats JSON");
-        let exemplars = doc
-            .get("slow_exemplars")
-            .and_then(|v| v.as_seq())
-            .expect("slow_exemplars array");
-        assert!(!exemplars.is_empty() && exemplars.len() <= STATS_EXEMPLARS);
-        let slowest = &exemplars[0];
-        let total_us = match slowest.get("total_us").expect("total_us") {
-            serde::Value::UInt(us) => *us,
-            other => panic!("total_us should be an integer, got {other:?}"),
-        };
-        // Exemplars are sorted slowest-first and each maps into a histogram
-        // bucket in Prometheus `le` format.
-        for pair in exemplars.windows(2) {
-            let next = match pair[1].get("total_us").expect("total_us") {
-                serde::Value::UInt(us) => *us,
-                other => panic!("total_us should be an integer, got {other:?}"),
-            };
-            let prev = match pair[0].get("total_us").expect("total_us") {
-                serde::Value::UInt(us) => *us,
-                other => panic!("total_us should be an integer, got {other:?}"),
-            };
-            assert!(prev >= next, "exemplars sorted slowest-first");
-        }
-        let le = slowest.get("bucket_le").and_then(|v| v.as_str()).expect("bucket_le");
-        if le != "+Inf" {
-            let bound: f64 = le.parse().expect("bucket_le parses as a bound");
-            assert!(
-                total_us as f64 / 1e6 <= bound,
-                "{total_us}us must fall within its le={le} bucket"
-            );
-        }
-        let stages = slowest.get("stages").and_then(|v| v.as_seq()).expect("stages");
-        assert!(!stages.is_empty(), "per-stage breakdown present");
         server.shutdown();
     }
 
@@ -2502,7 +2333,11 @@ mod tests {
         }
         server.resume_intake();
         let responses: Vec<HttpResponse> = clients.into_iter().map(|c| c.join().expect("client")).collect();
-        assert_eq!(server.stats().batches, 1, "the two jobs coalesce into one batch");
+        assert_eq!(
+            server.metrics().batches.get(),
+            1,
+            "the two jobs coalesce into one batch"
+        );
         assert_eq!(responses[0].status, 200, "{}", responses[0].body);
         assert_eq!(responses[1].status, 422, "{}", responses[1].body);
         let (_, scores) = parse_score_response(&responses[0].body).expect("body");

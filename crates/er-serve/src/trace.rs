@@ -18,11 +18,11 @@
 //! the slowest-N traces seen so far, so the requests worth debugging survive
 //! wrap-around.
 //!
-//! Completed traces are exported two ways: [`Tracer::chrome_trace_json`]
-//! renders the snapshot as Chrome trace-event JSON (loadable in
-//! `chrome://tracing` or Perfetto; served by `GET /debug/traces`), and
-//! [`Tracer::slow_exemplars`] yields per-stage breakdowns of the slowest
-//! requests for attachment to the top latency-histogram buckets in `/stats`.
+//! Completed traces are exported by [`Tracer::chrome_trace_json`] as Chrome
+//! trace-event JSON (loadable in `chrome://tracing` or Perfetto; served by
+//! `GET /debug/traces`), every span included, so the slowest requests the
+//! reserve keeps are the exemplars behind the latency histograms' tail
+//! buckets.
 
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 
 /// The fixed stage taxonomy. Request stages appear in pipeline order;
 /// `Load..=Swap` belong to the hot-reload timeline.
@@ -217,31 +217,6 @@ pub struct CompletedTrace {
     pub spans: Vec<Span>,
 }
 
-/// A slow-request exemplar: the trace id plus a per-stage duration breakdown,
-/// suitable for attaching to the top latency-histogram buckets in `/stats`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SlowExemplar {
-    /// Trace id of the exemplar request.
-    pub trace_id: String,
-    /// Route the request hit.
-    pub route: String,
-    /// Final HTTP status.
-    pub status: u64,
-    /// Whole-trace duration in microseconds.
-    pub total_us: u64,
-    /// Per-stage durations, pipeline order, shards summed into `score`.
-    pub stages: Vec<StageDur>,
-}
-
-/// One stage's total duration inside a [`SlowExemplar`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StageDur {
-    /// Stage wire name (see [`Stage::name`]).
-    pub stage: String,
-    /// Total microseconds spent in the stage (shard spans summed).
-    pub dur_us: u64,
-}
-
 /// Heap entry keyed by `(total_us, seq)` so the heap's minimum is the fastest
 /// retained slow trace — the one a new slower trace evicts first.
 struct SlowEntry {
@@ -412,14 +387,6 @@ impl Tracer {
         self.ring.lock().unwrap_or_else(|e| e.into_inner()).snapshot()
     }
 
-    /// The `n` slowest retained traces as per-stage exemplars, slowest first.
-    pub fn slow_exemplars(&self, n: usize) -> Vec<SlowExemplar> {
-        let mut traces = self.snapshot();
-        traces.sort_by_key(|t| std::cmp::Reverse((t.total_us, t.seq)));
-        traces.truncate(n);
-        traces.iter().map(|t| exemplar_of(t)).collect()
-    }
-
     /// Render every retained trace as a Chrome trace-event JSON document
     /// (the `{"traceEvents": [...]}` object format; timestamps are
     /// microseconds since the tracer epoch, one `tid` lane per trace).
@@ -429,27 +396,6 @@ impl Tracer {
 
     fn offset_us(&self, t: Instant) -> u64 {
         t.checked_duration_since(self.epoch).map_or(0, |d| d.as_micros() as u64)
-    }
-}
-
-fn exemplar_of(trace: &CompletedTrace) -> SlowExemplar {
-    let mut stages: Vec<StageDur> = Vec::new();
-    for span in &trace.spans {
-        let name = span.stage.name();
-        match stages.iter_mut().find(|s| s.stage == name) {
-            Some(existing) => existing.dur_us += span.dur_us,
-            None => stages.push(StageDur {
-                stage: name.to_string(),
-                dur_us: span.dur_us,
-            }),
-        }
-    }
-    SlowExemplar {
-        trace_id: trace.trace_id.clone(),
-        route: trace.route.to_string(),
-        status: u64::from(trace.status),
-        total_us: trace.total_us,
-        stages,
     }
 }
 
@@ -581,7 +527,6 @@ mod tests {
         }
         assert_eq!(tracer.committed_total(), 10);
         assert!(tracer.snapshot().is_empty());
-        assert!(tracer.slow_exemplars(5).is_empty());
     }
 
     #[test]
@@ -673,37 +618,6 @@ mod tests {
             doc.get("otherData").and_then(|v| v.get("committed_total")),
             Some(&Value::UInt(3))
         );
-    }
-
-    #[test]
-    fn slow_exemplars_merge_stage_durations_and_sort_slowest_first() {
-        let tracer = Tracer::new(64);
-        let epoch = Instant::now();
-        for (i, score_us) in [200u64, 900, 50].into_iter().enumerate() {
-            let mut trace = tracer.begin(format!("e-{i}"), "/score");
-            let start = epoch;
-            trace.record(Stage::Parse, start, start + Duration::from_micros(10));
-            // Two shards: exemplar must sum them into one `score` entry.
-            trace.record_shard(Stage::Score, 0, start, start + Duration::from_micros(score_us));
-            trace.record_shard(Stage::Score, 1, start, start + Duration::from_micros(score_us));
-            tracer.commit(trace, 200);
-        }
-        let exemplars = tracer.slow_exemplars(2);
-        assert_eq!(exemplars.len(), 2);
-        // Slowest committed last-longest wall time; ordering is by total_us
-        // which tracks real elapsed time here, so just assert the invariant.
-        assert!(exemplars[0].total_us >= exemplars[1].total_us);
-        for ex in &exemplars {
-            let score = ex.stages.iter().find(|s| s.stage == "score").unwrap();
-            let single = match ex.trace_id.as_str() {
-                "e-0" => 200,
-                "e-1" => 900,
-                "e-2" => 50,
-                other => panic!("unexpected trace id {other}"),
-            };
-            assert_eq!(score.dur_us, 2 * single);
-            assert!(ex.stages.iter().any(|s| s.stage == "parse"));
-        }
     }
 
     #[test]

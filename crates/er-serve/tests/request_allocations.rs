@@ -4,13 +4,16 @@
 //! Wall-clock ratios cannot resolve a small cost on a shared machine; heap
 //! allocations can be counted exactly. This test binary installs a counting
 //! global allocator, starts an in-process [`ScoreServer`], and drives one
-//! cached single-pair `/score` (or one `GET /metrics`) at a time over a
-//! keep-alive connection from a client that allocates nothing, so every
-//! allocation in the measured window is the server's. It holds:
+//! cached `/score` of a single pair or of a 32-pair array (or one
+//! `GET /metrics`) at a time over a keep-alive connection from a client that
+//! allocates nothing, so every allocation in the measured window is the
+//! server's. On one lane and on two it holds:
 //!
-//! * metrics on against off: the same count (the registry costs nothing);
+//! * each configuration at most its count when these bounds were set. The
+//!   metrics registry is always on; a single pair with tracing off is held
+//!   to 20, the count with metrics and tracing both off when metrics had an
+//!   off-switch, so the registry adds no allocation to a `/score`;
 //! * tracing on against off: at most [`TRACING_ALLOCS`] more;
-//! * each configuration at most its count when these bounds were set;
 //! * a scrape at most [`SCRAPE_ALLOCS`].
 //!
 //! A change that removes allocations lowers the bounds; one that adds them
@@ -61,16 +64,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per cached single-pair `/score` with metrics and tracing on.
-const METRICS_AND_TRACING_ALLOCS: u64 = 25;
+/// Allocations per cached single-pair `/score` with tracing on.
+const PAIR_ALLOCS: u64 = 25;
 /// The same with tracing off.
-const TRACING_OFF_ALLOCS: u64 = 20;
-/// The same with metrics and tracing off.
-const METRICS_AND_TRACING_OFF_ALLOCS: u64 = 20;
+const PAIR_TRACING_OFF_ALLOCS: u64 = 20;
+/// Allocations per cached 32-pair array `/score` with tracing on.
+const ARRAY_ALLOCS: u64 = 59;
+/// The same with tracing off.
+const ARRAY_TRACING_OFF_ALLOCS: u64 = 54;
+/// Pairs in an array request.
+const ARRAY_PAIRS: u64 = 32;
 /// What tracing may add per request.
 const TRACING_ALLOCS: u64 = 5;
 /// Allocations per `GET /metrics` scrape of a server that has scored.
-const SCRAPE_ALLOCS: u64 = 66;
+const SCRAPE_ALLOCS: u64 = 27;
 
 const WARM_UP: u64 = 600;
 const MEASURED: u64 = 1_000;
@@ -98,15 +105,26 @@ struct Client {
     buffer: Vec<u8>,
 }
 
+/// The request with pair id `pair_id`.
+fn request(pair_id: u64) -> ScoreRequest {
+    let x = (pair_id as f64 * 0.618_033_988_749_895).fract();
+    ScoreRequest {
+        pair_id,
+        metric_row: vec![x, 1.0 - x],
+        classifier_output: x,
+        machine_says_match: x >= 0.5,
+    }
+}
+
 impl Client {
-    /// A client that sends one cached single-pair `POST /score`.
-    fn score(server: &ScoreServer) -> Self {
-        let body = serde::json::to_string(&ScoreRequest {
-            pair_id: 7,
-            metric_row: vec![0.7, 0.2],
-            classifier_output: 0.7,
-            machine_says_match: true,
-        });
+    /// A client that sends one `POST /score` of a single pair (`pairs` 1)
+    /// or of an array of `pairs` pairs; after the first, every pair is a
+    /// cache hit.
+    fn score(server: &ScoreServer, pairs: u64) -> Self {
+        let body = match pairs {
+            1 => serde::json::to_string(&request(7)),
+            _ => serde::json::to_string(&(0..pairs).map(request).collect::<Vec<_>>()),
+        };
         let head = format!(
             "POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
             body.len()
@@ -179,9 +197,9 @@ fn settled_count() -> u64 {
     }
 }
 
-/// Allocations of [`MEASURED`] cached single-pair requests against a fresh
-/// server on `lanes` scoring lanes.
-fn allocations(lanes: usize, metrics_enabled: bool, trace_capacity: usize) -> u64 {
+/// Allocations of [`MEASURED`] cached requests of `pairs` pairs each against
+/// a fresh server on `lanes` scoring lanes.
+fn allocations(lanes: usize, pairs: u64, trace_capacity: usize) -> u64 {
     let executor = Arc::new(ReloadableExecutor::new(
         ScoringEngine::new(model()),
         ServeConfig::default().with_threads(lanes),
@@ -189,14 +207,13 @@ fn allocations(lanes: usize, metrics_enabled: bool, trace_capacity: usize) -> u6
     let server = ScoreServer::start(
         executor,
         ServerConfig {
-            metrics_enabled,
             trace_capacity,
             fault_plan: None,
             ..ServerConfig::default()
         },
     )
     .expect("bind");
-    let mut client = Client::score(&server);
+    let mut client = Client::score(&server, pairs);
     // The first request fills the cache; the warm-up also fills the trace
     // ring, so the window sees its steady state.
     for _ in 0..WARM_UP {
@@ -219,7 +236,7 @@ fn scrape_allocations(lanes: usize) -> u64 {
         ServeConfig::default().with_threads(lanes),
     ));
     let server = ScoreServer::start(executor, ServerConfig::default()).expect("bind");
-    let mut scorer = Client::score(&server);
+    let mut scorer = Client::score(&server, 1);
     for _ in 0..WARM_UP {
         scorer.send();
     }
@@ -237,35 +254,33 @@ fn scrape_allocations(lanes: usize) -> u64 {
 }
 
 #[test]
-fn cached_single_pair_scores_stay_within_their_allocation_budgets() {
+fn cached_scores_and_scrapes_stay_within_their_allocation_budgets() {
     let tracing = ServerConfig::default().trace_capacity;
+    let per_request = |total: u64| total as f64 / MEASURED as f64;
     for lanes in [1, 2] {
-        let all_on = allocations(lanes, true, tracing);
-        let tracing_off = allocations(lanes, true, 0);
-        let all_off = allocations(lanes, false, 0);
-        let per_request = |total: u64| total as f64 / MEASURED as f64;
-        println!(
-            "{lanes} lane(s), allocations per request: metrics + tracing {:.3}, tracing off {:.3}, both off {:.3}",
-            per_request(all_on),
-            per_request(tracing_off),
-            per_request(all_off)
-        );
-        assert_eq!(tracing_off, all_off, "metrics must add no allocation ({lanes} lanes)");
-        assert!(
-            all_on <= tracing_off + TRACING_ALLOCS * MEASURED,
-            "tracing added {:.3} allocations per request, budget {TRACING_ALLOCS} ({lanes} lanes)",
-            per_request(all_on.saturating_sub(tracing_off))
-        );
-        for (label, total, budget) in [
-            ("metrics + tracing", all_on, METRICS_AND_TRACING_ALLOCS),
-            ("tracing off", tracing_off, TRACING_OFF_ALLOCS),
-            ("metrics and tracing off", all_off, METRICS_AND_TRACING_OFF_ALLOCS),
+        for (what, pairs, on_budget, off_budget) in [
+            ("single pair", 1, PAIR_ALLOCS, PAIR_TRACING_OFF_ALLOCS),
+            ("32-pair array", ARRAY_PAIRS, ARRAY_ALLOCS, ARRAY_TRACING_OFF_ALLOCS),
         ] {
-            assert!(
-                total <= budget * MEASURED,
-                "{label}: {:.3} allocations per request, budget {budget} ({lanes} lanes)",
-                per_request(total)
+            let on = allocations(lanes, pairs, tracing);
+            let off = allocations(lanes, pairs, 0);
+            println!(
+                "{lanes} lane(s), {what}, allocations per request: tracing on {:.3}, tracing off {:.3}",
+                per_request(on),
+                per_request(off)
             );
+            assert!(
+                on <= off + TRACING_ALLOCS * MEASURED,
+                "{what}: tracing added {:.3} allocations per request, budget {TRACING_ALLOCS} ({lanes} lanes)",
+                per_request(on.saturating_sub(off))
+            );
+            for (tracing, total, budget) in [("on", on, on_budget), ("off", off, off_budget)] {
+                assert!(
+                    total <= budget * MEASURED,
+                    "{what}, tracing {tracing}: {:.3} allocations per request, budget {budget} ({lanes} lanes)",
+                    per_request(total)
+                );
+            }
         }
 
         let scrapes = scrape_allocations(lanes);

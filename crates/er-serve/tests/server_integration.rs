@@ -245,13 +245,20 @@ fn concurrent_clients_coalesce_into_micro_batches_without_score_drift() {
             });
         }
     });
-    let stats = server.stats();
-    assert_eq!(
-        stats.responses_4xx + stats.responses_429 + stats.responses_5xx,
-        0,
-        "{stats:?}"
-    );
-    assert_eq!(stats.batched_requests, 60);
+    let metrics = server.metrics();
+    let not_ok: Vec<_> = metrics
+        .responses
+        .snapshot()
+        .into_iter()
+        .filter(|(labels, n)| {
+            *n > 0
+                && !labels
+                    .iter()
+                    .any(|(name, status)| *name == "status" && status.starts_with('2'))
+        })
+        .collect();
+    assert!(not_ok.is_empty(), "{not_ok:?}");
+    assert_eq!(metrics.batched_requests.get(), 60);
     server.shutdown();
 }
 
@@ -426,7 +433,6 @@ fn batcher_panic_is_a_500_then_the_recovered_server_scores_bit_exactly() {
     let plan = Arc::new(FaultPlan::parse("batcher_panic@0,2").expect("spec"));
     let (server, model) = trained_server(ServerConfig {
         fault_plan: Some(Arc::clone(&plan)),
-        metrics_enabled: true,
         ..ServerConfig::default()
     });
     let expected = ScoringEngine::new(model).score_batch(&serving_requests(1));
