@@ -294,8 +294,8 @@ fn a_spawned_gateway_boots_healthy_and_frames_with_the_shared_codec() {
 
 #[test]
 fn a_spawned_gateway_exits_with_its_usage_on_a_bad_flag() {
-    // The baseline does not exist: a flag that parsed would reach the start
-    // and exit 1, not 2.
+    // The gateway starts even on a baseline that does not exist, so a flag
+    // that parsed would serve: such a run is killed after 10 s and fails.
     let baseline = std::env::temp_dir().join("er-gateway-process-flags-missing.json");
     for bad in [
         &["--threads", "x"][..],
@@ -303,12 +303,20 @@ fn a_spawned_gateway_exits_with_its_usage_on_a_bad_flag() {
         &["--vnodes", "-1"],
         &["--listen"],
     ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_er-gateway"))
+        let mut child = Command::new(env!("CARGO_BIN_EXE_er-gateway"))
             .args(["--backend", "127.0.0.1:9", "--baseline"])
             .arg(&baseline)
             .args(bad)
-            .output()
-            .expect("run er-gateway");
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn er-gateway");
+        let started = std::time::Instant::now();
+        while child.try_wait().expect("poll er-gateway").is_none() && started.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let _ = child.kill();
+        let output = child.wait_with_output().expect("er-gateway output");
         let stdout = String::from_utf8_lossy(&output.stdout);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{bad:?}: {stderr}");
