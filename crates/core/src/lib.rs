@@ -42,6 +42,6 @@ pub use portfolio::{
 };
 pub use train::{
     default_train_threads, evaluate_auroc, flatten_params, loss_and_gradient, sample_rank_pairs, train,
-    train_with_threads, unflatten_params, EpochScratch, EpochSpan, RankPairSampler, RiskTrainConfig, TrainReport,
+    train_with_threads, unflatten_params, EpochScratch, RankPairSampler, RiskTrainConfig, TrainReport,
 };
 pub use var::{pair_risk, RiskMetric};

@@ -43,7 +43,7 @@
 //! AoS path.
 //!
 //! [`loss_and_gradient`] keeps the per-pair reference implementation; tests
-//! (and `train_bench`) verify the factorized epoch against it.
+//! verify the factorized epoch against it.
 
 use crate::feature::PairRiskInput;
 use crate::model::LearnRiskModel;
@@ -58,7 +58,6 @@ use er_pool::WorkerPool;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Hyper-parameters of risk-model training.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -217,8 +216,8 @@ fn regularize(model: &LearnRiskModel, config: &RiskTrainConfig, loss: &mut f64, 
 ///
 /// Exposed (rather than private to the trainer) so that tests can verify the
 /// analytic gradient against finite differences and the factorized epoch
-/// ([`EpochScratch`]) against this implementation; `train_bench` uses it as
-/// the old-path-equivalent baseline.
+/// ([`EpochScratch`]) against this implementation; the `train_epoch`
+/// bench times it as `per_pair_reference_epoch`.
 pub fn loss_and_gradient(
     model: &LearnRiskModel,
     inputs: &[PairRiskInput],
@@ -560,41 +559,14 @@ impl EpochScratch {
         threads: usize,
         grad: &mut [f64],
     ) -> f64 {
-        let mut span = EpochSpan::default();
-        self.factorized_loss_and_gradient_timed(model, inputs, rank_pairs, config, threads, grad, &mut span)
-    }
-
-    /// [`Self::factorized_loss_and_gradient`] that additionally stamps the
-    /// wall-clock duration of the epoch's three passes into `span`
-    /// (`epoch` itself is the caller's to fill).  Timing sits *around* the
-    /// passes, so losses and gradients stay bit-identical to the untimed
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn factorized_loss_and_gradient_timed(
-        &mut self,
-        model: &LearnRiskModel,
-        inputs: &[PairRiskInput],
-        rank_pairs: &[(u32, u32)],
-        config: &RiskTrainConfig,
-        threads: usize,
-        grad: &mut [f64],
-        span: &mut EpochSpan,
-    ) -> f64 {
         // Forward-score only the inputs the pairs reference: in the sampled
         // regime (inputs ≫ max_rank_pairs) scoring every input would make
         // the epoch O(inputs) even when only a fraction participates.
         self.mark_active(inputs.len(), rank_pairs);
-        let forward_start = Instant::now();
         self.forward_pass_active(model, inputs, threads);
-        let lambda_start = Instant::now();
         let mut loss = self.lambda_pass(inputs, rank_pairs);
-        let gradient_start = Instant::now();
         self.gradient_pass(model, inputs, threads, grad);
-        let gradient_end = Instant::now();
         regularize(model, config, &mut loss, grad);
-        span.forward_secs = (lambda_start - forward_start).as_secs_f64();
-        span.lambda_secs = (gradient_start - lambda_start).as_secs_f64();
-        span.gradient_secs = (gradient_end - gradient_start).as_secs_f64();
         loss
     }
 }
@@ -742,23 +714,6 @@ pub fn sample_rank_pairs<R: Rng + ?Sized>(inputs: &[PairRiskInput], max_pairs: u
     out
 }
 
-/// Wall-clock attribution of one factorized epoch: how long each of the
-/// three passes (forward score, λ sweep, gradient accumulation) took.
-/// Collected by [`train_with_threads`] so `train_bench` can report where
-/// epoch time actually goes, the same way request traces attribute serving
-/// latency to stages.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EpochSpan {
-    /// Zero-based epoch index.
-    pub epoch: usize,
-    /// Seconds in the parallel forward pass (per-input portfolio scores).
-    pub forward_secs: f64,
-    /// Seconds in the O(rank_pairs) scalar λ sweep.
-    pub lambda_secs: f64,
-    /// Seconds in the parallel gradient accumulation + shard reduction.
-    pub gradient_secs: f64,
-}
-
 /// Training history for diagnostics and the scalability experiments.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrainReport {
@@ -767,13 +722,6 @@ pub struct TrainReport {
     /// Number of ranking pairs sampled in each epoch (aligned with `losses`),
     /// so sampling variance across epochs is reportable.
     pub rank_pair_counts: Vec<usize>,
-    /// Number of ranking pairs of the *last* epoch — kept for compatibility
-    /// with consumers of the old scalar field; `rank_pair_counts` has the
-    /// full per-epoch series.
-    pub rank_pairs_per_epoch: usize,
-    /// Per-epoch wall-clock attribution of the three factorized passes
-    /// (aligned with `losses`).
-    pub epoch_spans: Vec<EpochSpan>,
 }
 
 /// Worker threads [`train`] uses by default: every CPU available to the
@@ -821,21 +769,7 @@ pub fn train_with_threads(
             break;
         }
         report.rank_pair_counts.push(rank_pairs.len());
-        report.rank_pairs_per_epoch = rank_pairs.len();
-        let mut span = EpochSpan {
-            epoch,
-            ..EpochSpan::default()
-        };
-        let loss = scratch.factorized_loss_and_gradient_timed(
-            model,
-            inputs,
-            &rank_pairs,
-            config,
-            threads,
-            &mut grad,
-            &mut span,
-        );
-        report.epoch_spans.push(span);
+        let loss = scratch.factorized_loss_and_gradient(model, inputs, &rank_pairs, config, threads, &mut grad);
         report.losses.push(loss);
 
         if config.use_adam {
@@ -1147,11 +1081,7 @@ mod tests {
         };
         let report = train(&mut model, &inputs, &config);
         assert_eq!(report.rank_pair_counts.len(), report.losses.len());
-        assert_eq!(
-            report.rank_pair_counts.last().copied().unwrap_or_default(),
-            report.rank_pairs_per_epoch,
-            "the compatibility scalar must equal the last epoch's count"
-        );
+        assert!(!report.losses.is_empty());
         assert!(report.rank_pair_counts.iter().all(|&c| c > 0));
     }
 

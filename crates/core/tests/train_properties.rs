@@ -202,7 +202,6 @@ fn aos_train(model: &mut LearnRiskModel, inputs: &[PairRiskInput], config: &Risk
             break;
         }
         report.rank_pair_counts.push(rank_pairs.len());
-        report.rank_pairs_per_epoch = rank_pairs.len();
         let loss = aos_factorized_epoch(model, inputs, &rank_pairs, config, &mut grad);
         report.losses.push(loss);
         if config.use_adam {

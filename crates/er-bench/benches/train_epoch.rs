@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the factorized training epoch's inner
 //! loops — the forward-score pass and the gradient pass separately, plus the
-//! λ sweep and the per-pair reference epoch — so a regression in either pass
-//! is visible without running the full `train_bench` binary.  The passes run
-//! on the SoA (`ComponentBlock`) hot path; `benches/aggregation.rs` isolates
-//! the underlying portfolio kernels against the AoS reference.
+//! λ sweep, the whole epoch and the per-pair reference epoch — so a
+//! regression in either pass shows in its own row, and
+//! `per_pair_reference_epoch` ÷ `factorized_epoch` is the factorization's
+//! single-thread speedup.  The passes run on the SoA (`ComponentBlock`) hot
+//! path; `benches/aggregation.rs` isolates the underlying portfolio kernels
+//! against the AoS reference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use er_eval::ExperimentConfig;
@@ -12,8 +14,8 @@ use learnrisk_core::{
     RiskTrainConfig,
 };
 
-/// DS-style risk-training setup shared by every bench (and with the
-/// `train_bench` binary, via [`er_bench::train_workload`]): a trained-shape
+/// DS-style risk-training setup shared by every bench (and with
+/// `benches/aggregation.rs`, via [`er_bench::train_workload`]): a trained-shape
 /// model plus inputs from a synthetic ~80%-accurate classifier, so mislabeled
 /// pairs exist and the rank-pair list is non-trivial.
 fn setup() -> (LearnRiskModel, Vec<PairRiskInput>, Vec<(u32, u32)>) {

@@ -1,11 +1,9 @@
 //! # er-bench
 //!
 //! Benchmark harness of the reproduction: one binary per table/figure of the
-//! paper (printing the same rows/series the paper reports), the
-//! `train_bench` training benchmark, the `bench_diff` gate over their JSON,
-//! and Criterion benches for the performance-sensitive building blocks.
-//! The serving stack is attested by workspace tests and timed by
-//! `perfbench`.
+//! paper (printing the same rows/series the paper reports) and Criterion
+//! benches for the performance-sensitive building blocks. The serving stack
+//! is attested by workspace tests and timed by `perfbench`.
 //!
 //! Binaries (run with
 //! `cargo run -p er-bench --release --bin <name> [scale] [--threads 1,2,4]`):
@@ -17,20 +15,16 @@
 //! | `fig10`      | Figure 10 — out-of-distribution evaluation (DA2DS, AB2AG) |
 //! | `fig11`      | Figure 11 — LearnRisk vs HoloClean |
 //! | `fig12`      | Figure 12 — sensitivity to risk-training data size |
-//! | `fig13`      | Figure 13 — scalability (rule generation / risk training / engine scoring) |
+//! | `fig13`      | Figure 13 — scalability (rule generation / risk training per thread count) |
 //! | `fig14`      | Figure 14 — active learning |
 //! | `ablation`   | Design-choice ablations called out in DESIGN.md |
-//! | `train_bench`| Factorized vs per-pair risk-training epoch benchmark |
 //!
 //! All binaries share one argument parser ([`parse_args`]): an optional
-//! positional workload scale plus `--threads a,b,c` for the binaries that
-//! exercise a multi-threaded path (`fig13`, `train_bench`),
-//! and the [`env_usize`] helper for their environment overrides.
+//! positional workload scale plus `--threads a,b,c` for `fig13`, the binary
+//! that exercises a multi-threaded path. A bad argument prints the usage and
+//! exits 2.
 
 #![warn(missing_docs)]
-
-pub mod diff;
-pub mod gate;
 
 use er_eval::ExperimentConfig;
 
@@ -47,17 +41,22 @@ pub struct BenchArgs {
 
 /// Parses the process arguments: `[scale] [--threads a,b,c]`.
 ///
-/// Keeps the harness's warn-don't-die behavior: an unparsable scale or
-/// thread list falls back to its default with a warning on stderr, so a typo
+/// An unparsable scale, an unparsable `--threads` value or an extra argument
+/// is named on stderr with the usage line, and the process exits 2, so a typo
 /// cannot silently run a long experiment at the wrong configuration.
 pub fn parse_args(default_scale: f64) -> BenchArgs {
-    parse_args_from(std::env::args().skip(1), default_scale)
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    parse_args_from(args, default_scale).unwrap_or_else(|err| {
+        eprintln!("{err}\nusage: {bin} [scale] [--threads a,b,c]");
+        std::process::exit(2)
+    })
 }
 
-/// [`parse_args`] over an explicit argument list (testable form).
-pub fn parse_args_from(args: impl IntoIterator<Item = String>, default_scale: f64) -> BenchArgs {
-    let mut scale = default_scale;
-    let mut scale_seen = false;
+/// [`parse_args`] over an explicit argument list (testable form): the error
+/// names the argument that was refused.
+pub fn parse_args_from(args: impl IntoIterator<Item = String>, default_scale: f64) -> Result<BenchArgs, String> {
+    let mut scale = None;
     let mut threads = default_thread_counts();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -66,32 +65,24 @@ pub fn parse_args_from(args: impl IntoIterator<Item = String>, default_scale: f6
             .map(str::to_owned)
             .or_else(|| (arg == "--threads").then(|| iter.next().unwrap_or_default()))
         {
-            match parse_thread_list(&list) {
-                Some(parsed) => threads = parsed,
-                None => {
-                    eprintln!("warning: could not parse --threads value {list:?}; using default {threads:?}");
-                }
-            }
-        } else if !scale_seen {
-            scale_seen = true;
-            match arg.trim().parse::<f64>() {
-                Ok(parsed) => scale = parsed,
-                Err(_) => {
-                    eprintln!("warning: could not parse scale argument {arg:?}; using default {default_scale}");
-                }
-            }
+            threads = parse_thread_list(&list).ok_or_else(|| format!("bad --threads value {list:?}"))?;
+        } else if scale.is_none() {
+            scale = Some(arg.trim().parse::<f64>().map_err(|_| format!("bad scale {arg:?}"))?);
         } else {
-            eprintln!("warning: ignoring unrecognized argument {arg:?}");
+            return Err(format!("unexpected argument {arg:?}"));
         }
     }
-    BenchArgs {
-        config: ExperimentConfig { scale, seed: 2020 },
+    Ok(BenchArgs {
+        config: ExperimentConfig {
+            scale: scale.unwrap_or(default_scale),
+            seed: 2020,
+        },
         threads,
-    }
+    })
 }
 
-/// Backwards-compatible helper: parses only the workload scale from the
-/// process arguments (see [`parse_args`]).
+/// Parses only the workload scale from the process arguments (see
+/// [`parse_args`]).
 pub fn config_from_args(default_scale: f64) -> ExperimentConfig {
     parse_args(default_scale).config
 }
@@ -113,47 +104,14 @@ pub fn default_thread_counts() -> Vec<usize> {
     counts
 }
 
-/// CPUs available to this process (1 when undeterminable) — the value the
-/// `*_bench` binaries embed in their JSON so perf-trajectory consumers can
-/// tell single-CPU container runs apart from real multicore results.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Parses a `usize` environment variable, keeping the harness's
-/// warn-don't-die behavior: unset uses the default silently, an unparsable
-/// value warns on stderr and uses the default.  Shared by the `*_bench`
-/// binaries' request/size overrides.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: could not parse {name}={raw:?}; using default {default}");
-                default
-            }
-        },
-    }
-}
-
-/// A DS-style risk-training workload shared by `train_bench` and the
-/// `train_epoch` Criterion bench: rules generated from the data, risk inputs
-/// labeled by a synthetic classifier, so both time the identical setup.
+/// A DS-style risk-training workload shared by the `train_epoch` and
+/// `aggregation` Criterion benches: rules generated from the data, risk
+/// inputs labeled by a synthetic classifier, so both time the identical setup.
 pub struct TrainWorkload {
     /// Untrained model over the generated rule features.
     pub model: learnrisk_core::LearnRiskModel,
     /// Risk-training inputs for every workload pair.
     pub inputs: Vec<learnrisk_core::PairRiskInput>,
-    /// Number of mislabeled pairs (risk positives) among the inputs.
-    pub mislabeled: usize,
-}
-
-impl TrainWorkload {
-    /// Number of generated rule features.
-    pub fn rule_count(&self) -> usize {
-        self.model.features.len()
-    }
 }
 
 /// Builds a [`TrainWorkload`]: generates DS at `config.scale`, derives rules
@@ -175,11 +133,7 @@ pub fn train_workload(config: &ExperimentConfig, accuracy: f64) -> TrainWorkload
     let probs = er_eval::synthetic_classifier_probs(&labels, accuracy, &mut prob_rng);
     let labeled = er_base::LabeledWorkload::from_probabilities("train-workload", workload.pairs().to_vec(), &probs);
     let inputs = er_eval::build_inputs_from_rows(&model.features, &rows, &labeled);
-    TrainWorkload {
-        model,
-        inputs,
-        mislabeled: labeled.mislabeled_count(),
-    }
+    TrainWorkload { model, inputs }
 }
 
 fn parse_thread_list(list: &str) -> Option<Vec<usize>> {
@@ -194,13 +148,13 @@ fn parse_thread_list(list: &str) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> BenchArgs {
+    fn args(list: &[&str]) -> Result<BenchArgs, String> {
         parse_args_from(list.iter().map(|s| s.to_string()), 0.03)
     }
 
     #[test]
     fn default_scale_is_used_without_args() {
-        let a = args(&[]);
+        let a = args(&[]).unwrap();
         assert_eq!(a.config.scale, 0.03);
         assert_eq!(a.config.seed, 2020);
         assert!(a.threads.len() >= 2, "always at least two thread counts");
@@ -209,33 +163,39 @@ mod tests {
 
     #[test]
     fn positional_scale_is_parsed() {
-        assert_eq!(args(&["0.1"]).config.scale, 0.1);
+        assert_eq!(args(&["0.1"]).unwrap().config.scale, 0.1);
     }
 
     #[test]
-    fn bad_scale_falls_back_with_default() {
-        assert_eq!(args(&["zoom"]).config.scale, 0.03);
+    fn bad_scale_is_rejected() {
+        assert_eq!(args(&["zoom"]).unwrap_err(), r#"bad scale "zoom""#);
     }
 
     #[test]
     fn threads_flag_both_spellings() {
-        assert_eq!(args(&["--threads", "1,2,8"]).threads, vec![1, 2, 8]);
-        assert_eq!(args(&["--threads=4"]).threads, vec![4]);
-        assert_eq!(args(&["0.2", "--threads", "2, 3"]).threads, vec![2, 3]);
+        assert_eq!(args(&["--threads", "1,2,8"]).unwrap().threads, vec![1, 2, 8]);
+        assert_eq!(args(&["--threads=4"]).unwrap().threads, vec![4]);
+        assert_eq!(args(&["0.2", "--threads", "2, 3"]).unwrap().threads, vec![2, 3]);
     }
 
     #[test]
-    fn bad_threads_fall_back_to_defaults() {
-        let defaults = default_thread_counts();
-        assert_eq!(args(&["--threads", "fast"]).threads, defaults);
-        assert_eq!(args(&["--threads", "0"]).threads, defaults);
-        assert_eq!(args(&["--threads", ""]).threads, defaults);
-        assert_eq!(args(&["--threads"]).threads, defaults);
+    fn bad_threads_are_rejected() {
+        for list in [
+            &["--threads", "fast"][..],
+            &["--threads", "0"],
+            &["--threads", ""],
+            &["--threads"],
+        ] {
+            let err = args(list).unwrap_err();
+            assert!(err.starts_with("bad --threads value"), "{list:?}: {err}");
+        }
     }
 
     #[test]
-    fn extra_positionals_are_ignored_not_fatal() {
-        let a = args(&["0.5", "unexpected"]);
-        assert_eq!(a.config.scale, 0.5);
+    fn extra_positionals_are_rejected() {
+        assert_eq!(
+            args(&["0.5", "unexpected"]).unwrap_err(),
+            r#"unexpected argument "unexpected""#
+        );
     }
 }

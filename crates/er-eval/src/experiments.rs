@@ -332,14 +332,12 @@ pub fn run_fig12(config: &ExperimentConfig) -> Vec<SensitivityPoint> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScalabilityPoint {
     /// Which stage is being measured (`"rule_generation"`, `"risk_training"`
-    /// or `"engine_scoring[tN]"` for the serving engine at N threads).
+    /// or `"risk_training[tN]"` for the optimization alone at N threads).
     pub stage: String,
     /// Number of training pairs.
     pub training_size: usize,
     /// Wall-clock runtime in seconds.
     pub runtime_secs: f64,
-    /// Scored pairs per second (serving stages only).
-    pub throughput_pairs_per_sec: Option<f64>,
 }
 
 /// Classifier-output probabilities of a synthetic classifier with the given
@@ -363,12 +361,9 @@ pub fn synthetic_classifier_probs<R: Rng + ?Sized>(labels: &[er_base::Label], ac
         .collect()
 }
 
-/// Reproduces Figure 13, extended with the serving engine: runtime of rule
-/// generation and of risk-model training as a function of the training-data
-/// size on DS-style workloads, plus the `er-serve` engine's batched-scoring
-/// throughput on the same pairs at each requested thread count — so the
-/// paper's offline scalability and the serving-path scalability land in one
-/// table.
+/// Reproduces Figure 13: runtime of rule generation and of risk-model
+/// training as a function of the training-data size on DS-style workloads,
+/// plus the optimization alone at each requested thread count.
 pub fn run_fig13(config: &ExperimentConfig, sizes: &[usize], threads: &[usize]) -> Vec<ScalabilityPoint> {
     let mut out = Vec::new();
     let max_size = sizes.iter().copied().max().unwrap_or(2000);
@@ -392,7 +387,6 @@ pub fn run_fig13(config: &ExperimentConfig, sizes: &[usize], threads: &[usize]) 
             stage: "rule_generation".into(),
             training_size: n,
             runtime_secs: start.elapsed().as_secs_f64(),
-            throughput_pairs_per_sec: None,
         });
 
         // Risk-training runtime (feature construction + optimization), using
@@ -412,15 +406,14 @@ pub fn run_fig13(config: &ExperimentConfig, sizes: &[usize], threads: &[usize]) 
         let start = Instant::now();
         let inputs = crate::pipeline::build_inputs_from_labeled(&evaluator, &model.features, &labeled);
         let input_secs = start.elapsed().as_secs_f64();
-        let mut trained = model.clone();
+        let mut m = model.clone();
         let start = Instant::now();
-        learnrisk_core::train_with_threads(&mut trained, &inputs, &train_config, 1);
+        learnrisk_core::train_with_threads(&mut m, &inputs, &train_config, 1);
         let single_thread_secs = start.elapsed().as_secs_f64();
         out.push(ScalabilityPoint {
             stage: "risk_training".into(),
             training_size: n,
             runtime_secs: input_secs + single_thread_secs,
-            throughput_pairs_per_sec: None,
         });
 
         // Factorized-trainer thread scaling: optimization only (inputs are
@@ -441,37 +434,6 @@ pub fn run_fig13(config: &ExperimentConfig, sizes: &[usize], threads: &[usize]) 
                 stage: format!("risk_training[t{t}]"),
                 training_size: n,
                 runtime_secs,
-                throughput_pairs_per_sec: None,
-            });
-        }
-        let model = trained;
-
-        // Serving-path scalability: batched scoring of the same pairs through
-        // the compiled engine, per requested thread count. The batch is
-        // replayed enough times that even the smallest sizes measure more
-        // than scheduler noise; caching is disabled so the number is pure
-        // scoring throughput.
-        let requests = crate::serving::requests_from_rows(rows, &probs);
-        let engine = er_serve::ScoringEngine::new(model.clone());
-        let reps = (8_000 / n.max(1)).clamp(1, 40);
-        for &t in threads {
-            let executor = er_serve::ShardedExecutor::new(
-                engine.clone(),
-                er_serve::ServeConfig {
-                    threads: t.max(1),
-                    cache_capacity: 0,
-                },
-            );
-            let start = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(executor.score_batch(&requests));
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            out.push(ScalabilityPoint {
-                stage: format!("engine_scoring[t{t}]"),
-                training_size: n,
-                runtime_secs: elapsed / reps as f64,
-                throughput_pairs_per_sec: Some((n * reps) as f64 / elapsed.max(1e-12)),
             });
         }
     }
@@ -551,8 +513,8 @@ mod tests {
     fn fig13_runtimes_are_measured() {
         let points = run_fig13(&ExperimentConfig::tiny(), &[200, 400], &[1, 2]);
         // Two sizes × (rule_generation + risk_training + two per-thread
-        // training stages + two serving stages).
-        assert_eq!(points.len(), 12);
+        // training stages).
+        assert_eq!(points.len(), 8);
         assert!(points.iter().all(|p| p.runtime_secs >= 0.0));
         assert!(points.iter().any(|p| p.stage == "rule_generation"));
         assert!(points.iter().any(|p| p.stage == "risk_training"));
@@ -561,21 +523,5 @@ mod tests {
             .filter(|p| p.stage.starts_with("risk_training[t"))
             .collect();
         assert_eq!(training.len(), 4, "one training stage per size per thread count");
-        let serving: Vec<_> = points
-            .iter()
-            .filter(|p| p.stage.starts_with("engine_scoring"))
-            .collect();
-        assert_eq!(serving.len(), 4);
-        for p in &serving {
-            let tp = p.throughput_pairs_per_sec.expect("serving stages report throughput");
-            assert!(tp > 0.0, "{} throughput {tp}", p.stage);
-        }
-        assert!(
-            points
-                .iter()
-                .filter(|p| !p.stage.starts_with("engine_scoring"))
-                .all(|p| p.throughput_pairs_per_sec.is_none()),
-            "offline stages carry no throughput"
-        );
     }
 }

@@ -32,6 +32,4 @@ pub use pipeline::{
     PipelineArtifacts, PipelineConfig, PipelineResult,
 };
 pub use report::{render_active_learning, render_auroc_table, render_scalability, render_sensitivity, render_table2};
-pub use serving::{
-    build_score_requests, export_and_load_engine, requests_from_rows, round_trip_engine, verify_round_trip,
-};
+pub use serving::{build_score_requests, export_and_load_engine, round_trip_engine, verify_round_trip};

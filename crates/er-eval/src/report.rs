@@ -85,26 +85,13 @@ pub fn render_sensitivity(points: &[SensitivityPoint]) -> String {
     s
 }
 
-/// Renders the Figure 13 scalability points (offline stages plus the serving
-/// engine's batched-scoring throughput).
+/// Renders the Figure 13 scalability points.
 pub fn render_scalability(points: &[ScalabilityPoint]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Figure 13 — runtime vs training-data size");
-    let _ = writeln!(
-        s,
-        "{:<20} {:>10} {:>12} {:>14}",
-        "Stage", "Size", "Runtime (s)", "Pairs/s"
-    );
+    let _ = writeln!(s, "{:<20} {:>10} {:>12}", "Stage", "Size", "Runtime (s)");
     for p in points {
-        let throughput = match p.throughput_pairs_per_sec {
-            Some(tp) => format!("{tp:>14.0}"),
-            None => format!("{:>14}", "-"),
-        };
-        let _ = writeln!(
-            s,
-            "{:<20} {:>10} {:>12.3} {throughput}",
-            p.stage, p.training_size, p.runtime_secs
-        );
+        let _ = writeln!(s, "{:<20} {:>10} {:>12.3}", p.stage, p.training_size, p.runtime_secs);
     }
     s
 }
@@ -195,20 +182,17 @@ mod tests {
                 stage: "rule_generation".into(),
                 training_size: 2000,
                 runtime_secs: 1.5,
-                throughput_pairs_per_sec: None,
             },
             ScalabilityPoint {
-                stage: "engine_scoring[t4]".into(),
+                stage: "risk_training[t2]".into(),
                 training_size: 2000,
                 runtime_secs: 0.004,
-                throughput_pairs_per_sec: Some(500_000.0),
             },
         ]);
         assert!(scal.contains("rule_generation"));
         assert!(scal.contains("2000"));
-        assert!(scal.contains("engine_scoring[t4]"));
-        assert!(scal.contains("500000"));
-        assert!(scal.contains(" -\n"), "offline stages render a dash for throughput");
+        assert!(scal.contains("risk_training[t2]"));
+        assert!(scal.contains("0.004"));
     }
 
     #[test]

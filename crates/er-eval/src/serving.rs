@@ -39,22 +39,6 @@ pub fn build_score_requests(evaluator: &MetricEvaluator, matcher: &ErMatcher, pa
         .collect()
 }
 
-/// Builds serving requests from pre-computed metric rows and classifier
-/// outputs (used when the rows already exist, e.g. inside experiments).
-pub fn requests_from_rows(rows: &[Vec<f64>], probs: &[f64]) -> Vec<ScoreRequest> {
-    assert_eq!(rows.len(), probs.len(), "one probability per metric row");
-    rows.iter()
-        .zip(probs)
-        .enumerate()
-        .map(|(i, (metric_row, &p))| ScoreRequest {
-            pair_id: i as u64,
-            metric_row: metric_row.clone(),
-            classifier_output: p,
-            machine_says_match: p >= 0.5,
-        })
-        .collect()
-}
-
 /// Exports the pipeline's trained risk model to `path`, loads it back and
 /// compiles a serving engine from the *loaded* state — the full persistence
 /// round trip a deployment performs.
@@ -212,17 +196,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn requests_from_rows_aligns_ids_and_decisions() {
-        let rows = vec![vec![0.1, 0.9], vec![0.8, 0.2]];
-        let probs = vec![0.3, 0.7];
-        let reqs = requests_from_rows(&rows, &probs);
-        assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0].pair_id, 0);
-        assert!(!reqs[0].machine_says_match);
-        assert!(reqs[1].machine_says_match);
-        assert_eq!(reqs[1].metric_row, vec![0.8, 0.2]);
     }
 }

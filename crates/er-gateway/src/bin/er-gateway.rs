@@ -16,9 +16,11 @@
 //! *index* (repeatable) naming which backends hold candidate artifacts
 //! during a canary; without it `/reload` refuses and the gateway is a plain
 //! router. A flag without a value, or with one that does not parse, exits
-//! with the usage and status 2.
+//! with the usage and status 2; a `--baseline` that does not load as a model
+//! artifact exits with status 1 before binding.
 
 use er_gateway::{CanaryConfig, GatewayConfig, GatewayServer};
+use er_serve::ModelArtifact;
 use std::io::Write;
 use std::str::FromStr;
 use std::time::Duration;
@@ -109,6 +111,12 @@ fn parse_config() -> GatewayConfig {
 
 fn main() {
     let config = parse_config();
+    // Rollbacks are the only readers of the baseline, so one that cannot be
+    // loaded is refused here rather than at the first rollback.
+    if let Err(e) = ModelArtifact::load(&config.baseline_artifact) {
+        eprintln!("er-gateway: cannot start: baseline {}: {e}", config.baseline_artifact);
+        std::process::exit(1);
+    }
     let backends = config.backends.len();
     let server = match GatewayServer::start(config) {
         Ok(server) => server,

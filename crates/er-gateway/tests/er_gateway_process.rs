@@ -292,31 +292,36 @@ fn a_spawned_gateway_boots_healthy_and_frames_with_the_shared_codec() {
     assert_eq!(http10.header("connection"), Some("close"));
 }
 
+/// Runs `er-gateway` with `args` until it exits, killing it after 10 s: a
+/// run that started serving instead fails the caller's exit-code check.
+fn run_to_exit<S: AsRef<std::ffi::OsStr>>(args: impl IntoIterator<Item = S>) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_er-gateway"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn er-gateway");
+    let started = std::time::Instant::now();
+    while child.try_wait().expect("poll er-gateway").is_none() && started.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = child.kill();
+    child.wait_with_output().expect("er-gateway output")
+}
+
 #[test]
 fn a_spawned_gateway_exits_with_its_usage_on_a_bad_flag() {
-    // The gateway starts even on a baseline that does not exist, so a flag
-    // that parsed would serve: such a run is killed after 10 s and fails.
+    // Flags parse before the baseline is loaded, so each bad flag exits 2
+    // even though this baseline does not exist.
     let baseline = std::env::temp_dir().join("er-gateway-process-flags-missing.json");
+    let baseline = baseline.to_str().expect("UTF-8 temp dir");
     for bad in [
         &["--threads", "x"][..],
         &["--hedge-after-ms", "3O"],
         &["--vnodes", "-1"],
         &["--listen"],
     ] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_er-gateway"))
-            .args(["--backend", "127.0.0.1:9", "--baseline"])
-            .arg(&baseline)
-            .args(bad)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn er-gateway");
-        let started = std::time::Instant::now();
-        while child.try_wait().expect("poll er-gateway").is_none() && started.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let _ = child.kill();
-        let output = child.wait_with_output().expect("er-gateway output");
+        let output = run_to_exit(["--backend", "127.0.0.1:9", "--baseline", baseline].iter().chain(bad));
         let stdout = String::from_utf8_lossy(&output.stdout);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{bad:?}: {stderr}");
@@ -324,6 +329,26 @@ fn a_spawned_gateway_exits_with_its_usage_on_a_bad_flag() {
         assert!(
             stderr.contains(bad[0]) && stderr.contains("usage:"),
             "{bad:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_spawned_gateway_refuses_a_baseline_it_cannot_load() {
+    let scratch = Baseline::new("unloadable");
+    let missing = scratch.0.join("missing.json");
+    let not_an_artifact = scratch.0.join("not-an-artifact.json");
+    std::fs::write(&not_an_artifact, "{\"hello\": 1}").expect("write file");
+    for path in [missing, not_an_artifact] {
+        let path = path.to_str().expect("UTF-8 temp dir");
+        let output = run_to_exit(["--backend", "127.0.0.1:9", "--baseline", path]);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{path}: {stderr}");
+        assert!(!stdout.contains("LISTENING"), "{path}: {stdout}");
+        assert!(
+            stderr.contains(&format!("er-gateway: cannot start: baseline {path}: ")),
+            "{path}: {stderr}"
         );
     }
 }

@@ -262,6 +262,14 @@ fn label_key(labels: &[(&'static str, &str)]) -> LabelPairs {
     labels.iter().map(|(n, v)| (*n, v.to_string())).collect()
 }
 
+/// The child of `children` whose label set equals `labels`.
+fn find<'m, S>(children: &'m BTreeMap<LabelPairs, Arc<S>>, labels: &[(&'static str, &str)]) -> Option<&'m Arc<S>> {
+    children
+        .iter()
+        .find(|(key, _)| key.iter().map(|(n, v)| (*n, v.as_str())).eq(labels.iter().copied()))
+        .map(|(_, child)| child)
+}
+
 /// How many artifact versions keep series of their own in the
 /// `version`-labelled families: the serving one and the one it replaced.
 pub const KEPT_VERSIONS: u64 = 2;
@@ -299,23 +307,28 @@ impl<S: Series> Family<S> {
         self.children.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The child for this label set, created on first use.
+    /// The child for this label set, created on first use. An existing
+    /// child is found by comparing the borrowed labels (a family holds a
+    /// handful of series), so only an insert builds an owned key.
     pub fn with(&self, labels: &[(&'static str, &str)]) -> Arc<S> {
         let mut children = self.children();
-        Arc::clone(
-            children
+        let child = match find(&children, labels) {
+            Some(child) => child,
+            None => children
                 .entry(label_key(labels))
                 .or_insert_with(|| Arc::new(S::make(&self.spec))),
-        )
+        };
+        Arc::clone(child)
     }
 
     /// Makes `child` the child for this label set unless it has one: the
     /// family then exposes a series owned elsewhere, which counts on and
     /// cannot retire while its owner holds it.
     pub fn adopt(&self, labels: &[(&'static str, &str)], child: &Arc<S>) {
-        self.children()
-            .entry(label_key(labels))
-            .or_insert_with(|| Arc::clone(child));
+        let mut children = self.children();
+        if find(&children, labels).is_none() {
+            children.insert(label_key(labels), Arc::clone(child));
+        }
     }
 
     /// Takes out every child whose `version` label names a version below

@@ -77,7 +77,7 @@ const ARRAY_PAIRS: u64 = 32;
 /// What tracing may add per request.
 const TRACING_ALLOCS: u64 = 5;
 /// Allocations per `GET /metrics` scrape of a server that has scored.
-const SCRAPE_ALLOCS: u64 = 27;
+const SCRAPE_ALLOCS: u64 = 10;
 
 const WARM_UP: u64 = 600;
 const MEASURED: u64 = 1_000;

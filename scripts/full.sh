@@ -11,10 +11,7 @@ cd "$(dirname "$0")/.."
 # the paper's dataset sizes (runtime grows roughly quadratically in scale).
 SCALE="${FULL_SCALE:-0.05}"
 OUT=out/full
-BINARIES=(table2 fig9 fig10 fig11 fig12 fig13 fig14 ablation train_bench)
-
-export TRAIN_BENCH_JSON="$OUT/train_bench.json"
-export FIG13_JSON="$OUT/fig13.json"
+BINARIES=(table2 fig9 fig10 fig11 fig12 fig13 fig14 ablation)
 
 echo "== full: release build =="
 cargo build --release --workspace

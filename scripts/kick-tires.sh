@@ -12,14 +12,10 @@ cd "$(dirname "$0")/.."
 # (non-empty splits, mislabeled pairs to rank, rules to generate).
 SCALE="${KICK_TIRES_SCALE:-0.012}"
 OUT=out/kick-tires
-BINARIES=(table2 fig9 fig10 fig11 fig12 fig13 fig14 ablation train_bench)
+BINARIES=(table2 fig9 fig10 fig11 fig12 fig13 fig14 ablation)
 
-# train_bench and fig13 also emit machine-readable results (the BENCH_*.json
-# perf trajectory); keep them at stable paths so future PRs can diff
-# training and scalability performance. The serving stack is attested by
-# the workspace tests (`cargo test --workspace`) and timed by perfbench.
-export TRAIN_BENCH_JSON=out/train_bench.json
-export FIG13_JSON=out/fig13.json
+# Timings are the Criterion benches' and perfbench's; the serving stack is
+# attested by the workspace tests (`cargo test --workspace`).
 
 echo "== kick-tires: release build =="
 cargo build --release -p er-bench
@@ -35,25 +31,6 @@ done
 
 echo "== kick-tires: outputs =="
 ls -l "$OUT"
-test -s "$TRAIN_BENCH_JSON" || { echo "missing $TRAIN_BENCH_JSON" >&2; exit 1; }
-test -s "$FIG13_JSON" || { echo "missing $FIG13_JSON" >&2; exit 1; }
-echo "train_bench JSON at $TRAIN_BENCH_JSON"
-echo "fig13 JSON at $FIG13_JSON"
-
-# Every leaf train_bench and fig13 gate is typed (see er_bench::gate), so
-# bench_diff against the committed baseline catches a shrunk series or a
-# missing file: an attestation failure (exit 3) or a setup error (2) fails
-# this tier. A perf regression (1) only warns — dev hardware legitimately
-# differs from the baseline machine, and the CI perf-gate job runs the same
-# diff fatally.
-echo "== kick-tires: bench_diff vs out/baseline =="
-DIFF_STATUS=0
-./target/release/bench_diff || DIFF_STATUS=$?
-case $DIFF_STATUS in
-    0) ;;
-    1) echo "kick-tires: WARNING — bench_diff reported perf regressions; CI perf-gate will fail" ;;
-    *) echo "bench_diff failed with exit $DIFF_STATUS (3 = attestation failed, 2 = setup error)" >&2; exit 1 ;;
-esac
 
 scripts/lint-hot-paths.sh
 
