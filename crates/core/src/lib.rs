@@ -18,9 +18,11 @@
 //! * [`mod@train`] — pairwise learning-to-rank training with analytic gradients
 //!   (Eq. 13–17), plus L1/L2 regularization.  The trainer's hot path is
 //!   *lambda-factorized*: one forward and one gradient model evaluation per
-//!   input per epoch (instead of four per ranking pair), allocation-free
-//!   after warm-up, parallelized with a bit-deterministic sharded reduction
-//!   ([`train::EpochScratch`]).
+//!   input per epoch (instead of four per ranking pair), parallelized with a
+//!   bit-deterministic sharded reduction ([`train::EpochScratch`]). On one
+//!   lane a warm epoch allocates nothing once the scratch has scored as many
+//!   inputs as the epoch touches; two lanes add the worker pool's per-task
+//!   boxes (`tests/epoch_allocations.rs` pins both).
 
 #![warn(missing_docs)]
 

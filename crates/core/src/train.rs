@@ -26,8 +26,10 @@
 //! The forward pass keeps each scored input's portfolio and its aggregate,
 //! and the gradient pass reads them: a portfolio is built and aggregated
 //! once per epoch, not once per pass.  [`EpochScratch`] implements the three
-//! passes with reusable buffers — after the first epoch the trainer performs
-//! no heap allocation — and parallelizes
+//! passes with reusable buffers — on one lane an epoch allocates only the
+//! portfolios of inputs beyond the most any earlier epoch touched, and two
+//! lanes add the worker pool's per-task boxes (14 per epoch) — and
+//! parallelizes
 //! the forward and gradient passes over a persistent [`er_pool::WorkerPool`]
 //! living in the scratch, so worker threads are spawned once per training
 //! run (not once per epoch pass, as the earlier `std::thread::scope`
@@ -101,7 +103,8 @@ pub fn flatten_params(model: &LearnRiskModel) -> Vec<f64> {
 }
 
 /// [`flatten_params`] into a caller-owned buffer (cleared first), so the
-/// per-epoch projection round trip allocates nothing after warm-up.
+/// per-epoch projection round trip allocates nothing once `out` has held
+/// the parameters.
 pub fn flatten_params_into(model: &LearnRiskModel, out: &mut Vec<f64>) {
     out.clear();
     out.reserve(model.param_count());
@@ -548,8 +551,9 @@ impl EpochScratch {
     /// One factorized epoch: forward pass + λ sweep + gradient pass +
     /// regularization.  Drop-in replacement for [`loss_and_gradient`] (the
     /// gradient lands in `grad`, the regularized loss is returned) that is
-    /// O(inputs + rank_pairs) instead of O(rank_pairs × features) and
-    /// allocation-free once the scratch has warmed up.
+    /// O(inputs + rank_pairs) instead of O(rank_pairs × features). On one
+    /// lane it allocates nothing once the scratch has scored as many inputs
+    /// as the rank pairs touch; on more, the worker pool boxes each task.
     pub fn factorized_loss_and_gradient(
         &mut self,
         model: &LearnRiskModel,

@@ -5,8 +5,8 @@
 //! benches for the performance-sensitive building blocks. The serving stack
 //! is attested by workspace tests and timed by `perfbench`.
 //!
-//! Binaries (run with
-//! `cargo run -p er-bench --release --bin <name> [scale] [--threads 1,2,4]`):
+//! Binaries (run with `cargo run -p er-bench --release --bin <name> [scale]`,
+//! and `fig13` also with `[--threads 1,2,4]`):
 //!
 //! | Binary       | Reproduces |
 //! |--------------|------------|
@@ -19,10 +19,11 @@
 //! | `fig14`      | Figure 14 — active learning |
 //! | `ablation`   | Design-choice ablations called out in DESIGN.md |
 //!
-//! All binaries share one argument parser ([`parse_args`]): an optional
-//! positional workload scale plus `--threads a,b,c` for `fig13`, the binary
-//! that exercises a multi-threaded path. A bad argument prints the usage and
-//! exits 2.
+//! All binaries share one argument parser: an optional positional workload
+//! scale ([`config_from_args`]), plus `--threads a,b,c` for `fig13`, the
+//! binary that exercises a multi-threaded path ([`parse_args`]). A bad
+//! argument, or a `--threads` given to a binary that would ignore it, prints
+//! the usage and exits 2.
 
 #![warn(missing_docs)]
 
@@ -45,21 +46,52 @@ pub struct BenchArgs {
 /// is named on stderr with the usage line, and the process exits 2, so a typo
 /// cannot silently run a long experiment at the wrong configuration.
 pub fn parse_args(default_scale: f64) -> BenchArgs {
+    parse_process_args(default_scale, Threads::Taken)
+}
+
+/// Parses the process arguments of a binary that takes only `[scale]`, as
+/// [`parse_args`] does; `--threads` is refused, since it would be ignored.
+pub fn config_from_args(default_scale: f64) -> ExperimentConfig {
+    parse_process_args(default_scale, Threads::Refused).config
+}
+
+/// Whether a binary takes `--threads`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Threads {
+    /// `[scale] [--threads a,b,c]` ([`parse_args`]).
+    Taken,
+    /// `[scale]` only ([`config_from_args`]).
+    Refused,
+}
+
+fn parse_process_args(default_scale: f64, threads: Threads) -> BenchArgs {
     let mut args = std::env::args();
     let bin = args.next().unwrap_or_default();
-    parse_args_from(args, default_scale).unwrap_or_else(|err| {
-        eprintln!("{err}\nusage: {bin} [scale] [--threads a,b,c]");
+    parse_args_from(args, default_scale, threads).unwrap_or_else(|err| {
+        let usage = match threads {
+            Threads::Taken => "[scale] [--threads a,b,c]",
+            Threads::Refused => "[scale]",
+        };
+        eprintln!("{err}\nusage: {bin} {usage}");
         std::process::exit(2)
     })
 }
 
-/// [`parse_args`] over an explicit argument list (testable form): the error
-/// names the argument that was refused.
-pub fn parse_args_from(args: impl IntoIterator<Item = String>, default_scale: f64) -> Result<BenchArgs, String> {
+/// [`parse_args`] (`Threads::Taken`) or [`config_from_args`]
+/// (`Threads::Refused`) over an explicit argument list (testable form): the
+/// error names the argument that was refused.
+pub fn parse_args_from(
+    args: impl IntoIterator<Item = String>,
+    default_scale: f64,
+    takes: Threads,
+) -> Result<BenchArgs, String> {
     let mut scale = None;
     let mut threads = default_thread_counts();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if takes == Threads::Refused && (arg == "--threads" || arg.starts_with("--threads=")) {
+            return Err(format!("unexpected argument {arg:?}: this binary takes no --threads"));
+        }
         if let Some(list) = arg
             .strip_prefix("--threads=")
             .map(str::to_owned)
@@ -79,12 +111,6 @@ pub fn parse_args_from(args: impl IntoIterator<Item = String>, default_scale: f6
         },
         threads,
     })
-}
-
-/// Parses only the workload scale from the process arguments (see
-/// [`parse_args`]).
-pub fn config_from_args(default_scale: f64) -> ExperimentConfig {
-    parse_args(default_scale).config
 }
 
 /// Default thread counts for the multi-threaded binaries: powers of two up to
@@ -149,7 +175,22 @@ mod tests {
     use super::*;
 
     fn args(list: &[&str]) -> Result<BenchArgs, String> {
-        parse_args_from(list.iter().map(|s| s.to_string()), 0.03)
+        parse_args_from(list.iter().map(|s| s.to_string()), 0.03, Threads::Taken)
+    }
+
+    fn scale_only(list: &[&str]) -> Result<BenchArgs, String> {
+        parse_args_from(list.iter().map(|s| s.to_string()), 0.03, Threads::Refused)
+    }
+
+    #[test]
+    fn a_scale_only_binary_takes_its_scale_and_refuses_threads() {
+        assert_eq!(scale_only(&[]).unwrap().config.scale, 0.03);
+        assert_eq!(scale_only(&["0.1"]).unwrap().config.scale, 0.1);
+        for list in [&["--threads", "1,2"][..], &["0.1", "--threads=4"], &["--threads"]] {
+            let err = scale_only(list).unwrap_err();
+            assert!(err.ends_with("this binary takes no --threads"), "{list:?}: {err}");
+        }
+        assert_eq!(scale_only(&["zoom"]).unwrap_err(), r#"bad scale "zoom""#);
     }
 
     #[test]

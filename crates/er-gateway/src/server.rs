@@ -542,9 +542,10 @@ impl Driver {
                 // The fan-out blocks on every canary backend's reload, so it
                 // runs on a worker that posts the reply back.
                 let (token, mailbox) = (conn.token().0, Arc::clone(&self.mailbox));
+                let body = conn.body().to_string();
                 let spawned = std::thread::Builder::new()
                     .name("gw-reload".to_string())
-                    .spawn(move || mailbox.post((token, handle_reload(&shared, &request.body))));
+                    .spawn(move || mailbox.post((token, handle_reload(&shared, &body))));
                 if spawned.is_ok() {
                     self.reloads.insert(token, rid);
                     return;
@@ -565,7 +566,7 @@ impl Driver {
     /// connection; a request that cannot be routed gets its reply back.
     fn start_exchange(&mut self, conn: &Conn<()>, request: Request, rid: &str) -> Option<Reply> {
         let config = &self.shared.config;
-        let Some(pair_id) = extract_pair_id(request.body.as_bytes()) else {
+        let Some(pair_id) = extract_pair_id(conn.body().as_bytes()) else {
             return Some(Reply::error(
                 400,
                 "body must be a score request (or batch) with a pair_id",
@@ -584,7 +585,7 @@ impl Driver {
         let mut exchange = Exchange {
             rid: rid.to_string(),
             client: request.client_id.unwrap_or_else(|| conn.peer().to_string()),
-            body: request.body,
+            body: conn.body().to_string(),
             pair_id,
             plan,
             budget,

@@ -7,12 +7,13 @@
 //! until the peer's EOF.
 //!
 //! The driver calls [`Conn::advance`] until it returns [`Step::Wait`] (then
-//! [`Conn::park`]) or [`Step::Close`]. On [`Step::Request`] it answers with
-//! [`Conn::respond`], at once or after parking the connection on its own
-//! work. [`Step::Sent`] hands back the ticket given to `respond` once the
-//! bytes left, so per-response bookkeeping commits after the flush. A
-//! connection whose [`Conn::deadline`] passed is re-driven, and `advance`
-//! applies the timer.
+//! [`Conn::park`], or [`Conn::hold`]) or [`Step::Close`]. On
+//! [`Step::Request`] it reads the body where it lies ([`Conn::body`]) and
+//! answers with [`Conn::respond`] or [`Conn::respond_with`], at once or
+//! after parking the connection on its own work. [`Step::Sent`] hands back
+//! the ticket given to `respond` once the bytes left, so per-response
+//! bookkeeping commits after the flush. A connection whose
+//! [`Conn::deadline`] passed is re-driven, and `advance` applies the timer.
 
 use crate::http::{self, Progress, StartLine};
 use crate::readiness::{Interest, Poller, Token};
@@ -22,6 +23,15 @@ use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// The most read-buffer capacity a connection keeps once a request is
+/// answered. A buffer grown past it for one large body is released, so idle
+/// keep-alive connections cannot each hold up to [`http::MAX_BODY_BYTES`].
+const KEPT_READ_CAPACITY: usize = 64 * 1024;
+
+/// The least free space a read offers the kernel while the length of the
+/// request is not yet known.
+const READ_CHUNK: usize = 4096;
 
 /// How long a connection that answered its last request with request bytes
 /// possibly unread keeps reading and discarding what its peer still sends,
@@ -46,14 +56,13 @@ pub struct Limits {
 }
 
 /// One parsed request: what routing needs, copied out of the read buffer.
+/// The body stays in the buffer ([`Conn::body`]).
 #[derive(Debug)]
 pub struct Request {
     /// The request method.
     pub method: String,
     /// The request target.
     pub path: String,
-    /// The body; every route takes JSON, so it must be UTF-8.
-    pub body: String,
     /// The connection closes after this response.
     pub close: bool,
     /// The `X-Client-Id` header, the rate limiter's preferred client key.
@@ -66,13 +75,14 @@ pub struct Request {
 
 impl Request {
     /// Copies out what routing needs; only the header values kept are
-    /// allocated.
+    /// allocated. Every route takes JSON, so the body must be UTF-8.
     fn new(request: &http::Request<'_>) -> Result<Self, http::Error> {
-        let body = std::str::from_utf8(request.body).map_err(|_| http::Error::new(400, "request body is not UTF-8"))?;
+        if std::str::from_utf8(request.body).is_err() {
+            return Err(http::Error::new(400, "request body is not UTF-8"));
+        }
         let mut parsed = Self {
             method: request.method.to_string(),
             path: request.target.to_string(),
-            body: body.to_string(),
             close: request.close,
             client_id: None,
             request_id: None,
@@ -119,8 +129,9 @@ pub enum Step<T> {
 
 enum State<T> {
     Reading,
-    /// A request is with the driver. The descriptor is deregistered, so a
-    /// pipelining client cannot spin the level-triggered poller.
+    /// A request is with the driver. The descriptor is deregistered once
+    /// parked ([`Conn::park`]), so a pipelining client cannot spin the
+    /// level-triggered poller.
     Awaiting,
     /// Draining `write_buf`; the ticket returns with [`Step::Sent`].
     Flushing(T),
@@ -144,7 +155,15 @@ pub struct Conn<T> {
     peer: String,
     limits: Limits,
     state: State<T>,
+    /// Received bytes are `read_buf[..filled]`; the rest is initialized
+    /// room for the next read.
     read_buf: Vec<u8>,
+    filled: usize,
+    /// The length of the request with the driver, at the front of
+    /// `read_buf`; dropped from the buffer when it is answered.
+    taken: usize,
+    /// Where that request's body lies in `read_buf`, checked to be UTF-8.
+    body: std::ops::Range<usize>,
     /// The peer half-closed its write side.
     eof: bool,
     /// Unsent bytes: an interim `100 Continue` while reading, then the
@@ -184,6 +203,9 @@ impl<T> Conn<T> {
             limits,
             state: State::Reading,
             read_buf: Vec::new(),
+            filled: 0,
+            taken: 0,
+            body: 0..0,
             eof: false,
             write_buf: Vec::new(),
             written: 0,
@@ -220,27 +242,64 @@ impl<T> Conn<T> {
         self.linger = true;
     }
 
-    /// Pulls what the kernel has for a reading connection, or discards it
-    /// for a lingering one, capped per pass so one firehose client cannot
-    /// monopolize the loop (the level-triggered poller re-reports the rest).
+    /// The body of the request with the driver (empty when there is none).
+    pub fn body(&self) -> &str {
+        let bytes = &self.read_buf[self.body.clone()];
+        // SAFETY: `parse` checked these bytes to be UTF-8 when it handed the
+        // request over, and `read_buf` changes only from `filled` on, past
+        // them, until `respond` drops the request and empties the range.
+        unsafe { std::str::from_utf8_unchecked(bytes) }
+    }
+
+    /// Pulls what the kernel has for a reading connection straight into
+    /// the read buffer, or discards it for a lingering one, capped per pass
+    /// so one firehose client cannot monopolize the loop (the
+    /// level-triggered poller re-reports the rest). A read that leaves room
+    /// in the buffer drained the socket, so it is the last of the pass.
     pub fn read(&mut self) {
-        let lingering = matches!(self.state, State::Lingering(_));
-        if !(lingering || matches!(self.state, State::Reading)) || self.eof {
+        if matches!(self.state, State::Lingering(_)) && !self.eof {
+            return self.discard_input();
+        }
+        if !matches!(self.state, State::Reading) || self.eof {
             return;
         }
         let cap = http::MAX_BODY_BYTES + http::MAX_HEAD_BYTES;
+        while self.filled < cap {
+            if self.filled == self.read_buf.len() {
+                // Once the head is in, make room for the whole request at
+                // once; until then, and past it, grow by a chunk.
+                let request = http::request_len(&self.read_buf[..self.filled]).unwrap_or(0);
+                let len = request.max(self.filled + READ_CHUNK).min(cap);
+                self.read_buf.resize(len, 0);
+            }
+            let room = self.read_buf.len() - self.filled;
+            match self.stream.read(&mut self.read_buf[self.filled..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    self.filled += n;
+                    self.read_deadline = self.limits.read_timeout.and_then(|t| Instant::now().checked_add(t));
+                    if n == room {
+                        continue;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(_) => self.state = State::Closed,
+            }
+            return;
+        }
+    }
+
+    /// Reads and drops what a lingering connection's peer still sends.
+    fn discard_input(&mut self) {
+        let cap = http::MAX_BODY_BYTES + http::MAX_HEAD_BYTES;
         let mut chunk = [0u8; 4096];
         let mut discarded = 0;
-        while self.read_buf.len() + discarded < cap {
+        while discarded < cap {
             match self.stream.read(&mut chunk) {
                 Ok(0) => self.eof = true,
-                Ok(n) if lingering => {
-                    discarded += n;
-                    continue;
-                }
                 Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    self.read_deadline = self.limits.read_timeout.and_then(|t| Instant::now().checked_add(t));
+                    discarded += n;
                     continue;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -277,13 +336,14 @@ impl<T> Conn<T> {
                     if delivered && !self.close_after_flush && self.expires.is_none_or(|at| now < at) {
                         self.read_deadline = self.limits.read_timeout.and_then(|t| now.checked_add(t));
                         self.state = State::Reading;
-                    } else if delivered && (self.linger || !self.read_buf.is_empty()) {
+                    } else if delivered && (self.linger || self.filled > 0) {
                         // The peer may still be sending (a refused request's
                         // body, a pipelined request): end the response with
                         // a FIN and drain, so the close does not reset it. A
                         // fully read exchange closes at once.
                         let _ = self.stream.shutdown(Shutdown::Write);
                         self.read_buf = Vec::new();
+                        self.filled = 0;
                         self.state = State::Lingering(now + LINGER);
                     }
                     Step::Sent(ticket, delivered)
@@ -293,15 +353,20 @@ impl<T> Conn<T> {
     }
 
     fn parse(&mut self) -> Step<T> {
-        let request = match http::parse_request(&self.read_buf, http::MAX_BODY_BYTES) {
+        let request = match http::parse_request(&self.read_buf[..self.filled], http::MAX_BODY_BYTES) {
             Ok(Progress::Complete(request, len)) => {
-                let request = Request::new(&request);
-                self.read_buf.drain(..len);
+                // The body ends the message.
+                self.body = len - request.body.len()..len;
+                self.taken = len;
                 self.continue_sent = false;
+                let request = Request::new(&request);
+                if request.is_err() {
+                    self.body = 0..0;
+                }
                 request
             }
             // Clean close: EOF between requests.
-            Ok(Progress::Partial { .. }) if self.eof && self.read_buf.is_empty() => return Step::Close,
+            Ok(Progress::Partial { .. }) if self.eof && self.filled == 0 => return Step::Close,
             Ok(Progress::Partial { .. }) if self.eof => Err(http::Error::new(400, "connection closed mid-request")),
             Ok(Progress::Partial { expect_continue }) => {
                 let now = Instant::now();
@@ -340,17 +405,44 @@ impl<T> Conn<T> {
         ticket: T,
         close: bool,
     ) {
+        self.respond_with(status, headers, |out| out.extend_from_slice(body), ticket, close);
+    }
+
+    /// [`Self::respond`] with a body that `write_body` encodes straight into
+    /// the write buffer. The request being answered leaves the read buffer.
+    pub fn respond_with<'h>(
+        &mut self,
+        status: u16,
+        headers: impl IntoIterator<Item = (&'h str, &'h str)>,
+        write_body: impl FnOnce(&mut Vec<u8>),
+        ticket: T,
+        close: bool,
+    ) {
         if close || self.expires.is_some_and(|at| Instant::now() >= at) {
             self.close_after_flush = true;
         }
+        self.drop_request();
         self.write_buf.drain(..self.written);
         self.written = 0;
         let close = self.close_after_flush.then_some(("Connection", "close"));
         let start = StartLine::Response(status);
-        http::write_message(&mut self.write_buf, start, headers.into_iter().chain(close), body);
+        http::write_message_with(&mut self.write_buf, start, headers.into_iter().chain(close), write_body);
         self.write_deadline = None;
         self.stall_until = None;
         self.state = State::Flushing(ticket);
+    }
+
+    /// Drops the answered request from the read buffer, keeping any
+    /// pipelined bytes behind it, and releases a buffer grown past
+    /// [`KEPT_READ_CAPACITY`] once nothing is left in it.
+    fn drop_request(&mut self) {
+        self.body = 0..0;
+        self.read_buf.copy_within(self.taken..self.filled, 0);
+        self.filled -= self.taken;
+        self.taken = 0;
+        if self.filled == 0 && self.read_buf.len() > KEPT_READ_CAPACITY {
+            self.read_buf = Vec::new();
+        }
     }
 
     /// Holds the queued response unsent until `until`, as if the client had
@@ -396,6 +488,17 @@ impl<T> Conn<T> {
             State::Awaiting | State::Closed => return None,
         };
         a.into_iter().chain(b).min()
+    }
+
+    /// [`Self::park`], except that a connection whose request is with the
+    /// driver keeps its registration: for a driver that usually answers
+    /// within the same readiness pass, and parks what it did not answer at
+    /// the end of the pass. That spares a deregistration and a
+    /// registration per request.
+    pub fn hold(&mut self, poller: &Poller) {
+        if !matches!(self.state, State::Awaiting) {
+            self.park(poller);
+        }
     }
 
     /// Registers the interest the connection's state needs.

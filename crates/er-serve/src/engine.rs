@@ -52,41 +52,103 @@ type Decoded<T> = Result<Result<T, String>, serde::Error>;
 /// - unknown keys are skipped but still validated, the first of duplicate
 ///   keys wins, and integer tokens are read into float fields (`-0` as
 ///   `+0.0`).
+///
+/// A thin wrapper over the decode of the serving loops, which keep the
+/// request lists and rows of answered bodies for the next ones.
 pub fn decode_score_body(body: &str) -> Result<Vec<ScoreRequest>, String> {
-    let mut reader = Reader::new(body);
-    // One scratch row for the whole body, each request's copied out at its
-    // exact length.
-    let mut row = Vec::new();
-    let decoded = decode_requests(&mut reader, &mut row);
-    match decoded.and_then(|requests| reader.finish().map(|()| requests)) {
-        Ok(requests) => requests,
-        Err(syntax) => Err(format!("malformed JSON body: {syntax}")),
+    RequestPool::default().decode(body)
+}
+
+/// Answered request lists kept by a `/score` decoder for the next bodies:
+/// the lists (emptied) and their metric rows, plus the row being read. A
+/// warm pool decodes a body of no more requests than it has rows kept
+/// without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct RequestPool {
+    lists: Vec<Vec<ScoreRequest>>,
+    rows: Vec<Vec<f64>>,
+    row: Vec<f64>,
+}
+
+/// The most emptied request lists a [`RequestPool`] keeps.
+const KEPT_LISTS: usize = 64;
+/// The most metric rows a [`RequestPool`] keeps: a few full batches' worth.
+const KEPT_ROWS: usize = 512;
+
+impl RequestPool {
+    /// [`decode_score_body`] into a kept list and kept rows. Each row is
+    /// read into the pool's scratch row, then copied into a kept row (or,
+    /// with none left, one of its exact length).
+    pub(crate) fn decode(&mut self, body: &str) -> Result<Vec<ScoreRequest>, String> {
+        let mut requests = self.lists.pop().unwrap_or_default();
+        let mut reader = Reader::new(body);
+        let decoded = self.decode_requests(&mut reader, &mut requests);
+        let failure = match decoded.and_then(|decoded| reader.finish().map(|()| decoded)) {
+            Ok(Ok(())) => return Ok(requests),
+            Ok(Err(failure)) => failure,
+            Err(syntax) => format!("malformed JSON body: {syntax}"),
+        };
+        self.recycle(requests);
+        Err(failure)
+    }
+
+    /// Takes back a list whose requests were answered, within
+    /// [`KEPT_LISTS`] and [`KEPT_ROWS`].
+    pub(crate) fn recycle(&mut self, mut requests: Vec<ScoreRequest>) {
+        self.reclaim(&mut requests);
+        if self.lists.len() < KEPT_LISTS {
+            self.lists.push(requests);
+        }
+    }
+
+    /// Takes back the rows of answered requests, within [`KEPT_ROWS`],
+    /// leaving `requests` empty.
+    pub(crate) fn reclaim(&mut self, requests: &mut Vec<ScoreRequest>) {
+        let room = KEPT_ROWS.saturating_sub(self.rows.len());
+        self.rows
+            .extend(requests.drain(..).map(|request| request.metric_row).take(room));
+    }
+
+    fn decode_requests(&mut self, reader: &mut Reader<'_>, requests: &mut Vec<ScoreRequest>) -> Decoded<()> {
+        if reader.peek() == Some(b'{') {
+            return Ok(self.decode_request(reader)?.map(|request| requests.push(request)));
+        }
+        if let Err(kind) = reader.enter_seq()? {
+            return Ok(Err(format!("expected a request object or array, found {kind}")));
+        }
+        let mut failure = None;
+        while reader.next_element()? {
+            if failure.is_some() {
+                reader.skip()?;
+                continue;
+            }
+            match self.decode_request(reader)? {
+                Ok(request) => requests.push(request),
+                Err(e) => failure = Some(format!("[{}]: {e}", requests.len())),
+            }
+        }
+        Ok(failure.map_or(Ok(()), Err))
+    }
+
+    fn decode_request(&mut self, reader: &mut Reader<'_>) -> Decoded<ScoreRequest> {
+        let request = decode_fields(reader, &mut self.row)?;
+        Ok(request.map(|(pair_id, classifier_output, machine_says_match)| {
+            let mut metric_row = self.rows.pop().unwrap_or_default();
+            metric_row.clear();
+            metric_row.extend_from_slice(&self.row);
+            ScoreRequest {
+                pair_id,
+                metric_row,
+                classifier_output,
+                machine_says_match,
+            }
+        }))
     }
 }
 
-fn decode_requests(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<Vec<ScoreRequest>> {
-    if reader.peek() == Some(b'{') {
-        return Ok(decode_request(reader, row)?.map(|request| vec![request]));
-    }
-    if let Err(kind) = reader.enter_seq()? {
-        return Ok(Err(format!("expected a request object or array, found {kind}")));
-    }
-    let mut requests = Vec::new();
-    let mut failure = None;
-    while reader.next_element()? {
-        if failure.is_some() {
-            reader.skip()?;
-            continue;
-        }
-        match decode_request(reader, row)? {
-            Ok(request) => requests.push(request),
-            Err(e) => failure = Some(format!("[{}]: {e}", requests.len())),
-        }
-    }
-    Ok(failure.map_or(Ok(requests), Err))
-}
-
-fn decode_request(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<ScoreRequest> {
+/// Reads one request object, its metric row into `row`: the other fields
+/// on success.
+fn decode_fields(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<(u64, f64, bool)> {
     if let Err(kind) = reader.enter_map()? {
         return Ok(Err(format!("expected map for struct ScoreRequest, found {kind}")));
     }
@@ -107,15 +169,17 @@ fn decode_request(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<ScoreR
             }
         }
     }
-    // Struct fields evaluate in source order: the first failing field in
-    // declaration order names the error.
+    // The first failing field in declaration order names the error, as
+    // the derived `Deserialize` evaluates them.
     Ok((|| {
-        Ok(ScoreRequest {
-            pair_id: field(pair_id, "pair_id")?,
-            metric_row: field(metric_row, "metric_row")?,
-            classifier_output: field(classifier_output, "classifier_output")?,
-            machine_says_match: field(machine_says_match, "machine_says_match")?,
-        })
+        let pair_id = field(pair_id, "pair_id")?;
+        field(metric_row, "metric_row")?;
+        let classifier_output = field(classifier_output, "classifier_output")?;
+        Ok((
+            pair_id,
+            classifier_output,
+            field(machine_says_match, "machine_says_match")?,
+        ))
     })())
 }
 
@@ -127,13 +191,22 @@ fn field<T>(slot: Option<Result<T, String>>, key: &str) -> Result<T, String> {
     }
 }
 
-fn decode_row(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<Vec<f64>> {
+/// Reads a metric row into `row`.
+fn decode_row(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<()> {
     if let Err(kind) = reader.enter_seq()? {
         return Ok(Err(format!("expected sequence, found {kind}")));
     }
     row.clear();
     let mut failure = None;
-    while reader.next_element()? {
+    loop {
+        // Plain numbers in compact JSON, as rows are sent, take the tight
+        // loop; anything else the element-by-element path below.
+        if failure.is_none() {
+            reader.f64_run(row)?;
+        }
+        if !reader.next_element()? {
+            break;
+        }
         if failure.is_some() {
             reader.skip()?;
             continue;
@@ -143,7 +216,7 @@ fn decode_row(reader: &mut Reader<'_>, row: &mut Vec<f64>) -> Decoded<Vec<f64>> 
             Err(kind) => failure = Some(format!("[{}]: expected number, found {kind}", row.len())),
         }
     }
-    Ok(failure.map_or_else(|| Ok(row.to_vec()), Err))
+    Ok(failure.map_or(Ok(()), Err))
 }
 
 /// Encodes the `{"model_version":v,"scores":[..]}` body of a successful
@@ -153,18 +226,36 @@ pub fn encode_score_response(model_version: u64, scores: &[f64]) -> String {
     // `{"model_version":` + 20 digits + `,"scores":[]}`, then at most 24
     // bytes per score and its comma.
     let mut body = String::with_capacity(64 + 25 * scores.len());
-    body.push_str("{\"model_version\":");
-    // Writing into a `String` cannot fail.
-    let _ = write!(body, "{model_version}");
-    body.push_str(",\"scores\":[");
+    write_score_response(&mut body, model_version, scores);
+    body
+}
+
+/// Appends the [`encode_score_response`] body to a response being built in
+/// a byte buffer (the connection's write buffer).
+pub(crate) fn append_score_response(out: &mut Vec<u8>, model_version: u64, scores: &[f64]) {
+    write_score_response(&mut Utf8Bytes(out), model_version, scores);
+}
+
+fn write_score_response(out: &mut impl Write, model_version: u64, scores: &[f64]) {
+    // Writing into a `String` or a `Vec` cannot fail.
+    let _ = write!(out, "{{\"model_version\":{model_version},\"scores\":[");
     for (i, &score) in scores.iter().enumerate() {
         if i > 0 {
-            body.push(',');
+            let _ = out.write_char(',');
         }
-        serde::json::write_float(&mut body, score);
+        serde::json::write_float(out, score);
     }
-    body.push_str("]}");
-    body
+    let _ = out.write_str("]}");
+}
+
+/// A byte buffer written as text: every byte appended is UTF-8.
+struct Utf8Bytes<'a>(&'a mut Vec<u8>);
+
+impl Write for Utf8Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Why a request could not be scored — the error the fallible serving path

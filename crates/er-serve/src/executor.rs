@@ -3,7 +3,8 @@
 //! [`ShardedExecutor::score_batch`] splits a batch into contiguous chunks
 //! of `max(ceil(len / threads), MIN_CHUNK_PAIRS)` requests and hands each to
 //! one supervised chunk runner, with its own [`EngineScratch`] and its own
-//! outcome slot. One chunk runs inline on the calling thread; more run on
+//! outcome slot. One chunk runs inline on the calling thread (with the
+//! caller's scratch, when a serving loop passes its own); more run on
 //! the lanes of a persistent [`er_pool::WorkerPool`] (threads
 //! are spawned once per executor — or once per
 //! [`crate::ReloadableExecutor`], which shares one pool across every
@@ -238,6 +239,19 @@ impl ShardedExecutor {
     /// never cached, so a rejected request does not poison later traffic for
     /// the same pair id.
     pub fn try_score_one(&self, request: &ScoreRequest, scratch: &mut EngineScratch) -> Result<f64, ScoreError> {
+        let mut tally = Tally::default();
+        let score = self.score_cached(request, scratch, &mut tally);
+        self.count(tally);
+        score
+    }
+
+    /// [`Self::try_score_one`], counting its cache hit or miss in `tally`.
+    fn score_cached(
+        &self,
+        request: &ScoreRequest,
+        scratch: &mut EngineScratch,
+        tally: &mut Tally,
+    ) -> Result<f64, ScoreError> {
         if self.config.cache_capacity == 0 {
             return self.engine.try_score_request(request, scratch);
         }
@@ -247,16 +261,25 @@ impl ShardedExecutor {
             .unwrap_or_else(|e| e.into_inner())
             .get(&request.pair_id)
         {
-            self.hits.inc();
+            tally.hits += 1;
             return Ok(score);
         }
         let score = self.engine.try_score_request(request, scratch)?;
-        self.misses.inc();
+        tally.misses += 1;
         self.shards[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(request.pair_id, score);
         Ok(score)
+    }
+
+    /// Adds a tally to the hit and miss counters.
+    fn count(&self, tally: Tally) {
+        for (counter, n) in [(&self.hits, tally.hits), (&self.misses, tally.misses)] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Scores a batch across up to `config.threads` chunks on the persistent
@@ -295,82 +318,86 @@ impl ShardedExecutor {
         fault: Option<&FaultPlan>,
         spans: Option<&mut SpanSet>,
     ) -> (Result<Vec<f64>, BatchScoreError>, u64) {
-        let mut scores = vec![0.0f64; requests.len()];
+        let mut scores = Vec::new();
+        let mut scratch = self.engine.scratch();
+        let (result, restarts) = self.try_score_batch_into(requests, &mut scores, &mut scratch, fault, spans);
+        (result.map(|()| scores), restarts)
+    }
+
+    /// [`Self::try_score_batch_spanned`] into `scores` (resized to the
+    /// batch), for a caller that keeps its buffers: a batch that scores in
+    /// one chunk scores on this thread with `scratch`, which must come from
+    /// this executor's engine; each pooled chunk makes its own. The cache's
+    /// hit and miss counters move once per chunk.
+    pub(crate) fn try_score_batch_into(
+        &self,
+        requests: &[ScoreRequest],
+        scores: &mut Vec<f64>,
+        scratch: &mut EngineScratch,
+        fault: Option<&FaultPlan>,
+        spans: Option<&mut SpanSet>,
+    ) -> (Result<(), BatchScoreError>, u64) {
+        scores.clear();
+        scores.resize(requests.len(), 0.0);
+        if requests.is_empty() {
+            return (Ok(()), 0);
+        }
         let chunk = chunk_len(requests.len(), self.config.threads);
+        if requests.len() <= chunk {
+            // One chunk (one thread, or a batch within the floor) scores on
+            // this thread.
+            let outcome = self.run_chunk(requests, scores, 0, fault, scratch);
+            return settle(&[Some(outcome)], spans);
+        }
         // One outcome slot per chunk, written by that chunk's runner alone.
         let mut outcomes: Vec<Option<ChunkOutcome>> = vec![None; requests.len().div_ceil(chunk)];
-        let inline = outcomes.len() <= 1;
         let chunks = requests
             .chunks(chunk)
             .zip(scores.chunks_mut(chunk))
             .zip(outcomes.iter_mut())
             .enumerate();
-        if inline {
-            // One chunk (one thread, or a batch within the floor) scores on
-            // this thread.
-            for (index, ((request_chunk, score_chunk), slot)) in chunks {
-                *slot = Some(self.run_chunk(request_chunk, score_chunk, index * chunk, fault));
-            }
-        } else {
-            // A restart that panics again is a real bug: the pool hands the
-            // panic back and it propagates to the caller's supervisor.
-            self.pool
-                .scope(|scope| {
-                    for (index, ((request_chunk, score_chunk), slot)) in chunks {
-                        scope.spawn(move || {
-                            *slot = Some(self.run_chunk(request_chunk, score_chunk, index * chunk, fault))
-                        });
-                    }
-                })
-                .propagate();
-        }
-        if let Some(spans) = spans {
-            for (shard, outcome) in outcomes.iter().flatten().enumerate() {
-                let (start, end) = outcome.score;
-                spans.record_shard(Stage::Score, shard as u32, start, end);
-                if let Some((start, end)) = outcome.recover {
-                    spans.record(Stage::Recover, start, end);
+        // A restart that panics again is a real bug: the pool hands the
+        // panic back and it propagates to the caller's supervisor.
+        self.pool
+            .scope(|scope| {
+                for (index, ((request_chunk, score_chunk), slot)) in chunks {
+                    scope.spawn(move || {
+                        let mut scratch = self.engine.scratch();
+                        *slot = Some(self.run_chunk(request_chunk, score_chunk, index * chunk, fault, &mut scratch))
+                    });
                 }
-            }
-        }
-        let restarts = outcomes
-            .iter()
-            .flatten()
-            .filter(|outcome| outcome.recover.is_some())
-            .count();
-        // Chunks are contiguous, so the first chunk in order that failed
-        // holds the batch's smallest failing index.
-        let result = match outcomes.iter().flatten().find_map(|outcome| outcome.result.err()) {
-            Some(error) => Err(error),
-            None => Ok(scores),
-        };
-        (result, restarts as u64)
+            })
+            .propagate();
+        settle(&outcomes, spans)
     }
 
     /// Scores one contiguous chunk of a batch (`base` = its first batch
     /// index) under supervision: the first attempt runs under
     /// `catch_unwind`, behind the `shard_worker_panic` fault point; if it
-    /// panics, the chunk is re-scored from scratch on the same thread. Scoring is pure, so the restart reproduces the
-    /// scores bit-exactly.
+    /// panics, the chunk is re-scored on the same thread with a fresh
+    /// scratch, which replaces `scratch`. Scoring is pure, so the restart
+    /// reproduces the scores bit-exactly.
     fn run_chunk(
         &self,
         requests: &[ScoreRequest],
         scores: &mut [f64],
         base: usize,
         fault: Option<&FaultPlan>,
+        scratch: &mut EngineScratch,
     ) -> ChunkOutcome {
         let start = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             if fault.is_some_and(|plan| plan.fires(FaultKind::ShardWorkerPanic)) {
                 panic!("injected {}", FaultKind::ShardWorkerPanic);
             }
-            self.score_range(requests, scores, base)
+            self.score_range(requests, scores, base, scratch)
         }));
         let score = (start, Instant::now());
         let (result, recover) = match attempt {
             Ok(result) => (result, None),
             Err(_) => {
-                let result = self.score_range(requests, scores, base);
+                *scratch = self.engine.scratch();
+                let result = self.score_range(requests, scores, base, scratch);
                 (result, Some((score.1, Instant::now())))
             }
         };
@@ -379,18 +406,63 @@ impl ShardedExecutor {
 
     /// Scores `requests` sequentially into `scores`, attributing errors
     /// against batch index `base`; stops at the first error.
-    fn score_range(&self, requests: &[ScoreRequest], scores: &mut [f64], base: usize) -> Result<(), BatchScoreError> {
-        let mut scratch = self.engine.scratch();
-        for (offset, (request, slot)) in requests.iter().zip(scores).enumerate() {
-            *slot = self
-                .try_score_one(request, &mut scratch)
-                .map_err(|error| BatchScoreError {
-                    request_index: base + offset,
-                    error,
-                })?;
-        }
-        Ok(())
+    fn score_range(
+        &self,
+        requests: &[ScoreRequest],
+        scores: &mut [f64],
+        base: usize,
+        scratch: &mut EngineScratch,
+    ) -> Result<(), BatchScoreError> {
+        let mut tally = Tally::default();
+        let result = requests
+            .iter()
+            .zip(scores)
+            .enumerate()
+            .try_for_each(|(offset, (request, slot))| {
+                *slot = self
+                    .score_cached(request, scratch, &mut tally)
+                    .map_err(|error| BatchScoreError {
+                        request_index: base + offset,
+                        error,
+                    })?;
+                Ok(())
+            });
+        self.count(tally);
+        result
     }
+}
+
+/// Cache hits and misses counted over a run of requests.
+#[derive(Default, Clone, Copy)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+}
+
+/// The result, spans and restart count of a batch from its chunks'
+/// outcomes, in chunk order.
+fn settle(outcomes: &[Option<ChunkOutcome>], spans: Option<&mut SpanSet>) -> (Result<(), BatchScoreError>, u64) {
+    if let Some(spans) = spans {
+        for (shard, outcome) in outcomes.iter().flatten().enumerate() {
+            let (start, end) = outcome.score;
+            spans.record_shard(Stage::Score, shard as u32, start, end);
+            if let Some((start, end)) = outcome.recover {
+                spans.record(Stage::Recover, start, end);
+            }
+        }
+    }
+    let restarts = outcomes
+        .iter()
+        .flatten()
+        .filter(|outcome| outcome.recover.is_some())
+        .count();
+    // Chunks are contiguous, so the first chunk in order that failed holds
+    // the batch's smallest failing index.
+    let result = match outcomes.iter().flatten().find_map(|outcome| outcome.result.err()) {
+        Some(error) => Err(error),
+        None => Ok(()),
+    };
+    (result, restarts as u64)
 }
 
 /// What one chunk's runner leaves in the chunk's own slot.

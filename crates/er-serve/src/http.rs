@@ -138,6 +138,16 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Progress<Request<'_>
     Ok(Progress::Complete(request, head.end))
 }
 
+/// The length of the request at the front of `buf`, head and body, once
+/// its head has arrived and frames a body within [`MAX_BODY_BYTES`]: how
+/// much buffer a reader needs for the whole message.
+pub fn request_len(buf: &[u8]) -> Option<usize> {
+    frame_head(buf, MAX_BODY_BYTES, "request")
+        .ok()
+        .flatten()
+        .map(|head| head.end)
+}
+
 /// Parses one response off the front of `buf`, refusing a body over
 /// `max_body` bytes.
 pub fn parse_response(buf: &[u8], max_body: usize) -> Result<Progress<Response>, Error> {
@@ -189,12 +199,39 @@ pub fn write_message<'h>(
     headers: impl IntoIterator<Item = (&'h str, &'h str)>,
     body: &[u8],
 ) {
+    write_head(out, start, headers, body.len());
+    out.extend_from_slice(body);
+}
+
+/// [`write_message`] with a body that `write_body` appends to `out` itself,
+/// so it is encoded in place rather than into a buffer of its own. The
+/// head, which needs the body's length, is written after it and rotated in
+/// front of it.
+pub fn write_message_with<'h>(
+    out: &mut Vec<u8>,
+    start: StartLine<'_>,
+    headers: impl IntoIterator<Item = (&'h str, &'h str)>,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) {
+    let at = out.len();
+    write_body(out);
+    let body_len = out.len() - at;
+    write_head(out, start, headers, body_len);
+    out[at..].rotate_left(body_len);
+}
+
+fn write_head<'h>(
+    out: &mut Vec<u8>,
+    start: StartLine<'_>,
+    headers: impl IntoIterator<Item = (&'h str, &'h str)>,
+    body_len: usize,
+) {
     // Formatting into a `Vec` cannot fail.
     let _ = match start {
         StartLine::Request { method, target } => write!(out, "{method} {target} HTTP/1.1\r\n"),
         StartLine::Response(status) => write!(out, "HTTP/1.1 {status} {}\r\n", status_reason(status)),
     };
-    let _ = write!(out, "Content-Length: {}\r\n", body.len());
+    let _ = write!(out, "Content-Length: {body_len}\r\n");
     for (name, value) in headers {
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(b": ");
@@ -202,7 +239,6 @@ pub fn write_message<'h>(
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
 }
 
 fn status_reason(status: u16) -> &'static str {
@@ -438,6 +474,26 @@ mod tests {
         let error = parse_response(raw, usize::MAX).expect_err("must not frame");
         assert_eq!(io::Error::from(error).kind(), io::ErrorKind::InvalidData);
         assert_eq!(parse_response(raw, 1 << 20).expect_err("413").status, 413);
+    }
+
+    #[test]
+    fn a_body_written_in_place_gives_the_bytes_of_a_buffered_one() {
+        let headers = [("Content-Type", "application/json"), ("X-Request-Id", "r1")];
+        let mut buffered = b"HTTP/1.1 100 Continue\r\n\r\n".to_vec();
+        let mut in_place = buffered.clone();
+        write_message(&mut buffered, StartLine::Response(200), headers, b"{\"scores\":[0.5]}");
+        write_message_with(&mut in_place, StartLine::Response(200), headers, |out| {
+            out.extend_from_slice(b"{\"scores\":[0.5]}")
+        });
+        assert_eq!(in_place, buffered);
+    }
+
+    #[test]
+    fn the_request_length_is_known_once_the_head_is() {
+        let raw = b"POST /score HTTP/1.1\r\nContent-Length: 12\r\n\r\n";
+        assert_eq!(request_len(&raw[..20]), None);
+        assert_eq!(request_len(raw), Some(raw.len() + 12));
+        assert_eq!(request_len(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n"), None);
     }
 
     #[test]

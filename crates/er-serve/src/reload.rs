@@ -311,7 +311,11 @@ impl ReloadableExecutor {
                 digest: crate::artifact::model_digest(&artifact.model),
                 executor: ShardedExecutor::with_pool(candidate, self.config, Arc::clone(&self.pool)),
             });
-            *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
+            let replaced = std::mem::replace(&mut *self.current.write().unwrap_or_else(|e| e.into_inner()), next);
+            // The write guard is gone with the statement: the replaced
+            // generation (its engine and cache shards, once no snapshot
+            // holds it) drops here, while every loop's `snapshot()` can read.
+            drop(replaced);
             stage(Stage::Swap, start);
             Ok(next_version)
         };

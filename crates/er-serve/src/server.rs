@@ -100,7 +100,7 @@
 //! stalls, and torn artifact reads to attest all of it.
 
 use crate::conn::{self, Conn, Limits, Request, Step};
-use crate::engine::{decode_score_body, encode_score_response, ScoreRequest};
+use crate::engine::{append_score_response, EngineScratch, RequestPool, ScoreRequest};
 use crate::executor::BatchScoreError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::http::{self, Progress, StartLine};
@@ -114,6 +114,7 @@ use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -180,8 +181,8 @@ impl Default for ServerConfig {
 /// How a job left scoring.
 enum JobOutcome {
     /// Scored through one executor snapshot (whose version the labels
-    /// carry) → 200.
-    Scored(Arc<VersionLabels>, Vec<f64>),
+    /// carry) → 200; the scores are this range of the loop's score buffer.
+    Scored(Arc<VersionLabels>, Range<usize>),
     /// Well-formed HTTP but unscorable content → 422.
     Unscorable(BatchScoreError),
     /// The batch this job rode in panicked; supervision isolated the blast
@@ -199,7 +200,11 @@ enum JobOutcome {
 struct Job {
     /// The token of the connection parked on the job.
     token: u64,
+    /// Moved out to be scored; the list returns to the loop's
+    /// [`RequestPool`] when the job is answered.
     requests: Vec<ScoreRequest>,
+    /// How many requests the job holds.
+    pairs: usize,
     meta: RequestMeta,
     /// The request's in-flight trace.
     trace: Option<ActiveTrace>,
@@ -247,18 +252,18 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Takes jobs from the head until `max_requests` requests have
-    /// accumulated (a job is never split, so one larger job may exceed it).
-    fn take_batch(&mut self, max_requests: usize) -> Vec<Job> {
-        let mut batch = Vec::new();
+    /// Moves jobs from the head into `batch` until `max_requests` requests
+    /// have accumulated (a job is never split, so one larger job may exceed
+    /// it).
+    fn take_batch(&mut self, max_requests: usize, batch: &mut Vec<Job>) {
         let mut total = 0usize;
+        let before = batch.len();
         while total < max_requests {
             let Some(job) = self.jobs.pop_front() else { break };
-            total += job.requests.len().max(1);
+            total += job.pairs.max(1);
             batch.push(job);
         }
-        self.queued.fetch_sub(batch.len(), Ordering::Relaxed);
-        batch
+        self.queued.fetch_sub(batch.len() - before, Ordering::Relaxed);
     }
 
     /// Takes the jobs admitted at or before `cutoff` — the reply
@@ -325,10 +330,14 @@ struct VersionLabels {
 impl VersionLabels {
     /// The 200 `/score` response carrying `scores` under this version, named
     /// in the body and the `X-Model-Version` header alike.
-    fn response(&self, scores: &[f64]) -> ResponseParts {
-        let mut parts = ResponseParts::json(200, encode_score_response(self.version, scores));
-        parts.model_version = Some(Arc::clone(&self.header));
-        parts
+    fn response<'s>(&self, scores: &'s [f64]) -> ResponseParts<'s> {
+        ResponseParts {
+            status: 200,
+            content_type: "application/json",
+            body: Body::Scores(self.version, scores),
+            headers: Vec::new(),
+            model_version: Some(Arc::clone(&self.header)),
+        }
     }
 }
 
@@ -481,6 +490,7 @@ impl ScoreServer {
                             lifetime: Some(shared.config.max_connection_lifetime),
                         },
                         conns: HashMap::new(),
+                        ready: Vec::new(),
                         reloads: HashMap::new(),
                         refused: HashSet::new(),
                         next_token: FIRST_CONN,
@@ -488,6 +498,14 @@ impl ScoreServer {
                         stalled: None,
                         labels: None,
                         score: ScoreHandles::default(),
+                        pool: RequestPool::default(),
+                        batch: Vec::new(),
+                        gathered: Vec::new(),
+                        scores: Vec::new(),
+                        scratch: {
+                            let snapshot = shared.executor.snapshot();
+                            (snapshot.version, snapshot.executor().engine().scratch())
+                        },
                         shared,
                     }
                     .run()
@@ -620,16 +638,24 @@ struct Outgoing {
 }
 
 /// A response computed by a route handler, not yet serialized to the wire.
-struct ResponseParts {
+struct ResponseParts<'s> {
     status: u16,
     content_type: &'static str,
-    body: String,
+    body: Body<'s>,
     headers: Vec<(&'static str, String)>,
     /// The `X-Model-Version` header value, shared per artifact version.
     model_version: Option<Arc<str>>,
 }
 
-impl ResponseParts {
+/// A response body: built text, or the scores of a 200 `/score`, encoded
+/// straight into the connection's write buffer.
+enum Body<'s> {
+    Text(String),
+    /// The model version and the scores.
+    Scores(u64, &'s [f64]),
+}
+
+impl ResponseParts<'_> {
     fn json(status: u16, body: String) -> Self {
         Self::with_headers(status, body, Vec::new())
     }
@@ -638,7 +664,7 @@ impl ResponseParts {
         Self {
             status,
             content_type: "application/json",
-            body,
+            body: Body::Text(body),
             headers,
             model_version: None,
         }
@@ -660,6 +686,8 @@ struct Driver {
     listener: Option<TcpListener>,
     limits: Limits,
     conns: HashMap<u64, Conn<Outgoing>>,
+    /// The connections a poll reported ready, kept between passes.
+    ready: Vec<u64>,
     /// Parked `/reload` requests, by connection token. Reloads carry no
     /// reply timeout.
     reloads: HashMap<u64, RequestMeta>,
@@ -674,6 +702,17 @@ struct Driver {
     /// Labels of the artifact version that scored last.
     labels: Option<Arc<VersionLabels>>,
     score: ScoreHandles,
+    /// What `/score` bodies decode into, recycled as jobs are answered.
+    pool: RequestPool,
+    /// The batch being scored, kept between batches.
+    batch: Vec<Job>,
+    /// A batch's requests, moved together to be scored in one call.
+    gathered: Vec<ScoreRequest>,
+    /// A batch's scores, in `gathered` order.
+    scores: Vec<f64>,
+    /// The scratch the loop scores with, for the engine of the version it
+    /// names.
+    scratch: (u64, EngineScratch),
 }
 
 impl Driver {
@@ -700,7 +739,7 @@ impl Driver {
                 std::thread::sleep(POLL_TICK);
             }
             let mut accept = false;
-            let mut ready: Vec<u64> = Vec::with_capacity(events.len());
+            let mut ready = std::mem::take(&mut self.ready);
             for event in events.iter() {
                 match event.token() {
                     LISTENER => accept = true,
@@ -711,12 +750,13 @@ impl Driver {
             if accept {
                 self.accept_ready();
             }
-            for token in ready {
+            for token in ready.drain(..) {
                 if let Some(mut conn) = self.conns.remove(&token) {
                     conn.read();
                     self.drive(conn);
                 }
             }
+            self.ready = ready;
             for message in self.lane().mailbox.take() {
                 match message {
                     Message::Conn(stream) => self.admit(stream, false),
@@ -725,6 +765,21 @@ impl Driver {
             }
             self.score_admitted();
             self.run_timers();
+            self.park_unanswered();
+        }
+    }
+
+    /// Parks every connection whose request outlasted the readiness pass
+    /// (a paused or stalled queue, a reload on its worker): [`Conn::hold`]
+    /// left them registered, and a pipelining client must not spin the
+    /// level-triggered poller while they wait.
+    fn park_unanswered(&mut self) {
+        let stalled = self.stalled.iter().flat_map(|(_, batch)| batch);
+        let jobs = self.queue.jobs.iter().chain(stalled).map(|job| &job.token);
+        for token in jobs.chain(self.reloads.keys()) {
+            if let Some(conn) = self.conns.get_mut(token) {
+                conn.park(&self.poller);
+            }
         }
     }
 
@@ -839,7 +894,7 @@ impl Driver {
                     // buffered is answered without a poll round.
                 }
                 Step::Wait => {
-                    conn.park(&self.poller);
+                    conn.hold(&self.poller);
                     self.conns.insert(conn.token().0, conn);
                     return;
                 }
@@ -875,9 +930,9 @@ impl Driver {
     fn queue_response(
         &self,
         conn: &mut Conn<Outgoing>,
-        parts: ResponseParts,
+        parts: ResponseParts<'_>,
         trace: Option<ActiveTrace>,
-        meta: Option<RequestMeta>,
+        mut meta: Option<RequestMeta>,
     ) {
         let route = meta.as_ref().map_or("unparsed", |m| m.route);
         let metrics = &self.shared.metrics;
@@ -891,19 +946,24 @@ impl Driver {
         }
         // Every response — including 4xx/5xx error bodies — echoes the
         // request id, so client retry logs, server logs and traces all
-        // correlate.
-        let rid = meta.as_ref().map(|m| m.rid.clone());
+        // correlate. The id moves out of `meta`: nothing after the flush
+        // reads it.
+        let rid = meta.as_mut().map(|m| std::mem::take(&mut m.rid));
         let request_id = rid.as_deref().map(|rid| ("X-Request-Id", rid));
         let extra = parts.headers.iter().map(|(name, value)| (*name, value.as_str()));
         let model_version = parts.model_version.as_deref().map(|v| ("X-Model-Version", v));
-        conn.respond(
+        let body = &parts.body;
+        conn.respond_with(
             parts.status,
             [("Content-Type", parts.content_type)]
                 .into_iter()
                 .chain(request_id)
                 .chain(extra)
                 .chain(model_version),
-            parts.body.as_bytes(),
+            |out| match *body {
+                Body::Text(ref text) => out.extend_from_slice(text.as_bytes()),
+                Body::Scores(version, scores) => append_score_response(out, version, scores),
+            },
             Outgoing {
                 status: parts.status,
                 trace,
@@ -964,7 +1024,7 @@ impl Driver {
         };
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/score") => self.dispatch_score(conn, &request, meta),
-            ("POST", "/reload") => self.dispatch_reload(conn, &request, meta),
+            ("POST", "/reload") => self.dispatch_reload(conn, meta),
             _ => {
                 let parts = inline_route(&self.shared, &request);
                 self.queue_response(conn, parts, None, Some(meta));
@@ -1002,7 +1062,7 @@ impl Driver {
             }
         }
         let parse_start = Instant::now();
-        let parsed = decode_score_body(&request.body);
+        let parsed = self.pool.decode(conn.body());
         if let Some(t) = trace.as_mut() {
             t.record(Stage::Parse, parse_start, Instant::now());
         }
@@ -1015,6 +1075,7 @@ impl Driver {
             }
         };
         if requests.is_empty() {
+            self.pool.recycle(requests);
             // Nothing to score, but the answer still names the version that
             // serves it, in the body and the header alike.
             let parts = self.version_labels(&shared.executor.snapshot()).response(&[]);
@@ -1028,12 +1089,14 @@ impl Driver {
             .deadline_ms
             .and_then(|ms| admitted.checked_add(Duration::from_millis(ms)));
         if shared.shutdown.load(Ordering::SeqCst) {
+            self.pool.recycle(requests);
             let parts = ResponseParts::json(503, error_body("server is draining", None));
             self.queue_response(conn, parts, trace, Some(meta));
             return;
         }
         let pushed = self.queue.push(Job {
             token: conn.token().0,
+            pairs: requests.len(),
             requests,
             meta,
             trace,
@@ -1041,6 +1104,7 @@ impl Driver {
             deadline,
         });
         if let Err(bounced) = pushed {
+            self.pool.recycle(bounced.requests);
             shared.metrics.rejected.with(&[("cause", "queue_full")]).inc();
             // Deliberately NO X-RateLimit-* headers here: queue-full means
             // the server is saturated (retry immediately), not that this
@@ -1054,8 +1118,8 @@ impl Driver {
         }
     }
 
-    fn dispatch_reload(&mut self, conn: &mut Conn<Outgoing>, request: &Request, meta: RequestMeta) {
-        let path = match serde::json::from_str::<ReloadRequest>(&request.body) {
+    fn dispatch_reload(&mut self, conn: &mut Conn<Outgoing>, meta: RequestMeta) {
+        let path = match serde::json::from_str::<ReloadRequest>(conn.body()) {
             Ok(reload) => reload.path,
             Err(e) => {
                 let parts = ResponseParts::json(
@@ -1137,9 +1201,11 @@ impl Driver {
             if paused || self.queue.jobs.is_empty() {
                 return;
             }
-            let batch = self.queue.take_batch(MAX_BATCH);
-            let batch = self.shed_expired(batch);
+            let mut batch = std::mem::take(&mut self.batch);
+            self.queue.take_batch(MAX_BATCH, &mut batch);
+            self.shed_expired(&mut batch);
             if batch.is_empty() {
+                self.batch = batch;
                 continue;
             }
             let fault = self.shared.config.fault_plan.as_deref();
@@ -1159,20 +1225,20 @@ impl Driver {
     /// Sheds the jobs whose deadline budget expired while they waited:
     /// scoring them would spend executor time on answers nobody is waiting
     /// for. A shed job still gets a response — a 504, never a severed
-    /// connection — so clients can tell "too late" from "lost". Returns the
-    /// live rest.
-    fn shed_expired(&mut self, batch: Vec<Job>) -> Vec<Job> {
+    /// connection — so clients can tell "too late" from "lost". Leaves the
+    /// live rest in `batch`.
+    fn shed_expired(&mut self, batch: &mut Vec<Job>) {
         let now = Instant::now();
         let expired = |job: &Job| job.deadline.is_some_and(|d| d <= now);
         if !batch.iter().any(expired) {
-            return batch;
+            return;
         }
-        let (expired, live): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(expired);
+        let (expired, live): (Vec<Job>, Vec<Job>) = std::mem::take(batch).into_iter().partition(expired);
+        *batch = live;
         for job in expired {
             self.shared.metrics.rejected.with(&[("cause", "deadline")]).inc();
             self.answer(job, JobOutcome::Expired);
         }
-        live
     }
 
     /// The labels of `generation`'s version, rebuilt only when the version
@@ -1201,27 +1267,27 @@ impl Driver {
 
     /// Scores one batch through one executor snapshot — so every response
     /// in it is attributable to exactly that artifact version, even
-    /// mid-reload — and answers each job on its connection.
-    fn score_batch(&mut self, batch: Vec<Job>) {
+    /// mid-reload — and answers each job on its connection. The jobs'
+    /// requests are moved into one list and scored in one call, into the
+    /// loop's score buffer with the loop's scratch; the emptied `batch`
+    /// is kept for the next one.
+    fn score_batch(&mut self, mut batch: Vec<Job>) {
         let shared = Arc::clone(&self.shared);
         let metrics = &shared.metrics;
         let snapshot = shared.executor.snapshot();
         let executor = snapshot.executor();
         let labels = self.version_labels(&snapshot);
-        let total: usize = batch.iter().map(|j| j.requests.len()).sum();
+        if self.scratch.0 != snapshot.version {
+            self.scratch = (snapshot.version, executor.engine().scratch());
+        }
+        let mut all = std::mem::take(&mut self.gathered);
+        for job in &mut batch {
+            all.append(&mut job.requests);
+        }
+        let total = all.len();
         metrics.batches.inc();
         metrics.batched_requests.add(total as u64);
         metrics.batch_size.observe(total as f64);
-        // A lone job is scored from its own request slice; only a
-        // coalesced batch is gathered into one.
-        let gathered: Vec<ScoreRequest>;
-        let all: &[ScoreRequest] = match batch.as_slice() {
-            [job] => &job.requests,
-            _ => {
-                gathered = batch.iter().flat_map(|j| j.requests.iter().cloned()).collect();
-                &gathered
-            }
-        };
         // Batch-level spans are recorded once and replayed into every
         // coalesced job's trace: all requests in the batch share the same
         // per-shard score spans.
@@ -1232,12 +1298,14 @@ impl Driver {
         // chunk supervision) is confined to this batch — every job in it
         // gets a deterministic 500 and the loop moves on to the next.
         let fault = shared.config.fault_plan.as_deref();
+        let (scores, scratch) = (&mut self.scores, &mut self.scratch.1);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             if fault.is_some_and(|plan| plan.fires(FaultKind::BatcherPanic)) {
                 panic!("injected {}", FaultKind::BatcherPanic);
             }
             let mut spans = SpanSet::new();
-            let (scored, restarts) = executor.try_score_batch_spanned(all, fault, tracing.then_some(&mut spans));
+            let (scored, restarts) =
+                executor.try_score_batch_into(&all, scores, scratch, fault, tracing.then_some(&mut spans));
             (scored, restarts, spans)
         }));
         // The executor catches chunk panics and re-scores those chunks; each
@@ -1253,43 +1321,46 @@ impl Driver {
                 trace.extend_from(spans);
             }
         };
-        let (scored, restarts, shard_spans) = match attempt {
-            Ok(result) => result,
+        match attempt {
             Err(_) => {
+                // A panic may have left the scratch mid-request.
+                self.scratch.1 = executor.engine().scratch();
                 metrics.worker_panics.with(&[("role", "batcher")]).inc();
                 let empty = SpanSet::new();
-                for mut job in batch {
+                for mut job in batch.drain(..) {
                     finish_trace(&mut job, &empty);
                     self.answer(job, JobOutcome::Panicked);
                 }
-                return;
             }
-        };
-        count_restarts(restarts);
-        match scored {
-            Ok(scores) => {
+            Ok((Ok(()), restarts, shard_spans)) => {
+                count_restarts(restarts);
                 labels.score_requests.add(total as u64);
                 let mut offset = 0;
-                for mut job in batch {
-                    let slice = scores[offset..offset + job.requests.len()].to_vec();
-                    offset += job.requests.len();
+                for mut job in batch.drain(..) {
+                    let range = offset..offset + job.pairs;
+                    offset = range.end;
                     finish_trace(&mut job, &shard_spans);
-                    self.answer(job, JobOutcome::Scored(Arc::clone(&labels), slice));
+                    self.answer(job, JobOutcome::Scored(Arc::clone(&labels), range));
                 }
             }
-            Err(_) => {
+            Ok((Err(_), restarts, _)) => {
+                count_restarts(restarts);
                 // At least one coalesced request is malformed. Re-score per
                 // job so only the offending response degrades to 422 and the
                 // innocent neighbors in the same batch still get scores.
-                for mut job in batch {
+                let mut offset = 0;
+                for mut job in batch.drain(..) {
+                    let requests = &all[offset..offset + job.pairs];
+                    offset += job.pairs;
                     let mut job_spans = SpanSet::new();
                     let recorded = job.trace.is_some().then_some(&mut job_spans);
-                    let (scored, restarts) = executor.try_score_batch_spanned(&job.requests, fault, recorded);
+                    let (scored, restarts) =
+                        executor.try_score_batch_into(requests, &mut self.scores, &mut self.scratch.1, fault, recorded);
                     count_restarts(restarts);
                     let outcome = match scored {
-                        Ok(scores) => {
-                            labels.score_requests.add(job.requests.len() as u64);
-                            JobOutcome::Scored(Arc::clone(&labels), scores)
+                        Ok(()) => {
+                            labels.score_requests.add(job.pairs as u64);
+                            JobOutcome::Scored(Arc::clone(&labels), 0..job.pairs)
                         }
                         Err(e) => JobOutcome::Unscorable(e),
                     };
@@ -1298,25 +1369,32 @@ impl Driver {
                 }
             }
         }
+        self.pool.reclaim(&mut all);
+        self.gathered = all;
+        self.batch = batch;
     }
 
     /// The scoring-outcome → response mapping, one arm per [`JobOutcome`],
-    /// queued straight onto the connection parked on the job.
+    /// queued straight onto the connection parked on the job. The job's
+    /// request list returns to the pool.
     fn answer(&mut self, job: Job, outcome: JobOutcome) {
-        let Some(mut conn) = self.conns.remove(&job.token) else {
-            return;
-        };
         let Job {
+            requests,
             meta,
             mut trace,
             admitted,
+            token,
             ..
         } = job;
+        self.pool.recycle(requests);
+        let Some(mut conn) = self.conns.remove(&token) else {
+            return;
+        };
         let parts = match outcome {
-            JobOutcome::Scored(labels, scores) => {
+            JobOutcome::Scored(labels, range) => {
                 labels.score_duration.observe(admitted.elapsed().as_secs_f64());
                 let serialize_start = Instant::now();
-                let parts = labels.response(&scores);
+                let parts = labels.response(&self.scores[range]);
                 if let Some(t) = trace.as_mut() {
                     t.record(Stage::Serialize, serialize_start, Instant::now());
                 }
@@ -1455,7 +1533,7 @@ fn error_body(message: &str, request_index: Option<usize>) -> String {
 /// Computes the response for every route a loop answers inline —
 /// everything but `POST /score` (admitted and scored after the pass) and `POST /reload`
 /// (offloaded to a worker thread), which the loop intercepts first.
-fn inline_route(shared: &Shared, request: &Request) -> ResponseParts {
+fn inline_route(shared: &Shared, request: &Request) -> ResponseParts<'static> {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
             let snapshot = shared.executor.snapshot();
@@ -1520,7 +1598,7 @@ fn expose_cache_counters(metrics: &MetricsRegistry, generation: &VersionedExecut
 /// version, the serving version's cache gauges), copy in the reload counts,
 /// retire the series of versions no longer live, and render the registry
 /// as Prometheus text.
-fn metrics_parts(shared: &Shared) -> ResponseParts {
+fn metrics_parts(shared: &Shared) -> ResponseParts<'static> {
     let snapshot = shared.executor.snapshot();
     let version = snapshot.version.to_string();
     let cache = snapshot.executor().cache_stats();
@@ -1543,7 +1621,7 @@ fn metrics_parts(shared: &Shared) -> ResponseParts {
     ResponseParts {
         status: 200,
         content_type: "text/plain; version=0.0.4; charset=utf-8",
-        body: metrics.render(),
+        body: Body::Text(metrics.render()),
         headers: Vec::new(),
         model_version: None,
     }
@@ -2861,6 +2939,7 @@ mod tests {
         // Job `token` is admitted `token + 1` ms after `start`.
         let job = |token: u64, requests: usize| Job {
             token,
+            pairs: requests,
             requests: (0..requests as u64)
                 .map(|pair_id| ScoreRequest {
                     pair_id,
@@ -2893,9 +2972,14 @@ mod tests {
         // A batch closes once it holds `max_requests` requests; a job is
         // never split, so the job that crosses the cap rides along.
         let tokens = |batch: Vec<Job>| batch.iter().map(|j| j.token).collect::<Vec<_>>();
-        assert_eq!(tokens(queue.take_batch(2)), [0]);
-        assert_eq!(tokens(queue.take_batch(2)), [1, 2]);
-        assert!(queue.take_batch(2).is_empty());
+        let take_batch = |queue: &mut AdmissionQueue, max_requests| {
+            let mut batch = Vec::new();
+            queue.take_batch(max_requests, &mut batch);
+            batch
+        };
+        assert_eq!(tokens(take_batch(&mut queue, 2)), [0]);
+        assert_eq!(tokens(take_batch(&mut queue, 2)), [1, 2]);
+        assert!(take_batch(&mut queue, 2).is_empty());
         assert_eq!(queued.load(Ordering::Relaxed), 0);
         assert!(other.push(job(4, 1)).is_ok(), "capacity frees as batches leave");
         assert_eq!(queued.load(Ordering::Relaxed), 1);
@@ -2910,7 +2994,7 @@ mod tests {
         assert_eq!(tokens(queue.take_admitted_by(start + Duration::from_millis(2))), [0, 1]);
         assert_eq!(queued.load(Ordering::Relaxed), 2);
         assert!(queue.take_admitted_by(start + Duration::from_millis(2)).is_empty());
-        assert_eq!(tokens(queue.take_batch(8)), [2, 3]);
+        assert_eq!(tokens(take_batch(&mut queue, 8)), [2, 3]);
     }
 
     #[test]

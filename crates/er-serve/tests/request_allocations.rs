@@ -10,9 +10,14 @@
 //! server's. On one lane and on two it holds:
 //!
 //! * each configuration at most its count when these bounds were set. The
-//!   metrics registry is always on; a single pair with tracing off is held
-//!   to 20, the count with metrics and tracing both off when metrics had an
-//!   off-switch, so the registry adds no allocation to a `/score`;
+//!   metrics registry is always on and adds no allocation to a `/score`;
+//! * a 32-pair array at most [`ARRAY_OVER_PAIR_ALLOCS`] more than a single
+//!   pair, tracing on and off: a warm loop decodes into the request lists
+//!   and rows of answered requests, scores into its own buffers and encodes
+//!   the answer into the connection's write buffer, so no allocation
+//!   follows the pair count;
+//! * an uncached 32-pair array (a server whose cache holds nothing, so
+//!   every pair is scored) at most [`UNCACHED_ARRAY_ALLOCS`];
 //! * tracing on against off: at most [`TRACING_ALLOCS`] more;
 //! * a scrape at most [`SCRAPE_ALLOCS`].
 //!
@@ -65,19 +70,23 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per cached single-pair `/score` with tracing on.
-const PAIR_ALLOCS: u64 = 25;
+const PAIR_ALLOCS: u64 = 9;
 /// The same with tracing off.
-const PAIR_TRACING_OFF_ALLOCS: u64 = 20;
+const PAIR_TRACING_OFF_ALLOCS: u64 = 4;
 /// Allocations per cached 32-pair array `/score` with tracing on.
-const ARRAY_ALLOCS: u64 = 59;
+const ARRAY_ALLOCS: u64 = 9;
 /// The same with tracing off.
-const ARRAY_TRACING_OFF_ALLOCS: u64 = 54;
+const ARRAY_TRACING_OFF_ALLOCS: u64 = 4;
+/// Allocations per uncached 32-pair array `/score` with tracing on.
+const UNCACHED_ARRAY_ALLOCS: u64 = 9;
+/// What a 32-pair array may allocate beyond a single pair.
+const ARRAY_OVER_PAIR_ALLOCS: u64 = 2;
 /// Pairs in an array request.
 const ARRAY_PAIRS: u64 = 32;
 /// What tracing may add per request.
 const TRACING_ALLOCS: u64 = 5;
 /// Allocations per `GET /metrics` scrape of a server that has scored.
-const SCRAPE_ALLOCS: u64 = 10;
+const SCRAPE_ALLOCS: u64 = 8;
 
 const WARM_UP: u64 = 600;
 const MEASURED: u64 = 1_000;
@@ -197,12 +206,15 @@ fn settled_count() -> u64 {
     }
 }
 
-/// Allocations of [`MEASURED`] cached requests of `pairs` pairs each against
-/// a fresh server on `lanes` scoring lanes.
-fn allocations(lanes: usize, pairs: u64, trace_capacity: usize) -> u64 {
+/// Allocations of [`MEASURED`] requests of `pairs` pairs each against a
+/// fresh server on `lanes` scoring lanes, with a score cache of
+/// `cache_capacity` (0: every pair is scored).
+fn allocations(lanes: usize, pairs: u64, trace_capacity: usize, cache_capacity: usize) -> u64 {
     let executor = Arc::new(ReloadableExecutor::new(
         ScoringEngine::new(model()),
-        ServeConfig::default().with_threads(lanes),
+        ServeConfig::default()
+            .with_threads(lanes)
+            .with_cache_capacity(cache_capacity),
     ));
     let server = ScoreServer::start(
         executor,
@@ -256,14 +268,16 @@ fn scrape_allocations(lanes: usize) -> u64 {
 #[test]
 fn cached_scores_and_scrapes_stay_within_their_allocation_budgets() {
     let tracing = ServerConfig::default().trace_capacity;
+    let cache = ServeConfig::default().cache_capacity;
     let per_request = |total: u64| total as f64 / MEASURED as f64;
     for lanes in [1, 2] {
+        let mut pair_counts = (0, 0);
         for (what, pairs, on_budget, off_budget) in [
             ("single pair", 1, PAIR_ALLOCS, PAIR_TRACING_OFF_ALLOCS),
             ("32-pair array", ARRAY_PAIRS, ARRAY_ALLOCS, ARRAY_TRACING_OFF_ALLOCS),
         ] {
-            let on = allocations(lanes, pairs, tracing);
-            let off = allocations(lanes, pairs, 0);
+            let on = allocations(lanes, pairs, tracing, cache);
+            let off = allocations(lanes, pairs, 0, cache);
             println!(
                 "{lanes} lane(s), {what}, allocations per request: tracing on {:.3}, tracing off {:.3}",
                 per_request(on),
@@ -281,7 +295,30 @@ fn cached_scores_and_scrapes_stay_within_their_allocation_budgets() {
                     per_request(total)
                 );
             }
+            if pairs == 1 {
+                pair_counts = (on, off);
+            } else {
+                for (tracing, pair, array) in [("on", pair_counts.0, on), ("off", pair_counts.1, off)] {
+                    assert!(
+                        array <= pair + ARRAY_OVER_PAIR_ALLOCS * MEASURED,
+                        "tracing {tracing}: a 32-pair array took {:.3} allocations more than a single pair, \
+                         budget {ARRAY_OVER_PAIR_ALLOCS} ({lanes} lanes)",
+                        per_request(array.saturating_sub(pair))
+                    );
+                }
+            }
         }
+
+        let uncached = allocations(lanes, ARRAY_PAIRS, tracing, 0);
+        println!(
+            "{lanes} lane(s), uncached 32-pair array, allocations per request: {:.3}",
+            per_request(uncached)
+        );
+        assert!(
+            uncached <= UNCACHED_ARRAY_ALLOCS * MEASURED,
+            "uncached 32-pair array: {:.3} allocations per request, budget {UNCACHED_ARRAY_ALLOCS} ({lanes} lanes)",
+            per_request(uncached)
+        );
 
         let scrapes = scrape_allocations(lanes);
         let per_scrape = scrapes as f64 / MEASURED_SCRAPES as f64;
