@@ -33,6 +33,12 @@ const KEPT_READ_CAPACITY: usize = 64 * 1024;
 /// request is not yet known.
 const READ_CHUNK: usize = 4096;
 
+/// Once the head gives the request's length, the read buffer grows toward
+/// it to at most this many times the bytes received, so a head that claims
+/// a large body commits memory only as the body arrives. A 32-pair array
+/// (about 8.5 KB) still takes one resize after its first 4 KiB.
+const READ_GROWTH: usize = 4;
+
 /// How long a connection that answered its last request with request bytes
 /// possibly unread keeps reading and discarding what its peer still sends,
 /// waiting for the peer's EOF. Closing with request bytes unread makes the
@@ -255,7 +261,8 @@ impl<T> Conn<T> {
     /// the read buffer, or discards it for a lingering one, capped per pass
     /// so one firehose client cannot monopolize the loop (the
     /// level-triggered poller re-reports the rest). A read that leaves room
-    /// in the buffer drained the socket, so it is the last of the pass.
+    /// in the buffer drained the socket, and a full buffer that holds the
+    /// whole request needs no more, so either ends the pass.
     pub fn read(&mut self) {
         if matches!(self.state, State::Lingering(_)) && !self.eof {
             return self.discard_input();
@@ -266,11 +273,14 @@ impl<T> Conn<T> {
         let cap = http::MAX_BODY_BYTES + http::MAX_HEAD_BYTES;
         while self.filled < cap {
             if self.filled == self.read_buf.len() {
-                // Once the head is in, make room for the whole request at
-                // once; until then, and past it, grow by a chunk.
-                let request = http::request_len(&self.read_buf[..self.filled]).unwrap_or(0);
-                let len = request.max(self.filled + READ_CHUNK).min(cap);
-                self.read_buf.resize(len, 0);
+                // Grow by a chunk until the head is in, then toward the
+                // request's end ([`READ_GROWTH`]).
+                let len = match http::request_len(&self.read_buf[..self.filled]) {
+                    Some(request) if request <= self.filled => return,
+                    Some(request) => request.min(self.filled * READ_GROWTH),
+                    None => self.filled + READ_CHUNK,
+                };
+                self.read_buf.resize(len.min(cap), 0);
             }
             let room = self.read_buf.len() - self.filled;
             match self.stream.read(&mut self.read_buf[self.filled..]) {
@@ -534,5 +544,68 @@ impl<T> Conn<T> {
         if result.is_ok() {
             self.interest = want;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connection on one end of a loopback socket, the client on the other.
+    fn pair() -> (Conn<()>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server_end, _) = listener.accept().expect("accept");
+        let limits = Limits {
+            write_timeout: Duration::from_secs(5),
+            read_timeout: None,
+            lifetime: None,
+        };
+        (Conn::new(Token(1), server_end, limits).expect("conn"), client)
+    }
+
+    /// Reads until `sent` bytes are in, checking after every read that the
+    /// buffer holds at most [`READ_GROWTH`] times what has arrived.
+    fn read_all(conn: &mut Conn<()>, sent: usize) {
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while conn.filled < sent {
+            assert!(Instant::now() < give_up, "read {} of {sent} bytes", conn.filled);
+            conn.read();
+            assert!(conn.read_buf.len() <= READ_GROWTH * conn.filled.max(READ_CHUNK));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_claimed_body_commits_memory_only_as_it_arrives() {
+        let (mut conn, mut client) = pair();
+        let head = format!(
+            "POST /score HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            http::MAX_BODY_BYTES
+        );
+        client.write_all(head.as_bytes()).expect("head");
+        client.write_all(&[b'1'; 4096]).expect("part of the body");
+        read_all(&mut conn, head.len() + 4096);
+        assert!(matches!(conn.advance(), Step::Wait));
+        let held = conn.read_buf.capacity();
+        assert!(held <= 32 * 1024, "{held} bytes held for {} received", conn.filled);
+    }
+
+    #[test]
+    fn a_request_longer_than_a_chunk_fills_a_buffer_of_its_own_length() {
+        let (mut conn, mut client) = pair();
+        let body = format!("[{}0]", "0.5,".repeat(2100));
+        let request = format!("POST /score HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        client.write_all(request.as_bytes()).expect("request");
+        read_all(&mut conn, request.len());
+        // The read that filled the buffer ended the pass: no chunk was added
+        // for a read with nothing left to return.
+        assert_eq!(conn.read_buf.len(), request.len());
+        let Step::Request(Ok(parsed)) = conn.advance() else {
+            panic!("expected a request")
+        };
+        assert_eq!(parsed.path, "/score");
+        assert_eq!(conn.body(), body);
     }
 }

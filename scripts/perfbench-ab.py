@@ -3,12 +3,13 @@
 
 Run from the repository root:
 
-    scripts/perfbench-ab.py --parent HEAD~1 --seeds 1-10 --seconds 30
+    scripts/perfbench-ab.py --parent HEAD~1 --seeds 1-10
 
 The parent revision is checked out in a git worktree under --work (default
 $TMPDIR/perfbench-ab), and each side builds into a CARGO_TARGET_DIR of its
 own there, kept between invocations. For every seed and workload it runs
-`python3 perfbench/run.py --trace 0` once per side: odd seeds parent first,
+`python3 perfbench/run.py --trace 0` for BENCHMARK.json's `run_seconds` once
+per side: odd seeds parent first,
 even seeds change first, so drift over the session falls on both sides. It
 then prints, per workload and end-to-end metric of BENCHMARK.json, both
 medians, both interquartile ranges and in how many seed pairs the change was
@@ -47,21 +48,21 @@ def git(root, *args):
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_side(side, root, target, workload, seed, args, results):
+def run_side(side, root, target, workload, seed, seconds, results):
     """One perfbench run of `side`; copies its result file into `results`."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
     command = [
         sys.executable, "perfbench/run.py",
         "--workload", workload,
         "--seed", str(seed),
-        "--seconds", str(args.seconds),
-        "--trace", args.trace,
+        "--seconds", str(seconds),
+        "--trace", "0",
     ]
     print(f"[{side}] {workload} seed {seed}", file=sys.stderr, flush=True)
     if subprocess.run(command, cwd=root, env=env, stdout=subprocess.DEVNULL).returncode != 0:
         print(f"[{side}] {workload} seed {seed}: run failed", file=sys.stderr)
         return None
-    name = f"{workload}-seed{seed}-trace{args.trace}.json"
+    name = f"{workload}-seed{seed}-trace0.json"
     destination = results / side / name
     shutil.copyfile(root / "perfbench" / "out" / name, destination)
     return json.loads(destination.read_text())
@@ -105,8 +106,6 @@ def main():
     parser.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default both")
     parser.add_argument("--seeds", default="1-10", type=seed_list, help="e.g. 1-10 or 1,3,5 (default 1-10)")
-    parser.add_argument("--seconds", default=30.0, type=float)
-    parser.add_argument("--trace", default="0", choices=["0", "1"])
     parser.add_argument("--work", type=Path, default=Path(tempfile.gettempdir()) / "perfbench-ab")
     args = parser.parse_args()
 
@@ -116,6 +115,7 @@ def main():
         return 2
     workloads = args.workload or list(WORKLOADS)
     spec = json.loads((root / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     work = args.work.resolve()
     worktree = work / "parent"
     results = work / "results"
@@ -139,7 +139,7 @@ def main():
             for workload in workloads:
                 for side in order:
                     checkout, target = sides[side]
-                    result = run_side(side, checkout, target, workload, seed, args, results)
+                    result = run_side(side, checkout, target, workload, seed, seconds, results)
                     if result is None:
                         trouble.append(f"{side} {workload} seed {seed}: run failed")
                         continue
@@ -153,7 +153,7 @@ def main():
         subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
 
     print(f"parent {revision[:12]}, change = working tree; seeds {args.seeds[0]}..{args.seeds[-1]}, "
-          f"{args.seconds:g} s, --trace {args.trace}")
+          f"{seconds:g} s, --trace 0")
     report(spec, runs, workloads, args.seeds)
     for line in trouble:
         print(f"TROUBLE: {line}")
